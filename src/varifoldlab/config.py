@@ -8,8 +8,7 @@ choices otherwise.
 
 from __future__ import annotations
 
-import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -21,11 +20,6 @@ class AnalysisConfig:
     floor_mult : float
         Resolution floor for measure-type statistics, in units of mean
         sample spacing (density ratios, beta numbers, Carleson scales).
-    tilt_floor_mult : float
-        Resolution floor for averaged tilt statistics.  Tilt averages are
-        robust on smaller balls than densities, so this is lower.
-    dyadic_refine : int
-        Subdivisions per octave in scale sums (1 = plain dyadic).
     flatness_refine : int
         Rounds of plane refinement in the flatness search.
     net_packing_mult : float
@@ -51,8 +45,6 @@ class AnalysisConfig:
         The stage pipeline rescales its input into a ball of this radius
         inside the unit domain so that the gauge (1-|x|)/100 stays a few
         sample spacings wide and tilt statistics resolve.
-    gamma_max : float
-        Certification threshold used by the CLI exit code.
     p_exponent : float
         Default p for distortion L^p sums.
     dyadic_depth : int
@@ -72,13 +64,9 @@ class AnalysisConfig:
         of straight lines below one percent.
     seed : int
         Seed echoed into every report; all randomized subsampling uses it.
-    threads : int
-        Worker cap for KD-tree queries, from VARIFOLD_THREADS.
     """
 
     floor_mult: float = 8.0
-    tilt_floor_mult: float = 4.0
-    dyadic_refine: int = 1
     flatness_refine: int = 2
     net_packing_mult: float = 0.5e-3
     patch_radius_mult: float = 2.0e-3
@@ -90,7 +78,6 @@ class AnalysisConfig:
     graph_lip_mult: float = 10.0
     acceptance_mult: float = 50.0
     embedding_radius: float = 0.02
-    gamma_max: float = 0.2
     p_exponent: float = 2.0
     dyadic_depth: int = 3
     min_square_triangles: int = 16
@@ -98,7 +85,6 @@ class AnalysisConfig:
     patch_alpha_mult: float = 1.6
     metric_radius_mult: float = 4.0
     seed: int = 0
-    threads: int = field(default_factory=lambda: _env_threads())
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -106,14 +92,6 @@ class AnalysisConfig:
     def with_overrides(self, **kwargs) -> "AnalysisConfig":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **kwargs) if kwargs else self
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("VARIFOLD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 DEFAULT_CONFIG = AnalysisConfig()

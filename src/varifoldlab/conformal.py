@@ -51,7 +51,8 @@ from .geometry import WeightedSurfaceSample, fit_plane_pca
 from .meshing import (
     angle_defects,
     cotangent_laplacian,
-    edge_face_counts,
+    mesh_edges,
+    orient_ccw,
     triangle_areas,
     vertex_areas,
 )
@@ -152,7 +153,7 @@ class DiskPatch:
         return len(self.triangles)
 
     def euler_characteristic(self) -> int:
-        edges = edge_face_counts(self.triangles)
+        edges = mesh_edges(self.triangles, len(self.points))[0]
         return len(self.points) - len(edges) + len(self.triangles)
 
     def surface_triangle_areas(self) -> np.ndarray:
@@ -161,16 +162,7 @@ class DiskPatch:
     def skeleton_graph(self) -> sparse.csr_matrix:
         """Symmetric edge graph of the triangulation, weighted by length."""
         if self._skeleton is None:
-            edges = np.unique(
-                np.sort(
-                    np.concatenate(
-                        [self.triangles[:, [0, 1]], self.triangles[:, [1, 2]],
-                         self.triangles[:, [2, 0]]]
-                    ),
-                    axis=1,
-                ),
-                axis=0,
-            )
+            edges = mesh_edges(self.triangles, len(self.points))[0]
             self._skeleton = _length_graph(self.points, edges)
         return self._skeleton
 
@@ -179,19 +171,11 @@ class DiskPatch:
         if self._metric is None:
             tree = cKDTree(self.points)
             pairs = tree.query_pairs(self.metric_radius, output_type="ndarray")
-            edges = np.unique(
-                np.sort(
-                    np.concatenate(
-                        [pairs.reshape(-1, 2),
-                         self.triangles[:, [0, 1]],
-                         self.triangles[:, [1, 2]],
-                         self.triangles[:, [2, 0]]]
-                    ),
-                    axis=1,
-                ),
-                axis=0,
+            # both graphs hold the same length on a shared edge, so the
+            # elementwise maximum is their union
+            graph = _length_graph(self.points, pairs.reshape(-1, 2)).maximum(
+                self.skeleton_graph()
             )
-            graph = _length_graph(self.points, edges)
             if connected_components(graph, directed=False)[0] != 1:
                 raise DisconnectedPatch("patch neighborhood graph is disconnected")
             self._metric = graph
@@ -270,14 +254,11 @@ def _length_graph(points: np.ndarray, edges: np.ndarray) -> sparse.csr_matrix:
     return graph.tocsr()
 
 
-def _orient_ccw(coords: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    e1 = coords[tris[:, 1]] - coords[tris[:, 0]]
-    e2 = coords[tris[:, 2]] - coords[tris[:, 0]]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    out = tris.copy()
-    flip = det < 0
-    out[flip, 1], out[flip, 2] = tris[flip, 2], tris[flip, 1]
-    return out
+def _interior_slot_pairs(face_edges: np.ndarray, counts: np.ndarray):
+    """The two face slots (``3 t + k``) of every edge shared by two faces."""
+    slots = np.flatnonzero(counts[face_edges].ravel() == 2)
+    slots = slots[np.argsort(face_edges.ravel()[slots], kind="stable")]
+    return slots[0::2], slots[1::2]
 
 
 def _disk_complex(coords: np.ndarray, tris: np.ndarray, n_vertices: int):
@@ -294,72 +275,61 @@ def _disk_complex(coords: np.ndarray, tris: np.ndarray, n_vertices: int):
         raise NotDiskTopology(
             f"{n_vertices - len(used)} vertices are not in any triangle"
         )
-    tris = _orient_ccw(coords, tris)
-
-    counts: dict = {}
-    for a, b, c in tris:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(int(u), int(v)), max(int(u), int(v)))
-            counts[key] = counts.get(key, 0) + 1
-    if any(c > 2 for c in counts.values()):
+    tris = orient_ccw(coords, tris)
+    edges, face_edges, counts = mesh_edges(tris, n_vertices)
+    if counts.max() > 2:
         raise NotDiskTopology("an edge is shared by more than two triangles")
 
-    # single-fan check per vertex: triangles around a vertex must be
-    # connected through the edges containing that vertex
-    vert_tris: list = [[] for _ in range(n_vertices)]
-    for t, (a, b, c) in enumerate(tris):
-        vert_tris[int(a)].append(t)
-        vert_tris[int(b)].append(t)
-        vert_tris[int(c)].append(t)
-    tri_rows = [tuple(int(x) for x in row) for row in tris]
-    for v, tlist in enumerate(vert_tris):
-        if len(tlist) <= 1:
-            continue
-        edge_map: dict = {}
-        for t in tlist:
-            row = tri_rows[t]
-            others = [x for x in row if x != v]
-            for w in others:
-                edge_map.setdefault(w, []).append(t)
-        # BFS over triangles joined by shared v-edges
-        seen = {tlist[0]}
-        stack = [tlist[0]]
-        while stack:
-            t = stack.pop()
-            row = tri_rows[t]
-            for w in row:
-                if w == v:
-                    continue
-                for s in edge_map[w]:
-                    if s not in seen:
-                        seen.add(s)
-                        stack.append(s)
-        if len(seen) != len(tlist):
-            raise NotDiskTopology(f"pinched vertex {v}: link is not a single fan")
+    # single-fan check: corner 3 t + k sits at vertex tris[t, k]; two corners
+    # of one vertex are joined when their triangles share an interior edge
+    # through it, so a vertex whose link is one fan has one corner component
+    corner_vertex = tris.ravel()
+    s1, s2 = _interior_slot_pairs(face_edges, counts)
+    # slot s starts at corner s and ends at the next corner of its triangle
+    h1, h2 = s1 - s1 % 3 + (s1 + 1) % 3, s2 - s2 % 3 + (s2 + 1) % 3
+    same = corner_vertex[s1] == corner_vertex[s2]  # edge runs the same way
+    n_corners = len(corner_vertex)
+    joins = sparse.coo_matrix(
+        (
+            np.ones(2 * len(s1)),
+            (
+                np.concatenate([s1, h1]),
+                np.concatenate([np.where(same, s2, h2), np.where(same, h2, s2)]),
+            ),
+        ),
+        shape=(n_corners, n_corners),
+    )
+    labels = connected_components(joins, directed=False)[1]
+    first = np.unique(labels, return_index=True)[1]
+    fans = np.bincount(corner_vertex[first], minlength=n_vertices)
+    if fans.max() > 1:
+        v = int(np.argmax(fans > 1))
+        raise NotDiskTopology(f"pinched vertex {v}: link is not a single fan")
 
-    euler = n_vertices - len(counts) + len(tris)
+    euler = n_vertices - len(edges) + len(tris)
     if euler != 1:
         raise NotDiskTopology(f"Euler characteristic {euler}, expected 1")
 
-    succ: dict = {}
-    for a, b, c in tris:
-        for u, v in ((int(a), int(b)), (int(b), int(c)), (int(c), int(a))):
-            key = (min(u, v), max(u, v))
-            if counts[key] == 1:
-                if u in succ:
-                    raise NoBoundaryCycle(f"boundary forks at vertex {u}")
-                succ[u] = v
-    if not succ:
+    # boundary half-edges tail -> head, in triangle then slot order
+    on_boundary = counts[face_edges] == 1
+    tails = tris[on_boundary]
+    heads = np.roll(tris, -1, axis=1)[on_boundary]
+    if len(tails) == 0:
         raise NoBoundaryCycle("patch has no boundary edges")
-    start = min(succ)
+    fork, outgoing = np.unique(tails, return_counts=True)
+    if outgoing.max() > 1:
+        raise NoBoundaryCycle(f"boundary forks at vertex {fork[outgoing > 1][0]}")
+    succ = np.full(n_vertices, -1)
+    succ[tails] = heads
+    start = int(tails.min())
     cycle = [start]
-    cur = succ[start]
+    cur = int(succ[start])
     while cur != start:
-        cycle.append(cur)
-        if len(cycle) > len(succ):
+        if cur < 0 or len(cycle) == len(tails):
             raise NoBoundaryCycle("boundary walk does not close")
-        cur = succ[cur]
-    if len(cycle) != len(succ):
+        cycle.append(cur)
+        cur = int(succ[cur])
+    if len(cycle) != len(tails):
         raise NoBoundaryCycle("patch has more than one boundary cycle")
     boundary = np.asarray(cycle, dtype=int)
     poly = coords[boundary]
@@ -499,33 +469,23 @@ def extract_disk_patch(
 
 
 def _edge_component(tris: np.ndarray, seed_vertex: int):
-    """Mask of the edge-connected triangle component containing the vertex."""
-    edge_map: dict = {}
-    for t, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(int(u), int(v)), max(int(u), int(v)))
-            edge_map.setdefault(key, []).append(t)
-    parent = np.arange(len(tris))
+    """Mask of the edge-connected triangle component containing the vertex.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for members in edge_map.values():
-        if len(members) == 2:
-            a, b = find(members[0]), find(members[1])
-            if a != b:
-                parent[a] = b
-    roots = np.fromiter((find(t) for t in range(len(tris))), dtype=int)
-    seed_tris = np.where((tris == seed_vertex).any(axis=1))[0]
+    Triangles are linked through edges shared by exactly two of them; when
+    several components touch the vertex, the largest one wins.
+    """
+    seed_tris = np.flatnonzero((tris == seed_vertex).any(axis=1))
     if len(seed_tris) == 0:
         return None
-    seed_roots, counts = np.unique(roots[seed_tris], return_counts=True)
-    sizes = [(int((roots == r).sum()), -int(r)) for r in seed_roots]
-    best = seed_roots[int(np.argmax([s for s, _ in sizes]))]
-    return roots == best
+    _, face_edges, counts = mesh_edges(tris, int(tris.max()) + 1)
+    s1, s2 = _interior_slot_pairs(face_edges, counts)
+    links = sparse.coo_matrix(
+        (np.ones(len(s1)), (s1 // 3, s2 // 3)), shape=(len(tris), len(tris))
+    )
+    labels = connected_components(links, directed=False)[1]
+    seed_labels = np.unique(labels[seed_tris])
+    best = seed_labels[np.argmax(np.bincount(labels)[seed_labels])]
+    return labels == best
 
 
 def refine_disk_patch(
@@ -544,23 +504,9 @@ def refine_disk_patch(
     """
     pts = patch.points
     tris = patch.triangles
-    bd_edges = {
-        (min(int(patch.boundary[i]), int(patch.boundary[(i + 1) % len(patch.boundary)])),
-         max(int(patch.boundary[i]), int(patch.boundary[(i + 1) % len(patch.boundary)])))
-        for i in range(len(patch.boundary))
-    }
-    edge_index: dict = {}
-    mids = []
-    on_boundary = []
-    for a, b, c in tris:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(int(u), int(v)), max(int(u), int(v)))
-            if key not in edge_index:
-                edge_index[key] = len(pts) + len(mids)
-                mids.append(0.5 * (pts[key[0]] + pts[key[1]]))
-                on_boundary.append(key in bd_edges)
-    mids = np.asarray(mids)
-    on_boundary = np.asarray(on_boundary, dtype=bool)
+    edges, face_edges, counts = mesh_edges(tris, len(pts))
+    mids = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
+    on_boundary = counts == 1
     if projector is not None and (~on_boundary).any():
         mids[~on_boundary] = np.asarray(
             projector(mids[~on_boundary]), dtype=float
@@ -576,25 +522,26 @@ def refine_disk_patch(
             (mids - patch.plane_origin) @ patch.plane_basis.T,
         ]
     )
-    new_tris = []
-    for a, b, c in tris:
-        a, b, c = int(a), int(b), int(c)
-        mab = edge_index[(min(a, b), max(a, b))]
-        mbc = edge_index[(min(b, c), max(b, c))]
-        mca = edge_index[(min(c, a), max(c, a))]
-        new_tris += [[a, mab, mca], [b, mbc, mab], [c, mca, mbc], [mab, mbc, mca]]
-    new_tris = np.asarray(new_tris, dtype=int)
+    # the midpoint of edge e is vertex len(pts) + e
+    a, b, c = tris.T
+    mab, mbc, mca = (len(pts) + face_edges).T
+    new_tris = np.stack(
+        [a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1
+    ).reshape(-1, 3)
+    # boundary edge e joins cycle positions p and p + 1; its midpoint
+    # follows position p in the refined cycle
     bd = patch.boundary
-    new_bd = []
-    for i, v in enumerate(bd):
-        w = bd[(i + 1) % len(bd)]
-        new_bd.append(int(v))
-        new_bd.append(edge_index[(min(int(v), int(w)), max(int(v), int(w)))])
-    new_bd = np.asarray(new_bd, dtype=int)
+    pos = np.empty(len(pts), dtype=int)
+    pos[bd] = np.arange(len(bd))
+    bd_edges = np.flatnonzero(on_boundary)
+    p, q = pos[edges[bd_edges, 0]], pos[edges[bd_edges, 1]]
+    after = np.empty(len(bd), dtype=int)
+    after[np.where((p + 1) % len(bd) == q, p, q)] = len(pts) + bd_edges
+    new_bd = np.stack([bd, after], axis=1).ravel()
     rows = np.concatenate([patch.sample_rows, np.full(len(mids), -1, dtype=int)])
     return DiskPatch(
         points=new_pts,
-        triangles=_orient_ccw(new_coords, new_tris),
+        triangles=orient_ccw(new_coords, new_tris),
         boundary=new_bd,
         plane_coords=new_coords,
         plane_basis=patch.plane_basis,
@@ -837,9 +784,8 @@ class DiskParameterization:
     def boundary_vertices(self) -> np.ndarray:
         if self.boundary is not None:
             return self.boundary
-        counts = edge_face_counts(self.triangles)
-        verts = sorted({v for e, c in counts.items() if c == 1 for v in e})
-        return np.asarray(verts, dtype=int)
+        edges, _, counts = mesh_edges(self.triangles, len(self.disk_points))
+        return np.unique(edges[counts == 1])
 
     def interior_mask(self) -> np.ndarray:
         mask = np.ones(len(self.disk_points), dtype=bool)
@@ -887,13 +833,7 @@ def _dirichlet_energy(disk_pts, tris, values) -> float:
 
 
 def _uniform_laplacian(n: int, tris: np.ndarray) -> sparse.csr_matrix:
-    edges = np.unique(
-        np.sort(
-            np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]),
-            axis=1,
-        ),
-        axis=0,
-    )
+    edges = mesh_edges(tris, n)[0]
     ones = np.ones(len(edges))
     adj = sparse.coo_matrix(
         (

@@ -1,7 +1,7 @@
 """Exception and warning types shared across the toolkit.
 
-Every operational failure mode has its own class so callers (and the CLI)
-can map failures to exit codes and report entries without string matching.
+Every operational failure mode has its own class so callers can map
+failures to report entries without string matching.
 """
 
 
@@ -133,20 +133,11 @@ class NotJordan(ToolkitError):
 
 
 # ---------------------------------------------------------------------------
-# io / cli
+# synthetic surfaces and meshes
 
 
 class InvalidSpec(ToolkitError):
     """Synthetic surface request is inconsistent."""
-
-
-class ParseError(ToolkitError):
-    """Input file is malformed."""
-
-    def __init__(self, message, line=None, face=None):
-        super().__init__(message)
-        self.line = line
-        self.face = face
 
 
 class NonManifoldMesh(ToolkitError):

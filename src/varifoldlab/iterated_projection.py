@@ -992,6 +992,17 @@ def _embed(sample: WeightedSurfaceSample, radius: float):
     return moved, scale, center
 
 
+def _build_stage(work, fine, delta, nu, config, index, group_counts):
+    """Stage ``index`` at gauge ``delta``; appends its net's group count."""
+    if fine.covers_all(len(work)):
+        return _fine_only_stage(work, fine, delta, index)
+    net = build_separated_net(work, delta, config)
+    group_counts.append(net.group_count)
+    stage = build_sigma_delta(work, fine, net, delta, nu, config, index)
+    normal_field(stage, work, config)
+    return stage
+
+
 def iterate_parameterization(
     sample: WeightedSurfaceSample,
     gamma_hint: float,
@@ -1037,14 +1048,7 @@ def iterate_parameterization(
     ]
     group_counts: list[int] = []
 
-    if fine.covers_all(len(work)):
-        stage0 = _fine_only_stage(work, fine, delta, 0)
-    else:
-        net = build_separated_net(work, delta, config)
-        group_counts.append(net.group_count)
-        stage0 = build_sigma_delta(work, fine, net, delta, nu, config, 0)
-        normal_field(stage0, work, config)
-
+    stage0 = _build_stage(work, fine, delta, nu, config, 0, group_counts)
     stages = [stage0]
     maps: list[CorrespondenceMap] = []
     disp_hist: list[float] = []
@@ -1055,13 +1059,7 @@ def iterate_parameterization(
         bad_weights.append(
             float(work.total_weight - work.weights[fine.indices].sum())
         )
-        if fine.covers_all(len(work)):
-            stage = _fine_only_stage(work, fine, delta, j + 1)
-        else:
-            net = build_separated_net(work, delta, config)
-            group_counts.append(net.group_count)
-            stage = build_sigma_delta(work, fine, net, delta, nu, config, j + 1)
-            normal_field(stage, work, config)
+        stage = _build_stage(work, fine, delta, nu, config, j + 1, group_counts)
         tau = project_tau(stages[-1], stage, beta)
         stages.append(stage)
         maps.append(tau)

@@ -1,8 +1,12 @@
 """Triangle-mesh utilities: areas, normals, Laplacians, adjacency.
 
 Shared by the curvature cross-check path and the disk parameterization.
-Orientation conventions follow the face winding as given; no reordering is
-performed here.
+Orientation conventions follow the face winding as given; only
+``orient_ccw`` reorders it, on request.
+
+``mesh_edges`` is the only owner of the undirected-edge representation:
+every edge count, boundary test, skeleton graph and midpoint index in the
+toolkit reads its table instead of rebuilding edges from the faces.
 """
 
 from __future__ import annotations
@@ -71,16 +75,20 @@ def structured_disk_mesh(rings: int, radius: float = 1.0):
         pts.append(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1))
     points = np.vstack(pts)
     tris = Delaunay(points).simplices
-    e1 = points[tris[:, 1]] - points[tris[:, 0]]
-    e2 = points[tris[:, 2]] - points[tris[:, 0]]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    keep = np.abs(det) > 1e-12 * radius * radius
-    tris = tris[keep]
-    det = det[keep]
-    flip = det < 0
-    out = tris.copy()
-    out[flip, 1], out[flip, 2] = tris[flip, 2], tris[flip, 1]
-    return points, out
+    keep = triangle_areas(points, tris) > 0.5e-12 * radius * radius
+    return points, orient_ccw(points, tris[keep])
+
+
+def orient_ccw(coords: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Copy of ``faces`` with every clockwise triangle in ``coords`` (k, 2)
+    flipped to counterclockwise; degenerate triangles keep their winding."""
+    f = np.asarray(faces)
+    e1 = coords[f[:, 1]] - coords[f[:, 0]]
+    e2 = coords[f[:, 2]] - coords[f[:, 0]]
+    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    out = f.copy()
+    out[flip, 1], out[flip, 2] = f[flip, 2], f[flip, 1]
+    return out
 
 
 def face_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -147,53 +155,38 @@ def cotangent_laplacian(vertices: np.ndarray, faces: np.ndarray) -> sparse.csr_m
     return L.tocsr()
 
 
-def edge_face_counts(faces: np.ndarray) -> dict:
-    """Undirected edge -> number of incident faces."""
-    counts: dict = {}
-    for tri in np.asarray(faces, dtype=int):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(int(a), int(b)), max(int(a), int(b)))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def mesh_edges(faces: np.ndarray, n_vertices: int):
+    """Undirected edge table of a triangle set.
+
+    Slot ``k`` of face ``t`` is the edge from ``faces[t, k]`` to
+    ``faces[t, (k + 1) % 3]``; it is keyed as ``lo * n_vertices + hi`` and
+    the keys are made unique in one pass.
+
+    Returns
+    -------
+    edges : ndarray, shape (E, 2)
+        Unique edges as ``lo < hi`` rows in lexicographic order.
+    face_edges : ndarray, shape (F, 3)
+        Row of ``edges`` for every face slot.
+    counts : ndarray, shape (E,)
+        Number of faces on each edge: 1 on the boundary, 2 inside.
+    """
+    f = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    g = np.roll(f, -1, axis=1)
+    keys, inverse, counts = np.unique(
+        (np.minimum(f, g) * n_vertices + np.maximum(f, g)).ravel(),
+        return_inverse=True,
+        return_counts=True,
+    )
+    edges = np.stack([keys // n_vertices, keys % n_vertices], axis=1)
+    return edges, inverse.reshape(f.shape), counts
 
 
-def check_manifold(faces: np.ndarray) -> dict:
-    """Raise on edges shared by three or more faces; return the edge counts."""
-    counts = edge_face_counts(faces)
-    bad = [e for e, c in counts.items() if c > 2]
+def check_manifold(faces: np.ndarray, n_vertices: int) -> None:
+    """Raise on edges shared by three or more faces."""
+    bad = int(np.sum(mesh_edges(faces, n_vertices)[2] > 2))
     if bad:
-        raise NonManifoldMesh(f"{len(bad)} edges shared by more than two faces")
-    return counts
-
-
-def boundary_loops(faces: np.ndarray) -> list:
-    """Ordered vertex cycles of the mesh boundary (edges on one face only)."""
-    counts = check_manifold(faces)
-    boundary = [e for e, c in counts.items() if c == 1]
-    if not boundary:
-        return []
-    succ: dict = {}
-    # orient boundary edges as they appear in faces so loops are ordered
-    bset = set(boundary)
-    for tri in np.asarray(faces, dtype=int):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(int(a), int(b)), max(int(a), int(b)))
-            if key in bset:
-                succ[int(a)] = int(b)
-    loops = []
-    seen: set = set()
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        loop = [start]
-        seen.add(start)
-        cur = succ[start]
-        while cur != start:
-            loop.append(cur)
-            seen.add(cur)
-            cur = succ[cur]
-        loops.append(loop)
-    return loops
+        raise NonManifoldMesh(f"{bad} edges shared by more than two faces")
 
 
 def mesh_to_sample(vertices: np.ndarray, faces: np.ndarray) -> WeightedSurfaceSample:
@@ -204,7 +197,7 @@ def mesh_to_sample(vertices: np.ndarray, faces: np.ndarray) -> WeightedSurfaceSa
     """
     v = np.asarray(vertices, dtype=float)
     f = np.asarray(faces, dtype=int)
-    check_manifold(f)
+    check_manifold(f, len(v))
     areas = triangle_areas(v, f)
     normals = face_normals(v, f)
     acc = np.zeros_like(v)

@@ -299,27 +299,10 @@ def carleson_sum(
     Returns
     -------
     (value, normalized)
-        normalized = value / (pi sigma^2).
+        normalized = value / (pi sigma^2); the integral of ``beta_report``.
     """
-    if floor is None:
-        floor = resolution_floor(sample)
-    if sigma < 4.0 * floor:
-        raise BallBelowResolution(
-            f"sigma {sigma:.4g} below 4x floor {floor:.4g}"
-        )
-    xi = np.asarray(xi, dtype=float)
-    scales = carleson_scales(sigma, floor, refine)
-    step = np.log(2.0) / max(refine, 1)
-    idx = sample.ball_query(xi, sigma)
-    total = 0.0
-    for i in idx:
-        y = sample.points[i]
-        acc = 0.0
-        for s in scales:
-            acc += jones_beta(sample, y, float(s))
-        total += sample.weights[i] * acc * step
-    m = sample.intrinsic_dim
-    return float(total), float(total / (_unit_ball_volume(m) * sigma**m))
+    r = beta_report(sample, xi, sigma, floor=floor, refine=refine)
+    return r.carleson, r.carleson_normalized
 
 
 def carleson_chain_majorant(

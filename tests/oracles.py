@@ -8,6 +8,8 @@ against them.  scripts/freeze_oracle_values.py prints the constants.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -573,6 +575,16 @@ def quasisymmetry_bruteforce(points2, values, center_index, s):
         if d >= s and df < small:
             small = df
     return big / small
+
+
+def edge_face_counter(faces) -> Counter:
+    """Undirected edge (lo, hi) -> number of faces, one face side at a time."""
+    counts: Counter = Counter()
+    for tri in faces:
+        for k in range(3):
+            a, b = int(tri[k]), int(tri[(k + 1) % 3])
+            counts[(min(a, b), max(a, b))] += 1
+    return counts
 
 
 def dirichlet_energy_direct(disk_pts, surf_pts, tris):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import Delaunay
 
 from varifoldlab import conformal as conf
 from varifoldlab.config import AnalysisConfig
@@ -14,19 +15,27 @@ from varifoldlab.curvature import CurvatureField, build_curvature_field
 from varifoldlab.errors import (
     DegenerateTriangle,
     MissingCurvature,
+    NoBoundaryCycle,
+    NonManifoldMesh,
     NotDiskTopology,
     NotJordan,
     RankDeficient,
     TooFewPoints,
 )
 from varifoldlab.geometry import WeightedSurfaceSample
-from varifoldlab.meshing import structured_disk_mesh, vertex_areas
+from varifoldlab.meshing import (
+    check_manifold,
+    mesh_edges,
+    structured_disk_mesh,
+    vertex_areas,
+)
 from varifoldlab.synthetic import SyntheticSpec, generate
 
 from oracles import (
     affine_fit_direct,
     circle_arc_chord_ratio_max,
     dirichlet_energy_direct,
+    edge_face_counter,
     graph_chord_length,
     oracle_frame_energy_cap,
     quasisymmetry_bruteforce,
@@ -155,6 +164,74 @@ def grid_mesh_32():
     return conf.DiskMesh(points=pts, triangles=tris), pts, tris
 
 
+# the 6-vertex real projective plane: every edge on two faces, no boundary
+RP2_FACES = np.array(
+    [
+        [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 1],
+        [1, 2, 4], [2, 3, 5], [3, 4, 1], [4, 5, 2], [5, 1, 3],
+    ]
+)
+
+
+def _three_sheet_edge():
+    """Three triangles hinged on the edge (0, 1)."""
+    pts = np.array([[0.0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -1, 0], [0.5, 0, 1]])
+    return pts, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+
+
+def _double_fan():
+    """Two closed hexagonal fans around the shared centre vertex 0."""
+    ang = np.pi * np.arange(6) / 3.0
+    ring = np.c_[np.cos(ang), np.sin(ang), np.zeros(6)]
+    pts = np.vstack([np.zeros((1, 3)), ring, 2.0 * ring])
+    k = np.arange(6)
+    tris = np.vstack(
+        [np.c_[np.zeros(6, int), 1 + k, 1 + (k + 1) % 6],
+         np.c_[np.zeros(6, int), 7 + k, 7 + (k + 1) % 6]]
+    )
+    return pts, tris
+
+
+def _annulus():
+    """structured_disk_mesh(4) without its centre fan, re-indexed."""
+    pts2, tris = structured_disk_mesh(4)
+    keep = ~(tris == 0).any(axis=1)
+    return np.c_[pts2[1:], np.zeros(len(pts2) - 1)], tris[keep] - 1
+
+
+def _projective_plane():
+    ang = 2.0 * np.pi * np.arange(6) / 6.0
+    return np.c_[np.cos(ang), np.sin(ang), np.arange(6) % 2], RP2_FACES
+
+
+def _check_edge_table(pts, tris):
+    edges, face_edges, counts = mesh_edges(tris, len(pts))
+    oracle = edge_face_counter(tris)
+    assert [tuple(e) for e in edges.tolist()] == sorted(oracle)
+    assert counts.tolist() == [oracle[tuple(e)] for e in edges.tolist()]
+    sides = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2), axis=2)
+    assert np.array_equal(edges[face_edges], sides)
+    assert len(np.unique(tris)) - len(edges) + len(tris) == 1
+
+
+class TestEdgeTable:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=1, max_value=12))
+    def test_structured_mesh_matches_counter_oracle(self, rings):
+        _check_edge_table(*structured_disk_mesh(rings))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(min_value=3, max_value=300))
+    def test_delaunay_mesh_matches_counter_oracle(self, seed, n):
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 2))
+        _check_edge_table(pts, Delaunay(pts).simplices)
+
+    def test_check_manifold_rejects_three_sheet_edge(self):
+        pts, tris = _three_sheet_edge()
+        with pytest.raises(NonManifoldMesh, match="1 edges"):
+            check_manifold(tris, len(pts))
+
+
 # ---------------------------------------------------------------------------
 # patch extraction
 
@@ -226,6 +303,20 @@ class TestExtraction:
         )
         tris = np.array([[0, 1, 2], [0, 3, 4]])
         with pytest.raises(NotDiskTopology):
+            conf.DiskPatch.from_mesh(pts, tris)
+
+    @pytest.mark.parametrize(
+        "mesh, error, match",
+        [
+            (_three_sheet_edge, NotDiskTopology, "more than two triangles"),
+            (_double_fan, NotDiskTopology, "pinched vertex 0"),
+            (_annulus, NotDiskTopology, "Euler characteristic 0"),
+            (_projective_plane, NoBoundaryCycle, "no boundary edges"),
+        ],
+    )
+    def test_from_mesh_refusals(self, mesh, error, match):
+        pts, tris = mesh()
+        with pytest.raises(error, match=match):
             conf.DiskPatch.from_mesh(pts, tris)
 
     def test_from_mesh_rejects_orphan_vertex(self):
