@@ -588,8 +588,10 @@ def intrinsic_metric_diagnostics(
     skeleton = patch.skeleton_graph()
     rng = np.random.default_rng(seed)
     src = np.sort(rng.choice(k, size=min(sources, k), replace=False))
-    d_metric = dijkstra(metric, directed=False, indices=src)
-    d_skel = dijkstra(skeleton, directed=False, indices=src)
+    # both graphs are symmetric, so the directed search is the undirected
+    # one without scipy transposing the graph first
+    d_metric = dijkstra(metric, directed=True, indices=src)
+    d_skel = dijkstra(skeleton, directed=True, indices=src)
     chords = np.linalg.norm(
         patch.points[src][:, None, :] - patch.points[None, :, :], axis=2
     )
@@ -654,18 +656,20 @@ def waypoint_cycle(patch: DiskPatch, waypoints2) -> np.ndarray:
         anchors.pop()
     if len(anchors) < 3:
         raise NotJordan("fewer than three distinct waypoint vertices")
-    graph = patch.metric_graph()
+    # one search from every anchor; the metric graph is symmetric, so the
+    # directed search is the undirected one without a transposed copy
+    dist, pred = dijkstra(
+        patch.metric_graph(), directed=True, indices=anchors,
+        return_predecessors=True,
+    )
     cycle: list = []
     for i, a in enumerate(anchors):
         b = anchors[(i + 1) % len(anchors)]
-        dist, pred = dijkstra(
-            graph, directed=False, indices=[a], return_predecessors=True
-        )
-        if not np.isfinite(dist[0, b]):
+        if not np.isfinite(dist[i, b]):
             raise DisconnectedPatch(f"no path between waypoints {a} and {b}")
         path = [b]
         while path[-1] != a:
-            path.append(int(pred[0, path[-1]]))
+            path.append(int(pred[i, path[-1]]))
         path.reverse()
         cycle.extend(path[:-1])
     cyc = np.asarray(cycle, dtype=int)

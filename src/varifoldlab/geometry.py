@@ -358,24 +358,41 @@ def grassmann_project(matrix, rank: int) -> Plane:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"need a square matrix, got {m.shape}")
-    if not 0 < rank <= m.shape[0]:
+    return Plane(basis=grassmann_bases(m, rank))
+
+
+def grassmann_bases(matrices, rank: int) -> np.ndarray:
+    """Top-`rank` eigenbases of a stack of square matrices, in one call.
+
+    The batched form of `grassmann_project`: ``matrices`` has shape
+    (..., n, n) and the result (..., rank, n) holds, per matrix, the
+    orthonormal rows spanning its nearest rank-`rank` projector, with the
+    same eigenvalue order and sign convention.  One EigengapTie warning,
+    naming the smallest gap, covers every matrix tied at the cut.
+    """
+    m = np.asarray(matrices, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"need square matrices, got {m.shape}")
+    n = m.shape[-1]
+    if not 0 < rank <= n:
         raise ValueError(f"rank {rank} out of range for shape {m.shape}")
-    sym = 0.5 * (m + m.T)
+    sym = 0.5 * (m + np.swapaxes(m, -1, -2))
     evals, evecs = np.linalg.eigh(sym)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    if rank < m.shape[0]:
-        gap = evals[rank - 1] - evals[rank]
-        if gap < _EIGENGAP_TOL:
+    order = np.argsort(evals, axis=-1)[..., ::-1]
+    evals = np.take_along_axis(evals, order, axis=-1)
+    evecs = np.take_along_axis(evecs, order[..., None, :], axis=-1)
+    if rank < n:
+        gap = evals[..., rank - 1] - evals[..., rank]
+        tied = gap < _EIGENGAP_TOL
+        if np.any(tied):
             warnings.warn(
-                f"eigengap {gap:.3e} at the rank cut; keeping the "
+                f"eigengap {gap[tied].min():.3e} at the rank cut; keeping the "
                 "lexicographic eigenvector choice",
                 EigengapTie,
-                stacklevel=2,
+                stacklevel=3,
             )
-    basis = _canonical_rows(evecs[:, :rank].T)
-    return Plane(basis=basis)
+    bases = np.swapaxes(evecs[..., :rank], -1, -2)
+    return _canonical_rows(bases.reshape(-1, n)).reshape(bases.shape)
 
 
 def _canonical_rows(basis: np.ndarray) -> np.ndarray:

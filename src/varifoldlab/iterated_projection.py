@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist, pdist
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
     TooFewPoints,
     UncoveredQuery,
 )
-from .geometry import Ball, Plane, WeightedSurfaceSample, fit_plane_pca, grassmann_project
+from .geometry import Ball, Plane, WeightedSurfaceSample, fit_plane_pca, grassmann_bases
 from .multiscale import local_maximal_tilt, resolution_floor
 
 # The gauge is this fraction of the distance to the domain boundary.
@@ -269,12 +270,14 @@ def build_separated_net(
     net_pts = pts[net_rows]
     net_vals = vals[net_rows]
     sep = config.group_sep_mult
-    tree_net = cKDTree(net_pts)
+    balls = cKDTree(net_pts).query_ball_point(
+        net_pts, sep * net_vals, return_sorted=False
+    )
     forbidden: list[set[int]] = [set() for _ in range(net_rows.size)]
     group_ids = np.full(net_rows.size, -1, dtype=int)
-    for pos in range(net_rows.size):
+    for pos, ball in enumerate(balls):
         taken = set(forbidden[pos])
-        for nb in tree_net.query_ball_point(net_pts[pos], sep * net_vals[pos]):
+        for nb in ball:
             if nb != pos and group_ids[nb] >= 0:
                 taken.add(int(group_ids[nb]))
         g = 0
@@ -282,7 +285,7 @@ def build_separated_net(
             g += 1
         group_ids[pos] = g
         # forward-mark later points inside this member's own separation ball
-        for nb in tree_net.query_ball_point(net_pts[pos], sep * net_vals[pos]):
+        for nb in ball:
             if nb > pos:
                 forbidden[nb].add(g)
     q = int(group_ids.max()) + 1
@@ -452,6 +455,14 @@ def build_sigma_delta(
     same bump profile as the partition of unity for weights.  Groups are
     processed in order and a synthesized candidate defers to any existing
     stage point within half a grid step (prior heights win on overlap).
+
+    The finished stage then passes the graph test of `_graph_lipschitz`:
+    over each patch's support ball, the normal parts of the stage points
+    must be `graph_lip_mult * nu`-Lipschitz in their in-plane parts.  A ball
+    of more than 300 points is thinned to every ``len // 300 + 1``-th point
+    in KD-tree traversal order, not sorted index order, so the measured
+    subsample (and the recorded `graph_lipschitz`) depends on that order;
+    every ball query here therefore passes ``return_sorted=False``.
     """
     m = sample.intrinsic_dim
     grid_step = sample.mean_spacing
@@ -477,8 +488,12 @@ def build_sigma_delta(
         members = net.indices[net.group_ids == g]
         existing = np.concatenate(stage_pts)
         existing_tree = cKDTree(existing)
+        anchors = fine_tree.query_ball_point(
+            sample.points[members], support_mult * vals[members],
+            return_sorted=False,
+        )
         new_pts: list[np.ndarray] = []
-        for row in members:
+        for row, local in zip(members, anchors):
             u = sample.points[row]
             d_u = vals[row]
             support_r = support_mult * d_u
@@ -495,12 +510,10 @@ def build_sigma_delta(
                 if 2.0 * d_u < floor:
                     # gauge below sample resolution: nothing to refit
                     continue
-                local = fine_tree.query_ball_point(u, support_r)
                 if len(local) < m + 1:
                     # too few anchors to refit; the kept points stand
                     continue
             else:
-                local = fine_tree.query_ball_point(u, support_r)
                 if len(local) < m + 1:
                     raise GraphTestFailure(
                         f"net point at {np.round(u, 6).tolist()} has only "
@@ -562,49 +575,70 @@ def build_sigma_delta(
         denom = nu * np.maximum(d_fine, 1e-300)
         offset_ratio = float((d_sample / denom).max())
 
-    # graph test per patch over the finished stage
-    stage_tree = cKDTree(points)
-    lips = np.zeros(len(patch_centers))
-    for k, (c, basis, d_u) in enumerate(
-        zip(patch_centers, patch_bases, patch_gauge)
-    ):
-        ball = stage_tree.query_ball_point(c, support_mult * d_u)
-        if len(ball) < 2:
-            continue
-        if len(ball) > 300:
-            # bound the pairwise cost on wide patches with a uniform stride
-            ball = list(np.asarray(ball)[:: len(ball) // 300 + 1])
-        local = points[np.asarray(ball, dtype=int)] - c
-        cc = local @ np.asarray(basis).T
-        hh = local - cc @ np.asarray(basis)
-        dc = np.linalg.norm(cc[:, None, :] - cc[None, :, :], axis=2)
-        dh = np.linalg.norm(hh[:, None, :] - hh[None, :, :], axis=2)
-        mask = dc > 1e-12
-        if mask.any():
-            lips[k] = float((dh[mask] / dc[mask]).max())
-        if lips[k] > lip_bound:
-            raise GraphTestFailure(
-                f"patch at {np.round(c, 6).tolist()} fails the graph test: "
-                f"Lipschitz {lips[k]:.3g} exceeds {lip_bound:.3g}"
-            )
+    patch_centers = np.asarray(patch_centers).reshape(-1, sample.ambient_dim)
+    patch_bases = np.asarray(patch_bases).reshape(-1, m, sample.ambient_dim)
+    patch_gauge = np.asarray(patch_gauge, dtype=float)
+    lips = _graph_lipschitz(
+        points, patch_centers, patch_bases, support_mult * patch_gauge, lip_bound
+    )
 
     return SmoothedSurfaceStage(
         index=stage_index,
         points=points,
         gauge=gauge,
         sample_rows=rows,
-        patch_centers=np.asarray(patch_centers).reshape(-1, sample.ambient_dim),
-        patch_bases=np.asarray(patch_bases).reshape(
-            -1, m, sample.ambient_dim
-        ),
+        patch_centers=patch_centers,
+        patch_bases=patch_bases,
         patch_origins=np.asarray(patch_origins).reshape(
             -1, sample.ambient_dim
         ),
-        patch_gauge=np.asarray(patch_gauge, dtype=float),
+        patch_gauge=patch_gauge,
         graph_lipschitz=lips,
         synth_offset_ratio=offset_ratio,
         overlap_mismatch=overlap_mismatch,
     )
+
+
+def _graph_lipschitz(
+    points: np.ndarray,
+    centers: np.ndarray,
+    bases: np.ndarray,
+    radii: np.ndarray,
+    lip_bound: float,
+) -> np.ndarray:
+    """Per-patch Lipschitz constant of the stage as a graph over its plane.
+
+    Patch k sees the points within ``radii[k]`` of ``centers[k]``, split
+    into in-plane coordinates and normal parts of ``bases[k]``; its constant
+    is the largest ratio of normal to in-plane distance over point pairs
+    with in-plane distance above 1e-12.  Balls of more than 300 points keep
+    every ``len // 300 + 1``-th point in KD-tree traversal order.  Raises
+    GraphTestFailure at the first patch, in patch order, above `lip_bound`.
+    """
+    lips = np.zeros(len(centers))
+    if len(centers) == 0:
+        return lips
+    balls = cKDTree(points).query_ball_point(centers, radii, return_sorted=False)
+    for k, ball in enumerate(balls):
+        if len(ball) < 2:
+            continue
+        if len(ball) > 300:
+            # bound the pairwise cost on wide patches with a uniform stride
+            ball = ball[:: len(ball) // 300 + 1]
+        local = points[ball] - centers[k]
+        cc = local @ bases[k].T
+        hh = local - cc @ bases[k]
+        # condensed pairs: the maximum over i < j is the symmetric maximum;
+        # pairs closer than 1e-12 in plane get ratio 0, which never wins
+        dc = pdist(cc)
+        dc[dc <= 1e-12] = np.inf
+        lips[k] = float((pdist(hh) / dc).max())
+        if lips[k] > lip_bound:
+            raise GraphTestFailure(
+                f"patch at {np.round(centers[k], 6).tolist()} fails the graph "
+                f"test: Lipschitz {lips[k]:.3g} exceeds {lip_bound:.3g}"
+            )
+    return lips
 
 
 def _fine_only_stage(
@@ -653,66 +687,59 @@ def normal_field(
     Kept fine points outside every bump support fall back to their own
     sample tangent plane's normal projector (their plane is exact there);
     a synthesized point without coverage is an error.  The per-patch
-    Lipschitz quotient of the blended field is recorded.
+    Lipschitz quotient of the blended field is recorded: over the first 50
+    points of each support ball, taken in KD-tree traversal order rather
+    than sorted index order (hence ``return_sorted=False`` on the batched
+    ball query), the largest ratio of projector (Frobenius) distance to
+    point distance.
     """
     n = stage.points.shape[1]
     m = stage.patch_bases.shape[1] if stage.patch_bases.size else n - 1
-    projs = np.zeros((len(stage.points), n, n))
     if len(stage.patch_centers) == 0:
         if stage.normal_projectors is None:
             raise UncoveredQuery("stage has no patches and no fallback planes")
         return stage
     supports = config.pou_support_mult * stage.patch_gauge
     mat = _pou_matrix(stage.patch_centers, supports, stage.points)
-    sums = np.asarray(mat.sum(axis=1)).ravel()
-    uncovered = sums <= 0
+    uncovered = np.asarray(mat.sum(axis=1)).ravel() <= 0
     if np.any(uncovered & ~stage.fine_mask):
         raise UncoveredQuery(
             f"{int((uncovered & ~stage.fine_mask).sum())} synthesized points "
             "have no bump coverage"
         )
-    patch_normals = np.stack(
-        [
-            np.eye(n) - b.T @ b
-            for b in stage.patch_bases
-        ]
+    patch_normals = np.eye(n) - _span_projectors(stage.patch_bases)
+    blended = (mat @ patch_normals.reshape(len(patch_normals), n * n)).reshape(
+        -1, n, n
     )
-    blended = np.einsum(
-        "kij,pk->pij", patch_normals, mat.toarray()
+    projs = np.empty((len(stage.points), n, n))
+    projs[~uncovered] = _span_projectors(
+        grassmann_bases(blended[~uncovered], n - m)
     )
-    for i in range(len(stage.points)):
-        if uncovered[i]:
-            row = stage.sample_rows[i]
-            basis = sample.tangent_bases[row]
-            projs[i] = np.eye(n) - basis.T @ basis
-        else:
-            projs[i] = grassmann_project(blended[i], n - m).projector
+    projs[uncovered] = np.eye(n) - _span_projectors(
+        sample.tangent_bases[stage.sample_rows[uncovered]]
+    )
 
     # per-patch Lipschitz quotient of the blended field
-    tree = cKDTree(stage.points)
+    flat = projs.reshape(len(projs), -1)
+    balls = cKDTree(stage.points).query_ball_point(
+        stage.patch_centers, supports, return_sorted=False
+    )
     lips = np.zeros(len(stage.patch_centers))
-    for k, (c, r) in enumerate(zip(stage.patch_centers, supports)):
-        ball = tree.query_ball_point(c, r)
+    for k, ball in enumerate(balls):
         if len(ball) < 2:
             continue
-        ball = np.asarray(ball[:50], dtype=int)
-        pp = projs[ball]
-        dp = np.linalg.norm(
-            (pp[:, None, :, :] - pp[None, :, :, :]).reshape(
-                len(ball), len(ball), -1
-            ),
-            axis=2,
-        )
-        dx = np.linalg.norm(
-            stage.points[ball][:, None, :] - stage.points[ball][None, :, :],
-            axis=2,
-        )
-        mask = dx > 1e-12
-        if mask.any():
-            lips[k] = float((dp[mask] / dx[mask]).max())
+        ball = ball[:50]
+        dx = pdist(stage.points[ball])
+        dx[dx <= 1e-12] = np.inf
+        lips[k] = float((pdist(flat[ball]) / dx).max())
     stage.normal_projectors = projs
     stage.normal_lipschitz = lips
     return stage
+
+
+def _span_projectors(bases: np.ndarray) -> np.ndarray:
+    """B^T B for each orthonormal row basis B of a stack."""
+    return np.matmul(np.swapaxes(bases, -1, -2), bases)
 
 
 # ---------------------------------------------------------------------------
@@ -762,33 +789,29 @@ def project_tau(
         raise MissingNormalField()
     src = stage_from.points
     tgt = stage_to.points
-    if slack is None:
-        nn, _ = cKDTree(tgt).query(tgt, k=2)
-        slack = 2.0 * float(np.median(nn[:, 1]))
     tree = cKDTree(tgt)
+    if slack is None:
+        nn, _ = tree.query(tgt, k=2)
+        slack = 2.0 * float(np.median(nn[:, 1]))
     k = min(candidates, len(tgt))
-    dist, idx = tree.query(src, k=k)
-    dist = np.atleast_2d(dist)
-    idx = np.atleast_2d(idx)
-    chosen = np.full(len(src), -1, dtype=int)
-    tang_res = np.zeros(len(src))
-    for i in range(len(src)):
-        best = None
-        for j in range(k):
-            y_row = int(idx[i, j])
-            d = src[i] - tgt[y_row]
-            v_norm = stage_to.normal_projectors[y_row] @ d
-            if np.linalg.norm(v_norm) > beta * stage_to.gauge[y_row] + slack:
-                continue
-            t_res = float(np.linalg.norm(d - v_norm))
-            if best is None or t_res < best[0]:
-                best = (t_res, y_row)
-        if best is None:
-            raise NoValidPreimage(
-                f"source point {np.round(src[i], 6).tolist()} has no "
-                f"admissible target within normal reach"
-            )
-        tang_res[i], chosen[i] = best
+    # query(k=1) drops the candidate axis
+    idx = tree.query(src, k=k)[1].reshape(len(src), k)
+    d = src[:, None, :] - tgt[idx]
+    v_norm = np.einsum("skij,skj->ski", stage_to.normal_projectors[idx], d)
+    reachable = (
+        np.linalg.norm(v_norm, axis=2) <= beta * stage_to.gauge[idx] + slack
+    )
+    stuck = np.flatnonzero(~reachable.any(axis=1))
+    if stuck.size:
+        raise NoValidPreimage(
+            f"source point {np.round(src[stuck[0]], 6).tolist()} has no "
+            f"admissible target within normal reach"
+        )
+    t_res = np.where(reachable, np.linalg.norm(d - v_norm, axis=2), np.inf)
+    # argmin keeps the nearest of tied candidates, as a strict-< scan would
+    best = np.argmin(t_res, axis=1)[:, None]
+    chosen = np.take_along_axis(idx, best, axis=1)[:, 0]
+    tang_res = np.take_along_axis(t_res, best, axis=1)[:, 0]
     return CorrespondenceMap(
         source_points=src,
         target_points=tgt[chosen],
@@ -877,6 +900,8 @@ def distortion_report(
 
     All pairs are used when the point count is at most `pairs`; otherwise
     each point gets its nearest neighbors plus seeded random partners.
+    Quotients are formed a block of rows at a time, so memory stays at a
+    few megabytes whatever the pair count.
     """
     src = np.atleast_2d(np.asarray(source_points, dtype=float))
     tgt = np.atleast_2d(np.asarray(target_points, dtype=float))
@@ -889,57 +914,49 @@ def distortion_report(
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
 
-    if n_pts <= pairs:
-        partner_lists = [np.delete(np.arange(n_pts), i) for i in range(n_pts)]
-    else:
-        rng = np.random.default_rng(seed)
-        k_near = 8
-        _, near = cKDTree(src).query(src, k=k_near + 1)
-        n_rand = max(4, pairs // n_pts + 1)
-        partner_lists = []
-        for i in range(n_pts):
-            cand = np.concatenate(
-                [near[i, 1:], rng.integers(0, n_pts, n_rand)]
-            )
-            cand = np.unique(cand[cand != i])
-            partner_lists.append(cand)
-
-    f_up = np.zeros(n_pts)
-    f_lo = np.zeros(n_pts)
-    dev_up = np.zeros(n_pts)
-    logs_s: list[np.ndarray] = []
-    logs_t: list[np.ndarray] = []
     dev = tgt - src
-    for i in range(n_pts):
-        js = partner_lists[i]
-        ds = np.linalg.norm(src[js] - src[i], axis=1)
-        dt = np.linalg.norm(tgt[js] - tgt[i], axis=1)
-        dd = np.linalg.norm(dev[js] - dev[i], axis=1)
-        ok = ds > 1e-300
-        ratio = dt[ok] / ds[ok]
-        if ratio.size == 0:
-            f_up[i] = f_lo[i] = 1.0
-            continue
-        f_up[i] = ratio.max()
-        f_lo[i] = ratio.min()
-        dev_up[i] = (dd[ok] / ds[ok]).max()
-        pos = ok & (dt > 1e-300)
-        logs_s.append(np.log(np.linalg.norm(src[js][pos] - src[i], axis=1)))
-        logs_t.append(np.log(dt[pos]))
-
-    if logs_s:
-        ls = np.concatenate(logs_s)
-        lt = np.concatenate(logs_t)
-        var = float(((ls - ls.mean()) ** 2).sum())
-        if var > 0:
-            cov = float(((ls - ls.mean()) * (lt - lt.mean())).sum())
-            exp_fwd = cov / var
-        else:
-            exp_fwd = 1.0
-        var_t = float(((lt - lt.mean()) ** 2).sum())
-        exp_inv = (cov / var_t) if var_t > 0 else 1.0
+    if n_pts <= pairs:
+        blocks = _all_pair_blocks(src, tgt, dev)
     else:
-        exp_fwd = exp_inv = 1.0
+        blocks = [_sampled_pair_block(src, tgt, dev, pairs, seed)]
+
+    f_up = np.empty(n_pts)
+    f_lo = np.empty(n_pts)
+    dev_up = np.empty(n_pts)
+    # running count, means and centered co-moments of the log distances
+    count, mean_s, mean_t, m_ss, m_tt, m_st = 0, 0.0, 0.0, 0.0, 0.0, 0.0
+    for rows, ds, dt, dd, valid in blocks:
+        ok = valid & (ds > 1e-300)
+        has = ok.any(axis=1)
+        safe = np.where(ok, ds, 1.0)
+        ratio = dt / safe
+        f_up[rows] = np.where(
+            has, np.where(ok, ratio, -np.inf).max(axis=1), 1.0
+        )
+        f_lo[rows] = np.where(has, np.where(ok, ratio, np.inf).min(axis=1), 1.0)
+        dev_up[rows] = np.where(
+            has, np.where(ok, dd / safe, -np.inf).max(axis=1), 0.0
+        )
+        pos = ok & (dt > 1e-300)
+        if not pos.any():
+            continue
+        ls = np.log(ds[pos])
+        lt = np.log(dt[pos])
+        # merge this block's moments into the running ones (Chan et al.)
+        nb = ls.size
+        bs, bt = ls.mean(), lt.mean()
+        total = count + nb
+        step_s, step_t = bs - mean_s, bt - mean_t
+        share = count * nb / total
+        m_ss += float(((ls - bs) ** 2).sum()) + step_s * step_s * share
+        m_tt += float(((lt - bt) ** 2).sum()) + step_t * step_t * share
+        m_st += float(((ls - bs) * (lt - bt)).sum()) + step_s * step_t * share
+        mean_s += step_s * nb / total
+        mean_t += step_t * nb / total
+        count = total
+
+    exp_fwd = m_st / m_ss if m_ss > 0 else 1.0
+    exp_inv = m_st / m_tt if m_tt > 0 else 1.0
 
     lp_upper = float((w * f_up**p).sum())
     safe_lo = np.maximum(f_lo, 1e-300)
@@ -955,6 +972,58 @@ def distortion_report(
         exponent_forward=exp_fwd,
         exponent_inverse=exp_inv,
         pair_budget=pairs,
+    )
+
+
+def _all_pair_blocks(src, tgt, dev, entries: int = 1 << 18):
+    """Every (row, other row) pair, as row blocks of distance matrices.
+
+    Yields ``(rows, ds, dt, dd, valid)``: source, target and deviation
+    distances from the block's rows to all points, and a mask dropping
+    each row's pairing with itself.
+    """
+    n_pts = len(src)
+    step = max(1, entries // n_pts)
+    for lo in range(0, n_pts, step):
+        rows = np.arange(lo, min(lo + step, n_pts))
+        valid = np.ones((len(rows), n_pts), dtype=bool)
+        valid[np.arange(len(rows)), rows] = False
+        yield (
+            rows,
+            cdist(src[rows], src),
+            cdist(tgt[rows], tgt),
+            cdist(dev[rows], dev),
+            valid,
+        )
+
+
+def _sampled_pair_block(src, tgt, dev, pairs: int, seed: int):
+    """Each row against its 8 nearest neighbors (all others when there
+    are fewer) plus seeded random rows.
+
+    Partners are deduplicated, sorted and never the row itself; ``valid``
+    masks the padding that deduplication leaves.  Returns one block in the
+    layout of `_all_pair_blocks`.
+    """
+    n_pts = len(src)
+    rng = np.random.default_rng(seed)
+    k_near = min(8, n_pts - 1)
+    _, near = cKDTree(src).query(src, k=k_near + 1)
+    n_rand = max(4, pairs // n_pts + 1)
+    rows = np.arange(n_pts)
+    cand = np.concatenate(
+        [near[:, 1:], rng.integers(0, n_pts, (n_pts, n_rand))], axis=1
+    )
+    cand = np.sort(np.where(cand == rows[:, None], -1, cand), axis=1)
+    valid = cand >= 0
+    valid[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    cand = np.maximum(cand, 0)
+    return (
+        rows,
+        np.linalg.norm(src[cand] - src[:, None, :], axis=2),
+        np.linalg.norm(tgt[cand] - tgt[:, None, :], axis=2),
+        np.linalg.norm(dev[cand] - dev[:, None, :], axis=2),
+        valid,
     )
 
 

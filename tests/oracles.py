@@ -11,6 +11,9 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+from scipy.spatial import cKDTree
+
+from varifoldlab.geometry import grassmann_project
 
 # ---------------------------------------------------------------------------
 # brute-force set and plane distances
@@ -442,6 +445,33 @@ def all_pairs_distortion(source: np.ndarray, target: np.ndarray):
     return f_up, f_lo
 
 
+def sampled_partner_distortion(source, target, pairs: int, seed: int):
+    """Per-point sup and inf difference quotients over sampled partners.
+
+    Each point's partners are its 8 nearest neighbors (all others when there
+    are fewer) plus `n_rand` seeded
+    random rows drawn point by point, deduplicated, without the point itself.
+    """
+    n = len(source)
+    rng = np.random.default_rng(seed)
+    _, near = cKDTree(source).query(source, k=min(9, n))
+    n_rand = max(4, pairs // n + 1)
+    f_up = np.zeros(n)
+    f_lo = np.zeros(n)
+    for i in range(n):
+        cand = np.concatenate([near[i, 1:], rng.integers(0, n, n_rand)])
+        up, lo = 0.0, np.inf
+        for j in np.unique(cand[cand != i]):
+            ds = float(np.linalg.norm(source[j] - source[i]))
+            if ds <= 0:
+                continue
+            ratio = float(np.linalg.norm(target[j] - target[i])) / ds
+            up = max(up, ratio)
+            lo = min(lo, ratio)
+        f_up[i], f_lo[i] = up, lo
+    return f_up, f_lo
+
+
 def fine_membership_scan(sample, delta, nu, floor, tilt_fn, plane_fn):
     """Per-point membership scan: gauge below resolution, or tilt <= nu.
 
@@ -461,6 +491,104 @@ def fine_membership_scan(sample, delta, nu, floor, tilt_fn, plane_fn):
         if tilt_fn(sample, sample.points[i], 2.0 * d, plane, floor=floor) <= nu:
             members.append(i)
     return np.asarray(members, dtype=int)
+
+
+def graph_lipschitz_loop(points, centers, bases, radii):
+    """Per-patch graph Lipschitz constants from dense pairwise differences.
+
+    One single-point ball query per patch; balls of more than 300 points
+    keep every ``len // 300 + 1``-th point in the query's return order.
+    """
+    tree = cKDTree(points)
+    lips = np.zeros(len(centers))
+    for k, (c, basis, r) in enumerate(zip(centers, bases, radii)):
+        ball = tree.query_ball_point(c, r)
+        if len(ball) < 2:
+            continue
+        if len(ball) > 300:
+            ball = list(np.asarray(ball)[:: len(ball) // 300 + 1])
+        local = points[np.asarray(ball, dtype=int)] - c
+        cc = local @ np.asarray(basis).T
+        hh = local - cc @ np.asarray(basis)
+        dc = np.linalg.norm(cc[:, None, :] - cc[None, :, :], axis=2)
+        dh = np.linalg.norm(hh[:, None, :] - hh[None, :, :], axis=2)
+        mask = dc > 1e-12
+        if mask.any():
+            lips[k] = float((dh[mask] / dc[mask]).max())
+    return lips
+
+
+def blended_normals_loop(weights, patch_bases, fallback_bases):
+    """Per-point normal projectors from a dense (points, patches) weight table.
+
+    A point with weights blends the patch normal projectors and takes the
+    nearest rank-(n - m) projector one matrix at a time; a point without
+    weights gets I - B^T B of its own fallback basis.
+    """
+    m, n = patch_bases.shape[1:]
+    patch_normals = np.stack([np.eye(n) - b.T @ b for b in patch_bases])
+    blended = np.einsum("kij,pk->pij", patch_normals, weights)
+    projs = np.zeros((len(weights), n, n))
+    for i in range(len(weights)):
+        if weights[i].sum() <= 0:
+            basis = fallback_bases[i]
+            projs[i] = np.eye(n) - basis.T @ basis
+        else:
+            projs[i] = grassmann_project(blended[i], n - m).projector
+    return projs
+
+
+def projector_lipschitz_loop(points, projectors, centers, radii):
+    """Per-patch Lipschitz quotient of a projector field over the first 50
+    points of each ball, by dense pairwise differences."""
+    tree = cKDTree(points)
+    lips = np.zeros(len(centers))
+    for k, (c, r) in enumerate(zip(centers, radii)):
+        ball = tree.query_ball_point(c, r)
+        if len(ball) < 2:
+            continue
+        ball = np.asarray(ball[:50], dtype=int)
+        pp = projectors[ball]
+        dp = np.linalg.norm(
+            (pp[:, None, :, :] - pp[None, :, :, :]).reshape(len(ball), len(ball), -1),
+            axis=2,
+        )
+        dx = np.linalg.norm(points[ball][:, None, :] - points[ball][None, :, :], axis=2)
+        mask = dx > 1e-12
+        if mask.any():
+            lips[k] = float((dp[mask] / dx[mask]).max())
+    return lips
+
+
+def project_tau_scan(src, tgt, projectors, gauge, beta, candidates=12, slack=None):
+    """Candidate-by-candidate nearest-graph projection.
+
+    Returns (target index, tangential residual) per source point; the index
+    is -1 where no candidate's normal part stays within beta * gauge + slack.
+    """
+    tree = cKDTree(tgt)
+    if slack is None:
+        nn, _ = tree.query(tgt, k=2)
+        slack = 2.0 * float(np.median(nn[:, 1]))
+    k = min(candidates, len(tgt))
+    _, idx = tree.query(src, k=k)
+    idx = np.asarray(idx).reshape(len(src), k)
+    chosen = np.full(len(src), -1, dtype=int)
+    tang_res = np.zeros(len(src))
+    for i in range(len(src)):
+        best = None
+        for j in range(k):
+            y_row = int(idx[i, j])
+            d = src[i] - tgt[y_row]
+            v_norm = projectors[y_row] @ d
+            if np.linalg.norm(v_norm) > beta * gauge[y_row] + slack:
+                continue
+            t_res = float(np.linalg.norm(d - v_norm))
+            if best is None or t_res < best[0]:
+                best = (t_res, y_row)
+        if best is not None:
+            tang_res[i], chosen[i] = best
+    return chosen, tang_res
 
 
 # ---------------------------------------------------------------------------

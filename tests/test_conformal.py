@@ -395,6 +395,12 @@ class TestIntrinsicMetric:
 
 
 class TestCycles:
+    def test_metric_and_skeleton_graphs_are_symmetric(self, flat_pp, cap_extracted):
+        # the shortest-path searches run directed=True on these graphs
+        for patch in (flat_pp[0], cap_extracted[1]):
+            for graph in (patch.metric_graph(), patch.skeleton_graph()):
+                assert (graph != graph.T).nnz == 0
+
     def test_flat_circle_cycle_isoperimetric_ratio(self, flat_pp):
         patch, _ = flat_pp
         th = np.linspace(0, 2 * np.pi, 18, endpoint=False)

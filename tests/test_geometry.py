@@ -17,6 +17,7 @@ from varifoldlab.geometry import (
     WeightedSurfaceSample,
     check_projector,
     fit_plane_pca,
+    grassmann_bases,
     grassmann_project,
     hausdorff_distance,
     projector_distance,
@@ -306,6 +307,22 @@ def test_grassmann_output_is_projector(seed, n):
     assert np.allclose(p @ p, p, atol=1e-10)
     assert np.allclose(p, p.T, atol=1e-10)
     assert abs(np.trace(p) - rank) < 1e-9
+
+
+def test_grassmann_bases_stack_matches_single_calls():
+    rng = np.random.default_rng(29)
+    stack = rng.normal(size=(40, 4, 4))
+    stack[::7] = np.diag([1.0, 0.5, 0.5, 0.0])  # tied at the rank-2 cut
+    import warnings as _w
+
+    with _w.catch_warnings(record=True) as caught:
+        _w.simplefilter("always")
+        bases = grassmann_bases(stack, rank=2)
+    assert [w.category for w in caught] == [EigengapTie]
+    with _w.catch_warnings():
+        _w.simplefilter("ignore", EigengapTie)
+        single = np.stack([grassmann_project(m, rank=2).basis for m in stack])
+    assert np.array_equal(bases, single)
 
 
 def test_grassmann_tie_break_deterministic():

@@ -14,6 +14,7 @@ from scipy.spatial.distance import pdist
 from varifoldlab import iterated_projection as ip
 from varifoldlab.config import DEFAULT_CONFIG
 from varifoldlab.errors import (
+    EigengapTie,
     EmptyFineSet,
     GraphTestFailure,
     NonContraction,
@@ -26,7 +27,15 @@ from varifoldlab.geometry import Ball, WeightedSurfaceSample
 from varifoldlab.multiscale import local_maximal_tilt, resolution_floor
 from varifoldlab.synthetic import SyntheticSpec, generate
 
-from oracles import all_pairs_distortion, fine_membership_scan
+from oracles import (
+    all_pairs_distortion,
+    blended_normals_loop,
+    fine_membership_scan,
+    graph_lipschitz_loop,
+    project_tau_scan,
+    projector_lipschitz_loop,
+    sampled_partner_distortion,
+)
 
 # shelf-with-wall graph protocol used for the full pipeline runs
 PLATEAU_EPS = 0.05
@@ -144,7 +153,7 @@ def hole_case():
     rerun = ip.build_sigma_delta(
         rerun_sample, rerun_fine, rerun_net, rerun_delta, nu=0.1
     )
-    return punched, delta, stage, rerun
+    return punched, delta, stage, rerun, sample
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +457,7 @@ def test_stage_flat_rebuild_is_the_sample(flat_stage):
 
 
 def test_stage_refills_punched_hole(hole_case):
-    punched, delta, stage, _ = hole_case
+    punched, delta, stage, _, _ = hole_case
     synth = stage.points[stage.sample_rows < 0]
     assert len(synth) > 0
     # heights: the plane is the exact weighted-fit solution on flat data
@@ -460,7 +469,7 @@ def test_stage_refills_punched_hole(hole_case):
 
 
 def test_stage_rebuild_idempotent(hole_case):
-    _, _, stage, rerun = hole_case
+    _, _, stage, rerun, _ = hole_case
     # every first-run point survives verbatim
     gaps, _ = cKDTree(rerun.points).query(stage.points)
     assert gaps.max() <= 1e-9
@@ -583,6 +592,25 @@ def test_normals_uncovered_synthesized_point_raises():
         ip.normal_field(stage, _simple_sample([[0, 0, 0]]))
 
 
+def test_normals_batched_blend_warns_on_exact_tie():
+    # normals e_z and e_x at equal weight: the top normal eigenvalue is double
+    stage = ip.SmoothedSurfaceStage(
+        index=0,
+        points=np.zeros((1, 3)),
+        gauge=np.array([4.0]),
+        sample_rows=np.array([-1]),
+        patch_centers=np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]),
+        patch_bases=np.stack([np.eye(3)[[0, 1]], np.eye(3)[[1, 2]]]),
+        patch_origins=np.zeros((2, 3)),
+        patch_gauge=np.array([4.0, 4.0]),
+        graph_lipschitz=np.zeros(2),
+        synth_offset_ratio=0.0,
+        overlap_mismatch=0.0,
+    )
+    with pytest.warns(EigengapTie, match="eigengap 0.000e"):
+        ip.normal_field(stage, _simple_sample([[0, 0, 0]]))
+
+
 # ---------------------------------------------------------------------------
 # stage-to-stage projection
 
@@ -609,6 +637,27 @@ def test_projection_pure_normal_offset(flat_stage):
     # forward evaluation returns the source exactly
     recon = tau.target_points + tau.displacements
     assert np.abs(recon - moved.points).max() <= 1e-9
+
+
+def test_projection_with_one_candidate(flat_stage):
+    _, _, stage = flat_stage
+    tau = ip.project_tau(stage, stage, beta=0.1, candidates=1)
+    assert np.array_equal(tau.target_indices, np.arange(len(stage.points)))
+    assert np.abs(tau.tangential_residuals).max() == 0.0
+
+
+def test_projection_onto_one_point_stage(flat_stage):
+    _, _, stage = flat_stage
+    single = dataclasses.replace(
+        stage,
+        points=stage.points[:1],
+        gauge=stage.gauge[:1],
+        sample_rows=stage.sample_rows[:1],
+        normal_projectors=stage.normal_projectors[:1],
+    )
+    tau = ip.project_tau(stage, single, beta=0.1)
+    assert np.array_equal(tau.target_indices, np.zeros(len(stage.points)))
+    assert np.array_equal(tau.displacements, stage.points - stage.points[0])
 
 
 def test_projection_rejects_unreachable_source(flat_stage):
@@ -696,6 +745,40 @@ def test_distortion_matches_naive_all_pairs():
     assert np.allclose(report.f_lower, f_lo, rtol=1e-12, atol=1e-12)
 
 
+def test_distortion_at_pair_budget_matches_all_pairs():
+    # 600 points at a budget of 600: every pair, over more than one row block
+    rng = np.random.default_rng(12)
+    src = rng.uniform(-1.0, 1.0, size=(600, 3))
+    src[7] = src[3]  # a repeated source point has no quotient with its twin
+    tgt = src + 0.05 * np.sin(2.0 * src[:, ::-1])
+    report = ip.distortion_report(src, tgt, pairs=600)
+    f_up, f_lo = all_pairs_distortion(src, tgt)
+    assert np.allclose(report.f_upper, f_up, rtol=1e-12, atol=1e-12)
+    assert np.allclose(report.f_lower, f_lo, rtol=1e-12, atol=1e-12)
+    # log-log regression slopes over the same pairs, in one pass
+    ds = np.linalg.norm(src[:, None] - src[None], axis=2)
+    dt = np.linalg.norm(tgt[:, None] - tgt[None], axis=2)
+    pos = ~np.eye(len(src), dtype=bool) & (ds > 1e-300) & (dt > 1e-300)
+    ls, lt = np.log(ds[pos]), np.log(dt[pos])
+    cov = ((ls - ls.mean()) * (lt - lt.mean())).sum()
+    assert report.exponent_forward == pytest.approx(
+        cov / ((ls - ls.mean()) ** 2).sum(), rel=1e-12
+    )
+    assert report.exponent_inverse == pytest.approx(
+        cov / ((lt - lt.mean()) ** 2).sum(), rel=1e-12
+    )
+
+
+def test_distortion_sampled_partners_match_per_point_loop():
+    rng = np.random.default_rng(13)
+    src = rng.uniform(-1.0, 1.0, size=(400, 3))
+    tgt = src + 0.05 * np.sin(2.0 * src[:, ::-1])
+    report = ip.distortion_report(src, tgt, pairs=100, seed=4)
+    f_up, f_lo = sampled_partner_distortion(src, tgt, pairs=100, seed=4)
+    assert np.allclose(report.f_upper, f_up, rtol=1e-12, atol=1e-12)
+    assert np.allclose(report.f_lower, f_lo, rtol=1e-12, atol=1e-12)
+
+
 def test_distortion_subsample_tracks_all_pairs():
     rng = np.random.default_rng(5)
     src = rng.uniform(-1.0, 1.0, size=(500, 3))
@@ -704,6 +787,25 @@ def test_distortion_subsample_tracks_all_pairs():
     sub = ip.distortion_report(src, tgt, pairs=100)
     assert abs(full.spread - sub.spread) / full.spread <= 0.05
     assert abs(full.lp_upper - sub.lp_upper) / full.lp_upper <= 0.05
+
+
+def test_distortion_equidistant_source_exponents():
+    # every source pair at the same distance: no forward slope to fit
+    src = np.eye(3)
+    report = ip.distortion_report(src, src * np.array([1.0, 2.0, 3.0]))
+    assert report.exponent_forward == 1.0
+    assert report.exponent_inverse == 0.0
+
+
+def test_distortion_sampled_partners_on_fewer_than_nine_points():
+    # the 8-neighbor quota exceeds the other points: every pair is used
+    rng = np.random.default_rng(14)
+    src = rng.uniform(-1.0, 1.0, size=(6, 3))
+    tgt = src + 0.05 * np.sin(2.0 * src[:, ::-1])
+    sampled = ip.distortion_report(src, tgt, pairs=3)
+    full = ip.distortion_report(src, tgt, pairs=2000)
+    assert np.array_equal(sampled.f_upper, full.f_upper)
+    assert np.array_equal(sampled.f_lower, full.f_lower)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -868,3 +970,122 @@ def test_error_types_are_toolkit_errors():
     ):
         assert issubclass(exc, ToolkitError)
     assert issubclass(ip.MissingNormalField, UncoveredQuery)
+
+
+# ---------------------------------------------------------------------------
+# array-at-a-time stage construction against the per-point loops
+
+
+def _check_graph_test(stage, patches=slice(None), exact=True):
+    """The stage's graph test against the dense per-patch loop."""
+    radii = DEFAULT_CONFIG.pou_support_mult * stage.patch_gauge
+    args = (stage.points, stage.patch_centers[patches],
+            stage.patch_bases[patches], radii[patches])
+    lips = ip._graph_lipschitz(*args, lip_bound=np.inf)
+    if exact:
+        assert np.array_equal(lips, graph_lipschitz_loop(*args))
+    else:
+        assert np.allclose(lips, graph_lipschitz_loop(*args), rtol=1e-12, atol=1e-12)
+    return lips
+
+
+def _check_normals_and_projection(stage, sample, source_points, beta, candidates=12):
+    """Normal blend, its Lipschitz quotients and the projection of
+    `source_points` onto `stage` against the per-point loops."""
+    radii = DEFAULT_CONFIG.pou_support_mult * stage.patch_gauge
+    weights = ip._pou_matrix(stage.patch_centers, radii, stage.points).toarray()
+    uncovered_synth = (weights.sum(axis=1) <= 0) & (stage.sample_rows < 0)
+    bare = dataclasses.replace(stage, normal_projectors=None, normal_lipschitz=None)
+    if uncovered_synth.any():
+        with pytest.raises(UncoveredQuery):
+            ip.normal_field(bare, sample)
+        return
+    blended = ip.normal_field(bare, sample)
+    fallback = sample.tangent_bases[np.maximum(stage.sample_rows, 0)]
+    projs = blended_normals_loop(weights, stage.patch_bases, fallback)
+    assert np.abs(blended.normal_projectors - projs).max() <= 1e-12
+    normal_lips = projector_lipschitz_loop(
+        stage.points, blended.normal_projectors, stage.patch_centers, radii
+    )
+    assert np.allclose(blended.normal_lipschitz, normal_lips, rtol=1e-12, atol=1e-12)
+
+    chosen, residuals = project_tau_scan(
+        source_points, stage.points, blended.normal_projectors, stage.gauge,
+        beta, candidates,
+    )
+    source = dataclasses.replace(stage, points=source_points)
+    if np.any(chosen < 0):
+        with pytest.raises(NoValidPreimage):
+            ip.project_tau(source, blended, beta, candidates)
+        return
+    tau = ip.project_tau(source, blended, beta, candidates)
+    assert np.array_equal(tau.target_indices, chosen)
+    assert np.abs(tau.tangential_residuals - residuals).max() <= 1e-12
+    assert np.array_equal(tau.displacements, source_points - stage.points[chosen])
+
+
+def test_stage_arrays_match_loops_on_refilled_hole(hole_case):
+    _, _, stage, rerun, sample = hole_case
+    assert np.array_equal(stage.graph_lipschitz, _check_graph_test(stage))
+    _check_normals_and_projection(stage, sample, rerun.points, beta=0.1)
+
+
+def test_stage_arrays_match_loops_on_plateau(plateau_sample, plateau_run):
+    stages = plateau_run.stages
+    for stage in stages:
+        if stage.patch_centers.size:
+            # every 7th patch keeps the dense reference loop fast
+            _check_graph_test(stage, patches=slice(None, None, 7))
+    # the first refilled stage after stage 0 is small enough for the
+    # dense partition-of-unity table of the reference blend
+    k = next(k for k in range(1, len(stages)) if stages[k].patch_centers.size)
+    _check_normals_and_projection(
+        stages[k], plateau_sample, stages[k - 1].points, plateau_run.beta
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_stage_arrays_match_loops_on_random_stages(seed):
+    rng = np.random.default_rng(seed)
+    n_pts = int(rng.integers(6, 50))
+    pts = rng.uniform(-1.0, 1.0, size=(n_pts, 3)) * np.array([1.0, 1.0, 0.2])
+    n_patches = int(rng.integers(1, 6))
+    centers = pts[rng.choice(n_pts, n_patches, replace=False)]
+    tilts = rng.integers(0, 2**31, n_pts + n_patches)
+    frames = np.stack([_rotation(int(t))[:2] for t in tilts])
+    rows = np.where(rng.random(n_pts) < 0.1, -1, np.arange(n_pts))
+    stage = ip.SmoothedSurfaceStage(
+        index=0,
+        points=pts,
+        gauge=rng.uniform(0.0, 0.3, n_pts),
+        sample_rows=rows,
+        patch_centers=centers,
+        patch_bases=frames[n_pts:],
+        patch_origins=centers,
+        patch_gauge=rng.uniform(1.0, 4.0, n_patches),
+        graph_lipschitz=np.zeros(n_patches),
+        synth_offset_ratio=0.0,
+        overlap_mismatch=0.0,
+    )
+    sample = WeightedSurfaceSample(pts, np.ones(n_pts), frames[:n_pts])
+    n_src = int(rng.integers(1, 40))
+    source = rng.uniform(-1.0, 1.0, size=(n_src, 3)) * np.array([1.0, 1.0, 0.6])
+    _check_graph_test(stage, exact=False)
+    _check_normals_and_projection(
+        stage,
+        sample,
+        source,
+        beta=float(10.0 ** rng.uniform(-3.0, 0.3)),
+        candidates=int(rng.integers(1, 13)),
+    )
+
+
+def test_graph_test_rejects_steep_patch():
+    # a normal jump of 1 over an in-plane step of 0.1 is 10-Lipschitz
+    pts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.1, 0.0, 1.0]])
+    with pytest.raises(GraphTestFailure, match="fails the graph test"):
+        ip._graph_lipschitz(
+            pts, np.zeros((1, 3)), np.eye(3)[:2][None], np.array([2.0]),
+            lip_bound=1.0,
+        )
