@@ -399,10 +399,9 @@ def _canonical_rows(basis: np.ndarray) -> np.ndarray:
     """Deterministic sign convention: first entry of largest magnitude
     in each row is made positive (lexicographic tie-break)."""
     out = basis.copy()
-    for i, row in enumerate(out):
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            out[i] = -row
+    lead = np.argmax(np.abs(out), axis=1)
+    flip = out[np.arange(out.shape[0]), lead] < 0
+    out[flip] = -out[flip]
     return out
 
 

@@ -122,14 +122,11 @@ def _hex_points(h: float, keep, extent: float) -> np.ndarray:
     rows = int(np.ceil(extent / (np.sqrt(3.0) / 2.0 * h))) + 1
     cols = int(np.ceil(extent / h)) + 1
     js = np.arange(-rows, rows + 1)
-    pts = []
-    for j in js:
-        y = j * (np.sqrt(3.0) / 2.0) * h
-        offset = 0.5 * h if (j % 2) else 0.0
-        xs = np.arange(-cols, cols + 1) * h + offset
-        row = np.stack([xs, np.full_like(xs, y)], axis=1)
-        pts.append(row)
-    pts = np.concatenate(pts, axis=0)
+    ys = js * (np.sqrt(3.0) / 2.0) * h
+    offsets = np.where(js % 2 == 1, 0.5 * h, 0.0)
+    xs = np.arange(-cols, cols + 1) * h + offsets[:, None]
+    # row-major: every x of lattice row j, then row j + 1
+    pts = np.stack([xs, np.broadcast_to(ys[:, None], xs.shape)], axis=2).reshape(-1, 2)
     return pts[keep(pts)]
 
 

@@ -13,7 +13,8 @@ from collections import Counter
 import numpy as np
 from scipy.spatial import cKDTree
 
-from varifoldlab.geometry import grassmann_project
+from varifoldlab.errors import DegenerateCloud, TooFewPoints
+from varifoldlab.geometry import Plane, fit_plane_pca, grassmann_project
 
 # ---------------------------------------------------------------------------
 # brute-force set and plane distances
@@ -589,6 +590,117 @@ def project_tau_scan(src, tgt, projectors, gauge, beta, candidates=12, slack=Non
         if best is not None:
             tang_res[i], chosen[i] = best
     return chosen, tang_res
+
+
+# ---------------------------------------------------------------------------
+# naive references for the certify pipeline
+
+
+def canonical_rows_loop(basis: np.ndarray) -> np.ndarray:
+    """Row by row: negate a row whose first largest-magnitude entry is negative."""
+    out = np.array(basis, dtype=float)
+    for i, row in enumerate(out):
+        j = int(np.argmax(np.abs(row)))
+        if row[j] < 0:
+            out[i] = -row
+    return out
+
+
+def hex_lattice_loop(radius: float, target_n: int) -> np.ndarray:
+    """Triangular disk lattice built one lattice row at a time."""
+    h = np.sqrt(2.0 * np.pi * radius * radius / (np.sqrt(3.0) * target_n))
+    rows = int(np.ceil(radius / (np.sqrt(3.0) / 2.0 * h))) + 1
+    cols = int(np.ceil(radius / h)) + 1
+    pts = []
+    for j in np.arange(-rows, rows + 1):
+        y = j * (np.sqrt(3.0) / 2.0) * h
+        offset = 0.5 * h if (j % 2) else 0.0
+        xs = np.arange(-cols, cols + 1) * h + offset
+        pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
+    pts = np.concatenate(pts, axis=0)
+    return pts[np.hypot(pts[:, 0], pts[:, 1]) <= radius]
+
+
+def flatness_search_loop(sample, ball, refine: int = 2, covering_mult: float = 0.7):
+    """Exhaustive tilt search: every candidate plane measured in full.
+
+    Returns (value, plane, raw, error_bar), the fields of FlatnessDetails.
+    """
+    idx = sample.ball_query(ball.center, ball.radius)
+    m = sample.intrinsic_dim
+    if idx.size < m + 1:
+        raise TooFewPoints(f"ball holds {idx.size} points, need at least {m + 1}")
+    pts = sample.points[idx]
+    center = np.asarray(ball.center, dtype=float)
+    sigma = ball.radius
+    h = sample.mean_spacing
+    tree = cKDTree(pts)
+    grid = hex_lattice_loop(sigma, max(int(np.pi * sigma**2 / h**2), 16))
+
+    def measure(plane):
+        coords = (pts - center) @ plane.basis.T
+        tangential = coords @ plane.basis
+        heights = pts - center - tangential
+        h2 = np.einsum("ij,ij->i", heights, heights)
+        rho = np.linalg.norm(coords, axis=1)
+        overshoot = np.clip(rho - sigma, 0.0, None)
+        d1 = float(np.sqrt(np.max(h2 + overshoot**2)))
+        lifted = center + grid @ plane.basis
+        d2_raw = float(tree.query(lifted)[0].max())
+        d2 = max(d2_raw - covering_mult * h, 0.0)
+        return max(d1, d2) / sigma, max(d1, d2_raw) / sigma
+
+    def tilted(plane, angle):
+        basis = plane.basis
+        n = basis.shape[1]
+        q, r = np.linalg.qr(np.eye(n) - basis.T @ basis)
+        cols = np.argsort(np.abs(np.diag(r)))[::-1][: n - m]
+        out = []
+        for i in range(m):
+            for nu in q[:, np.sort(cols)].T:
+                for s in (angle, -angle):
+                    rows = basis.copy()
+                    rows[i] = np.cos(s) * basis[i] + np.sin(s) * nu
+                    qq, _ = np.linalg.qr(rows.T)
+                    out.append(
+                        Plane(basis=np.ascontiguousarray(qq.T), basepoint=plane.basepoint)
+                    )
+        return out
+
+    best_plane = fit_plane_pca(pts, dim=m, center=center, pin_to_center=True)
+    best_val, best_raw = measure(best_plane)
+    step = max(best_raw, 2.0 * h / sigma)
+    for _ in range(max(refine, 0)):
+        improved = False
+        for cand in tilted(best_plane, step):
+            val, raw = measure(cand)
+            if val < best_val:
+                best_plane, best_val, best_raw = cand, val, raw
+                improved = True
+        if not improved:
+            step /= 2.0
+    return best_val, best_plane, best_raw, covering_mult * h / sigma
+
+
+def beta_table_loop(sample, rows, scales) -> np.ndarray:
+    """beta^2 at every (row, scale): one ball query and one PCA fit each."""
+    m = sample.intrinsic_dim
+    table = np.zeros((len(rows), len(scales)))
+    for r, i in enumerate(rows):
+        for c, s in enumerate(scales):
+            idx = sample.ball_query(sample.points[i], float(s))
+            if idx.size <= m:
+                continue
+            pts, w = sample.points[idx], sample.weights[idx]
+            try:
+                plane = fit_plane_pca(pts, weights=w, dim=m)
+            except DegenerateCloud:
+                continue
+            rel = pts - plane.basepoint
+            heights = rel - (rel @ plane.basis.T) @ plane.basis
+            d2 = np.einsum("ij,ij->i", heights, heights)
+            table[r, c] = float((w * d2).sum() / float(s) ** (m + 2))
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,30 @@ def test_field_at_uncovered_rows_raises(cap):
         field.at(np.array([int(np.setdiff1d(np.arange(len(sample)), idx)[0])]))
 
 
+def test_field_matches_per_row_estimates(cap):
+    sample, _ = cap
+    idx = sample.ball_query(ORIGIN, 0.4)
+    assert idx.size > 3 * cv._FIELD_BLOCK  # several batched queries
+    field = cv.build_curvature_field(sample, 0.25, indices=idx[::-1])
+    assert np.array_equal(field.indices, idx)
+    for row, i in enumerate(idx):
+        H, res = cv.estimate_mean_curvature(sample, sample.points[i], 0.25)
+        assert np.array_equal(field.vectors[row], H)
+        assert field.residuals[row] == res
+
+
+def test_field_refuses_a_sparse_row_like_the_pointwise_estimate():
+    h = 0.1
+    pts = np.r_[np.c_[np.linspace(-0.05, 0.05, 12), np.zeros((12, 2))], [[1.0, 0.0, 0.0]]]
+    bases = np.broadcast_to(np.eye(3)[:2], (13, 2, 3)).copy()
+    sample = WeightedSurfaceSample(pts, np.full(13, 1e-2), bases)
+    message = "need at least 10 points inside the test support"
+    with pytest.raises(TooFewPoints, match=message):
+        cv.estimate_mean_curvature(sample, pts[12], h)
+    with pytest.raises(TooFewPoints, match=message):
+        cv.build_curvature_field(sample, h)
+
+
 def test_willmore_flat_zero(flat):
     sample, _ = flat
     field = cv.analytic_field(sample, np.zeros((len(sample), 3)))

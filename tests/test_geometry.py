@@ -15,6 +15,7 @@ from varifoldlab.geometry import (
     Ball,
     Plane,
     WeightedSurfaceSample,
+    _canonical_rows,
     check_projector,
     fit_plane_pca,
     grassmann_bases,
@@ -23,7 +24,12 @@ from varifoldlab.geometry import (
     projector_distance,
 )
 
-from oracles import brute_hausdorff, fibonacci_directions, grid_min_projector_distance
+from oracles import (
+    brute_hausdorff,
+    canonical_rows_loop,
+    fibonacci_directions,
+    grid_min_projector_distance,
+)
 
 # frozen oracle constants (tests/oracles.py, scripts/freeze_oracle_values.py)
 SQRT2_SIN_01 = 0.1411857717999883
@@ -323,6 +329,22 @@ def test_grassmann_bases_stack_matches_single_calls():
         _w.simplefilter("ignore", EigengapTie)
         single = np.stack([grassmann_project(m, rank=2).basis for m in stack])
     assert np.array_equal(bases, single)
+
+
+def test_canonical_rows_matches_row_loop():
+    rng = np.random.default_rng(31)
+    rows = np.r_[
+        rng.normal(size=(50, 3)),
+        # tied magnitudes: the first of the tied entries decides the sign
+        [[-1.0, 1.0, 0.5], [1.0, -1.0, 0.5], [0.5, -2.0, 2.0], [0.5, 2.0, -2.0]],
+        [[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-3.0, -3.0, -3.0]],
+        rng.integers(-2, 3, size=(40, 3)).astype(float),
+    ]
+    for basis in (rows, np.asfortranarray(rows), rows.T.copy().T[:, ::-1]):
+        out = _canonical_rows(basis)
+        assert np.array_equal(out, canonical_rows_loop(basis))
+        assert np.array_equal(np.signbit(out), np.signbit(canonical_rows_loop(basis)))
+        assert out.flags.c_contiguous
 
 
 def test_grassmann_tie_break_deterministic():

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from varifoldlab import multiscale as ms
 from varifoldlab.errors import BallBelowResolution, TooFewPoints
-from varifoldlab.geometry import Ball, Plane, WeightedSurfaceSample
+from varifoldlab.geometry import Ball, Plane, WeightedSurfaceSample, fit_plane_pca
 from varifoldlab.synthetic import SyntheticSpec, generate, graph_height
 
-from oracles import grid_beta_m1, grid_beta_m2
+from oracles import beta_table_loop, flatness_search_loop, grid_beta_m1, grid_beta_m2
 
 # frozen quadrature / closed-form values (tests/oracles.py, frozen_constants)
 TILT_CLOSED_FORM = 0.0626226926148593  # 2 pi sin^2(0.1)
@@ -394,6 +394,129 @@ def test_scale_family_validation(flat):
         ms.ScaleFamily(np.zeros((1, 3)), (0.5, 0.25), 0.3, domain)
     with pytest.raises(ValueError):
         ms.ScaleFamily(np.array([[0.9, 0.0, 0.0]]), (0.5, 0.25), 0.1, domain)
+
+
+# ---------------------------------------------------------------------------
+# pruned flatness search, shared ball query and batched beta table against
+# the exhaustive loops
+
+
+def _moved(sample, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    t = rng.uniform(-2.0, 2.0, size=3)
+    return sample.transformed(rotation=q, translation=t), t
+
+
+def _assert_same_details(det, oracle):
+    value, plane, raw, error_bar = oracle
+    assert det.value == value
+    assert det.raw == raw
+    assert det.error_bar == error_bar
+    assert np.array_equal(det.plane.basis, plane.basis)
+    assert np.array_equal(det.plane.basepoint, plane.basepoint)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SyntheticSpec(kind="sphere_cap", n_points=5000, sphere_radius=10.0),
+        SyntheticSpec(kind="graph", n_points=5000, eps=0.1),
+    ],
+    ids=["sphere_cap", "graph"],
+)
+def test_certify_balls_match_exhaustive_search(spec):
+    sample, origin = _moved(generate(spec)[0], 3)
+    domain = Ball(origin, 1.0)
+    fam = ms.build_scale_family(sample, domain, sigma_max=0.5)
+    rep = ms.certify_chord_arc(sample, domain, fam)
+    assert not rep.errors
+    assert len(rep.balls) == len(fam.centers) * len(fam.radii)
+    for b in rep.balls:
+        ball = Ball(b.center, b.radius)
+        value, plane, raw, error_bar = flatness_search_loop(sample, ball)
+        assert (b.flatness, b.flatness_raw, b.flatness_error) == (value, raw, error_bar)
+        assert np.array_equal(b.plane.basis, plane.basis)
+        assert np.array_equal(b.plane.basepoint, plane.basepoint)
+        # the shared ball query gives what the public functions give
+        assert b.density_ratio == ms.density_ratio(sample, ball, floor=fam.min_radius_floor)
+        assert b.tilt_excess == ms.tilt_excess(sample, ball, b.plane)
+        _assert_same_details(ms.flatness_details(sample, ball), (value, plane, raw, error_bar))
+
+
+@pytest.fixture(scope="module")
+def steep_graph():
+    # steep enough that tilted candidates often beat the PCA plane
+    return generate(SyntheticSpec(kind="graph", n_points=2000, eps=0.3))[0]
+
+
+def test_flatness_tilt_winners_match_exhaustive_search(steep_graph):
+    rng = np.random.default_rng(5)
+    floor = ms.resolution_floor(steep_graph)
+    tilted = 0
+    for _ in range(30):
+        center = steep_graph.points[rng.integers(len(steep_graph))]
+        ball = Ball(center, rng.uniform(floor, 0.5))
+        oracle = flatness_search_loop(steep_graph, ball)
+        _assert_same_details(ms.flatness_details(steep_graph, ball), oracle)
+        idx = steep_graph.ball_query(center, ball.radius)
+        pca = fit_plane_pca(steep_graph.points[idx], center=center, pin_to_center=True)
+        tilted += not np.array_equal(pca.basis, oracle[1].basis)
+    assert tilted >= 5  # the search moved off the PCA plane on these balls
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    refine=st.integers(min_value=0, max_value=3),
+)
+def test_flatness_matches_exhaustive_search_under_rigid_motion(steep_graph, seed, frac, refine):
+    moved, _ = _moved(steep_graph, seed)
+    floor = ms.resolution_floor(moved)
+    rng = np.random.default_rng(seed)
+    ball = Ball(moved.points[rng.integers(len(moved))], floor + frac * (0.5 - floor))
+    det = ms.flatness_details(moved, ball, refine=refine)
+    _assert_same_details(det, flatness_search_loop(moved, ball, refine=refine))
+
+
+def _beta_sample():
+    """A sphere cap plus a collinear run of 5 points and an isolated pair,
+    both 0.5 off the cap: at the two smaller scales their balls hold only
+    themselves, which the beta rules send to 0 (DegenerateCloud and <= m)."""
+    cap, _ = generate(SyntheticSpec(kind="sphere_cap", n_points=3000, sphere_radius=5.0))
+    line = np.array([0.0, 0.0, 0.5]) + np.linspace(0.0, 0.04, 5)[:, None] * [0.6, 0.7, 0.3]
+    pair = np.array([[0.3, 0.0, -0.5], [0.3, 0.01, -0.5]])
+    extra = np.r_[line, pair]
+    points = np.r_[cap.points, extra]
+    weights = np.r_[cap.weights, np.full(len(extra), 1e-3)]
+    bases = np.r_[cap.tangent_bases, np.broadcast_to(np.eye(3)[:2], (len(extra), 2, 3))]
+    return WeightedSurfaceSample(points, weights, bases), len(cap)
+
+
+def test_beta_report_matches_row_scale_loop():
+    sample, n_cap = _beta_sample()
+    rep = ms.beta_report(sample, ORIGIN, 0.8, floor=0.1)
+    assert rep.scales.size == 3
+    oracle = beta_table_loop(sample, rep.point_indices, rep.scales)
+    np.testing.assert_allclose(rep.beta_sq, oracle, rtol=1e-12, atol=0.0)
+    # the added rows hit both zero rules at the two smaller scales
+    added = rep.point_indices >= n_cap
+    assert added.sum() == 7
+    assert np.all(rep.beta_sq[added, 1:] == 0.0)
+    assert np.all(rep.beta_sq[~added] > 0.0)
+    step = np.log(2.0)
+    expected = float((sample.weights[rep.point_indices][:, None] * oracle).sum() * step)
+    assert rep.carleson == pytest.approx(expected, rel=1e-12)
+    # jones_beta is the one-row case of the same kernel (a block pads its
+    # balls to a common length, which may move the last bit of a sum)
+    for row in (0, int(np.argmax(added))):
+        i = rep.point_indices[row]
+        for col, s in enumerate(rep.scales):
+            one = ms.jones_beta(sample, sample.points[i], s)
+            assert one == pytest.approx(rep.beta_sq[row, col], rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

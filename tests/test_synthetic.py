@@ -6,6 +6,7 @@ import pytest
 from varifoldlab.errors import InvalidSpec
 from varifoldlab.synthetic import (
     SyntheticSpec,
+    disk_lattice,
     generate,
     graph_mean_curvature,
     icosphere,
@@ -13,6 +14,7 @@ from varifoldlab.synthetic import (
 
 from oracles import (
     graph_H_finite_difference,
+    hex_lattice_loop,
     oracle_graph_area,
 )
 
@@ -139,6 +141,17 @@ def test_sunflower_pattern_also_fills_the_disk():
     r = np.linalg.norm(sample.points[:, :2], axis=1)
     assert r.max() <= 1.0
     assert sample.weights.sum() == pytest.approx(np.pi, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "radius,target_n", [(0.5, 3000), (0.0625, 16), (1.0, 12000), (0.3, 17), (2.5, 101)]
+)
+def test_disk_lattice_matches_row_loop(radius, target_n):
+    pts = disk_lattice(radius, target_n)
+    loop = hex_lattice_loop(radius, target_n)
+    assert pts.shape == loop.shape
+    assert np.array_equal(pts, loop)
+    assert np.array_equal(np.signbit(pts), np.signbit(loop))
 
 
 def test_invalid_specs_are_rejected():
