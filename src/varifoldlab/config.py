@@ -1,14 +1,14 @@
 """Central configuration.
 
-All tunable thresholds live in one dataclass so every report can echo the
-exact values a run used.  Defaults follow the continuum constants where those
-are meaningful at sample resolution and record the resolution-dependent
-choices otherwise.
+All tunable thresholds live in one dataclass, so each value has one
+default and one place to override it.  Defaults follow the continuum
+constants where those are meaningful at sample resolution and record the
+resolution-dependent choices otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,6 @@ class AnalysisConfig:
     patch_alpha_mult: float = 1.6
     metric_radius_mult: float = 4.0
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def with_overrides(self, **kwargs) -> "AnalysisConfig":
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kwargs) if kwargs else self
 
 
 DEFAULT_CONFIG = AnalysisConfig()

@@ -24,14 +24,15 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial.distance import pdist
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .curvature import CurvatureField
@@ -53,6 +54,7 @@ from .meshing import (
     cotangent_laplacian,
     mesh_edges,
     orient_ccw,
+    orientation_dets,
     triangle_areas,
     vertex_areas,
 )
@@ -191,7 +193,7 @@ class DiskPatch:
         center=None,
         sigma: float | None = None,
         spacing: float | None = None,
-        metric_radius_mult: float = 4.0,
+        config: AnalysisConfig = DEFAULT_CONFIG,
     ) -> "DiskPatch":
         """Wrap an explicit triangle mesh, validating disk topology.
 
@@ -232,26 +234,32 @@ class DiskPatch:
             sigma=sig,
             psi=psi,
             spacing=float(spacing),
-            metric_radius=metric_radius_mult * float(spacing),
+            metric_radius=config.metric_radius_mult * float(spacing),
             sample_rows=np.full(len(pts), -1, dtype=int),
             boundary_chord_arc=_boundary_chord_arc(pts, boundary, sig),
         )
 
 
-def _length_graph(points: np.ndarray, edges: np.ndarray) -> sparse.csr_matrix:
-    lengths = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
-    k = len(points)
+def _symmetric_graph(
+    n: int, edges: np.ndarray, weights: np.ndarray
+) -> sparse.csr_matrix:
+    """(n, n) graph holding ``weights[e]`` at both orientations of edge e."""
     graph = sparse.coo_matrix(
         (
-            np.concatenate([lengths, lengths]),
+            np.concatenate([weights, weights]),
             (
                 np.concatenate([edges[:, 0], edges[:, 1]]),
                 np.concatenate([edges[:, 1], edges[:, 0]]),
             ),
         ),
-        shape=(k, k),
+        shape=(n, n),
     )
     return graph.tocsr()
+
+
+def _length_graph(points: np.ndarray, edges: np.ndarray) -> sparse.csr_matrix:
+    lengths = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
+    return _symmetric_graph(len(points), edges, lengths)
 
 
 def _interior_slot_pairs(face_edges: np.ndarray, counts: np.ndarray):
@@ -615,15 +623,7 @@ def intrinsic_metric_diagnostics(
         if len(enclosed) > 1500:
             enclosed = rng.choice(enclosed, 1500, replace=False)
         epts = patch.points[enclosed]
-        diam = 0.0
-        for i in range(0, len(epts), 256):
-            block = epts[i : i + 256]
-            diam = max(
-                diam,
-                float(
-                    np.linalg.norm(block[:, None, :] - epts[None, :, :], axis=2).max()
-                ),
-            )
+        diam = float(pdist(epts).max()) if len(epts) > 1 else 0.0
         cpts = patch.points[cyc]
         length = float(np.linalg.norm(np.roll(cpts, -1, axis=0) - cpts, axis=1).sum())
         cycle_out.append(
@@ -803,13 +803,13 @@ def _affine_maps(disk_pts: np.ndarray, tris: np.ndarray, values: np.ndarray):
     Returns (jacobians (t, d, 2), disk_areas (t,)).  Raises
     DegenerateTriangle when a parameter triangle is degenerate or flipped.
     """
-    u = disk_pts[tris]
-    e1 = u[:, 1] - u[:, 0]
-    e2 = u[:, 2] - u[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    det = orientation_dets(disk_pts, tris)
     scale = float(np.abs(det).max()) if len(det) else 0.0
     if scale <= 0 or np.any(det <= 1e-14 * scale):
         raise DegenerateTriangle("non-positive parameter-triangle area")
+    u = disk_pts[tris]
+    e1 = u[:, 1] - u[:, 0]
+    e2 = u[:, 2] - u[:, 0]
     v = values[tris]
     s1 = v[:, 1] - v[:, 0]
     s2 = v[:, 2] - v[:, 0]
@@ -838,17 +838,7 @@ def _dirichlet_energy(disk_pts, tris, values) -> float:
 
 def _uniform_laplacian(n: int, tris: np.ndarray) -> sparse.csr_matrix:
     edges = mesh_edges(tris, n)[0]
-    ones = np.ones(len(edges))
-    adj = sparse.coo_matrix(
-        (
-            np.concatenate([ones, ones]),
-            (
-                np.concatenate([edges[:, 0], edges[:, 1]]),
-                np.concatenate([edges[:, 1], edges[:, 0]]),
-            ),
-        ),
-        shape=(n, n),
-    ).tocsr()
+    adj = _symmetric_graph(n, edges, np.ones(len(edges)))
     return (adj - sparse.diags(np.asarray(adj.sum(axis=1)).ravel())).tocsr()
 
 
@@ -944,11 +934,7 @@ def harmonic_disk_param(
     if interior.size and float(np.abs(z_new[interior]).max()) >= 1.0:
         raise SolverSingular("Moebius normalization pushed interior outside")
 
-    u = disk_new[tris]
-    e1 = u[:, 1] - u[:, 0]
-    e2 = u[:, 2] - u[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    folded = int(np.sum(det <= 0))
+    folded = int(np.sum(orientation_dets(disk_new, tris) <= 0))
     if folded:
         raise FoldedTriangles(
             f"{folded} parameter triangles are folded after normalization",
@@ -1206,31 +1192,117 @@ class DyadicSquare:
     def center(self):
         return (self.x0 + 0.5 * self.size, self.y0 + 0.5 * self.size)
 
-
-def _as_mesh(obj) -> DiskMesh:
-    if isinstance(obj, DiskMesh):
-        return obj
-    if isinstance(obj, DiskParameterization):
-        return DiskMesh(obj.disk_points, obj.triangles)
-    points, triangles = obj
-    return DiskMesh(np.asarray(points, dtype=float), np.asarray(triangles, dtype=int))
-
-
-def _mesh_cells(mesh: DiskMesh):
-    centroids = mesh.points[mesh.triangles].mean(axis=1)
-    areas = triangle_areas(mesh.points, mesh.triangles)
-    lo = mesh.points.min(axis=0)
-    hi = mesh.points.max(axis=0)
-    size = float((hi - lo).max())
-    origin = 0.5 * (lo + hi) - 0.5 * size
-    return centroids, areas, origin, size
+    def contains(self, points) -> np.ndarray:
+        """Mask of the (k, 2) points in the half-open square
+        [x0, x0 + size) x [y0, y0 + size)."""
+        return (
+            (points[:, 0] >= self.x0)
+            & (points[:, 0] < self.x0 + self.size)
+            & (points[:, 1] >= self.y0)
+            & (points[:, 1] < self.y0 + self.size)
+        )
 
 
-def _square_buckets(centroids, origin, size, depth):
-    cells = size / (1 << depth)
-    ij = np.floor((centroids - origin) / cells).astype(int)
-    ij = np.clip(ij, 0, (1 << depth) - 1)
-    return ij[:, 0] + (ij[:, 1] << depth), cells
+class _Level(NamedTuple):
+    depth: int
+    cells: float  # square side
+    buckets: np.ndarray  # square i + (j << depth) of every triangle
+    covered: np.ndarray  # triangle area per square
+    admissible: np.ndarray  # per square
+
+
+class _DyadicLevels:
+    """Dyadic levels 0..depth over the bounding square of a parameter mesh.
+
+    The one owner of the square rules: a triangle belongs to the square
+    holding its centroid, a square is admissible when it holds at least
+    ``min_square_triangles`` triangles covering at least ``square_coverage``
+    of its area, and square means are triangle-area weighted.
+    """
+
+    def __init__(self, mesh_or_param, depth: int | None, config: AnalysisConfig):
+        if isinstance(mesh_or_param, DiskParameterization):
+            points = mesh_or_param.disk_points
+        else:
+            points = mesh_or_param.points
+        tris = mesh_or_param.triangles
+        depth = config.dyadic_depth if depth is None else depth
+        centroids = points[tris].mean(axis=1)
+        self.areas = triangle_areas(points, tris)
+        lo = points.min(axis=0)
+        hi = points.max(axis=0)
+        size = float((hi - lo).max())
+        self.origin = 0.5 * (lo + hi) - 0.5 * size
+        self.levels = []
+        for d in range(depth + 1):
+            cells = size / (1 << d)
+            ij = np.floor((centroids - self.origin) / cells).astype(int)
+            ij = np.clip(ij, 0, (1 << d) - 1)
+            buckets = ij[:, 0] + (ij[:, 1] << d)
+            counts = np.bincount(buckets, minlength=1 << (2 * d))
+            covered = np.bincount(buckets, weights=self.areas, minlength=1 << (2 * d))
+            admissible = (counts >= config.min_square_triangles) & (
+                covered >= config.square_coverage * cells * cells
+            )
+            self.levels.append(_Level(d, cells, buckets, covered, admissible))
+
+    def mean(self, level: _Level, x: np.ndarray) -> np.ndarray:
+        """Area-weighted mean of the per-triangle field ``x`` on every square."""
+        return np.bincount(
+            level.buckets, weights=self.areas * x, minlength=len(level.covered)
+        ) / np.maximum(level.covered, 1e-300)
+
+    def squares(self) -> list:
+        out = []
+        for level in self.levels:
+            for b in np.flatnonzero(level.admissible):
+                i = int(b) & ((1 << level.depth) - 1)
+                j = int(b) >> level.depth
+                out.append(
+                    DyadicSquare(
+                        x0=float(self.origin[0] + i * level.cells),
+                        y0=float(self.origin[1] + j * level.cells),
+                        size=float(level.cells),
+                        depth=level.depth,
+                    )
+                )
+        return out
+
+    def sup(self, statistic: Callable, empty: float) -> float:
+        """Max over levels of ``statistic(level)``, its values on the
+        admissible squares of that level; ``empty`` when none is admissible."""
+        best = None
+        for level in self.levels:
+            if level.admissible.any():
+                val = float(statistic(level).max())
+                best = val if best is None else max(best, val)
+        return empty if best is None else best
+
+    def bmo(self, values: np.ndarray) -> float:
+        def oscillation(level):
+            dev = np.abs(values - self.mean(level, values)[level.buckets])
+            return self.mean(level, dev)[level.admissible]
+
+        return self.sup(oscillation, 0.0)
+
+    def a2(self, w: np.ndarray) -> float:
+        up = np.exp(2.0 * w)
+        dn = np.exp(-2.0 * w)
+
+        def product(level):
+            ok = level.admissible
+            return self.mean(level, up)[ok] * self.mean(level, dn)[ok]
+
+        return self.sup(product, 1.0)
+
+    def inverse_holder(self, j: np.ndarray) -> float:
+        root = np.sqrt(j)
+
+        def ratio(level):
+            ok = level.admissible
+            return self.mean(level, j)[ok] / self.mean(level, root)[ok] ** 2
+
+        return self.sup(ratio, 1.0)
 
 
 def dyadic_squares(
@@ -1245,50 +1317,7 @@ def dyadic_squares(
     triangle area at least ``square_coverage`` of the square, which skips
     squares straddling the mesh boundary.
     """
-    mesh = _as_mesh(mesh_or_param)
-    depth = config.dyadic_depth if depth is None else depth
-    centroids, areas, origin, size = _mesh_cells(mesh)
-    out = []
-    for d in range(depth + 1):
-        buckets, cells = _square_buckets(centroids, origin, size, d)
-        counts = np.bincount(buckets, minlength=1 << (2 * d))
-        covered = np.bincount(buckets, weights=areas, minlength=1 << (2 * d))
-        ok = np.where(
-            (counts >= config.min_square_triangles)
-            & (covered >= config.square_coverage * cells * cells)
-        )[0]
-        for b in ok:
-            i = int(b) & ((1 << d) - 1)
-            j = int(b) >> d
-            out.append(
-                DyadicSquare(
-                    x0=float(origin[0] + i * cells),
-                    y0=float(origin[1] + j * cells),
-                    size=float(cells),
-                    depth=d,
-                )
-            )
-    return out
-
-
-def _square_sup(mesh, tri_values, depth, config, statistic):
-    """Supremum of a per-square statistic over admissible dyadic squares."""
-    centroids, areas, origin, size = _mesh_cells(mesh)
-    best = None
-    for d in range(depth + 1):
-        buckets, cells = _square_buckets(centroids, origin, size, d)
-        nsq = 1 << (2 * d)
-        counts = np.bincount(buckets, minlength=nsq)
-        covered = np.bincount(buckets, weights=areas, minlength=nsq)
-        ok = (counts >= config.min_square_triangles) & (
-            covered >= config.square_coverage * cells * cells
-        )
-        if not ok.any():
-            continue
-        val = statistic(buckets, nsq, areas, covered, ok, tri_values)
-        if val is not None:
-            best = val if best is None else max(best, val)
-    return best
+    return _DyadicLevels(mesh_or_param, depth, config).squares()
 
 
 def bmo_norm(
@@ -1303,22 +1332,8 @@ def bmo_norm(
     ``values`` is a per-triangle scalar field; means are triangle-area
     weighted.  Returns 0.0 when no square is admissible.
     """
-    mesh = _as_mesh(mesh_or_param)
-    depth = config.dyadic_depth if depth is None else depth
     vals = np.asarray(values, dtype=float)
-
-    def statistic(buckets, nsq, areas, covered, ok, v):
-        mean = np.bincount(buckets, weights=areas * v, minlength=nsq) / np.maximum(
-            covered, 1e-300
-        )
-        dev = np.abs(v - mean[buckets])
-        osc = np.bincount(buckets, weights=areas * dev, minlength=nsq) / np.maximum(
-            covered, 1e-300
-        )
-        return float(osc[ok].max())
-
-    out = _square_sup(mesh, vals, depth, config, statistic)
-    return 0.0 if out is None else out
+    return _DyadicLevels(mesh_or_param, depth, config).bmo(vals)
 
 
 def a2_constant(
@@ -1329,33 +1344,14 @@ def a2_constant(
     config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> float:
     """Sup over admissible dyadic squares of mean(e^{2w}) * mean(e^{-2w})."""
-    mesh = _as_mesh(mesh_or_param)
-    depth = config.dyadic_depth if depth is None else depth
     w = np.asarray(w_values, dtype=float)
-
-    def statistic(buckets, nsq, areas, covered, ok, v):
-        up = np.bincount(
-            buckets, weights=areas * np.exp(2.0 * v), minlength=nsq
-        ) / np.maximum(covered, 1e-300)
-        dn = np.bincount(
-            buckets, weights=areas * np.exp(-2.0 * v), minlength=nsq
-        ) / np.maximum(covered, 1e-300)
-        return float((up[ok] * dn[ok]).max())
-
-    out = _square_sup(mesh, w, depth, config, statistic)
-    return 1.0 if out is None else out
+    return _DyadicLevels(mesh_or_param, depth, config).a2(w)
 
 
 def inverse_holder_check(param: DiskParameterization, square: DyadicSquare) -> float:
     """mean(|det grad f|) / mean(sqrt|det grad f|)^2 over one square (>= 1)."""
     cf = conformal_factor(param)
-    centroids = param.disk_points[param.triangles].mean(axis=1)
-    inside = (
-        (centroids[:, 0] >= square.x0)
-        & (centroids[:, 0] < square.x0 + square.size)
-        & (centroids[:, 1] >= square.y0)
-        & (centroids[:, 1] < square.y0 + square.size)
-    )
+    inside = square.contains(param.disk_points[param.triangles].mean(axis=1))
     if not inside.any():
         raise TooFewPoints("square contains no triangle centroids")
     areas = cf.disk_areas[inside]
@@ -1373,21 +1369,8 @@ def inverse_holder_max(
     config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> float:
     """Sup of the inverse-Hoelder ratio over admissible dyadic squares."""
-    depth = config.dyadic_depth if depth is None else depth
-    cf = conformal_factor(param)
-    mesh = _as_mesh(param)
-
-    def statistic(buckets, nsq, areas, covered, ok, j):
-        mean_j = np.bincount(buckets, weights=areas * j, minlength=nsq) / np.maximum(
-            covered, 1e-300
-        )
-        mean_root = np.bincount(
-            buckets, weights=areas * np.sqrt(j), minlength=nsq
-        ) / np.maximum(covered, 1e-300)
-        return float((mean_j[ok] / mean_root[ok] ** 2).max())
-
-    out = _square_sup(mesh, cf.area_factor, depth, config, statistic)
-    return 1.0 if out is None else out
+    j = conformal_factor(param).area_factor
+    return _DyadicLevels(param, depth, config).inverse_holder(j)
 
 
 # ---------------------------------------------------------------------------
@@ -1411,19 +1394,6 @@ class CurvatureResiduals:
     gauss_relative: float
     frame_energy: float
     interior_count: int
-
-
-def _pl_gradients(disk_pts, tris, vertex_values):
-    u = disk_pts[tris]
-    e1 = u[:, 1] - u[:, 0]
-    e2 = u[:, 2] - u[:, 0]
-    det = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])[:, None]
-    v = vertex_values[tris]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    gx = (e2[:, [1]] * d1 - e1[:, [1]] * d2) / det
-    gy = (-e2[:, [0]] * d1 + e1[:, [0]] * d2) / det
-    return np.stack([gx, gy], axis=1)
 
 
 def curvature_equation_residuals(
@@ -1505,8 +1475,10 @@ def curvature_equation_residuals(
         raise DegenerateTriangle("frame field cancels at a vertex")
     ebar1 /= norm1
     ebar2 /= norm2
-    g1 = _pl_gradients(disk, tris, ebar1)
-    g2 = _pl_gradients(disk, tris, ebar2)
+    # PL gradients of the frame fields, (t, 2, n); contiguous, because the
+    # einsum summation order below depends on the memory layout
+    g1 = np.ascontiguousarray(_affine_maps(disk, tris, ebar1)[0].transpose(0, 2, 1))
+    g2 = np.ascontiguousarray(_affine_maps(disk, tris, ebar2)[0].transpose(0, 2, 1))
     wedge = np.einsum("tn,tn->t", g1[:, 0], g2[:, 1]) - np.einsum(
         "tn,tn->t", g1[:, 1], g2[:, 0]
     )
@@ -1594,12 +1566,7 @@ def large_lipschitz_pieces(
     for c in range(3):
         np.maximum.at(max_grad, tris[:, c], sig_hi)
         np.maximum.at(max_inv, tris[:, c], inv_lo)
-    in_square = (
-        (disk[:, 0] >= square.x0)
-        & (disk[:, 0] < square.x0 + square.size)
-        & (disk[:, 1] >= square.y0)
-        & (disk[:, 1] < square.y0 + square.size)
-    )
+    in_square = square.contains(disk)
     if in_square.sum() < 3:
         raise TooFewPoints("square holds fewer than three vertices")
     lumped = vertex_areas(disk, tris)
@@ -1618,16 +1585,11 @@ def large_lipschitz_pieces(
         kept_idx = np.sort(rng.choice(kept_idx, 1200, replace=False))
     lip = 0.0
     if len(kept_idx) >= 2:
-        du = disk[kept_idx]
-        dv = f[kept_idx]
-        for i in range(0, len(kept_idx), 256):
-            bu = du[i : i + 256]
-            bv = dv[i : i + 256]
-            dd = np.linalg.norm(bu[:, None, :] - du[None, :, :], axis=2)
-            df = np.linalg.norm(bv[:, None, :] - dv[None, :, :], axis=2)
-            ok = dd > 1e-14
-            if ok.any():
-                lip = max(lip, float((df[ok] / dd[ok]).max()))
+        dd = pdist(disk[kept_idx])
+        df = pdist(f[kept_idx])
+        ok = dd > 1e-14
+        if ok.any():
+            lip = float((df[ok] / dd[ok]).max())
     return LipschitzPieces(
         scale=scale,
         threshold=float(t),
@@ -1709,12 +1671,12 @@ def conformal_diagnostics(
     ``mc_residual`` is relative to the curvature term when that term is
     nonzero, otherwise the absolute weighted-L1 value.
     """
-    depth = config.dyadic_depth if depth is None else depth
     cf = conformal_factor(param)
-    squares = dyadic_squares(param, depth, config=config)
-    bmo = bmo_norm(param, cf.w, depth, config=config)
-    a2 = a2_constant(param, cf.w, depth, config=config)
-    ih = inverse_holder_max(param, depth, config=config)
+    levels = _DyadicLevels(param, depth, config)
+    squares = levels.squares()
+    bmo = levels.bmo(cf.w)
+    a2 = levels.a2(cf.w)
+    ih = levels.inverse_holder(cf.area_factor)
     rng = np.random.default_rng(config.seed)
     inner = np.where(np.linalg.norm(param.disk_points, axis=1) <= 0.55)[0]
     if len(inner) > 20:

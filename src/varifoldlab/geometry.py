@@ -73,17 +73,6 @@ class Plane:
         """Orthogonal projector onto the direction space, basis^T basis."""
         return self.basis.T @ self.basis
 
-    @property
-    def normal_projector(self) -> np.ndarray:
-        return np.eye(self.ambient_dim) - self.projector
-
-    def project_points(self, points: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ambient points onto the affine plane."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        origin = self.basepoint if self.basepoint is not None else 0.0
-        rel = pts - origin
-        return origin + (rel @ self.basis.T) @ self.basis
-
     def coordinates(self, points: np.ndarray) -> np.ndarray:
         """In-plane coordinates (m per point) relative to the basepoint."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -136,11 +125,9 @@ class WeightedSurfaceSample:
         Strictly positive quadrature weights (area per sample).
     tangent_bases : ndarray, shape (N, m, n)
         Orthonormal tangent basis per point.
-    faces : ndarray or None
-        Optional triangle connectivity for mesh-sourced samples.
     """
 
-    def __init__(self, points, weights, tangent_bases, faces=None):
+    def __init__(self, points, weights, tangent_bases):
         points = np.ascontiguousarray(points, dtype=float)
         weights = np.ascontiguousarray(weights, dtype=float)
         bases = np.ascontiguousarray(tangent_bases, dtype=float)
@@ -157,7 +144,6 @@ class WeightedSurfaceSample:
         self.points = points
         self.weights = weights
         self.tangent_bases = bases
-        self.faces = None if faces is None else np.asarray(faces, dtype=int)
         self._tree: cKDTree | None = None
         self._projectors: np.ndarray | None = None
         self._mean_spacing: float | None = None
@@ -199,9 +185,6 @@ class WeightedSurfaceSample:
             self._projectors = np.einsum("nmi,nmj->nij", b, b)
         return self._projectors
 
-    def tangent_plane(self, i: int) -> Plane:
-        return Plane(basis=self.tangent_bases[i], basepoint=self.points[i])
-
     @property
     def spatial_index(self) -> cKDTree:
         if self._tree is None:
@@ -215,12 +198,6 @@ class WeightedSurfaceSample:
         )
         return np.sort(np.asarray(idx, dtype=int))
 
-    def restrict(self, indices) -> "WeightedSurfaceSample":
-        idx = np.asarray(indices, dtype=int)
-        return WeightedSurfaceSample(
-            self.points[idx], self.weights[idx], self.tangent_bases[idx]
-        )
-
     def transformed(self, rotation=None, translation=None, scale=1.0):
         """Rigidly moved / dilated copy (weights scale by scale^m)."""
         pts = self.points * scale
@@ -232,7 +209,7 @@ class WeightedSurfaceSample:
         if translation is not None:
             pts = pts + np.asarray(translation, dtype=float)
         w = self.weights * scale**self.intrinsic_dim
-        return WeightedSurfaceSample(pts, w, bases, faces=self.faces)
+        return WeightedSurfaceSample(pts, w, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +380,20 @@ def _canonical_rows(basis: np.ndarray) -> np.ndarray:
     flip = out[np.arange(out.shape[0]), lead] < 0
     out[flip] = -out[flip]
     return out
+
+
+def complement_frame(normals: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent pairs completing unit normals (N, 3) -> (N, 2, 3)."""
+    ref = np.where(
+        np.abs(normals[:, [0]]) < 0.9,
+        np.array([[1.0, 0.0, 0.0]]),
+        np.array([[0.0, 1.0, 0.0]]),
+    )
+    t1 = np.cross(normals, ref)
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t2 = np.cross(normals, t1)
+    t2 /= np.linalg.norm(t2, axis=1, keepdims=True)
+    return np.stack([t1, t2], axis=1)
 
 
 def check_projector(p: np.ndarray, dim: int) -> bool:

@@ -7,6 +7,9 @@ Orientation conventions follow the face winding as given; only
 ``mesh_edges`` is the only owner of the undirected-edge representation:
 every edge count, boundary test, skeleton graph and midpoint index in the
 toolkit reads its table instead of rebuilding edges from the faces.
+``orientation_dets`` is the only owner of the planar triangle orientation
+determinant: 2-D areas, winding flips, fold counts and PL Jacobians all
+read it.
 """
 
 from __future__ import annotations
@@ -15,18 +18,23 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DegenerateTriangle, NonManifoldMesh
-from .geometry import WeightedSurfaceSample
+from .geometry import WeightedSurfaceSample, complement_frame
+
+
+def orientation_dets(coords: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Twice the signed area of every triangle of ``faces`` in planar
+    ``coords`` (k, 2): positive for counterclockwise winding."""
+    e1 = coords[faces[:, 1]] - coords[faces[:, 0]]
+    e2 = coords[faces[:, 2]] - coords[faces[:, 0]]
+    return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
 
 
 def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
     f = np.asarray(faces, dtype=int)
-    e1 = v[f[:, 1]] - v[f[:, 0]]
-    e2 = v[f[:, 2]] - v[f[:, 0]]
     if v.shape[1] == 2:
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        return 0.5 * np.abs(cross)
-    cross = np.cross(e1, e2)
+        return 0.5 * np.abs(orientation_dets(v, f))
+    cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
@@ -83,9 +91,7 @@ def orient_ccw(coords: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Copy of ``faces`` with every clockwise triangle in ``coords`` (k, 2)
     flipped to counterclockwise; degenerate triangles keep their winding."""
     f = np.asarray(faces)
-    e1 = coords[f[:, 1]] - coords[f[:, 0]]
-    e2 = coords[f[:, 2]] - coords[f[:, 0]]
-    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    flip = orientation_dets(coords, f) < 0
     out = f.copy()
     out[flip, 1], out[flip, 2] = f[flip, 2], f[flip, 1]
     return out
@@ -207,18 +213,4 @@ def mesh_to_sample(vertices: np.ndarray, faces: np.ndarray) -> WeightedSurfaceSa
     if np.any(norms <= 0):
         raise DegenerateTriangle("vertex with cancelling incident normals")
     n_hat = acc / norms
-    bases = _orthonormal_complement(n_hat)
-    return WeightedSurfaceSample(v, vertex_areas(v, f), bases, faces=f)
-
-
-def _orthonormal_complement(normals: np.ndarray) -> np.ndarray:
-    ref = np.where(
-        np.abs(normals[:, [0]]) < 0.9,
-        np.array([[1.0, 0.0, 0.0]]),
-        np.array([[0.0, 1.0, 0.0]]),
-    )
-    t1 = np.cross(normals, ref)
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(normals, t1)
-    t2 /= np.linalg.norm(t2, axis=1, keepdims=True)
-    return np.stack([t1, t2], axis=1)
+    return WeightedSurfaceSample(v, vertex_areas(v, f), complement_frame(n_hat))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec
-from .geometry import WeightedSurfaceSample
+from .geometry import WeightedSurfaceSample, complement_frame
 
 KINDS = (
     "flat_disk",
@@ -151,19 +151,6 @@ def rect_lattice_periodic(width: float, height: float, target_n: int) -> np.ndar
 
 # ---------------------------------------------------------------------------
 # tangent frames
-
-
-def _complement_frame(normals: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent pairs completing unit normals (N, 3) -> (N, 2, 3)."""
-    n = normals
-    ref = np.where(
-        np.abs(n[:, [0]]) < 0.9, np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])
-    )
-    t1 = np.cross(n, ref)
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(n, t1)
-    t2 /= np.linalg.norm(t2, axis=1, keepdims=True)
-    return np.stack([t1, t2], axis=1)
 
 
 def _graph_frames(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
@@ -348,7 +335,7 @@ def _gen_sphere_cap(spec: SyntheticSpec):
     w = np.full(count, area / count)
     center = np.array([0.0, 0.0, R])
     normals = (pts - center) / R
-    bases = _complement_frame(normals)
+    bases = complement_frame(normals)
     H = (2.0 / R) * (center - pts) / R  # toward the sphere center
     sample = WeightedSurfaceSample(pts, w, bases)
     truth = GroundTruth(

@@ -11,10 +11,12 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from varifoldlab.errors import DegenerateCloud, TooFewPoints
 from varifoldlab.geometry import Plane, fit_plane_pca, grassmann_project
+from varifoldlab.meshing import angle_defects
 
 # ---------------------------------------------------------------------------
 # brute-force set and plane distances
@@ -856,3 +858,240 @@ def dirichlet_energy_direct(disk_pts, surf_pts, tris):
 def oracle_cap_total_curvature(R, chord):
     """Quadrature-free |A|^2 integral of a cap: (2/R^2) * pi chord^2."""
     return 2.0 * np.pi * chord * chord / (R * R)
+
+
+# ---------------------------------------------------------------------------
+# conformal kernels as written before they got one owner each: the inline
+# orientation determinant, the separate PL gradient, the per-statistic
+# dyadic square loops and the 256-row pairwise broadcasts
+
+
+def affine_maps_direct(disk_pts, tris, values):
+    """Per-triangle Jacobians (t, d, 2) and signed disk areas (t,) of the
+    PL map disk -> values, with the determinant written out."""
+    u = disk_pts[tris]
+    e1 = u[:, 1] - u[:, 0]
+    e2 = u[:, 2] - u[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    v = values[tris]
+    s1 = v[:, 1] - v[:, 0]
+    s2 = v[:, 2] - v[:, 0]
+    jx = (s1 * e2[:, [1]] - s2 * e1[:, [1]]) / det[:, None]
+    jy = (-s1 * e2[:, [0]] + s2 * e1[:, [0]]) / det[:, None]
+    return np.stack([jx, jy], axis=2), 0.5 * det
+
+
+def pl_gradients_direct(disk_pts, tris, vertex_values):
+    """Per-triangle gradients (t, 2, d) of a PL vertex field on the disk."""
+    u = disk_pts[tris]
+    e1 = u[:, 1] - u[:, 0]
+    e2 = u[:, 2] - u[:, 0]
+    det = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])[:, None]
+    v = vertex_values[tris]
+    d1 = v[:, 1] - v[:, 0]
+    d2 = v[:, 2] - v[:, 0]
+    gx = (e2[:, [1]] * d1 - e1[:, [1]] * d2) / det
+    gy = (-e2[:, [0]] * d1 + e1[:, [0]] * d2) / det
+    return np.stack([gx, gy], axis=1)
+
+
+def frame_terms_direct(disk, tris, f, interior):
+    """(gauss_absolute, gauss_relative, frame_energy) of the curvature
+    residuals over the ``interior`` vertex mask less its one-ring buffer."""
+    deep = interior.copy()
+    deep[tris[(~interior[tris]).any(axis=1)]] = False
+    if deep.any():
+        interior = deep
+    jac, areas = affine_maps_direct(disk, tris, f)
+    e1 = jac[:, :, 0] / np.linalg.norm(jac[:, :, 0], axis=1, keepdims=True)
+    e2 = jac[:, :, 1] / np.linalg.norm(jac[:, :, 1], axis=1, keepdims=True)
+    ebar1 = np.zeros_like(f)
+    ebar2 = np.zeros_like(f)
+    for c in range(3):
+        np.add.at(ebar1, tris[:, c], e1 * (areas / 3.0)[:, None])
+        np.add.at(ebar2, tris[:, c], e2 * (areas / 3.0)[:, None])
+    ebar1 /= np.linalg.norm(ebar1, axis=1, keepdims=True)
+    ebar2 /= np.linalg.norm(ebar2, axis=1, keepdims=True)
+    g1 = pl_gradients_direct(disk, tris, ebar1)
+    g2 = pl_gradients_direct(disk, tris, ebar2)
+    wedge = np.einsum("tn,tn->t", g1[:, 0], g2[:, 1]) - np.einsum(
+        "tn,tn->t", g1[:, 1], g2[:, 0]
+    )
+    rhs_g = np.zeros(len(disk))
+    for c in range(3):
+        np.add.at(rhs_g, tris[:, c], wedge * areas / 3.0)
+    diff_g = np.abs(angle_defects(f, tris)[interior] - rhs_g[interior])
+    ref_g = float(np.abs(rhs_g[interior]).sum())
+    gauss_abs = float(diff_g.sum())
+    frame_energy = float(
+        np.sum(
+            (np.einsum("tin,tin->t", g1, g1) + np.einsum("tin,tin->t", g2, g2))
+            * areas
+        )
+    )
+    return gauss_abs, gauss_abs / ref_g if ref_g > 0 else float("nan"), frame_energy
+
+
+def _dyadic_cells(points, tris):
+    centroids = points[tris].mean(axis=1)
+    u = points[tris]
+    e1 = u[:, 1] - u[:, 0]
+    e2 = u[:, 2] - u[:, 0]
+    areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
+    size = float((hi - lo).max())
+    return centroids, areas, 0.5 * (lo + hi) - 0.5 * size, size
+
+
+def _dyadic_buckets(centroids, origin, size, depth):
+    cells = size / (1 << depth)
+    ij = np.floor((centroids - origin) / cells).astype(int)
+    ij = np.clip(ij, 0, (1 << depth) - 1)
+    return ij[:, 0] + (ij[:, 1] << depth), cells
+
+
+def dyadic_squares_direct(points, tris, depth, min_triangles, coverage):
+    """Admissible dyadic squares as (x0, y0, size, depth) tuples."""
+    centroids, areas, origin, size = _dyadic_cells(points, tris)
+    out = []
+    for d in range(depth + 1):
+        buckets, cells = _dyadic_buckets(centroids, origin, size, d)
+        counts = np.bincount(buckets, minlength=1 << (2 * d))
+        covered = np.bincount(buckets, weights=areas, minlength=1 << (2 * d))
+        ok = np.where(
+            (counts >= min_triangles) & (covered >= coverage * cells * cells)
+        )[0]
+        for b in ok:
+            i = int(b) & ((1 << d) - 1)
+            j = int(b) >> d
+            out.append(
+                (float(origin[0] + i * cells), float(origin[1] + j * cells),
+                 float(cells), d)
+            )
+    return out
+
+
+def square_statistic_direct(points, tris, values, depth, min_triangles, coverage, kind):
+    """Sup over admissible dyadic squares of ``kind``: "bmo" (mean absolute
+    oscillation), "a2" (mean e^{2w} times mean e^{-2w}) or
+    "inverse_holder" (mean j over mean sqrt(j) squared)."""
+
+    def bmo(buckets, nsq, areas, covered, ok, v):
+        mean = np.bincount(buckets, weights=areas * v, minlength=nsq) / np.maximum(
+            covered, 1e-300
+        )
+        dev = np.abs(v - mean[buckets])
+        osc = np.bincount(buckets, weights=areas * dev, minlength=nsq) / np.maximum(
+            covered, 1e-300
+        )
+        return float(osc[ok].max())
+
+    def a2(buckets, nsq, areas, covered, ok, v):
+        up = np.bincount(
+            buckets, weights=areas * np.exp(2.0 * v), minlength=nsq
+        ) / np.maximum(covered, 1e-300)
+        dn = np.bincount(
+            buckets, weights=areas * np.exp(-2.0 * v), minlength=nsq
+        ) / np.maximum(covered, 1e-300)
+        return float((up[ok] * dn[ok]).max())
+
+    def inverse_holder(buckets, nsq, areas, covered, ok, j):
+        mean_j = np.bincount(buckets, weights=areas * j, minlength=nsq) / np.maximum(
+            covered, 1e-300
+        )
+        mean_root = np.bincount(
+            buckets, weights=areas * np.sqrt(j), minlength=nsq
+        ) / np.maximum(covered, 1e-300)
+        return float((mean_j[ok] / mean_root[ok] ** 2).max())
+
+    statistic = {"bmo": bmo, "a2": a2, "inverse_holder": inverse_holder}[kind]
+    centroids, areas, origin, size = _dyadic_cells(points, tris)
+    best = None
+    for d in range(depth + 1):
+        buckets, cells = _dyadic_buckets(centroids, origin, size, d)
+        nsq = 1 << (2 * d)
+        counts = np.bincount(buckets, minlength=nsq)
+        covered = np.bincount(buckets, weights=areas, minlength=nsq)
+        ok = (counts >= min_triangles) & (covered >= coverage * cells * cells)
+        if not ok.any():
+            continue
+        val = statistic(buckets, nsq, areas, covered, ok, values)
+        best = val if best is None else max(best, val)
+    if best is None:
+        return 0.0 if kind == "bmo" else 1.0
+    return best
+
+
+def square_mask_direct(points, x0, y0, size):
+    """Points in the half-open square [x0, x0 + size) x [y0, y0 + size)."""
+    return (
+        (points[:, 0] >= x0)
+        & (points[:, 0] < x0 + size)
+        & (points[:, 1] >= y0)
+        & (points[:, 1] < y0 + size)
+    )
+
+
+def max_distance_blocks(points) -> float:
+    """Largest pairwise distance, 256 rows against all points at a time."""
+    diam = 0.0
+    for i in range(0, len(points), 256):
+        block = points[i : i + 256]
+        diam = max(
+            diam,
+            float(np.linalg.norm(block[:, None, :] - points[None, :, :], axis=2).max()),
+        )
+    return diam
+
+
+def lipschitz_blocks(du, dv) -> float:
+    """max |dv_i - dv_j| / |du_i - du_j| over pairs with |du_i - du_j| >
+    1e-14, 256 rows against all points at a time."""
+    lip = 0.0
+    for i in range(0, len(du), 256):
+        dd = np.linalg.norm(du[i : i + 256, None, :] - du[None, :, :], axis=2)
+        df = np.linalg.norm(dv[i : i + 256, None, :] - dv[None, :, :], axis=2)
+        ok = dd > 1e-14
+        if ok.any():
+            lip = max(lip, float((df[ok] / dd[ok]).max()))
+    return lip
+
+
+def metric_diagnostics_loop(patch, waypoint_cycle, polygon_contains, *, sources=24,
+                            waypoints=24, seed=0):
+    """``intrinsic_metric_diagnostics`` with default floors and radii, the
+    cycle diameter taken by ``max_distance_blocks``."""
+    k = len(patch)
+    rng = np.random.default_rng(seed)
+    src = np.sort(rng.choice(k, size=min(sources, k), replace=False))
+    d_metric = dijkstra(patch.metric_graph(), directed=True, indices=src)
+    d_skel = dijkstra(patch.skeleton_graph(), directed=True, indices=src)
+    chords = np.linalg.norm(
+        patch.points[src][:, None, :] - patch.points[None, :, :], axis=2
+    )
+    r_max = float(np.linalg.norm(patch.plane_coords, axis=1).max())
+    chord_floor = max(24.0 * patch.spacing, 0.25 * r_max)
+    mask = (chords >= chord_floor) & np.isfinite(d_metric)
+    ratios = d_metric[mask] / chords[mask]
+    skel_ratio = d_skel[mask] / np.maximum(d_metric[mask], 1e-300)
+    cycle_out = []
+    for radius in (0.55 * r_max,):
+        angles = 2.0 * np.pi * np.arange(waypoints) / waypoints
+        pts2 = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        cyc = waypoint_cycle(patch, pts2)
+        enclosed = np.where(polygon_contains(patch.plane_coords[cyc], patch.plane_coords))[0]
+        if len(enclosed) > 1500:
+            enclosed = rng.choice(enclosed, 1500, replace=False)
+        diam = max_distance_blocks(patch.points[enclosed])
+        cpts = patch.points[cyc]
+        length = float(np.linalg.norm(np.roll(cpts, -1, axis=0) - cpts, axis=1).sum())
+        cycle_out.append({"radius": float(radius), "diameter_over_length": diam / length})
+    return {
+        "path_over_chord_max": float(ratios.max()),
+        "path_over_chord_mean": float(ratios.mean()),
+        "skeleton_over_path_max": float(skel_ratio.max()),
+        "pairs_used": int(mask.sum()),
+        "chord_floor": float(chord_floor),
+        "cycles": cycle_out,
+    }

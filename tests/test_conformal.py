@@ -26,19 +26,30 @@ from varifoldlab.geometry import WeightedSurfaceSample
 from varifoldlab.meshing import (
     check_manifold,
     mesh_edges,
+    orient_ccw,
+    orientation_dets,
     structured_disk_mesh,
+    triangle_areas,
     vertex_areas,
 )
 from varifoldlab.synthetic import SyntheticSpec, generate
 
 from oracles import (
     affine_fit_direct,
+    affine_maps_direct,
     circle_arc_chord_ratio_max,
     dirichlet_energy_direct,
+    dyadic_squares_direct,
     edge_face_counter,
+    frame_terms_direct,
     graph_chord_length,
+    lipschitz_blocks,
+    metric_diagnostics_loop,
     oracle_frame_energy_cap,
+    pl_gradients_direct,
     quasisymmetry_bruteforce,
+    square_mask_direct,
+    square_statistic_direct,
     stereographic_radius_for_chord,
     stereographic_to_cap,
 )
@@ -942,3 +953,131 @@ class TestDiagnosticsAndExport:
         assert svg1 == svg2
         assert svg1.lstrip().startswith("<svg")
         assert "<polygon" in svg1 and "</svg>" in svg1
+
+
+# ---------------------------------------------------------------------------
+# one owner per kernel: the library against the kernels written out
+
+
+@pytest.fixture(scope="module")
+def kernel_cases(structured_cap_pp, flat_pp):
+    """(patch or None, param, curvature): structured cap, extracted flat
+    disk and the stripe map of the unit square."""
+    return [
+        (*structured_cap_pp, cap_mean_curvature),
+        (*flat_pp, None),
+        (None, stripe_param(), None),
+    ]
+
+
+class TestKernelOracles:
+    def test_orientation_dets_match_flips_and_areas(self):
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, (60, 2))
+        tris = Delaunay(pts).simplices
+        tris[::2] = tris[::2, ::-1]
+        dets = orientation_dets(pts, tris)
+        flipped = (orient_ccw(pts, tris) != tris).any(axis=1)
+        assert flipped.any() and not flipped.all()
+        assert np.array_equal(flipped, dets < 0)
+        assert np.array_equal(orientation_dets(pts, orient_ccw(pts, tris)), np.abs(dets))
+        assert np.array_equal(triangle_areas(pts, tris), 0.5 * np.abs(dets))
+
+    def test_square_contains_is_half_open(self):
+        square = conf.DyadicSquare(0.0, 0.0, 0.5, 1)
+        pts = np.array(
+            [[0.0, 0.0], [0.25, 0.25], [0.5, 0.25], [0.25, 0.5], [0.5, 0.5], [-1e-17, 0.1]]
+        )
+        assert square.contains(pts).tolist() == [True, True, False, False, False, False]
+
+    def test_jacobians_and_gradients_match_oracle(self, kernel_cases):
+        rng = np.random.default_rng(0)
+        for _, param, _ in kernel_cases:
+            disk, tris = param.disk_points, param.triangles
+            for values in (param.surface_points, rng.standard_normal((len(disk), 3))):
+                jac, areas = conf._affine_maps(disk, tris, values)
+                ref_jac, ref_areas = affine_maps_direct(disk, tris, values)
+                assert np.array_equal(jac, ref_jac)
+                assert np.array_equal(areas, ref_areas)
+                grads = pl_gradients_direct(disk, tris, values)
+                assert np.array_equal(jac.transpose(0, 2, 1), grads)
+
+    def test_diagnostics_match_oracle(self, kernel_cases):
+        box = (CFG.dyadic_depth, CFG.min_square_triangles, CFG.square_coverage)
+        for patch, param, curvature in kernel_cases:
+            disk, tris = param.disk_points, param.triangles
+            diag = conf.conformal_diagnostics(param, curvature, config=CFG)
+            cf = conf.conformal_factor(param)
+            res = conf.curvature_equation_residuals(param, curvature)
+            gauss_abs, gauss_rel, frame_energy = frame_terms_direct(
+                disk, tris, param.surface_points, param.interior_mask()
+            )
+            inner = np.where(np.linalg.norm(disk, axis=1) <= 0.55)[0]
+            if len(inner) > 20:
+                rng = np.random.default_rng(CFG.seed)
+                inner = np.sort(rng.choice(inner, 20, replace=False))
+            qs = conf.quasisymmetry_table(param, disk[inner], scales=(0.1, 0.2, 0.35))
+            image_area = float((cf.area_factor * cf.disk_areas).sum())
+            mc = res.mc_relative
+            if mc is None or not np.isfinite(mc):
+                mc = res.mc_absolute
+            expected = {
+                "bmo": square_statistic_direct(disk, tris, cf.w, *box, "bmo"),
+                "a2": square_statistic_direct(disk, tris, cf.w, *box, "a2"),
+                "inverse_holder_max": square_statistic_direct(
+                    disk, tris, cf.area_factor, *box, "inverse_holder"
+                ),
+                "quasisymmetry_max": qs.max,
+                "mc_residual": mc,
+                "mc_residual_absolute": res.mc_absolute,
+                "gauss_residual": gauss_abs,
+                "gauss_residual_relative": gauss_rel,
+                "frame_energy": frame_energy,
+                "energy": param.energy,
+                "initializer_energy": param.initializer_energy,
+                "image_area": image_area,
+                "energy_area_gap": (param.energy - 2.0 * image_area) / param.energy,
+                "max_qc_dilatation": float(cf.qc_dilatation.max()),
+                "pin_error": param.pin_error,
+                "square_count": len(dyadic_squares_direct(disk, tris, *box)),
+                "psi": None if patch is None else patch.psi,
+                "boundary_chord_arc": None if patch is None else patch.boundary_chord_arc,
+            }
+            np.testing.assert_equal(vars(diag), expected)
+
+    def test_dyadic_squares_match_oracle(self, kernel_cases):
+        for _, param, _ in kernel_cases:
+            got = [
+                (sq.x0, sq.y0, sq.size, sq.depth)
+                for sq in conf.dyadic_squares(param, config=CFG)
+            ]
+            assert got == dyadic_squares_direct(
+                param.disk_points,
+                param.triangles,
+                CFG.dyadic_depth,
+                CFG.min_square_triangles,
+                CFG.square_coverage,
+            )
+
+    def test_lipschitz_pieces_match_oracle(self, kernel_cases):
+        for _, param, _ in kernel_cases:
+            disk, f = param.disk_points, param.surface_points
+            squares = conf.dyadic_squares(param, 2, config=CFG)
+            for square in [sq for sq in squares if sq.depth == 2][:4]:
+                inside = square_mask_direct(disk, square.x0, square.y0, square.size)
+                assert np.array_equal(square.contains(disk), inside)
+                piece = conf.large_lipschitz_pieces(param, square, 2.0)
+                assert inside[piece.excluded_vertices].all()
+                kept = inside.copy()
+                kept[piece.excluded_vertices] = False
+                assert piece.kept_count == kept.sum()
+                kept_idx = np.flatnonzero(kept)
+                if len(kept_idx) > 1200:
+                    rng = np.random.default_rng(0)
+                    kept_idx = np.sort(rng.choice(kept_idx, 1200, replace=False))
+                assert piece.lipschitz == lipschitz_blocks(disk[kept_idx], f[kept_idx])
+
+    def test_intrinsic_metric_matches_oracle(self, kernel_cases):
+        for patch, _, _ in kernel_cases[:2]:
+            assert conf.intrinsic_metric_diagnostics(patch) == metric_diagnostics_loop(
+                patch, conf.waypoint_cycle, conf._polygon_contains
+            )
