@@ -6,11 +6,14 @@ estimates first-variation mean curvature, and constructs two kinds of
 controlled parameterizations: a stagewise projection map with distortion
 reports and an energy-minimizing conformal disk map with A2 / BMO /
 inverse-Hoelder diagnostics.
+
+Thresholds are named module constants beside the code that reads them
+(``iterated_projection.GRAPH_LIP_MULT``, ``conformal.PATCH_ALPHA_MULT``,
+...); scale choices a caller may vary are ordinary keyword arguments.
 """
 
 __version__ = "0.1.0"
 
-from .config import AnalysisConfig, DEFAULT_CONFIG
 from .geometry import (
     Ball,
     Plane,
@@ -22,8 +25,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "AnalysisConfig",
-    "DEFAULT_CONFIG",
     "Ball",
     "Plane",
     "WeightedSurfaceSample",

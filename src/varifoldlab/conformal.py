@@ -17,8 +17,8 @@ Conventions
   Jacobian area factor), so the pullback metric is ``e^{2w} (dx^2 + dy^2)``
   for near-conformal maps.
 * Dyadic squares live on the parameter disk.  A square is admissible when
-  it holds at least ``min_square_triangles`` triangle centroids and those
-  triangles cover at least ``square_coverage`` of its area, which skips
+  it holds at least ``MIN_SQUARE_TRIANGLES`` triangle centroids and those
+  triangles cover at least ``SQUARE_COVERAGE`` of its area, which skips
   squares straddling the mesh boundary.
 """
 
@@ -34,7 +34,6 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, cKDTree
 from scipy.spatial.distance import pdist
 
-from .config import DEFAULT_CONFIG, AnalysisConfig
 from .curvature import CurvatureField
 from .errors import (
     DegenerateTriangle,
@@ -94,6 +93,11 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # disk patch
+
+# Neighborhood-graph radius for intrinsic shortest paths, in units of mean
+# sample spacing.  Four spacings keep the graph-metric stretch of straight
+# lines below one percent.
+METRIC_RADIUS_MULT = 4.0
 
 
 @dataclass(eq=False)
@@ -193,7 +197,6 @@ class DiskPatch:
         center=None,
         sigma: float | None = None,
         spacing: float | None = None,
-        config: AnalysisConfig = DEFAULT_CONFIG,
     ) -> "DiskPatch":
         """Wrap an explicit triangle mesh, validating disk topology.
 
@@ -234,19 +237,19 @@ class DiskPatch:
             sigma=sig,
             psi=psi,
             spacing=float(spacing),
-            metric_radius=config.metric_radius_mult * float(spacing),
+            metric_radius=METRIC_RADIUS_MULT * float(spacing),
             sample_rows=np.full(len(pts), -1, dtype=int),
             boundary_chord_arc=_boundary_chord_arc(pts, boundary, sig),
         )
 
 
-def _symmetric_graph(
-    n: int, edges: np.ndarray, weights: np.ndarray
-) -> sparse.csr_matrix:
-    """(n, n) graph holding ``weights[e]`` at both orientations of edge e."""
+def _length_graph(points: np.ndarray, edges: np.ndarray) -> sparse.csr_matrix:
+    """Symmetric graph holding the length of edge e at both orientations."""
+    lengths = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
+    n = len(points)
     graph = sparse.coo_matrix(
         (
-            np.concatenate([weights, weights]),
+            np.concatenate([lengths, lengths]),
             (
                 np.concatenate([edges[:, 0], edges[:, 1]]),
                 np.concatenate([edges[:, 1], edges[:, 0]]),
@@ -255,11 +258,6 @@ def _symmetric_graph(
         shape=(n, n),
     )
     return graph.tocsr()
-
-
-def _length_graph(points: np.ndarray, edges: np.ndarray) -> sparse.csr_matrix:
-    lengths = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
-    return _symmetric_graph(len(points), edges, lengths)
 
 
 def _interior_slot_pairs(face_edges: np.ndarray, counts: np.ndarray):
@@ -371,18 +369,20 @@ def _boundary_chord_arc(
     return float(np.max(arc[mask] / np.sqrt(sigma * chord[mask])))
 
 
+# Patch triangulation keeps a triangle only when its circumradius is at most
+# this multiple of the mean sample spacing, so holes and sliver fills never
+# enter the complex.
+PATCH_ALPHA_MULT = 1.6
+
+
 def extract_disk_patch(
-    sample: WeightedSurfaceSample,
-    center,
-    sigma: float,
-    *,
-    config: AnalysisConfig = DEFAULT_CONFIG,
+    sample: WeightedSurfaceSample, center, sigma: float
 ) -> DiskPatch:
     """Triangulated disk patch of the sample inside a ball.
 
     Projects the ball onto its PCA reference plane, triangulates the
     projected points, keeps triangles whose circumradius stays below
-    ``patch_alpha_mult`` mean spacings (so holes and sliver fills are
+    ``PATCH_ALPHA_MULT`` mean spacings (so holes and sliver fills are
     dropped), extracts the edge-connected component containing the vertex
     nearest the center, and validates disk topology.  Intended for balls
     where the multiscale flatness certificates hold; on wilder input it
@@ -429,7 +429,7 @@ def extract_disk_patch(
     with np.errstate(divide="ignore", invalid="ignore"):
         circum = np.where(area3 > 0, la * lb * lc / (4.0 * area3), np.inf)
     keep = (
-        (circum <= config.patch_alpha_mult * spacing)
+        (circum <= PATCH_ALPHA_MULT * spacing)
         & (area2 > 1e-9 * spacing * spacing)
     )
     tris = tris[keep]
@@ -470,7 +470,7 @@ def extract_disk_patch(
         sigma=float(sigma),
         psi=psi,
         spacing=spacing,
-        metric_radius=config.metric_radius_mult * spacing,
+        metric_radius=METRIC_RADIUS_MULT * spacing,
         sample_rows=rows[used],
         boundary_chord_arc=_boundary_chord_arc(patch_pts, boundary, sigma),
     )
@@ -769,7 +769,6 @@ class DiskParameterization:
     triangles: np.ndarray
     boundary: np.ndarray | None = None
     energy: float = float("nan")
-    initializer_energy: float = float("nan")
     pinned: np.ndarray | None = None
     pin_targets: np.ndarray | None = None
     pin_error: float = float("nan")
@@ -836,18 +835,13 @@ def _dirichlet_energy(disk_pts, tris, values) -> float:
     return float(np.sum((lam_hi + lam_lo) * areas))
 
 
-def _uniform_laplacian(n: int, tris: np.ndarray) -> sparse.csr_matrix:
-    edges = mesh_edges(tris, n)[0]
-    adj = _symmetric_graph(n, edges, np.ones(len(edges)))
-    return (adj - sparse.diags(np.asarray(adj.sum(axis=1)).ravel())).tocsr()
-
-
 def _solve_trace(lap, boundary, boundary_values, interior, n: int) -> np.ndarray:
     out = np.zeros((n, boundary_values.shape[1]))
     out[boundary] = boundary_values
     if interior.size:
-        a = (-lap[interior][:, interior]).tocsc()
-        rhs = np.asarray(lap[interior][:, boundary] @ boundary_values)
+        rows = lap[interior]
+        a = (-rows[:, interior]).tocsc()
+        rhs = np.asarray(rows[:, boundary] @ boundary_values)
         try:
             solved = splu(a).solve(rhs)
         except RuntimeError as exc:  # pragma: no cover - singular factorization
@@ -877,9 +871,7 @@ def _apply_mobius(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (mat[0, 0] * z + mat[0, 1]) / (mat[1, 0] * z + mat[1, 1])
 
 
-def harmonic_disk_param(
-    patch: DiskPatch, *, config: AnalysisConfig = DEFAULT_CONFIG
-) -> DiskParameterization:
+def harmonic_disk_param(patch: DiskPatch) -> DiskParameterization:
     """Discrete Dirichlet-minimizing disk parameterization of a patch.
 
     The boundary cycle maps to the unit circle by normalized arc length;
@@ -888,9 +880,7 @@ def harmonic_disk_param(
     correspondence is read inversely as a map from the disk mesh onto the
     original patch points.  A disk Moebius map then pins the three boundary
     vertices nearest the arc-length thirds to the cube roots of unity.
-    Energy is the per-triangle Dirichlet sum of the disk-to-patch map; the
-    energy of the uniform-weight (Tutte-style) flattening with the same
-    trace is recorded for comparison.
+    Energy is the per-triangle Dirichlet sum of the disk-to-patch map.
 
     Raises
     ------
@@ -911,10 +901,7 @@ def harmonic_disk_param(
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     interior = np.setdiff1d(np.arange(len(pts)), bd)
 
-    lap_cot = cotangent_laplacian(pts, tris)
-    disk = _solve_trace(lap_cot, bd, circle, interior, len(pts))
-    lap_uni = _uniform_laplacian(len(pts), tris)
-    disk_init = _solve_trace(lap_uni, bd, circle, interior, len(pts))
+    disk = _solve_trace(cotangent_laplacian(pts, tris), bd, circle, interior, len(pts))
 
     # pin the boundary vertices nearest the arc-length thirds
     pin_pos = [int(np.argmin(np.abs(cum - total * j / 3.0))) for j in range(3)]
@@ -940,18 +927,12 @@ def harmonic_disk_param(
             f"{folded} parameter triangles are folded after normalization",
             count=folded,
         )
-    energy = _dirichlet_energy(disk_new, tris, pts)
-    try:
-        energy_init = _dirichlet_energy(disk_init, tris, pts)
-    except DegenerateTriangle:
-        energy_init = float("nan")
     return DiskParameterization(
         disk_points=disk_new,
         surface_points=pts,
         triangles=tris,
         boundary=bd,
-        energy=energy,
-        initializer_energy=energy_init,
+        energy=_dirichlet_energy(disk_new, tris, pts),
         pinned=pins,
         pin_targets=np.stack([dst.real, dst.imag], axis=1),
         pin_error=pin_error,
@@ -984,7 +965,6 @@ def mobius_reparameterized(
         triangles=param.triangles,
         boundary=param.boundary,
         energy=energy,
-        initializer_energy=float("nan"),
         pinned=None,
         pin_targets=None,
         pin_error=float("nan"),
@@ -1211,22 +1191,28 @@ class _Level(NamedTuple):
     admissible: np.ndarray  # per square
 
 
+# Dyadic squares with fewer triangles than this are skipped.
+MIN_SQUARE_TRIANGLES = 16
+# Dyadic squares whose member triangles cover less than this fraction of the
+# square are treated as boundary-straddling and skipped.
+SQUARE_COVERAGE = 0.9
+
+
 class _DyadicLevels:
     """Dyadic levels 0..depth over the bounding square of a parameter mesh.
 
     The one owner of the square rules: a triangle belongs to the square
     holding its centroid, a square is admissible when it holds at least
-    ``min_square_triangles`` triangles covering at least ``square_coverage``
+    ``MIN_SQUARE_TRIANGLES`` triangles covering at least ``SQUARE_COVERAGE``
     of its area, and square means are triangle-area weighted.
     """
 
-    def __init__(self, mesh_or_param, depth: int | None, config: AnalysisConfig):
+    def __init__(self, mesh_or_param, depth: int):
         if isinstance(mesh_or_param, DiskParameterization):
             points = mesh_or_param.disk_points
         else:
             points = mesh_or_param.points
         tris = mesh_or_param.triangles
-        depth = config.dyadic_depth if depth is None else depth
         centroids = points[tris].mean(axis=1)
         self.areas = triangle_areas(points, tris)
         lo = points.min(axis=0)
@@ -1241,8 +1227,8 @@ class _DyadicLevels:
             buckets = ij[:, 0] + (ij[:, 1] << d)
             counts = np.bincount(buckets, minlength=1 << (2 * d))
             covered = np.bincount(buckets, weights=self.areas, minlength=1 << (2 * d))
-            admissible = (counts >= config.min_square_triangles) & (
-                covered >= config.square_coverage * cells * cells
+            admissible = (counts >= MIN_SQUARE_TRIANGLES) & (
+                covered >= SQUARE_COVERAGE * cells * cells
             )
             self.levels.append(_Level(d, cells, buckets, covered, admissible))
 
@@ -1305,47 +1291,30 @@ class _DyadicLevels:
         return self.sup(ratio, 1.0)
 
 
-def dyadic_squares(
-    mesh_or_param,
-    depth: int | None = None,
-    *,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-) -> list:
+def dyadic_squares(mesh_or_param, depth: int = 3) -> list:
     """Admissible dyadic squares over the mesh bounding square.
 
-    Admissible: at least ``min_square_triangles`` triangle centroids and
-    triangle area at least ``square_coverage`` of the square, which skips
+    Admissible: at least ``MIN_SQUARE_TRIANGLES`` triangle centroids and
+    triangle area at least ``SQUARE_COVERAGE`` of the square, which skips
     squares straddling the mesh boundary.
     """
-    return _DyadicLevels(mesh_or_param, depth, config).squares()
+    return _DyadicLevels(mesh_or_param, depth).squares()
 
 
-def bmo_norm(
-    mesh_or_param,
-    values,
-    depth: int | None = None,
-    *,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-) -> float:
+def bmo_norm(mesh_or_param, values, depth: int = 3) -> float:
     """Sup over admissible dyadic squares of the mean absolute oscillation.
 
     ``values`` is a per-triangle scalar field; means are triangle-area
     weighted.  Returns 0.0 when no square is admissible.
     """
     vals = np.asarray(values, dtype=float)
-    return _DyadicLevels(mesh_or_param, depth, config).bmo(vals)
+    return _DyadicLevels(mesh_or_param, depth).bmo(vals)
 
 
-def a2_constant(
-    mesh_or_param,
-    w_values,
-    depth: int | None = None,
-    *,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-) -> float:
+def a2_constant(mesh_or_param, w_values, depth: int = 3) -> float:
     """Sup over admissible dyadic squares of mean(e^{2w}) * mean(e^{-2w})."""
     w = np.asarray(w_values, dtype=float)
-    return _DyadicLevels(mesh_or_param, depth, config).a2(w)
+    return _DyadicLevels(mesh_or_param, depth).a2(w)
 
 
 def inverse_holder_check(param: DiskParameterization, square: DyadicSquare) -> float:
@@ -1362,15 +1331,10 @@ def inverse_holder_check(param: DiskParameterization, square: DyadicSquare) -> f
     return mean_j / (mean_root * mean_root)
 
 
-def inverse_holder_max(
-    param: DiskParameterization,
-    depth: int | None = None,
-    *,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-) -> float:
+def inverse_holder_max(param: DiskParameterization, depth: int = 3) -> float:
     """Sup of the inverse-Hoelder ratio over admissible dyadic squares."""
     j = conformal_factor(param).area_factor
-    return _DyadicLevels(param, depth, config).inverse_holder(j)
+    return _DyadicLevels(param, depth).inverse_holder(j)
 
 
 # ---------------------------------------------------------------------------
@@ -1621,7 +1585,6 @@ class ConformalDiagnostics:
     gauss_residual_relative: float
     frame_energy: float
     energy: float
-    initializer_energy: float
     image_area: float
     energy_area_gap: float
     max_qc_dilatation: float
@@ -1648,7 +1611,6 @@ class ConformalDiagnostics:
             "gauss_residual_relative": clean(self.gauss_residual_relative),
             "frame_energy": clean(self.frame_energy),
             "energy": clean(self.energy),
-            "initializer_energy": clean(self.initializer_energy),
             "image_area": clean(self.image_area),
             "energy_area_gap": clean(self.energy_area_gap),
             "max_qc_dilatation": clean(self.max_qc_dilatation),
@@ -1663,8 +1625,7 @@ def conformal_diagnostics(
     param: DiskParameterization,
     curvature=None,
     *,
-    depth: int | None = None,
-    config: AnalysisConfig = DEFAULT_CONFIG,
+    depth: int = 3,
 ) -> ConformalDiagnostics:
     """Evaluate the full diagnostic battery on one parameterization.
 
@@ -1672,12 +1633,12 @@ def conformal_diagnostics(
     nonzero, otherwise the absolute weighted-L1 value.
     """
     cf = conformal_factor(param)
-    levels = _DyadicLevels(param, depth, config)
+    levels = _DyadicLevels(param, depth)
     squares = levels.squares()
     bmo = levels.bmo(cf.w)
     a2 = levels.a2(cf.w)
     ih = levels.inverse_holder(cf.area_factor)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     inner = np.where(np.linalg.norm(param.disk_points, axis=1) <= 0.55)[0]
     if len(inner) > 20:
         inner = np.sort(rng.choice(inner, 20, replace=False))
@@ -1702,7 +1663,6 @@ def conformal_diagnostics(
         gauss_residual_relative=res.gauss_relative,
         frame_energy=res.frame_energy,
         energy=param.energy,
-        initializer_energy=param.initializer_energy,
         image_area=image_area,
         energy_area_gap=float(gap),
         max_qc_dilatation=float(cf.qc_dilatation.max()),

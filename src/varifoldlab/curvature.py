@@ -120,12 +120,6 @@ def _curvature_at(sample, x, h, idx):
     return H, residual
 
 
-# rows per batched ball query of build_curvature_field; the query returns
-# Python lists (~750 indices per row at radius 0.25 on a 12k-point unit
-# disk), and 128 rows already raised the peak memory by 6 MB
-_FIELD_BLOCK = 16
-
-
 def build_curvature_field(
     sample: WeightedSurfaceSample,
     h: float,
@@ -140,10 +134,7 @@ def build_curvature_field(
     residuals = np.zeros(indices.size)
     orthogonal = np.zeros(indices.size, dtype=bool)
     P = sample.tangent_projectors
-    tree = sample.spatial_index
-    for lo in range(0, indices.size, _FIELD_BLOCK):
-        block = indices[lo : lo + _FIELD_BLOCK]
-        balls = tree.query_ball_point(sample.points[block], h, return_sorted=True)
+    for lo, block, balls in sample.ball_query_blocks(indices, h):
         for row, i, ball in zip(range(lo, lo + block.size), block, balls):
             H, res = _curvature_at(
                 sample, sample.points[i], h, np.asarray(ball, dtype=int)

@@ -29,6 +29,14 @@ class EmptySet(ToolkitError):
     """Set distance requested against an empty set."""
 
 
+class NonFiniteInput(ToolkitError):
+    """Input coordinates, weights or bases hold NaN or infinity."""
+
+
+class NonPositiveWeight(ToolkitError, ValueError):
+    """A sample weight is zero or negative."""
+
+
 class EigengapTie(UserWarning):
     """Spectral truncation hit a near-tie at the cut; result is the
     deterministic lexicographic choice but the caller should know."""

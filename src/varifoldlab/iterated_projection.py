@@ -18,7 +18,6 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
-from .config import DEFAULT_CONFIG, AnalysisConfig
 from .errors import (
     EmptyFineSet,
     GraphTestFailure,
@@ -210,6 +209,12 @@ def extract_fine_set(
 # separated nets
 
 
+# Net packing radius in units of the gauge (continuum value 0.5e-3).
+NET_PACKING_MULT = 0.5e-3
+# Within-group net separation in units of the gauge (continuum 0.1).
+GROUP_SEP_MULT = 0.1
+
+
 @dataclass
 class SeparatedNet:
     """Greedy gauge-proportional packing with a conflict-free grouping."""
@@ -226,7 +231,6 @@ class SeparatedNet:
 def build_separated_net(
     sample: WeightedSurfaceSample,
     delta: DeltaField,
-    config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> SeparatedNet:
     """Pack {gauge > 0} greedily, then color at a tenth-gauge separation.
 
@@ -244,8 +248,7 @@ def build_separated_net(
     order = cand[np.lexsort((cand, -vals[cand]))]
     pts = sample.points
 
-    pack_mult = config.net_packing_mult
-    r_pack = pack_mult * vals
+    r_pack = NET_PACKING_MULT * vals
     tree_all = cKDTree(pts[order])
     # only pairs closer than the largest packing radius can ever conflict
     close = tree_all.query_pairs(float(r_pack[order].max()), output_type="ndarray")
@@ -269,9 +272,8 @@ def build_separated_net(
     # greedy coloring with symmetric tenth-gauge separation
     net_pts = pts[net_rows]
     net_vals = vals[net_rows]
-    sep = config.group_sep_mult
     balls = cKDTree(net_pts).query_ball_point(
-        net_pts, sep * net_vals, return_sorted=False
+        net_pts, GROUP_SEP_MULT * net_vals, return_sorted=False
     )
     forbidden: list[set[int]] = [set() for _ in range(net_rows.size)]
     group_ids = np.full(net_rows.size, -1, dtype=int)
@@ -295,6 +297,10 @@ def build_separated_net(
 
 # ---------------------------------------------------------------------------
 # partition of unity
+
+# Bump support radius in units of the gauge (continuum 0.5); the stage
+# patches and the normal blend use the same bumps.
+POU_SUPPORT_MULT = 0.5
 
 
 def _pou_matrix(
@@ -334,14 +340,13 @@ def partition_of_unity(
     net: SeparatedNet,
     delta: DeltaField,
     query,
-    config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> list[tuple[int, float]]:
     """Normalized bump weights of the net members at one query point.
 
     Each bump is supported exactly on the ball of half the member's gauge.
     """
     centers = delta.points[net.indices]
-    supports = config.pou_support_mult * np.asarray(delta.values)[net.indices]
+    supports = POU_SUPPORT_MULT * np.asarray(delta.values)[net.indices]
     mat = _pou_matrix(centers, supports, np.asarray(query, dtype=float)[None, :])
     row = mat.getrow(0)
     if row.nnz == 0:
@@ -439,13 +444,19 @@ def _mls_normal_offset(coords, normals, weights, eval_coords):
     return out
 
 
+# Synthesized patch radius in units of the gauge (continuum 2e-3).
+PATCH_RADIUS_MULT = 2.0e-3
+# The graph test rejects balls whose height field exceeds this multiple of
+# the fine threshold as a Lipschitz constant.
+GRAPH_LIP_MULT = 10.0
+
+
 def build_sigma_delta(
     sample: WeightedSurfaceSample,
     fine: FineSet,
     net: SeparatedNet,
     delta: DeltaField,
     nu: float,
-    config: AnalysisConfig = DEFAULT_CONFIG,
     stage_index: int = 0,
 ) -> SmoothedSurfaceStage:
     """Keep the fine points and fill the rest with local graph patches.
@@ -458,7 +469,7 @@ def build_sigma_delta(
 
     The finished stage then passes the graph test of `_graph_lipschitz`:
     over each patch's support ball, the normal parts of the stage points
-    must be `graph_lip_mult * nu`-Lipschitz in their in-plane parts.  A ball
+    must be ``GRAPH_LIP_MULT * nu``-Lipschitz in their in-plane parts.  A ball
     of more than 300 points is thinned to every ``len // 300 + 1``-th point
     in KD-tree traversal order, not sorted index order, so the measured
     subsample (and the recorded `graph_lipschitz`) depends on that order;
@@ -466,7 +477,7 @@ def build_sigma_delta(
     """
     m = sample.intrinsic_dim
     grid_step = sample.mean_spacing
-    lip_bound = config.graph_lip_mult * nu
+    lip_bound = GRAPH_LIP_MULT * nu
     floor = resolution_floor(sample, 4.0)
     vals = np.asarray(delta.values, dtype=float)
 
@@ -482,22 +493,20 @@ def build_sigma_delta(
     overlap_mismatch = 0.0
     offset_ratio = 0.0
 
-    support_mult = config.pou_support_mult
-    fill_mult = config.patch_radius_mult
     for g in range(net.group_count):
         members = net.indices[net.group_ids == g]
         existing = np.concatenate(stage_pts)
         existing_tree = cKDTree(existing)
         anchors = fine_tree.query_ball_point(
-            sample.points[members], support_mult * vals[members],
+            sample.points[members], POU_SUPPORT_MULT * vals[members],
             return_sorted=False,
         )
         new_pts: list[np.ndarray] = []
         for row, local in zip(members, anchors):
             u = sample.points[row]
             d_u = vals[row]
-            support_r = support_mult * d_u
-            fill_r = fill_mult * d_u
+            support_r = POU_SUPPORT_MULT * d_u
+            fill_r = PATCH_RADIUS_MULT * d_u
             if row in fine:
                 # the member's own points are kept verbatim; its cached
                 # reference plane still anchors the partition of unity
@@ -579,7 +588,7 @@ def build_sigma_delta(
     patch_bases = np.asarray(patch_bases).reshape(-1, m, sample.ambient_dim)
     patch_gauge = np.asarray(patch_gauge, dtype=float)
     lips = _graph_lipschitz(
-        points, patch_centers, patch_bases, support_mult * patch_gauge, lip_bound
+        points, patch_centers, patch_bases, POU_SUPPORT_MULT * patch_gauge, lip_bound
     )
 
     return SmoothedSurfaceStage(
@@ -680,7 +689,6 @@ def _fine_only_stage(
 def normal_field(
     stage: SmoothedSurfaceStage,
     sample: WeightedSurfaceSample,
-    config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> SmoothedSurfaceStage:
     """Blend patch normal projectors with the partition of unity.
 
@@ -699,7 +707,7 @@ def normal_field(
         if stage.normal_projectors is None:
             raise UncoveredQuery("stage has no patches and no fallback planes")
         return stage
-    supports = config.pou_support_mult * stage.patch_gauge
+    supports = POU_SUPPORT_MULT * stage.patch_gauge
     mat = _pou_matrix(stage.patch_centers, supports, stage.points)
     uncovered = np.asarray(mat.sum(axis=1)).ravel() <= 0
     if np.any(uncovered & ~stage.fine_mask):
@@ -1050,58 +1058,56 @@ class IterationResult:
     embed_center: np.ndarray
 
 
-def _embed(sample: WeightedSurfaceSample, radius: float):
-    """Rescale into a small ball at the origin so the gauge resolves."""
+# The stage pipeline rescales its input into a ball of this radius inside
+# the unit domain so that the gauge (1-|x|)/100 stays a few sample spacings
+# wide and tilt statistics resolve.
+EMBEDDING_RADIUS = 0.02
+
+
+def _embed(sample: WeightedSurfaceSample):
+    """Rescale into a ball of EMBEDDING_RADIUS at the origin so the gauge
+    resolves."""
     center = (sample.weights[:, None] * sample.points).sum(
         axis=0
     ) / sample.total_weight
     extent = float(np.linalg.norm(sample.points - center, axis=1).max())
-    scale = radius / max(extent, 1e-300)
+    scale = EMBEDDING_RADIUS / max(extent, 1e-300)
     moved = sample.transformed(translation=-center).transformed(scale=scale)
     return moved, scale, center
 
 
-def _build_stage(work, fine, delta, nu, config, index, group_counts):
+def _build_stage(work, fine, delta, nu, index, group_counts):
     """Stage ``index`` at gauge ``delta``; appends its net's group count."""
     if fine.covers_all(len(work)):
         return _fine_only_stage(work, fine, delta, index)
-    net = build_separated_net(work, delta, config)
+    net = build_separated_net(work, delta)
     group_counts.append(net.group_count)
-    stage = build_sigma_delta(work, fine, net, delta, nu, config, index)
-    normal_field(stage, work, config)
+    stage = build_sigma_delta(work, fine, net, delta, nu, index)
+    normal_field(stage, work)
     return stage
 
 
 def iterate_parameterization(
     sample: WeightedSurfaceSample,
     gamma_hint: float,
-    depth: int | None = None,
-    config: AnalysisConfig = DEFAULT_CONFIG,
+    depth: int = 12,
     nu: float | None = None,
 ) -> IterationResult:
     """Run the full stagewise smoothing-and-projection loop.
 
-    The sample is first rescaled into a ball of the configured embedding
-    radius so the gauge stays several sample spacings wide.  Stages stop
-    early once the maximal step displacement falls under the sample spacing;
-    two consecutive steps that fail to halve the displacement abort with
-    NonContraction.  All returned coordinates are mapped back to the input
-    frame.
+    ``nu`` is the fine-set tilt threshold, sqrt(gamma_hint) by default, and
+    the normal-bundle radius is sqrt(nu).  At most ``depth`` stages follow
+    the first.  The sample is first rescaled into a ball of radius
+    EMBEDDING_RADIUS so the gauge stays several sample spacings wide.
+    Stages stop early once the maximal step displacement falls under the
+    sample spacing; two consecutive steps that fail to halve the
+    displacement abort with NonContraction.  All returned coordinates are
+    mapped back to the input frame.
     """
-    if depth is None:
-        depth = config.stage_depth
     if nu is None:
-        nu = (
-            config.fine_threshold
-            if config.fine_threshold is not None
-            else float(np.sqrt(max(gamma_hint, 1e-300)))
-        )
-    beta = (
-        config.bundle_radius
-        if config.bundle_radius is not None
-        else float(np.sqrt(nu))
-    )
-    work, scale, center = _embed(sample, config.embedding_radius)
+        nu = float(np.sqrt(max(gamma_hint, 1e-300)))
+    beta = float(np.sqrt(nu))
+    work, scale, center = _embed(sample)
     domain = Ball(np.zeros(sample.ambient_dim), 1.0)
     spacing = work.mean_spacing
 
@@ -1117,7 +1123,7 @@ def iterate_parameterization(
     ]
     group_counts: list[int] = []
 
-    stage0 = _build_stage(work, fine, delta, nu, config, 0, group_counts)
+    stage0 = _build_stage(work, fine, delta, nu, 0, group_counts)
     stages = [stage0]
     maps: list[CorrespondenceMap] = []
     disp_hist: list[float] = []
@@ -1128,7 +1134,7 @@ def iterate_parameterization(
         bad_weights.append(
             float(work.total_weight - work.weights[fine.indices].sum())
         )
-        stage = _build_stage(work, fine, delta, nu, config, j + 1, group_counts)
+        stage = _build_stage(work, fine, delta, nu, j + 1, group_counts)
         tau = project_tau(stages[-1], stage, beta)
         stages.append(stage)
         maps.append(tau)
@@ -1164,13 +1170,7 @@ def iterate_parameterization(
             depth=0,
             tangential_residuals=np.zeros(len(stage0.points)),
         )
-    report = distortion_report(
-        composed.source_points,
-        composed.target_points,
-        pairs=2000,
-        p=config.p_exponent,
-        seed=config.seed,
-    )
+    report = distortion_report(composed.source_points, composed.target_points)
     ratios = [
         disp_hist[i + 1] / disp_hist[i]
         for i in range(len(disp_hist) - 1)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .config import DEFAULT_CONFIG, AnalysisConfig
 from .errors import (
     BallBelowResolution,
     DegenerateCloud,
@@ -308,12 +307,6 @@ def jones_beta(
     return float(_beta_rows(sample, [idx], scale)[0])
 
 
-# rows per block of the batched beta table; at the 0.21 scale of a 12k-point
-# unit disk (~540 points per ball) its padded (rows, points, n) temporaries
-# stay near 2 MB, where 64 rows already raised the peak memory by 5 MB
-_BETA_BLOCK = 16
-
-
 def _beta_rows(sample, balls, scale: float) -> np.ndarray:
     """jones_beta of a block of balls, each given by its sample rows.
 
@@ -519,7 +512,6 @@ def build_scale_family(
     sigma_max: float | None = None,
     floor: float | None = None,
     net_factor: float = 3.0,
-    config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> ScaleFamily:
     """Dyadic radii from sigma_max down to the floor, centers on a net.
 
@@ -528,7 +520,7 @@ def build_scale_family(
     the domain.
     """
     if floor is None:
-        floor = resolution_floor(sample, config.floor_mult)
+        floor = resolution_floor(sample)
     if sigma_max is None:
         sigma_max = domain.radius / 2.0
     radii = []
@@ -625,7 +617,6 @@ def certify_chord_arc(
     sample: WeightedSurfaceSample,
     domain: Ball,
     family: ScaleFamily,
-    config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> ChordArcReport:
     """Evaluate all three per-ball functionals over the family.
 
@@ -644,9 +635,7 @@ def certify_chord_arc(
             _require_resolution(sample, ball, family.min_radius_floor)
             idx = sample.ball_query(ball.center, radius)
             dens = _density_of(sample, idx, radius)
-            det = _flatness_of(
-                sample, idx, ball, config.flatness_refine, COVERING_MULT, grids[radius]
-            )
+            det = _flatness_of(sample, idx, ball, 2, COVERING_MULT, grids[radius])
             tilt = _tilt_of(sample, idx, radius, det.plane)
         except (BallBelowResolution, TooFewPoints, DegenerateCloud) as exc:
             report.errors.append(
@@ -714,11 +703,8 @@ def beta_report(
     scales = carleson_scales(sigma, floor, refine)
     idx = sample.ball_query(xi, sigma)
     table = np.zeros((idx.size, scales.size))
-    tree = sample.spatial_index
     for col, s in enumerate(scales.tolist()):
-        for lo in range(0, idx.size, _BETA_BLOCK):
-            rows = idx[lo : lo + _BETA_BLOCK]
-            balls = tree.query_ball_point(sample.points[rows], s, return_sorted=True)
+        for lo, rows, balls in sample.ball_query_blocks(idx, s):
             table[lo : lo + rows.size, col] = _beta_rows(sample, balls, s)
     step = np.log(2.0) / max(refine, 1)
     value = float((sample.weights[idx][:, None] * table).sum() * step)

@@ -11,7 +11,9 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
 
 from varifoldlab.errors import DegenerateCloud, TooFewPoints
@@ -853,6 +855,47 @@ def dirichlet_energy_direct(disk_pts, surf_pts, tris):
         if ev[0] > 0:
             max_dil = max(max_dil, float(np.sqrt(ev[1] / ev[0])))
     return float(energy), float(area_int), float(max_dil)
+
+
+def tutte_flattening(points, tris, boundary):
+    """Uniform-weight (Tutte) flattening of a disk mesh onto the unit disk.
+
+    The boundary cycle goes to the unit circle by normalized arc length and
+    every interior vertex to the mean of its edge neighbors; the neighbor
+    sets come from a per-triangle loop and the interior system is solved as
+    one sparse matrix.
+    """
+    n = len(points)
+    neighbors = [set() for _ in range(n)]
+    for tri in tris:
+        for k in range(3):
+            a, b = int(tri[k]), int(tri[(k + 1) % 3])
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+    bp = points[boundary]
+    seg = np.linalg.norm(np.roll(bp, -1, axis=0) - bp, axis=1)
+    theta = 2.0 * np.pi * np.concatenate([[0.0], np.cumsum(seg)[:-1]]) / seg.sum()
+    disk = np.zeros((n, 2))
+    disk[boundary] = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    interior = np.setdiff1d(np.arange(n), boundary)
+    pos = np.full(n, -1)
+    pos[interior] = np.arange(len(interior))
+    rows, cols, vals = [], [], []
+    rhs = np.zeros((len(interior), 2))
+    for r, v in enumerate(interior):
+        rows.append(r)
+        cols.append(r)
+        vals.append(float(len(neighbors[v])))
+        for u in neighbors[v]:
+            if pos[u] >= 0:
+                rows.append(r)
+                cols.append(pos[u])
+                vals.append(-1.0)
+            else:
+                rhs[r] += disk[u]
+    system = csc_matrix((vals, (rows, cols)), shape=(len(interior), len(interior)))
+    disk[interior] = spsolve(system, rhs)
+    return disk
 
 
 def oracle_cap_total_curvature(R, chord):

@@ -10,7 +10,7 @@ from varifoldlab.errors import (
     MissingCurvature,
     TooFewPoints,
 )
-from varifoldlab.geometry import Ball, WeightedSurfaceSample
+from varifoldlab.geometry import _QUERY_BLOCK, Ball, WeightedSurfaceSample
 from varifoldlab.meshing import mesh_to_sample
 from varifoldlab.synthetic import SyntheticSpec, generate, icosphere
 
@@ -113,7 +113,7 @@ def test_field_at_uncovered_rows_raises(cap):
 def test_field_matches_per_row_estimates(cap):
     sample, _ = cap
     idx = sample.ball_query(ORIGIN, 0.4)
-    assert idx.size > 3 * cv._FIELD_BLOCK  # several batched queries
+    assert idx.size > 3 * _QUERY_BLOCK  # several batched queries
     field = cv.build_curvature_field(sample, 0.25, indices=idx[::-1])
     assert np.array_equal(field.indices, idx)
     for row, i in enumerate(idx):

@@ -10,6 +10,9 @@ from varifoldlab.errors import (
     EigengapTie,
     EmptyInput,
     EmptySet,
+    NonFiniteInput,
+    NonPositiveWeight,
+    ToolkitError,
 )
 from varifoldlab.geometry import (
     Ball,
@@ -103,6 +106,30 @@ def test_sample_validation():
             np.array([1.0, 0.0]),
             np.broadcast_to(np.eye(3)[:2], (2, 2, 3)),
         )
+
+
+def _sample_arrays(n_pts=5):
+    pts = np.c_[np.arange(n_pts, dtype=float), np.zeros((n_pts, 2))]
+    bases = np.broadcast_to(np.eye(3)[:2], (n_pts, 2, 3)).copy()
+    return {"point": pts, "weight": np.ones(n_pts), "tangent basis": bases}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("array", ["point", "weight", "tangent basis"])
+def test_sample_rejects_non_finite_input(array, bad):
+    arrays = _sample_arrays()
+    arrays[array].reshape(5, -1)[3, -1] = bad  # a view: the last entry of row 3
+    with pytest.raises(NonFiniteInput, match=f"^{array} of row 3 is not finite$"):
+        WeightedSurfaceSample(*arrays.values())
+
+
+@pytest.mark.parametrize("weight", [0.0, -0.5])
+def test_sample_rejects_non_positive_weight(weight):
+    arrays = _sample_arrays()
+    arrays["weight"][2] = weight
+    with pytest.raises(NonPositiveWeight, match="weight of row 2 is") as info:
+        WeightedSurfaceSample(*arrays.values())
+    assert isinstance(info.value, ToolkitError) and isinstance(info.value, ValueError)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
 from varifoldlab import iterated_projection as ip
-from varifoldlab.config import DEFAULT_CONFIG
 from varifoldlab.errors import (
     EigengapTie,
     EmptyFineSet,
@@ -41,6 +40,8 @@ from oracles import (
 PLATEAU_EPS = 0.05
 PLATEAU_NU = 0.45 * PLATEAU_EPS
 PLATEAU_KW = dict(plateau_radius=0.15, wall_scale=0.055)
+# generic multiplier for "measured constant stays below" checks
+ACCEPTANCE_MULT = 50.0
 
 EZ_PROJECTOR = np.diag([0.0, 0.0, 1.0])
 
@@ -886,14 +887,14 @@ def test_pipeline_plateau_graph_constants(plateau_run):
             assert stage.graph_lipschitz.max() <= 0.5
             assert (
                 stage.graph_lipschitz.max()
-                <= DEFAULT_CONFIG.graph_lip_mult * nu
+                <= ip.GRAPH_LIP_MULT * nu
             )
-        assert stage.synth_offset_ratio <= DEFAULT_CONFIG.acceptance_mult
+        assert stage.synth_offset_ratio <= ACCEPTANCE_MULT
 
 
 def test_pipeline_plateau_normal_lipschitz_constant(plateau_run):
     nu = plateau_run.nu
-    bound = DEFAULT_CONFIG.acceptance_mult * nu
+    bound = ACCEPTANCE_MULT * nu
     for stage in plateau_run.stages:
         if stage.normal_lipschitz is None or not stage.normal_lipschitz.size:
             continue
@@ -978,7 +979,7 @@ def test_error_types_are_toolkit_errors():
 
 def _check_graph_test(stage, patches=slice(None), exact=True):
     """The stage's graph test against the dense per-patch loop."""
-    radii = DEFAULT_CONFIG.pou_support_mult * stage.patch_gauge
+    radii = ip.POU_SUPPORT_MULT * stage.patch_gauge
     args = (stage.points, stage.patch_centers[patches],
             stage.patch_bases[patches], radii[patches])
     lips = ip._graph_lipschitz(*args, lip_bound=np.inf)
@@ -992,7 +993,7 @@ def _check_graph_test(stage, patches=slice(None), exact=True):
 def _check_normals_and_projection(stage, sample, source_points, beta, candidates=12):
     """Normal blend, its Lipschitz quotients and the projection of
     `source_points` onto `stage` against the per-point loops."""
-    radii = DEFAULT_CONFIG.pou_support_mult * stage.patch_gauge
+    radii = ip.POU_SUPPORT_MULT * stage.patch_gauge
     weights = ip._pou_matrix(stage.patch_centers, radii, stage.points).toarray()
     uncovered_synth = (weights.sum(axis=1) <= 0) & (stage.sample_rows < 0)
     bare = dataclasses.replace(stage, normal_projectors=None, normal_lipschitz=None)
