@@ -1439,10 +1439,13 @@ def curvature_equation_residuals(
         raise DegenerateTriangle("frame field cancels at a vertex")
     ebar1 /= norm1
     ebar2 /= norm2
-    # PL gradients of the frame fields, (t, 2, n); contiguous, because the
+    # PL gradients of both frame fields from one Jacobian pass (its arithmetic
+    # is per column), split into (t, 2, n) each; contiguous, because the
     # einsum summation order below depends on the memory layout
-    g1 = np.ascontiguousarray(_affine_maps(disk, tris, ebar1)[0].transpose(0, 2, 1))
-    g2 = np.ascontiguousarray(_affine_maps(disk, tris, ebar2)[0].transpose(0, 2, 1))
+    n = f.shape[1]
+    grads = _affine_maps(disk, tris, np.hstack([ebar1, ebar2]))[0].transpose(0, 2, 1)
+    g1 = np.ascontiguousarray(grads[:, :, :n])
+    g2 = np.ascontiguousarray(grads[:, :, n:])
     wedge = np.einsum("tn,tn->t", g1[:, 0], g2[:, 1]) - np.einsum(
         "tn,tn->t", g1[:, 1], g2[:, 0]
     )

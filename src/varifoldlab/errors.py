@@ -37,6 +37,10 @@ class NonPositiveWeight(ToolkitError, ValueError):
     """A sample weight is zero or negative."""
 
 
+class NonOrthonormalBasis(ToolkitError):
+    """A tangent basis has rows that are not orthonormal."""
+
+
 class EigengapTie(UserWarning):
     """Spectral truncation hit a near-tie at the cut; result is the
     deterministic lexicographic choice but the caller should know."""

@@ -23,17 +23,23 @@ from .errors import (
     EmptyInput,
     EmptySet,
     NonFiniteInput,
+    NonOrthonormalBasis,
     NonPositiveWeight,
 )
 
 _PROJECTOR_TOL = 1e-10
+# largest entry of |B B^T - I| accepted as an orthonormal basis B
+_ORTHONORMAL_TOL = 1e-8
 _EIGENGAP_TOL = 1e-9
 
 # rows per block of `WeightedSurfaceSample.ball_query_blocks`; the query
 # returns Python lists (~750 indices per row at radius 0.25 on a 12k-point
 # unit disk), and the batched beta fit pads a block to (rows, points, n)
 # temporaries near 2 MB at the 0.21 scale; 64 rows already raised the peak
-# memory of the beta table by 5 MB, 128 that of the curvature field by 6 MB
+# memory of the beta table by 5 MB, 128 that of the curvature field by 6 MB;
+# `extract_fine_set` takes its row blocks at the same size, where a block's
+# (rows, candidates) distance table and (rows, scales, candidates) masks
+# stay near 1 MB on the 3.5k-point stagewise plateau
 _QUERY_BLOCK = 16
 
 
@@ -56,7 +62,7 @@ class Plane:
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
         gram = basis @ basis.T
-        if not np.allclose(gram, np.eye(basis.shape[0]), atol=1e-8):
+        if not np.allclose(gram, np.eye(basis.shape[0]), atol=_ORTHONORMAL_TOL):
             # orthonormalize via QR on the row space
             q, _ = np.linalg.qr(basis.T)
             basis = q.T[: basis.shape[0]]
@@ -143,6 +149,10 @@ class WeightedSurfaceSample:
         A point, weight or tangent basis holds NaN or infinity.
     NonPositiveWeight
         A weight is zero or negative (also a ValueError).
+    NonOrthonormalBasis
+        A tangent basis has a Gram matrix off the identity by more than
+        1e-8 in some entry; projector distances computed from normal
+        frames (``multiscale.local_maximal_tilt``) assume orthonormal rows.
     """
 
     def __init__(self, points, weights, tangent_bases):
@@ -167,6 +177,14 @@ class WeightedSurfaceSample:
             raise NonPositiveWeight(
                 f"weight of row {bad[0]} is {weights[bad[0]]:.4g}; weights must "
                 "be strictly positive"
+            )
+        gram = bases @ bases.transpose(0, 2, 1)
+        off = np.abs(gram - np.eye(bases.shape[1])).max(axis=(1, 2), initial=0.0)
+        bad = np.flatnonzero(off > _ORTHONORMAL_TOL)
+        if bad.size:
+            raise NonOrthonormalBasis(
+                f"tangent basis of row {bad[0]} is not orthonormal: its Gram "
+                f"matrix is off the identity by {off[bad[0]]:.3g}"
             )
         self.points = points
         self.weights = weights

@@ -19,6 +19,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import (
+    DegenerateCloud,
     EmptyFineSet,
     GraphTestFailure,
     NonContraction,
@@ -27,8 +28,15 @@ from .errors import (
     TooFewPoints,
     UncoveredQuery,
 )
-from .geometry import Ball, Plane, WeightedSurfaceSample, fit_plane_pca, grassmann_bases
-from .multiscale import local_maximal_tilt, resolution_floor
+from .geometry import (
+    _QUERY_BLOCK,
+    Ball,
+    Plane,
+    WeightedSurfaceSample,
+    _canonical_rows,
+    grassmann_bases,
+)
+from .multiscale import _maximal_tilts, resolution_floor
 
 # The gauge is this fraction of the distance to the domain boundary.
 GAUGE_SHRINK = 100.0
@@ -108,15 +116,14 @@ def next_delta(
 class FineSet:
     """Rows whose multiscale tilt at twice the gauge stays below `nu`.
 
-    `plane_bases`/`plane_origins` cache the reference plane per member;
-    members admitted because their gauge ball is below sample resolution
-    carry their own tangent plane as the reference.
+    `plane_bases` cache the reference plane per member, pinned at the
+    member's own point; members admitted because their gauge ball is below
+    sample resolution carry their own tangent plane as the reference.
     """
 
     indices: np.ndarray
     nu: float
     plane_bases: np.ndarray
-    plane_origins: np.ndarray
     tilts: np.ndarray
 
     def __contains__(self, row: int) -> bool:
@@ -130,20 +137,64 @@ class FineSet:
 def reference_plane(
     sample: WeightedSurfaceSample, x, scale: float
 ) -> Plane:
-    """Weighted principal plane of the ball around x, pinned at x."""
+    """Weighted principal plane of the ball around x, pinned at x.
+
+    The one-row case of `_pinned_planes`; raises TooFewPoints for a ball of
+    at most m points and DegenerateCloud when its second moments about x
+    have rank below m.
+    """
     idx = sample.ball_query(x, scale)
     m = sample.intrinsic_dim
     if idx.size < m + 1:
         raise TooFewPoints(
             f"{idx.size} points inside radius {scale:.4g}; need {m + 1}"
         )
-    return fit_plane_pca(
-        sample.points[idx],
-        weights=sample.weights[idx],
-        dim=m,
-        center=np.asarray(x, dtype=float),
-        pin_to_center=True,
-    )
+    x = np.asarray(x, dtype=float)
+    inside = np.ones((1, idx.size), dtype=bool)
+    ok, bases, _ = _pinned_planes(sample, idx, x[None], inside)
+    if not ok[0]:
+        raise DegenerateCloud(
+            f"second moments of the {idx.size} points inside radius {scale:.4g} "
+            f"of {np.round(x, 6).tolist()} have rank below {m}"
+        )
+    return Plane(basis=bases[0], basepoint=x)
+
+
+def _pinned_planes(sample, cand, centers, inside):
+    """Weighted principal planes of a block of balls, each pinned at its center.
+
+    `cand` holds sorted sample rows, `centers` (b, n) the ball centers and
+    `inside` (b, K) the ball masks over `cand`.  Each row's covariance is
+    formed alone, over its members in ascending row order, with the
+    arithmetic of `geometry.fit_plane_pca`, so the planes are bit-identical
+    to it: a batched, zero-padded covariance reorders the sums and, where
+    the in-plane eigenvalues tie, turns the in-plane frame (which orients
+    the fill grid of `build_sigma_delta`).  One stacked eigh, the same
+    descending order and rank test, and `_canonical_rows` follow.
+
+    Returns ``(ok, bases, normals)``: ``ok`` is False for a ball of at most
+    m points or of second-moment rank below m, ``bases`` (b, m, n) holds
+    the top-m eigenvectors as rows and ``normals`` (b, n - m, n) the rest.
+    """
+    m = sample.intrinsic_dim
+    b, n = centers.shape
+    pts = sample.points[cand]
+    wts = sample.weights[cand]
+    counts = inside.sum(axis=1)
+    covs = np.zeros((b, n, n))
+    for i in np.flatnonzero(counts > m):
+        sel = np.flatnonzero(inside[i])
+        w = wts[sel]
+        rel = pts[sel] - centers[i]
+        covs[i] = (rel * w[:, None]).T @ rel / w.sum()
+    evals, evecs = np.linalg.eigh(covs)
+    order = np.argsort(evals, axis=1)[:, ::-1]
+    evals = np.take_along_axis(evals, order, axis=1)
+    frames = np.take_along_axis(evecs, order[:, None, :], axis=2).transpose(0, 2, 1)
+    rank_tol = np.maximum(np.maximum(evals[:, 0], 0.0) * 1e-12, 1e-300)
+    ok = (counts > m) & (evals[:, m - 1] > rank_tol)
+    bases = _canonical_rows(frames[:, :m].reshape(-1, n)).reshape(b, m, n)
+    return ok, bases, frames[:, m:]
 
 
 def extract_fine_set(
@@ -153,56 +204,59 @@ def extract_fine_set(
     floor: float | None = None,
     refine: int = 1,
 ) -> FineSet:
-    """Rows where the gauge vanishes or the 2-gauge maximal tilt is ≤ nu.
+    """Rows where the gauge vanishes or the 2-gauge maximal tilt is <= nu.
 
     Rows whose doubled gauge falls below the tilt resolution floor cannot be
     measured and are admitted (their flatness is unresolvable, and the zero
-    set must always be contained).
+    set must always be contained).  A measured row whose 2-gauge ball holds
+    at most m points, or whose second moments about the row have rank below
+    m, has no reference plane and is not fine.
+
+    The measured rows are taken in KD-tree leaf order, so that neighbors
+    share a block, in blocks of ``geometry._QUERY_BLOCK`` rows.  Each block
+    makes one ball query around its centroid, of radius its spread plus its
+    largest 2-gauge, for a sorted candidate set; every row's fit ball and
+    dyadic tilt balls are distance masks ``d2 <= r * r`` of it.  The planes
+    are those of `reference_plane`, bit for bit (`_pinned_planes`); the
+    tilts are those of `local_maximal_tilt` to rtol 1e-10, since they come
+    from normal frames and masked sums (`multiscale._maximal_tilts`).
     """
     if not nu > 0:
         raise ValueError("threshold nu must be positive")
     if floor is None:
         floor = resolution_floor(sample, 4.0)
-    m = sample.intrinsic_dim
-    n = sample.ambient_dim
-    members: list[int] = []
-    bases: list[np.ndarray] = []
-    origins: list[np.ndarray] = []
-    tilts: list[float] = []
-    for i in range(len(sample)):
-        d = float(delta.values[i])
-        x = sample.points[i]
-        if 2.0 * d < floor:
-            # gauge ball below resolution (includes the zero set)
-            members.append(i)
-            bases.append(sample.tangent_bases[i])
-            origins.append(x)
-            tilts.append(0.0)
-            continue
-        try:
-            plane = reference_plane(sample, x, 2.0 * d)
-        except TooFewPoints:
-            continue
-        tilt = local_maximal_tilt(
-            sample, x, 2.0 * d, plane, floor=floor, refine=refine
+    radius = 2.0 * np.asarray(delta.values, dtype=float)
+    fine = radius < floor  # gauge ball below resolution (includes the zero set)
+    bases = sample.tangent_bases.copy()
+    tilts = np.zeros(len(sample))
+    tree = sample.spatial_index
+    rows = tree.indices[~fine[tree.indices]]
+    for lo in range(0, rows.size, _QUERY_BLOCK):
+        block = rows[lo : lo + _QUERY_BLOCK]
+        x = sample.points[block]
+        r = radius[block]
+        center = x.mean(axis=0)
+        spread = np.sqrt(np.square(x - center).sum(axis=1).max())
+        cand = np.asarray(
+            tree.query_ball_point(
+                center, (spread + r.max()) * (1.0 + 1e-9), return_sorted=True
+            ),
+            dtype=int,
         )
-        if tilt <= nu:
-            members.append(i)
-            bases.append(plane.basis)
-            origins.append(x)
-            tilts.append(tilt)
-    if members:
-        order = np.argsort(members)
-        idx = np.asarray(members, dtype=int)[order]
-        basis_arr = np.asarray(bases)[order]
-        origin_arr = np.asarray(origins)[order]
-        tilt_arr = np.asarray(tilts)[order]
-    else:
-        idx = np.zeros(0, dtype=int)
-        basis_arr = np.zeros((0, m, n))
-        origin_arr = np.zeros((0, n))
-        tilt_arr = np.zeros(0)
-    return FineSet(idx, float(nu), basis_arr, origin_arr, tilt_arr)
+        # squared distances summed coordinate by coordinate, as the KD-tree
+        # sums them below eight coordinates, so every mask below is the ball
+        # a query would return
+        d2 = np.zeros((block.size, cand.size))
+        for j in range(sample.ambient_dim):
+            d2 += np.square(sample.points[cand, j] - x[:, j, None])
+        ok, planes, normals = _pinned_planes(sample, cand, x, d2 <= (r * r)[:, None])
+        tilt = _maximal_tilts(sample, cand, d2, r, normals, floor, refine)
+        keep = ok & (tilt <= nu)
+        fine[block] = keep
+        bases[block[keep]] = planes[keep]
+        tilts[block[keep]] = tilt[keep]
+    idx = np.flatnonzero(fine)
+    return FineSet(idx, float(nu), bases[idx], tilts[idx])
 
 
 # ---------------------------------------------------------------------------

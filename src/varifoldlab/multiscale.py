@@ -412,7 +412,16 @@ def local_maximal_tilt(
     floor: float | None = None,
     refine: int = 1,
 ) -> float:
-    """Sup over dyadic scales of the average first-power projector distance."""
+    """Sup over dyadic scales of the average first-power projector distance.
+
+    The scales are r_max, r_max / step, ... down to `floor`, with step
+    2^(1 / refine); a scale whose ball is empty is skipped.  This is the
+    one-row case of `_maximal_tilts`: one ball query at r_max, the smaller
+    balls as distance masks of it, and the normal frame of `reference` from
+    a complete QR of its basis.  Distances come from the normal frame, so
+    they match explicit projector differences to rtol 1e-10, not bit for
+    bit.
+    """
     if floor is None:
         floor = resolution_floor(sample)
     if r_max < floor:
@@ -420,20 +429,48 @@ def local_maximal_tilt(
             f"r_max {r_max:.4g} below resolution floor {floor:.4g}"
         )
     x = np.asarray(x, dtype=float)
-    Q = reference.projector
-    best = 0.0
+    basis = reference.basis
+    q, _ = np.linalg.qr(basis.T, mode="complete")
+    normals = q[:, basis.shape[0] :].T
+    cand = sample.ball_query(x, r_max)
+    d2 = np.square(sample.points[cand] - x).sum(axis=1)
+    tilts = _maximal_tilts(
+        sample, cand, d2[None], np.array([r_max]), normals[None], floor, refine
+    )
+    return float(tilts[0])
+
+
+def _maximal_tilts(sample, cand, d2, r_max, normals, floor, refine) -> np.ndarray:
+    """Maximal tilt of a block of rows that share one candidate set.
+
+    `cand` holds sorted sample rows, `d2` (b, K) their squared distances to
+    the b centers, `r_max` (b,) the largest radius per center and `normals`
+    (b, n - m, n) orthonormal normal frames N of each reference plane Q.
+    Row i scores the balls ``d2 <= s * s`` for s = r_max[i], r_max[i] /
+    step, ... while s >= floor, each scale divided from the one before.  For
+    an orthonormal tangent basis B_k, ``|P_k - Q|_F = sqrt(2) |B_k N^T|_F``,
+    so every distance of the block comes from one (K m, n) @ (n, b (n - m))
+    product.  The result is the largest weighted mean distance over the
+    row's non-empty balls, and 0 when all are empty.
+    """
     step = 2.0 ** (1.0 / max(refine, 1))
-    s = r_max
-    while s >= floor:
-        idx = sample.ball_query(x, s)
-        if idx.size:
-            P = sample.tangent_projectors[idx]
-            diff = P - Q
-            dist = np.sqrt(np.einsum("nij,nij->n", diff, diff))
-            w = sample.weights[idx]
-            best = max(best, float((w * dist).sum() / w.sum()))
-        s /= step
-    return best
+    scales = []
+    s = np.asarray(r_max, dtype=float)
+    while np.any(s >= floor):
+        scales.append(np.where(s >= floor, s, np.nan))  # NaN: no ball
+        s = s / step
+    m, n = sample.intrinsic_dim, sample.ambient_dim
+    b, c = normals.shape[:2]
+    frames = sample.tangent_bases[cand].reshape(-1, n)
+    prod = (frames @ normals.reshape(-1, n).T).reshape(-1, m, b * c)
+    sq = np.square(prod).sum(axis=1).reshape(-1, b, c).sum(axis=2)
+    dist = np.sqrt(2.0 * sq).T
+    w = sample.weights[cand]
+    inside = d2[:, None, :] <= np.square(np.stack(scales, axis=1))[:, :, None]
+    mass = inside @ w
+    moment = (inside @ (w * dist)[:, :, None])[..., 0]
+    means = np.divide(moment, mass, out=np.zeros_like(mass), where=mass > 0)
+    return means.max(axis=1, initial=0.0)
 
 
 def projection_no_hole_check(

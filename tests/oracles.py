@@ -477,25 +477,70 @@ def sampled_partner_distortion(source, target, pairs: int, seed: int):
     return f_up, f_lo
 
 
+def reference_plane_loop(sample, x, scale: float) -> Plane:
+    """Pinned weighted PCA plane of one sorted ball query around x."""
+    idx = sample.ball_query(x, scale)
+    m = sample.intrinsic_dim
+    if idx.size < m + 1:
+        raise TooFewPoints(f"{idx.size} points inside radius {scale}")
+    return fit_plane_pca(
+        sample.points[idx],
+        weights=sample.weights[idx],
+        dim=m,
+        center=np.asarray(x, dtype=float),
+        pin_to_center=True,
+    )
+
+
+def maximal_tilt_loop(sample, x, r_max, reference, floor, refine=1) -> float:
+    """One ball query per dyadic scale and explicit projector differences."""
+    x = np.asarray(x, dtype=float)
+    Q = reference.projector
+    best = 0.0
+    step = 2.0 ** (1.0 / max(refine, 1))
+    s = r_max
+    while s >= floor:
+        idx = sample.ball_query(x, s)
+        if idx.size:
+            diff = sample.tangent_projectors[idx] - Q
+            dist = np.sqrt(np.einsum("nij,nij->n", diff, diff))
+            w = sample.weights[idx]
+            best = max(best, float((w * dist).sum() / w.sum()))
+        s /= step
+    return best
+
+
 def fine_membership_scan(sample, delta, nu, floor, tilt_fn, plane_fn):
     """Per-point membership scan: gauge below resolution, or tilt <= nu.
 
     `tilt_fn(sample, x, scale, plane, floor)` and `plane_fn(sample, x, scale)`
-    are passed in so this stays a thin independent loop over the definition.
+    are passed in so this stays a thin independent loop over the definition;
+    a row whose plane_fn raises TooFewPoints or DegenerateCloud is not fine.
+    Returns the members, their reference bases and their tilts.
     """
-    members = []
+    members, bases, tilts = [], [], []
     for i in range(len(sample)):
         d = float(delta.values[i])
         if 2.0 * d < floor:
             members.append(i)
+            bases.append(sample.tangent_bases[i])
+            tilts.append(0.0)
             continue
         try:
             plane = plane_fn(sample, sample.points[i], 2.0 * d)
-        except Exception:
+        except (TooFewPoints, DegenerateCloud):
             continue
-        if tilt_fn(sample, sample.points[i], 2.0 * d, plane, floor=floor) <= nu:
+        tilt = tilt_fn(sample, sample.points[i], 2.0 * d, plane, floor=floor)
+        if tilt <= nu:
             members.append(i)
-    return np.asarray(members, dtype=int)
+            bases.append(plane.basis)
+            tilts.append(tilt)
+    m, n = sample.tangent_bases.shape[1:]
+    return (
+        np.asarray(members, dtype=int),
+        np.asarray(bases).reshape(-1, m, n),
+        np.asarray(tilts, dtype=float),
+    )
 
 
 def graph_lipschitz_loop(points, centers, bases, radii):

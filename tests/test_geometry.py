@@ -11,6 +11,7 @@ from varifoldlab.errors import (
     EmptyInput,
     EmptySet,
     NonFiniteInput,
+    NonOrthonormalBasis,
     NonPositiveWeight,
     ToolkitError,
 )
@@ -130,6 +131,17 @@ def test_sample_rejects_non_positive_weight(weight):
     with pytest.raises(NonPositiveWeight, match="weight of row 2 is") as info:
         WeightedSurfaceSample(*arrays.values())
     assert isinstance(info.value, ToolkitError) and isinstance(info.value, ValueError)
+
+
+def test_sample_rejects_skewed_basis():
+    arrays = _sample_arrays()
+    arrays["tangent basis"][3, 1] = [0.1, 1.0, 0.0]  # not orthogonal to row 0
+    arrays["tangent basis"][3, 1] /= np.linalg.norm(arrays["tangent basis"][3, 1])
+    with pytest.raises(NonOrthonormalBasis, match="^tangent basis of row 3 is not"):
+        WeightedSurfaceSample(*arrays.values())
+    # rounding-level departures pass
+    arrays["tangent basis"][3, 1] = [1e-12, 1.0, 0.0]
+    WeightedSurfaceSample(*arrays.values())
 
 
 # ---------------------------------------------------------------------------

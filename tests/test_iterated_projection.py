@@ -13,6 +13,7 @@ from scipy.spatial.distance import pdist
 
 from varifoldlab import iterated_projection as ip
 from varifoldlab.errors import (
+    DegenerateCloud,
     EigengapTie,
     EmptyFineSet,
     GraphTestFailure,
@@ -22,7 +23,7 @@ from varifoldlab.errors import (
     ToolkitError,
     UncoveredQuery,
 )
-from varifoldlab.geometry import Ball, WeightedSurfaceSample
+from varifoldlab.geometry import _QUERY_BLOCK, Ball, WeightedSurfaceSample
 from varifoldlab.multiscale import local_maximal_tilt, resolution_floor
 from varifoldlab.synthetic import SyntheticSpec, generate
 
@@ -31,8 +32,10 @@ from oracles import (
     blended_normals_loop,
     fine_membership_scan,
     graph_lipschitz_loop,
+    maximal_tilt_loop,
     project_tau_scan,
     projector_lipschitz_loop,
+    reference_plane_loop,
     sampled_partner_distortion,
 )
 
@@ -114,7 +117,6 @@ def _fine_rows_only(indices, sample) -> ip.FineSet:
         indices=idx,
         nu=0.1,
         plane_bases=sample.tangent_bases[idx],
-        plane_origins=sample.points[idx],
         tilts=np.zeros(idx.size),
     )
 
@@ -244,7 +246,6 @@ def test_gauge_successor_requires_nonempty_rows():
         indices=np.zeros(0, dtype=int),
         nu=0.1,
         plane_bases=np.zeros((0, 2, 3)),
-        plane_origins=np.zeros((0, 3)),
         tilts=np.zeros(0),
     )
     with pytest.raises(EmptyFineSet):
@@ -284,6 +285,24 @@ def test_gauge_one_lipschitz_property(seed):
 # ---------------------------------------------------------------------------
 # low-tilt row extraction
 
+# tilts come from normal frames and masked sums, the oracle's from projector
+# differences and gathered sums; on a flat ball the oracle's zero distance
+# is the rounding of two projectors, up to a few 1e-15
+TILT_RTOL = 1e-10
+TILT_ATOL = 1e-14
+
+
+def _assert_matches_scan(fine, sample, delta, nu, floor=None):
+    """Identical members, bit-identical bases, tilts to TILT_RTOL."""
+    if floor is None:
+        floor = resolution_floor(sample, 4.0)
+    members, bases, tilts = fine_membership_scan(
+        sample, delta, nu, floor, maximal_tilt_loop, reference_plane_loop
+    )
+    assert np.array_equal(fine.indices, members)
+    assert np.array_equal(fine.plane_bases, bases)
+    np.testing.assert_allclose(fine.tilts, tilts, rtol=TILT_RTOL, atol=TILT_ATOL)
+
 
 def test_fine_rows_cover_flat_lattice(flat_stage):
     sample, delta, _ = flat_stage
@@ -297,11 +316,7 @@ def test_fine_rows_match_per_point_scan_around_bump():
     delta = _const_gauge(sample, 0.12)
     nu = 0.1
     fine = ip.extract_fine_set(sample, delta, nu)
-    floor = resolution_floor(sample, 4.0)
-    expected = fine_membership_scan(
-        sample, delta, nu, floor, local_maximal_tilt, ip.reference_plane
-    )
-    assert np.array_equal(fine.indices, expected)
+    _assert_matches_scan(fine, sample, delta, nu)
     # the bump core is excluded, the far field is kept
     center = int(np.argmin(np.linalg.norm(sample.points[:, :2], axis=1)))
     corner = int(np.argmax(np.linalg.norm(sample.points[:, :2], axis=1)))
@@ -342,6 +357,94 @@ def test_fine_rows_reject_nonpositive_threshold():
     sample = _simple_sample([[0, 0, 0]])
     with pytest.raises(ValueError):
         ip.extract_fine_set(sample, ip.make_delta0(sample), nu=0.0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 80),
+    level=st.floats(0.02, 0.4),
+    nu=st.floats(0.02, 1.0),
+    floor=st.floats(0.01, 0.2),
+)
+@settings(max_examples=30, deadline=None)
+def test_fine_rows_match_per_point_scan_property(seed, n, level, nu, floor):
+    """Random wavy samples with random orthonormal frames and weights."""
+    rng = np.random.default_rng(seed)
+    pts = np.c_[rng.uniform(-0.5, 0.5, size=(n, 2)), 0.05 * rng.normal(size=n)]
+    frames, _ = np.linalg.qr(np.eye(3)[:, :2] + 0.3 * rng.normal(size=(n, 3, 2)))
+    weights = rng.uniform(0.5, 1.5, size=n) / n
+    sample = WeightedSurfaceSample(pts, weights, frames.transpose(0, 2, 1))
+    delta = _const_gauge(sample, level)
+    fine = ip.extract_fine_set(sample, delta, nu, floor=floor)
+    _assert_matches_scan(fine, sample, delta, nu, floor=floor)
+    # the one-row cases agree with the same oracles on a measured member
+    measured = fine.indices[2.0 * delta.values[fine.indices] >= floor]
+    if measured.size:
+        x, r = sample.points[measured[0]], 2.0 * delta.values[measured[0]]
+        plane = reference_plane_loop(sample, x, r)
+        assert np.array_equal(ip.reference_plane(sample, x, r).basis, plane.basis)
+        np.testing.assert_allclose(
+            local_maximal_tilt(sample, x, r, plane, floor=floor),
+            maximal_tilt_loop(sample, x, r, plane, floor),
+            rtol=TILT_RTOL,
+            atol=TILT_ATOL,
+        )
+
+
+@pytest.mark.parametrize("seed", [None, 3], ids=["axis", "rotated"])
+def test_fine_rows_match_scan_on_isotropic_balls(seed):
+    """Square-symmetric balls: the in-plane eigenvalues tie (exactly on the
+    integer lattice, to rounding once rotated), so the in-plane frame is
+    whatever the arithmetic makes it; it must still be the oracle's."""
+    sample = _grid_sample(6)
+    if seed is not None:
+        sample = sample.transformed(rotation=_rotation(seed))
+    delta = _const_gauge(sample, 3.0)
+    fine = ip.extract_fine_set(sample, delta, nu=0.1, floor=1.0)
+    assert fine.covers_all(len(sample))
+    _assert_matches_scan(fine, sample, delta, 0.1, floor=1.0)
+
+
+def test_fine_rows_skip_rank_deficient_ball():
+    """A 2-gauge ball of three collinear points has no reference plane: its
+    rows are not fine, and the rest of the extraction goes on."""
+    ax = np.linspace(-0.5, 0.5, 12)
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
+    grid = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
+    line = np.array([[0.9, 0.0, 0.0], [0.9005, 0.0, 0.0], [0.901, 0.0, 0.0]])
+    sample = _simple_sample(np.concatenate([grid, line]))
+    delta = ip.make_delta0(sample)
+    with pytest.raises(DegenerateCloud):
+        ip.reference_plane(sample, line[0], 2.0 * delta.values[len(grid)])
+    fine = ip.extract_fine_set(sample, delta, nu=0.1, floor=1e-4)
+    assert not any(row in fine for row in range(len(grid), len(sample)))
+    _assert_matches_scan(fine, sample, delta, 0.1, floor=1e-4)
+
+
+def test_fine_rows_make_one_candidate_query_per_block(monkeypatch):
+    sample = _bump_sample(k=13, h=0.04, amp=0.05, sig=0.1)
+    delta = _const_gauge(sample, 0.12)
+    tree = sample.spatial_index
+    centers = []
+
+    class CountingTree:
+        indices = tree.indices
+
+        def query_ball_point(self, x, r, **kwargs):
+            centers.append(np.shape(x))
+            return tree.query_ball_point(x, r, **kwargs)
+
+    def per_row_query(self, center, radius):
+        raise AssertionError("extract_fine_set made a per-row ball query")
+
+    monkeypatch.setattr(WeightedSurfaceSample, "ball_query", per_row_query)
+    monkeypatch.setattr(
+        WeightedSurfaceSample, "spatial_index", property(lambda self: CountingTree())
+    )
+    ip.extract_fine_set(sample, delta, nu=0.1)
+    measured = int(np.sum(2.0 * delta.values >= resolution_floor(sample, 4.0)))
+    blocks = -(-measured // _QUERY_BLOCK)
+    assert measured > 0 and centers == [(3,)] * blocks
 
 
 # ---------------------------------------------------------------------------
