@@ -13,8 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BallBelowResolution, IllConditioned, MissingCurvature, TooFewPoints
-from .geometry import Ball, WeightedSurfaceSample
+from .errors import (
+    BallBelowResolution,
+    DimensionMismatch,
+    IllConditioned,
+    InvalidIndex,
+    MissingCurvature,
+    NonFiniteInput,
+    TooFewPoints,
+)
+from .geometry import Ball, WeightedSurfaceSample, _require_positive
 from .meshing import cotangent_laplacian, vertex_areas
 
 
@@ -63,25 +71,65 @@ class CurvatureField:
 _PROFILE_FRACTIONS = (1.0, 5.0 / 6.0, 2.0 / 3.0, 0.5)
 
 
-def _profile_terms(sample, x, h, idx):
-    """Masses and tangential-divergence sums of the nested bump family,
-    given the sample rows idx of the ball B(x, h)."""
-    rel = sample.points[idx] - x
-    r2 = np.einsum("ij,ij->i", rel, rel)
-    w = sample.weights[idx]
-    P = sample.tangent_projectors[idx]
-    tangential_rel = np.einsum("nij,nj->ni", P, rel)
-    masses = np.zeros(len(_PROFILE_FRACTIONS))
-    divs = np.zeros((len(_PROFILE_FRACTIONS), sample.ambient_dim))
+def _profile_rows(sample, cand, x, d2, h):
+    """Masses (b, 4) and tangential-divergence sums (b, 4, n) of the nested
+    bump family around b centers that share one candidate set.
+
+    `cand` holds sorted sample rows and `d2` (b, K) their squared distances
+    to the centers `x` (b, n).  Coordinates are shifted by the centers'
+    mean c0, so that a far rigid translation costs no digits.  With
+    ``Py_k = P_k (x_k - c0)``, each row's sum of ``w u P_k (x_k - x_b)`` is
+    ``wu @ Py - (wu @ P) (x_b - c0)``, two products per window; a candidate
+    outside a window has u = 0.
+    """
+    n = sample.ambient_dim
+    c0 = x.mean(axis=0)
+    P = sample.tangent_projectors[cand]
+    Py = np.einsum("kij,kj->ki", P, sample.points[cand] - c0)
+    flat = P.reshape(len(cand), n * n)
+    w = sample.weights[cand]
+    masses = np.empty((len(x), len(_PROFILE_FRACTIONS)))
+    divs = np.empty((len(x), len(_PROFILE_FRACTIONS), n))
     for j, frac in enumerate(_PROFILE_FRACTIONS):
         hj2 = (frac * h) ** 2
-        u = 1.0 - r2 / hj2
-        inside = u > 0.0
-        masses[j] = float((w[inside] * u[inside] ** 2).sum())
-        divs[j] = (-4.0 / hj2) * (
-            (w[inside] * u[inside])[:, None] * tangential_rel[inside]
-        ).sum(axis=0)
+        u = np.maximum(1.0 - d2 / hj2, 0.0)
+        wu = w * u
+        masses[:, j] = (wu * u).sum(axis=1)
+        S = (wu @ flat).reshape(-1, n, n)
+        divs[:, j] = (-4.0 / hj2) * (wu @ Py - np.einsum("bij,bj->bi", S, x - c0))
     return masses, divs
+
+
+def _solve_rows(counts, masses, divs):
+    """H (b, n) and relative residuals (b,) of the stacked first-variation
+    equations, or the error of the first row that cannot be solved.
+
+    Rows are checked in order: a row whose ball holds fewer than 10 points
+    raises TooFewPoints, one whose normal equations are worse conditioned
+    than 1e8 raises IllConditioned.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = masses.min(axis=1)
+        # each window contributes n equations: mass_j * H = -div_j; an inner
+        # window with (near-)empty support collapses its block and the stack
+        # loses rank
+        cond = np.where(lo > 0, (masses.max(axis=1) / lo) ** 2, np.inf)
+        few = counts < 10
+        bad = np.flatnonzero(few | (cond > 1e8))
+        if bad.size:
+            if few[bad[0]]:
+                raise TooFewPoints("need at least 10 points inside the test support")
+            raise IllConditioned(
+                f"normal equations condition {cond[bad[0]]:.3g} exceeds 1e8"
+            )
+        denom = np.square(masses).sum(axis=1)
+        H = -(masses[:, :, None] * divs).sum(axis=1) / denom[:, None]
+        misfit = np.linalg.norm(masses[:, :, None] * H[:, None] + divs, axis=2)
+        scale = np.linalg.norm(divs, axis=2).max(axis=1)
+        residual = np.where(
+            scale > 0, np.linalg.norm(misfit, axis=1) / scale, 0.0
+        )
+    return H, residual
 
 
 def estimate_mean_curvature(
@@ -89,35 +137,32 @@ def estimate_mean_curvature(
 ):
     """Weak mean curvature near x from bump test fields of radius h.
 
+    The one-row case of `build_curvature_field`, on the ball B(x, h).
+
     Returns
     -------
     (H, residual)
         H : ndarray, the estimated vector; residual : float, relative
         least-squares misfit of the stacked first-variation equations.
+
+    Raises DimensionMismatch or NonFiniteInput unless x is one finite
+    point, InvalidScale unless h is positive and finite, and TooFewPoints
+    or IllConditioned for a ball of fewer than 10 points or normal
+    equations worse conditioned than 1e8.
     """
     x = np.asarray(x, dtype=float)
-    return _curvature_at(sample, x, h, sample.ball_query(x, h))
-
-
-def _curvature_at(sample, x, h, idx):
-    """estimate_mean_curvature given the sorted sample rows of B(x, h)."""
-    if idx.size < 10:
-        raise TooFewPoints("need at least 10 points inside the test support")
-    masses, divs = _profile_terms(sample, x, h, idx)
-    # each window contributes n equations: mass_j * H = -div_j; an inner
-    # window with (near-)empty support collapses its block and the stack
-    # loses rank
-    cond = (masses.max() / masses.min()) ** 2 if masses.min() > 0 else np.inf
-    if cond > 1e8:
-        raise IllConditioned(
-            f"normal equations condition {cond:.3g} exceeds 1e8"
+    if x.shape != (sample.ambient_dim,):
+        raise DimensionMismatch(
+            f"x has shape {x.shape}, need one point of shape ({sample.ambient_dim},)"
         )
-    denom = float((masses**2).sum())
-    H = -(masses[:, None] * divs).sum(axis=0) / denom
-    misfit = np.linalg.norm(masses[:, None] * H + divs, axis=1)
-    scale = np.linalg.norm(divs, axis=1).max()
-    residual = float(np.linalg.norm(misfit) / scale) if scale > 0 else 0.0
-    return H, residual
+    if not np.isfinite(x).all():
+        raise NonFiniteInput(f"x = {x} is not finite")
+    _require_positive(h, "test-field radius")
+    cand = sample.ball_query(x, h)
+    d2 = np.square(sample.points[cand] - x).sum(axis=1)[None]
+    masses, divs = _profile_rows(sample, cand, x[None], d2, h)
+    H, residual = _solve_rows(np.array([cand.size]), masses, divs)
+    return H[0], float(residual[0])
 
 
 def build_curvature_field(
@@ -126,34 +171,60 @@ def build_curvature_field(
     indices=None,
     ortho_tol: float = 0.2,
 ) -> CurvatureField:
-    """Estimate H at the given rows (all rows by default)."""
-    if indices is None:
-        indices = np.arange(len(sample))
-    indices = np.sort(np.asarray(indices, dtype=int))
-    vectors = np.zeros((indices.size, sample.ambient_dim))
-    residuals = np.zeros(indices.size)
-    orthogonal = np.zeros(indices.size, dtype=bool)
-    P = sample.tangent_projectors
-    for lo, block, balls in sample.ball_query_blocks(indices, h):
-        for row, i, ball in zip(range(lo, lo + block.size), block, balls):
-            H, res = _curvature_at(
-                sample, sample.points[i], h, np.asarray(ball, dtype=int)
-            )
-            vectors[row] = H
-            residuals[row] = res
-            norm = np.linalg.norm(H)
-            if norm == 0.0:
-                orthogonal[row] = True
-            else:
-                tangential = np.linalg.norm(P[i] @ H)
-                orthogonal[row] = tangential <= np.sin(ortho_tol) * norm
+    """Estimate H at the given rows (all rows by default).
+
+    The rows are taken a KD-tree leaf at a time
+    (`WeightedSurfaceSample.candidate_blocks`, leaves of at most
+    ``geometry._QUERY_BLOCK`` rows), each leaf with one candidate set of
+    radius its spread plus h; every bump window is a distance mask of it
+    and every divergence sum a matrix product (`_profile_rows`).  Vectors
+    match one ball query and one solve per row to 1e-9 max|H|, residuals
+    to 1e-6 of the largest residual, since the sums run in another order.
+
+    Raises DimensionMismatch or InvalidIndex unless indices is a 1-d array
+    of integer rows in [0, N), InvalidScale unless h is positive and
+    finite, and, for the first row in ascending order that cannot be
+    solved, the error `estimate_mean_curvature` raises there.
+    """
+    _require_positive(h, "test-field radius")
+    indices = _sample_rows(sample, indices)
+    counts = np.zeros(indices.size, dtype=int)
+    masses = np.zeros((indices.size, len(_PROFILE_FRACTIONS)))
+    divs = np.zeros((indices.size, len(_PROFILE_FRACTIONS), sample.ambient_dim))
+    for pos, cand, d2 in sample.candidate_blocks(indices, h):
+        counts[pos] = (d2 <= h * h).sum(axis=1)
+        masses[pos], divs[pos] = _profile_rows(
+            sample, cand, sample.points[indices[pos]], d2, h
+        )
+    vectors, residuals = _solve_rows(counts, masses, divs)
+    P = sample.tangent_projectors[indices]
+    tangential = np.linalg.norm(np.einsum("bij,bj->bi", P, vectors), axis=1)
     return CurvatureField(
         indices=indices,
         vectors=vectors,
         radius=float(h),
         residuals=residuals,
-        orthogonal=orthogonal,
+        orthogonal=tangential <= np.sin(ortho_tol) * np.linalg.norm(vectors, axis=1),
     )
+
+
+def _sample_rows(sample, indices) -> np.ndarray:
+    """Sorted sample rows from `indices` (every row when None)."""
+    if indices is None:
+        return np.arange(len(sample))
+    rows = np.asarray(indices)
+    if rows.ndim != 1:
+        raise DimensionMismatch(f"indices must be 1-d, got shape {rows.shape}")
+    if rows.size == 0:
+        return np.zeros(0, dtype=int)
+    if rows.dtype.kind not in "iu":
+        raise InvalidIndex(f"indices must be integers, got dtype {rows.dtype}")
+    bad = np.flatnonzero((rows < 0) | (rows >= len(sample)))
+    if bad.size:
+        raise InvalidIndex(
+            f"index {rows[bad[0]]} is outside the sample rows [0, {len(sample)})"
+        )
+    return np.sort(rows)
 
 
 def willmore_energy(

@@ -41,6 +41,10 @@ class NonOrthonormalBasis(ToolkitError):
     """A tangent basis has rows that are not orthonormal."""
 
 
+class InvalidIndex(ToolkitError, IndexError):
+    """Sample row indices are not integers in [0, N)."""
+
+
 class EigengapTie(UserWarning):
     """Spectral truncation hit a near-tie at the cut; result is the
     deterministic lexicographic choice but the caller should know."""
@@ -56,6 +60,10 @@ class BallBelowResolution(ToolkitError):
 
 class TooFewPoints(ToolkitError):
     """A ball contains too few samples for the requested statistic."""
+
+
+class InvalidScale(ToolkitError, ValueError):
+    """A radius or resolution floor is not a positive finite number."""
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
     EigengapTie,
     EmptyInput,
     EmptySet,
+    InvalidScale,
     NonFiniteInput,
     NonOrthonormalBasis,
     NonPositiveWeight,
@@ -32,14 +33,15 @@ _PROJECTOR_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-8
 _EIGENGAP_TOL = 1e-9
 
-# rows per block of `WeightedSurfaceSample.ball_query_blocks`; the query
-# returns Python lists (~750 indices per row at radius 0.25 on a 12k-point
-# unit disk), and the batched beta fit pads a block to (rows, points, n)
-# temporaries near 2 MB at the 0.21 scale; 64 rows already raised the peak
-# memory of the beta table by 5 MB, 128 that of the curvature field by 6 MB;
-# `extract_fine_set` takes its row blocks at the same size, where a block's
-# (rows, candidates) distance table and (rows, scales, candidates) masks
-# stay near 1 MB on the 3.5k-point stagewise plateau
+# leaf size of the KD-tree that `WeightedSurfaceSample.candidate_blocks`
+# builds over the query rows (leaves hold 8 to 16 rows); the rows of a leaf
+# share one candidate query, and each (rows, candidates) float table of a
+# leaf stays under 0.15 MB for the curvature field at h = 0.25 on a
+# 12k-point unit disk (~15 rows and 1025 candidates per leaf, at most
+# 1158, against 745 points per ball); the beta table, the curvature field
+# and the fine set all take their blocks from it.  Leaves of 8 rows made
+# the fine-set extractions of a stagewise seed-5 batch slower (median of 3
+# runs 1.79 s against 1.57 s, 2-vCPU VM)
 _QUERY_BLOCK = 16
 
 
@@ -243,20 +245,48 @@ class WeightedSurfaceSample:
         )
         return np.sort(np.asarray(idx, dtype=int))
 
-    def ball_query_blocks(self, rows: np.ndarray, radius: float):
-        """Balls of one radius around sample rows, a block of rows at a time.
+    def candidate_blocks(self, rows, radius):
+        """Candidate sets shared by neighboring rows, one KD-tree leaf at a time.
 
-        Yields ``(lo, block, balls)``: ``block`` is the slice of `rows`
-        starting at ``lo`` and ``balls`` holds, per row of the block, the
-        sorted indices of the points within `radius` of it, from one
-        batched KD-tree query.
+        The rows are split by the leaves of ``cKDTree(points[rows],
+        leafsize=_QUERY_BLOCK)``, walked from ``lesser`` to ``greater``.
+        `radius` is one radius or one per row.  Yields ``(pos, cand, d2)``
+        per leaf: ``pos`` the positions in `rows` of the leaf's rows,
+        ``cand`` the sorted indices of every point within the leaf's spread
+        plus its largest radius of the leaf centroid (one ball query, widened
+        by a relative 1e-9), and ``d2`` the (rows, candidates) squared
+        distances from each row's point, summed coordinate by coordinate as
+        the KD-tree sums them, so that ``d2[i] <= r * r`` is the ball
+        `ball_query` returns around row i for any r up to its radius.
         """
+        rows = np.asarray(rows, dtype=int)
+        radius = np.broadcast_to(np.asarray(radius, dtype=float), rows.shape)
+        if rows.size == 0:
+            return
         tree = self.spatial_index
-        for lo in range(0, rows.size, _QUERY_BLOCK):
-            block = rows[lo : lo + _QUERY_BLOCK]
-            yield lo, block, tree.query_ball_point(
-                self.points[block], radius, return_sorted=True
+        local = cKDTree(self.points[rows], leafsize=_QUERY_BLOCK)
+        stack = [local.tree]
+        while stack:
+            node = stack.pop()
+            if node.greater is not None:
+                stack += [node.greater, node.lesser]
+                continue
+            pos = node.indices
+            x = self.points[rows[pos]]
+            center = x.mean(axis=0)
+            spread = np.sqrt(np.square(x - center).sum(axis=1).max())
+            cand = np.asarray(
+                tree.query_ball_point(
+                    center,
+                    (spread + radius[pos].max()) * (1.0 + 1e-9),
+                    return_sorted=True,
+                ),
+                dtype=int,
             )
+            d2 = np.zeros((pos.size, cand.size))
+            for j in range(self.ambient_dim):
+                d2 += np.square(self.points[cand, j] - x[:, j, None])
+            yield pos, cand, d2
 
     def transformed(self, rotation=None, translation=None, scale=1.0):
         """Rigidly moved / dilated copy (weights scale by scale^m)."""
@@ -342,6 +372,12 @@ def fit_plane_pca(
     basis = evecs[:, :dim].T
     basis = _canonical_rows(basis)
     return Plane(basis=basis, basepoint=origin)
+
+
+def _require_positive(value, what: str) -> None:
+    """Refuse a radius or floor that is not a positive finite number."""
+    if not (np.isfinite(value) and value > 0):
+        raise InvalidScale(f"{what} {value} is not positive and finite")
 
 
 def projector_distance(p, q) -> float:

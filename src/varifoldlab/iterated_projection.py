@@ -29,11 +29,11 @@ from .errors import (
     UncoveredQuery,
 )
 from .geometry import (
-    _QUERY_BLOCK,
     Ball,
     Plane,
     WeightedSurfaceSample,
     _canonical_rows,
+    _require_positive,
     grassmann_bases,
 )
 from .multiscale import _maximal_tilts, resolution_floor
@@ -212,43 +212,31 @@ def extract_fine_set(
     at most m points, or whose second moments about the row have rank below
     m, has no reference plane and is not fine.
 
-    The measured rows are taken in KD-tree leaf order, so that neighbors
-    share a block, in blocks of ``geometry._QUERY_BLOCK`` rows.  Each block
-    makes one ball query around its centroid, of radius its spread plus its
-    largest 2-gauge, for a sorted candidate set; every row's fit ball and
-    dyadic tilt balls are distance masks ``d2 <= r * r`` of it.  The planes
-    are those of `reference_plane`, bit for bit (`_pinned_planes`); the
-    tilts are those of `local_maximal_tilt` to rtol 1e-10, since they come
-    from normal frames and masked sums (`multiscale._maximal_tilts`).
+    The measured rows are taken a KD-tree leaf at a time
+    (`WeightedSurfaceSample.candidate_blocks`, leaves of at most
+    ``geometry._QUERY_BLOCK`` rows), each leaf with one sorted candidate set
+    around its centroid, of radius its spread plus its largest 2-gauge;
+    every row's fit ball and dyadic tilt balls are distance masks
+    ``d2 <= r * r`` of it.  The planes are those of `reference_plane`, bit
+    for bit (`_pinned_planes`); the tilts are those of `local_maximal_tilt`
+    to rtol 1e-10, since they come from normal frames and masked sums
+    (`multiscale._maximal_tilts`).  A floor that is not positive and finite
+    raises `InvalidScale`: the dyadic scales would never reach it.
     """
     if not nu > 0:
         raise ValueError("threshold nu must be positive")
     if floor is None:
         floor = resolution_floor(sample, 4.0)
+    _require_positive(floor, "resolution floor")
     radius = 2.0 * np.asarray(delta.values, dtype=float)
     fine = radius < floor  # gauge ball below resolution (includes the zero set)
     bases = sample.tangent_bases.copy()
     tilts = np.zeros(len(sample))
-    tree = sample.spatial_index
-    rows = tree.indices[~fine[tree.indices]]
-    for lo in range(0, rows.size, _QUERY_BLOCK):
-        block = rows[lo : lo + _QUERY_BLOCK]
-        x = sample.points[block]
+    rows = np.flatnonzero(~fine)
+    for pos, cand, d2 in sample.candidate_blocks(rows, radius[rows]):
+        block = rows[pos]
         r = radius[block]
-        center = x.mean(axis=0)
-        spread = np.sqrt(np.square(x - center).sum(axis=1).max())
-        cand = np.asarray(
-            tree.query_ball_point(
-                center, (spread + r.max()) * (1.0 + 1e-9), return_sorted=True
-            ),
-            dtype=int,
-        )
-        # squared distances summed coordinate by coordinate, as the KD-tree
-        # sums them below eight coordinates, so every mask below is the ball
-        # a query would return
-        d2 = np.zeros((block.size, cand.size))
-        for j in range(sample.ambient_dim):
-            d2 += np.square(sample.points[cand, j] - x[:, j, None])
+        x = sample.points[block]
         ok, planes, normals = _pinned_planes(sample, cand, x, d2 <= (r * r)[:, None])
         tilt = _maximal_tilts(sample, cand, d2, r, normals, floor, refine)
         keep = ok & (tilt <= nu)

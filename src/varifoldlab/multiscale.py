@@ -22,10 +22,17 @@ from scipy.spatial import cKDTree
 from .errors import (
     BallBelowResolution,
     DegenerateCloud,
+    InvalidScale,
     MissingCurvature,
     TooFewPoints,
 )
-from .geometry import Ball, Plane, WeightedSurfaceSample, fit_plane_pca
+from .geometry import (
+    Ball,
+    Plane,
+    WeightedSurfaceSample,
+    _require_positive,
+    fit_plane_pca,
+)
 from .synthetic import disk_lattice
 
 COVERING_MULT = 0.7
@@ -56,6 +63,14 @@ def _require_resolution(sample, ball: Ball, floor: float | None) -> None:
         raise BallBelowResolution(
             f"radius {ball.radius:.4g} below resolution floor {floor:.4g}"
         )
+
+
+def _require_scales(radius: float, floor: float) -> None:
+    """Refuse a dyadic scale range [floor, radius] that a halving loop from
+    `radius` would never leave."""
+    if not np.isfinite(radius):
+        raise InvalidScale(f"radius {radius} is not finite")
+    _require_positive(floor, "resolution floor")
 
 
 def _density_of(sample, idx: np.ndarray, radius: float) -> float:
@@ -304,29 +319,26 @@ def jones_beta(
     idx = sample.ball_query(center, scale)
     if idx.size == 0:
         raise TooFewPoints("empty ball")
-    return float(_beta_rows(sample, [idx], scale)[0])
+    return float(_beta_rows(sample, idx, np.ones((1, idx.size), dtype=bool), scale)[0])
 
 
-def _beta_rows(sample, balls, scale: float) -> np.ndarray:
-    """jones_beta of a block of balls, each given by its sample rows.
+def _beta_rows(sample, cand, inside, scale: float) -> np.ndarray:
+    """jones_beta of a block of balls that share one candidate set.
 
-    The balls are padded to a common length with zero weights and fitted
-    together: weighted centroids and covariances of the whole block, one
-    stacked eigh, and the same rank test as fit_plane_pca.
+    `cand` holds sorted sample rows and `inside` (b, K) marks the rows of
+    each ball.  Points outside a ball weigh zero: weighted centroids and
+    covariances of the whole block, one stacked eigh, and the same rank
+    test as fit_plane_pca.
     """
     m = sample.intrinsic_dim
-    counts = np.array([len(b) for b in balls], dtype=int)
-    out = np.zeros(len(balls))
-    fit = np.flatnonzero(counts > m)
+    out = np.zeros(len(inside))
+    fit = np.flatnonzero(inside.sum(axis=1) > m)
     if fit.size == 0:
         return out
-    filled = np.arange(counts[fit].max()) < counts[fit, None]
-    idx = np.zeros(filled.shape, dtype=int)
-    idx[filled] = np.concatenate([np.asarray(balls[r], dtype=int) for r in fit])
-    w = np.where(filled, sample.weights[idx], 0.0)
-    pts = sample.points[idx]
+    w = np.where(inside[fit], sample.weights[cand], 0.0)
+    pts = sample.points[cand]
     total = w.sum(axis=1)
-    centroid = (w[..., None] * pts).sum(axis=1) / total[:, None]
+    centroid = (w @ pts) / total[:, None]
     rel = pts - centroid[:, None, :]
     cov = (rel * w[..., None]).transpose(0, 2, 1) @ rel / total[:, None, None]
     evals, evecs = np.linalg.eigh(cov)
@@ -343,7 +355,12 @@ def _beta_rows(sample, balls, scale: float) -> np.ndarray:
 def carleson_scales(
     sigma: float, floor: float, refine: int = 1
 ) -> np.ndarray:
-    """Geometric midpoint scales of the dyadic log partition of [floor, sigma]."""
+    """Geometric midpoint scales of the dyadic log partition of [floor, sigma].
+
+    A non-finite sigma or a floor that is not positive and finite raises
+    `InvalidScale`.
+    """
+    _require_scales(sigma, floor)
     step = np.log(2.0) / max(refine, 1)
     out = []
     k = 0
@@ -420,10 +437,12 @@ def local_maximal_tilt(
     balls as distance masks of it, and the normal frame of `reference` from
     a complete QR of its basis.  Distances come from the normal frame, so
     they match explicit projector differences to rtol 1e-10, not bit for
-    bit.
+    bit.  A non-finite r_max or a floor that is not positive and finite
+    raises `InvalidScale`.
     """
     if floor is None:
         floor = resolution_floor(sample)
+    _require_scales(r_max, floor)
     if r_max < floor:
         raise BallBelowResolution(
             f"r_max {r_max:.4g} below resolution floor {floor:.4g}"
@@ -554,12 +573,14 @@ def build_scale_family(
 
     Centers are greedily thinned sample points at spacing min(radii) /
     net_factor, restricted so every ball at the largest radius stays inside
-    the domain.
+    the domain.  A non-finite sigma_max or a floor that is not positive and
+    finite raises `InvalidScale`.
     """
     if floor is None:
         floor = resolution_floor(sample)
     if sigma_max is None:
         sigma_max = domain.radius / 2.0
+    _require_scales(sigma_max, floor)
     radii = []
     r = float(sigma_max)
     while r >= floor:
@@ -729,7 +750,15 @@ def beta_report(
     floor: float | None = None,
     refine: int = 1,
 ) -> BetaReport:
-    """Tabulate beta^2 over points of the ball and the dyadic scale set."""
+    """Tabulate beta^2 over points of the ball and the dyadic scale set.
+
+    The rows of the ball are taken a KD-tree leaf at a time
+    (`WeightedSurfaceSample.candidate_blocks`), with one candidate set per
+    leaf at the largest scale; every smaller ball is the mask ``d2 <= s * s``
+    of it.  Entries match one fit per (row, scale) to rtol 1e-12.  A
+    non-finite sigma or a floor that is not positive and finite raises
+    `InvalidScale`.
+    """
     if floor is None:
         floor = resolution_floor(sample)
     if sigma < 4.0 * floor:
@@ -740,9 +769,9 @@ def beta_report(
     scales = carleson_scales(sigma, floor, refine)
     idx = sample.ball_query(xi, sigma)
     table = np.zeros((idx.size, scales.size))
-    for col, s in enumerate(scales.tolist()):
-        for lo, rows, balls in sample.ball_query_blocks(idx, s):
-            table[lo : lo + rows.size, col] = _beta_rows(sample, balls, s)
+    for pos, cand, d2 in sample.candidate_blocks(idx, scales[0]):
+        for col, s in enumerate(scales.tolist()):
+            table[pos, col] = _beta_rows(sample, cand, d2 <= s * s, s)
     step = np.log(2.0) / max(refine, 1)
     value = float((sample.weights[idx][:, None] * table).sum() * step)
     m = sample.intrinsic_dim

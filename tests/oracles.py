@@ -16,7 +16,8 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
 
-from varifoldlab.errors import DegenerateCloud, TooFewPoints
+from varifoldlab.curvature import _PROFILE_FRACTIONS
+from varifoldlab.errors import DegenerateCloud, IllConditioned, TooFewPoints
 from varifoldlab.geometry import Plane, fit_plane_pca, grassmann_project
 from varifoldlab.meshing import angle_defects
 
@@ -750,6 +751,68 @@ def beta_table_loop(sample, rows, scales) -> np.ndarray:
             d2 = np.einsum("ij,ij->i", heights, heights)
             table[r, c] = float((w * d2).sum() / float(s) ** (m + 2))
     return table
+
+
+def _profile_terms(sample, x, h, idx):
+    """Masses and tangential-divergence sums of the nested bump family,
+    given the sample rows idx of the ball B(x, h)."""
+    rel = sample.points[idx] - x
+    r2 = np.einsum("ij,ij->i", rel, rel)
+    w = sample.weights[idx]
+    P = sample.tangent_projectors[idx]
+    tangential_rel = np.einsum("nij,nj->ni", P, rel)
+    masses = np.zeros(len(_PROFILE_FRACTIONS))
+    divs = np.zeros((len(_PROFILE_FRACTIONS), sample.ambient_dim))
+    for j, frac in enumerate(_PROFILE_FRACTIONS):
+        hj2 = (frac * h) ** 2
+        u = 1.0 - r2 / hj2
+        inside = u > 0.0
+        masses[j] = float((w[inside] * u[inside] ** 2).sum())
+        divs[j] = (-4.0 / hj2) * (
+            (w[inside] * u[inside])[:, None] * tangential_rel[inside]
+        ).sum(axis=0)
+    return masses, divs
+
+
+def _curvature_at(sample, x, h, idx):
+    """Weak mean curvature at x given the sorted sample rows of B(x, h)."""
+    if idx.size < 10:
+        raise TooFewPoints("need at least 10 points inside the test support")
+    masses, divs = _profile_terms(sample, x, h, idx)
+    # each window contributes n equations: mass_j * H = -div_j; an inner
+    # window with (near-)empty support collapses its block and the stack
+    # loses rank
+    cond = (masses.max() / masses.min()) ** 2 if masses.min() > 0 else np.inf
+    if cond > 1e8:
+        raise IllConditioned(
+            f"normal equations condition {cond:.3g} exceeds 1e8"
+        )
+    denom = float((masses**2).sum())
+    H = -(masses[:, None] * divs).sum(axis=0) / denom
+    misfit = np.linalg.norm(masses[:, None] * H + divs, axis=1)
+    scale = np.linalg.norm(divs, axis=1).max()
+    residual = float(np.linalg.norm(misfit) / scale) if scale > 0 else 0.0
+    return H, residual
+
+
+def curvature_loop(sample, h, indices, ortho_tol=0.2):
+    """Curvature field row by row: one ball query and one solve per row.
+
+    Returns (sorted rows, vectors, residuals, orthogonal flags); the first
+    row in ascending order that cannot be solved raises its error.
+    """
+    rows = np.sort(np.asarray(indices, dtype=int))
+    vectors = np.zeros((rows.size, sample.ambient_dim))
+    residuals = np.zeros(rows.size)
+    orthogonal = np.zeros(rows.size, dtype=bool)
+    for r, i in enumerate(rows):
+        x = sample.points[i]
+        H, res = _curvature_at(sample, x, h, sample.ball_query(x, h))
+        vectors[r], residuals[r] = H, res
+        norm = np.linalg.norm(H)
+        tangential = np.linalg.norm(sample.tangent_projectors[i] @ H)
+        orthogonal[r] = norm == 0.0 or tangential <= np.sin(ortho_tol) * norm
+    return rows, vectors, residuals, orthogonal
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,28 @@
 """First-variation curvature, Willmore energy, and the two-scale identity."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varifoldlab import curvature as cv
 from varifoldlab.errors import (
     BallBelowResolution,
+    DimensionMismatch,
     IllConditioned,
+    InvalidIndex,
+    InvalidScale,
     MissingCurvature,
+    NonFiniteInput,
     TooFewPoints,
 )
 from varifoldlab.geometry import _QUERY_BLOCK, Ball, WeightedSurfaceSample
 from varifoldlab.meshing import mesh_to_sample
 from varifoldlab.synthetic import SyntheticSpec, generate, icosphere
 
-from oracles import oracle_monotonicity_terms_cap
+from oracles import curvature_loop, oracle_monotonicity_terms_cap
 
 ORIGIN = np.zeros(3)
 
@@ -110,16 +118,127 @@ def test_field_at_uncovered_rows_raises(cap):
         field.at(np.array([int(np.setdiff1d(np.arange(len(sample)), idx)[0])]))
 
 
+def _assert_matches_loop(field, sample, h, indices):
+    """Field against one ball query and one solve per row: vectors to
+    1e-9 max|H|, residuals to 1e-6 of the largest, flags identical."""
+    rows, vectors, residuals, orthogonal = curvature_loop(sample, h, indices)
+    assert np.array_equal(field.indices, rows)
+    h_max = np.linalg.norm(vectors, axis=1).max(initial=0.0)
+    np.testing.assert_allclose(field.vectors, vectors, rtol=0.0, atol=1e-9 * h_max)
+    np.testing.assert_allclose(
+        field.residuals, residuals, rtol=0.0, atol=1e-6 * residuals.max(initial=0.0)
+    )
+    assert np.array_equal(field.orthogonal, orthogonal)
+
+
 def test_field_matches_per_row_estimates(cap):
     sample, _ = cap
-    idx = sample.ball_query(ORIGIN, 0.4)
-    assert idx.size > 3 * _QUERY_BLOCK  # several batched queries
-    field = cv.build_curvature_field(sample, 0.25, indices=idx[::-1])
-    assert np.array_equal(field.indices, idx)
-    for row, i in enumerate(idx):
-        H, res = cv.estimate_mean_curvature(sample, sample.points[i], 0.25)
-        assert np.array_equal(field.vectors[row], H)
-        assert field.residuals[row] == res
+    # a far rigid translation must cost no digits
+    moved = sample.transformed(translation=np.array([1.5, -2.0, 1.0]))
+    for s, origin in ((sample, ORIGIN), (moved, np.array([1.5, -2.0, 1.0]))):
+        idx = s.ball_query(origin, 0.4)
+        assert idx.size > 3 * _QUERY_BLOCK  # several leaves
+        field = cv.build_curvature_field(s, 0.25, indices=idx[::-1])
+        _assert_matches_loop(field, s, 0.25, idx)
+        # the pointwise estimate is the one-row case of the same kernel
+        _, vectors, residuals, _ = curvature_loop(s, 0.25, idx)
+        h_max = np.linalg.norm(vectors, axis=1).max()
+        for row in (0, idx.size // 2, idx.size - 1):
+            H, res = cv.estimate_mean_curvature(s, s.points[idx[row]], 0.25)
+            np.testing.assert_allclose(H, vectors[row], rtol=0.0, atol=1e-9 * h_max)
+            assert res == pytest.approx(residuals[row], rel=0.0, abs=1e-6 * residuals.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=12, max_value=400),
+    h=st.floats(min_value=0.1, max_value=0.8),
+)
+def test_field_matches_loop_on_random_samples(seed, n, h):
+    """Small random graph samples, moved far off the origin, and random row
+    subsets: the field agrees with the row loop, or raises the same error
+    with the same message."""
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(-0.5, 0.5, size=(n, 2))
+    a, b = rng.uniform(-1.0, 1.0, size=2)
+    z = a * xy[:, 0] ** 2 + b * xy[:, 1] ** 2
+    pts = np.c_[xy, z] + rng.uniform(-2.0, 2.0, size=3)
+    slopes = np.c_[2.0 * a * xy[:, 0], 2.0 * b * xy[:, 1]]
+    tangents = np.zeros((n, 2, 3))
+    tangents[:, 0, 0] = tangents[:, 1, 1] = 1.0
+    tangents[:, :, 2] = slopes
+    q, _ = np.linalg.qr(tangents.transpose(0, 2, 1))
+    sample = WeightedSurfaceSample(pts, rng.uniform(0.5, 1.5, size=n) / n, q.transpose(0, 2, 1))
+    rows = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    try:
+        curvature_loop(sample, h, rows)
+    except (TooFewPoints, IllConditioned) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            cv.build_curvature_field(sample, h, indices=rows)
+        return
+    _assert_matches_loop(cv.build_curvature_field(sample, h, indices=rows), sample, h, rows)
+
+
+def test_field_raises_for_the_first_failing_row():
+    """Errors follow the row order of the loop: whichever of an
+    ill-conditioned row and a sparse row comes first is reported."""
+    h = 0.1
+    cluster = np.array([-0.9 * h, 0.0, 0.0]) + np.linspace(0.0, 1e-3, 12)[:, None] * [0, 1, 0]
+    lonely, far = np.zeros(3), np.array([5.0, 0.0, 0.0])
+    bases = np.broadcast_to(np.eye(3)[:2], (14, 2, 3)).copy()
+    weights = np.r_[1e-6, np.ones(12), 1.0]
+    ill = WeightedSurfaceSample(np.r_[[lonely], cluster, [far]], weights, bases)
+    with pytest.raises(IllConditioned, match="normal equations condition"):
+        curvature_loop(ill, h, np.arange(14))
+    with pytest.raises(IllConditioned, match="normal equations condition"):
+        cv.build_curvature_field(ill, h)
+    sparse = WeightedSurfaceSample(np.r_[[far], cluster, [lonely]], weights[::-1], bases)
+    with pytest.raises(TooFewPoints):
+        curvature_loop(sparse, h, np.arange(14))
+    with pytest.raises(TooFewPoints):
+        cv.build_curvature_field(sparse, h)
+
+
+def test_field_of_no_rows_is_empty(cap):
+    sample, _ = cap
+    for empty in ([], np.zeros(0, dtype=int)):
+        field = cv.build_curvature_field(sample, 0.25, indices=empty)
+        assert field.indices.shape == (0,) and field.indices.dtype.kind == "i"
+        assert field.vectors.shape == (0, 3)
+        assert field.residuals.shape == field.orthogonal.shape == (0,)
+
+
+def test_field_refuses_rows_outside_the_sample(flat):
+    sample, _ = flat
+    cases = [
+        ([len(sample)], InvalidIndex, f"index {len(sample)} is outside"),
+        ([3, -1], InvalidIndex, "index -1 is outside"),
+        ([0.5], InvalidIndex, "indices must be integers"),
+        ([[0, 1]], DimensionMismatch, "indices must be 1-d"),
+    ]
+    for indices, error, message in cases:
+        with pytest.raises(error, match=message):
+            cv.build_curvature_field(sample, 0.25, indices=indices)
+
+
+def test_curvature_refuses_a_radius_that_is_not_positive(flat):
+    sample, _ = flat
+    rows = sample.ball_query(ORIGIN, 0.1)
+    for h in (-0.2, 0.0, np.inf, np.nan):
+        with pytest.raises(InvalidScale, match="test-field radius"):
+            cv.build_curvature_field(sample, h, indices=rows)
+        with pytest.raises(InvalidScale, match="test-field radius"):
+            cv.estimate_mean_curvature(sample, ORIGIN, h)
+
+
+def test_pointwise_curvature_refuses_a_bad_point(flat):
+    sample, _ = flat
+    with pytest.raises(NonFiniteInput, match="not finite"):
+        cv.estimate_mean_curvature(sample, np.array([np.nan, 0.0, 0.0]), 0.25)
+    for x in (np.zeros((2, 3)), np.zeros(2)):
+        with pytest.raises(DimensionMismatch, match="one point of shape"):
+            cv.estimate_mean_curvature(sample, x, 0.25)
 
 
 def test_field_refuses_a_sparse_row_like_the_pointwise_estimate():

@@ -16,6 +16,7 @@ from varifoldlab.errors import (
     ToolkitError,
 )
 from varifoldlab.geometry import (
+    _QUERY_BLOCK,
     Ball,
     Plane,
     WeightedSurfaceSample,
@@ -94,6 +95,30 @@ def test_ball_query_matches_linear_scan():
         dists = np.linalg.norm(sample.points - center, axis=1)
         expected = np.flatnonzero(dists <= radius)
         assert np.array_equal(idx, expected)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_candidate_blocks_hold_every_ball(seed):
+    """Leaves of at most 16 rows partition the rows; each row's distance
+    mask at its radius, or at any smaller one, is its ball query."""
+    rng = np.random.default_rng(seed)
+    sample = _flat_sample(400, seed=seed).transformed(
+        rotation=np.linalg.qr(rng.normal(size=(3, 3)))[0],
+        translation=rng.uniform(-2, 2, size=3),
+    )
+    rows = rng.choice(len(sample), size=int(rng.integers(0, 120)), replace=False)
+    radius = rng.uniform(0.05, 0.4, size=rows.size)
+    seen = []
+    for pos, cand, d2 in sample.candidate_blocks(rows, radius):
+        assert 0 < pos.size <= _QUERY_BLOCK
+        assert np.all(np.diff(cand) > 0) and d2.shape == (pos.size, cand.size)
+        for p, dist2 in zip(pos, d2):
+            x = sample.points[rows[p]]
+            for r in (radius[p], 0.5 * radius[p]):
+                assert np.array_equal(cand[dist2 <= r * r], sample.ball_query(x, r))
+        seen.extend(pos.tolist())
+    assert sorted(seen) == list(range(rows.size))
 
 
 def test_sample_validation():

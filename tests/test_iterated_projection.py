@@ -17,6 +17,7 @@ from varifoldlab.errors import (
     EigengapTie,
     EmptyFineSet,
     GraphTestFailure,
+    InvalidScale,
     NonContraction,
     NoValidPreimage,
     PointOutsideDomain,
@@ -421,6 +422,17 @@ def test_fine_rows_skip_rank_deficient_ball():
     _assert_matches_scan(fine, sample, delta, 0.1, floor=1e-4)
 
 
+def _leaf_count(points, leafsize):
+    stack, leaves = [cKDTree(points, leafsize=leafsize).tree], 0
+    while stack:
+        node = stack.pop()
+        if node.greater is None:
+            leaves += 1
+        else:
+            stack += [node.lesser, node.greater]
+    return leaves
+
+
 def test_fine_rows_make_one_candidate_query_per_block(monkeypatch):
     sample = _bump_sample(k=13, h=0.04, amp=0.05, sig=0.1)
     delta = _const_gauge(sample, 0.12)
@@ -428,8 +440,6 @@ def test_fine_rows_make_one_candidate_query_per_block(monkeypatch):
     centers = []
 
     class CountingTree:
-        indices = tree.indices
-
         def query_ball_point(self, x, r, **kwargs):
             centers.append(np.shape(x))
             return tree.query_ball_point(x, r, **kwargs)
@@ -442,9 +452,17 @@ def test_fine_rows_make_one_candidate_query_per_block(monkeypatch):
         WeightedSurfaceSample, "spatial_index", property(lambda self: CountingTree())
     )
     ip.extract_fine_set(sample, delta, nu=0.1)
-    measured = int(np.sum(2.0 * delta.values >= resolution_floor(sample, 4.0)))
-    blocks = -(-measured // _QUERY_BLOCK)
-    assert measured > 0 and centers == [(3,)] * blocks
+    measured = np.flatnonzero(2.0 * delta.values >= resolution_floor(sample, 4.0))
+    leaves = _leaf_count(sample.points[measured], _QUERY_BLOCK)
+    assert leaves > 1 and centers == [(3,)] * leaves
+
+
+def test_fine_set_refuses_a_floor_that_is_not_positive():
+    sample = _grid_sample(6)
+    delta = _const_gauge(sample, 3.0)
+    for floor in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidScale, match="resolution floor"):
+            ip.extract_fine_set(sample, delta, nu=0.1, floor=floor)
 
 
 # ---------------------------------------------------------------------------

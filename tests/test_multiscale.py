@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varifoldlab import multiscale as ms
-from varifoldlab.errors import BallBelowResolution, TooFewPoints
+from varifoldlab.errors import BallBelowResolution, InvalidScale, TooFewPoints
 from varifoldlab.geometry import Ball, Plane, WeightedSurfaceSample, fit_plane_pca
 from varifoldlab.synthetic import SyntheticSpec, generate, graph_height
 
@@ -292,6 +292,35 @@ def test_carleson_refuses_small_sigma(flat):
         ms.carleson_sum(flat, ORIGIN, 0.4, floor=0.2)
 
 
+# each dyadic scale loop below used to run forever on these inputs
+
+
+def test_carleson_scales_refuse_a_zero_floor():
+    with pytest.raises(InvalidScale, match="resolution floor 0.0"):
+        ms.carleson_scales(0.3, 0.0)
+
+
+def test_carleson_scales_refuse_a_nan_sigma():
+    with pytest.raises(InvalidScale, match="radius nan is not finite"):
+        ms.carleson_scales(np.nan, 0.1)
+
+
+def test_scale_family_refuses_a_zero_floor(flat):
+    with pytest.raises(InvalidScale, match="resolution floor 0.0"):
+        ms.build_scale_family(flat, Ball(ORIGIN, 1.0), sigma_max=0.5, floor=0.0)
+
+
+def test_maximal_tilt_refuses_a_zero_floor(flat):
+    ref = Plane(basis=np.eye(3)[:2])
+    with pytest.raises(InvalidScale, match="resolution floor 0.0"):
+        ms.local_maximal_tilt(flat, ORIGIN, 0.45, ref, floor=0.0)
+
+
+def test_beta_report_refuses_a_nan_sigma(flat):
+    with pytest.raises(InvalidScale, match="radius nan is not finite"):
+        ms.beta_report(flat, ORIGIN, np.nan, floor=0.075)
+
+
 # ---------------------------------------------------------------------------
 # maximal tilt
 
@@ -510,8 +539,9 @@ def test_beta_report_matches_row_scale_loop():
     step = np.log(2.0)
     expected = float((sample.weights[rep.point_indices][:, None] * oracle).sum() * step)
     assert rep.carleson == pytest.approx(expected, rel=1e-12)
-    # jones_beta is the one-row case of the same kernel (a block pads its
-    # balls to a common length, which may move the last bit of a sum)
+    # jones_beta is the one-row case of the same kernel (a block weighs the
+    # candidates outside each ball by zero, which may move the last bit of
+    # a sum)
     for row in (0, int(np.argmax(added))):
         i = rep.point_indices[row]
         for col, s in enumerate(rep.scales):
