@@ -47,7 +47,7 @@ from .errors import (
     SolverSingular,
     TooFewPoints,
 )
-from .geometry import WeightedSurfaceSample, fit_plane_pca
+from .geometry import WeightedSurfaceSample, _pair_lipschitz, fit_plane_pca
 from .meshing import (
     angle_defects,
     cotangent_laplacian,
@@ -1550,20 +1550,13 @@ def large_lipschitz_pieces(
     if len(kept_idx) > 1200:
         rng = np.random.default_rng(seed)
         kept_idx = np.sort(rng.choice(kept_idx, 1200, replace=False))
-    lip = 0.0
-    if len(kept_idx) >= 2:
-        dd = pdist(disk[kept_idx])
-        df = pdist(f[kept_idx])
-        ok = dd > 1e-14
-        if ok.any():
-            lip = float((df[ok] / dd[ok]).max())
     return LipschitzPieces(
         scale=scale,
         threshold=float(t),
         excluded_area=float(lumped[bad].sum()),
         excluded_image_area=float(lumped_surface[bad].sum()),
         budget=float(budget),
-        lipschitz=lip,
+        lipschitz=_pair_lipschitz(disk[kept_idx], f[kept_idx], 1e-14),
         excluded_count=int(bad.sum()),
         kept_count=int(kept.sum()),
         excluded_vertices=np.where(bad)[0],

@@ -19,10 +19,9 @@ from .errors import (
     IllConditioned,
     InvalidIndex,
     MissingCurvature,
-    NonFiniteInput,
     TooFewPoints,
 )
-from .geometry import Ball, WeightedSurfaceSample, _require_positive
+from .geometry import Ball, WeightedSurfaceSample, _require_point, _require_positive
 from .meshing import cotangent_laplacian, vertex_areas
 
 
@@ -150,13 +149,7 @@ def estimate_mean_curvature(
     or IllConditioned for a ball of fewer than 10 points or normal
     equations worse conditioned than 1e8.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sample.ambient_dim,):
-        raise DimensionMismatch(
-            f"x has shape {x.shape}, need one point of shape ({sample.ambient_dim},)"
-        )
-    if not np.isfinite(x).all():
-        raise NonFiniteInput(f"x = {x} is not finite")
+    x = _require_point(x, sample.ambient_dim, "x")
     _require_positive(h, "test-field radius")
     cand = sample.ball_query(x, h)
     d2 = np.square(sample.points[cand] - x).sum(axis=1)[None]

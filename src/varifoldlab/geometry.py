@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
 from .errors import (
     DegenerateCloud,
@@ -128,8 +129,7 @@ class Ball:
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)
         object.__setattr__(self, "center", center)
-        if not self.radius > 0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        _require_positive(self.radius, "ball radius")
 
 
 class WeightedSurfaceSample:
@@ -239,10 +239,15 @@ class WeightedSurfaceSample:
         return self._tree
 
     def ball_query(self, center, radius: float) -> np.ndarray:
-        """Indices of points with |p - center| <= radius, sorted ascending."""
-        idx = self.spatial_index.query_ball_point(
-            np.asarray(center, dtype=float), radius
-        )
+        """Indices of points with |p - center| <= radius, sorted ascending.
+
+        Raises DimensionMismatch or NonFiniteInput unless `center` is one
+        finite point of the ambient dimension, and InvalidScale unless
+        `radius` is positive and finite.
+        """
+        center = _require_point(center, self.ambient_dim, "ball center")
+        _require_positive(radius, "ball radius")
+        idx = self.spatial_index.query_ball_point(center, radius)
         return np.sort(np.asarray(idx, dtype=int))
 
     def candidate_blocks(self, rows, radius):
@@ -378,6 +383,29 @@ def _require_positive(value, what: str) -> None:
     """Refuse a radius or floor that is not a positive finite number."""
     if not (np.isfinite(value) and value > 0):
         raise InvalidScale(f"{what} {value} is not positive and finite")
+
+
+def _require_point(x, dim: int, what: str) -> np.ndarray:
+    """`x` as one finite point of shape (dim,), else DimensionMismatch or
+    NonFiniteInput naming `what`."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise DimensionMismatch(
+            f"{what} has shape {x.shape}, need one point of shape ({dim},)"
+        )
+    if not np.isfinite(x).all():
+        raise NonFiniteInput(f"{what} {x} is not finite")
+    return x
+
+
+def _pair_lipschitz(x, y, floor: float) -> float:
+    """Largest |y_i - y_j| / |x_i - x_j| over the pairs with |x_i - x_j| >
+    floor; 0.0 when there is no such pair (or fewer than two rows)."""
+    if len(x) < 2:
+        return 0.0
+    dx = pdist(x)
+    far = dx > floor
+    return float((pdist(y)[far] / dx[far]).max(initial=0.0))
 
 
 def projector_distance(p, q) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .errors import (
     DegenerateCloud,
@@ -33,6 +33,8 @@ from .geometry import (
     Plane,
     WeightedSurfaceSample,
     _canonical_rows,
+    _pair_lipschitz,
+    _require_point,
     _require_positive,
     grassmann_bases,
 )
@@ -345,31 +347,28 @@ def build_separated_net(
 POU_SUPPORT_MULT = 0.5
 
 
-def _pou_matrix(
-    centers: np.ndarray, supports: np.ndarray, queries: np.ndarray
-) -> csr_matrix:
-    """Rows: queries; columns: bump centers; entries: normalized weights."""
-    queries = np.atleast_2d(queries)
-    tree_q = cKDTree(queries)
-    rows, cols, vals = [], [], []
-    for j, (c, r) in enumerate(zip(centers, supports)):
-        if not r > 0:
-            continue
-        hit = tree_q.query_ball_point(c, r)
-        if not hit:
-            continue
-        hit = np.asarray(hit, dtype=int)
-        d2 = ((queries[hit] - c) ** 2).sum(axis=1) / r**2
-        inside = d2 < 1.0
-        rows.append(hit[inside])
-        cols.append(np.full(int(inside.sum()), j))
-        vals.append((1.0 - d2[inside]) ** 2)
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
+def _pou_matrix(points, centers, supports, balls) -> csr_matrix:
+    """Rows: points; columns: bump centers; entries: normalized weights.
+
+    ``balls[j]`` holds the rows of `points` scored against bump j, any
+    superset of its support (`SmoothedSurfaceStage.support_balls` for a
+    stage); a row outside every support is all zero.
+    """
+    live = np.flatnonzero(supports > 0)
+    cols = np.repeat(live, [len(balls[j]) for j in live])
+    rows = np.concatenate([balls[j] for j in live] + [np.zeros(0, dtype=int)])
+    # squared distances summed coordinate by coordinate, one column at a
+    # time so no (pairs, n) temporary is formed
+    d2 = np.zeros(rows.size)
+    for axis in range(points.shape[1]):
+        d2 += np.square(points[rows, axis] - centers[cols, axis])
+    # each radius squared as a scalar (pow), not as an array square: the
+    # two differ in the last bit for about 0.1% of radii
+    d2 /= np.array([r**2 for r in supports])[cols]
+    inside = d2 < 1.0
     mat = csr_matrix(
-        (vals, (rows, cols)), shape=(len(queries), len(centers))
+        ((1.0 - d2[inside]) ** 2, (rows[inside], cols[inside])),
+        shape=(len(points), len(centers)),
     )
     sums = np.asarray(mat.sum(axis=1)).ravel()
     covered = sums > 0
@@ -386,11 +385,15 @@ def partition_of_unity(
     """Normalized bump weights of the net members at one query point.
 
     Each bump is supported exactly on the ball of half the member's gauge.
+    Raises DimensionMismatch or NonFiniteInput unless `query` is one finite
+    point of the ambient dimension, and UncoveredQuery outside every bump.
     """
     centers = delta.points[net.indices]
     supports = POU_SUPPORT_MULT * np.asarray(delta.values)[net.indices]
-    mat = _pou_matrix(centers, supports, np.asarray(query, dtype=float)[None, :])
-    row = mat.getrow(0)
+    query = _require_point(query, centers.shape[1], "query")[None]
+    row = _pou_matrix(
+        query, centers, supports, np.zeros((len(centers), 1), dtype=int)
+    ).getrow(0)
     if row.nnz == 0:
         raise UncoveredQuery("no bump support contains the query")
     return [(int(j), float(v)) for j, v in zip(row.indices, row.data)]
@@ -410,17 +413,35 @@ class SmoothedSurfaceStage:
     sample_rows: np.ndarray  # source sample row per point; -1 if synthesized
     patch_centers: np.ndarray
     patch_bases: np.ndarray
-    patch_origins: np.ndarray
     patch_gauge: np.ndarray
     graph_lipschitz: np.ndarray
     synth_offset_ratio: float
     overlap_mismatch: float
     normal_projectors: np.ndarray | None = None
     normal_lipschitz: np.ndarray | None = None
+    _support_balls: list | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def fine_mask(self) -> np.ndarray:
         return self.sample_rows >= 0
+
+    def support_balls(self) -> list[np.ndarray]:
+        """Stage rows inside each patch's support ball, from one batched
+        query of one ``cKDTree(points)``, as int32 arrays in KD-tree
+        traversal order (``return_sorted=False``), the order in which the
+        graph test thins and the normal-field quotient truncates them.
+        Kept until `normal_field`, the last reader, releases them.
+        """
+        if self._support_balls is None:
+            balls = cKDTree(self.points).query_ball_point(
+                self.patch_centers,
+                POU_SUPPORT_MULT * self.patch_gauge,
+                return_sorted=False,
+            )
+            self._support_balls = [np.array(b, dtype=np.int32) for b in balls]
+        return self._support_balls
 
     def to_dict(self) -> dict:
         return {
@@ -514,8 +535,9 @@ def build_sigma_delta(
     must be ``GRAPH_LIP_MULT * nu``-Lipschitz in their in-plane parts.  A ball
     of more than 300 points is thinned to every ``len // 300 + 1``-th point
     in KD-tree traversal order, not sorted index order, so the measured
-    subsample (and the recorded `graph_lipschitz`) depends on that order;
-    every ball query here therefore passes ``return_sorted=False``.
+    subsample (and the recorded `graph_lipschitz`) depends on that order.
+    The balls come from `SmoothedSurfaceStage.support_balls`, which keeps
+    them for `normal_field`.
     """
     m = sample.intrinsic_dim
     grid_step = sample.mean_spacing
@@ -531,7 +553,7 @@ def build_sigma_delta(
 
     stage_pts: list[np.ndarray] = [fine_pts]
     stage_rows: list[np.ndarray] = [fine.indices.copy()]
-    patch_centers, patch_bases, patch_origins, patch_gauge = [], [], [], []
+    patch_centers, patch_bases, patch_gauge = [], [], []
     overlap_mismatch = 0.0
     offset_ratio = 0.0
 
@@ -556,7 +578,6 @@ def build_sigma_delta(
                 basis = fine.plane_bases[pos]
                 patch_centers.append(u)
                 patch_bases.append(basis)
-                patch_origins.append(u)
                 patch_gauge.append(d_u)
                 if 2.0 * d_u < floor:
                     # gauge below sample resolution: nothing to refit
@@ -574,7 +595,6 @@ def build_sigma_delta(
                 basis = plane.basis
                 patch_centers.append(u)
                 patch_bases.append(basis)
-                patch_origins.append(u)
                 patch_gauge.append(d_u)
             local = np.asarray(local, dtype=int)
             pts_local = fine_pts[local]
@@ -626,67 +646,45 @@ def build_sigma_delta(
         denom = nu * np.maximum(d_fine, 1e-300)
         offset_ratio = float((d_sample / denom).max())
 
-    patch_centers = np.asarray(patch_centers).reshape(-1, sample.ambient_dim)
-    patch_bases = np.asarray(patch_bases).reshape(-1, m, sample.ambient_dim)
-    patch_gauge = np.asarray(patch_gauge, dtype=float)
-    lips = _graph_lipschitz(
-        points, patch_centers, patch_bases, POU_SUPPORT_MULT * patch_gauge, lip_bound
-    )
-
-    return SmoothedSurfaceStage(
+    stage = SmoothedSurfaceStage(
         index=stage_index,
         points=points,
         gauge=gauge,
         sample_rows=rows,
-        patch_centers=patch_centers,
-        patch_bases=patch_bases,
-        patch_origins=np.asarray(patch_origins).reshape(
-            -1, sample.ambient_dim
-        ),
-        patch_gauge=patch_gauge,
-        graph_lipschitz=lips,
+        patch_centers=np.asarray(patch_centers).reshape(-1, sample.ambient_dim),
+        patch_bases=np.asarray(patch_bases).reshape(-1, m, sample.ambient_dim),
+        patch_gauge=np.asarray(patch_gauge, dtype=float),
+        graph_lipschitz=np.zeros(len(patch_gauge)),
         synth_offset_ratio=offset_ratio,
         overlap_mismatch=overlap_mismatch,
     )
+    stage.graph_lipschitz = _graph_lipschitz(stage, lip_bound)
+    return stage
 
 
-def _graph_lipschitz(
-    points: np.ndarray,
-    centers: np.ndarray,
-    bases: np.ndarray,
-    radii: np.ndarray,
-    lip_bound: float,
-) -> np.ndarray:
+def _graph_lipschitz(stage: SmoothedSurfaceStage, lip_bound: float) -> np.ndarray:
     """Per-patch Lipschitz constant of the stage as a graph over its plane.
 
-    Patch k sees the points within ``radii[k]`` of ``centers[k]``, split
-    into in-plane coordinates and normal parts of ``bases[k]``; its constant
-    is the largest ratio of normal to in-plane distance over point pairs
-    with in-plane distance above 1e-12.  Balls of more than 300 points keep
-    every ``len // 300 + 1``-th point in KD-tree traversal order.  Raises
-    GraphTestFailure at the first patch, in patch order, above `lip_bound`.
+    Patch k sees its support ball (`SmoothedSurfaceStage.support_balls`),
+    split into in-plane coordinates and normal parts of its basis; its
+    constant is the largest ratio of normal to in-plane distance over point
+    pairs with in-plane distance above 1e-12.  Balls of more than 300
+    points keep every ``len // 300 + 1``-th point in KD-tree traversal
+    order.  Raises GraphTestFailure at the first patch, in patch order,
+    above `lip_bound`.
     """
-    lips = np.zeros(len(centers))
-    if len(centers) == 0:
-        return lips
-    balls = cKDTree(points).query_ball_point(centers, radii, return_sorted=False)
-    for k, ball in enumerate(balls):
-        if len(ball) < 2:
-            continue
+    lips = np.zeros(len(stage.patch_centers))
+    for k, ball in enumerate(stage.support_balls()):
         if len(ball) > 300:
             # bound the pairwise cost on wide patches with a uniform stride
             ball = ball[:: len(ball) // 300 + 1]
-        local = points[ball] - centers[k]
-        cc = local @ bases[k].T
-        hh = local - cc @ bases[k]
-        # condensed pairs: the maximum over i < j is the symmetric maximum;
-        # pairs closer than 1e-12 in plane get ratio 0, which never wins
-        dc = pdist(cc)
-        dc[dc <= 1e-12] = np.inf
-        lips[k] = float((pdist(hh) / dc).max())
+        local = stage.points[ball] - stage.patch_centers[k]
+        basis = stage.patch_bases[k]
+        cc = local @ basis.T
+        lips[k] = _pair_lipschitz(cc, local - cc @ basis, 1e-12)
         if lips[k] > lip_bound:
             raise GraphTestFailure(
-                f"patch at {np.round(centers[k], 6).tolist()} fails the graph "
+                f"patch at {np.round(stage.patch_centers[k], 6).tolist()} fails the graph "
                 f"test: Lipschitz {lips[k]:.3g} exceeds {lip_bound:.3g}"
             )
     return lips
@@ -714,7 +712,6 @@ def _fine_only_stage(
         sample_rows=fine.indices.copy(),
         patch_centers=np.zeros((0, n)),
         patch_bases=np.zeros((0, m, n)),
-        patch_origins=np.zeros((0, n)),
         patch_gauge=np.zeros(0),
         graph_lipschitz=np.zeros(0),
         synth_offset_ratio=0.0,
@@ -738,19 +735,21 @@ def normal_field(
     sample tangent plane's normal projector (their plane is exact there);
     a synthesized point without coverage is an error.  The per-patch
     Lipschitz quotient of the blended field is recorded: over the first 50
-    points of each support ball, taken in KD-tree traversal order rather
-    than sorted index order (hence ``return_sorted=False`` on the batched
-    ball query), the largest ratio of projector (Frobenius) distance to
-    point distance.
+    points of each support ball (`SmoothedSurfaceStage.support_balls`, in
+    KD-tree traversal order), the largest ratio of projector (Frobenius)
+    distance to point distance.  This is the last reader of the support
+    balls, so it releases them.
     """
-    n = stage.points.shape[1]
-    m = stage.patch_bases.shape[1] if stage.patch_bases.size else n - 1
     if len(stage.patch_centers) == 0:
         if stage.normal_projectors is None:
             raise UncoveredQuery("stage has no patches and no fallback planes")
         return stage
-    supports = POU_SUPPORT_MULT * stage.patch_gauge
-    mat = _pou_matrix(stage.patch_centers, supports, stage.points)
+    n = stage.points.shape[1]
+    m = stage.patch_bases.shape[1]
+    balls = stage.support_balls()
+    mat = _pou_matrix(
+        stage.points, stage.patch_centers, POU_SUPPORT_MULT * stage.patch_gauge, balls
+    )
     uncovered = np.asarray(mat.sum(axis=1)).ravel() <= 0
     if np.any(uncovered & ~stage.fine_mask):
         raise UncoveredQuery(
@@ -769,21 +768,12 @@ def normal_field(
         sample.tangent_bases[stage.sample_rows[uncovered]]
     )
 
-    # per-patch Lipschitz quotient of the blended field
     flat = projs.reshape(len(projs), -1)
-    balls = cKDTree(stage.points).query_ball_point(
-        stage.patch_centers, supports, return_sorted=False
+    stage.normal_lipschitz = np.array(
+        [_pair_lipschitz(stage.points[b[:50]], flat[b[:50]], 1e-12) for b in balls]
     )
-    lips = np.zeros(len(stage.patch_centers))
-    for k, ball in enumerate(balls):
-        if len(ball) < 2:
-            continue
-        ball = ball[:50]
-        dx = pdist(stage.points[ball])
-        dx[dx <= 1e-12] = np.inf
-        lips[k] = float((pdist(flat[ball]) / dx).max())
     stage.normal_projectors = projs
-    stage.normal_lipschitz = lips
+    stage._support_balls = None
     return stage
 
 
@@ -1221,14 +1211,16 @@ def iterate_parameterization(
     rho = min(max(ratios), 0.5) if ratios else 0.5
     tail = disp_hist[-1] * rho / (1.0 - rho) if disp_hist else 0.0
 
-    # map everything back to the input frame
+    # map everything back to the input frame: lengths * inv, areas
+    # * inv**m, and the normal-field quotient (1 / length) * scale
     inv = 1.0 / scale
     for st in stages:
         st.points = st.points * inv + center
         st.gauge = st.gauge * inv
+        st.overlap_mismatch *= inv
+        st.normal_lipschitz = st.normal_lipschitz * scale
         if st.patch_centers.size:
             st.patch_centers = st.patch_centers * inv + center
-            st.patch_origins = st.patch_origins * inv + center
             st.patch_gauge = st.patch_gauge * inv
     for mp in maps + [composed]:
         mp.source_points = mp.source_points * inv + center
@@ -1237,6 +1229,7 @@ def iterate_parameterization(
         mp.displacements = mp.source_points - mp.target_points
         mp.tangential_residuals = mp.tangential_residuals * inv
     disp_hist = [d * inv for d in disp_hist]
+    bad_weights = [b * inv**sample.intrinsic_dim for b in bad_weights]
     tail *= inv
 
     return IterationResult(

@@ -36,8 +36,8 @@ class SyntheticSpec:
     Attributes
     ----------
     kind : str
-        One of flat_disk, graph, sphere_cap, cylinder_band, perturbed_disk,
-        punched_disk.
+        One of flat_disk, graph, plateau_graph, sphere_cap, cylinder_band,
+        perturbed_disk, punched_disk.
     n_points : int
         Target sample size (actual count is lattice-determined, close to it).
     seed : int
@@ -45,7 +45,8 @@ class SyntheticSpec:
     radius : float
         Disk radius, planar rim radius of the cap, or cylinder radius.
     eps : float
-        Gradient bound of the graph kind: height eps*(x1^2-x2^2)/2.
+        Gradient bound of the graph kinds: height eps*(x1^2-x2^2)/2 for
+        graph, the largest radial slope of the wall for plateau_graph.
     sphere_radius : float
         Sphere radius for sphere_cap.
     band_height : float
@@ -58,6 +59,12 @@ class SyntheticSpec:
         Hole diameter; None means 5 mean spacings.
     pattern : str
         "hex" (default) or "sunflower".
+    plateau_radius : float
+        Radius r0 of the plateau_graph wall, inside (0, radius); outside
+        it the graph is a flat shelf at height eps * wall_scale.
+    wall_scale : float
+        Positive decay length of the plateau_graph wall: inside r0 the
+        height falls like exp(-(r0 - r) / wall_scale).
     """
 
     kind: str = "flat_disk"

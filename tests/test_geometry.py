@@ -10,10 +10,17 @@ from varifoldlab.errors import (
     EigengapTie,
     EmptyInput,
     EmptySet,
+    InvalidScale,
     NonFiniteInput,
     NonOrthonormalBasis,
     NonPositiveWeight,
     ToolkitError,
+)
+from varifoldlab import multiscale as ms
+from varifoldlab.curvature import (
+    analytic_field,
+    monotonicity_identity,
+    monotonicity_inequality,
 )
 from varifoldlab.geometry import (
     _QUERY_BLOCK,
@@ -21,6 +28,7 @@ from varifoldlab.geometry import (
     Plane,
     WeightedSurfaceSample,
     _canonical_rows,
+    _pair_lipschitz,
     check_projector,
     fit_plane_pca,
     grassmann_bases,
@@ -28,6 +36,7 @@ from varifoldlab.geometry import (
     hausdorff_distance,
     projector_distance,
 )
+from varifoldlab.synthetic import SyntheticSpec, generate
 
 from oracles import (
     brute_hausdorff,
@@ -74,6 +83,123 @@ def test_plane_basepoint_dimension_mismatch():
 def test_ball_requires_positive_radius():
     with pytest.raises(ValueError):
         Ball(center=np.zeros(3), radius=0.0)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+def test_ball_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    with pytest.raises(InvalidScale, match="ball radius"):
+        Ball(center=np.zeros(3), radius=radius)
+
+
+@pytest.fixture(scope="module")
+def disk2000():
+    sample, _ = generate(SyntheticSpec(kind="flat_disk", n_points=2000))
+    return sample, analytic_field(sample, np.zeros_like(sample.points))
+
+
+NAN_POINT = np.array([np.nan, 0.0, 0.0])
+
+# every call below used to return a wrong figure or raise a bare TypeError
+# or scipy's ValueError
+BAD_BALL_CALLS = {
+    "jones_beta_batched_center": (
+        lambda s, f: ms.jones_beta(s, np.zeros((2, 3)), 0.3), DimensionMismatch
+    ),
+    "chain_majorant_negative_sigma": (
+        lambda s, f: ms.carleson_chain_majorant(s, np.zeros(3), -1.0), InvalidScale
+    ),
+    "jones_beta_negative_scale": (
+        lambda s, f: ms.jones_beta(s, np.zeros(3), -1.0), InvalidScale
+    ),
+    "jones_beta_scalar_center": (
+        lambda s, f: ms.jones_beta(s, 0, -1.0), DimensionMismatch
+    ),
+    "chain_majorant_nan_sigma": (
+        lambda s, f: ms.carleson_chain_majorant(s, np.zeros(3), np.nan), InvalidScale
+    ),
+    "monotonicity_identity_nan_point": (
+        lambda s, f: monotonicity_identity(s, NAN_POINT, 0.2, 0.4, f), NonFiniteInput
+    ),
+    "monotonicity_inequality_nan_point": (
+        lambda s, f: monotonicity_inequality(s, NAN_POINT, 0.2, 0.4, 0.5, f),
+        NonFiniteInput,
+    ),
+    "no_hole_check_nan_center": (
+        lambda s, f: ms.projection_no_hole_check(s, NAN_POINT, 0.3), NonFiniteInput
+    ),
+    "caccioppoli_nan_center": (
+        lambda s, f: ms.caccioppoli_bound_check(
+            s, Ball(NAN_POINT, 0.3), 0.5, np.zeros_like(s.points)
+        ),
+        NonFiniteInput,
+    ),
+    "monotonicity_identity_infinite_rho": (
+        lambda s, f: monotonicity_identity(s, np.zeros(3), 0.2, np.inf, f), InvalidScale
+    ),
+    "monotonicity_inequality_infinite_rho": (
+        lambda s, f: monotonicity_inequality(s, np.zeros(3), 0.2, np.inf, 0.5, f),
+        InvalidScale,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BALL_CALLS))
+def test_bad_ball_centers_and_radii_raise_toolkit_errors(disk2000, case):
+    call, error = BAD_BALL_CALLS[case]
+    assert issubclass(error, ToolkitError)
+    with pytest.raises(error):
+        call(*disk2000)
+
+
+def test_ball_query_refuses_bad_centers_and_radii():
+    sample = _flat_sample(50)
+    for center, error in [
+        (np.zeros((2, 3)), DimensionMismatch),
+        (np.zeros(2), DimensionMismatch),
+        (NAN_POINT, NonFiniteInput),
+        (np.array([0.0, np.inf, 0.0]), NonFiniteInput),
+    ]:
+        with pytest.raises(error, match="ball center"):
+            sample.ball_query(center, 0.5)
+    for radius in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(InvalidScale, match="ball radius"):
+            sample.ball_query(np.zeros(3), radius)
+
+
+def _pair_lipschitz_loop(x, y, floor):
+    lip = 0.0
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            dx = np.sqrt(np.sum((x[i] - x[j]) ** 2))
+            if dx > floor:
+                lip = max(lip, np.sqrt(np.sum((y[i] - y[j]) ** 2)) / dx)
+    return lip
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_pair_lipschitz_matches_dense_loop(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, 40))
+    x = rng.normal(size=(k, int(rng.integers(1, 4))))
+    y = rng.normal(size=(k, int(rng.integers(1, 10))))
+    if k > 3:
+        x[1] = x[0]  # a coincident pair never wins
+    floor = float(rng.choice([1e-12, 0.5]))
+    assert _pair_lipschitz(x, y, floor) == pytest.approx(
+        _pair_lipschitz_loop(x, y, floor), rel=1e-12, abs=0.0
+    )
+
+
+def test_pair_lipschitz_is_zero_without_a_pair_above_the_floor():
+    assert _pair_lipschitz(np.zeros((0, 2)), np.zeros((0, 3)), 1e-12) == 0.0
+    assert _pair_lipschitz(np.ones((1, 2)), np.ones((1, 3)), 1e-12) == 0.0
+    x = np.array([[0.0, 0.0], [1e-13, 0.0], [0.0, 1e-13]])
+    y = np.array([[0.0], [1.0], [2.0]])
+    assert _pair_lipschitz(x, y, 1e-12) == 0.0
+    # the floor is strict: a pair exactly at it does not count
+    assert _pair_lipschitz(np.array([[0.0], [0.5]]), y[:2], 0.5) == 0.0
+    assert _pair_lipschitz(np.array([[0.0], [0.5]]), y[:2], 0.25) == 2.0
 
 
 def _flat_sample(n_pts=200, seed=0):

@@ -14,11 +14,13 @@ from scipy.spatial.distance import pdist
 from varifoldlab import iterated_projection as ip
 from varifoldlab.errors import (
     DegenerateCloud,
+    DimensionMismatch,
     EigengapTie,
     EmptyFineSet,
     GraphTestFailure,
     InvalidScale,
     NonContraction,
+    NonFiniteInput,
     NoValidPreimage,
     PointOutsideDomain,
     ToolkitError,
@@ -564,6 +566,47 @@ def test_pou_uncovered_query_raises(pou_net):
         ip.partition_of_unity(net, delta, np.array([50.0, 0.0, 0.0]))
 
 
+def test_pou_refuses_a_query_that_is_not_one_finite_point(pou_net):
+    _, delta, net = pou_net
+    with pytest.raises(DimensionMismatch, match="query"):
+        ip.partition_of_unity(net, delta, np.zeros(2))
+    with pytest.raises(NonFiniteInput, match="query"):
+        ip.partition_of_unity(net, delta, np.array([np.nan, 0.0, 0.0]))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_pou_single_query_matches_kd_ball_rows(seed):
+    # one query scored against every bump gives, bit for bit, its row of the
+    # matrix built from KD-tree balls over all the queries
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3.0, 3.0, size=(int(rng.integers(2, 40)), 3))
+    pts[:, 2] *= 0.1
+    sample = _simple_sample(pts)
+    delta = _const_gauge(sample, float(rng.uniform(0.3, 3.0)))
+    net = ip.build_separated_net(sample, delta)
+    centers = delta.points[net.indices]
+    supports = ip.POU_SUPPORT_MULT * delta.values[net.indices]
+    queries = np.concatenate([
+        rng.uniform(-4.0, 4.0, size=(int(rng.integers(1, 20)), 3)) * [1.0, 1.0, 0.2],
+        centers[rng.integers(0, len(centers), 5)] + rng.normal(scale=0.2, size=(5, 3)),
+    ])
+    balls = [
+        np.asarray(b, dtype=int)
+        for b in cKDTree(queries).query_ball_point(centers, supports)
+    ]
+    mat = ip._pou_matrix(queries, centers, supports, balls)
+    for i, q in enumerate(queries):
+        row = mat.getrow(i)
+        if row.nnz == 0:
+            with pytest.raises(UncoveredQuery):
+                ip.partition_of_unity(net, delta, q)
+            continue
+        weights = ip.partition_of_unity(net, delta, q)
+        assert [j for j, _ in weights] == row.indices.tolist()
+        assert np.array_equal([v for _, v in weights], row.data)
+
+
 # ---------------------------------------------------------------------------
 # stage rebuilds
 
@@ -618,6 +661,40 @@ def test_stage_raises_without_anchors_near_steep_core():
         ip.build_sigma_delta(sample, fine, net, delta, nu=0.1)
 
 
+def test_stage_support_balls_come_from_one_query(monkeypatch):
+    # the graph test, the partition of unity and the normal-field quotient
+    # share one KD-tree over the stage points and one batched ball query
+    base = _grid_sample(10)
+    sample = _simple_sample(base.points[np.linalg.norm(base.points, axis=1) > 1.5])
+    delta = _const_gauge(sample, 1030.0)
+    fine = ip.extract_fine_set(sample, delta, nu=0.1)
+    net = ip.build_separated_net(sample, delta)
+    trees = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            super().__init__(data, *args, **kwargs)
+            self.ball_queries = []
+            trees.append(self)
+
+        def query_ball_point(self, x, r, **kwargs):
+            self.ball_queries.append(np.shape(x))
+            return super().query_ball_point(x, r, **kwargs)
+
+    monkeypatch.setattr(ip, "cKDTree", CountingTree)
+    stage = ip.build_sigma_delta(sample, fine, net, delta, nu=0.1)
+    ip.normal_field(stage, sample)
+    assert len(stage.patch_centers) > 1
+    over_stage = [
+        t for t in trees
+        if t.data.shape == stage.points.shape and np.array_equal(t.data, stage.points)
+    ]
+    queries = [shape for t in over_stage for shape in t.ball_queries]
+    assert queries == [stage.patch_centers.shape]
+    # normal_field, the last reader, releases the balls
+    assert stage._support_balls is None
+
+
 def test_stage_serialization_fields(flat_stage):
     _, _, stage = flat_stage
     payload = stage.to_dict()
@@ -663,7 +740,6 @@ def test_normals_two_plane_blend_matches_bisector():
         sample_rows=np.array([-1]),
         patch_centers=np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]),
         patch_bases=np.stack(bases),
-        patch_origins=np.zeros((2, 3)),
         patch_gauge=np.array([4.0, 4.0]),
         graph_lipschitz=np.zeros(2),
         synth_offset_ratio=0.0,
@@ -686,7 +762,6 @@ def test_normals_kept_row_falls_back_to_sample_plane():
         sample_rows=np.array([0]),
         patch_centers=np.array([[0.0, 0.0, 0.0]]),
         patch_bases=np.eye(3)[:2][None],
-        patch_origins=np.zeros((1, 3)),
         patch_gauge=np.array([1.0]),
         graph_lipschitz=np.zeros(1),
         synth_offset_ratio=0.0,
@@ -704,7 +779,6 @@ def test_normals_uncovered_synthesized_point_raises():
         sample_rows=np.array([-1]),
         patch_centers=np.array([[0.0, 0.0, 0.0]]),
         patch_bases=np.eye(3)[:2][None],
-        patch_origins=np.zeros((1, 3)),
         patch_gauge=np.array([1.0]),
         graph_lipschitz=np.zeros(1),
         synth_offset_ratio=0.0,
@@ -723,7 +797,6 @@ def test_normals_batched_blend_warns_on_exact_tie():
         sample_rows=np.array([-1]),
         patch_centers=np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]),
         patch_bases=np.stack([np.eye(3)[[0, 1]], np.eye(3)[[1, 2]]]),
-        patch_origins=np.zeros((2, 3)),
         patch_gauge=np.array([4.0, 4.0]),
         graph_lipschitz=np.zeros(2),
         synth_offset_ratio=0.0,
@@ -1027,6 +1100,28 @@ def test_pipeline_tail_bound_sane(plateau_run):
     assert 0.0 <= res.tail_bound <= res.displacement_history[-1]
 
 
+def test_pipeline_reports_input_frame_units(plateau_sample, plateau_run):
+    # under a x2 dilation of the input, lengths double, areas quadruple and
+    # the normal-field quotient (1 / length) halves
+    res0 = plateau_run
+    res1 = ip.iterate_parameterization(
+        plateau_sample.transformed(scale=2.0), gamma_hint=0.0, nu=PLATEAU_NU
+    )
+    assert len(res0.stages) == len(res1.stages)
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+    assert close(res1.tail_bound, 2.0 * res0.tail_bound)
+    assert close(res1.bad_weight_history, 4.0 * np.asarray(res0.bad_weight_history))
+    assert res0.bad_weight_history[0] > 0.0
+    for st0, st1 in zip(res0.stages, res1.stages):
+        assert close(st1.patch_gauge, 2.0 * st0.patch_gauge)
+        assert close(st1.overlap_mismatch, 2.0 * st0.overlap_mismatch)
+        assert close(st1.normal_lipschitz, 0.5 * st0.normal_lipschitz)
+    assert max(st.normal_lipschitz.max(initial=0.0) for st in res0.stages) > 0.0
+
+
 def test_pipeline_equivariant_under_rigid_motion(plateau_sample, plateau_run):
     rot = _rotation(7)
     shift = np.array([0.4, -1.2, 2.0])
@@ -1103,7 +1198,13 @@ def _check_graph_test(stage, patches=slice(None), exact=True):
     radii = ip.POU_SUPPORT_MULT * stage.patch_gauge
     args = (stage.points, stage.patch_centers[patches],
             stage.patch_bases[patches], radii[patches])
-    lips = ip._graph_lipschitz(*args, lip_bound=np.inf)
+    some = dataclasses.replace(
+        stage,
+        patch_centers=stage.patch_centers[patches],
+        patch_bases=stage.patch_bases[patches],
+        patch_gauge=stage.patch_gauge[patches],
+    )
+    lips = ip._graph_lipschitz(some, lip_bound=np.inf)
     if exact:
         assert np.array_equal(lips, graph_lipschitz_loop(*args))
     else:
@@ -1115,7 +1216,9 @@ def _check_normals_and_projection(stage, sample, source_points, beta, candidates
     """Normal blend, its Lipschitz quotients and the projection of
     `source_points` onto `stage` against the per-point loops."""
     radii = ip.POU_SUPPORT_MULT * stage.patch_gauge
-    weights = ip._pou_matrix(stage.patch_centers, radii, stage.points).toarray()
+    weights = ip._pou_matrix(
+        stage.points, stage.patch_centers, radii, stage.support_balls()
+    ).toarray()
     uncovered_synth = (weights.sum(axis=1) <= 0) & (stage.sample_rows < 0)
     bare = dataclasses.replace(stage, normal_projectors=None, normal_lipschitz=None)
     if uncovered_synth.any():
@@ -1184,7 +1287,6 @@ def test_stage_arrays_match_loops_on_random_stages(seed):
         sample_rows=rows,
         patch_centers=centers,
         patch_bases=frames[n_pts:],
-        patch_origins=centers,
         patch_gauge=rng.uniform(1.0, 4.0, n_patches),
         graph_lipschitz=np.zeros(n_patches),
         synth_offset_ratio=0.0,
@@ -1206,8 +1308,17 @@ def test_stage_arrays_match_loops_on_random_stages(seed):
 def test_graph_test_rejects_steep_patch():
     # a normal jump of 1 over an in-plane step of 0.1 is 10-Lipschitz
     pts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.1, 0.0, 1.0]])
+    stage = ip.SmoothedSurfaceStage(
+        index=0,
+        points=pts,
+        gauge=np.zeros(3),
+        sample_rows=np.arange(3),
+        patch_centers=np.zeros((1, 3)),
+        patch_bases=np.eye(3)[:2][None],
+        patch_gauge=np.array([4.0]),
+        graph_lipschitz=np.zeros(1),
+        synth_offset_ratio=0.0,
+        overlap_mismatch=0.0,
+    )
     with pytest.raises(GraphTestFailure, match="fails the graph test"):
-        ip._graph_lipschitz(
-            pts, np.zeros((1, 3)), np.eye(3)[:2][None], np.array([2.0]),
-            lip_bound=1.0,
-        )
+        ip._graph_lipschitz(stage, lip_bound=1.0)
