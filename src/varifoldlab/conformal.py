@@ -584,7 +584,10 @@ def intrinsic_metric_diagnostics(
     skipped: the graph metric only resolves distances a couple of dozen
     spacings wide), the maximal ratio of the triangulation-skeleton metric
     to the neighborhood metric, and diameter / length for sampled interior
-    circle cycles.
+    circle cycles.  The cycles come from `waypoint_cycle`, whose searches
+    stop at twice the longest waypoint chord and fall back to an unbounded
+    search for an anchor whose next anchor lies beyond; the chord and
+    skeleton ratios read unbounded searches from every sampled source.
 
     Raises
     ------
@@ -600,9 +603,9 @@ def intrinsic_metric_diagnostics(
     # one without scipy transposing the graph first
     d_metric = dijkstra(metric, directed=True, indices=src)
     d_skel = dijkstra(skeleton, directed=True, indices=src)
-    chords = np.linalg.norm(
-        patch.points[src][:, None, :] - patch.points[None, :, :], axis=2
-    )
+    # one source row at a time: a (sources, k, n) difference table would be
+    # the largest transient of the diagnostics
+    chords = np.stack([np.linalg.norm(patch.points[s] - patch.points, axis=1) for s in src])
     r_max = float(np.linalg.norm(patch.plane_coords, axis=1).max())
     if chord_floor is None:
         chord_floor = max(24.0 * patch.spacing, 0.25 * r_max)
@@ -639,11 +642,27 @@ def intrinsic_metric_diagnostics(
     }
 
 
+# Reach of the waypoint searches, in units of the longest ambient chord
+# between consecutive anchors.  The graph metric stretches a chord by a few
+# percent on the patches the extraction admits, so two chords reach every
+# next anchor with a wide margin; an anchor whose next anchor lies beyond
+# the reach gets an unbounded search of its own.
+WAYPOINT_REACH_MULT = 2.0
+
+
 def waypoint_cycle(patch: DiskPatch, waypoints2) -> np.ndarray:
     """Jordan cycle through plane-coordinate waypoints via shortest paths.
 
     Snaps each waypoint to its nearest vertex and joins consecutive
     waypoints by neighborhood-graph shortest paths, closing the loop.
+
+    The search from the anchors (distinct snapped vertices) stops at
+    ``WAYPOINT_REACH_MULT`` times the longest chord between consecutive
+    anchors; every vertex on a shortest path is nearer its source than the
+    path's end, so a path within the reach is the unbounded search's path.
+    An anchor whose next anchor lies beyond gets an unbounded search alone.
+    Raises NotJordan (fewer than three anchors, or meeting paths) and
+    DisconnectedPatch (no path between consecutive anchors).
     """
     coords = patch.plane_coords
     tree = cKDTree(coords)
@@ -656,20 +675,28 @@ def waypoint_cycle(patch: DiskPatch, waypoints2) -> np.ndarray:
         anchors.pop()
     if len(anchors) < 3:
         raise NotJordan("fewer than three distinct waypoint vertices")
-    # one search from every anchor; the metric graph is symmetric, so the
-    # directed search is the undirected one without a transposed copy
+    nxt = np.roll(anchors, -1)
+    reach = WAYPOINT_REACH_MULT * float(
+        np.linalg.norm(patch.points[anchors] - patch.points[nxt], axis=1).max()
+    )
+    # the metric graph is symmetric, so the directed search is the
+    # undirected one without a transposed copy
+    graph = patch.metric_graph()
     dist, pred = dijkstra(
-        patch.metric_graph(), directed=True, indices=anchors,
-        return_predecessors=True,
+        graph, directed=True, indices=anchors, return_predecessors=True,
+        limit=reach,
     )
     cycle: list = []
-    for i, a in enumerate(anchors):
-        b = anchors[(i + 1) % len(anchors)]
-        if not np.isfinite(dist[i, b]):
-            raise DisconnectedPatch(f"no path between waypoints {a} and {b}")
+    for a, b, d_row, p_row in zip(anchors, nxt.tolist(), dist, pred):
+        if not np.isfinite(d_row[b]):
+            d_row, p_row = dijkstra(
+                graph, directed=True, indices=a, return_predecessors=True
+            )
+            if not np.isfinite(d_row[b]):
+                raise DisconnectedPatch(f"no path between waypoints {a} and {b}")
         path = [b]
         while path[-1] != a:
-            path.append(int(pred[i, path[-1]]))
+            path.append(int(p_row[path[-1]]))
         path.reverse()
         cycle.extend(path[:-1])
     cyc = np.asarray(cycle, dtype=int)
@@ -761,7 +788,7 @@ class DiskParameterization:
     """Piecewise-linear map from the unit-disk mesh onto patch points.
 
     ``disk_points[i]`` is the parameter position of ``surface_points[i]``;
-    triangles are shared.  Immutable once solved.
+    triangles are shared.  Immutable once solved (`jacobian` is cached).
     """
 
     disk_points: np.ndarray
@@ -773,6 +800,7 @@ class DiskParameterization:
     pin_targets: np.ndarray | None = None
     pin_error: float = float("nan")
     patch: DiskPatch | None = None
+    _jacobian: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.disk_points = np.asarray(self.disk_points, dtype=float)
@@ -794,6 +822,18 @@ class DiskParameterization:
         mask = np.ones(len(self.disk_points), dtype=bool)
         mask[self.boundary_vertices()] = False
         return mask
+
+    def jacobian(self):
+        """``_affine_maps`` of the disk -> surface map, (jacobians,
+        disk_areas), built on first use and shared read-only."""
+        if self._jacobian is None:
+            jac, areas = _affine_maps(
+                self.disk_points, self.triangles, self.surface_points
+            )
+            jac.flags.writeable = False
+            areas.flags.writeable = False
+            self._jacobian = (jac, areas)
+        return self._jacobian
 
 
 def _affine_maps(disk_pts: np.ndarray, tris: np.ndarray, values: np.ndarray):
@@ -829,8 +869,8 @@ def _gram_eigs(jac: np.ndarray):
     return g11, g22, g12, lam_hi, lam_lo
 
 
-def _dirichlet_energy(disk_pts, tris, values) -> float:
-    jac, areas = _affine_maps(disk_pts, tris, values)
+def _dirichlet_energy(param: DiskParameterization) -> float:
+    jac, areas = param.jacobian()
     _, _, _, lam_hi, lam_lo = _gram_eigs(jac)
     return float(np.sum((lam_hi + lam_lo) * areas))
 
@@ -927,17 +967,18 @@ def harmonic_disk_param(patch: DiskPatch) -> DiskParameterization:
             f"{folded} parameter triangles are folded after normalization",
             count=folded,
         )
-    return DiskParameterization(
+    param = DiskParameterization(
         disk_points=disk_new,
         surface_points=pts,
         triangles=tris,
         boundary=bd,
-        energy=_dirichlet_energy(disk_new, tris, pts),
         pinned=pins,
         pin_targets=np.stack([dst.real, dst.imag], axis=1),
         pin_error=pin_error,
         patch=patch,
     )
+    param.energy = _dirichlet_energy(param)
+    return param
 
 
 def mobius_reparameterized(
@@ -958,18 +999,18 @@ def mobius_reparameterized(
     zb = z_new[bd]
     z_new[bd] = zb / np.abs(zb)
     disk_new = np.stack([z_new.real, z_new.imag], axis=1)
-    energy = _dirichlet_energy(disk_new, param.triangles, param.surface_points)
-    return DiskParameterization(
+    moved = DiskParameterization(
         disk_points=disk_new,
         surface_points=param.surface_points,
         triangles=param.triangles,
         boundary=param.boundary,
-        energy=energy,
         pinned=None,
         pin_targets=None,
         pin_error=float("nan"),
         patch=param.patch,
     )
+    moved.energy = _dirichlet_energy(moved)
+    return moved
 
 
 # ---------------------------------------------------------------------------
@@ -994,7 +1035,7 @@ class ConformalFactor:
 
 
 def conformal_factor(param: DiskParameterization) -> ConformalFactor:
-    jac, areas = _affine_maps(param.disk_points, param.triangles, param.surface_points)
+    jac, areas = param.jacobian()
     g11, g22, g12, lam_hi, lam_lo = _gram_eigs(jac)
     det_gram = np.maximum(g11 * g22 - g12 * g12, 0.0)
     factor = np.sqrt(det_gram)
@@ -1418,7 +1459,7 @@ def curvature_equation_residuals(
         mc_abs = float(diff.sum())
         mc_rel = float(diff.sum() / ref.sum()) if ref.sum() > 0 else float("nan")
 
-    jac, areas = _affine_maps(disk, tris, f)
+    jac, areas = param.jacobian()
     f1 = jac[:, :, 0]
     f2 = jac[:, :, 1]
     n1 = np.linalg.norm(f1, axis=1, keepdims=True)
@@ -1523,7 +1564,7 @@ def large_lipschitz_pieces(
     disk = param.disk_points
     tris = param.triangles
     f = param.surface_points
-    jac, _ = _affine_maps(disk, tris, f)
+    jac, _ = param.jacobian()
     _, _, _, lam_hi, lam_lo = _gram_eigs(jac)
     sig_hi = np.sqrt(lam_hi)
     inv_lo = 1.0 / np.sqrt(np.maximum(lam_lo, 1e-300))
@@ -1569,7 +1610,13 @@ def large_lipschitz_pieces(
 
 @dataclass(eq=False)
 class ConformalDiagnostics:
-    """Headline conformal diagnostics of one parameterized patch."""
+    """Headline conformal diagnostics of one parameterized patch.
+
+    ``max_qc_dilatation`` is the largest quasiconformal dilatation over all
+    triangles, ``interior_qc_dilatation`` the largest over triangles with no
+    boundary vertex (NaN when there is none), so a loss of conformality
+    inside the patch cannot hide behind the rim.
+    """
 
     bmo: float
     a2: float
@@ -1584,6 +1631,7 @@ class ConformalDiagnostics:
     image_area: float
     energy_area_gap: float
     max_qc_dilatation: float
+    interior_qc_dilatation: float
     pin_error: float
     square_count: int
     psi: float | None
@@ -1610,6 +1658,7 @@ class ConformalDiagnostics:
             "image_area": clean(self.image_area),
             "energy_area_gap": clean(self.energy_area_gap),
             "max_qc_dilatation": clean(self.max_qc_dilatation),
+            "interior_qc_dilatation": clean(self.interior_qc_dilatation),
             "pin_error": clean(self.pin_error),
             "square_count": int(self.square_count),
             "psi": clean(self.psi),
@@ -1648,6 +1697,7 @@ def conformal_diagnostics(
         mc_headline: float | None = res.mc_relative
     else:
         mc_headline = res.mc_absolute
+    interior_qc = cf.qc_dilatation[param.interior_mask()[param.triangles].all(axis=1)]
     return ConformalDiagnostics(
         bmo=bmo,
         a2=a2,
@@ -1662,6 +1712,9 @@ def conformal_diagnostics(
         image_area=image_area,
         energy_area_gap=float(gap),
         max_qc_dilatation=float(cf.qc_dilatation.max()),
+        interior_qc_dilatation=(
+            float(interior_qc.max()) if interior_qc.size else float("nan")
+        ),
         pin_error=param.pin_error,
         square_count=len(squares),
         psi=param.patch.psi if param.patch is not None else None,

@@ -121,13 +121,18 @@ class Plane:
 
 @dataclass(frozen=True)
 class Ball:
-    """Closed metric ball in the ambient space."""
+    """Closed metric ball in the ambient space.
+
+    Raises DimensionMismatch for a center that is not one point (a 1-d
+    array), NonFiniteInput for a non-finite center and InvalidScale for a
+    radius that is not positive and finite.
+    """
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
+        center = _require_point(self.center, None, "ball center")
         object.__setattr__(self, "center", center)
         _require_positive(self.radius, "ball radius")
 
@@ -385,14 +390,13 @@ def _require_positive(value, what: str) -> None:
         raise InvalidScale(f"{what} {value} is not positive and finite")
 
 
-def _require_point(x, dim: int, what: str) -> np.ndarray:
-    """`x` as one finite point of shape (dim,), else DimensionMismatch or
-    NonFiniteInput naming `what`."""
+def _require_point(x, dim: int | None, what: str) -> np.ndarray:
+    """`x` as one finite point of shape (dim,), of any length when `dim` is
+    None, else DimensionMismatch or NonFiniteInput naming `what`."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise DimensionMismatch(
-            f"{what} has shape {x.shape}, need one point of shape ({dim},)"
-        )
+    if x.ndim != 1 or (dim is not None and len(x) != dim):
+        need = "a 1-d array" if dim is None else f"shape ({dim},)"
+        raise DimensionMismatch(f"{what} has shape {x.shape}, need one point of {need}")
     if not np.isfinite(x).all():
         raise NonFiniteInput(f"{what} {x} is not finite")
     return x

@@ -80,9 +80,14 @@ class DeltaField:
 def make_delta0(
     sample: WeightedSurfaceSample, domain: Ball | None = None
 ) -> DeltaField:
-    """Initial gauge: distance to the domain sphere over the shrink factor."""
+    """Initial gauge: distance to the domain sphere over the shrink factor.
+
+    A domain center of another dimension than the sample raises
+    DimensionMismatch.
+    """
     if domain is None:
         domain = Ball(np.zeros(sample.ambient_dim), 1.0)
+    _require_point(domain.center, sample.ambient_dim, "domain center")
     rad = np.linalg.norm(sample.points - domain.center, axis=1)
     if np.any(rad > domain.radius * (1.0 + 1e-9)):
         raise PointOutsideDomain("sample exceeds the analysis domain ball")
@@ -93,9 +98,14 @@ def make_delta0(
 def next_delta(
     sample: WeightedSurfaceSample, fine: "FineSet", domain: Ball | None = None
 ) -> DeltaField:
-    """Successor gauge: min of distance-to-fine-set and the initial formula."""
+    """Successor gauge: min of distance-to-fine-set and the initial formula.
+
+    A domain center of another dimension than the sample raises
+    DimensionMismatch.
+    """
     if domain is None:
         domain = Ball(np.zeros(sample.ambient_dim), 1.0)
+    _require_point(domain.center, sample.ambient_dim, "domain center")
     if fine.indices.size == 0:
         raise EmptyFineSet("cannot gauge against an empty fine set")
     fine_pts = sample.points[fine.indices]
@@ -223,10 +233,10 @@ def extract_fine_set(
     for bit (`_pinned_planes`); the tilts are those of `local_maximal_tilt`
     to rtol 1e-10, since they come from normal frames and masked sums
     (`multiscale._maximal_tilts`).  A floor that is not positive and finite
-    raises `InvalidScale`: the dyadic scales would never reach it.
+    raises `InvalidScale`: the dyadic scales would never reach it; so does
+    a ``nu`` that is not positive and finite.
     """
-    if not nu > 0:
-        raise ValueError("threshold nu must be positive")
+    _require_positive(nu, "tilt threshold nu")
     if floor is None:
         floor = resolution_floor(sample, 4.0)
     _require_positive(floor, "resolution floor")
@@ -1134,10 +1144,13 @@ def iterate_parameterization(
     Stages stop early once the maximal step displacement falls under the
     sample spacing; two consecutive steps that fail to halve the
     displacement abort with NonContraction.  All returned coordinates are
-    mapped back to the input frame.
+    mapped back to the input frame.  A ``nu`` that is not positive and
+    finite, also one derived from a NaN or infinite ``gamma_hint``, raises
+    InvalidScale.
     """
     if nu is None:
         nu = float(np.sqrt(max(gamma_hint, 1e-300)))
+    _require_positive(nu, "tilt threshold nu")
     beta = float(np.sqrt(nu))
     work, scale, center = _embed(sample)
     domain = Ball(np.zeros(sample.ambient_dim), 1.0)

@@ -17,7 +17,13 @@ from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
 
 from varifoldlab.curvature import _PROFILE_FRACTIONS
-from varifoldlab.errors import DegenerateCloud, IllConditioned, TooFewPoints
+from varifoldlab.errors import (
+    DegenerateCloud,
+    DisconnectedPatch,
+    IllConditioned,
+    NotJordan,
+    TooFewPoints,
+)
 from varifoldlab.geometry import Plane, fit_plane_pca, grassmann_project
 from varifoldlab.meshing import angle_defects
 
@@ -1207,6 +1213,38 @@ def lipschitz_blocks(du, dv) -> float:
         if ok.any():
             lip = max(lip, float((df[ok] / dd[ok]).max()))
     return lip
+
+
+def waypoint_cycle_unbounded(patch, waypoints2) -> np.ndarray:
+    """``conformal.waypoint_cycle`` with one unbounded search per anchor over
+    the whole metric graph."""
+    idx = cKDTree(patch.plane_coords).query(np.asarray(waypoints2, dtype=float))[1]
+    anchors = [int(idx[0])]
+    for i in idx[1:]:
+        if int(i) != anchors[-1]:
+            anchors.append(int(i))
+    while len(anchors) > 1 and anchors[-1] == anchors[0]:
+        anchors.pop()
+    if len(anchors) < 3:
+        raise NotJordan("fewer than three distinct waypoint vertices")
+    dist, pred = dijkstra(
+        patch.metric_graph(), directed=True, indices=anchors,
+        return_predecessors=True,
+    )
+    cycle: list = []
+    for i, a in enumerate(anchors):
+        b = anchors[(i + 1) % len(anchors)]
+        if not np.isfinite(dist[i, b]):
+            raise DisconnectedPatch(f"no path between waypoints {a} and {b}")
+        path = [b]
+        while path[-1] != a:
+            path.append(int(pred[i, path[-1]]))
+        path.reverse()
+        cycle.extend(path[:-1])
+    cyc = np.asarray(cycle, dtype=int)
+    if len(np.unique(cyc)) != len(cyc):
+        raise NotJordan("waypoint paths intersect each other")
+    return cyc
 
 
 def metric_diagnostics_loop(patch, waypoint_cycle, polygon_contains, *, sources=24,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from varifoldlab import conformal as conf
 from varifoldlab.curvature import CurvatureField, build_curvature_field
@@ -53,6 +53,7 @@ from oracles import (
     stereographic_radius_for_chord,
     stereographic_to_cap,
     tutte_flattening,
+    waypoint_cycle_unbounded,
 )
 
 ORIGIN = np.zeros(3)
@@ -494,6 +495,55 @@ class TestCycles:
         wp = np.array([[0.2, 0.0], [0.2, 1e-9], [0.0, 0.2]])
         with pytest.raises(NotJordan):
             conf.waypoint_cycle(patch, wp)
+
+
+def _circle_waypoints(patch, frac, count=24):
+    r_max = float(np.linalg.norm(patch.plane_coords, axis=1).max())
+    th = 2.0 * np.pi * np.arange(count) / count
+    return frac * r_max * np.c_[np.cos(th), np.sin(th)]
+
+
+def _count_unbounded_searches(monkeypatch):
+    """Wrap the module's dijkstra; the list collects the sources of every
+    search made without a limit."""
+    unbounded = []
+
+    def counting(*args, **kwargs):
+        if "limit" not in kwargs:
+            unbounded.append(kwargs["indices"])
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(conf, "dijkstra", counting)
+    return unbounded
+
+
+class TestBoundedWaypointSearch:
+    FRACTIONS = (0.3, 0.55, 0.8)
+
+    def test_cycles_match_unbounded_oracle(self, kernel_cases, monkeypatch):
+        unbounded = _count_unbounded_searches(monkeypatch)
+        for patch, _, _ in kernel_cases[:2]:
+            for frac in self.FRACTIONS:
+                wp = _circle_waypoints(patch, frac)
+                got = conf.waypoint_cycle(patch, wp)
+                assert np.array_equal(got, waypoint_cycle_unbounded(patch, wp))
+        # the reach covered every next anchor: no search fell back
+        assert unbounded == []
+
+    def test_fallback_for_every_anchor_matches_unbounded_oracle(
+        self, kernel_cases, monkeypatch
+    ):
+        monkeypatch.setattr(conf, "WAYPOINT_REACH_MULT", 1e-9)
+        unbounded = _count_unbounded_searches(monkeypatch)
+        for patch, _, _ in kernel_cases[:2]:
+            for frac in self.FRACTIONS:
+                wp = _circle_waypoints(patch, frac)
+                anchors = np.unique(cKDTree(patch.plane_coords).query(wp)[1])
+                assert len(anchors) == len(wp)
+                del unbounded[:]
+                got = conf.waypoint_cycle(patch, wp)
+                assert np.array_equal(got, waypoint_cycle_unbounded(patch, wp))
+                assert sorted(unbounded) == anchors.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -950,6 +1000,34 @@ class TestDiagnosticsAndExport:
         assert diag.energy_area_gap <= 0.01 * diag.energy
         assert diag.square_count > 0
 
+    def test_interior_dilatation_is_bounded_by_the_global_one(
+        self, flat_pp, structured_flat_pp, cap_extracted
+    ):
+        for param in (flat_pp[1], structured_flat_pp[1], cap_extracted[2]):
+            diag = conf.conformal_diagnostics(param)
+            assert np.isfinite(diag.interior_qc_dilatation)
+            assert 1.0 <= diag.interior_qc_dilatation <= diag.max_qc_dilatation
+            assert diag.to_dict()["interior_qc_dilatation"] == diag.interior_qc_dilatation
+        assert diag.interior_qc_dilatation < diag.max_qc_dilatation
+
+    def test_one_jacobian_per_parameterization(self, flat_pp, monkeypatch):
+        patch, _ = flat_pp
+        built = []
+        affine_maps = conf._affine_maps
+
+        def counting(disk_pts, tris, values):
+            built.append(values.shape[1])
+            return affine_maps(disk_pts, tris, values)
+
+        monkeypatch.setattr(conf, "_affine_maps", counting)
+        param = conf.harmonic_disk_param(patch)
+        conf.conformal_diagnostics(param)
+        conf.large_lipschitz_pieces(param, conf.dyadic_squares(param, 2)[-1], 2.0)
+        # one map Jacobian, plus the frame-field gradients of the residuals
+        assert built == [3, 6]
+        jac, areas = param.jacobian()
+        assert not jac.flags.writeable and not areas.flags.writeable
+
     def test_diagnostics_dict_is_json_ready(self, structured_flat_pp):
         _, param = structured_flat_pp
         data = conf.conformal_diagnostics(param).to_dict()
@@ -1029,6 +1107,12 @@ class TestKernelOracles:
                 inner = np.sort(rng.choice(inner, 20, replace=False))
             qs = conf.quasisymmetry_table(param, disk[inner], scales=(0.1, 0.2, 0.35))
             image_area = float((cf.area_factor * cf.disk_areas).sum())
+            rim = set(param.boundary_vertices().tolist())
+            deep_qc = [
+                float(q)
+                for q, tri in zip(cf.qc_dilatation, tris.tolist())
+                if rim.isdisjoint(tri)
+            ]
             mc = res.mc_relative
             if mc is None or not np.isfinite(mc):
                 mc = res.mc_absolute
@@ -1048,6 +1132,7 @@ class TestKernelOracles:
                 "image_area": image_area,
                 "energy_area_gap": (param.energy - 2.0 * image_area) / param.energy,
                 "max_qc_dilatation": float(cf.qc_dilatation.max()),
+                "interior_qc_dilatation": max(deep_qc, default=float("nan")),
                 "pin_error": param.pin_error,
                 "square_count": len(dyadic_squares_direct(disk, tris, *box)),
                 "psi": None if patch is None else patch.psi,
@@ -1090,5 +1175,5 @@ class TestKernelOracles:
     def test_intrinsic_metric_matches_oracle(self, kernel_cases):
         for patch, _, _ in kernel_cases[:2]:
             assert conf.intrinsic_metric_diagnostics(patch) == metric_diagnostics_loop(
-                patch, conf.waypoint_cycle, conf._polygon_contains
+                patch, waypoint_cycle_unbounded, conf._polygon_contains
             )

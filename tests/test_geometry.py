@@ -91,6 +91,20 @@ def test_ball_refuses_a_radius_that_is_not_positive_and_finite(radius):
         Ball(center=np.zeros(3), radius=radius)
 
 
+@pytest.mark.parametrize(
+    "center, error",
+    [
+        (np.zeros((2, 3)), DimensionMismatch),
+        (0.0, DimensionMismatch),
+        (np.array([np.nan, 0.0, 0.0]), NonFiniteInput),
+        (np.array([0.0, np.inf, 0.0]), NonFiniteInput),
+    ],
+)
+def test_ball_refuses_a_center_that_is_not_one_finite_point(center, error):
+    with pytest.raises(error, match="ball center"):
+        Ball(center=center, radius=1.0)
+
+
 @pytest.fixture(scope="module")
 def disk2000():
     sample, _ = generate(SyntheticSpec(kind="flat_disk", n_points=2000))

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,21 @@ def test_gauge_successor_requires_nonempty_rows():
         ip.next_delta(sample, empty)
 
 
+def test_gauges_refuse_a_domain_center_of_another_dimension():
+    sample = _simple_sample([[0, 0, 0], [0.1, 0, 0]])
+    domain = Ball(np.zeros(2), 1.0)
+    with pytest.raises(DimensionMismatch, match="domain center"):
+        ip.make_delta0(sample, domain)
+    with pytest.raises(DimensionMismatch, match="domain center"):
+        ip.next_delta(sample, _fine_rows_only([0], sample), domain)
+
+
+def test_gauge_refuses_a_non_finite_domain_center():
+    sample = _simple_sample([[0, 0, 0], [0.1, 0, 0]])
+    with pytest.raises(NonFiniteInput, match="ball center"):
+        ip.make_delta0(sample, Ball([np.nan, 0.0, 0.0], 1.0))
+
+
 def test_gauge_one_lipschitz_exhaustive():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-0.55, 0.55, size=(300, 3))
@@ -360,6 +376,20 @@ def test_fine_rows_reject_nonpositive_threshold():
     sample = _simple_sample([[0, 0, 0]])
     with pytest.raises(ValueError):
         ip.extract_fine_set(sample, ip.make_delta0(sample), nu=0.0)
+    for nu in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidScale, match="tilt threshold nu"):
+            ip.extract_fine_set(sample, ip.make_delta0(sample), nu=nu)
+
+
+@pytest.mark.parametrize(
+    "gamma_hint, nu", [(0.0, -1.0), (0.0, np.nan), (0.0, np.inf), (np.nan, None)]
+)
+def test_pipeline_refuses_a_bad_threshold_before_using_it(gamma_hint, nu):
+    sample = _grid_sample(6, h=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidScale, match="tilt threshold nu"):
+            ip.iterate_parameterization(sample, gamma_hint=gamma_hint, nu=nu)
 
 
 @given(
