@@ -63,7 +63,7 @@ class TooFewPoints(ToolkitError):
 
 
 class InvalidScale(ToolkitError, ValueError):
-    """A radius or resolution floor is not a positive finite number."""
+    """A radius, resolution floor or scale factor is out of its range."""
 
 
 # ---------------------------------------------------------------------------

@@ -144,13 +144,26 @@ def flatness_details(
     without improvement halves the step.
 
     Only d2 needs a nearest-neighbor query of the whole lattice; d1 is a
-    product with the ball's points, computed for all candidates of a pass
-    at once.  A candidate with d1 / sigma >= best already scores at least
-    best, since max(d1, d2) >= d1 and dividing by sigma keeps the order, so
-    it is skipped without the lattice query.  Every other candidate is
-    scored in full.  The winners, and hence the result, are exactly those
-    of scoring every candidate.
+    product with the ball's points, and two lower bounds on it spare most
+    of the work.  Tilting basis row e_i toward normal nu_j by s leaves the
+    unit vector cos(s) nu_j - sin(s) e_i normal to the candidate, so its
+    d1 is at least max_p |cos(s) <p, nu_j> - sin(s) <p, e_i>| over the
+    points p of the ball, taken from the center.  When every candidate's
+    bound over sigma, less a margin of 1e-9 that rounding stays far below,
+    is at least the best score, no candidate can win: the pass is skipped
+    without building its candidates, and the step halves.  In a pass that
+    runs, d1 of all candidates comes from one stacked product, and a
+    candidate with d1 / sigma >= best already scores at least best, since
+    max(d1, d2) >= d1, so it is skipped without the lattice query.  The
+    lattice query is bounded by mean_spacing; the lattice points with no
+    sample point that close are queried again without a bound, so each
+    distance, and d2, is the exact nearest distance.  The winners, and
+    hence the result, are exactly those of scoring every candidate.  A
+    sample with no normal direction (m = n) has no candidates.  A
+    non-finite or negative covering_mult raises `InvalidScale`.
     """
+    if not (np.isfinite(covering_mult) and covering_mult >= 0):
+        raise InvalidScale(f"covering_mult {covering_mult} is not finite and non-negative")
     idx = sample.ball_query(ball.center, ball.radius)
     grid = _disk_grid(sample, ball.radius)
     return _flatness_of(sample, idx, ball, refine, covering_mult, grid)
@@ -188,7 +201,11 @@ def _flatness_of(sample, idx, ball, refine, covering_mult, grid) -> FlatnessDeta
 
     def measure(basis, d1):
         lifted = center + grid @ basis
-        d2_raw = float(tree.query(lifted)[0].max())
+        dist = tree.query(lifted, distance_upper_bound=h)[0]
+        far = np.isinf(dist)
+        if far.any():
+            dist[far] = tree.query(lifted[far])[0]
+        d2_raw = float(dist.max())
         d2 = max(d2_raw - covering_mult * h, 0.0)
         return max(d1, d2) / sigma, max(d1, d2_raw) / sigma
 
@@ -196,9 +213,17 @@ def _flatness_of(sample, idx, ball, refine, covering_mult, grid) -> FlatnessDeta
     best_basis = best_plane.basis
     best_val, best_raw = measure(best_basis, surface_side(best_basis[None])[0])
     step = max(best_raw, 2.0 * h / sigma)
+    framed = None  # the basis that `normals` and `coords` belong to
     for _ in range(max(refine, 0)):
+        if framed is not best_basis:
+            framed, normals = best_basis, _normal_space(best_basis)
+            coords = np.concatenate([best_basis, normals]) @ rel.T
+        bound = _tilt_bounds(coords[:m], coords[m:], step).min(initial=np.inf)
+        if bound / sigma - 1e-9 >= best_val:
+            step /= 2.0  # no candidate of the pass can win
+            continue
         improved = False
-        cands = _tilted_bases(best_basis, step)
+        cands = _tilted_bases(best_basis, normals, step)
         for basis, d1 in zip(cands, surface_side(cands)):
             if d1 / sigma >= best_val:
                 continue
@@ -218,20 +243,29 @@ def _flatness_of(sample, idx, ball, refine, covering_mult, grid) -> FlatnessDeta
     )
 
 
-def _tilted_bases(basis: np.ndarray, angle: float) -> np.ndarray:
+def _tilted_bases(basis: np.ndarray, normals: np.ndarray, angle: float) -> np.ndarray:
     """Neighbors of a plane, as a (k, m, n) stack of orthonormal bases:
-    each basis row tilted toward each normal by +-angle, in that order."""
+    each basis row tilted toward each row of `normals` (`_normal_space` of
+    the basis) by +-angle, in that order."""
     m, n = basis.shape
-    normal_basis = _normal_space(basis)
     stack = []
     for i in range(m):
-        for nu in normal_basis:
+        for nu in normals:
             for s in (angle, -angle):
                 rows = basis.copy()
                 rows[i] = np.cos(s) * basis[i] + np.sin(s) * nu
                 stack.append(rows)
     q, _ = np.linalg.qr(np.stack(stack).transpose(0, 2, 1))
     return np.ascontiguousarray(q.transpose(0, 2, 1))
+
+
+def _tilt_bounds(coords: np.ndarray, normal_coords: np.ndarray, angle: float) -> np.ndarray:
+    """The d1 lower bounds of `flatness_details` for the `_tilted_bases`
+    candidates, in their order, from the coordinates (m, N) and
+    normal_coords (n - m, N) of the ball's points along e_i and nu_j."""
+    c = np.sin(angle) * coords[:, None, :]
+    t = np.cos(angle) * normal_coords[None, :, :]
+    return np.abs(np.stack([t - c, t + c], axis=2)).max(axis=3).ravel()
 
 
 def _normal_space(basis: np.ndarray) -> np.ndarray:
@@ -288,8 +322,7 @@ def caccioppoli_bound_check(
     H_field = np.asarray(H_field, dtype=float)
     if H_field.shape != sample.points.shape:
         raise MissingCurvature("mean-curvature field must align with sample rows")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _require_positive(alpha, "alpha")
     if plane is None:
         _, plane = reifenberg_flatness(sample, ball)
     lhs = tilt_excess(sample, ball, plane)
@@ -573,9 +606,10 @@ def build_scale_family(
 
     Centers are greedily thinned sample points at spacing min(radii) /
     net_factor, restricted so every ball at the largest radius stays inside
-    the domain.  A non-finite sigma_max or a floor that is not positive and
-    finite raises `InvalidScale`.
+    the domain.  A non-finite sigma_max, or a floor or net_factor that is
+    not positive and finite, raises `InvalidScale`.
     """
+    _require_positive(net_factor, "net_factor")
     if floor is None:
         floor = resolution_floor(sample)
     if sigma_max is None:

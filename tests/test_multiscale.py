@@ -321,6 +321,33 @@ def test_beta_report_refuses_a_nan_sigma(flat):
         ms.beta_report(flat, ORIGIN, np.nan, floor=0.075)
 
 
+@pytest.mark.parametrize(
+    "func, kwargs",
+    [
+        pytest.param(ms.build_scale_family, {"net_factor": 0.0}, id="net_factor=0"),
+        pytest.param(ms.build_scale_family, {"net_factor": -1.0}, id="net_factor=-1"),
+        pytest.param(ms.build_scale_family, {"net_factor": np.nan}, id="net_factor=nan"),
+        pytest.param(ms.flatness_details, {"covering_mult": np.nan}, id="covering_mult=nan"),
+        pytest.param(ms.flatness_details, {"covering_mult": np.inf}, id="covering_mult=inf"),
+        pytest.param(ms.flatness_details, {"covering_mult": -0.1}, id="covering_mult=-0.1"),
+        pytest.param(ms.reifenberg_flatness, {"covering_mult": np.nan}, id="reifenberg-nan"),
+        pytest.param(ms.caccioppoli_bound_check, {"alpha": -1.0}, id="alpha=-1"),
+        pytest.param(ms.caccioppoli_bound_check, {"alpha": np.nan}, id="alpha=nan"),
+    ],
+)
+def test_bad_scale_arguments_raise_invalid_scale(flat, func, kwargs):
+    name = next(iter(kwargs))
+    if func is ms.caccioppoli_bound_check:
+        kwargs = dict(kwargs, H_field=np.zeros((len(flat), 3)))
+    with pytest.raises(InvalidScale, match=name):
+        func(flat, Ball(ORIGIN, 0.5), **kwargs)
+
+
+def test_zero_covering_mult_scores_the_raw_distance(cap):
+    det = ms.flatness_details(cap, Ball(ORIGIN, 0.3), covering_mult=0.0)
+    assert det.value == det.raw and det.error_bar == 0.0
+
+
 # ---------------------------------------------------------------------------
 # maximal tilt
 
@@ -509,6 +536,95 @@ def test_flatness_matches_exhaustive_search_under_rigid_motion(steep_graph, seed
     ball = Ball(moved.points[rng.integers(len(moved))], floor + frac * (0.5 - floor))
     det = ms.flatness_details(moved, ball, refine=refine)
     _assert_same_details(det, flatness_search_loop(moved, ball, refine=refine))
+
+
+def _inside_ball(rng, k, frame, spread, sigma):
+    """k points in the sigma-ball, along the first two rows of `frame` and
+    `spread` times as far along the others."""
+    n = frame.shape[0]
+    local = rng.normal(size=(k, n)) * np.r_[1.0, 1.0, np.full(n - 2, spread)]
+    rel = local @ frame
+    return rel * (sigma / np.linalg.norm(rel, axis=1).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.sampled_from([3, 4]),
+    k=st.integers(min_value=3, max_value=300),
+    spread=st.floats(min_value=0.0, max_value=2.0),
+    angle=st.floats(min_value=1e-6, max_value=3.0),
+)
+def test_tilt_bounds_never_exceed_candidate_d1(seed, n, k, spread, angle):
+    rng = np.random.default_rng(seed)
+    frame, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    basis = np.ascontiguousarray(frame[:2])
+    sigma = float(rng.uniform(0.1, 10.0))
+    rel = _inside_ball(rng, k, frame, spread, sigma)
+    normals = ms._normal_space(basis)
+    cands = ms._tilted_bases(basis, normals, angle)
+    coords = np.concatenate([basis, normals]) @ rel.T
+    bounds = ms._tilt_bounds(coords[:2], coords[2:], angle)
+    assert cands.shape == (4 * (n - 2), 2, n) and bounds.shape == (len(cands),)
+    plane = rel @ cands.transpose(0, 2, 1)
+    heights = rel - plane @ cands
+    overshoot = np.clip(np.linalg.norm(plane, axis=2) - sigma, 0.0, None)
+    d1 = np.sqrt(np.max(np.einsum("kij,kij->ki", heights, heights) + overshoot**2, axis=1))
+    assert np.all(bounds <= d1 + 1e-12 * sigma)
+    if n == 3:
+        # one normal: the bound is the candidate's height itself, which
+        # also checks that bounds and candidates come in the same order
+        np.testing.assert_allclose(bounds, d1, rtol=0.0, atol=1e-12 * sigma)
+
+
+def test_pass_bound_skips_the_cap_passes_and_not_the_winning_ones(monkeypatch, steep_graph):
+    calls = []
+    tilted = ms._tilted_bases
+    monkeypatch.setattr(ms, "_tilted_bases", lambda *args: calls.append(1) or tilted(*args))
+    spec = SyntheticSpec(kind="sphere_cap", n_points=5000, sphere_radius=10.0)
+    sample, origin = _moved(generate(spec)[0], 3)
+    domain = Ball(origin, 1.0)
+    fam = ms.build_scale_family(sample, domain, sigma_max=0.5)
+    rep = ms.certify_chord_arc(sample, domain, fam)
+    assert len(rep.balls) == len(fam.centers) * len(fam.radii)
+    assert not calls  # every pass of every cap ball is skipped unbuilt
+    rng = np.random.default_rng(5)
+    floor = ms.resolution_floor(steep_graph)
+    for _ in range(10):
+        center = steep_graph.points[rng.integers(len(steep_graph))]
+        ms.flatness_details(steep_graph, Ball(center, rng.uniform(floor, 0.5)))
+    assert calls
+
+
+def test_flatness_in_codimension_two_matches_exhaustive_search(steep_graph):
+    rng = np.random.default_rng(7)
+    frame, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    embed = frame[:3]  # orthonormal rows: an isometry of R^3 into R^4
+    sample = WeightedSurfaceSample(
+        steep_graph.points @ embed + rng.uniform(-1.0, 1.0, size=4),
+        steep_graph.weights,
+        steep_graph.tangent_bases @ embed,
+    )
+    floor = ms.resolution_floor(sample)
+    tilted = 0
+    for _ in range(10):
+        center = sample.points[rng.integers(len(sample))]
+        ball = Ball(center, rng.uniform(floor, 0.5))
+        oracle = flatness_search_loop(sample, ball)
+        _assert_same_details(ms.flatness_details(sample, ball), oracle)
+        idx = sample.ball_query(center, ball.radius)
+        pca = fit_plane_pca(sample.points[idx], center=center, pin_to_center=True)
+        tilted += not np.array_equal(pca.basis, oracle[1].basis)
+    assert tilted >= 1  # passes that run, with 8 candidates each
+
+
+def test_flatness_in_codimension_zero_matches_exhaustive_search():
+    # a planar sample in R^2 has no normal to tilt toward: no candidates
+    grid = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 60)] * 2), axis=-1).reshape(-1, 2)
+    area = np.full(len(grid), (2.0 / 59.0) ** 2)
+    sample = WeightedSurfaceSample(grid, area, np.broadcast_to(np.eye(2), (len(grid), 2, 2)))
+    ball = Ball(np.zeros(2), 0.5)
+    _assert_same_details(ms.flatness_details(sample, ball), flatness_search_loop(sample, ball))
 
 
 def _beta_sample():
