@@ -9,7 +9,11 @@ inverse-Hoelder diagnostics.
 
 Thresholds are named module constants beside the code that reads them
 (``iterated_projection.GRAPH_LIP_MULT``, ``conformal.PATCH_ALPHA_MULT``,
-...); scale choices a caller may vary are ordinary keyword arguments.
+...).  So is search effort, the number of tilt passes, path sources or
+sampled pairs behind an estimate (``multiscale.FLATNESS_PASSES``,
+``conformal.METRIC_SOURCES``, ``iterated_projection.DISTORTION_PAIRS``,
+...): it is not a parameter of the theory.  Scale choices a caller may
+vary are ordinary keyword arguments.
 """
 
 __version__ = "0.1.0"

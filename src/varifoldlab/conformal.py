@@ -25,7 +25,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -568,24 +568,25 @@ def refine_disk_patch(
 # intrinsic metric diagnostics and Jordan cycles
 
 
-def intrinsic_metric_diagnostics(
-    patch: DiskPatch,
-    *,
-    sources: int = 24,
-    chord_floor: float | None = None,
-    cycle_radii: Sequence[float] | None = None,
-    waypoints: int = 24,
-    seed: int = 0,
-) -> dict:
-    """Shortest-path versus chord comparisons plus cycle shape ratios.
+# Seeded source vertices of the path-versus-chord searches of
+# `intrinsic_metric_diagnostics`, and the waypoints of its one cycle.
+METRIC_SOURCES = 24
+METRIC_WAYPOINTS = 24
+
+
+def intrinsic_metric_diagnostics(patch: DiskPatch, *, seed: int = 0) -> dict:
+    """Shortest-path versus chord comparisons plus a cycle shape ratio.
 
     Reports the maximal ratio of the neighborhood-graph path metric to the
-    ambient chord over sampled pairs (chords below ``chord_floor`` are
-    skipped: the graph metric only resolves distances a couple of dozen
-    spacings wide), the maximal ratio of the triangulation-skeleton metric
-    to the neighborhood metric, and diameter / length for sampled interior
-    circle cycles.  The cycles come from `waypoint_cycle`, whose searches
-    stop at twice the longest waypoint chord and fall back to an unbounded
+    ambient chord over the pairs from METRIC_SOURCES seeded sources (chords
+    below the chord floor, max(24 spacing, r_max / 4), are skipped: the
+    graph metric only resolves distances a couple of dozen spacings wide),
+    the maximal ratio of the triangulation-skeleton metric to the
+    neighborhood metric, and diameter / length of the cycle through
+    METRIC_WAYPOINTS waypoints on the plane circle of radius 0.55 r_max
+    (r_max the largest plane radius of the patch), as the one entry of
+    ``cycles``.  The cycle comes from `waypoint_cycle`, whose searches stop
+    at twice the longest waypoint chord and fall back to an unbounded
     search for an anchor whose next anchor lies beyond; the chord and
     skeleton ratios read unbounded searches from every sampled source.
 
@@ -598,7 +599,7 @@ def intrinsic_metric_diagnostics(
     metric = patch.metric_graph()
     skeleton = patch.skeleton_graph()
     rng = np.random.default_rng(seed)
-    src = np.sort(rng.choice(k, size=min(sources, k), replace=False))
+    src = np.sort(rng.choice(k, size=min(METRIC_SOURCES, k), replace=False))
     # both graphs are symmetric, so the directed search is the undirected
     # one without scipy transposing the graph first
     d_metric = dijkstra(metric, directed=True, indices=src)
@@ -607,38 +608,31 @@ def intrinsic_metric_diagnostics(
     # the largest transient of the diagnostics
     chords = np.stack([np.linalg.norm(patch.points[s] - patch.points, axis=1) for s in src])
     r_max = float(np.linalg.norm(patch.plane_coords, axis=1).max())
-    if chord_floor is None:
-        chord_floor = max(24.0 * patch.spacing, 0.25 * r_max)
+    chord_floor = max(24.0 * patch.spacing, 0.25 * r_max)
     mask = (chords >= chord_floor) & np.isfinite(d_metric)
     if not mask.any():
         raise TooFewPoints("no vertex pair above the chord floor")
     ratios = d_metric[mask] / chords[mask]
     skel_ratio = d_skel[mask] / np.maximum(d_metric[mask], 1e-300)
-    if cycle_radii is None:
-        cycle_radii = (0.55 * r_max,)
-    cycle_out = []
-    for radius in cycle_radii:
-        angles = 2.0 * np.pi * np.arange(waypoints) / waypoints
-        pts2 = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        cyc = waypoint_cycle(patch, pts2)
-        inside = _polygon_contains(patch.plane_coords[cyc], patch.plane_coords)
-        enclosed = np.where(inside)[0]
-        if len(enclosed) > 1500:
-            enclosed = rng.choice(enclosed, 1500, replace=False)
-        epts = patch.points[enclosed]
-        diam = float(pdist(epts).max()) if len(epts) > 1 else 0.0
-        cpts = patch.points[cyc]
-        length = float(np.linalg.norm(np.roll(cpts, -1, axis=0) - cpts, axis=1).sum())
-        cycle_out.append(
-            {"radius": float(radius), "diameter_over_length": diam / length}
-        )
+    radius = 0.55 * r_max
+    angles = 2.0 * np.pi * np.arange(METRIC_WAYPOINTS) / METRIC_WAYPOINTS
+    pts2 = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    cyc = waypoint_cycle(patch, pts2)
+    inside = _polygon_contains(patch.plane_coords[cyc], patch.plane_coords)
+    enclosed = np.where(inside)[0]
+    if len(enclosed) > 1500:
+        enclosed = rng.choice(enclosed, 1500, replace=False)
+    epts = patch.points[enclosed]
+    diam = float(pdist(epts).max()) if len(epts) > 1 else 0.0
+    cpts = patch.points[cyc]
+    length = float(np.linalg.norm(np.roll(cpts, -1, axis=0) - cpts, axis=1).sum())
     return {
         "path_over_chord_max": float(ratios.max()),
         "path_over_chord_mean": float(ratios.mean()),
         "skeleton_over_path_max": float(skel_ratio.max()),
         "pairs_used": int(mask.sum()),
         "chord_floor": float(chord_floor),
-        "cycles": cycle_out,
+        "cycles": [{"radius": float(radius), "diameter_over_length": diam / length}],
     }
 
 
@@ -1421,7 +1415,8 @@ def curvature_equation_residuals(
     Raises
     ------
     MissingCurvature
-        A CurvatureField is supplied but does not cover the patch vertices.
+        A CurvatureField is supplied but does not cover the patch vertices,
+        or a callable does not return a (k, n) array for the k vertices.
     """
     disk = param.disk_points
     tris = param.triangles
@@ -1451,6 +1446,11 @@ def curvature_equation_residuals(
             hvec = curvature.at(rows)
         else:
             hvec = np.asarray(curvature(f), dtype=float)
+            if hvec.shape != f.shape:
+                raise MissingCurvature(
+                    f"curvature callable returned shape {hvec.shape}, "
+                    f"need one vector per vertex, {f.shape}"
+                )
         cell_surface = vertex_areas(f, tris)
         lhs = lap @ f
         rhs = hvec * cell_surface[:, None]
@@ -1526,7 +1526,8 @@ class LipschitzPieces:
     """Exceptional set and restricted Lipschitz constant on a square.
 
     ``excluded_area`` + ``excluded_image_area / scale^2`` should stay below
-    ``budget`` = t^{-q} (size/2)^2 for well-behaved parameterizations.
+    ``budget`` = t^{-LIPSCHITZ_Q} (size/2)^2 for well-behaved
+    parameterizations.
     """
 
     scale: float
@@ -1545,13 +1546,13 @@ class LipschitzPieces:
         return self.excluded_area + self.excluded_image_area / s2 <= self.budget
 
 
+# Decay exponent of the exceptional-set budget t^{-LIPSCHITZ_Q} (size/2)^2
+# of `large_lipschitz_pieces`.
+LIPSCHITZ_Q = 2.0
+
+
 def large_lipschitz_pieces(
-    param: DiskParameterization,
-    square: DyadicSquare,
-    t: float,
-    q: float = 2.0,
-    *,
-    seed: int = 0,
+    param: DiskParameterization, square: DyadicSquare, t: float
 ) -> LipschitzPieces:
     """Threshold the one-ring maximal gradient and verify the complement.
 
@@ -1559,7 +1560,8 @@ def large_lipschitz_pieces(
     its incident triangles exceeds ``t * scale`` or the inverse-gradient
     proxy exceeds ``t / scale``, with ``scale`` from the conformal-affine
     fit over the square.  Reports lumped areas of the exceptional set and
-    the measured Lipschitz constant of f over remaining vertex pairs.
+    the measured Lipschitz constant of f over pairs of remaining vertices;
+    beyond 1200 of them, 1200 are drawn with seed 0.
     """
     disk = param.disk_points
     tris = param.triangles
@@ -1586,10 +1588,10 @@ def large_lipschitz_pieces(
     kept = in_square & ~exceptional
     lumped_surface = vertex_areas(f, tris)
     half = 0.5 * square.size
-    budget = t ** (-q) * half * half
+    budget = t ** (-LIPSCHITZ_Q) * half * half
     kept_idx = np.where(kept)[0]
     if len(kept_idx) > 1200:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         kept_idx = np.sort(rng.choice(kept_idx, 1200, replace=False))
     return LipschitzPieces(
         scale=scale,
@@ -1679,7 +1681,6 @@ def conformal_diagnostics(
     """
     cf = conformal_factor(param)
     levels = _DyadicLevels(param, depth)
-    squares = levels.squares()
     bmo = levels.bmo(cf.w)
     a2 = levels.a2(cf.w)
     ih = levels.inverse_holder(cf.area_factor)
@@ -1716,7 +1717,7 @@ def conformal_diagnostics(
             float(interior_qc.max()) if interior_qc.size else float("nan")
         ),
         pin_error=param.pin_error,
-        square_count=len(squares),
+        square_count=int(sum(level.admissible.sum() for level in levels.levels)),
         psi=param.patch.psi if param.patch is not None else None,
         boundary_chord_arc=(
             param.patch.boundary_chord_arc if param.patch is not None else None

@@ -39,8 +39,8 @@ class CurvatureField:
     residuals : ndarray
         Relative least-squares residual per point.
     orthogonal : ndarray of bool
-        True where H deviates from the normal space by at most the
-        perpendicularity tolerance (flag only, never a projection).
+        True where H deviates from the normal space by at most the angle
+        ORTHO_TOL (flag only, never a projection).
     """
 
     indices: np.ndarray
@@ -158,11 +158,15 @@ def estimate_mean_curvature(
     return H[0], float(residual[0])
 
 
+# A curvature vector is flagged orthogonal when its tangential part is at
+# most sin(ORTHO_TOL) of its length (ORTHO_TOL in radians).
+ORTHO_TOL = 0.2
+
+
 def build_curvature_field(
     sample: WeightedSurfaceSample,
     h: float,
     indices=None,
-    ortho_tol: float = 0.2,
 ) -> CurvatureField:
     """Estimate H at the given rows (all rows by default).
 
@@ -197,7 +201,7 @@ def build_curvature_field(
         vectors=vectors,
         radius=float(h),
         residuals=residuals,
-        orthogonal=tangential <= np.sin(ortho_tol) * np.linalg.norm(vectors, axis=1),
+        orthogonal=tangential <= np.sin(ORTHO_TOL) * np.linalg.norm(vectors, axis=1),
     )
 
 
@@ -396,16 +400,3 @@ def monotonicity_inequality(
     )
     return lhs, rhs
 
-
-def analytic_field(sample: WeightedSurfaceSample, vectors: np.ndarray) -> CurvatureField:
-    """Wrap known per-point curvature vectors as a full-coverage field."""
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.shape != sample.points.shape:
-        raise MissingCurvature("vectors must align with sample rows")
-    return CurvatureField(
-        indices=np.arange(len(sample)),
-        vectors=vectors,
-        radius=0.0,
-        residuals=np.zeros(len(sample)),
-        orthogonal=np.ones(len(sample), dtype=bool),
-    )

@@ -29,7 +29,6 @@ from .errors import (
     NonPositiveWeight,
 )
 
-_PROJECTOR_TOL = 1e-10
 # largest entry of |B B^T - I| accepted as an orthonormal basis B
 _ORTHONORMAL_TOL = 1e-8
 _EIGENGAP_TOL = 1e-9
@@ -522,16 +521,3 @@ def complement_frame(normals: np.ndarray) -> np.ndarray:
     t2 = np.cross(normals, t1)
     t2 /= np.linalg.norm(t2, axis=1, keepdims=True)
     return np.stack([t1, t2], axis=1)
-
-
-def check_projector(p: np.ndarray, dim: int) -> bool:
-    """True when p is symmetric, idempotent, contractive, of trace dim."""
-    p = np.asarray(p, dtype=float)
-    if not np.allclose(p, p.T, atol=_PROJECTOR_TOL):
-        return False
-    if not np.allclose(p @ p, p, atol=_PROJECTOR_TOL):
-        return False
-    if abs(float(np.trace(p)) - dim) > _PROJECTOR_TOL * max(1, dim):
-        return False
-    sv = np.linalg.svd(p, compute_uv=False)
-    return bool(sv.max() <= 1 + _PROJECTOR_TOL)

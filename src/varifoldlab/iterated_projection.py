@@ -20,9 +20,11 @@ from scipy.spatial.distance import cdist
 
 from .errors import (
     DegenerateCloud,
+    DimensionMismatch,
     EmptyFineSet,
     GraphTestFailure,
     NonContraction,
+    NonFiniteInput,
     NoValidPreimage,
     PointOutsideDomain,
     TooFewPoints,
@@ -214,7 +216,6 @@ def extract_fine_set(
     delta: DeltaField,
     nu: float,
     floor: float | None = None,
-    refine: int = 1,
 ) -> FineSet:
     """Rows where the gauge vanishes or the 2-gauge maximal tilt is <= nu.
 
@@ -250,7 +251,7 @@ def extract_fine_set(
         r = radius[block]
         x = sample.points[block]
         ok, planes, normals = _pinned_planes(sample, cand, x, d2 <= (r * r)[:, None])
-        tilt = _maximal_tilts(sample, cand, d2, r, normals, floor, refine)
+        tilt = _maximal_tilts(sample, cand, d2, r, normals, floor)
         keep = ok & (tilt <= nu)
         fine[block] = keep
         bases[block[keep]] = planes[keep]
@@ -820,30 +821,33 @@ class CorrespondenceMap:
             yield [i, int(t)] + [f"{c:.17g}" for c in v]
 
 
+# Nearest target points scored per source point by `project_tau`.
+TAU_CANDIDATES = 12
+
+
 def project_tau(
     stage_from: SmoothedSurfaceStage,
     stage_to: SmoothedSurfaceStage,
     beta: float,
-    candidates: int = 12,
-    slack: float | None = None,
 ) -> CorrespondenceMap:
     """Project each source point onto the target stage's nearest graph.
 
-    For source x and candidate target y the decomposition x = y + v splits
-    v into normal and tangential parts of y's blended normal projector; the
-    admissible candidate with the smallest tangential residual wins.  The
-    normal part must stay within beta times the target gauge, padded by a
-    resolution slack so kept fine points (gauge zero) remain reachable.
+    For source x and candidate target y, one of its TAU_CANDIDATES nearest
+    target points, the decomposition x = y + v splits v into normal and
+    tangential parts of y's blended normal projector; the admissible
+    candidate with the smallest tangential residual wins.  The normal part
+    must stay within beta times the target gauge, padded by a resolution
+    slack (twice the median nearest-neighbor spacing of the target) so kept
+    fine points (gauge zero) remain reachable.
     """
     if stage_to.normal_projectors is None:
         raise MissingNormalField()
     src = stage_from.points
     tgt = stage_to.points
     tree = cKDTree(tgt)
-    if slack is None:
-        nn, _ = tree.query(tgt, k=2)
-        slack = 2.0 * float(np.median(nn[:, 1]))
-    k = min(candidates, len(tgt))
+    nn, _ = tree.query(tgt, k=2)
+    slack = 2.0 * float(np.median(nn[:, 1]))
+    k = min(TAU_CANDIDATES, len(tgt))
     # query(k=1) drops the candidate axis
     idx = tree.query(src, k=k)[1].reshape(len(src), k)
     d = src[:, None, :] - tgt[idx]
@@ -938,37 +942,47 @@ class DistortionReport:
         }
 
 
-def distortion_report(
-    source_points,
-    target_points,
-    weights=None,
-    pairs: int = 2000,
-    p: float = 2.0,
-    seed: int = 0,
-) -> DistortionReport:
+# Point count up to which `distortion_report` uses every pair; above it,
+# each point gets its nearest neighbors plus DISTORTION_PAIRS / count
+# random partners (at least 4), drawn from a generator seeded with
+# DISTORTION_SEED.
+DISTORTION_PAIRS = 2000
+DISTORTION_SEED = 0
+# Exponent of the L^p figures of a `DistortionReport`.
+DISTORTION_P = 2.0
+
+
+def distortion_report(source_points, target_points) -> DistortionReport:
     """Pointwise sup/inf difference quotients over sampled partners.
 
-    All pairs are used when the point count is at most `pairs`; otherwise
-    each point gets its nearest neighbors plus seeded random partners.
-    Quotients are formed a block of rows at a time, so memory stays at a
-    few megabytes whatever the pair count.
+    All pairs are used when the point count is at most DISTORTION_PAIRS;
+    otherwise each point gets its nearest neighbors plus seeded random
+    partners.  The L^p figures take exponent DISTORTION_P and uniform
+    weights.  Quotients are formed a block of rows at a time, so memory
+    stays at a few megabytes whatever the pair count.
+
+    Raises DimensionMismatch unless source and target are (N, n) arrays of
+    one shape, NonFiniteInput for a non-finite coordinate and TooFewPoints
+    unless the source holds two distinct points.
     """
     src = np.atleast_2d(np.asarray(source_points, dtype=float))
     tgt = np.atleast_2d(np.asarray(target_points, dtype=float))
-    if len(src) < 2:
-        raise TooFewPoints("distortion needs at least two mapped points")
+    if src.ndim != 2 or src.shape != tgt.shape:
+        raise DimensionMismatch(
+            f"source {src.shape} and target {tgt.shape} must be (N, n) of one shape"
+        )
+    if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
+        raise NonFiniteInput("mapped points must be finite")
+    if len(src) < 2 or (src == src[0]).all():
+        raise TooFewPoints("distortion needs at least two distinct source points")
     n_pts = len(src)
-    if weights is None:
-        w = np.full(n_pts, 1.0 / n_pts)
-    else:
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
+    w = np.full(n_pts, 1.0 / n_pts)
 
     dev = tgt - src
-    if n_pts <= pairs:
+    if n_pts <= DISTORTION_PAIRS:
         blocks = _all_pair_blocks(src, tgt, dev)
     else:
-        blocks = [_sampled_pair_block(src, tgt, dev, pairs, seed)]
+        blocks = [_sampled_pair_block(src, tgt, dev, DISTORTION_PAIRS, DISTORTION_SEED)]
 
     f_up = np.empty(n_pts)
     f_lo = np.empty(n_pts)
@@ -1008,20 +1022,20 @@ def distortion_report(
     exp_fwd = m_st / m_ss if m_ss > 0 else 1.0
     exp_inv = m_st / m_tt if m_tt > 0 else 1.0
 
-    lp_upper = float((w * f_up**p).sum())
+    lp_upper = float((w * f_up**DISTORTION_P).sum())
     safe_lo = np.maximum(f_lo, 1e-300)
-    lp_lower_inverse = float((w * safe_lo ** (-p)).sum())
-    lp_deviation = float((w * dev_up**p).sum())
+    lp_lower_inverse = float((w * safe_lo ** (-DISTORTION_P)).sum())
+    lp_deviation = float((w * dev_up**DISTORTION_P).sum())
     return DistortionReport(
         f_upper=f_up,
         f_lower=f_lo,
-        p=p,
+        p=DISTORTION_P,
         lp_upper=lp_upper,
         lp_lower_inverse=lp_lower_inverse,
         lp_deviation=lp_deviation,
         exponent_forward=exp_fwd,
         exponent_inverse=exp_inv,
-        pair_budget=pairs,
+        pair_budget=DISTORTION_PAIRS,
     )
 
 
@@ -1129,17 +1143,20 @@ def _build_stage(work, fine, delta, nu, index, group_counts):
     return stage
 
 
+# Stages that `iterate_parameterization` builds at most after the first.
+MAX_STAGES = 12
+
+
 def iterate_parameterization(
     sample: WeightedSurfaceSample,
     gamma_hint: float,
-    depth: int = 12,
     nu: float | None = None,
 ) -> IterationResult:
     """Run the full stagewise smoothing-and-projection loop.
 
     ``nu`` is the fine-set tilt threshold, sqrt(gamma_hint) by default, and
-    the normal-bundle radius is sqrt(nu).  At most ``depth`` stages follow
-    the first.  The sample is first rescaled into a ball of radius
+    the normal-bundle radius is sqrt(nu).  At most MAX_STAGES stages
+    follow the first.  The sample is first rescaled into a ball of radius
     EMBEDDING_RADIUS so the gauge stays several sample spacings wide.
     Stages stop early once the maximal step displacement falls under the
     sample spacing; two consecutive steps that fail to halve the
@@ -1173,7 +1190,7 @@ def iterate_parameterization(
     maps: list[CorrespondenceMap] = []
     disp_hist: list[float] = []
     worse_streak = 0
-    for j in range(depth):
+    for j in range(MAX_STAGES):
         delta = next_delta(work, fine, domain)
         fine = extract_fine_set(work, delta, nu)
         bad_weights.append(

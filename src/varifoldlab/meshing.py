@@ -62,31 +62,6 @@ def angle_defects(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return out
 
 
-def structured_disk_mesh(rings: int, radius: float = 1.0):
-    """Polar disk mesh with a clean circular boundary.
-
-    Ring ``j`` (1..rings) carries ``6 j`` vertices at radius ``j / rings``
-    times ``radius``; triangles come from a Delaunay pass over the rings
-    (a tiny deterministic radial perturbation breaks cocircular ties).
-    Returns ``(points (k, 2), triangles (t, 3))`` with counterclockwise
-    triangles; the convex hull is the outer ring.
-    """
-    from scipy.spatial import Delaunay
-
-    if rings < 1:
-        raise ValueError("rings must be at least 1")
-    pts = [np.zeros((1, 2))]
-    for j in range(1, rings + 1):
-        m = 6 * j
-        ang = 2.0 * np.pi * np.arange(m) / m
-        r = radius * (j / rings) * (1.0 + 1e-9 * np.sin(7.0 * np.arange(m)))
-        pts.append(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1))
-    points = np.vstack(pts)
-    tris = Delaunay(points).simplices
-    keep = triangle_areas(points, tris) > 0.5e-12 * radius * radius
-    return points, orient_ccw(points, tris[keep])
-
-
 def orient_ccw(coords: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Copy of ``faces`` with every clockwise triangle in ``coords`` (k, 2)
     flipped to counterclockwise; degenerate triangles keep their winding."""

@@ -30,12 +30,18 @@ from .geometry import (
     Ball,
     Plane,
     WeightedSurfaceSample,
+    _require_point,
     _require_positive,
     fit_plane_pca,
 )
 from .synthetic import disk_lattice
 
+# The plane-to-surface distance d2 of `flatness_details` is debiased by
+# this multiple of mean_spacing: nearest sample points overshoot by the
+# covering radius even on a perfectly flat sample.
 COVERING_MULT = 0.7
+# Tilt passes of the `flatness_details` search after the PCA plane.
+FLATNESS_PASSES = 2
 
 
 def resolution_floor(sample: WeightedSurfaceSample, mult: float = 8.0) -> float:
@@ -95,49 +101,18 @@ class FlatnessDetails:
     error_bar: float
 
 
-def reifenberg_flatness(
-    sample: WeightedSurfaceSample,
-    ball: Ball,
-    refine: int = 2,
-    covering_mult: float = COVERING_MULT,
-):
-    """Bilateral normalized distance to the best plane through the center.
-
-    Returns
-    -------
-    (value, plane)
-        value = d_H(points in ball, plane disk) / radius, minimized over a
-        plane family seeded at the center-pinned least-squares plane and
-        refined by local tilts; plane is the argmin.
-
-    Notes
-    -----
-    The surface-to-plane direction is exact.  The plane-to-surface direction
-    is measured against nearest sample points, which overshoots by the
-    sample's covering radius even on a perfectly flat sample, so that
-    direction is debiased by covering_mult * mean_spacing and clamped at
-    zero.  The undebiased value and the error bar are available through
-    flatness_details.
-    """
-    det = flatness_details(sample, ball, refine=refine, covering_mult=covering_mult)
-    return det.value, det.plane
-
-
-def flatness_details(
-    sample: WeightedSurfaceSample,
-    ball: Ball,
-    refine: int = 2,
-    covering_mult: float = COVERING_MULT,
-) -> FlatnessDetails:
-    """Best bilateral plane distance of the ball, with its raw value and
-    resolution error bar.
+def flatness_details(sample: WeightedSurfaceSample, ball: Ball) -> FlatnessDetails:
+    """Bilateral (Reifenberg) flatness of the ball: the best normalized
+    distance to a plane through the center, with its argmin plane, its raw
+    value and its resolution error bar.
 
     A plane through the center scores max(d1, d2) / sigma: d1 is the
     largest distance from a sample point of the ball to the sigma-disk of
     the plane, d2 the largest distance from a lattice point of that disk
-    to the nearest sample point of the ball, less covering_mult *
-    mean_spacing and clamped at zero (the raw score keeps d2 undebiased).
-    The search starts at the center-pinned PCA plane.  Each of `refine`
+    to the nearest sample point of the ball, less COVERING_MULT *
+    mean_spacing and clamped at zero (the raw score keeps d2 undebiased;
+    the error bar is COVERING_MULT * mean_spacing / sigma).  The search
+    starts at the center-pinned PCA plane.  Each of FLATNESS_PASSES
     passes tilts every basis row of the current best plane toward each
     normal direction by +-step, walks these candidates in a fixed order
     and keeps any that scores strictly lower than the best so far; a pass
@@ -159,14 +134,11 @@ def flatness_details(
     sample point that close are queried again without a bound, so each
     distance, and d2, is the exact nearest distance.  The winners, and
     hence the result, are exactly those of scoring every candidate.  A
-    sample with no normal direction (m = n) has no candidates.  A
-    non-finite or negative covering_mult raises `InvalidScale`.
+    sample with no normal direction (m = n) has no candidates.
     """
-    if not (np.isfinite(covering_mult) and covering_mult >= 0):
-        raise InvalidScale(f"covering_mult {covering_mult} is not finite and non-negative")
     idx = sample.ball_query(ball.center, ball.radius)
     grid = _disk_grid(sample, ball.radius)
-    return _flatness_of(sample, idx, ball, refine, covering_mult, grid)
+    return _flatness_of(sample, idx, ball, grid)
 
 
 def _disk_grid(sample, sigma: float) -> np.ndarray:
@@ -175,7 +147,7 @@ def _disk_grid(sample, sigma: float) -> np.ndarray:
     return disk_lattice(sigma, max(int(np.pi * sigma**2 / h**2), 16))
 
 
-def _flatness_of(sample, idx, ball, refine, covering_mult, grid) -> FlatnessDetails:
+def _flatness_of(sample, idx, ball, grid) -> FlatnessDetails:
     m = sample.intrinsic_dim
     if idx.size < m + 1:
         raise TooFewPoints(
@@ -206,7 +178,7 @@ def _flatness_of(sample, idx, ball, refine, covering_mult, grid) -> FlatnessDeta
         if far.any():
             dist[far] = tree.query(lifted[far])[0]
         d2_raw = float(dist.max())
-        d2 = max(d2_raw - covering_mult * h, 0.0)
+        d2 = max(d2_raw - COVERING_MULT * h, 0.0)
         return max(d1, d2) / sigma, max(d1, d2_raw) / sigma
 
     best_plane = fit_plane_pca(pts, dim=m, center=center, pin_to_center=True)
@@ -214,7 +186,7 @@ def _flatness_of(sample, idx, ball, refine, covering_mult, grid) -> FlatnessDeta
     best_val, best_raw = measure(best_basis, surface_side(best_basis[None])[0])
     step = max(best_raw, 2.0 * h / sigma)
     framed = None  # the basis that `normals` and `coords` belong to
-    for _ in range(max(refine, 0)):
+    for _ in range(FLATNESS_PASSES):
         if framed is not best_basis:
             framed, normals = best_basis, _normal_space(best_basis)
             coords = np.concatenate([best_basis, normals]) @ rel.T
@@ -239,7 +211,7 @@ def _flatness_of(sample, idx, ball, refine, covering_mult, grid) -> FlatnessDeta
         value=best_val,
         plane=best_plane,
         raw=best_raw,
-        error_bar=covering_mult * h / sigma,
+        error_bar=COVERING_MULT * h / sigma,
     )
 
 
@@ -324,7 +296,7 @@ def caccioppoli_bound_check(
         raise MissingCurvature("mean-curvature field must align with sample rows")
     _require_positive(alpha, "alpha")
     if plane is None:
-        _, plane = reifenberg_flatness(sample, ball)
+        plane = flatness_details(sample, ball).plane
     lhs = tilt_excess(sample, ball, plane)
     sigma = ball.radius
     center = np.asarray(ball.center, dtype=float)
@@ -385,16 +357,14 @@ def _beta_rows(sample, cand, inside, scale: float) -> np.ndarray:
     return out
 
 
-def carleson_scales(
-    sigma: float, floor: float, refine: int = 1
-) -> np.ndarray:
+def carleson_scales(sigma: float, floor: float) -> np.ndarray:
     """Geometric midpoint scales of the dyadic log partition of [floor, sigma].
 
     A non-finite sigma or a floor that is not positive and finite raises
     `InvalidScale`.
     """
     _require_scales(sigma, floor)
-    step = np.log(2.0) / max(refine, 1)
+    step = np.log(2.0)
     out = []
     k = 0
     while True:
@@ -404,27 +374,6 @@ def carleson_scales(
         out.append(s)
         k += 1
     return np.asarray(out)
-
-
-def carleson_sum(
-    sample: WeightedSurfaceSample,
-    xi,
-    sigma: float,
-    floor: float | None = None,
-    refine: int = 1,
-):
-    """Scale-integrated square function of plane deviations over a ball.
-
-    Discretizes the double integral of beta^2(y, s) ds/s dmu(y) by the
-    dyadic midpoint rule in log s and the sample's own quadrature in y.
-
-    Returns
-    -------
-    (value, normalized)
-        normalized = value / (pi sigma^2); the integral of ``beta_report``.
-    """
-    r = beta_report(sample, xi, sigma, floor=floor, refine=refine)
-    return r.carleson, r.carleson_normalized
 
 
 def carleson_chain_majorant(
@@ -460,12 +409,11 @@ def local_maximal_tilt(
     r_max: float,
     reference: Plane,
     floor: float | None = None,
-    refine: int = 1,
 ) -> float:
     """Sup over dyadic scales of the average first-power projector distance.
 
-    The scales are r_max, r_max / step, ... down to `floor`, with step
-    2^(1 / refine); a scale whose ball is empty is skipped.  This is the
+    The scales are r_max, r_max / 2, ... down to `floor`; a scale whose
+    ball is empty is skipped.  This is the
     one-row case of `_maximal_tilts`: one ball query at r_max, the smaller
     balls as distance masks of it, and the normal frame of `reference` from
     a complete QR of its basis.  Distances come from the normal frame, so
@@ -487,30 +435,29 @@ def local_maximal_tilt(
     cand = sample.ball_query(x, r_max)
     d2 = np.square(sample.points[cand] - x).sum(axis=1)
     tilts = _maximal_tilts(
-        sample, cand, d2[None], np.array([r_max]), normals[None], floor, refine
+        sample, cand, d2[None], np.array([r_max]), normals[None], floor
     )
     return float(tilts[0])
 
 
-def _maximal_tilts(sample, cand, d2, r_max, normals, floor, refine) -> np.ndarray:
+def _maximal_tilts(sample, cand, d2, r_max, normals, floor) -> np.ndarray:
     """Maximal tilt of a block of rows that share one candidate set.
 
     `cand` holds sorted sample rows, `d2` (b, K) their squared distances to
     the b centers, `r_max` (b,) the largest radius per center and `normals`
     (b, n - m, n) orthonormal normal frames N of each reference plane Q.
     Row i scores the balls ``d2 <= s * s`` for s = r_max[i], r_max[i] /
-    step, ... while s >= floor, each scale divided from the one before.  For
+    2, ... while s >= floor, each scale halved from the one before.  For
     an orthonormal tangent basis B_k, ``|P_k - Q|_F = sqrt(2) |B_k N^T|_F``,
     so every distance of the block comes from one (K m, n) @ (n, b (n - m))
     product.  The result is the largest weighted mean distance over the
     row's non-empty balls, and 0 when all are empty.
     """
-    step = 2.0 ** (1.0 / max(refine, 1))
     scales = []
     s = np.asarray(r_max, dtype=float)
     while np.any(s >= floor):
         scales.append(np.where(s >= floor, s, np.nan))  # NaN: no ball
-        s = s / step
+        s = s / 2.0
     m, n = sample.intrinsic_dim, sample.ambient_dim
     b, c = normals.shape[:2]
     frames = sample.tangent_bases[cand].reshape(-1, n)
@@ -525,18 +472,22 @@ def _maximal_tilts(sample, cand, d2, r_max, normals, floor, refine) -> np.ndarra
     return means.max(axis=1, initial=0.0)
 
 
+# A raster cell of `projection_no_hole_check` is a gap when no projected
+# point lies within this multiple of the cell spacing.
+NO_HOLE_COVER_MULT = 1.5
+
+
 def projection_no_hole_check(
     sample: WeightedSurfaceSample,
     xi,
     sigma: float,
-    cover_mult: float = 1.5,
 ):
     """Coverage of the target disk by the plane projection of the sample.
 
     Projects the sample inside the vertical cylinder of radius sigma over
-    the best local plane, rasterizes the sigma-disk at mean-spacing
-    resolution, and reports raster cells with no projected point within
-    cover_mult radii of the cell spacing.
+    the best local plane (the `flatness_details` argmin), rasterizes the
+    sigma-disk at mean-spacing resolution, and reports raster cells with no
+    projected point within NO_HOLE_COVER_MULT radii of the cell spacing.
 
     Returns
     -------
@@ -544,7 +495,7 @@ def projection_no_hole_check(
         gaps are ambient locations of uncovered cells on the plane.
     """
     xi = np.asarray(xi, dtype=float)
-    _, plane = reifenberg_flatness(sample, Ball(xi, sigma))
+    plane = flatness_details(sample, Ball(xi, sigma)).plane
     rel = sample.points - xi
     coords = rel @ plane.basis.T
     heights = rel - coords @ plane.basis
@@ -559,7 +510,7 @@ def projection_no_hole_check(
         return False, gaps
     tree = cKDTree(proj)
     dist = tree.query(grid)[0]
-    bad = dist > cover_mult * h
+    bad = dist > NO_HOLE_COVER_MULT * h
     gaps = xi + grid[bad] @ plane.basis
     return bool(not bad.any()), gaps
 
@@ -595,21 +546,25 @@ class ScaleFamily:
                 yield c, float(r)
 
 
+# Net spacing of the scale-family centers, in units of the smallest radius.
+NET_FACTOR = 3.0
+
+
 def build_scale_family(
     sample: WeightedSurfaceSample,
     domain: Ball,
     sigma_max: float | None = None,
     floor: float | None = None,
-    net_factor: float = 3.0,
 ) -> ScaleFamily:
     """Dyadic radii from sigma_max down to the floor, centers on a net.
 
     Centers are greedily thinned sample points at spacing min(radii) /
-    net_factor, restricted so every ball at the largest radius stays inside
-    the domain.  A non-finite sigma_max, or a floor or net_factor that is
-    not positive and finite, raises `InvalidScale`.
+    NET_FACTOR, restricted so every ball at the largest radius stays inside
+    the domain.  A non-finite sigma_max, or a floor that is not positive
+    and finite, raises `InvalidScale`; a domain center of another dimension
+    than the sample raises `DimensionMismatch`.
     """
-    _require_positive(net_factor, "net_factor")
+    _require_point(domain.center, sample.ambient_dim, "domain center")
     if floor is None:
         floor = resolution_floor(sample)
     if sigma_max is None:
@@ -629,7 +584,7 @@ def build_scale_family(
     eligible = np.flatnonzero(dist <= domain.radius - sigma_max)
     if eligible.size == 0:
         raise BallBelowResolution("no sample point admits the largest radius")
-    spacing = radii[-1] / net_factor
+    spacing = radii[-1] / NET_FACTOR
     centers = _greedy_net(sample.points[eligible], spacing)
     return ScaleFamily(
         centers=centers,
@@ -727,7 +682,7 @@ def certify_chord_arc(
             _require_resolution(sample, ball, family.min_radius_floor)
             idx = sample.ball_query(ball.center, radius)
             dens = _density_of(sample, idx, radius)
-            det = _flatness_of(sample, idx, ball, 2, COVERING_MULT, grids[radius])
+            det = _flatness_of(sample, idx, ball, grids[radius])
             tilt = _tilt_of(sample, idx, radius, det.plane)
         except (BallBelowResolution, TooFewPoints, DegenerateCloud) as exc:
             report.errors.append(
@@ -782,11 +737,13 @@ def beta_report(
     xi,
     sigma: float,
     floor: float | None = None,
-    refine: int = 1,
 ) -> BetaReport:
     """Tabulate beta^2 over points of the ball and the dyadic scale set.
 
-    The rows of the ball are taken a KD-tree leaf at a time
+    `carleson` discretizes the scale-integrated square function, the double
+    integral of beta^2(y, s) ds/s dmu(y), by the dyadic midpoint rule in
+    log s and the sample's own quadrature in y; `carleson_normalized`
+    divides it by the flat measure pi sigma^2 of the ball.  The rows of the ball are taken a KD-tree leaf at a time
     (`WeightedSurfaceSample.candidate_blocks`), with one candidate set per
     leaf at the largest scale; every smaller ball is the mask ``d2 <= s * s``
     of it.  Entries match one fit per (row, scale) to rtol 1e-12.  A
@@ -800,14 +757,13 @@ def beta_report(
             f"sigma {sigma:.4g} below 4x floor {floor:.4g}"
         )
     xi = np.asarray(xi, dtype=float)
-    scales = carleson_scales(sigma, floor, refine)
+    scales = carleson_scales(sigma, floor)
     idx = sample.ball_query(xi, sigma)
     table = np.zeros((idx.size, scales.size))
     for pos, cand, d2 in sample.candidate_blocks(idx, scales[0]):
         for col, s in enumerate(scales.tolist()):
             table[pos, col] = _beta_rows(sample, cand, d2 <= s * s, s)
-    step = np.log(2.0) / max(refine, 1)
-    value = float((sample.weights[idx][:, None] * table).sum() * step)
+    value = float((sample.weights[idx][:, None] * table).sum() * np.log(2.0))
     m = sample.intrinsic_dim
     return BetaReport(
         center=xi,

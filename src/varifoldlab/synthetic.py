@@ -416,58 +416,3 @@ def _gen_punched_disk(spec: SyntheticSpec):
         },
     )
     return sample, truth
-
-
-# ---------------------------------------------------------------------------
-# closed mesh helper (tests and the mesh curvature path)
-
-
-def icosphere(subdivisions: int = 3, radius: float = 1.0):
-    """Subdivided icosahedron on the sphere of given radius.
-
-    Returns (vertices, faces) with outward orientation.
-    """
-    t = (1.0 + np.sqrt(5.0)) / 2.0
-    verts = np.array(
-        [
-            [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
-            [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
-            [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
-        ],
-        dtype=float,
-    )
-    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    faces = np.array(
-        [
-            [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
-            [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
-            [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
-            [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
-        ],
-        dtype=int,
-    )
-    for _ in range(subdivisions):
-        verts, faces = _subdivide(verts, faces)
-    return verts * radius, faces
-
-
-def _subdivide(verts: np.ndarray, faces: np.ndarray):
-    verts = list(verts)
-    cache: dict = {}
-
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in cache:
-            m = 0.5 * (np.asarray(verts[i]) + np.asarray(verts[j]))
-            m /= np.linalg.norm(m)
-            cache[key] = len(verts)
-            verts.append(m)
-        return cache[key]
-
-    new_faces = []
-    for a, b, c in faces:
-        ab = midpoint(a, b)
-        bc = midpoint(b, c)
-        ca = midpoint(c, a)
-        new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-    return np.asarray(verts), np.asarray(new_faces, dtype=int)

@@ -28,12 +28,12 @@ from varifoldlab.meshing import (
     mesh_edges,
     orient_ccw,
     orientation_dets,
-    structured_disk_mesh,
     triangle_areas,
     vertex_areas,
 )
 from varifoldlab.synthetic import SyntheticSpec, generate
 
+from fixtures import structured_disk_mesh
 from oracles import (
     affine_fit_direct,
     affine_maps_direct,
@@ -862,6 +862,20 @@ class TestCurvatureResiduals:
         )
         with pytest.raises(MissingCurvature):
             conf.curvature_equation_residuals(bare, sparse_field)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            pytest.param(lambda p: np.zeros(3), id="one-vector"),
+            pytest.param(lambda p: np.zeros((len(p), 2)), id="wrong-dimension"),
+            pytest.param(lambda p: np.zeros((len(p) - 1, 3)), id="one-row-short"),
+        ],
+    )
+    def test_misshapen_curvature_callable_raises(self, structured_flat_pp, field):
+        # a (3,) result used to broadcast over every vertex without complaint
+        _, param = structured_flat_pp
+        with pytest.raises(MissingCurvature, match="curvature callable returned shape"):
+            conf.conformal_diagnostics(param, field)
 
     def test_no_curvature_still_reports_gauss(self, structured_flat_pp):
         _, param = structured_flat_pp

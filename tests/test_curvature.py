@@ -20,8 +20,9 @@ from varifoldlab.errors import (
 )
 from varifoldlab.geometry import _QUERY_BLOCK, Ball, WeightedSurfaceSample
 from varifoldlab.meshing import mesh_to_sample
-from varifoldlab.synthetic import SyntheticSpec, generate, icosphere
+from varifoldlab.synthetic import SyntheticSpec, generate
 
+from fixtures import analytic_field, icosphere
 from oracles import curvature_loop, oracle_monotonicity_terms_cap
 
 ORIGIN = np.zeros(3)
@@ -255,7 +256,7 @@ def test_field_refuses_a_sparse_row_like_the_pointwise_estimate():
 
 def test_willmore_flat_zero(flat):
     sample, _ = flat
-    field = cv.analytic_field(sample, np.zeros((len(sample), 3)))
+    field = analytic_field(sample, np.zeros((len(sample), 3)))
     assert cv.willmore_energy(sample, Ball(ORIGIN, 0.5), field) == 0.0
 
 
@@ -312,7 +313,7 @@ def test_cotangent_path_agrees_with_first_variation():
 
 def test_identity_flat_exact(flat):
     sample, _ = flat
-    field = cv.analytic_field(sample, np.zeros((len(sample), 3)))
+    field = analytic_field(sample, np.zeros((len(sample), 3)))
     led = cv.monotonicity_identity(sample, ORIGIN, 0.3, 0.6, field)
     assert led.residual == 0.0
     assert led.density_sigma == pytest.approx(np.pi, rel=0.01)
@@ -323,7 +324,7 @@ def test_identity_flat_exact(flat):
 
 def test_identity_sphere_within_budget(cap12k):
     sample, truth = cap12k
-    analytic = cv.analytic_field(sample, truth.mean_curvature)
+    analytic = analytic_field(sample, truth.mean_curvature)
     led = cv.monotonicity_identity(sample, ORIGIN, 0.3, 0.6, analytic)
     assert abs(led.residual) <= 0.02 * np.pi
     idx = sample.ball_query(ORIGIN, 0.62)
@@ -334,7 +335,7 @@ def test_identity_sphere_within_budget(cap12k):
 
 def test_identity_terms_match_quadrature_oracle(cap12k):
     sample, truth = cap12k
-    field = cv.analytic_field(sample, truth.mean_curvature)
+    field = analytic_field(sample, truth.mean_curvature)
     led = cv.monotonicity_identity(sample, ORIGIN, 0.3, 0.6, field)
     oracle = oracle_monotonicity_terms_cap(10.0, 0.3, 0.6)
     assert led.density_sigma == pytest.approx(oracle["density_sigma"], rel=0.03)
@@ -347,7 +348,7 @@ def test_identity_terms_match_quadrature_oracle(cap12k):
 
 def test_identity_holds_off_surface():
     sample, _ = generate(SyntheticSpec(kind="flat_disk", n_points=8000))
-    field = cv.analytic_field(sample, np.zeros((len(sample), 3)))
+    field = analytic_field(sample, np.zeros((len(sample), 3)))
     led = cv.monotonicity_identity(
         sample, np.array([0.0, 0.0, 0.1]), 0.45, 0.9, field
     )
@@ -360,7 +361,7 @@ def test_identity_residual_halves_under_refinement():
         sample, truth = generate(
             SyntheticSpec(kind="sphere_cap", n_points=n, radius=1.0, sphere_radius=10.0)
         )
-        field = cv.analytic_field(sample, truth.mean_curvature)
+        field = analytic_field(sample, truth.mean_curvature)
         led = cv.monotonicity_identity(sample, ORIGIN, 0.3, 0.6, field)
         residuals.append(abs(led.residual))
     assert residuals[1] <= 0.5 * residuals[0]
@@ -368,7 +369,7 @@ def test_identity_residual_halves_under_refinement():
 
 def test_identity_parameter_validation(flat):
     sample, _ = flat
-    field = cv.analytic_field(sample, np.zeros((len(sample), 3)))
+    field = analytic_field(sample, np.zeros((len(sample), 3)))
     with pytest.raises(ValueError):
         cv.monotonicity_identity(sample, ORIGIN, 0.6, 0.3, field)
     with pytest.raises(BallBelowResolution):
@@ -377,7 +378,7 @@ def test_identity_parameter_validation(flat):
 
 def test_ledger_dict_has_every_term(flat):
     sample, _ = flat
-    field = cv.analytic_field(sample, np.zeros((len(sample), 3)))
+    field = analytic_field(sample, np.zeros((len(sample), 3)))
     led = cv.monotonicity_identity(sample, ORIGIN, 0.3, 0.6, field)
     d = led.to_dict()
     assert set(d) == {
@@ -401,7 +402,7 @@ def test_ledger_dict_has_every_term(flat):
 
 def test_inequality_flat(flat):
     sample, _ = flat
-    field = cv.analytic_field(sample, np.zeros((len(sample), 3)))
+    field = analytic_field(sample, np.zeros((len(sample), 3)))
     for delta in (0.25, 0.5, 1.0):
         lhs, rhs = cv.monotonicity_inequality(sample, ORIGIN, 0.3, 0.6, delta, field)
         assert lhs == pytest.approx(np.pi, rel=0.01)
@@ -411,7 +412,7 @@ def test_inequality_flat(flat):
 
 def test_inequality_sphere_grid_no_violations(cap12k):
     sample, truth = cap12k
-    field = cv.analytic_field(sample, truth.mean_curvature)
+    field = analytic_field(sample, truth.mean_curvature)
     for delta in (0.25, 0.5, 1.0):
         for sigma in (0.2, 0.3, 0.4):
             for rho in (0.5, 0.6, 0.7):
@@ -425,7 +426,7 @@ def test_inequality_sphere_grid_no_violations(cap12k):
 
 def test_inequality_delta_edge_cases(cap):
     sample, truth = cap
-    field = cv.analytic_field(sample, truth.mean_curvature)
+    field = analytic_field(sample, truth.mean_curvature)
     lhs, rhs = cv.monotonicity_inequality(sample, ORIGIN, 0.3, 0.6, 1.0, field)
     assert np.isfinite(lhs) and np.isfinite(rhs)
     for bad in (0.0, 1.5, -0.2):

@@ -17,11 +17,7 @@ from varifoldlab.errors import (
     ToolkitError,
 )
 from varifoldlab import multiscale as ms
-from varifoldlab.curvature import (
-    analytic_field,
-    monotonicity_identity,
-    monotonicity_inequality,
-)
+from varifoldlab.curvature import monotonicity_identity, monotonicity_inequality
 from varifoldlab.geometry import (
     _QUERY_BLOCK,
     Ball,
@@ -29,7 +25,6 @@ from varifoldlab.geometry import (
     WeightedSurfaceSample,
     _canonical_rows,
     _pair_lipschitz,
-    check_projector,
     fit_plane_pca,
     grassmann_bases,
     grassmann_project,
@@ -38,6 +33,7 @@ from varifoldlab.geometry import (
 )
 from varifoldlab.synthetic import SyntheticSpec, generate
 
+from fixtures import analytic_field, check_projector
 from oracles import (
     brute_hausdorff,
     canonical_rows_loop,

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,10 +26,11 @@ from varifoldlab.errors import (
     NoValidPreimage,
     PointOutsideDomain,
     ToolkitError,
+    TooFewPoints,
     UncoveredQuery,
 )
 from varifoldlab.geometry import _QUERY_BLOCK, Ball, WeightedSurfaceSample
-from varifoldlab.multiscale import local_maximal_tilt, resolution_floor
+from varifoldlab.multiscale import build_scale_family, local_maximal_tilt, resolution_floor
 from varifoldlab.synthetic import SyntheticSpec, generate
 
 from oracles import (
@@ -864,9 +866,10 @@ def test_projection_pure_normal_offset(flat_stage):
     assert np.abs(recon - moved.points).max() <= 1e-9
 
 
-def test_projection_with_one_candidate(flat_stage):
+def test_projection_with_one_candidate(monkeypatch, flat_stage):
     _, _, stage = flat_stage
-    tau = ip.project_tau(stage, stage, beta=0.1, candidates=1)
+    monkeypatch.setattr(ip, "TAU_CANDIDATES", 1)
+    tau = ip.project_tau(stage, stage, beta=0.1)
     assert np.array_equal(tau.target_indices, np.arange(len(stage.points)))
     assert np.abs(tau.tangential_residuals).max() == 0.0
 
@@ -964,19 +967,20 @@ def test_distortion_matches_naive_all_pairs():
     rng = np.random.default_rng(5)
     src = rng.uniform(-1.0, 1.0, size=(120, 3))
     tgt = src + 0.05 * np.sin(2.0 * src[:, ::-1])
-    report = ip.distortion_report(src, tgt, pairs=2000)
+    report = ip.distortion_report(src, tgt)
     f_up, f_lo = all_pairs_distortion(src, tgt)
     assert np.allclose(report.f_upper, f_up, rtol=1e-12, atol=1e-12)
     assert np.allclose(report.f_lower, f_lo, rtol=1e-12, atol=1e-12)
 
 
-def test_distortion_at_pair_budget_matches_all_pairs():
+def test_distortion_at_pair_budget_matches_all_pairs(monkeypatch):
     # 600 points at a budget of 600: every pair, over more than one row block
     rng = np.random.default_rng(12)
     src = rng.uniform(-1.0, 1.0, size=(600, 3))
     src[7] = src[3]  # a repeated source point has no quotient with its twin
     tgt = src + 0.05 * np.sin(2.0 * src[:, ::-1])
-    report = ip.distortion_report(src, tgt, pairs=600)
+    monkeypatch.setattr(ip, "DISTORTION_PAIRS", 600)
+    report = ip.distortion_report(src, tgt)
     f_up, f_lo = all_pairs_distortion(src, tgt)
     assert np.allclose(report.f_upper, f_up, rtol=1e-12, atol=1e-12)
     assert np.allclose(report.f_lower, f_lo, rtol=1e-12, atol=1e-12)
@@ -994,22 +998,25 @@ def test_distortion_at_pair_budget_matches_all_pairs():
     )
 
 
-def test_distortion_sampled_partners_match_per_point_loop():
+def test_distortion_sampled_partners_match_per_point_loop(monkeypatch):
     rng = np.random.default_rng(13)
     src = rng.uniform(-1.0, 1.0, size=(400, 3))
     tgt = src + 0.05 * np.sin(2.0 * src[:, ::-1])
-    report = ip.distortion_report(src, tgt, pairs=100, seed=4)
+    monkeypatch.setattr(ip, "DISTORTION_PAIRS", 100)
+    monkeypatch.setattr(ip, "DISTORTION_SEED", 4)
+    report = ip.distortion_report(src, tgt)
     f_up, f_lo = sampled_partner_distortion(src, tgt, pairs=100, seed=4)
     assert np.allclose(report.f_upper, f_up, rtol=1e-12, atol=1e-12)
     assert np.allclose(report.f_lower, f_lo, rtol=1e-12, atol=1e-12)
 
 
-def test_distortion_subsample_tracks_all_pairs():
+def test_distortion_subsample_tracks_all_pairs(monkeypatch):
     rng = np.random.default_rng(5)
     src = rng.uniform(-1.0, 1.0, size=(500, 3))
     tgt = src + 0.05 * np.sin(2.0 * src[:, ::-1])
-    full = ip.distortion_report(src, tgt, pairs=2000)
-    sub = ip.distortion_report(src, tgt, pairs=100)
+    full = ip.distortion_report(src, tgt)
+    monkeypatch.setattr(ip, "DISTORTION_PAIRS", 100)
+    sub = ip.distortion_report(src, tgt)
     assert abs(full.spread - sub.spread) / full.spread <= 0.05
     assert abs(full.lp_upper - sub.lp_upper) / full.lp_upper <= 0.05
 
@@ -1022,15 +1029,59 @@ def test_distortion_equidistant_source_exponents():
     assert report.exponent_inverse == 0.0
 
 
-def test_distortion_sampled_partners_on_fewer_than_nine_points():
+def test_distortion_sampled_partners_on_fewer_than_nine_points(monkeypatch):
     # the 8-neighbor quota exceeds the other points: every pair is used
     rng = np.random.default_rng(14)
     src = rng.uniform(-1.0, 1.0, size=(6, 3))
     tgt = src + 0.05 * np.sin(2.0 * src[:, ::-1])
-    sampled = ip.distortion_report(src, tgt, pairs=3)
-    full = ip.distortion_report(src, tgt, pairs=2000)
+    full = ip.distortion_report(src, tgt)
+    monkeypatch.setattr(ip, "DISTORTION_PAIRS", 3)
+    sampled = ip.distortion_report(src, tgt)
     assert np.array_equal(sampled.f_upper, full.f_upper)
     assert np.array_equal(sampled.f_lower, full.f_lower)
+
+
+_FIFTY = np.random.default_rng(15).uniform(-1.0, 1.0, size=(50, 3))
+_FIFTY_NAN = np.where(np.arange(50)[:, None] == 7, np.nan, _FIFTY)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        # NaN or N copies of one point used to read as a perfect isometry
+        # (spread 1.0), unequal row counts as numpy's broadcasting ValueError
+        pytest.param(
+            lambda: ip.distortion_report(_FIFTY_NAN, _FIFTY), NonFiniteInput, id="nan-source"
+        ),
+        pytest.param(
+            lambda: ip.distortion_report(_FIFTY, _FIFTY_NAN), NonFiniteInput, id="nan-target"
+        ),
+        pytest.param(
+            lambda: ip.distortion_report(np.repeat(_FIFTY[:1], 50, axis=0), _FIFTY),
+            TooFewPoints,
+            id="one-point-repeated",
+        ),
+        pytest.param(
+            lambda: ip.distortion_report(_FIFTY, _FIFTY[:49]),
+            DimensionMismatch,
+            id="row-counts-differ",
+        ),
+        # a 2-d domain center on a 3-d sample used to broadcast
+        pytest.param(
+            lambda: build_scale_family(
+                generate(SyntheticSpec(kind="flat_disk", n_points=300))[0],
+                Ball(np.zeros(2), 1.0),
+                sigma_max=0.5,
+                floor=0.2,
+            ),
+            DimensionMismatch,
+            id="scale-family-center-of-another-dimension",
+        ),
+    ],
+)
+def test_bad_mapped_points_and_centers_raise_toolkit_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -1269,11 +1320,12 @@ def _check_normals_and_projection(stage, sample, source_points, beta, candidates
         beta, candidates,
     )
     source = dataclasses.replace(stage, points=source_points)
-    if np.any(chosen < 0):
-        with pytest.raises(NoValidPreimage):
-            ip.project_tau(source, blended, beta, candidates)
-        return
-    tau = ip.project_tau(source, blended, beta, candidates)
+    with mock.patch.object(ip, "TAU_CANDIDATES", candidates):
+        if np.any(chosen < 0):
+            with pytest.raises(NoValidPreimage):
+                ip.project_tau(source, blended, beta)
+            return
+        tau = ip.project_tau(source, blended, beta)
     assert np.array_equal(tau.target_indices, chosen)
     assert np.abs(tau.tangential_residuals - residuals).max() <= 1e-12
     assert np.array_equal(tau.displacements, source_points - stage.points[chosen])

@@ -1,5 +1,7 @@
 """Multiscale functionals against closed forms and brute-force oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,13 +84,13 @@ def test_density_refuses_sub_resolution_balls(flat):
 
 
 def test_flatness_planar_is_zero(flat):
-    val, plane = ms.reifenberg_flatness(flat, Ball(ORIGIN, 0.3))
-    assert val <= 1e-12
-    assert abs(plane.projector[2, 2]) < 1e-9
+    det = ms.flatness_details(flat, Ball(ORIGIN, 0.3))
+    assert det.value <= 1e-12
+    assert abs(det.plane.projector[2, 2]) < 1e-9
 
 
 def test_flatness_cap_matches_sagitta_and_oracle(cap):
-    val, _ = ms.reifenberg_flatness(cap, Ball(ORIGIN, 0.5))
+    val = ms.flatness_details(cap, Ball(ORIGIN, 0.5)).value
     assert val == pytest.approx(0.025, abs=0.0075)
     assert val == pytest.approx(FLATNESS_CAP_R10_S05, rel=0.15)
 
@@ -98,7 +100,7 @@ def test_flatness_graph_matches_brute_force_oracle():
 
     eps, sigma = 0.1, 0.5
     sample, _ = generate(SyntheticSpec(kind="graph", n_points=5000, eps=eps))
-    val, _ = ms.reifenberg_flatness(sample, Ball(ORIGIN, sigma))
+    val = ms.flatness_details(sample, Ball(ORIGIN, sigma)).value
 
     # dense surface patch and dense plane disks (step well below the height
     # scale), exact bilateral nearest-neighbor distance, minimized over a
@@ -128,7 +130,7 @@ def test_flatness_graph_matches_brute_force_oracle():
 
 def test_flatness_requires_points(flat):
     with pytest.raises(TooFewPoints):
-        ms.reifenberg_flatness(flat, Ball(np.array([5.0, 0.0, 0.0]), 0.3))
+        ms.flatness_details(flat, Ball(np.array([5.0, 0.0, 0.0]), 0.3))
 
 
 def test_flatness_details_error_bar(flat):
@@ -158,7 +160,7 @@ def test_tilt_tilted_reference_closed_form(flat):
 
 
 def test_tilt_cap_matches_quadrature(cap):
-    _, plane = ms.reifenberg_flatness(cap, Ball(ORIGIN, 0.5))
+    plane = ms.flatness_details(cap, Ball(ORIGIN, 0.5)).plane
     val = ms.tilt_excess(cap, Ball(ORIGIN, 0.5), plane)
     assert val == pytest.approx(TILT_CAP_R10_S05, rel=0.05)
 
@@ -256,9 +258,9 @@ def test_beta_empty_ball_raises(flat):
 
 
 def test_carleson_flat_vanishes(flat):
-    val, norm = ms.carleson_sum(flat, ORIGIN, 0.5, floor=0.125)
-    assert val <= 1e-6
-    assert norm <= 1e-6
+    rep = ms.beta_report(flat, ORIGIN, 0.5, floor=0.125)
+    assert rep.carleson <= 1e-6
+    assert rep.carleson_normalized <= 1e-6
 
 
 def test_carleson_decreasing_in_sphere_radius():
@@ -267,12 +269,12 @@ def test_carleson_decreasing_in_sphere_radius():
         cap, _ = generate(
             SyntheticSpec(kind="sphere_cap", n_points=5000, radius=1.0, sphere_radius=R)
         )
-        vals.append(ms.carleson_sum(cap, ORIGIN, 0.5, floor=0.125)[0])
+        vals.append(ms.beta_report(cap, ORIGIN, 0.5, floor=0.125).carleson)
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_carleson_chain_majorant(cap):
-    lhs, _ = ms.carleson_sum(cap, ORIGIN, 0.3, floor=0.075)
+    lhs = ms.beta_report(cap, ORIGIN, 0.3, floor=0.075).carleson
     rhs = ms.carleson_chain_majorant(cap, ORIGIN, 0.3)
     assert lhs <= 1.1 * rhs
     # sphere closed form for the majorant: integrand is 1/(4 R^2)
@@ -281,7 +283,7 @@ def test_carleson_chain_majorant(cap):
 
 
 def test_carleson_floor_halvings_stay_flat(flat):
-    vals = [ms.carleson_sum(flat, ORIGIN, 0.99, floor=f)[0] for f in (0.24, 0.12, 0.06)]
+    vals = [ms.beta_report(flat, ORIGIN, 0.99, floor=f).carleson for f in (0.24, 0.12, 0.06)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-12
     assert all(v <= 1e-6 for v in vals)
@@ -289,7 +291,7 @@ def test_carleson_floor_halvings_stay_flat(flat):
 
 def test_carleson_refuses_small_sigma(flat):
     with pytest.raises(BallBelowResolution):
-        ms.carleson_sum(flat, ORIGIN, 0.4, floor=0.2)
+        ms.beta_report(flat, ORIGIN, 0.4, floor=0.2)
 
 
 # each dyadic scale loop below used to run forever on these inputs
@@ -324,13 +326,6 @@ def test_beta_report_refuses_a_nan_sigma(flat):
 @pytest.mark.parametrize(
     "func, kwargs",
     [
-        pytest.param(ms.build_scale_family, {"net_factor": 0.0}, id="net_factor=0"),
-        pytest.param(ms.build_scale_family, {"net_factor": -1.0}, id="net_factor=-1"),
-        pytest.param(ms.build_scale_family, {"net_factor": np.nan}, id="net_factor=nan"),
-        pytest.param(ms.flatness_details, {"covering_mult": np.nan}, id="covering_mult=nan"),
-        pytest.param(ms.flatness_details, {"covering_mult": np.inf}, id="covering_mult=inf"),
-        pytest.param(ms.flatness_details, {"covering_mult": -0.1}, id="covering_mult=-0.1"),
-        pytest.param(ms.reifenberg_flatness, {"covering_mult": np.nan}, id="reifenberg-nan"),
         pytest.param(ms.caccioppoli_bound_check, {"alpha": -1.0}, id="alpha=-1"),
         pytest.param(ms.caccioppoli_bound_check, {"alpha": np.nan}, id="alpha=nan"),
     ],
@@ -343,8 +338,9 @@ def test_bad_scale_arguments_raise_invalid_scale(flat, func, kwargs):
         func(flat, Ball(ORIGIN, 0.5), **kwargs)
 
 
-def test_zero_covering_mult_scores_the_raw_distance(cap):
-    det = ms.flatness_details(cap, Ball(ORIGIN, 0.3), covering_mult=0.0)
+def test_zero_covering_mult_scores_the_raw_distance(monkeypatch, cap):
+    monkeypatch.setattr(ms, "COVERING_MULT", 0.0)
+    det = ms.flatness_details(cap, Ball(ORIGIN, 0.3))
     assert det.value == det.raw and det.error_bar == 0.0
 
 
@@ -534,7 +530,8 @@ def test_flatness_matches_exhaustive_search_under_rigid_motion(steep_graph, seed
     floor = ms.resolution_floor(moved)
     rng = np.random.default_rng(seed)
     ball = Ball(moved.points[rng.integers(len(moved))], floor + frac * (0.5 - floor))
-    det = ms.flatness_details(moved, ball, refine=refine)
+    with mock.patch.object(ms, "FLATNESS_PASSES", refine):
+        det = ms.flatness_details(moved, ball)
     _assert_same_details(det, flatness_search_loop(moved, ball, refine=refine))
 
 
@@ -715,8 +712,8 @@ def test_rigid_motion_invariance(seed):
     assert ms.jones_beta(moved, t, 0.45) == pytest.approx(
         ms.jones_beta(sample, ORIGIN, 0.45), rel=1e-8
     )
-    a = ms.carleson_sum(sample, ORIGIN, 0.45, floor=0.1125)[0]
-    b = ms.carleson_sum(moved, t, 0.45, floor=0.1125)[0]
+    a = ms.beta_report(sample, ORIGIN, 0.45, floor=0.1125).carleson
+    b = ms.beta_report(moved, t, 0.45, floor=0.1125).carleson
     assert b == pytest.approx(a, rel=1e-8)
 
 

@@ -9,9 +9,9 @@ from varifoldlab.synthetic import (
     disk_lattice,
     generate,
     graph_mean_curvature,
-    icosphere,
 )
 
+from fixtures import icosphere
 from oracles import (
     graph_H_finite_difference,
     hex_lattice_loop,
