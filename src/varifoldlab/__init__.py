@@ -24,7 +24,6 @@ from .geometry import (
     WeightedSurfaceSample,
     fit_plane_pca,
     grassmann_project,
-    hausdorff_distance,
     projector_distance,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "WeightedSurfaceSample",
     "fit_plane_pca",
     "grassmann_project",
-    "hausdorff_distance",
     "projector_distance",
     "__version__",
 ]

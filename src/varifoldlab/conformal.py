@@ -37,17 +37,28 @@ from scipy.spatial.distance import pdist
 from .curvature import CurvatureField
 from .errors import (
     DegenerateTriangle,
+    DimensionMismatch,
     DisconnectedPatch,
     FoldedTriangles,
+    InvalidIndex,
     MissingCurvature,
     NoBoundaryCycle,
+    NonFiniteInput,
     NotDiskTopology,
     NotJordan,
+    PointOutsideDomain,
     RankDeficient,
     SolverSingular,
     TooFewPoints,
 )
-from .geometry import WeightedSurfaceSample, _pair_lipschitz, fit_plane_pca
+from .geometry import (
+    WeightedSurfaceSample,
+    _pair_lipschitz,
+    _require_finite_rows,
+    _require_point,
+    _require_positive,
+    fit_plane_pca,
+)
 from .meshing import (
     angle_defects,
     cotangent_laplacian,
@@ -83,7 +94,6 @@ __all__ = [
     "isoperimetric_check",
     "large_lipschitz_pieces",
     "mobius_reparameterized",
-    "parameter_domain_svg",
     "quasisymmetry_table",
     "refine_disk_patch",
     "semmes_affine_fit",
@@ -201,9 +211,11 @@ class DiskPatch:
         """Wrap an explicit triangle mesh, validating disk topology.
 
         ``plane_coords`` defaults to the first two ambient coordinates.
+        A vertex index outside [0, len(points)) raises InvalidIndex.
         """
         pts = np.asarray(points, dtype=float)
         tris = np.asarray(triangles, dtype=int)
+        _require_vertices(tris, len(pts), "triangle vertex")
         coords = (
             pts[:, :2].copy()
             if plane_coords is None
@@ -240,6 +252,15 @@ class DiskPatch:
             metric_radius=METRIC_RADIUS_MULT * float(spacing),
             sample_rows=np.full(len(pts), -1, dtype=int),
             boundary_chord_arc=_boundary_chord_arc(pts, boundary, sig),
+        )
+
+
+def _require_vertices(idx: np.ndarray, k: int, what: str) -> None:
+    """InvalidIndex naming the first entry of `idx` outside [0, k)."""
+    bad = np.flatnonzero((idx < 0) | (idx >= k))
+    if bad.size:
+        raise InvalidIndex(
+            f"{what} {idx.flat[bad[0]]} is outside the vertices [0, {k})"
         )
 
 
@@ -655,12 +676,15 @@ def waypoint_cycle(patch: DiskPatch, waypoints2) -> np.ndarray:
     anchors; every vertex on a shortest path is nearer its source than the
     path's end, so a path within the reach is the unbounded search's path.
     An anchor whose next anchor lies beyond gets an unbounded search alone.
-    Raises NotJordan (fewer than three anchors, or meeting paths) and
-    DisconnectedPatch (no path between consecutive anchors).
+    Raises NotJordan (fewer than three anchors, or meeting paths),
+    DisconnectedPatch (no path between consecutive anchors) and
+    NonFiniteInput (a waypoint holding NaN or infinity).
     """
+    waypoints2 = np.asarray(waypoints2, dtype=float)
+    _require_finite_rows(waypoints2, "waypoint")
     coords = patch.plane_coords
     tree = cKDTree(coords)
-    idx = tree.query(np.asarray(waypoints2, dtype=float))[1]
+    idx = tree.query(waypoints2)[1]
     anchors = [int(idx[0])]
     for i in idx[1:]:
         if int(i) != anchors[-1]:
@@ -751,8 +775,11 @@ def isoperimetric_check(patch: DiskPatch, cycle) -> float:
     NotJordan
         Repeated vertices, edges longer than the patch graph radius, or a
         self-intersecting polygon.
+    InvalidIndex
+        A cycle vertex outside the patch.
     """
     cyc = np.asarray(cycle, dtype=int)
+    _require_vertices(cyc, len(patch), "cycle vertex")
     if len(cyc) < 3:
         raise NotJordan("cycle needs at least three vertices")
     if len(np.unique(cyc)) != len(cyc):
@@ -982,11 +1009,18 @@ def mobius_reparameterized(
 
     ``z -> e^{i phase} (z - a) / (1 - conj(a) z)`` with ``a`` = center.
     The surface correspondence is unchanged; energy is recomputed (discrete
-    conformal invariance keeps it nearly constant).
+    conformal invariance keeps it nearly constant).  A center that is not
+    one finite point of the open unit disk, or a non-finite phase, is
+    refused.
     """
+    center = _require_point(center, 2, "Moebius center")
+    if not np.isfinite(phase):
+        raise NonFiniteInput(f"Moebius phase {phase} is not finite")
     a = complex(center[0], center[1])
     if abs(a) >= 1.0:
-        raise ValueError("Moebius center must lie inside the unit disk")
+        raise PointOutsideDomain(
+            f"Moebius center {center} does not lie inside the unit disk"
+        )
     z = param.disk_points[:, 0] + 1j * param.disk_points[:, 1]
     z_new = np.exp(1j * phase) * (z - a) / (1.0 - np.conj(a) * z)
     bd = param.boundary_vertices()
@@ -1070,12 +1104,15 @@ def quasisymmetry_table(
     """Quasi-symmetry ratios at the given parameter centers and scales.
 
     Centers snap to their nearest mesh vertices; scales should sit above
-    the mesh resolution.
+    the mesh resolution.  A center holding NaN or infinity raises
+    NonFiniteInput.
     """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    _require_finite_rows(centers, "quasisymmetry center")
     disk = param.disk_points
     f = param.surface_points
     tree = cKDTree(disk)
-    idx = np.atleast_1d(tree.query(np.asarray(centers, dtype=float))[1])
+    idx = tree.query(centers)[1]
     scales = np.asarray(scales, dtype=float)
     values = np.full((len(idx), len(scales)), np.nan)
     for row, c in enumerate(idx):
@@ -1342,14 +1379,25 @@ def bmo_norm(mesh_or_param, values, depth: int = 3) -> float:
     ``values`` is a per-triangle scalar field; means are triangle-area
     weighted.  Returns 0.0 when no square is admissible.
     """
-    vals = np.asarray(values, dtype=float)
+    vals = _per_triangle(mesh_or_param, values, "BMO field")
     return _DyadicLevels(mesh_or_param, depth).bmo(vals)
 
 
 def a2_constant(mesh_or_param, w_values, depth: int = 3) -> float:
     """Sup over admissible dyadic squares of mean(e^{2w}) * mean(e^{-2w})."""
-    w = np.asarray(w_values, dtype=float)
+    w = _per_triangle(mesh_or_param, w_values, "A2 weight field")
     return _DyadicLevels(mesh_or_param, depth).a2(w)
+
+
+def _per_triangle(mesh_or_param, values, what: str) -> np.ndarray:
+    """`values` as one float per triangle, else DimensionMismatch."""
+    vals = np.asarray(values, dtype=float)
+    need = (len(mesh_or_param.triangles),)
+    if vals.shape != need:
+        raise DimensionMismatch(
+            f"{what} has shape {vals.shape}, need one value per triangle {need}"
+        )
+    return vals
 
 
 def inverse_holder_check(param: DiskParameterization, square: DyadicSquare) -> float:
@@ -1561,8 +1609,10 @@ def large_lipschitz_pieces(
     proxy exceeds ``t / scale``, with ``scale`` from the conformal-affine
     fit over the square.  Reports lumped areas of the exceptional set and
     the measured Lipschitz constant of f over pairs of remaining vertices;
-    beyond 1200 of them, 1200 are drawn with seed 0.
+    beyond 1200 of them, 1200 are drawn with seed 0.  A threshold `t` that
+    is not positive and finite raises InvalidScale.
     """
+    _require_positive(t, "threshold t")
     disk = param.disk_points
     tris = param.triangles
     f = param.surface_points
@@ -1607,7 +1657,7 @@ def large_lipschitz_pieces(
 
 
 # ---------------------------------------------------------------------------
-# bundled diagnostics and exports
+# bundled diagnostics
 
 
 @dataclass(eq=False)
@@ -1638,34 +1688,6 @@ class ConformalDiagnostics:
     square_count: int
     psi: float | None
     boundary_chord_arc: float | None
-
-    def to_dict(self) -> dict:
-        def clean(x):
-            if x is None:
-                return None
-            x = float(x)
-            return x if np.isfinite(x) else None
-
-        return {
-            "bmo": clean(self.bmo),
-            "a2": clean(self.a2),
-            "inverse_holder_max": clean(self.inverse_holder_max),
-            "quasisymmetry_max": clean(self.quasisymmetry_max),
-            "mc_residual": clean(self.mc_residual),
-            "mc_residual_absolute": clean(self.mc_residual_absolute),
-            "gauss_residual": clean(self.gauss_residual),
-            "gauss_residual_relative": clean(self.gauss_residual_relative),
-            "frame_energy": clean(self.frame_energy),
-            "energy": clean(self.energy),
-            "image_area": clean(self.image_area),
-            "energy_area_gap": clean(self.energy_area_gap),
-            "max_qc_dilatation": clean(self.max_qc_dilatation),
-            "interior_qc_dilatation": clean(self.interior_qc_dilatation),
-            "pin_error": clean(self.pin_error),
-            "square_count": int(self.square_count),
-            "psi": clean(self.psi),
-            "boundary_chord_arc": clean(self.boundary_chord_arc),
-        }
 
 
 def conformal_diagnostics(
@@ -1723,60 +1745,3 @@ def conformal_diagnostics(
             param.patch.boundary_chord_arc if param.patch is not None else None
         ),
     )
-
-
-_SVG_STOPS = np.array(
-    [
-        (0.267, 0.005, 0.329),
-        (0.229, 0.322, 0.545),
-        (0.127, 0.566, 0.551),
-        (0.369, 0.789, 0.383),
-        (0.993, 0.906, 0.144),
-    ]
-)
-
-
-def _color_hex(t: float) -> str:
-    t = min(max(t, 0.0), 1.0) * (len(_SVG_STOPS) - 1)
-    i = min(int(t), len(_SVG_STOPS) - 2)
-    frac = t - i
-    rgb = (1 - frac) * _SVG_STOPS[i] + frac * _SVG_STOPS[i + 1]
-    return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in rgb)
-
-
-def parameter_domain_svg(
-    param: DiskParameterization, values=None, size: int = 640
-) -> str:
-    """SVG of the parameter-domain mesh, triangles colored by a field.
-
-    ``values`` defaults to the log conformal factor w.
-    """
-    if values is None:
-        values = conformal_factor(param).w
-    values = np.asarray(values, dtype=float)
-    lo = float(values.min())
-    hi = float(values.max())
-    span = hi - lo if hi > lo else 1.0
-    half = size / 2.0
-    scale = half / 1.1
-
-    def to_px(p):
-        return (half + scale * p[0], half - scale * p[1])
-
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<circle cx="{half:.1f}" cy="{half:.1f}" r="{scale:.1f}" '
-        'fill="none" stroke="#888" stroke-width="1"/>',
-    ]
-    disk = param.disk_points
-    for tri, val in zip(param.triangles, values):
-        pts = " ".join(
-            "%.2f,%.2f" % to_px(disk[v]) for v in tri
-        )
-        lines.append(
-            f'<polygon points="{pts}" fill="{_color_hex((val - lo) / span)}" '
-            'stroke="none"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines)

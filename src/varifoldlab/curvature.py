@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     IllConditioned,
     InvalidIndex,
+    InvalidScale,
     MissingCurvature,
     TooFewPoints,
 )
@@ -288,21 +289,6 @@ class MonotonicityLedger:
         scale = max(abs(self.density_sigma), abs(self.density_rho), 1e-300)
         return abs(self.residual) / scale
 
-    def to_dict(self) -> dict:
-        return {
-            "x": [float(v) for v in self.x],
-            "sigma": float(self.sigma),
-            "rho": float(self.rho),
-            "density_sigma": float(self.density_sigma),
-            "density_rho": float(self.density_rho),
-            "curvature_sixteenth": float(self.curvature_sixteenth),
-            "radial_defect": float(self.radial_defect),
-            "pairing_sigma": float(self.pairing_sigma),
-            "pairing_rho": float(self.pairing_rho),
-            "residual": float(self.residual),
-            "residual_relative": float(self.residual_relative),
-        }
-
 
 def _radial_terms(sample, x, idx, field):
     """Per-point r, grad-perp r, and H over the given rows."""
@@ -331,7 +317,7 @@ def monotonicity_identity(
     if floor is None:
         floor = 4.0 * sample.mean_spacing
     if not (0 < sigma < rho):
-        raise ValueError("need 0 < sigma < rho")
+        raise InvalidScale(f"need 0 < sigma < rho, got sigma {sigma} and rho {rho}")
     if sigma < floor:
         raise BallBelowResolution(f"sigma {sigma:.4g} below floor {floor:.4g}")
     x = np.asarray(x, dtype=float)
@@ -382,9 +368,9 @@ def monotonicity_inequality(
     if floor is None:
         floor = 4.0 * sample.mean_spacing
     if not (0 < sigma < rho):
-        raise ValueError("need 0 < sigma < rho")
+        raise InvalidScale(f"need 0 < sigma < rho, got sigma {sigma} and rho {rho}")
     if not (0 < delta <= 1):
-        raise ValueError("need 0 < delta <= 1")
+        raise InvalidScale(f"delta {delta} is outside (0, 1]")
     if sigma < floor:
         raise BallBelowResolution(f"sigma {sigma:.4g} below floor {floor:.4g}")
     x = np.asarray(x, dtype=float)

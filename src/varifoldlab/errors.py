@@ -13,7 +13,7 @@ class ToolkitError(Exception):
 # geometry
 
 
-class EmptyInput(ToolkitError):
+class EmptyInput(ToolkitError, ValueError):
     """An operation received no points or zero total weight."""
 
 
@@ -21,12 +21,9 @@ class DegenerateCloud(ToolkitError):
     """Point cloud has rank below the requested plane dimension."""
 
 
-class DimensionMismatch(ToolkitError):
-    """Operands live in different ambient dimensions."""
-
-
-class EmptySet(ToolkitError):
-    """Set distance requested against an empty set."""
+class DimensionMismatch(ToolkitError, ValueError):
+    """Operands live in different ambient dimensions, or a rank or plane
+    dimension is out of range for them."""
 
 
 class NonFiniteInput(ToolkitError):
@@ -82,8 +79,9 @@ class IllConditioned(ToolkitError):
 # stagewise parameterization
 
 
-class PointOutsideDomain(ToolkitError):
-    """Point lies outside the analysis domain ball."""
+class PointOutsideDomain(ToolkitError, ValueError):
+    """A point or ball lies outside its domain: the analysis domain ball,
+    or the unit disk of a disk Moebius map."""
 
 
 class EmptyFineSet(ToolkitError):
@@ -159,6 +157,3 @@ class NotJordan(ToolkitError):
 class InvalidSpec(ToolkitError):
     """Synthetic surface request is inconsistent."""
 
-
-class NonManifoldMesh(ToolkitError):
-    """Mesh has an edge shared by more than two faces."""

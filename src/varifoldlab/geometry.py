@@ -3,9 +3,9 @@
 Planes are stored as orthonormal bases together with their orthogonal
 projectors; weighted surface samples bundle points, weights, and per-point
 tangent planes with an exact spatial index.  All higher-level analysis
-modules build on the four operations here: weighted PCA plane fitting,
-projector (Frobenius) distances, exact Hausdorff distances, and nearest
-orthogonal projector extraction from a symmetric matrix.
+modules build on the three operations here: weighted PCA plane fitting,
+projector (Frobenius) distances, and nearest orthogonal projector
+extraction from a symmetric matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     EigengapTie,
     EmptyInput,
-    EmptySet,
     InvalidScale,
     NonFiniteInput,
     NonOrthonormalBasis,
@@ -175,9 +174,7 @@ class WeightedSurfaceSample:
             raise DimensionMismatch("tangent basis shape mismatch")
         arrays = {"point": points, "weight": weights, "tangent basis": bases}
         for name, arr in arrays.items():
-            bad = np.flatnonzero(~np.isfinite(arr).reshape(len(arr), -1).all(axis=1))
-            if bad.size:
-                raise NonFiniteInput(f"{name} of row {bad[0]} is not finite")
+            _require_finite_rows(arr, name)
         bad = np.flatnonzero(weights <= 0)
         if bad.size:
             raise NonPositiveWeight(
@@ -315,13 +312,7 @@ class WeightedSurfaceSample:
 # operations
 
 
-def fit_plane_pca(
-    points,
-    weights=None,
-    dim: int = 2,
-    center=None,
-    pin_to_center: bool = False,
-) -> Plane:
+def fit_plane_pca(points, weights=None, dim: int = 2, center=None) -> Plane:
     """Weighted PCA plane through the weighted centroid (or a pinned center).
 
     Parameters
@@ -330,11 +321,9 @@ def fit_plane_pca(
     weights : ndarray or None
         Uniform if None.
     dim : int
-        Plane dimension m.
+        Plane dimension m, from 1 to n.
     center : ndarray or None
-        Reference point; required when pin_to_center is True.
-    pin_to_center : bool
-        If True the plane passes through `center` and second moments are
+        If given, the plane passes through `center` and second moments are
         taken about it; otherwise about the weighted centroid.
 
     Returns
@@ -346,6 +335,10 @@ def fit_plane_pca(
     ------
     EmptyInput
         No points or nonpositive total weight.
+    DimensionMismatch
+        `dim` outside [1, n], or a center that is not one point in R^n.
+    NonFiniteInput
+        A point, weight or the center holds NaN or infinity.
     DegenerateCloud
         Second-moment rank below `dim`.
     """
@@ -353,19 +346,21 @@ def fit_plane_pca(
     if pts.shape[0] == 0:
         raise EmptyInput("no points to fit")
     n = pts.shape[1]
+    if not 1 <= dim <= n:
+        raise DimensionMismatch(f"plane dimension {dim} is outside [1, {n}]")
+    _require_finite_rows(pts, "point")
     if weights is None:
         w = np.ones(pts.shape[0])
     else:
         w = np.asarray(weights, dtype=float)
+        _require_finite_rows(w, "weight")
     total = w.sum()
     if not total > 0:
         raise EmptyInput("total weight is not positive")
-    if pin_to_center:
-        if center is None:
-            raise ValueError("pin_to_center requires a center")
-        origin = np.asarray(center, dtype=float)
-    else:
+    if center is None:
         origin = (w[:, None] * pts).sum(axis=0) / total
+    else:
+        origin = _require_point(center, n, "plane center")
     rel = pts - origin
     cov = (rel * w[:, None]).T @ rel / total
     evals, evecs = np.linalg.eigh(cov)
@@ -374,7 +369,7 @@ def fit_plane_pca(
     evecs = evecs[:, order]
     scale = max(evals[0], 0.0)
     rank_tol = max(scale * 1e-12, 1e-300)
-    if dim > n or evals[dim - 1] <= rank_tol:
+    if evals[dim - 1] <= rank_tol:
         raise DegenerateCloud(
             f"second-moment rank below {dim} (eigenvalues {evals[:dim]})"
         )
@@ -387,6 +382,14 @@ def _require_positive(value, what: str) -> None:
     """Refuse a radius or floor that is not a positive finite number."""
     if not (np.isfinite(value) and value > 0):
         raise InvalidScale(f"{what} {value} is not positive and finite")
+
+
+def _require_finite_rows(arr: np.ndarray, what: str) -> None:
+    """NonFiniteInput naming `what` and the first row of `arr` that holds
+    NaN or infinity."""
+    bad = np.flatnonzero(~np.isfinite(arr).reshape(len(arr), -1).all(axis=1))
+    if bad.size:
+        raise NonFiniteInput(f"{what} of row {bad[0]} is not finite")
 
 
 def _require_point(x, dim: int | None, what: str) -> np.ndarray:
@@ -423,35 +426,6 @@ def projector_distance(p, q) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def hausdorff_distance(a, b) -> float:
-    """Exact bilateral Hausdorff distance between two finite point sets.
-
-    Nearest neighbors come from a KD-tree; the returned value recomputes
-    the distances from coordinates so it is bit-identical to the O(N*M)
-    double loop.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise EmptySet("Hausdorff distance against an empty set")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(f"ambient dims {a.shape[1]} vs {b.shape[1]}")
-    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
-
-
-def _directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    tree = cKDTree(b)
-    _, nn = tree.query(a, k=1)
-    d = np.sqrt(np.sum((a - b[nn]) ** 2, axis=1))
-    # guard against any KD-tree argmin tie resolving to a non-minimal pair:
-    # recompute exact minima for the worst candidates only
-    worst = np.argsort(d)[-min(8, len(d)) :]
-    for i in worst:
-        d2 = np.sum((b - a[i]) ** 2, axis=1)
-        d[i] = np.sqrt(d2.min())
-    return float(d.max())
-
-
 def grassmann_project(matrix, rank: int) -> Plane:
     """Nearest rank-`rank` orthogonal projector to a square matrix.
 
@@ -472,14 +446,16 @@ def grassmann_bases(matrices, rank: int) -> np.ndarray:
     (..., n, n) and the result (..., rank, n) holds, per matrix, the
     orthonormal rows spanning its nearest rank-`rank` projector, with the
     same eigenvalue order and sign convention.  One EigengapTie warning,
-    naming the smallest gap, covers every matrix tied at the cut.
+    naming the smallest gap, covers every matrix tied at the cut.  Raises
+    DimensionMismatch for matrices that are not square or a rank outside
+    [1, n].
     """
     m = np.asarray(matrices, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"need square matrices, got {m.shape}")
     n = m.shape[-1]
     if not 0 < rank <= n:
-        raise ValueError(f"rank {rank} out of range for shape {m.shape}")
+        raise DimensionMismatch(f"rank {rank} out of range for shape {m.shape}")
     sym = 0.5 * (m + np.swapaxes(m, -1, -2))
     evals, evecs = np.linalg.eigh(sym)
     order = np.argsort(evals, axis=-1)[..., ::-1]

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateCloud,
     DimensionMismatch,
     EmptyFineSet,
+    EmptyInput,
     GraphTestFailure,
     NonContraction,
     NonFiniteInput,
@@ -454,29 +455,6 @@ class SmoothedSurfaceStage:
             self._support_balls = [np.array(b, dtype=np.int32) for b in balls]
         return self._support_balls
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "points": self.points.tolist(),
-            "gauge": self.gauge.tolist(),
-            "fine_flags": self.fine_mask.astype(int).tolist(),
-            "patches": [
-                {
-                    "center": c.tolist(),
-                    "basis": b.tolist(),
-                    "gauge": float(g),
-                }
-                for c, b, g in zip(
-                    self.patch_centers, self.patch_bases, self.patch_gauge
-                )
-            ],
-            "graph_lipschitz_max": float(self.graph_lipschitz.max())
-            if self.graph_lipschitz.size
-            else 0.0,
-            "synth_offset_ratio": self.synth_offset_ratio,
-            "overlap_mismatch": self.overlap_mismatch,
-        }
-
 
 def _square_grid(radius: float, step: float, m: int) -> np.ndarray:
     """Integer grid of in-plane coordinates covering a disk, center included."""
@@ -812,14 +790,6 @@ class CorrespondenceMap:
     def displacement_norms(self) -> np.ndarray:
         return np.linalg.norm(self.displacements, axis=1)
 
-    def to_csv_rows(self):
-        header = ["source_idx", "target_idx"] + [
-            f"v{k + 1}" for k in range(self.displacements.shape[1])
-        ]
-        yield header
-        for i, (t, v) in enumerate(zip(self.target_indices, self.displacements)):
-            yield [i, int(t)] + [f"{c:.17g}" for c in v]
-
 
 # Nearest target points scored per source point by `project_tau`.
 TAU_CANDIDATES = 12
@@ -882,9 +852,12 @@ class MissingNormalField(UncoveredQuery):
 
 
 def compose_maps(maps: list[CorrespondenceMap]) -> CorrespondenceMap:
-    """Chain stage maps by index: the step-wise composition, exactly."""
+    """Chain stage maps by index: the step-wise composition, exactly.
+
+    Raises EmptyInput for an empty list.
+    """
     if not maps:
-        raise ValueError("nothing to compose")
+        raise EmptyInput("no stage maps to compose")
     chain = maps[0].target_indices.copy()
     targets = maps[0].target_points.copy()
     residuals = maps[0].tangential_residuals.copy()
@@ -924,22 +897,6 @@ class DistortionReport:
     @property
     def spread(self) -> float:
         return float(self.f_upper.max() / self.f_lower.min())
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "upper_max": float(self.f_upper.max()),
-            "upper_mean": float(self.f_upper.mean()),
-            "lower_min": float(self.f_lower.min()),
-            "lower_mean": float(self.f_lower.mean()),
-            "spread": self.spread,
-            "lp_upper": self.lp_upper,
-            "lp_lower_inverse": self.lp_lower_inverse,
-            "lp_deviation": self.lp_deviation,
-            "exponent_forward": self.exponent_forward,
-            "exponent_inverse": self.exponent_inverse,
-            "pair_budget": self.pair_budget,
-        }
 
 
 # Point count up to which `distortion_report` uses every pair; above it,

@@ -1,4 +1,4 @@
-"""Triangle-mesh utilities: areas, normals, Laplacians, adjacency.
+"""Triangle-mesh utilities: areas, angle defects, Laplacians, adjacency.
 
 Shared by the curvature cross-check path and the disk parameterization.
 Orientation conventions follow the face winding as given; only
@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .errors import DegenerateTriangle, NonManifoldMesh
-from .geometry import WeightedSurfaceSample, complement_frame
+from .errors import DegenerateTriangle
 
 
 def orientation_dets(coords: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -70,16 +69,6 @@ def orient_ccw(coords: np.ndarray, faces: np.ndarray) -> np.ndarray:
     out = f.copy()
     out[flip, 1], out[flip, 2] = f[flip, 2], f[flip, 1]
     return out
-
-
-def face_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    v = np.asarray(vertices, dtype=float)
-    f = np.asarray(faces, dtype=int)
-    cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-    norms = np.linalg.norm(cross, axis=1, keepdims=True)
-    if np.any(norms <= 0):
-        raise DegenerateTriangle("zero-area face")
-    return cross / norms
 
 
 def vertex_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -161,31 +150,3 @@ def mesh_edges(faces: np.ndarray, n_vertices: int):
     )
     edges = np.stack([keys // n_vertices, keys % n_vertices], axis=1)
     return edges, inverse.reshape(f.shape), counts
-
-
-def check_manifold(faces: np.ndarray, n_vertices: int) -> None:
-    """Raise on edges shared by three or more faces."""
-    bad = int(np.sum(mesh_edges(faces, n_vertices)[2] > 2))
-    if bad:
-        raise NonManifoldMesh(f"{bad} edges shared by more than two faces")
-
-
-def mesh_to_sample(vertices: np.ndarray, faces: np.ndarray) -> WeightedSurfaceSample:
-    """Weighted sample at the vertices of a triangle mesh.
-
-    Weights are barycentric vertex areas; tangent planes come from
-    area-weighted averages of incident face normals.
-    """
-    v = np.asarray(vertices, dtype=float)
-    f = np.asarray(faces, dtype=int)
-    check_manifold(f, len(v))
-    areas = triangle_areas(v, f)
-    normals = face_normals(v, f)
-    acc = np.zeros_like(v)
-    for k in range(3):
-        np.add.at(acc, f[:, k], normals * areas[:, None])
-    norms = np.linalg.norm(acc, axis=1, keepdims=True)
-    if np.any(norms <= 0):
-        raise DegenerateTriangle("vertex with cancelling incident normals")
-    n_hat = acc / norms
-    return WeightedSurfaceSample(v, vertex_areas(v, f), complement_frame(n_hat))

@@ -22,8 +22,10 @@ from scipy.spatial import cKDTree
 from .errors import (
     BallBelowResolution,
     DegenerateCloud,
+    DimensionMismatch,
     InvalidScale,
     MissingCurvature,
+    PointOutsideDomain,
     TooFewPoints,
 )
 from .geometry import (
@@ -181,7 +183,7 @@ def _flatness_of(sample, idx, ball, grid) -> FlatnessDetails:
         d2 = max(d2_raw - COVERING_MULT * h, 0.0)
         return max(d1, d2) / sigma, max(d1, d2_raw) / sigma
 
-    best_plane = fit_plane_pca(pts, dim=m, center=center, pin_to_center=True)
+    best_plane = fit_plane_pca(pts, dim=m, center=center)
     best_basis = best_plane.basis
     best_val, best_raw = measure(best_basis, surface_side(best_basis[None])[0])
     step = max(best_raw, 2.0 * h / sigma)
@@ -252,7 +254,15 @@ def _normal_space(basis: np.ndarray) -> np.ndarray:
 def tilt_excess(
     sample: WeightedSurfaceSample, ball: Ball, plane: Plane
 ) -> float:
-    """Scale-normalized integral of squared projector distance to the plane."""
+    """Scale-normalized integral of squared projector distance to the plane.
+
+    Raises DimensionMismatch for a plane in another ambient space than the
+    sample.
+    """
+    if plane.ambient_dim != sample.ambient_dim:
+        raise DimensionMismatch(
+            f"plane in R^{plane.ambient_dim}, sample in R^{sample.ambient_dim}"
+        )
     idx = sample.ball_query(ball.center, ball.radius)
     return _tilt_of(sample, idx, ball.radius, plane)
 
@@ -531,14 +541,21 @@ class ScaleFamily:
     def __post_init__(self):
         radii = np.asarray(self.radii, dtype=float)
         if radii.size == 0 or np.any(np.diff(radii) >= 0):
-            raise ValueError("radii must be strictly decreasing")
+            raise InvalidScale(f"radii {radii} are not strictly decreasing")
         if radii[-1] < self.min_radius_floor:
-            raise ValueError("smallest radius falls below the floor")
+            raise InvalidScale(
+                f"smallest radius {radii[-1]:.4g} falls below the floor "
+                f"{self.min_radius_floor:.4g}"
+            )
         centers = np.asarray(self.centers, dtype=float)
         dom_c = np.asarray(self.domain.center, dtype=float)
         reach = np.linalg.norm(centers - dom_c, axis=1) + radii[0]
-        if np.any(reach > self.domain.radius + 1e-12):
-            raise ValueError("some ball leaves the declared domain")
+        out = np.flatnonzero(reach > self.domain.radius + 1e-12)
+        if out.size:
+            raise PointOutsideDomain(
+                f"ball of center row {out[0]} reaches {reach[out[0]]:.4g} from "
+                f"the domain center, beyond the domain radius {self.domain.radius:.4g}"
+            )
 
     def pairs(self):
         for r in self.radii:
@@ -644,21 +661,6 @@ class ChordArcReport:
             return float("nan")
         return max(b.local_gamma for b in self.balls)
 
-    def to_dict(self) -> dict:
-        return {
-            "balls": [
-                {
-                    "center": [float(v) for v in b.center],
-                    "radius": float(b.radius),
-                    "density": float(b.density_ratio),
-                    "flatness": float(b.flatness),
-                    "tilt": float(b.tilt_excess),
-                }
-                for b in self.balls
-            ],
-            "gamma": float(self.gamma),
-        }
-
 
 def certify_chord_arc(
     sample: WeightedSurfaceSample,
@@ -716,20 +718,6 @@ class BetaReport:
     beta_sq: np.ndarray
     carleson: float
     carleson_normalized: float
-
-    def profile(self) -> np.ndarray:
-        """(scale, mean beta^2) rows for plotting."""
-        return np.stack([self.scales, self.beta_sq.mean(axis=0)], axis=1)
-
-    def to_dict(self) -> dict:
-        return {
-            "center": [float(v) for v in self.center],
-            "sigma": float(self.sigma),
-            "scales": [float(s) for s in self.scales],
-            "carleson": float(self.carleson),
-            "carleson_normalized": float(self.carleson_normalized),
-            "beta_sq_mean": [float(v) for v in self.beta_sq.mean(axis=0)],
-        }
 
 
 def beta_report(

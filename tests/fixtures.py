@@ -1,13 +1,14 @@
-"""Test-only constructors: a structured disk mesh, the icosphere, analytic
-curvature fields and the orthogonal-projector check."""
+"""Test-only constructors: a structured disk mesh, the icosphere, the
+weighted sample at the vertices of a mesh, analytic curvature fields and
+the orthogonal-projector check."""
 
 import numpy as np
 from scipy.spatial import Delaunay
 
 from varifoldlab.curvature import CurvatureField
 from varifoldlab.errors import MissingCurvature
-from varifoldlab.geometry import WeightedSurfaceSample
-from varifoldlab.meshing import orient_ccw, triangle_areas
+from varifoldlab.geometry import WeightedSurfaceSample, complement_frame
+from varifoldlab.meshing import orient_ccw, triangle_areas, vertex_areas
 
 _PROJECTOR_TOL = 1e-10
 
@@ -84,6 +85,23 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray):
         ca = midpoint(c, a)
         new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
     return np.asarray(verts), np.asarray(new_faces, dtype=int)
+
+
+def mesh_to_sample(vertices: np.ndarray, faces: np.ndarray) -> WeightedSurfaceSample:
+    """Weighted sample at the vertices of a closed or bordered surface mesh.
+
+    Weights are barycentric vertex areas; tangent planes come from
+    area-weighted averages of incident face normals, that is from the sum
+    of the incident face cross products.
+    """
+    v = np.asarray(vertices, dtype=float)
+    f = np.asarray(faces, dtype=int)
+    cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    acc = np.zeros_like(v)
+    for k in range(3):
+        np.add.at(acc, f[:, k], cross)
+    n_hat = acc / np.linalg.norm(acc, axis=1, keepdims=True)
+    return WeightedSurfaceSample(v, vertex_areas(v, f), complement_frame(n_hat))
 
 
 def analytic_field(sample: WeightedSurfaceSample, vectors: np.ndarray) -> CurvatureField:

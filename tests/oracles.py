@@ -495,7 +495,6 @@ def reference_plane_loop(sample, x, scale: float) -> Plane:
         weights=sample.weights[idx],
         dim=m,
         center=np.asarray(x, dtype=float),
-        pin_to_center=True,
     )
 
 
@@ -723,7 +722,7 @@ def flatness_search_loop(sample, ball, refine: int = 2, covering_mult: float = 0
                     )
         return out
 
-    best_plane = fit_plane_pca(pts, dim=m, center=center, pin_to_center=True)
+    best_plane = fit_plane_pca(pts, dim=m, center=center)
     best_val, best_raw = measure(best_plane)
     step = max(best_raw, 2.0 * h / sigma)
     for _ in range(max(refine, 0)):

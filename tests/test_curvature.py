@@ -19,10 +19,9 @@ from varifoldlab.errors import (
     TooFewPoints,
 )
 from varifoldlab.geometry import _QUERY_BLOCK, Ball, WeightedSurfaceSample
-from varifoldlab.meshing import mesh_to_sample
 from varifoldlab.synthetic import SyntheticSpec, generate
 
-from fixtures import analytic_field, icosphere
+from fixtures import analytic_field, icosphere, mesh_to_sample
 from oracles import curvature_loop, oracle_monotonicity_terms_cap
 
 ORIGIN = np.zeros(3)
@@ -376,26 +375,6 @@ def test_identity_parameter_validation(flat):
         cv.monotonicity_identity(sample, ORIGIN, 0.01, 0.6, field)
 
 
-def test_ledger_dict_has_every_term(flat):
-    sample, _ = flat
-    field = analytic_field(sample, np.zeros((len(sample), 3)))
-    led = cv.monotonicity_identity(sample, ORIGIN, 0.3, 0.6, field)
-    d = led.to_dict()
-    assert set(d) == {
-        "x",
-        "sigma",
-        "rho",
-        "density_sigma",
-        "density_rho",
-        "curvature_sixteenth",
-        "radial_defect",
-        "pairing_sigma",
-        "pairing_rho",
-        "residual",
-        "residual_relative",
-    }
-
-
 # ---------------------------------------------------------------------------
 # monotonicity inequality
 
@@ -432,6 +411,35 @@ def test_inequality_delta_edge_cases(cap):
     for bad in (0.0, 1.5, -0.2):
         with pytest.raises(ValueError):
             cv.monotonicity_inequality(sample, ORIGIN, 0.3, 0.6, bad, field)
+
+
+# each call below used to raise a bare ValueError
+BAD_SCALE_PAIRS = {
+    "identity_sigma_above_rho": (
+        lambda s, f: cv.monotonicity_identity(s, ORIGIN, 0.6, 0.3, f),
+        "need 0 < sigma < rho, got sigma 0.6 and rho 0.3",
+    ),
+    "identity_nan_sigma": (
+        lambda s, f: cv.monotonicity_identity(s, ORIGIN, np.nan, 0.6, f),
+        "got sigma nan",
+    ),
+    "inequality_sigma_above_rho": (
+        lambda s, f: cv.monotonicity_inequality(s, ORIGIN, 0.6, 0.3, 0.5, f),
+        "need 0 < sigma < rho",
+    ),
+    "inequality_delta_above_one": (
+        lambda s, f: cv.monotonicity_inequality(s, ORIGIN, 0.3, 0.6, 1.5, f),
+        r"delta 1.5 is outside \(0, 1\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCALE_PAIRS))
+def test_bad_scale_pairs_raise_invalid_scale(flat, case):
+    sample, _ = flat
+    call, match = BAD_SCALE_PAIRS[case]
+    with pytest.raises(InvalidScale, match=match):
+        call(sample, analytic_field(sample, np.zeros((len(sample), 3))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Core geometry: plane fitting, projector metrics, set distances."""
+"""Core geometry: plane fitting, projector metrics, the sample container."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from varifoldlab.errors import (
     DimensionMismatch,
     EigengapTie,
     EmptyInput,
-    EmptySet,
     InvalidScale,
     NonFiniteInput,
     NonOrthonormalBasis,
@@ -28,14 +27,12 @@ from varifoldlab.geometry import (
     fit_plane_pca,
     grassmann_bases,
     grassmann_project,
-    hausdorff_distance,
     projector_distance,
 )
 from varifoldlab.synthetic import SyntheticSpec, generate
 
 from fixtures import analytic_field, check_projector
 from oracles import (
-    brute_hausdorff,
     canonical_rows_loop,
     fibonacci_directions,
     grid_min_projector_distance,
@@ -340,10 +337,39 @@ def test_pca_sphere_tangent():
 
 def test_pca_pin_to_center():
     pts = np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]])
-    pinned = fit_plane_pca(pts, dim=2, center=np.zeros(3), pin_to_center=True)
+    pinned = fit_plane_pca(pts, dim=2, center=np.zeros(3))
     assert np.allclose(pinned.basepoint, np.zeros(3))
     free = fit_plane_pca(pts, dim=2)
     assert np.allclose(free.basepoint, [0.0, 0.0, 1.0])
+
+
+GAUSS20 = np.random.default_rng(0).normal(size=(20, 3))
+NAN_ROW_2 = np.where(np.arange(20)[:, None] == 2, np.nan, GAUSS20)
+
+# each call below used to return a 0-row plane, raise numpy's LinAlgError or
+# a bare ValueError, or refuse a plane dimension with the wrong cause
+BAD_RANK_CALLS = {
+    "pca_dim_zero": (lambda: fit_plane_pca(GAUSS20, dim=0), DimensionMismatch, "plane dimension 0"),
+    "pca_dim_above_ambient": (
+        lambda: fit_plane_pca(GAUSS20, dim=4), DimensionMismatch, "plane dimension 4"
+    ),
+    "pca_nan_point": (lambda: fit_plane_pca(NAN_ROW_2), NonFiniteInput, "point of row 2"),
+    "pca_nan_center": (
+        lambda: fit_plane_pca(GAUSS20, center=NAN_ROW_2[2]), NonFiniteInput, "plane center"
+    ),
+    "grassmann_rank_zero": (lambda: grassmann_bases(np.eye(3), 0), DimensionMismatch, "rank 0"),
+    "grassmann_rank_above_size": (
+        lambda: grassmann_project(np.eye(3), rank=4), DimensionMismatch, "rank 4"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RANK_CALLS))
+def test_bad_ranks_and_points_raise_toolkit_errors(case):
+    call, error, match = BAD_RANK_CALLS[case]
+    assert issubclass(error, ToolkitError)
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_pca_degenerate_and_empty():
@@ -417,41 +443,6 @@ def test_projector_distance_triangle_inequality(seed):
     assert projector_distance(a, c) <= (
         projector_distance(a, b) + projector_distance(b, c) + 1e-10
     )
-
-
-# ---------------------------------------------------------------------------
-# hausdorff_distance
-
-
-def test_hausdorff_known_value():
-    a = np.array([[0.0, 0.0], [1.0, 0.0]])
-    b = np.array([[0.0, 0.5]])
-    expected = max(np.hypot(1.0, 0.5), 0.5)
-    assert hausdorff_distance(a, b) == pytest.approx(expected, abs=1e-15)
-
-
-def test_hausdorff_empty():
-    with pytest.raises(EmptySet):
-        hausdorff_distance(np.zeros((0, 2)), np.ones((3, 2)))
-
-
-def test_hausdorff_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        hausdorff_distance(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 10_000),
-    st.integers(1, 500),
-    st.integers(1, 400),
-    st.integers(2, 4),
-)
-def test_hausdorff_equals_brute_force(seed, na, nb, dim):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(na, dim))
-    b = rng.normal(size=(nb, dim))
-    assert hausdorff_distance(a, b) == brute_hausdorff(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varifoldlab import multiscale as ms
-from varifoldlab.errors import BallBelowResolution, InvalidScale, TooFewPoints
+from varifoldlab.errors import (
+    BallBelowResolution,
+    DimensionMismatch,
+    InvalidScale,
+    PointOutsideDomain,
+    ToolkitError,
+    TooFewPoints,
+)
 from varifoldlab.geometry import Ball, Plane, WeightedSurfaceSample, fit_plane_pca
 from varifoldlab.synthetic import SyntheticSpec, generate, graph_height
 
@@ -428,16 +435,6 @@ def test_certify_gamma_monotone_under_family_restriction(flat):
     assert rep_sub.gamma <= rep.gamma + 1e-15
 
 
-def test_report_dict_schema(flat):
-    domain = Ball(ORIGIN, 1.0)
-    fam = ms.build_scale_family(flat, domain, sigma_max=0.5)
-    rep = ms.certify_chord_arc(flat, domain, fam)
-    d = rep.to_dict()
-    assert set(d) == {"balls", "gamma"}
-    assert set(d["balls"][0]) == {"center", "radius", "density", "flatness", "tilt"}
-    assert d["gamma"] == rep.gamma
-
-
 def test_scale_family_validation(flat):
     domain = Ball(ORIGIN, 1.0)
     with pytest.raises(ValueError):
@@ -446,6 +443,43 @@ def test_scale_family_validation(flat):
         ms.ScaleFamily(np.zeros((1, 3)), (0.5, 0.25), 0.3, domain)
     with pytest.raises(ValueError):
         ms.ScaleFamily(np.array([[0.9, 0.0, 0.0]]), (0.5, 0.25), 0.1, domain)
+
+
+
+# each call below used to raise a bare ValueError or numpy's broadcasting
+# ValueError
+BAD_FAMILY_AND_PLANE_CALLS = {
+    "family_radii_increasing": (
+        lambda s: ms.ScaleFamily(np.zeros((1, 3)), (0.25, 0.5), 0.1, Ball(ORIGIN, 1.0)),
+        InvalidScale,
+        "not strictly decreasing",
+    ),
+    "family_radius_below_floor": (
+        lambda s: ms.ScaleFamily(np.zeros((1, 3)), (0.5, 0.25), 0.3, Ball(ORIGIN, 1.0)),
+        InvalidScale,
+        "smallest radius 0.25 falls below the floor 0.3",
+    ),
+    "family_ball_leaves_domain": (
+        lambda s: ms.ScaleFamily(
+            np.array([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0]]), (0.5, 0.25), 0.1, Ball(ORIGIN, 1.0)
+        ),
+        PointOutsideDomain,
+        "center row 1 reaches 1.4",
+    ),
+    "tilt_plane_in_r4": (
+        lambda s: ms.tilt_excess(s, Ball(ORIGIN, 0.4), Plane(basis=np.eye(4)[:2])),
+        DimensionMismatch,
+        r"plane in R\^4, sample in R\^3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FAMILY_AND_PLANE_CALLS))
+def test_bad_families_and_planes_raise_toolkit_errors(flat, case):
+    call, error, match = BAD_FAMILY_AND_PLANE_CALLS[case]
+    assert issubclass(error, ToolkitError)
+    with pytest.raises(error, match=match):
+        call(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +548,7 @@ def test_flatness_tilt_winners_match_exhaustive_search(steep_graph):
         oracle = flatness_search_loop(steep_graph, ball)
         _assert_same_details(ms.flatness_details(steep_graph, ball), oracle)
         idx = steep_graph.ball_query(center, ball.radius)
-        pca = fit_plane_pca(steep_graph.points[idx], center=center, pin_to_center=True)
+        pca = fit_plane_pca(steep_graph.points[idx], center=center)
         tilted += not np.array_equal(pca.basis, oracle[1].basis)
     assert tilted >= 5  # the search moved off the PCA plane on these balls
 
@@ -610,7 +644,7 @@ def test_flatness_in_codimension_two_matches_exhaustive_search(steep_graph):
         oracle = flatness_search_loop(sample, ball)
         _assert_same_details(ms.flatness_details(sample, ball), oracle)
         idx = sample.ball_query(center, ball.radius)
-        pca = fit_plane_pca(sample.points[idx], center=center, pin_to_center=True)
+        pca = fit_plane_pca(sample.points[idx], center=center)
         tilted += not np.array_equal(pca.basis, oracle[1].basis)
     assert tilted >= 1  # passes that run, with 8 candidates each
 
