@@ -211,11 +211,11 @@ class DiskPatch:
         """Wrap an explicit triangle mesh, validating disk topology.
 
         ``plane_coords`` defaults to the first two ambient coordinates.
-        A vertex index outside [0, len(points)) raises InvalidIndex.
+        A vertex index outside [0, len(points)), or not an integer, raises
+        InvalidIndex.
         """
         pts = np.asarray(points, dtype=float)
-        tris = np.asarray(triangles, dtype=int)
-        _require_vertices(tris, len(pts), "triangle vertex")
+        tris = _require_vertices(triangles, len(pts), "triangle vertex")
         coords = (
             pts[:, :2].copy()
             if plane_coords is None
@@ -255,13 +255,29 @@ class DiskPatch:
         )
 
 
-def _require_vertices(idx: np.ndarray, k: int, what: str) -> None:
-    """InvalidIndex naming the first entry of `idx` outside [0, k)."""
+def _require_vertices(idx, k: int, what: str) -> np.ndarray:
+    """`idx` as integer vertex indices in [0, k), else InvalidIndex naming
+    a non-integer dtype or the first entry outside."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise InvalidIndex(f"{what} indices must be integers, got {idx.dtype}")
+    idx = idx.astype(int, copy=False)
     bad = np.flatnonzero((idx < 0) | (idx >= k))
     if bad.size:
         raise InvalidIndex(
             f"{what} {idx.flat[bad[0]]} is outside the vertices [0, {k})"
         )
+    return idx
+
+
+def _plane_points(x, what: str) -> np.ndarray:
+    """`x` as finite (k, 2) parameter-plane points, else DimensionMismatch
+    or NonFiniteInput naming `what`."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 2:
+        raise DimensionMismatch(f"{what}s have shape {x.shape}, need (k, 2)")
+    _require_finite_rows(x, what)
+    return x
 
 
 def _length_graph(points: np.ndarray, edges: np.ndarray) -> sparse.csr_matrix:
@@ -677,11 +693,11 @@ def waypoint_cycle(patch: DiskPatch, waypoints2) -> np.ndarray:
     path's end, so a path within the reach is the unbounded search's path.
     An anchor whose next anchor lies beyond gets an unbounded search alone.
     Raises NotJordan (fewer than three anchors, or meeting paths),
-    DisconnectedPatch (no path between consecutive anchors) and
-    NonFiniteInput (a waypoint holding NaN or infinity).
+    DisconnectedPatch (no path between consecutive anchors),
+    DimensionMismatch (waypoints not of shape (k, 2)) and NonFiniteInput
+    (a waypoint holding NaN or infinity).
     """
-    waypoints2 = np.asarray(waypoints2, dtype=float)
-    _require_finite_rows(waypoints2, "waypoint")
+    waypoints2 = _plane_points(waypoints2, "waypoint")
     coords = patch.plane_coords
     tree = cKDTree(coords)
     idx = tree.query(waypoints2)[1]
@@ -776,10 +792,9 @@ def isoperimetric_check(patch: DiskPatch, cycle) -> float:
         Repeated vertices, edges longer than the patch graph radius, or a
         self-intersecting polygon.
     InvalidIndex
-        A cycle vertex outside the patch.
+        A cycle vertex outside the patch, or not an integer.
     """
-    cyc = np.asarray(cycle, dtype=int)
-    _require_vertices(cyc, len(patch), "cycle vertex")
+    cyc = _require_vertices(cycle, len(patch), "cycle vertex")
     if len(cyc) < 3:
         raise NotJordan("cycle needs at least three vertices")
     if len(np.unique(cyc)) != len(cyc):
@@ -1104,16 +1119,21 @@ def quasisymmetry_table(
     """Quasi-symmetry ratios at the given parameter centers and scales.
 
     Centers snap to their nearest mesh vertices; scales should sit above
-    the mesh resolution.  A center holding NaN or infinity raises
-    NonFiniteInput.
+    the mesh resolution.  Centers that are not (k, 2) points or scales
+    that are not one 1-d array raise DimensionMismatch, a center holding
+    NaN or infinity NonFiniteInput, and a scale that is not positive and
+    finite InvalidScale.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    _require_finite_rows(centers, "quasisymmetry center")
+    centers = _plane_points(np.atleast_2d(centers), "quasisymmetry center")
     disk = param.disk_points
     f = param.surface_points
     tree = cKDTree(disk)
     idx = tree.query(centers)[1]
     scales = np.asarray(scales, dtype=float)
+    if scales.ndim != 1:
+        raise DimensionMismatch(f"quasisymmetry scales have shape {scales.shape}, need (s,)")
+    for s in scales:
+        _require_positive(s, "quasisymmetry scale")
     values = np.full((len(idx), len(scales)), np.nan)
     for row, c in enumerate(idx):
         d = np.linalg.norm(disk - disk[c], axis=1)
@@ -1185,8 +1205,11 @@ def semmes_affine_fit(
     ------
     RankDeficient
         Fewer than three vertices in the disk or degenerate covariance.
+    DimensionMismatch, NonFiniteInput, InvalidScale
+        A center that is not one finite 2-d point, or a bad radius.
     """
-    center = np.asarray(center, dtype=float)
+    center = _require_point(center, 2, "fit center")
+    _require_positive(radius, "fit radius")
     disk = param.disk_points
     sel = np.linalg.norm(disk - center, axis=1) <= radius
     if sel.sum() < 3:
@@ -1263,6 +1286,9 @@ class _Level(NamedTuple):
     admissible: np.ndarray  # per square
 
 
+# Dyadic squares are taken at levels 0..DYADIC_DEPTH (side 2^-depth of the
+# bounding square).
+DYADIC_DEPTH = 3
 # Dyadic squares with fewer triangles than this are skipped.
 MIN_SQUARE_TRIANGLES = 16
 # Dyadic squares whose member triangles cover less than this fraction of the
@@ -1271,7 +1297,7 @@ SQUARE_COVERAGE = 0.9
 
 
 class _DyadicLevels:
-    """Dyadic levels 0..depth over the bounding square of a parameter mesh.
+    """Dyadic levels 0..DYADIC_DEPTH over the bounding square of a mesh.
 
     The one owner of the square rules: a triangle belongs to the square
     holding its centroid, a square is admissible when it holds at least
@@ -1279,7 +1305,7 @@ class _DyadicLevels:
     of its area, and square means are triangle-area weighted.
     """
 
-    def __init__(self, mesh_or_param, depth: int):
+    def __init__(self, mesh_or_param):
         if isinstance(mesh_or_param, DiskParameterization):
             points = mesh_or_param.disk_points
         else:
@@ -1292,7 +1318,7 @@ class _DyadicLevels:
         size = float((hi - lo).max())
         self.origin = 0.5 * (lo + hi) - 0.5 * size
         self.levels = []
-        for d in range(depth + 1):
+        for d in range(DYADIC_DEPTH + 1):
             cells = size / (1 << d)
             ij = np.floor((centroids - self.origin) / cells).astype(int)
             ij = np.clip(ij, 0, (1 << d) - 1)
@@ -1363,30 +1389,30 @@ class _DyadicLevels:
         return self.sup(ratio, 1.0)
 
 
-def dyadic_squares(mesh_or_param, depth: int = 3) -> list:
+def dyadic_squares(mesh_or_param) -> list:
     """Admissible dyadic squares over the mesh bounding square.
 
     Admissible: at least ``MIN_SQUARE_TRIANGLES`` triangle centroids and
     triangle area at least ``SQUARE_COVERAGE`` of the square, which skips
     squares straddling the mesh boundary.
     """
-    return _DyadicLevels(mesh_or_param, depth).squares()
+    return _DyadicLevels(mesh_or_param).squares()
 
 
-def bmo_norm(mesh_or_param, values, depth: int = 3) -> float:
+def bmo_norm(mesh_or_param, values) -> float:
     """Sup over admissible dyadic squares of the mean absolute oscillation.
 
     ``values`` is a per-triangle scalar field; means are triangle-area
     weighted.  Returns 0.0 when no square is admissible.
     """
     vals = _per_triangle(mesh_or_param, values, "BMO field")
-    return _DyadicLevels(mesh_or_param, depth).bmo(vals)
+    return _DyadicLevels(mesh_or_param).bmo(vals)
 
 
-def a2_constant(mesh_or_param, w_values, depth: int = 3) -> float:
+def a2_constant(mesh_or_param, w_values) -> float:
     """Sup over admissible dyadic squares of mean(e^{2w}) * mean(e^{-2w})."""
     w = _per_triangle(mesh_or_param, w_values, "A2 weight field")
-    return _DyadicLevels(mesh_or_param, depth).a2(w)
+    return _DyadicLevels(mesh_or_param).a2(w)
 
 
 def _per_triangle(mesh_or_param, values, what: str) -> np.ndarray:
@@ -1414,10 +1440,10 @@ def inverse_holder_check(param: DiskParameterization, square: DyadicSquare) -> f
     return mean_j / (mean_root * mean_root)
 
 
-def inverse_holder_max(param: DiskParameterization, depth: int = 3) -> float:
+def inverse_holder_max(param: DiskParameterization) -> float:
     """Sup of the inverse-Hoelder ratio over admissible dyadic squares."""
     j = conformal_factor(param).area_factor
-    return _DyadicLevels(param, depth).inverse_holder(j)
+    return _DyadicLevels(param).inverse_holder(j)
 
 
 # ---------------------------------------------------------------------------
@@ -1691,10 +1717,7 @@ class ConformalDiagnostics:
 
 
 def conformal_diagnostics(
-    param: DiskParameterization,
-    curvature=None,
-    *,
-    depth: int = 3,
+    param: DiskParameterization, curvature=None
 ) -> ConformalDiagnostics:
     """Evaluate the full diagnostic battery on one parameterization.
 
@@ -1702,7 +1725,7 @@ def conformal_diagnostics(
     nonzero, otherwise the absolute weighted-L1 value.
     """
     cf = conformal_factor(param)
-    levels = _DyadicLevels(param, depth)
+    levels = _DyadicLevels(param)
     bmo = levels.bmo(cf.w)
     a2 = levels.a2(cf.w)
     ih = levels.inverse_holder(cf.area_factor)

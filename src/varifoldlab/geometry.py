@@ -3,9 +3,9 @@
 Planes are stored as orthonormal bases together with their orthogonal
 projectors; weighted surface samples bundle points, weights, and per-point
 tangent planes with an exact spatial index.  All higher-level analysis
-modules build on the three operations here: weighted PCA plane fitting,
-projector (Frobenius) distances, and nearest orthogonal projector
-extraction from a symmetric matrix.
+modules build on the operations here: weighted PCA plane fitting,
+projector (Frobenius) distances, and nearest orthogonal projectors, all
+principal frames coming from one eigenframe kernel, `_principal_frames`.
 """
 
 from __future__ import annotations
@@ -336,7 +336,8 @@ def fit_plane_pca(points, weights=None, dim: int = 2, center=None) -> Plane:
     EmptyInput
         No points or nonpositive total weight.
     DimensionMismatch
-        `dim` outside [1, n], or a center that is not one point in R^n.
+        `dim` outside [1, n], weights not of shape (N,), or a center that
+        is not one point in R^n.
     NonFiniteInput
         A point, weight or the center holds NaN or infinity.
     DegenerateCloud
@@ -353,6 +354,10 @@ def fit_plane_pca(points, weights=None, dim: int = 2, center=None) -> Plane:
         w = np.ones(pts.shape[0])
     else:
         w = np.asarray(weights, dtype=float)
+        if w.shape != (len(pts),):
+            raise DimensionMismatch(
+                f"weights have shape {w.shape}, need one per point ({len(pts)},)"
+            )
         _require_finite_rows(w, "weight")
     total = w.sum()
     if not total > 0:
@@ -361,21 +366,35 @@ def fit_plane_pca(points, weights=None, dim: int = 2, center=None) -> Plane:
         origin = (w[:, None] * pts).sum(axis=0) / total
     else:
         origin = _require_point(center, n, "plane center")
-    rel = pts - origin
-    cov = (rel * w[:, None]).T @ rel / total
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    scale = max(evals[0], 0.0)
-    rank_tol = max(scale * 1e-12, 1e-300)
-    if evals[dim - 1] <= rank_tol:
+    evals, frame, spans = _principal_frames(_second_moments(pts - origin, w), dim)
+    if not spans:
         raise DegenerateCloud(
             f"second-moment rank below {dim} (eigenvalues {evals[:dim]})"
         )
-    basis = evecs[:, :dim].T
-    basis = _canonical_rows(basis)
-    return Plane(basis=basis, basepoint=origin)
+    return Plane(basis=np.ascontiguousarray(frame[:dim]), basepoint=origin)
+
+
+def _second_moments(rel: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Second moments (rel * w)^T rel / sum(w) of weighted rows about 0."""
+    return (rel * w[:, None]).T @ rel / w.sum()
+
+
+def _principal_frames(matrices: np.ndarray, dim: int):
+    """Eigenframes of a stack (..., n, n) of symmetric matrices.
+
+    Returns ``(evals, frames, spans)``: the eigenvalues in descending order,
+    the eigenvectors as rows in that order (a strided view; callers copy the
+    rows they keep) with the top `dim` in `_canonical_rows` signs, and the
+    mask of matrices whose `dim`-th eigenvalue > max(largest, 0) * 1e-12.
+    """
+    evals, evecs = np.linalg.eigh(matrices)
+    order = np.argsort(evals, axis=-1)[..., ::-1]
+    evals = np.take_along_axis(evals, order, axis=-1)
+    frames = np.swapaxes(np.take_along_axis(evecs, order[..., None, :], axis=-1), -1, -2)
+    top = frames[..., :dim, :]
+    top[...] = _canonical_rows(top.reshape(-1, frames.shape[-1])).reshape(top.shape)
+    rank_tol = np.maximum(np.maximum(evals[..., 0], 0.0) * 1e-12, 1e-300)
+    return evals, frames, evals[..., dim - 1] > rank_tol
 
 
 def _require_positive(value, what: str) -> None:
@@ -387,7 +406,7 @@ def _require_positive(value, what: str) -> None:
 def _require_finite_rows(arr: np.ndarray, what: str) -> None:
     """NonFiniteInput naming `what` and the first row of `arr` that holds
     NaN or infinity."""
-    bad = np.flatnonzero(~np.isfinite(arr).reshape(len(arr), -1).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim))))
     if bad.size:
         raise NonFiniteInput(f"{what} of row {bad[0]} is not finite")
 
@@ -448,7 +467,7 @@ def grassmann_bases(matrices, rank: int) -> np.ndarray:
     same eigenvalue order and sign convention.  One EigengapTie warning,
     naming the smallest gap, covers every matrix tied at the cut.  Raises
     DimensionMismatch for matrices that are not square or a rank outside
-    [1, n].
+    [1, n], and NonFiniteInput for a matrix holding NaN or infinity.
     """
     m = np.asarray(matrices, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -456,11 +475,8 @@ def grassmann_bases(matrices, rank: int) -> np.ndarray:
     n = m.shape[-1]
     if not 0 < rank <= n:
         raise DimensionMismatch(f"rank {rank} out of range for shape {m.shape}")
-    sym = 0.5 * (m + np.swapaxes(m, -1, -2))
-    evals, evecs = np.linalg.eigh(sym)
-    order = np.argsort(evals, axis=-1)[..., ::-1]
-    evals = np.take_along_axis(evals, order, axis=-1)
-    evecs = np.take_along_axis(evecs, order[..., None, :], axis=-1)
+    _require_finite_rows(m.reshape(-1, n * n), "matrix")
+    evals, frames, _ = _principal_frames(0.5 * (m + np.swapaxes(m, -1, -2)), rank)
     if rank < n:
         gap = evals[..., rank - 1] - evals[..., rank]
         tied = gap < _EIGENGAP_TOL
@@ -471,8 +487,7 @@ def grassmann_bases(matrices, rank: int) -> np.ndarray:
                 EigengapTie,
                 stacklevel=3,
             )
-    bases = np.swapaxes(evecs[..., :rank], -1, -2)
-    return _canonical_rows(bases.reshape(-1, n)).reshape(bases.shape)
+    return np.ascontiguousarray(frames[..., :rank, :])
 
 
 def _canonical_rows(basis: np.ndarray) -> np.ndarray:

@@ -35,10 +35,11 @@ from .geometry import (
     Ball,
     Plane,
     WeightedSurfaceSample,
-    _canonical_rows,
     _pair_lipschitz,
+    _principal_frames,
     _require_point,
     _require_positive,
+    _second_moments,
     grassmann_bases,
 )
 from .multiscale import _maximal_tilts, resolution_floor
@@ -179,13 +180,13 @@ def _pinned_planes(sample, cand, centers, inside):
     """Weighted principal planes of a block of balls, each pinned at its center.
 
     `cand` holds sorted sample rows, `centers` (b, n) the ball centers and
-    `inside` (b, K) the ball masks over `cand`.  Each row's covariance is
-    formed alone, over its members in ascending row order, with the
-    arithmetic of `geometry.fit_plane_pca`, so the planes are bit-identical
-    to it: a batched, zero-padded covariance reorders the sums and, where
-    the in-plane eigenvalues tie, turns the in-plane frame (which orients
-    the fill grid of `build_sigma_delta`).  One stacked eigh, the same
-    descending order and rank test, and `_canonical_rows` follow.
+    `inside` (b, K) the ball masks over `cand`.  Each row's second moments
+    are formed alone, over its members in ascending row order, and the
+    block makes one `geometry._principal_frames` call: the arithmetic of
+    `geometry.fit_plane_pca`, shared rather than copied, so the planes are
+    bit-identical to it.  A batched, zero-padded covariance would reorder
+    the sums and, where the in-plane eigenvalues tie, turn the in-plane
+    frame (which orients the fill grid of `build_sigma_delta`).
 
     Returns ``(ok, bases, normals)``: ``ok`` is False for a ball of at most
     m points or of second-moment rank below m, ``bases`` (b, m, n) holds
@@ -199,17 +200,9 @@ def _pinned_planes(sample, cand, centers, inside):
     covs = np.zeros((b, n, n))
     for i in np.flatnonzero(counts > m):
         sel = np.flatnonzero(inside[i])
-        w = wts[sel]
-        rel = pts[sel] - centers[i]
-        covs[i] = (rel * w[:, None]).T @ rel / w.sum()
-    evals, evecs = np.linalg.eigh(covs)
-    order = np.argsort(evals, axis=1)[:, ::-1]
-    evals = np.take_along_axis(evals, order, axis=1)
-    frames = np.take_along_axis(evecs, order[:, None, :], axis=2).transpose(0, 2, 1)
-    rank_tol = np.maximum(np.maximum(evals[:, 0], 0.0) * 1e-12, 1e-300)
-    ok = (counts > m) & (evals[:, m - 1] > rank_tol)
-    bases = _canonical_rows(frames[:, :m].reshape(-1, n)).reshape(b, m, n)
-    return ok, bases, frames[:, m:]
+        covs[i] = _second_moments(pts[sel] - centers[i], wts[sel])
+    _, frames, spans = _principal_frames(covs, m)
+    return (counts > m) & spans, np.ascontiguousarray(frames[:, :m]), frames[:, m:]
 
 
 def extract_fine_set(

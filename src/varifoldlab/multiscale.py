@@ -32,6 +32,7 @@ from .geometry import (
     Ball,
     Plane,
     WeightedSurfaceSample,
+    _principal_frames,
     _require_point,
     _require_positive,
     fit_plane_pca,
@@ -243,6 +244,8 @@ def _tilt_bounds(coords: np.ndarray, normal_coords: np.ndarray, angle: float) ->
 
 
 def _normal_space(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the complement of `basis`: the QR columns
+    of I - B^T B with the n - m largest |R_ii|, in column order."""
     m, n = basis.shape
     proj = np.eye(n) - basis.T @ basis
     q, r = np.linalg.qr(proj)
@@ -342,8 +345,8 @@ def _beta_rows(sample, cand, inside, scale: float) -> np.ndarray:
 
     `cand` holds sorted sample rows and `inside` (b, K) marks the rows of
     each ball.  Points outside a ball weigh zero: weighted centroids and
-    covariances of the whole block, one stacked eigh, and the same rank
-    test as fit_plane_pca.
+    covariances of the whole block, then one `geometry._principal_frames`
+    call gives the planes and the rank test of fit_plane_pca.
     """
     m = sample.intrinsic_dim
     out = np.zeros(len(inside))
@@ -356,11 +359,11 @@ def _beta_rows(sample, cand, inside, scale: float) -> np.ndarray:
     centroid = (w @ pts) / total[:, None]
     rel = pts - centroid[:, None, :]
     cov = (rel * w[..., None]).transpose(0, 2, 1) @ rel / total[:, None, None]
-    evals, evecs = np.linalg.eigh(cov)
-    # eigh sorts ascending: the m-th largest eigenvalue is evals[:, -m]
-    rank_tol = np.maximum(np.maximum(evals[:, -1], 0.0) * 1e-12, 1e-300)
-    spans = evals[:, -m] > rank_tol
-    basis = evecs[:, :, -m:]
+    _, frames, spans = _principal_frames(cov, m)
+    # plane rows in ascending eigenvalue order: the descending order sums
+    # each projection the other way round, which moves beta by up to 1e-14
+    # relative where the heights cancel
+    basis = frames[:, m - 1 :: -1].transpose(0, 2, 1)
     heights = rel - (rel @ basis) @ basis.transpose(0, 2, 1)
     d2 = np.einsum("bki,bki->bk", heights, heights)
     out[fit] = np.where(spans, (w * d2).sum(axis=1) / scale ** (m + 2), 0.0)
@@ -426,11 +429,17 @@ def local_maximal_tilt(
     ball is empty is skipped.  This is the
     one-row case of `_maximal_tilts`: one ball query at r_max, the smaller
     balls as distance masks of it, and the normal frame of `reference` from
-    a complete QR of its basis.  Distances come from the normal frame, so
+    `_normal_space`.  Distances come from the normal frame, so
     they match explicit projector differences to rtol 1e-10, not bit for
     bit.  A non-finite r_max or a floor that is not positive and finite
-    raises `InvalidScale`.
+    raises `InvalidScale`; a reference plane of another dimension or
+    ambient space than the sample's tangent planes `DimensionMismatch`.
     """
+    if reference.basis.shape != sample.tangent_bases.shape[1:]:
+        raise DimensionMismatch(
+            f"reference plane basis {reference.basis.shape}, sample tangent "
+            f"bases {sample.tangent_bases.shape[1:]}"
+        )
     if floor is None:
         floor = resolution_floor(sample)
     _require_scales(r_max, floor)
@@ -439,9 +448,7 @@ def local_maximal_tilt(
             f"r_max {r_max:.4g} below resolution floor {floor:.4g}"
         )
     x = np.asarray(x, dtype=float)
-    basis = reference.basis
-    q, _ = np.linalg.qr(basis.T, mode="complete")
-    normals = q[:, basis.shape[0] :].T
+    normals = _normal_space(reference.basis)
     cand = sample.ball_query(x, r_max)
     d2 = np.square(sample.points[cand] - x).sum(axis=1)
     tilts = _maximal_tilts(

@@ -661,6 +661,26 @@ def canonical_rows_loop(basis: np.ndarray) -> np.ndarray:
     return out
 
 
+def principal_frame_direct(cov: np.ndarray, dim: int):
+    """The single-matrix eigen tail of `fit_plane_pca` before the shared
+    eigenframe kernel, with the rank test returned instead of raised.
+
+    Returns ``(evals, rows, spans)``: eigenvalues in descending order, the
+    eigenvectors as rows in that order with the top `dim` sign-normalized,
+    and whether the `dim`-th eigenvalue passes the 1e-12 relative rank cut.
+    """
+    evals, evecs = np.linalg.eigh(cov)
+    order = np.argsort(evals)[::-1]
+    evals = evals[order]
+    evecs = evecs[:, order]
+    scale = max(evals[0], 0.0)
+    rank_tol = max(scale * 1e-12, 1e-300)
+    spans = not evals[dim - 1] <= rank_tol
+    basis = evecs[:, :dim].T
+    basis = canonical_rows_loop(basis)
+    return evals, np.concatenate([basis, evecs[:, dim:].T]), spans
+
+
 def hex_lattice_loop(radius: float, target_n: int) -> np.ndarray:
     """Triangular disk lattice built one lattice row at a time."""
     h = np.sqrt(2.0 * np.pi * radius * radius / (np.sqrt(3.0) * target_n))

@@ -673,30 +673,33 @@ class TestConformalFactor:
 
 
 class TestDyadicStatistics:
-    def test_checkerboard_exact_values(self, grid_mesh_32):
+    def test_checkerboard_exact_values(self, grid_mesh_32, monkeypatch):
         mesh, pts, tris = grid_mesh_32
         cent = pts[tris].mean(axis=1)
         block = (np.floor(cent[:, 0] * 4) + np.floor(cent[:, 1] * 4)).astype(int) % 2
         w = np.where(block == 1, BMO_TWO_VALUE, -BMO_TWO_VALUE)
         for depth in (0, 3):
-            assert conf.a2_constant(mesh, w, depth) == pytest.approx(
+            monkeypatch.setattr(conf, "DYADIC_DEPTH", depth)
+            assert conf.a2_constant(mesh, w) == pytest.approx(
                 A2_TWO_VALUE, abs=1e-10
             )
-            assert conf.bmo_norm(mesh, w, depth) == pytest.approx(
+            assert conf.bmo_norm(mesh, w) == pytest.approx(
                 BMO_TWO_VALUE, abs=1e-10
             )
 
-    def test_stripe_jacobians_exact_inverse_holder(self):
+    def test_stripe_jacobians_exact_inverse_holder(self, monkeypatch):
         param = stripe_param()
         for depth in (0, 3):
-            assert conf.inverse_holder_max(param, depth) == pytest.approx(
+            monkeypatch.setattr(conf, "DYADIC_DEPTH", depth)
+            assert conf.inverse_holder_max(param) == pytest.approx(
                 IH_TWO_VALUE, abs=1e-10
             )
         one = conf.inverse_holder_check(param, conf.DyadicSquare(0.0, 0.0, 1.0, 0))
         assert one == pytest.approx(IH_TWO_VALUE, abs=1e-10)
         w = conf.conformal_factor(param).w
-        assert conf.a2_constant(param, w, 0) == pytest.approx(A2_TWO_VALUE, abs=1e-10)
-        assert conf.bmo_norm(param, w, 0) == pytest.approx(BMO_TWO_VALUE, abs=1e-10)
+        monkeypatch.setattr(conf, "DYADIC_DEPTH", 0)
+        assert conf.a2_constant(param, w) == pytest.approx(A2_TWO_VALUE, abs=1e-10)
+        assert conf.bmo_norm(param, w) == pytest.approx(BMO_TWO_VALUE, abs=1e-10)
 
     def test_empty_square_raises(self):
         param = stripe_param(n=8)
@@ -712,7 +715,7 @@ class TestDyadicStatistics:
 
     def test_dyadic_squares_are_aligned_and_admissible(self, grid_mesh_32):
         mesh, pts, tris = grid_mesh_32
-        squares = conf.dyadic_squares(mesh, depth=3)
+        squares = conf.dyadic_squares(mesh)
         assert squares
         cent = pts[tris].mean(axis=1)
         areas = np.full(len(tris), 0.5 / 32**2)
@@ -741,21 +744,25 @@ class TestDyadicStatistics:
         mesh = conf.DiskMesh(points=pts, triangles=tris)
         col = np.repeat(np.arange(8), 16)  # triangle column index
         w = np.asarray(vals)[col]
-        a2 = conf.a2_constant(mesh, w, 1)
-        bmo = conf.bmo_norm(mesh, w, 1)
-        assert a2 >= 1.0 - 1e-12
-        assert bmo >= 0.0
-        assert conf.a2_constant(mesh, w + offset, 1) == pytest.approx(a2, rel=1e-9)
-        assert conf.bmo_norm(mesh, w + offset, 1) == pytest.approx(bmo, abs=1e-12)
-        assert conf.bmo_norm(mesh, scale * w, 1) == pytest.approx(
-            scale * bmo, rel=1e-9, abs=1e-12
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conf, "DYADIC_DEPTH", 1)
+            a2 = conf.a2_constant(mesh, w)
+            bmo = conf.bmo_norm(mesh, w)
+            assert a2 >= 1.0 - 1e-12
+            assert bmo >= 0.0
+            assert conf.a2_constant(mesh, w + offset) == pytest.approx(a2, rel=1e-9)
+            assert conf.bmo_norm(mesh, w + offset) == pytest.approx(bmo, abs=1e-12)
+            assert conf.bmo_norm(mesh, scale * w) == pytest.approx(
+                scale * bmo, rel=1e-9, abs=1e-12
+            )
 
     @settings(max_examples=25, deadline=None)
     @given(slopes=st.lists(st.floats(0.2, 3.0), min_size=8, max_size=8))
     def test_inverse_holder_at_least_one(self, slopes):
         param = stripe_param(n=8, slopes=slopes)
-        assert conf.inverse_holder_max(param, 1) >= 1.0 - 1e-12
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conf, "DYADIC_DEPTH", 1)
+            assert conf.inverse_holder_max(param) >= 1.0 - 1e-12
 
     def test_bmo_ordering_matches_log_a2_ordering(self, grid_mesh_32):
         mesh, pts, tris = grid_mesh_32
@@ -770,8 +777,8 @@ class TestDyadicStatistics:
             0.60 * (r2 - r2.mean()),
             0.18 * (cent[:, 0] - 0.5),
         ]
-        bmos = [conf.bmo_norm(mesh, w, 3) for w in fields]
-        log_a2 = [np.log(conf.a2_constant(mesh, w, 3)) for w in fields]
+        bmos = [conf.bmo_norm(mesh, w) for w in fields]
+        log_a2 = [np.log(conf.a2_constant(mesh, w)) for w in fields]
         assert list(np.argsort(bmos)) == list(np.argsort(log_a2))
 
 
@@ -1033,7 +1040,8 @@ class TestDiagnosticsAndExport:
         monkeypatch.setattr(conf, "_affine_maps", counting)
         param = conf.harmonic_disk_param(patch)
         conf.conformal_diagnostics(param)
-        conf.large_lipschitz_pieces(param, conf.dyadic_squares(param, 2)[-1], 2.0)
+        square = [sq for sq in conf.dyadic_squares(param) if sq.depth == 2][-1]
+        conf.large_lipschitz_pieces(param, square, 2.0)
         # one map Jacobian, plus the frame-field gradients of the residuals
         assert built == [3, 6]
         jac, areas = param.jacobian()
@@ -1152,7 +1160,7 @@ class TestKernelOracles:
     def test_lipschitz_pieces_match_oracle(self, kernel_cases):
         for _, param, _ in kernel_cases:
             disk, f = param.disk_points, param.surface_points
-            squares = conf.dyadic_squares(param, 2)
+            squares = conf.dyadic_squares(param)
             for square in [sq for sq in squares if sq.depth == 2][:4]:
                 inside = square_mask_direct(disk, square.x0, square.y0, square.size)
                 assert np.array_equal(square.contains(disk), inside)
@@ -1220,6 +1228,49 @@ BAD_CONFORMAL_CALLS = {
         NonFiniteInput,
         "quasisymmetry center of row 1",
     ),
+    "quasisymmetry_three_coordinate_center": (
+        lambda p: conf.quasisymmetry_table(p, [[0.1, 0.0, 0.0]], (0.1,)),
+        DimensionMismatch,
+        r"quasisymmetry centers have shape \(1, 3\)",
+    ),
+    "quasisymmetry_nan_scale": (
+        lambda p: conf.quasisymmetry_table(p, [[0.1, 0.0]], (0.1, np.nan)),
+        InvalidScale,
+        "quasisymmetry scale nan",
+    ),
+    # used to raise numpy's broadcast ValueError and a TypeError
+    "quasisymmetry_scale_grid": (
+        lambda p: conf.quasisymmetry_table(p, [[0.1, 0.0]], [[0.1, 0.2]]),
+        DimensionMismatch,
+        r"quasisymmetry scales have shape \(1, 2\)",
+    ),
+    "quasisymmetry_scalar_scale": (
+        lambda p: conf.quasisymmetry_table(p, [[0.1, 0.0]], 0.1),
+        DimensionMismatch,
+        r"quasisymmetry scales have shape \(\)",
+    ),
+    "waypoint_three_coordinates": (
+        lambda p: conf.waypoint_cycle(
+            p.patch, [[0.2, 0.0, 0.0], [0.0, 0.2, 0.0], [-0.2, 0.0, 0.0]]
+        ),
+        DimensionMismatch,
+        r"waypoints have shape \(3, 3\)",
+    ),
+    "semmes_three_coordinate_center": (
+        lambda p: conf.semmes_affine_fit(p, [0.0, 0.0, 0.0], 0.3),
+        DimensionMismatch,
+        r"fit center has shape \(3,\)",
+    ),
+    "semmes_nan_radius": (
+        lambda p: conf.semmes_affine_fit(p, [0.0, 0.0], np.nan),
+        InvalidScale,
+        "fit radius nan",
+    ),
+    "isoperimetric_float_indices": (
+        lambda p: conf.isoperimetric_check(p.patch, [0.5, 1.2, 2.7]),
+        InvalidIndex,
+        "cycle vertex indices must be integers, got float64",
+    ),
     "waypoint_nan": (
         lambda p: conf.waypoint_cycle(p.patch, [[0.2, 0.0], NAN_2D, [0.0, 0.2]]),
         NonFiniteInput,
@@ -1244,6 +1295,13 @@ BAD_CONFORMAL_CALLS = {
         lambda p: conf.DiskPatch.from_mesh(*_disk_mesh_past_the_end(False)),
         InvalidIndex,
         "triangle vertex 474",
+    ),
+    "from_mesh_fractional_triangle_indices": (
+        lambda p: conf.DiskPatch.from_mesh(
+            p.patch.points, p.patch.triangles + 0.7
+        ),
+        InvalidIndex,
+        "triangle vertex indices must be integers, got float64",
     ),
     "from_mesh_extra_triangle_past_the_end": (
         lambda p: conf.DiskPatch.from_mesh(*_disk_mesh_past_the_end(True)),

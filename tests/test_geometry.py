@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from varifoldlab.errors import (
     DegenerateCloud,
@@ -24,6 +25,7 @@ from varifoldlab.geometry import (
     WeightedSurfaceSample,
     _canonical_rows,
     _pair_lipschitz,
+    _principal_frames,
     fit_plane_pca,
     grassmann_bases,
     grassmann_project,
@@ -36,6 +38,7 @@ from oracles import (
     canonical_rows_loop,
     fibonacci_directions,
     grid_min_projector_distance,
+    principal_frame_direct,
 )
 
 # frozen oracle constants (tests/oracles.py, scripts/freeze_oracle_values.py)
@@ -347,7 +350,8 @@ GAUSS20 = np.random.default_rng(0).normal(size=(20, 3))
 NAN_ROW_2 = np.where(np.arange(20)[:, None] == 2, np.nan, GAUSS20)
 
 # each call below used to return a 0-row plane, raise numpy's LinAlgError or
-# a bare ValueError, or refuse a plane dimension with the wrong cause
+# a bare (broadcast) ValueError, or refuse a plane dimension with the wrong
+# cause
 BAD_RANK_CALLS = {
     "pca_dim_zero": (lambda: fit_plane_pca(GAUSS20, dim=0), DimensionMismatch, "plane dimension 0"),
     "pca_dim_above_ambient": (
@@ -357,7 +361,29 @@ BAD_RANK_CALLS = {
     "pca_nan_center": (
         lambda: fit_plane_pca(GAUSS20, center=NAN_ROW_2[2]), NonFiniteInput, "plane center"
     ),
+    "pca_weights_one_short": (
+        lambda: fit_plane_pca(GAUSS20, weights=np.ones(19)),
+        DimensionMismatch,
+        r"weights have shape \(19,\)",
+    ),
+    "pca_weights_column": (
+        lambda: fit_plane_pca(GAUSS20, weights=np.ones((20, 1))),
+        DimensionMismatch,
+        r"weights have shape \(20, 1\)",
+    ),
     "grassmann_rank_zero": (lambda: grassmann_bases(np.eye(3), 0), DimensionMismatch, "rank 0"),
+    # used to raise numpy's LinAlgError ("Eigenvalues did not converge")
+    "grassmann_nan_matrix": (
+        lambda: grassmann_project(np.full((3, 3), np.nan), rank=2),
+        NonFiniteInput,
+        "matrix of row 0 is not finite",
+    ),
+    # used to return the span of e3 and e2, missing the infinite e1 direction
+    "grassmann_infinite_entry": (
+        lambda: grassmann_bases(np.stack([np.eye(3), np.diag([np.inf, 1.0, 0.0])]), 2),
+        NonFiniteInput,
+        "matrix of row 1 is not finite",
+    ),
     "grassmann_rank_above_size": (
         lambda: grassmann_project(np.eye(3), rank=4), DimensionMismatch, "rank 4"
     ),
@@ -520,6 +546,44 @@ def test_grassmann_bases_stack_matches_single_calls():
         _w.simplefilter("ignore", EigengapTie)
         single = np.stack([grassmann_project(m, rank=2).basis for m in stack])
     assert np.array_equal(bases, single)
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """(stack, dim): 1-6 symmetric n x n matrices, n in 2..4, dim in 1..n,
+    each general, exactly tied (a permuted diagonal with repeated entries),
+    rank-deficient (C C^T with fewer columns than dim) or negative-definite."""
+    n = draw(st.integers(2, 4))
+    dim = draw(st.integers(1, n))
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        b = draw(arrays(float, (n, n), elements=st.floats(-4.0, 4.0, width=32)))
+        kind = draw(st.sampled_from(["general", "tied", "low_rank", "negative"]))
+        if kind == "general":
+            mats.append(b + b.T)
+        elif kind == "tied":
+            vals = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=n, max_size=n))
+            perm = np.eye(n)[draw(st.permutations(range(n)))]
+            mats.append(perm @ np.diag(vals) @ perm.T)
+        elif kind == "low_rank":
+            c = b[:, : draw(st.integers(0, dim - 1))]
+            mats.append(c @ c.T)
+        else:
+            mats.append(-(b @ b.T) - np.eye(n))
+    return np.stack(mats), dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_stacks())
+def test_principal_frames_match_single_matrix_tail_property(case):
+    stack, dim = case
+    evals, frames, spans = _principal_frames(stack, dim)
+    for k, mat in enumerate(stack):
+        want_evals, want_rows, want_spans = principal_frame_direct(mat, dim)
+        assert np.array_equal(evals[k], want_evals)
+        assert np.array_equal(frames[k], want_rows)
+        assert np.array_equal(np.signbit(frames[k]), np.signbit(want_rows))
+        assert spans[k] == want_spans
 
 
 def test_canonical_rows_matches_row_loop():

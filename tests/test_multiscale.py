@@ -471,6 +471,18 @@ BAD_FAMILY_AND_PLANE_CALLS = {
         DimensionMismatch,
         r"plane in R\^4, sample in R\^3",
     ),
+    # used to raise numpy's reshape ValueError
+    "maximal_tilt_reference_in_r4": (
+        lambda s: ms.local_maximal_tilt(s, ORIGIN, 0.4, Plane(basis=np.eye(4)[:2]), floor=0.1),
+        DimensionMismatch,
+        r"reference plane basis \(2, 4\), sample tangent bases \(2, 3\)",
+    ),
+    # used to return sqrt(2) for a line against a flat disk, whose tilt is 1
+    "maximal_tilt_reference_line": (
+        lambda s: ms.local_maximal_tilt(s, ORIGIN, 0.4, Plane(basis=np.eye(3)[:1]), floor=0.1),
+        DimensionMismatch,
+        r"reference plane basis \(1, 3\), sample tangent bases \(2, 3\)",
+    ),
 }
 
 

@@ -1,7 +1,10 @@
 """Exported names: every ``__all__`` entry resolves, and ``conformal.__all__``
-lists exactly the public classes and functions the module defines."""
+lists exactly the public classes and functions the module defines.  Source
+checks: one module owns the eigenframe kernel, and retired knobs stay gone."""
 
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +27,22 @@ def test_conformal_exports_exactly_its_public_definitions():
         and obj.__module__ == conformal.__name__
     }
     assert sorted(conformal.__all__) == sorted(public)
+
+
+def test_eigh_is_called_only_by_the_geometry_kernel():
+    """Every principal frame comes from `geometry._principal_frames`; a second
+    eigendecomposition elsewhere would copy its order, rank and sign rules."""
+    src = Path(varifoldlab.__file__).parent
+    users = sorted(
+        path.name for path in src.glob("*.py") if re.search(r"\beigh\b", path.read_text())
+    )
+    assert users == ["geometry.py"]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["dyadic_squares", "bmo_norm", "a2_constant", "inverse_holder_max", "conformal_diagnostics"],
+)
+def test_dyadic_depth_is_a_module_constant(name):
+    """Dyadic statistics run to `conformal.DYADIC_DEPTH`; no call sets a depth."""
+    assert "depth" not in inspect.signature(getattr(conformal, name)).parameters
