@@ -143,7 +143,7 @@ class DegenerateTriangle(ToolkitError):
 
 
 class RankDeficient(ToolkitError):
-    """Affine fit requested on rank-deficient data."""
+    """Affine fit or plane basis requested on rank-deficient data."""
 
 
 class NotJordan(ToolkitError):

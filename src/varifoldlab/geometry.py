@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteInput,
     NonOrthonormalBasis,
     NonPositiveWeight,
+    RankDeficient,
 )
 
 # largest entry of |B B^T - I| accepted as an orthonormal basis B
@@ -55,6 +56,11 @@ class Plane:
     basepoint : ndarray, shape (n,) or None
         A point the affine plane passes through; None means linear
         (through the origin).
+
+    Independent rows that are not orthonormal are replaced by the QR
+    orthonormalization of their span.  Raises NonFiniteInput for a basis
+    holding NaN or infinity and RankDeficient for dependent rows (an |R_ii|
+    at most 1e-12 times the largest).
     """
 
     basis: np.ndarray
@@ -62,10 +68,17 @@ class Plane:
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
+        _require_finite_rows(basis, "plane basis")
         gram = basis @ basis.T
         if not np.allclose(gram, np.eye(basis.shape[0]), atol=_ORTHONORMAL_TOL):
             # orthonormalize via QR on the row space
-            q, _ = np.linalg.qr(basis.T)
+            q, r = np.linalg.qr(basis.T)
+            diag = np.abs(np.diag(r))
+            if diag.size < basis.shape[0] or not diag.min() > 1e-12 * diag.max():
+                raise RankDeficient(
+                    f"plane basis of shape {basis.shape} has rank below "
+                    f"{basis.shape[0]}: its rows are linearly dependent"
+                )
             basis = q.T[: basis.shape[0]]
         object.__setattr__(self, "basis", basis)
         if self.basepoint is not None:
@@ -248,6 +261,10 @@ class WeightedSurfaceSample:
         """
         center = _require_point(center, self.ambient_dim, "ball center")
         _require_positive(radius, "ball radius")
+        return self._ball_rows(center, radius)
+
+    def _ball_rows(self, center: np.ndarray, radius: float) -> np.ndarray:
+        """`ball_query` of a center and radius already checked."""
         idx = self.spatial_index.query_ball_point(center, radius)
         return np.sort(np.asarray(idx, dtype=int))
 
@@ -366,7 +383,13 @@ def fit_plane_pca(points, weights=None, dim: int = 2, center=None) -> Plane:
         origin = (w[:, None] * pts).sum(axis=0) / total
     else:
         origin = _require_point(center, n, "plane center")
-    evals, frame, spans = _principal_frames(_second_moments(pts - origin, w), dim)
+    return _pca_plane(pts - origin, w, dim, origin)
+
+
+def _pca_plane(rel: np.ndarray, w: np.ndarray, dim: int, origin: np.ndarray) -> Plane:
+    """`fit_plane_pca` of checked rows `rel`, taken about `origin`, and
+    their weights: the plane through `origin`, or DegenerateCloud."""
+    evals, frame, spans = _principal_frames(_second_moments(rel, w), dim)
     if not spans:
         raise DegenerateCloud(
             f"second-moment rank below {dim} (eigenvalues {evals[:dim]})"
@@ -436,12 +459,16 @@ def _pair_lipschitz(x, y, floor: float) -> float:
 def projector_distance(p, q) -> float:
     """Frobenius distance between two orthogonal projectors.
 
-    Accepts Plane instances or raw (n, n) projector matrices.
+    Accepts Plane instances or raw (n, n) projector matrices.  Raises
+    DimensionMismatch for matrices of different shapes and NonFiniteInput
+    for a matrix holding NaN or infinity.
     """
     a = p.projector if isinstance(p, Plane) else np.asarray(p, dtype=float)
     b = q.projector if isinstance(q, Plane) else np.asarray(q, dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatch(f"projector shapes {a.shape} vs {b.shape}")
+    _require_finite_rows(a, "first projector")
+    _require_finite_rows(b, "second projector")
     return float(np.linalg.norm(a - b))
 
 

@@ -14,6 +14,8 @@ matters.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +34,10 @@ from .geometry import (
     Ball,
     Plane,
     WeightedSurfaceSample,
+    _pca_plane,
     _principal_frames,
     _require_point,
     _require_positive,
-    fit_plane_pca,
 )
 from .synthetic import disk_lattice
 
@@ -184,7 +186,8 @@ def _flatness_of(sample, idx, ball, grid) -> FlatnessDetails:
         d2 = max(d2_raw - COVERING_MULT * h, 0.0)
         return max(d1, d2) / sigma, max(d1, d2_raw) / sigma
 
-    best_plane = fit_plane_pca(pts, dim=m, center=center)
+    # the center-pinned fit_plane_pca of the checked rows
+    best_plane = _pca_plane(rel, np.ones(len(rel)), m, center)
     best_basis = best_plane.basis
     best_val, best_raw = measure(best_basis, surface_side(best_basis[None])[0])
     step = max(best_raw, 2.0 * h / sigma)
@@ -682,35 +685,45 @@ def certify_chord_arc(
     functionals, and balls of one radius share one flatness lattice; the
     results are what density_ratio, flatness_details and tilt_excess give
     on that ball.
+
+    The balls are independent and spend most of their time in KD-tree
+    builds and queries, which release the GIL, so they run on a thread pool
+    with one worker per CPU the process may use; the report keeps family
+    order.  The workers share the sample's cached views, built before the
+    fan-out, and call no public function: a tracer that wraps those sees
+    every call on the calling thread.
     """
-    report = ChordArcReport(floor=family.min_radius_floor)
     grids = {r: _disk_grid(sample, r) for r in family.radii}
-    for center, radius in family.pairs():
-        ball = Ball(center, radius)
+    sample.spatial_index, sample.tangent_projectors  # built before the fan-out
+
+    def one_ball(pair):
+        center, radius = pair
+        ball = Ball(center, radius)  # ScaleFamily keeps radius >= its floor
         try:
-            _require_resolution(sample, ball, family.min_radius_floor)
-            idx = sample.ball_query(ball.center, radius)
+            idx = sample._ball_rows(ball.center, radius)
             dens = _density_of(sample, idx, radius)
             det = _flatness_of(sample, idx, ball, grids[radius])
             tilt = _tilt_of(sample, idx, radius, det.plane)
-        except (BallBelowResolution, TooFewPoints, DegenerateCloud) as exc:
-            report.errors.append(
-                f"ball({np.array2string(np.asarray(center), precision=3)}, "
+        except (TooFewPoints, DegenerateCloud) as exc:
+            return (
+                f"ball({np.array2string(ball.center, precision=3)}, "
                 f"{radius:.4g}): {type(exc).__name__}: {exc}"
             )
-            continue
-        report.balls.append(
-            BallStats(
-                center=np.asarray(center, dtype=float),
-                radius=radius,
-                density_ratio=dens,
-                flatness=det.value,
-                flatness_raw=det.raw,
-                flatness_error=det.error_bar,
-                tilt_excess=tilt,
-                plane=det.plane,
-            )
+        return BallStats(
+            center=ball.center,
+            radius=radius,
+            density_ratio=dens,
+            flatness=det.value,
+            flatness_raw=det.raw,
+            flatness_error=det.error_bar,
+            tilt_excess=tilt,
+            plane=det.plane,
         )
+
+    report = ChordArcReport(floor=family.min_radius_floor)
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        for out in pool.map(one_ball, family.pairs()):
+            (report.errors if isinstance(out, str) else report.balls).append(out)
     return report
 
 

@@ -16,15 +16,17 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
 
+from varifoldlab import multiscale as ms
 from varifoldlab.curvature import _PROFILE_FRACTIONS
 from varifoldlab.errors import (
+    BallBelowResolution,
     DegenerateCloud,
     DisconnectedPatch,
     IllConditioned,
     NotJordan,
     TooFewPoints,
 )
-from varifoldlab.geometry import Plane, fit_plane_pca, grassmann_project
+from varifoldlab.geometry import Ball, Plane, fit_plane_pca, grassmann_project
 from varifoldlab.meshing import angle_defects
 
 # ---------------------------------------------------------------------------
@@ -755,6 +757,41 @@ def flatness_search_loop(sample, ball, refine: int = 2, covering_mult: float = 0
         if not improved:
             step /= 2.0
     return best_val, best_plane, best_raw, covering_mult * h / sigma
+
+
+def certify_loop(sample, family):
+    """`multiscale.certify_chord_arc` as the serial loop it replaced: one
+    ball after another on the calling thread, each through the public
+    `ball_query`, with the same per-ball kernels."""
+    report = ms.ChordArcReport(floor=family.min_radius_floor)
+    grids = {r: ms._disk_grid(sample, r) for r in family.radii}
+    for center, radius in family.pairs():
+        ball = Ball(center, radius)
+        try:
+            ms._require_resolution(sample, ball, family.min_radius_floor)
+            idx = sample.ball_query(ball.center, radius)
+            dens = ms._density_of(sample, idx, radius)
+            det = ms._flatness_of(sample, idx, ball, grids[radius])
+            tilt = ms._tilt_of(sample, idx, radius, det.plane)
+        except (BallBelowResolution, TooFewPoints, DegenerateCloud) as exc:
+            report.errors.append(
+                f"ball({np.array2string(np.asarray(center), precision=3)}, "
+                f"{radius:.4g}): {type(exc).__name__}: {exc}"
+            )
+            continue
+        report.balls.append(
+            ms.BallStats(
+                center=np.asarray(center, dtype=float),
+                radius=radius,
+                density_ratio=dens,
+                flatness=det.value,
+                flatness_raw=det.raw,
+                flatness_error=det.error_bar,
+                tilt_excess=tilt,
+                plane=det.plane,
+            )
+        )
+    return report
 
 
 def beta_table_loop(sample, rows, scales) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, cKDTree
 
 from varifoldlab import conformal as conf
@@ -28,6 +29,7 @@ from varifoldlab.errors import (
 )
 from varifoldlab.geometry import WeightedSurfaceSample
 from varifoldlab.meshing import (
+    cotangent_laplacian,
     mesh_edges,
     orient_ccw,
     orientation_dets,
@@ -596,6 +598,20 @@ class TestHarmonicParam:
     def test_extracted_cap_matches_stereographic_map(self, cap_extracted):
         _, patch, param = cap_extracted
         assert cap_map_error(param, patch) <= 1.5e-2
+
+    @pytest.mark.parametrize("case", ["flat_pp", "cap_extracted"])
+    def test_symmetric_mode_solve_matches_default_splu(self, request, case):
+        patch = request.getfixturevalue(case)[-2]
+        n, bd = len(patch.points), patch.boundary
+        theta = np.linspace(0.0, 2.0 * np.pi, len(bd), endpoint=False)
+        circle = np.c_[np.cos(theta), np.sin(theta)]
+        interior = np.setdiff1d(np.arange(n), bd)
+        lap = cotangent_laplacian(patch.points, patch.triangles)
+        out = conf._solve_trace(lap, bd, circle, interior, n)
+        rows = lap[interior]
+        ref = splu((-rows[:, interior]).tocsc()).solve(np.asarray(rows[:, bd] @ circle))
+        assert np.array_equal(out[bd], circle)
+        np.testing.assert_allclose(out[interior], ref, rtol=1e-11, atol=1e-11)
 
     def test_mobius_reparameterization_preserves_energy(self, flat_pp):
         _, param = flat_pp

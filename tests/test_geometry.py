@@ -14,6 +14,7 @@ from varifoldlab.errors import (
     NonFiniteInput,
     NonOrthonormalBasis,
     NonPositiveWeight,
+    RankDeficient,
     ToolkitError,
 )
 from varifoldlab import multiscale as ms
@@ -74,6 +75,29 @@ def test_plane_roundtrip_coordinates():
 def test_plane_basepoint_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Plane(basis=np.eye(3)[:2], basepoint=np.zeros(4))
+
+
+# each basis below used to be replaced by the xy-plane without a word
+@pytest.mark.parametrize(
+    "basis, error, match",
+    [
+        ([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], RankDeficient, r"rank below 2"),
+        ([[0.0, 0.0, 0.0]], RankDeficient, r"rank below 1"),
+        ([[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0]], NonFiniteInput, "^plane basis of row 1"),
+        ([[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]], NonFiniteInput, "^plane basis of row 1"),
+    ],
+    ids=["repeated_row", "zero_row", "nan", "inf"],
+)
+def test_plane_refuses_a_basis_that_spans_no_plane(basis, error, match):
+    assert issubclass(error, ToolkitError)
+    with pytest.raises(error, match=match):
+        Plane(basis=basis)
+
+
+def test_plane_orthonormalizes_a_full_rank_basis():
+    raw = np.array([[2.0, 0.0, 0.0], [1.0, 1e-3, 0.0]])
+    q, _ = np.linalg.qr(raw.T)
+    assert np.array_equal(Plane(basis=raw).basis, q.T)
 
 
 def test_ball_requires_positive_radius():
@@ -458,6 +482,14 @@ def test_projector_distance_orthogonal_complements():
 def test_projector_distance_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         projector_distance(Plane(basis=np.eye(3)[:2]), Plane(basis=np.eye(4)[:2]))
+
+
+def test_projector_distance_refuses_non_finite_matrices():
+    # used to return NaN
+    with pytest.raises(NonFiniteInput, match="^second projector of row 0 is not finite"):
+        projector_distance(np.eye(3), np.full((3, 3), np.nan))
+    with pytest.raises(NonFiniteInput, match="^first projector of row 2 is not finite"):
+        projector_distance(np.diag([1.0, 1.0, np.inf]), Plane(basis=np.eye(3)[:2]))
 
 
 @settings(max_examples=50, deadline=None)

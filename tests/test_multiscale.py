@@ -1,5 +1,10 @@
 """Multiscale functionals against closed forms and brute-force oracles."""
 
+import inspect
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -19,7 +24,13 @@ from varifoldlab.errors import (
 from varifoldlab.geometry import Ball, Plane, WeightedSurfaceSample, fit_plane_pca
 from varifoldlab.synthetic import SyntheticSpec, generate, graph_height
 
-from oracles import beta_table_loop, flatness_search_loop, grid_beta_m1, grid_beta_m2
+from oracles import (
+    beta_table_loop,
+    certify_loop,
+    flatness_search_loop,
+    grid_beta_m1,
+    grid_beta_m2,
+)
 
 # frozen quadrature / closed-form values (tests/oracles.py, frozen_constants)
 TILT_CLOSED_FORM = 0.0626226926148593  # 2 pi sin^2(0.1)
@@ -542,6 +553,87 @@ def test_certify_balls_match_exhaustive_search(spec):
         assert b.density_ratio == ms.density_ratio(sample, ball, floor=fam.min_radius_floor)
         assert b.tilt_excess == ms.tilt_excess(sample, ball, b.plane)
         _assert_same_details(ms.flatness_details(sample, ball), (value, plane, raw, error_bar))
+
+
+def _error_family():
+    """The `_beta_sample` cap with its collinear run and isolated pair: at
+    every radius their balls hold only themselves, one DegenerateCloud and
+    one TooFewPoints error each."""
+    sample, _ = _beta_sample()
+    domain = Ball(ORIGIN, 1.0)
+    return sample, domain, ms.build_scale_family(sample, domain, sigma_max=0.4, floor=0.2)
+
+
+def _assert_same_report(rep, oracle):
+    assert rep.floor == oracle.floor
+    assert rep.errors == oracle.errors
+    assert len(rep.balls) == len(oracle.balls)
+    for b, o in zip(rep.balls, oracle.balls):
+        assert np.array_equal(b.center, o.center) and b.radius == o.radius
+        assert (b.density_ratio, b.flatness, b.flatness_raw, b.flatness_error, b.tilt_excess) == (
+            o.density_ratio, o.flatness, o.flatness_raw, o.flatness_error, o.tilt_excess
+        )
+        assert np.array_equal(b.plane.basis, o.plane.basis)
+        assert np.array_equal(b.plane.basepoint, o.plane.basepoint)
+
+
+@pytest.mark.parametrize("cpus", [None, 1], ids=["all_cpus", "one_cpu"])
+def test_certify_matches_serial_loop_with_ball_errors(monkeypatch, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    workers = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(ms, "ThreadPoolExecutor", Pool)
+    sample, domain, fam = _error_family()
+    rep = ms.certify_chord_arc(sample, domain, fam)
+    assert workers == [len(os.sched_getaffinity(0))]
+    assert len(rep.errors) == 2 * len(fam.radii)
+    assert {e.split(": ")[1] for e in rep.errors} == {"DegenerateCloud", "TooFewPoints"}
+    _assert_same_report(rep, certify_loop(sample, fam))
+
+
+def test_certify_enters_no_public_function_off_the_calling_thread(monkeypatch):
+    """A tracer that wraps the public functions, `ball_query` and the
+    `spatial_index` build keeps one span stack, so all of them must run on
+    the thread that calls certify_chord_arc."""
+    threads = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            threads.append((fn.__qualname__, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    sample, domain, fam = _error_family()
+    spied = {}
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("varifoldlab."):
+            for attr, obj in list(vars(mod).items()):
+                if inspect.isfunction(obj) and not attr.startswith("_"):
+                    spied.setdefault(obj, spy(obj))
+                    monkeypatch.setattr(mod, attr, spied[obj])
+    cls = WeightedSurfaceSample
+    monkeypatch.setattr(cls, "ball_query", spy(cls.ball_query))
+    index = cls.spatial_index.fget
+    build = spy(index)
+    monkeypatch.setattr(
+        cls, "spatial_index", property(lambda s: build(s) if s._tree is None else index(s))
+    )
+    before = threading.active_count()
+    ms.certify_chord_arc(sample, domain, fam)
+    assert threading.active_count() == before
+    names = {name for name, _ in threads}
+    assert {"WeightedSurfaceSample.spatial_index", "disk_lattice"} <= names
+    # the balls take their rows from _ball_rows and their PCA plane from
+    # _pca_plane: neither public entry point runs at all
+    assert not names & {"WeightedSurfaceSample.ball_query", "fit_plane_pca"}
+    assert {ident for _, ident in threads} == {threading.get_ident()}
 
 
 @pytest.fixture(scope="module")
