@@ -40,7 +40,6 @@ from .errors import (
     DimensionMismatch,
     DisconnectedPatch,
     FoldedTriangles,
-    InvalidIndex,
     MissingCurvature,
     NoBoundaryCycle,
     NonFiniteInput,
@@ -55,6 +54,7 @@ from .geometry import (
     WeightedSurfaceSample,
     _pair_lipschitz,
     _require_finite_rows,
+    _require_indices,
     _require_point,
     _require_positive,
     fit_plane_pca,
@@ -67,6 +67,7 @@ from .meshing import (
     orientation_dets,
     triangle_areas,
     vertex_areas,
+    vertex_sums,
 )
 
 __all__ = [
@@ -135,14 +136,11 @@ class DiskPatch:
         ``(1 - psi) * sigma`` of the center is a patch vertex.
     spacing : float
         Mean sample spacing at extraction time.
-    metric_radius : float
-        Neighborhood-graph radius for intrinsic shortest paths.
     sample_rows : ndarray
         Source sample row per vertex, -1 for vertices created later
         (e.g. by refinement).
-    boundary_chord_arc : float
-        Measured constant C in  minor-arc(x, y) <= C sqrt(sigma |x - y|)
-        over boundary pairs.
+
+    ``metric_radius`` and ``boundary_chord_arc`` are derived on read.
     """
 
     points: np.ndarray
@@ -155,14 +153,26 @@ class DiskPatch:
     sigma: float
     psi: float
     spacing: float
-    metric_radius: float
     sample_rows: np.ndarray
-    boundary_chord_arc: float
     _skeleton: sparse.csr_matrix | None = field(default=None, repr=False)
     _metric: sparse.csr_matrix | None = field(default=None, repr=False)
+    _chord_arc: float | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def metric_radius(self) -> float:
+        """Neighborhood-graph radius for intrinsic shortest paths."""
+        return METRIC_RADIUS_MULT * self.spacing
+
+    @property
+    def boundary_chord_arc(self) -> float:
+        """Measured constant C in  minor-arc(x, y) <= C sqrt(sigma |x - y|)
+        over boundary pairs, computed on first read."""
+        if self._chord_arc is None:
+            self._chord_arc = _boundary_chord_arc(self.points, self.boundary, self.sigma)
+        return self._chord_arc
 
     @property
     def n_triangles(self) -> int:
@@ -212,62 +222,48 @@ class DiskPatch:
 
         ``plane_coords`` defaults to the first two ambient coordinates.
         A vertex index outside [0, len(points)), or not an integer, raises
-        InvalidIndex.
+        InvalidIndex, a non-finite point, plane coordinate or center
+        NonFiniteInput, plane coordinates not of shape (len(points), 2) or a
+        center not in the points' space DimensionMismatch, and a radius or
+        spacing that is not positive and finite InvalidScale.
         """
         pts = np.asarray(points, dtype=float)
-        tris = _require_vertices(triangles, len(pts), "triangle vertex")
-        coords = (
-            pts[:, :2].copy()
-            if plane_coords is None
-            else np.asarray(plane_coords, dtype=float)
-        )
+        _require_finite_rows(pts, "patch point")
+        tris = _require_indices(triangles, len(pts), "triangle vertex", "vertices")
+        if plane_coords is None:
+            coords = pts[:, :2].copy()
+        else:
+            coords = _plane_points(plane_coords, "plane coordinate")
+            if len(coords) != len(pts):
+                raise DimensionMismatch(
+                    f"{len(coords)} plane coordinates for {len(pts)} points"
+                )
         tris, boundary = _disk_complex(coords, tris, len(pts))
-        ctr = (
-            pts.mean(axis=0) if center is None else np.asarray(center, dtype=float)
-        )
-        sig = (
-            float(np.linalg.norm(pts - ctr, axis=1).max())
-            if sigma is None
-            else float(sigma)
-        )
+        if center is None:
+            ctr = pts.mean(axis=0)
+        else:
+            ctr = _require_point(center, pts.shape[1], "patch center")
+        sig = float(np.linalg.norm(pts - ctr, axis=1).max() if sigma is None else sigma)
+        _require_positive(sig, "patch radius")
         if spacing is None:
             seg = pts[tris[:, 1]] - pts[tris[:, 0]]
             spacing = float(np.median(np.linalg.norm(seg, axis=1)))
+        _require_positive(spacing, "patch spacing")
         bd_r = np.linalg.norm(pts[boundary] - ctr, axis=1)
-        psi = float(np.clip(1.0 - bd_r.min() / sig, 0.0, 1.0)) if sig > 0 else 0.0
-        basis = np.zeros((2, pts.shape[1]))
-        basis[0, 0] = 1.0
-        basis[1, 1] = 1.0
+        psi = float(np.clip(1.0 - bd_r.min() / sig, 0.0, 1.0))
         return cls(
             points=pts,
             triangles=tris,
             boundary=boundary,
             plane_coords=coords,
-            plane_basis=basis,
+            plane_basis=np.eye(2, pts.shape[1]),
             plane_origin=np.zeros(pts.shape[1]),
             center=ctr,
             sigma=sig,
             psi=psi,
             spacing=float(spacing),
-            metric_radius=METRIC_RADIUS_MULT * float(spacing),
             sample_rows=np.full(len(pts), -1, dtype=int),
-            boundary_chord_arc=_boundary_chord_arc(pts, boundary, sig),
         )
-
-
-def _require_vertices(idx, k: int, what: str) -> np.ndarray:
-    """`idx` as integer vertex indices in [0, k), else InvalidIndex naming
-    a non-integer dtype or the first entry outside."""
-    idx = np.asarray(idx)
-    if idx.size and idx.dtype.kind not in "iu":
-        raise InvalidIndex(f"{what} indices must be integers, got {idx.dtype}")
-    idx = idx.astype(int, copy=False)
-    bad = np.flatnonzero((idx < 0) | (idx >= k))
-    if bad.size:
-        raise InvalidIndex(
-            f"{what} {idx.flat[bad[0]]} is outside the vertices [0, {k})"
-        )
-    return idx
 
 
 def _plane_points(x, what: str) -> np.ndarray:
@@ -384,15 +380,21 @@ def _disk_complex(coords: np.ndarray, tris: np.ndarray, n_vertices: int):
     return tris, boundary
 
 
+def _cycle_arcs(points: np.ndarray):
+    """Edge lengths of the closed polygon through `points` (edge i from
+    point i to the next, the last back to the first), the arc length from
+    the first point to each point, and the total length."""
+    seg = np.linalg.norm(np.roll(points, -1, axis=0) - points, axis=1)
+    return seg, np.concatenate([[0.0], np.cumsum(seg)[:-1]]), float(seg.sum())
+
+
 def _boundary_chord_arc(
     points: np.ndarray, boundary: np.ndarray, sigma: float, max_samples: int = 256
 ) -> float:
     bp = points[boundary]
-    seg = np.linalg.norm(np.roll(bp, -1, axis=0) - bp, axis=1)
-    total = float(seg.sum())
+    _, cum, total = _cycle_arcs(bp)
     if total <= 0 or sigma <= 0:
         return 0.0
-    cum = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
     if len(bp) > max_samples:
         sel = np.linspace(0, len(bp) - 1, max_samples).astype(int)
         bp = bp[sel]
@@ -507,9 +509,7 @@ def extract_disk_patch(
         sigma=float(sigma),
         psi=psi,
         spacing=spacing,
-        metric_radius=METRIC_RADIUS_MULT * spacing,
         sample_rows=rows[used],
-        boundary_chord_arc=_boundary_chord_arc(patch_pts, boundary, sigma),
     )
 
 
@@ -595,9 +595,7 @@ def refine_disk_patch(
         sigma=patch.sigma,
         psi=patch.psi,
         spacing=0.5 * patch.spacing,
-        metric_radius=0.5 * patch.metric_radius,
         sample_rows=rows,
-        boundary_chord_arc=_boundary_chord_arc(new_pts, new_bd, patch.sigma),
     )
 
 
@@ -661,8 +659,7 @@ def intrinsic_metric_diagnostics(patch: DiskPatch, *, seed: int = 0) -> dict:
         enclosed = rng.choice(enclosed, 1500, replace=False)
     epts = patch.points[enclosed]
     diam = float(pdist(epts).max()) if len(epts) > 1 else 0.0
-    cpts = patch.points[cyc]
-    length = float(np.linalg.norm(np.roll(cpts, -1, axis=0) - cpts, axis=1).sum())
+    length = _cycle_arcs(patch.points[cyc])[2]
     return {
         "path_over_chord_max": float(ratios.max()),
         "path_over_chord_mean": float(ratios.mean()),
@@ -794,13 +791,12 @@ def isoperimetric_check(patch: DiskPatch, cycle) -> float:
     InvalidIndex
         A cycle vertex outside the patch, or not an integer.
     """
-    cyc = _require_vertices(cycle, len(patch), "cycle vertex")
+    cyc = _require_indices(cycle, len(patch), "cycle vertex", "vertices")
     if len(cyc) < 3:
         raise NotJordan("cycle needs at least three vertices")
     if len(np.unique(cyc)) != len(cyc):
         raise NotJordan("cycle repeats a vertex")
-    cpts = patch.points[cyc]
-    seg = np.linalg.norm(np.roll(cpts, -1, axis=0) - cpts, axis=1)
+    seg, _, length = _cycle_arcs(patch.points[cyc])
     if np.any(seg > 1.5 * patch.metric_radius):
         raise NotJordan("cycle jumps beyond the patch graph radius")
     poly = patch.plane_coords[cyc]
@@ -811,7 +807,6 @@ def isoperimetric_check(patch: DiskPatch, cycle) -> float:
     if not inside.any():
         raise NotJordan("cycle encloses no triangles")
     area = float(patch.surface_triangle_areas()[inside].sum())
-    length = float(seg.sum())
     return area / (length * length)
 
 
@@ -975,12 +970,9 @@ def harmonic_disk_param(patch: DiskPatch) -> DiskParameterization:
     bd = patch.boundary
     if len(bd) < 3:
         raise NoBoundaryCycle("boundary cycle needs at least three vertices")
-    bp = pts[bd]
-    seg = np.linalg.norm(np.roll(bp, -1, axis=0) - bp, axis=1)
-    total = float(seg.sum())
+    _, cum, total = _cycle_arcs(pts[bd])
     if total <= 0:
         raise DegenerateTriangle("boundary cycle has zero length")
-    cum = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
     theta = 2.0 * np.pi * cum / total
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     interior = np.setdiff1d(np.arange(len(pts)), bd)
@@ -997,29 +989,34 @@ def harmonic_disk_param(patch: DiskPatch) -> DiskParameterization:
     dst = np.exp(2j * np.pi * np.arange(3) / 3.0)
     mat = _mobius_through(src, dst)
     z_new = _apply_mobius(mat, z)
-    pin_error = float(np.abs(z_new[pins] - dst).max())
-    zb = z_new[bd]
-    z_new[bd] = zb / np.abs(zb)
-    z_new[pins] = dst
-    disk_new = np.stack([z_new.real, z_new.imag], axis=1)
     if interior.size and float(np.abs(z_new[interior]).max()) >= 1.0:
         raise SolverSingular("Moebius normalization pushed interior outside")
+    pin_error = float(np.abs(z_new[pins] - dst).max())
+    return _param_on_circle(z_new, bd, pins, dst, surface_points=pts, triangles=tris,
+                            boundary=bd, pin_error=pin_error, patch=patch)
 
-    folded = int(np.sum(orientation_dets(disk_new, tris) <= 0))
+
+def _param_on_circle(z, bd, pins=None, targets=None, **fields) -> DiskParameterization:
+    """The parameterization, with its energy, of the complex disk positions
+    `z` (changed in place) once the vertices `bd` move radially onto the
+    unit circle and the `pins` onto their complex `targets`; `fields` are
+    its other fields.  Raises FoldedTriangles on a folded triangle."""
+    zb = z[bd]
+    z[bd] = zb / np.abs(zb)
+    if pins is not None:
+        z[pins] = targets
+    disk = np.stack([z.real, z.imag], axis=1)
+    folded = int(np.sum(orientation_dets(disk, fields["triangles"]) <= 0))
     if folded:
         raise FoldedTriangles(
             f"{folded} parameter triangles are folded after normalization",
             count=folded,
         )
     param = DiskParameterization(
-        disk_points=disk_new,
-        surface_points=pts,
-        triangles=tris,
-        boundary=bd,
+        disk_points=disk,
         pinned=pins,
-        pin_targets=np.stack([dst.real, dst.imag], axis=1),
-        pin_error=pin_error,
-        patch=patch,
+        pin_targets=None if pins is None else np.stack([targets.real, targets.imag], axis=1),
+        **fields,
     )
     param.energy = _dirichlet_energy(param)
     return param
@@ -1034,7 +1031,7 @@ def mobius_reparameterized(
     The surface correspondence is unchanged; energy is recomputed (discrete
     conformal invariance keeps it nearly constant).  A center that is not
     one finite point of the open unit disk, or a non-finite phase, is
-    refused.
+    refused; a triangle folded by the boundary snap raises FoldedTriangles.
     """
     center = _require_point(center, 2, "Moebius center")
     if not np.isfinite(phase):
@@ -1045,23 +1042,10 @@ def mobius_reparameterized(
             f"Moebius center {center} does not lie inside the unit disk"
         )
     z = param.disk_points[:, 0] + 1j * param.disk_points[:, 1]
-    z_new = np.exp(1j * phase) * (z - a) / (1.0 - np.conj(a) * z)
-    bd = param.boundary_vertices()
-    zb = z_new[bd]
-    z_new[bd] = zb / np.abs(zb)
-    disk_new = np.stack([z_new.real, z_new.imag], axis=1)
-    moved = DiskParameterization(
-        disk_points=disk_new,
-        surface_points=param.surface_points,
-        triangles=param.triangles,
-        boundary=param.boundary,
-        pinned=None,
-        pin_targets=None,
-        pin_error=float("nan"),
-        patch=param.patch,
-    )
-    moved.energy = _dirichlet_energy(moved)
-    return moved
+    return _param_on_circle(np.exp(1j * phase) * (z - a) / (1.0 - np.conj(a) * z),
+                            param.boundary_vertices(), surface_points=param.surface_points,
+                            triangles=param.triangles, boundary=param.boundary,
+                            patch=param.patch)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,14 +1057,13 @@ class ConformalFactor:
     """Per-triangle conformal data of a disk parameterization.
 
     ``w`` is half the log area factor (``e^{2w} = |det grad f|``);
-    ``axis_ratio`` is |f_x| / |f_y|; ``angle_cos`` the cosine between the
-    coordinate derivatives; ``qc_dilatation`` the singular-value ratio.
+    ``axis_ratio`` is |f_x| / |f_y|; ``qc_dilatation`` the singular-value
+    ratio.
     """
 
     w: np.ndarray
     area_factor: np.ndarray
     axis_ratio: np.ndarray
-    angle_cos: np.ndarray
     qc_dilatation: np.ndarray
     disk_areas: np.ndarray
 
@@ -1097,7 +1080,6 @@ def conformal_factor(param: DiskParameterization) -> ConformalFactor:
         w=0.5 * np.log(factor),
         area_factor=factor,
         axis_ratio=np.sqrt(g11 / g22),
-        angle_cos=g12 / np.sqrt(g11 * g22),
         qc_dilatation=np.sqrt(lam_hi / np.maximum(lam_lo, 1e-300)),
         disk_areas=areas,
     )
@@ -1474,7 +1456,6 @@ class CurvatureResiduals:
     gauss_absolute: float
     gauss_relative: float
     frame_energy: float
-    interior_count: int
 
 
 def curvature_equation_residuals(
@@ -1504,10 +1485,8 @@ def curvature_equation_residuals(
     tris = param.triangles
     f = param.surface_points
     interior = param.interior_mask()
-    near_boundary = np.zeros(len(disk), dtype=bool)
-    touches = (~interior[tris]).any(axis=1)
-    near_boundary[np.unique(tris[touches])] = True
-    deep = interior & ~near_boundary
+    deep = interior.copy()
+    deep[tris[(~interior[tris]).any(axis=1)]] = False
     if deep.any():
         interior = deep
     lap = cotangent_laplacian(disk, tris)
@@ -1551,11 +1530,8 @@ def curvature_equation_residuals(
     e1 = f1 / n1
     e2 = f2 / n2
     k = len(disk)
-    ebar1 = np.zeros_like(f)
-    ebar2 = np.zeros_like(f)
-    for c in range(3):
-        np.add.at(ebar1, tris[:, c], e1 * (areas / 3.0)[:, None])
-        np.add.at(ebar2, tris[:, c], e2 * (areas / 3.0)[:, None])
+    ebar1 = vertex_sums(tris, e1 * (areas / 3.0)[:, None], k)
+    ebar2 = vertex_sums(tris, e2 * (areas / 3.0)[:, None], k)
     norm1 = np.linalg.norm(ebar1, axis=1, keepdims=True)
     norm2 = np.linalg.norm(ebar2, axis=1, keepdims=True)
     if norm1.min() <= 1e-8 or norm2.min() <= 1e-8:
@@ -1572,9 +1548,7 @@ def curvature_equation_residuals(
     wedge = np.einsum("tn,tn->t", g1[:, 0], g2[:, 1]) - np.einsum(
         "tn,tn->t", g1[:, 1], g2[:, 0]
     )
-    rhs_g = np.zeros(k)
-    for c in range(3):
-        np.add.at(rhs_g, tris[:, c], wedge * areas / 3.0)
+    rhs_g = vertex_sums(tris, wedge * areas / 3.0, k)
     lhs_g = angle_defects(f, tris)
     diff_g = np.abs(lhs_g[interior] - rhs_g[interior])
     ref_g = float(np.abs(rhs_g[interior]).sum())
@@ -1595,7 +1569,6 @@ def curvature_equation_residuals(
         gauss_absolute=gauss_abs,
         gauss_relative=gauss_rel,
         frame_energy=frame_energy,
-        interior_count=int(interior.sum()),
     )
 
 
@@ -1657,6 +1630,7 @@ def large_lipschitz_pieces(
     k = len(disk)
     max_grad = np.zeros(k)
     max_inv = np.zeros(k)
+    # a maximum, not a sum, so `vertex_sums` (a bincount) cannot take it
     for c in range(3):
         np.maximum.at(max_grad, tris[:, c], sig_hi)
         np.maximum.at(max_inv, tris[:, c], inv_lo)

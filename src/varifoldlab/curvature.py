@@ -17,13 +17,19 @@ from .errors import (
     BallBelowResolution,
     DimensionMismatch,
     IllConditioned,
-    InvalidIndex,
     InvalidScale,
     MissingCurvature,
     TooFewPoints,
 )
-from .geometry import Ball, WeightedSurfaceSample, _require_point, _require_positive
+from .geometry import (
+    Ball,
+    WeightedSurfaceSample,
+    _require_indices,
+    _require_point,
+    _require_positive,
+)
 from .meshing import cotangent_laplacian, vertex_areas
+from .multiscale import resolution_floor
 
 
 @dataclass
@@ -213,16 +219,7 @@ def _sample_rows(sample, indices) -> np.ndarray:
     rows = np.asarray(indices)
     if rows.ndim != 1:
         raise DimensionMismatch(f"indices must be 1-d, got shape {rows.shape}")
-    if rows.size == 0:
-        return np.zeros(0, dtype=int)
-    if rows.dtype.kind not in "iu":
-        raise InvalidIndex(f"indices must be integers, got dtype {rows.dtype}")
-    bad = np.flatnonzero((rows < 0) | (rows >= len(sample)))
-    if bad.size:
-        raise InvalidIndex(
-            f"index {rows[bad[0]]} is outside the sample rows [0, {len(sample)})"
-        )
-    return np.sort(rows)
+    return np.sort(_require_indices(rows, len(sample), "index", "sample rows"))
 
 
 def willmore_energy(
@@ -305,6 +302,17 @@ def _radial_terms(sample, x, idx, field):
     return idx, r, perp, H
 
 
+def _require_scale_pair(sample, sigma, rho, floor: float | None) -> None:
+    """InvalidScale unless 0 < sigma < rho, BallBelowResolution when sigma
+    is below `floor` (by default the resolution floor at 4 spacings)."""
+    if floor is None:
+        floor = resolution_floor(sample, 4.0)
+    if not (0 < sigma < rho):
+        raise InvalidScale(f"need 0 < sigma < rho, got sigma {sigma} and rho {rho}")
+    if sigma < floor:
+        raise BallBelowResolution(f"sigma {sigma:.4g} below floor {floor:.4g}")
+
+
 def monotonicity_identity(
     sample: WeightedSurfaceSample,
     x,
@@ -314,12 +322,7 @@ def monotonicity_identity(
     floor: float | None = None,
 ) -> MonotonicityLedger:
     """Evaluate every term of the two-scale density identity at x."""
-    if floor is None:
-        floor = 4.0 * sample.mean_spacing
-    if not (0 < sigma < rho):
-        raise InvalidScale(f"need 0 < sigma < rho, got sigma {sigma} and rho {rho}")
-    if sigma < floor:
-        raise BallBelowResolution(f"sigma {sigma:.4g} below floor {floor:.4g}")
+    _require_scale_pair(sample, sigma, rho, floor)
     x = np.asarray(x, dtype=float)
     idx_rho = sample.ball_query(x, rho)
     idx, r, perp, H = _radial_terms(sample, x, idx_rho, field)
@@ -365,22 +368,14 @@ def monotonicity_inequality(
     floor: float | None = None,
 ):
     """Two-scale density bound: lhs = small-scale density, rhs = majorant."""
-    if floor is None:
-        floor = 4.0 * sample.mean_spacing
-    if not (0 < sigma < rho):
-        raise InvalidScale(f"need 0 < sigma < rho, got sigma {sigma} and rho {rho}")
+    _require_scale_pair(sample, sigma, rho, floor)
     if not (0 < delta <= 1):
         raise InvalidScale(f"delta {delta} is outside (0, 1]")
-    if sigma < floor:
-        raise BallBelowResolution(f"sigma {sigma:.4g} below floor {floor:.4g}")
     x = np.asarray(x, dtype=float)
     idx_s = sample.ball_query(x, sigma)
     idx_r = sample.ball_query(x, rho)
     lhs = float(sample.weights[idx_s].sum()) / sigma**2
-    H = field.at(idx_r)
-    willmore = float(
-        (sample.weights[idx_r] * np.einsum("ij,ij->i", H, H)).sum()
-    )
+    willmore = willmore_energy(sample, Ball(x, rho), field)
     rhs = (1.0 + delta) * float(sample.weights[idx_r].sum()) / rho**2 + (
         willmore / (2.0 * delta)
     )

@@ -11,7 +11,7 @@ principal frames coming from one eigenframe kernel, `_principal_frames`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     EigengapTie,
     EmptyInput,
+    InvalidIndex,
     InvalidScale,
     NonFiniteInput,
     NonOrthonormalBasis,
@@ -432,6 +433,20 @@ def _require_finite_rows(arr: np.ndarray, what: str) -> None:
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim))))
     if bad.size:
         raise NonFiniteInput(f"{what} of row {bad[0]} is not finite")
+
+
+def _require_indices(idx, k: int, what: str, within: str) -> np.ndarray:
+    """`idx` as integer indices in [0, k), else InvalidIndex naming a
+    non-integer dtype or the first entry outside; `what` names an entry,
+    `within` the rows or vertices it indexes."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise InvalidIndex(f"{what} indices must be integers, got {idx.dtype}")
+    idx = idx.astype(int, copy=False)
+    bad = np.flatnonzero((idx < 0) | (idx >= k))
+    if bad.size:
+        raise InvalidIndex(f"{what} {idx.flat[bad[0]]} is outside the {within} [0, {k})")
+    return idx
 
 
 def _require_point(x, dim: int | None, what: str) -> np.ndarray:

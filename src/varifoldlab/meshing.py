@@ -8,11 +8,16 @@ Orientation conventions follow the face winding as given; only
 every edge count, boundary test, skeleton graph and midpoint index in the
 toolkit reads its table instead of rebuilding edges from the faces.
 ``orientation_dets`` is the only owner of the planar triangle orientation
-determinant: 2-D areas, winding flips, fold counts and PL Jacobians all
-read it.
+determinant: winding flips, fold counts and PL Jacobians all read it.
+``_wedge_norms`` is the only owner of |a ^ b| in any ambient dimension:
+triangle areas and cotangents read it, so every mesh kernel runs on
+surfaces in R^n.  ``vertex_sums`` is the only owner of the per-corner
+scatter of face values onto vertices.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 from scipy import sparse
@@ -28,13 +33,25 @@ def orientation_dets(coords: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
 
 
+def _wedge_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a ^ b| of every row pair of (m, n) arrays, in any dimension n >= 2.
+
+    The root of the summed squared 2x2 minors ``a_i b_j - a_j b_i``, added
+    in reverse-lexicographic (i, j) order: in R^3 that is the order of the
+    norm of the cross product, and in the plane the one minor is the
+    orientation determinant, so both agree with it bit for bit.
+    """
+    total = np.zeros(len(a))
+    for i, j in reversed(list(combinations(range(a.shape[1]), 2))):
+        minor = a[:, i] * b[:, j] - a[:, j] * b[:, i]
+        total += minor * minor
+    return np.sqrt(total)
+
+
 def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
     f = np.asarray(faces, dtype=int)
-    if v.shape[1] == 2:
-        return 0.5 * np.abs(orientation_dets(v, f))
-    cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    return 0.5 * _wedge_norms(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
 
 
 def angle_defects(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -57,6 +74,8 @@ def angle_defects(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
         if np.any(denom <= 0):
             raise DegenerateTriangle("zero-length edge at a corner")
         cosang = np.einsum("ij,ij->i", e1, e2) / denom
+        # subtracted angle by angle from 2 pi: `vertex_sums` would subtract
+        # their sum once, which rounds differently
         np.subtract.at(out, f[:, c], np.arccos(np.clip(cosang, -1.0, 1.0)))
     return out
 
@@ -71,13 +90,25 @@ def orient_ccw(coords: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return out
 
 
+def vertex_sums(faces: np.ndarray, values: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Sum of per-face ``values``, (F,) or (F, m), over the faces at each
+    of ``n_vertices`` vertices.
+
+    One ``np.bincount`` per value column, over every face's first corner,
+    then its second, then its third: the order of an ``add.at`` per corner.
+    """
+    corners = np.asarray(faces, dtype=int).T.ravel()
+    vals = np.asarray(values, dtype=float)
+    sums = [
+        np.bincount(corners, weights=np.tile(v, 3), minlength=n_vertices)
+        for v in vals.reshape(len(vals), -1).T
+    ]
+    return np.stack(sums, axis=1).reshape((n_vertices,) + vals.shape[1:])
+
+
 def vertex_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Barycentric vertex areas: one third of each incident face."""
-    areas = triangle_areas(vertices, faces)
-    out = np.zeros(len(vertices))
-    for k in range(3):
-        np.add.at(out, faces[:, k], areas / 3.0)
-    return out
+    return vertex_sums(faces, triangle_areas(vertices, faces) / 3.0, len(vertices))
 
 
 def _cotangents(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -89,10 +120,7 @@ def _cotangents(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
         a = v[f[:, (k + 1) % 3]] - v[f[:, k]]
         b = v[f[:, (k + 2) % 3]] - v[f[:, k]]
         dot = np.einsum("ij,ij->i", a, b)
-        if v.shape[1] == 2:
-            crossn = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-        else:
-            crossn = np.linalg.norm(np.cross(a, b), axis=1)
+        crossn = _wedge_norms(a, b)
         if np.any(crossn <= 0):
             raise DegenerateTriangle("zero-area face in cotangent assembly")
         cots[:, k] = dot / crossn

@@ -1074,6 +1074,49 @@ def oracle_cap_total_curvature(R, chord):
 
 
 # ---------------------------------------------------------------------------
+# mesh kernels as written before the wedge norm and the vertex scatter got
+# one owner each: a planar branch, np.cross in R^3, a per-corner np.add.at
+
+
+def triangle_areas_cross(vertices, faces):
+    """Triangle areas from |e1 x e2| in R^3, the orientation determinant
+    in the plane."""
+    v = np.asarray(vertices, dtype=float)
+    f = np.asarray(faces, dtype=int)
+    e1 = v[f[:, 1]] - v[f[:, 0]]
+    e2 = v[f[:, 2]] - v[f[:, 0]]
+    if v.shape[1] == 2:
+        return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+
+
+def cotangents_cross(vertices, faces):
+    """Corner cotangents (F, 3) as dot / |cross|, with the same two
+    branches."""
+    v = np.asarray(vertices, dtype=float)
+    f = np.asarray(faces, dtype=int)
+    cots = np.empty((len(f), 3))
+    for k in range(3):
+        a = v[f[:, (k + 1) % 3]] - v[f[:, k]]
+        b = v[f[:, (k + 2) % 3]] - v[f[:, k]]
+        if v.shape[1] == 2:
+            crossn = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        else:
+            crossn = np.linalg.norm(np.cross(a, b), axis=1)
+        cots[:, k] = np.einsum("ij,ij->i", a, b) / crossn
+    return cots
+
+
+def vertex_sums_add_at(faces, values, n_vertices):
+    """Per-vertex sums of per-face values, one np.add.at per corner."""
+    values = np.asarray(values, dtype=float)
+    out = np.zeros((n_vertices,) + values.shape[1:])
+    for k in range(3):
+        np.add.at(out, faces[:, k], values)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # conformal kernels as written before they got one owner each: the inline
 # orientation determinant, the separate PL gradient, the per-statistic
 # dyadic square loops and the 256-row pairwise broadcasts

@@ -11,6 +11,7 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, cKDTree
 
 from varifoldlab import conformal as conf
+from varifoldlab import meshing
 from varifoldlab.curvature import CurvatureField, build_curvature_field
 from varifoldlab.errors import (
     DegenerateTriangle,
@@ -35,6 +36,7 @@ from varifoldlab.meshing import (
     orientation_dets,
     triangle_areas,
     vertex_areas,
+    vertex_sums,
 )
 from varifoldlab.synthetic import SyntheticSpec, generate
 
@@ -43,6 +45,7 @@ from oracles import (
     affine_fit_direct,
     affine_maps_direct,
     circle_arc_chord_ratio_max,
+    cotangents_cross,
     dirichlet_energy_direct,
     dyadic_squares_direct,
     edge_face_counter,
@@ -57,7 +60,9 @@ from oracles import (
     square_statistic_direct,
     stereographic_radius_for_chord,
     stereographic_to_cap,
+    triangle_areas_cross,
     tutte_flattening,
+    vertex_sums_add_at,
     waypoint_cycle_unbounded,
 )
 
@@ -1091,6 +1096,32 @@ class TestKernelOracles:
         assert np.array_equal(orientation_dets(pts, orient_ccw(pts, tris)), np.abs(dets))
         assert np.array_equal(triangle_areas(pts, tris), 0.5 * np.abs(dets))
 
+    def test_mesh_kernels_match_the_cross_product_oracles(self, kernel_cases):
+        """The wedge norm and the vertex scatter give the planar-branch and
+        `np.cross` areas and cotangents and the per-corner `np.add.at` sums
+        bit for bit, on meshes in R^2 and R^3."""
+        rng = np.random.default_rng(11)
+        pts2 = rng.uniform(-1.0, 1.0, (400, 2))
+        random_tris = Delaunay(pts2).simplices
+        meshes = [(scale * pts2, random_tris) for scale in (1e-3, 1.0, 1e3)]
+        meshes += [(scale * cap_lift(pts2), random_tris) for scale in (1e-3, 1.0, 1e3)]
+        for _, param, _ in kernel_cases:
+            meshes += [
+                (param.disk_points, param.triangles),
+                (param.surface_points, param.triangles),
+            ]
+        for v, f in meshes:
+            areas = triangle_areas(v, f)
+            assert np.array_equal(areas, triangle_areas_cross(v, f))
+            assert np.array_equal(meshing._cotangents(v, f), cotangents_cross(v, f))
+            assert np.array_equal(
+                vertex_areas(v, f), vertex_sums_add_at(f, areas / 3.0, len(v))
+            )
+            values = rng.standard_normal((len(f), 3))
+            assert np.array_equal(
+                vertex_sums(f, values, len(v)), vertex_sums_add_at(f, values, len(v))
+            )
+
     def test_square_contains_is_half_open(self):
         square = conf.DyadicSquare(0.0, 0.0, 0.5, 1)
         pts = np.array(
@@ -1215,6 +1246,17 @@ def _disk_mesh_past_the_end(extra_triangle):
     return np.c_[pts2, np.zeros(k)], tris
 
 
+def _grid_mesh_with(**changes):
+    """`DiskPatch.from_mesh` of the 9x9-vertex unit-square grid in R^3,
+    with vertex 40 moved to ``changes["point"]`` when given and the other
+    keywords passed on."""
+    pts2, tris = unit_square_grid(8)
+    pts = np.c_[pts2, np.zeros(len(pts2))]
+    if "point" in changes:
+        pts[40] = changes.pop("point")
+    return conf.DiskPatch.from_mesh(pts, tris, **changes)
+
+
 NAN_2D = [np.nan, 0.0]
 BAD_CONFORMAL_CALLS = {
     "mobius_center_outside_disk": (
@@ -1324,6 +1366,36 @@ BAD_CONFORMAL_CALLS = {
         InvalidIndex,
         "triangle vertex 474",
     ),
+    "from_mesh_three_plane_coordinates": (
+        lambda p: _grid_mesh_with(plane_coords=np.zeros((3, 2))),
+        DimensionMismatch,
+        "3 plane coordinates for 81 points",
+    ),
+    "from_mesh_nan_vertex": (
+        lambda p: _grid_mesh_with(point=[0.5, 0.5, np.nan]),
+        NonFiniteInput,
+        "patch point of row 40",
+    ),
+    "from_mesh_nan_center": (
+        lambda p: _grid_mesh_with(center=[np.nan, 0.0, 0.0], sigma=1.0),
+        NonFiniteInput,
+        "patch center",
+    ),
+    "from_mesh_planar_center": (
+        lambda p: _grid_mesh_with(center=[0.5, 0.5]),
+        DimensionMismatch,
+        "patch center",
+    ),
+    "from_mesh_negative_sigma": (
+        lambda p: _grid_mesh_with(sigma=-1.0),
+        InvalidScale,
+        "patch radius -1.0",
+    ),
+    "from_mesh_nan_spacing": (
+        lambda p: _grid_mesh_with(spacing=np.nan),
+        InvalidScale,
+        "patch spacing nan",
+    ),
 }
 
 
@@ -1333,3 +1405,109 @@ def test_bad_conformal_input_raises_toolkit_errors(case):
     assert issubclass(error, ToolkitError)
     with pytest.raises(error, match=match):
         call(structured_flat_param(12))
+
+
+# ---------------------------------------------------------------------------
+# isometric lifts into R^4 and R^5: the conformal pipeline is dimension-free
+
+LIFT_RTOL = 1e-12
+# The curvature-equation residuals sum differences of nearly cancelling
+# discrete curvatures (angle defects, the cotangent Laplacian of the
+# coordinates); they amplify the rounding of the lifted coordinates to
+# about 1e-11 relative.
+LIFT_RESIDUAL_RTOL = 1e-9
+RESIDUAL_FIELDS = (
+    "mc_residual",
+    "mc_residual_absolute",
+    "gauss_residual",
+    "gauss_residual_relative",
+)
+# On the graph's lattice the waypoint cycle meets a near-tie that the
+# rounding of the lift settles the other way: the cycle runs through a few
+# other vertices, and its length moves by about 3e-10 relative.
+LIFT_CYCLE_RTOL = 1e-9
+
+
+def _lift(n, rng):
+    """A random isometry x -> x Q + t of R^3 into R^n, as (Q, t)."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0][:3]
+    return q, rng.uniform(-1.0, 1.0, n)
+
+
+def _conformal_run(sample, center, sigma, sphere_center):
+    curvature = None
+    if sphere_center is not None:
+
+        def curvature(p):
+            return (2.0 / SPHERE_R**2) * (sphere_center - p)
+
+    patch = conf.extract_disk_patch(sample, center, sigma)
+    diag = conf.conformal_diagnostics(conf.harmonic_disk_param(patch), curvature)
+    return patch, diag, conf.intrinsic_metric_diagnostics(patch)
+
+
+@functools.lru_cache(maxsize=None)
+def lift_case(name):
+    """(sample, sigma, sphere center or None, the R^3 run) of a 4.5k-point
+    surface, with the patch at the origin."""
+    if name == "sphere_cap":
+        spec = SyntheticSpec(kind="sphere_cap", n_points=4500, sphere_radius=SPHERE_R)
+        sigma, sphere_center = 0.8, SPHERE_CENTER
+    else:
+        spec = SyntheticSpec(kind="graph", n_points=4500, eps=0.3)
+        sigma, sphere_center = 0.5, None
+    sample = generate(spec)[0]
+    return sample, sigma, sphere_center, _conformal_run(sample, ORIGIN, sigma, sphere_center)
+
+
+def _in_plane_moments_tie(sample, sigma):
+    """True when the two largest second moments of the ball B(0, sigma)
+    agree to 1e-12 relative, so the PCA plane fixes its in-plane axes only
+    up to a rotation."""
+    rows = sample.ball_query(ORIGIN, sigma)
+    w = sample.weights[rows]
+    rel = sample.points[rows] - (w[:, None] * sample.points[rows]).sum(axis=0) / w.sum()
+    evals = np.linalg.eigvalsh((rel * w[:, None]).T @ rel / w.sum())
+    return evals[2] - evals[1] <= 1e-12 * evals[2]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("name", ["sphere_cap", "graph"])
+def test_conformal_pipeline_commutes_with_a_lift_into_rn(name, n):
+    """Patch, harmonic map, diagnostics and intrinsic metric of a surface
+    lifted into R^n by a random isometry match the R^3 run."""
+    sample, sigma, sphere_center, (patch3, diag3, metric3) = lift_case(name)
+    q, t = _lift(n, np.random.default_rng(n))
+    lifted = WeightedSurfaceSample(
+        sample.points @ q + t, sample.weights, sample.tangent_bases @ q
+    )
+    lifted_center = None if sphere_center is None else sphere_center @ q + t
+    patch, diag, metric = _conformal_run(lifted, t, sigma, lifted_center)
+
+    assert np.array_equal(patch.sample_rows, patch3.sample_rows)
+    assert np.allclose(patch.points, patch3.points @ q + t, rtol=0.0, atol=1e-14)
+    for key, want in vars(diag3).items():
+        got = vars(diag)[key]
+        if key == "pin_error":
+            # the rounding left by the Moebius pinning, in either space
+            assert max(got, want) <= 1e-14
+        elif want is None:
+            assert got is None
+        else:
+            rtol = LIFT_RESIDUAL_RTOL if key in RESIDUAL_FIELDS else LIFT_RTOL
+            assert got == pytest.approx(want, rel=rtol, abs=0.0), key
+    (cycle,), (cycle3,) = metric.pop("cycles"), metric3["cycles"]
+    assert metric == pytest.approx(
+        {key: value for key, value in metric3.items() if key != "cycles"},
+        rel=LIFT_RTOL,
+        abs=0.0,
+    )
+    assert cycle["radius"] == pytest.approx(cycle3["radius"], rel=LIFT_RTOL, abs=0.0)
+    if name == "sphere_cap":
+        # the cycle's waypoints sit on a circle in the PCA plane's axes,
+        # which the round cap's tied moments leave free to turn in R^n
+        assert _in_plane_moments_tie(sample, sigma)
+    else:
+        assert cycle["diameter_over_length"] == pytest.approx(
+            cycle3["diameter_over_length"], rel=LIFT_CYCLE_RTOL, abs=0.0
+        )

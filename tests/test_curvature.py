@@ -287,6 +287,20 @@ def test_willmore_region_not_covered_raises(cap):
         cv.willmore_energy(sample, Ball(ORIGIN, 0.6), field)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_mesh_mean_curvature_commutes_with_a_lift_into_rn(n):
+    """An isometric lift x -> x Q + t of the icosphere into R^n moves the
+    cotangent-formula vectors by Q and changes nothing else."""
+    verts, faces = icosphere(3)
+    rng = np.random.default_rng(n)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0][:3]
+    t = rng.uniform(-1.0, 1.0, n)
+    want = cv.mesh_mean_curvature(verts, faces) @ q
+    got = cv.mesh_mean_curvature(verts @ q + t, faces)
+    err = np.linalg.norm(got - want, axis=1)
+    assert (err <= 1e-12 * np.linalg.norm(want, axis=1)).all()
+
+
 def test_cotangent_path_agrees_with_first_variation():
     verts, faces = icosphere(4, 10.0)
     mesh = mesh_to_sample(verts, faces)

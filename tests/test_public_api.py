@@ -1,6 +1,7 @@
 """Exported names: every ``__all__`` entry resolves, and ``conformal.__all__``
 lists exactly the public classes and functions the module defines.  Source
-checks: one module owns the eigenframe kernel, and retired knobs stay gone."""
+checks: one module owns the eigenframe kernel, the mesh kernels have one
+owner each, and retired knobs stay gone."""
 
 import inspect
 import re
@@ -29,14 +30,23 @@ def test_conformal_exports_exactly_its_public_definitions():
     assert sorted(conformal.__all__) == sorted(public)
 
 
+def _modules_matching(pattern):
+    src = Path(varifoldlab.__file__).parent
+    return sorted(path.name for path in src.glob("*.py") if re.search(pattern, path.read_text()))
+
+
 def test_eigh_is_called_only_by_the_geometry_kernel():
     """Every principal frame comes from `geometry._principal_frames`; a second
     eigendecomposition elsewhere would copy its order, rank and sign rules."""
-    src = Path(varifoldlab.__file__).parent
-    users = sorted(
-        path.name for path in src.glob("*.py") if re.search(r"\beigh\b", path.read_text())
-    )
-    assert users == ["geometry.py"]
+    assert _modules_matching(r"\beigh\b") == ["geometry.py"]
+
+
+def test_mesh_kernels_have_one_owner():
+    """Face values reach vertices through `meshing.vertex_sums` and wedge
+    norms come from `meshing._wedge_norms`, in any dimension; the one
+    `np.cross` left builds the R^3 frames of `geometry.complement_frame`."""
+    assert _modules_matching(r"np\.add\.at") == []
+    assert _modules_matching(r"np\.cross") == ["geometry.py"]
 
 
 @pytest.mark.parametrize(
