@@ -1009,8 +1009,7 @@ def _param_on_circle(z, bd, pins=None, targets=None, **fields) -> DiskParameteri
     folded = int(np.sum(orientation_dets(disk, fields["triangles"]) <= 0))
     if folded:
         raise FoldedTriangles(
-            f"{folded} parameter triangles are folded after normalization",
-            count=folded,
+            f"{folded} parameter triangles are folded after normalization"
         )
     param = DiskParameterization(
         disk_points=disk,

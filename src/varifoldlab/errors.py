@@ -95,12 +95,6 @@ class UncoveredQuery(ToolkitError):
 class GraphTestFailure(ToolkitError):
     """A required ball is not graphical within the Lipschitz bound."""
 
-    def __init__(self, message, center=None, radius=None, lipschitz=None):
-        super().__init__(message)
-        self.center = center
-        self.radius = radius
-        self.lipschitz = lipschitz
-
 
 class NoValidPreimage(ToolkitError):
     """Normal-bundle projection found no admissible foot point."""
@@ -132,10 +126,6 @@ class SolverSingular(ToolkitError):
 
 class FoldedTriangles(ToolkitError):
     """Parameterization contains foldovers after normalization."""
-
-    def __init__(self, message, count=0):
-        super().__init__(message)
-        self.count = count
 
 
 class DegenerateTriangle(ToolkitError):

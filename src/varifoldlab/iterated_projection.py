@@ -42,7 +42,7 @@ from .geometry import (
     _second_moments,
     grassmann_bases,
 )
-from .multiscale import _maximal_tilts, resolution_floor
+from .multiscale import _greedy_net, _maximal_tilts, resolution_floor
 
 # The gauge is this fraction of the distance to the domain boundary.
 GAUGE_SHRINK = 100.0
@@ -54,31 +54,45 @@ GAUGE_SHRINK = 100.0
 
 @dataclass
 class DeltaField:
-    """Contraction gauge evaluated on a point set, with a functional form.
+    """Contraction gauge of a point set, with a functional form.
 
-    `values` are the gauge at `points`; `evaluate` extends the same formula
-    to arbitrary queries so synthesized stage points can be gauged too.
+    The gauge is the distance to the sphere of `domain` over GAUGE_SHRINK,
+    capped by the distance to `fine_points` when they are given (a
+    successor gauge).  `evaluate` owns the formula: it gives `values` at
+    `points` on construction and gauges synthesized stage points later.
     """
 
     points: np.ndarray
-    values: np.ndarray
-    provenance: str  # "initial_gauge" | "distance_to_fine_set"
     domain: Ball
     fine_points: np.ndarray | None = None
-    _fine_tree: cKDTree | None = field(default=None, repr=False)
+    values: np.ndarray = field(init=False)
+    _fine_tree: cKDTree | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.values = self.evaluate(self.points)
 
     def evaluate(self, queries) -> np.ndarray:
+        """Gauge at each query; PointOutsideDomain for a query outside the
+        domain ball."""
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         rad = np.linalg.norm(q - self.domain.center, axis=1)
         if np.any(rad > self.domain.radius * (1.0 + 1e-9)):
-            raise PointOutsideDomain("query outside the analysis domain ball")
+            raise PointOutsideDomain("point outside the analysis domain ball")
         base = (self.domain.radius - rad) / GAUGE_SHRINK
-        if self.provenance == "initial_gauge":
+        if self.fine_points is None:
             return base
         if self._fine_tree is None:
-            object.__setattr__(self, "_fine_tree", cKDTree(self.fine_points))
+            self._fine_tree = cKDTree(self.fine_points)
         dist, _ = self._fine_tree.query(q)
         return np.minimum(dist, base)
+
+
+def _gauge_domain(sample: WeightedSurfaceSample, domain: Ball | None) -> Ball:
+    """The gauge domain of `make_delta0` and `next_delta`, checked."""
+    if domain is None:
+        domain = Ball(np.zeros(sample.ambient_dim), 1.0)
+    _require_point(domain.center, sample.ambient_dim, "domain center")
+    return domain
 
 
 def make_delta0(
@@ -86,17 +100,10 @@ def make_delta0(
 ) -> DeltaField:
     """Initial gauge: distance to the domain sphere over the shrink factor.
 
-    A domain center of another dimension than the sample raises
-    DimensionMismatch.
+    The domain is the unit ball at the origin by default; a domain center
+    of another dimension than the sample raises DimensionMismatch.
     """
-    if domain is None:
-        domain = Ball(np.zeros(sample.ambient_dim), 1.0)
-    _require_point(domain.center, sample.ambient_dim, "domain center")
-    rad = np.linalg.norm(sample.points - domain.center, axis=1)
-    if np.any(rad > domain.radius * (1.0 + 1e-9)):
-        raise PointOutsideDomain("sample exceeds the analysis domain ball")
-    values = (domain.radius - rad) / GAUGE_SHRINK
-    return DeltaField(sample.points, values, "initial_gauge", domain)
+    return DeltaField(sample.points, _gauge_domain(sample, domain))
 
 
 def next_delta(
@@ -104,24 +111,13 @@ def next_delta(
 ) -> DeltaField:
     """Successor gauge: min of distance-to-fine-set and the initial formula.
 
-    A domain center of another dimension than the sample raises
-    DimensionMismatch.
+    The domain is the unit ball at the origin by default; a domain center
+    of another dimension than the sample raises DimensionMismatch.
     """
-    if domain is None:
-        domain = Ball(np.zeros(sample.ambient_dim), 1.0)
-    _require_point(domain.center, sample.ambient_dim, "domain center")
+    domain = _gauge_domain(sample, domain)
     if fine.indices.size == 0:
         raise EmptyFineSet("cannot gauge against an empty fine set")
-    fine_pts = sample.points[fine.indices]
-    out = DeltaField(
-        sample.points,
-        np.zeros(len(sample)),
-        "distance_to_fine_set",
-        domain,
-        fine_points=fine_pts,
-    )
-    out.values = out.evaluate(sample.points)
-    return out
+    return DeltaField(sample.points, domain, sample.points[fine.indices])
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +126,16 @@ def next_delta(
 
 @dataclass
 class FineSet:
-    """Rows whose multiscale tilt at twice the gauge stays below `nu`.
+    """Rows whose multiscale tilt at twice the gauge stays below a threshold.
 
-    `plane_bases` cache the reference plane per member, pinned at the
-    member's own point; members admitted because their gauge ball is below
-    sample resolution carry their own tangent plane as the reference.
+    `indices` are the sorted member rows and `tilts` their tilts.
+    `plane_bases` (N, m, n) hold one reference plane per sample row: for a
+    measured row, fine or not, the principal plane of its 2-gauge ball
+    pinned at the row, NaN where that ball has none; for a row whose gauge
+    ball is below sample resolution, its own tangent plane.
     """
 
     indices: np.ndarray
-    nu: float
     plane_bases: np.ndarray
     tilts: np.ndarray
 
@@ -217,7 +214,9 @@ def extract_fine_set(
     measured and are admitted (their flatness is unresolvable, and the zero
     set must always be contained).  A measured row whose 2-gauge ball holds
     at most m points, or whose second moments about the row have rank below
-    m, has no reference plane and is not fine.
+    m, has no reference plane (NaN in `FineSet.plane_bases`) and is not
+    fine.  This is the one producer of reference planes: the planes of
+    every row, fine or not, feed the patches of `build_sigma_delta`.
 
     The measured rows are taken a KD-tree leaf at a time
     (`WeightedSurfaceSample.candidate_blocks`, leaves of at most
@@ -248,10 +247,11 @@ def extract_fine_set(
         tilt = _maximal_tilts(sample, cand, d2, r, normals, floor)
         keep = ok & (tilt <= nu)
         fine[block] = keep
-        bases[block[keep]] = planes[keep]
+        bases[block] = planes
+        bases[block[~ok]] = np.nan
         tilts[block[keep]] = tilt[keep]
     idx = np.flatnonzero(fine)
-    return FineSet(idx, float(nu), bases[idx], tilts[idx])
+    return FineSet(idx, bases, tilts[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +412,6 @@ def partition_of_unity(
 class SmoothedSurfaceStage:
     """One rebuilt surface: kept fine points plus synthesized graph points."""
 
-    index: int
     points: np.ndarray
     gauge: np.ndarray
     sample_rows: np.ndarray  # source sample row per point; -1 if synthesized
@@ -421,7 +420,6 @@ class SmoothedSurfaceStage:
     patch_gauge: np.ndarray
     graph_lipschitz: np.ndarray
     synth_offset_ratio: float
-    overlap_mismatch: float
     normal_projectors: np.ndarray | None = None
     normal_lipschitz: np.ndarray | None = None
     _support_balls: list | None = field(
@@ -502,15 +500,19 @@ def build_sigma_delta(
     net: SeparatedNet,
     delta: DeltaField,
     nu: float,
-    stage_index: int = 0,
 ) -> SmoothedSurfaceStage:
     """Keep the fine points and fill the rest with local graph patches.
 
-    Patches are fitted per net member, over that member's reference plane,
-    by moving least squares on the fine points inside half a gauge, with the
-    same bump profile as the partition of unity for weights.  Groups are
-    processed in order and a synthesized candidate defers to any existing
-    stage point within half a grid step (prior heights win on overlap).
+    Each net member's patch lies over its reference plane, which always
+    comes from the fine set (`FineSet.plane_bases`, fine member or not), so
+    `fine` must be extracted at `delta`; a non-fine member without a plane
+    raises DegenerateCloud.  The patch arrays hold the members in group
+    order.  Patches are fitted by moving least squares on the fine points
+    inside half a gauge, with the same bump profile as the partition of
+    unity for weights.  Groups are processed in order and a synthesized
+    candidate defers to any existing stage point within half a grid step
+    (prior heights win on overlap); candidates of one group are thinned
+    first come (`multiscale._greedy_net`).
 
     The finished stage then passes the graph test of `_graph_lipschitz`:
     over each patch's support ball, the normal parts of the stage points
@@ -523,7 +525,6 @@ def build_sigma_delta(
     """
     m = sample.intrinsic_dim
     grid_step = sample.mean_spacing
-    lip_bound = GRAPH_LIP_MULT * nu
     floor = resolution_floor(sample, 4.0)
     vals = np.asarray(delta.values, dtype=float)
 
@@ -531,18 +532,11 @@ def build_sigma_delta(
     if fine_pts.shape[0] == 0:
         raise GraphTestFailure("no fine points to anchor any graph patch")
     fine_tree = cKDTree(fine_pts)
-    sample_tree = sample.spatial_index
 
+    groups = list(net.groups())
     stage_pts: list[np.ndarray] = [fine_pts]
-    stage_rows: list[np.ndarray] = [fine.indices.copy()]
-    patch_centers, patch_bases, patch_gauge = [], [], []
-    overlap_mismatch = 0.0
-    offset_ratio = 0.0
-
-    for g in range(net.group_count):
-        members = net.indices[net.group_ids == g]
-        existing = np.concatenate(stage_pts)
-        existing_tree = cKDTree(existing)
+    for members in groups:
+        existing_tree = cKDTree(np.concatenate(stage_pts))
         anchors = fine_tree.query_ball_point(
             sample.points[members], POU_SUPPORT_MULT * vals[members],
             return_sorted=False,
@@ -552,38 +546,27 @@ def build_sigma_delta(
             u = sample.points[row]
             d_u = vals[row]
             support_r = POU_SUPPORT_MULT * d_u
-            fill_r = PATCH_RADIUS_MULT * d_u
+            basis = fine.plane_bases[row]
             if row in fine:
-                # the member's own points are kept verbatim; its cached
-                # reference plane still anchors the partition of unity
-                pos = int(np.searchsorted(fine.indices, row))
-                basis = fine.plane_bases[pos]
-                patch_centers.append(u)
-                patch_bases.append(basis)
-                patch_gauge.append(d_u)
-                if 2.0 * d_u < floor:
-                    # gauge below sample resolution: nothing to refit
+                if 2.0 * d_u < floor or len(local) < m + 1:
+                    # gauge below sample resolution or too few anchors to
+                    # refit: the member's kept points stand
                     continue
-                if len(local) < m + 1:
-                    # too few anchors to refit; the kept points stand
-                    continue
-            else:
-                if len(local) < m + 1:
-                    raise GraphTestFailure(
-                        f"net point at {np.round(u, 6).tolist()} has only "
-                        f"{len(local)} fine anchors inside {support_r:.4g}"
-                    )
-                plane = reference_plane(sample, u, 2.0 * d_u)
-                basis = plane.basis
-                patch_centers.append(u)
-                patch_bases.append(basis)
-                patch_gauge.append(d_u)
+            elif len(local) < m + 1:
+                raise GraphTestFailure(
+                    f"net point at {np.round(u, 6).tolist()} has only "
+                    f"{len(local)} fine anchors inside {support_r:.4g}"
+                )
+            elif np.isnan(basis).any():
+                raise DegenerateCloud(
+                    f"second moments of the 2-gauge ball of {np.round(u, 6).tolist()} "
+                    f"have rank below {m}"
+                )
             local = np.asarray(local, dtype=int)
-            pts_local = fine_pts[local]
-            rel = pts_local - u
+            rel = fine_pts[local] - u
             coords = rel @ basis.T
             normals = rel - coords @ basis
-            grid = _square_grid(fill_r, grid_step, m)
+            grid = _square_grid(PATCH_RADIUS_MULT * d_u, grid_step, m)
             d2 = (
                 (coords[None, :, :] - grid[:, None, :]) ** 2
             ).sum(axis=2) / support_r**2
@@ -597,50 +580,36 @@ def build_sigma_delta(
             candidates = u + grid @ basis + offsets
             near_d, _ = existing_tree.query(candidates)
             keep = near_d > 0.5 * grid_step
-            overlap_mismatch = max(
-                overlap_mismatch,
-                float(near_d[~keep].max()) if np.any(~keep) else 0.0,
-            )
             if np.any(keep):
                 new_pts.append(candidates[keep])
         if new_pts:
-            batch = np.concatenate(new_pts)
             # candidates synthesized within one group can still collide with
             # each other near group boundaries; keep first come
-            batch_tree = cKDTree(batch)
-            pairs = batch_tree.query_pairs(0.5 * grid_step, output_type="ndarray")
-            drop = np.zeros(len(batch), dtype=bool)
-            for a, b in pairs:
-                if not drop[a]:
-                    drop[b] = True
-            batch = batch[~drop]
-            stage_pts.append(batch)
-            stage_rows.append(np.full(len(batch), -1, dtype=int))
+            stage_pts.append(_greedy_net(np.concatenate(new_pts), 0.5 * grid_step))
 
     points = np.concatenate(stage_pts)
-    rows = np.concatenate(stage_rows)
-    gauge = delta.evaluate(points)
-
+    rows = np.full(len(points), -1)
+    rows[: fine.indices.size] = fine.indices
     synth = rows < 0
+    offset_ratio = 0.0
     if np.any(synth):
-        d_sample, _ = sample_tree.query(points[synth])
+        d_sample, _ = sample.spatial_index.query(points[synth])
         d_fine, _ = fine_tree.query(points[synth])
         denom = nu * np.maximum(d_fine, 1e-300)
         offset_ratio = float((d_sample / denom).max())
 
+    order = np.concatenate(groups)
     stage = SmoothedSurfaceStage(
-        index=stage_index,
         points=points,
-        gauge=gauge,
+        gauge=delta.evaluate(points),
         sample_rows=rows,
-        patch_centers=np.asarray(patch_centers).reshape(-1, sample.ambient_dim),
-        patch_bases=np.asarray(patch_bases).reshape(-1, m, sample.ambient_dim),
-        patch_gauge=np.asarray(patch_gauge, dtype=float),
-        graph_lipschitz=np.zeros(len(patch_gauge)),
+        patch_centers=sample.points[order],
+        patch_bases=fine.plane_bases[order],
+        patch_gauge=vals[order],
+        graph_lipschitz=np.zeros(order.size),
         synth_offset_ratio=offset_ratio,
-        overlap_mismatch=overlap_mismatch,
     )
-    stage.graph_lipschitz = _graph_lipschitz(stage, lip_bound)
+    stage.graph_lipschitz = _graph_lipschitz(stage, GRAPH_LIP_MULT * nu)
     return stage
 
 
@@ -676,20 +645,12 @@ def _fine_only_stage(
     sample: WeightedSurfaceSample,
     fine: FineSet,
     delta: DeltaField,
-    stage_index: int,
 ) -> SmoothedSurfaceStage:
     """Stage for a fine set that already covers everything: no synthesis."""
-    pts = sample.points[fine.indices]
     n = sample.ambient_dim
     m = sample.intrinsic_dim
-    projs = np.eye(n)[None] - np.einsum(
-        "nmi,nmj->nij",
-        sample.tangent_bases[fine.indices],
-        sample.tangent_bases[fine.indices],
-    )
     return SmoothedSurfaceStage(
-        index=stage_index,
-        points=pts,
+        points=sample.points[fine.indices],
         gauge=np.asarray(delta.values)[fine.indices],
         sample_rows=fine.indices.copy(),
         patch_centers=np.zeros((0, n)),
@@ -697,8 +658,7 @@ def _fine_only_stage(
         patch_gauge=np.zeros(0),
         graph_lipschitz=np.zeros(0),
         synth_offset_ratio=0.0,
-        overlap_mismatch=0.0,
-        normal_projectors=projs,
+        normal_projectors=np.eye(n)[None] - sample.tangent_projectors[fine.indices],
         normal_lipschitz=np.zeros(0),
     )
 
@@ -885,7 +845,6 @@ class DistortionReport:
     lp_deviation: float
     exponent_forward: float
     exponent_inverse: float
-    pair_budget: int
 
     @property
     def spread(self) -> float:
@@ -985,7 +944,6 @@ def distortion_report(source_points, target_points) -> DistortionReport:
         lp_deviation=lp_deviation,
         exponent_forward=exp_fwd,
         exponent_inverse=exp_inv,
-        pair_budget=DISTORTION_PAIRS,
     )
 
 
@@ -1082,13 +1040,13 @@ def _embed(sample: WeightedSurfaceSample):
     return moved, scale, center
 
 
-def _build_stage(work, fine, delta, nu, index, group_counts):
-    """Stage ``index`` at gauge ``delta``; appends its net's group count."""
+def _build_stage(work, fine, delta, nu, group_counts):
+    """The stage at gauge ``delta``; appends its net's group count."""
     if fine.covers_all(len(work)):
-        return _fine_only_stage(work, fine, delta, index)
+        return _fine_only_stage(work, fine, delta)
     net = build_separated_net(work, delta)
     group_counts.append(net.group_count)
-    stage = build_sigma_delta(work, fine, net, delta, nu, index)
+    stage = build_sigma_delta(work, fine, net, delta, nu)
     normal_field(stage, work)
     return stage
 
@@ -1135,18 +1093,18 @@ def iterate_parameterization(
     ]
     group_counts: list[int] = []
 
-    stage0 = _build_stage(work, fine, delta, nu, 0, group_counts)
+    stage0 = _build_stage(work, fine, delta, nu, group_counts)
     stages = [stage0]
     maps: list[CorrespondenceMap] = []
     disp_hist: list[float] = []
     worse_streak = 0
-    for j in range(MAX_STAGES):
+    for _ in range(MAX_STAGES):
         delta = next_delta(work, fine, domain)
         fine = extract_fine_set(work, delta, nu)
         bad_weights.append(
             float(work.total_weight - work.weights[fine.indices].sum())
         )
-        stage = _build_stage(work, fine, delta, nu, j + 1, group_counts)
+        stage = _build_stage(work, fine, delta, nu, group_counts)
         tau = project_tau(stages[-1], stage, beta)
         stages.append(stage)
         maps.append(tau)
@@ -1197,7 +1155,6 @@ def iterate_parameterization(
     for st in stages:
         st.points = st.points * inv + center
         st.gauge = st.gauge * inv
-        st.overlap_mismatch *= inv
         st.normal_lipschitz = st.normal_lipschitz * scale
         if st.patch_centers.size:
             st.patch_centers = st.patch_centers * inv + center

@@ -524,30 +524,52 @@ def fine_membership_scan(sample, delta, nu, floor, tilt_fn, plane_fn):
     `tilt_fn(sample, x, scale, plane, floor)` and `plane_fn(sample, x, scale)`
     are passed in so this stays a thin independent loop over the definition;
     a row whose plane_fn raises TooFewPoints or DegenerateCloud is not fine.
-    Returns the members, their reference bases and their tilts.
+    Returns the members, the reference basis of every row (its tangent
+    basis below the floor, NaN where plane_fn raises) and the members'
+    tilts.
     """
-    members, bases, tilts = [], [], []
+    members, tilts = [], []
+    bases = sample.tangent_bases.copy()
     for i in range(len(sample)):
         d = float(delta.values[i])
         if 2.0 * d < floor:
             members.append(i)
-            bases.append(sample.tangent_bases[i])
             tilts.append(0.0)
             continue
         try:
             plane = plane_fn(sample, sample.points[i], 2.0 * d)
         except (TooFewPoints, DegenerateCloud):
+            bases[i] = np.nan
             continue
+        bases[i] = plane.basis
         tilt = tilt_fn(sample, sample.points[i], 2.0 * d, plane, floor=floor)
         if tilt <= nu:
             members.append(i)
-            bases.append(plane.basis)
             tilts.append(tilt)
+    return np.asarray(members, dtype=int), bases, np.asarray(tilts, dtype=float)
+
+
+def patch_arrays_loop(sample, fine, net, gauge):
+    """Patch centers, bases and gauges of a stage, member by member in
+    group order, by the per-member refit: a fine member reads its plane
+    from the fine set, any other member refits its 2-gauge ball
+    (`reference_plane_loop`)."""
+    centers, bases, gauges = [], [], []
+    for g in range(net.group_count):
+        for row in net.indices[net.group_ids == g]:
+            d = float(gauge[row])
+            if row in fine:
+                basis = fine.plane_bases[row]
+            else:
+                basis = reference_plane_loop(sample, sample.points[row], 2.0 * d).basis
+            centers.append(sample.points[row])
+            bases.append(basis)
+            gauges.append(d)
     m, n = sample.tangent_bases.shape[1:]
     return (
-        np.asarray(members, dtype=int),
+        np.asarray(centers).reshape(-1, n),
         np.asarray(bases).reshape(-1, m, n),
-        np.asarray(tilts, dtype=float),
+        np.asarray(gauges, dtype=float),
     )
 
 

@@ -38,6 +38,7 @@ from oracles import (
     fine_membership_scan,
     graph_lipschitz_loop,
     maximal_tilt_loop,
+    patch_arrays_loop,
     project_tau_scan,
     projector_lipschitz_loop,
     reference_plane_loop,
@@ -69,13 +70,7 @@ def _grid_sample(k: int, h: float = 1.0, z=None) -> WeightedSurfaceSample:
 
 def _const_gauge(sample: WeightedSurfaceSample, level: float) -> ip.DeltaField:
     """A gauge field that sits at ~`level` across the whole sample."""
-    big = 100.0 * level
-    return ip.DeltaField(
-        points=sample.points,
-        values=(big - np.linalg.norm(sample.points, axis=1)) / 100.0,
-        provenance="initial_gauge",
-        domain=Ball(np.zeros(sample.ambient_dim), big),
-    )
+    return ip.make_delta0(sample, Ball(np.zeros(sample.ambient_dim), 100.0 * level))
 
 
 def _graph_frames(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
@@ -120,8 +115,7 @@ def _fine_rows_only(indices, sample) -> ip.FineSet:
     idx = np.asarray(sorted(indices), dtype=int)
     return ip.FineSet(
         indices=idx,
-        nu=0.1,
-        plane_bases=sample.tangent_bases[idx],
+        plane_bases=sample.tangent_bases,
         tilts=np.zeros(idx.size),
     )
 
@@ -195,7 +189,7 @@ def test_gauge_initial_values_on_rays():
     assert delta.values[0] == pytest.approx(0.01, abs=1e-15)
     assert delta.values[1] == pytest.approx(0.005, abs=1e-15)
     assert delta.values[2] == pytest.approx(0.0, abs=1e-15)
-    assert delta.provenance == "initial_gauge"
+    assert delta.fine_points is None
 
 
 def test_gauge_rejects_sample_outside_domain():
@@ -249,8 +243,7 @@ def test_gauge_successor_requires_nonempty_rows():
     sample = _simple_sample([[0, 0, 0]])
     empty = ip.FineSet(
         indices=np.zeros(0, dtype=int),
-        nu=0.1,
-        plane_bases=np.zeros((0, 2, 3)),
+        plane_bases=sample.tangent_bases,
         tilts=np.zeros(0),
     )
     with pytest.raises(EmptyFineSet):
@@ -313,14 +306,15 @@ TILT_ATOL = 1e-14
 
 
 def _assert_matches_scan(fine, sample, delta, nu, floor=None):
-    """Identical members, bit-identical bases, tilts to TILT_RTOL."""
+    """Identical members, bit-identical planes of every row (NaN where a
+    measured row has none), tilts to TILT_RTOL."""
     if floor is None:
         floor = resolution_floor(sample, 4.0)
     members, bases, tilts = fine_membership_scan(
         sample, delta, nu, floor, maximal_tilt_loop, reference_plane_loop
     )
     assert np.array_equal(fine.indices, members)
-    assert np.array_equal(fine.plane_bases, bases)
+    assert np.array_equal(fine.plane_bases, bases, equal_nan=True)
     np.testing.assert_allclose(fine.tilts, tilts, rtol=TILT_RTOL, atol=TILT_ATOL)
 
 
@@ -452,6 +446,7 @@ def test_fine_rows_skip_rank_deficient_ball():
         ip.reference_plane(sample, line[0], 2.0 * delta.values[len(grid)])
     fine = ip.extract_fine_set(sample, delta, nu=0.1, floor=1e-4)
     assert not any(row in fine for row in range(len(grid), len(sample)))
+    assert np.isnan(fine.plane_bases[len(grid):]).all()
     _assert_matches_scan(fine, sample, delta, 0.1, floor=1e-4)
 
 
@@ -747,7 +742,6 @@ def test_normals_two_plane_blend_matches_bisector():
         normal = np.array([-s, 0.0, c])
         projectors.append(np.outer(normal, normal))
     stage = ip.SmoothedSurfaceStage(
-        index=0,
         points=np.zeros((1, 3)),
         gauge=np.array([4.0]),
         sample_rows=np.array([-1]),
@@ -756,7 +750,6 @@ def test_normals_two_plane_blend_matches_bisector():
         patch_gauge=np.array([4.0, 4.0]),
         graph_lipschitz=np.zeros(2),
         synth_offset_ratio=0.0,
-        overlap_mismatch=0.0,
     )
     ip.normal_field(stage, _simple_sample([[0, 0, 0]]))
     blended = stage.normal_projectors[0]
@@ -769,7 +762,6 @@ def test_normals_two_plane_blend_matches_bisector():
 def test_normals_kept_row_falls_back_to_sample_plane():
     sample = _simple_sample([[50.0, 0.0, 0.0]])
     stage = ip.SmoothedSurfaceStage(
-        index=0,
         points=np.array([[50.0, 0.0, 0.0]]),
         gauge=np.array([1.0]),
         sample_rows=np.array([0]),
@@ -778,7 +770,6 @@ def test_normals_kept_row_falls_back_to_sample_plane():
         patch_gauge=np.array([1.0]),
         graph_lipschitz=np.zeros(1),
         synth_offset_ratio=0.0,
-        overlap_mismatch=0.0,
     )
     ip.normal_field(stage, sample)
     assert np.abs(stage.normal_projectors[0] - EZ_PROJECTOR).max() == 0.0
@@ -786,7 +777,6 @@ def test_normals_kept_row_falls_back_to_sample_plane():
 
 def test_normals_uncovered_synthesized_point_raises():
     stage = ip.SmoothedSurfaceStage(
-        index=0,
         points=np.array([[50.0, 0.0, 0.0]]),
         gauge=np.array([1.0]),
         sample_rows=np.array([-1]),
@@ -795,7 +785,6 @@ def test_normals_uncovered_synthesized_point_raises():
         patch_gauge=np.array([1.0]),
         graph_lipschitz=np.zeros(1),
         synth_offset_ratio=0.0,
-        overlap_mismatch=0.0,
     )
     with pytest.raises(UncoveredQuery):
         ip.normal_field(stage, _simple_sample([[0, 0, 0]]))
@@ -804,7 +793,6 @@ def test_normals_uncovered_synthesized_point_raises():
 def test_normals_batched_blend_warns_on_exact_tie():
     # normals e_z and e_x at equal weight: the top normal eigenvalue is double
     stage = ip.SmoothedSurfaceStage(
-        index=0,
         points=np.zeros((1, 3)),
         gauge=np.array([4.0]),
         sample_rows=np.array([-1]),
@@ -813,7 +801,6 @@ def test_normals_batched_blend_warns_on_exact_tie():
         patch_gauge=np.array([4.0, 4.0]),
         graph_lipschitz=np.zeros(2),
         synth_offset_ratio=0.0,
-        overlap_mismatch=0.0,
     )
     with pytest.warns(EigengapTie, match="eigengap 0.000e"):
         ip.normal_field(stage, _simple_sample([[0, 0, 0]]))
@@ -1166,7 +1153,6 @@ def test_pipeline_reports_input_frame_units(plateau_sample, plateau_run):
     assert res0.bad_weight_history[0] > 0.0
     for st0, st1 in zip(res0.stages, res1.stages):
         assert close(st1.patch_gauge, 2.0 * st0.patch_gauge)
-        assert close(st1.overlap_mismatch, 2.0 * st0.overlap_mismatch)
         assert close(st1.normal_lipschitz, 0.5 * st0.normal_lipschitz)
     assert max(st.normal_lipschitz.max(initial=0.0) for st in res0.stages) > 0.0
 
@@ -1304,6 +1290,42 @@ def _check_normals_and_projection(stage, sample, source_points, beta, candidates
     assert np.array_equal(tau.displacements, source_points - stage.points[chosen])
 
 
+def _assert_patches_match_refit(sample, delta, nu):
+    """The stage's patch arrays equal the per-member refit bit for bit;
+    returns how many net members are not fine."""
+    fine = ip.extract_fine_set(sample, delta, nu)
+    net = ip.build_separated_net(sample, delta)
+    stage = ip.build_sigma_delta(sample, fine, net, delta, nu)
+    centers, bases, gauges = patch_arrays_loop(sample, fine, net, delta.values)
+    assert np.array_equal(stage.patch_centers, centers)
+    assert np.array_equal(stage.patch_bases, bases)
+    assert np.array_equal(stage.patch_gauge, gauges)
+    return sum(row not in fine for row in net.indices)
+
+
+def test_stage_patches_match_per_member_refit_on_refilled_hole(hole_case):
+    _, delta, _, _, sample = hole_case
+    _assert_patches_match_refit(sample, delta, 0.1)
+
+
+def test_stage_patches_match_per_member_refit_on_plateau(plateau_sample):
+    work, _, _ = ip._embed(plateau_sample)
+    assert _assert_patches_match_refit(work, ip.make_delta0(work), PLATEAU_NU) > 0
+
+
+def test_stage_refuses_a_non_fine_member_without_a_plane(hole_case):
+    _, delta, _, _, sample = hole_case
+    fine = ip.extract_fine_set(sample, delta, nu=0.1)
+    net = ip.build_separated_net(sample, delta)
+    row = int(net.indices[0])
+    bases = fine.plane_bases.copy()
+    bases[row] = np.nan
+    kept = fine.indices != row
+    planeless = ip.FineSet(fine.indices[kept], bases, fine.tilts[kept])
+    with pytest.raises(DegenerateCloud, match="rank below 2"):
+        ip.build_sigma_delta(sample, planeless, net, delta, nu=0.1)
+
+
 def test_stage_arrays_match_loops_on_refilled_hole(hole_case):
     _, _, stage, rerun, sample = hole_case
     assert np.array_equal(stage.graph_lipschitz, _check_graph_test(stage))
@@ -1336,7 +1358,6 @@ def test_stage_arrays_match_loops_on_random_stages(seed):
     frames = np.stack([_rotation(int(t))[:2] for t in tilts])
     rows = np.where(rng.random(n_pts) < 0.1, -1, np.arange(n_pts))
     stage = ip.SmoothedSurfaceStage(
-        index=0,
         points=pts,
         gauge=rng.uniform(0.0, 0.3, n_pts),
         sample_rows=rows,
@@ -1345,7 +1366,6 @@ def test_stage_arrays_match_loops_on_random_stages(seed):
         patch_gauge=rng.uniform(1.0, 4.0, n_patches),
         graph_lipschitz=np.zeros(n_patches),
         synth_offset_ratio=0.0,
-        overlap_mismatch=0.0,
     )
     sample = WeightedSurfaceSample(pts, np.ones(n_pts), frames[:n_pts])
     n_src = int(rng.integers(1, 40))
@@ -1364,7 +1384,6 @@ def test_graph_test_rejects_steep_patch():
     # a normal jump of 1 over an in-plane step of 0.1 is 10-Lipschitz
     pts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.1, 0.0, 1.0]])
     stage = ip.SmoothedSurfaceStage(
-        index=0,
         points=pts,
         gauge=np.zeros(3),
         sample_rows=np.arange(3),
@@ -1373,7 +1392,6 @@ def test_graph_test_rejects_steep_patch():
         patch_gauge=np.array([4.0]),
         graph_lipschitz=np.zeros(1),
         synth_offset_ratio=0.0,
-        overlap_mismatch=0.0,
     )
     with pytest.raises(GraphTestFailure, match="fails the graph test"):
         ip._graph_lipschitz(stage, lip_bound=1.0)

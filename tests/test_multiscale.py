@@ -330,6 +330,16 @@ def test_scale_family_refuses_a_zero_floor(flat):
         ms.build_scale_family(flat, Ball(ORIGIN, 1.0), sigma_max=0.5, floor=0.0)
 
 
+def test_greedy_net_is_first_come_along_a_chain():
+    """a < b < c with |ab| and |bc| within the spacing but |ac| not: a
+    blocks b, and c, blocked only by the dropped b, is kept.  The ball is
+    closed: a point at exactly the spacing is blocked."""
+    chain = np.array([[0.0, 0.0, 0.0], [0.75, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    assert np.array_equal(ms._greedy_net(chain, 1.0), chain[[0, 2]])
+    assert np.array_equal(ms._greedy_net(chain[::-1], 1.0), chain[[2, 0]])
+    assert np.array_equal(ms._greedy_net(chain[[0, 2]], 1.5), chain[[0]])
+
+
 def test_maximal_tilt_refuses_a_zero_floor(flat):
     ref = Plane(basis=np.eye(3)[:2])
     with pytest.raises(InvalidScale, match="resolution floor 0.0"):

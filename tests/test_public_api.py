@@ -1,9 +1,11 @@
 """Exported names: every ``__all__`` entry resolves, and ``conformal.__all__``
 lists exactly the public classes and functions the module defines.  Source
 checks: one module owns the eigenframe kernel, the mesh kernels have one
-owner each, and retired knobs stay gone."""
+owner each, and retired knobs stay gone; every settable keyword is listed."""
 
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -56,3 +58,63 @@ def test_mesh_kernels_have_one_owner():
 def test_dyadic_depth_is_a_module_constant(name):
     """Dyadic statistics run to `conformal.DYADIC_DEPTH`; no call sets a depth."""
     assert "depth" not in inspect.signature(getattr(conformal, name)).parameters
+
+
+# Every keyword parameter with a default of a public function or method,
+# with that default.  A new knob fails here until it is listed.
+KEYWORD_DEFAULTS = {
+    "conformal.DiskPatch.from_mesh": {
+        "center": None, "plane_coords": None, "sigma": None, "spacing": None
+    },
+    "conformal.conformal_diagnostics": {"curvature": None},
+    "conformal.intrinsic_metric_diagnostics": {"seed": 0},
+    "conformal.mobius_reparameterized": {"center": (0.0, 0.0), "phase": 0.0},
+    "conformal.refine_disk_patch": {"boundary_projector": None, "projector": None},
+    "curvature.build_curvature_field": {"indices": None},
+    "curvature.monotonicity_identity": {"floor": None},
+    "curvature.monotonicity_inequality": {"floor": None},
+    "geometry.Plane.lift": {"heights": None},
+    "geometry.WeightedSurfaceSample.transformed": {
+        "rotation": None, "scale": 1.0, "translation": None
+    },
+    "geometry.fit_plane_pca": {"center": None, "dim": 2, "weights": None},
+    "iterated_projection.extract_fine_set": {"floor": None},
+    "iterated_projection.iterate_parameterization": {"nu": None},
+    "iterated_projection.make_delta0": {"domain": None},
+    "iterated_projection.next_delta": {"domain": None},
+    "multiscale.beta_report": {"floor": None},
+    "multiscale.build_scale_family": {"floor": None, "sigma_max": None},
+    "multiscale.caccioppoli_bound_check": {"plane": None},
+    "multiscale.density_ratio": {"floor": None},
+    "multiscale.local_maximal_tilt": {"floor": None},
+    "multiscale.resolution_floor": {"mult": 8.0},
+    "synthetic.disk_lattice": {"pattern": "hex"},
+}
+
+
+def _public_callables(module):
+    """(qualified name, function) of the module's public functions and the
+    public methods of its public classes."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_every_keyword_default_is_listed():
+    found = {}
+    for info in pkgutil.iter_modules(varifoldlab.__path__):
+        module = importlib.import_module(f"varifoldlab.{info.name}")
+        for name, fn in _public_callables(module):
+            params = inspect.signature(fn).parameters.values()
+            defaults = {p.name: p.default for p in params if p.default is not p.empty}
+            if defaults:
+                found[f"{info.name}.{name}"] = defaults
+    assert found == KEYWORD_DEFAULTS
+    assert sum(len(kw) for kw in found.values()) == 32
