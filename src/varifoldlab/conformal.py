@@ -819,14 +819,14 @@ class DiskParameterization:
     """Piecewise-linear map from the unit-disk mesh onto patch points.
 
     ``disk_points[i]`` is the parameter position of ``surface_points[i]``;
-    triangles are shared.  Immutable once solved (`jacobian` is cached).
+    triangles are shared.  Immutable once solved (`jacobian` is cached, and
+    `energy` derives from it).
     """
 
     disk_points: np.ndarray
     surface_points: np.ndarray
     triangles: np.ndarray
     boundary: np.ndarray | None = None
-    energy: float = float("nan")
     pinned: np.ndarray | None = None
     pin_targets: np.ndarray | None = None
     pin_error: float = float("nan")
@@ -866,6 +866,14 @@ class DiskParameterization:
             self._jacobian = (jac, areas)
         return self._jacobian
 
+    @property
+    def energy(self) -> float:
+        """Dirichlet energy: the per-triangle sum of |grad f|^2 times the
+        parameter area.  Raises DegenerateTriangle with `jacobian`."""
+        jac, areas = self.jacobian()
+        _, _, _, lam_hi, lam_lo = _gram_eigs(jac)
+        return float(np.sum((lam_hi + lam_lo) * areas))
+
 
 def _affine_maps(disk_pts: np.ndarray, tris: np.ndarray, values: np.ndarray):
     """Per-triangle Jacobians of the PL map disk -> values.
@@ -898,12 +906,6 @@ def _gram_eigs(jac: np.ndarray):
     lam_hi = 0.5 * (tr + disc)
     lam_lo = np.maximum(0.5 * (tr - disc), 0.0)
     return g11, g22, g12, lam_hi, lam_lo
-
-
-def _dirichlet_energy(param: DiskParameterization) -> float:
-    jac, areas = param.jacobian()
-    _, _, _, lam_hi, lam_lo = _gram_eigs(jac)
-    return float(np.sum((lam_hi + lam_lo) * areas))
 
 
 def _solve_trace(lap, boundary, boundary_values, interior, n: int) -> np.ndarray:
@@ -997,10 +999,11 @@ def harmonic_disk_param(patch: DiskPatch) -> DiskParameterization:
 
 
 def _param_on_circle(z, bd, pins=None, targets=None, **fields) -> DiskParameterization:
-    """The parameterization, with its energy, of the complex disk positions
-    `z` (changed in place) once the vertices `bd` move radially onto the
-    unit circle and the `pins` onto their complex `targets`; `fields` are
-    its other fields.  Raises FoldedTriangles on a folded triangle."""
+    """The parameterization, with its Jacobians built, of the complex disk
+    positions `z` (changed in place) once the vertices `bd` move radially
+    onto the unit circle and the `pins` onto their complex `targets`;
+    `fields` are its other fields.  Raises FoldedTriangles on a folded
+    triangle and DegenerateTriangle on a degenerate one."""
     zb = z[bd]
     z[bd] = zb / np.abs(zb)
     if pins is not None:
@@ -1017,7 +1020,7 @@ def _param_on_circle(z, bd, pins=None, targets=None, **fields) -> DiskParameteri
         pin_targets=None if pins is None else np.stack([targets.real, targets.imag], axis=1),
         **fields,
     )
-    param.energy = _dirichlet_energy(param)
+    param.jacobian()
     return param
 
 
@@ -1585,7 +1588,6 @@ class LipschitzPieces:
     """
 
     scale: float
-    threshold: float
     excluded_area: float
     excluded_image_area: float
     budget: float
@@ -1652,7 +1654,6 @@ def large_lipschitz_pieces(
         kept_idx = np.sort(rng.choice(kept_idx, 1200, replace=False))
     return LipschitzPieces(
         scale=scale,
-        threshold=float(t),
         excluded_area=float(lumped[bad].sum()),
         excluded_image_area=float(lumped_surface[bad].sum()),
         budget=float(budget),
@@ -1719,7 +1720,8 @@ def conformal_diagnostics(
     )
     res = curvature_equation_residuals(param, curvature)
     image_area = float((cf.area_factor * cf.disk_areas).sum())
-    gap = (param.energy - 2.0 * image_area) / param.energy if param.energy else 0.0
+    energy = param.energy
+    gap = (energy - 2.0 * image_area) / energy if energy else 0.0
     if res.mc_relative is not None and np.isfinite(res.mc_relative):
         mc_headline: float | None = res.mc_relative
     else:
@@ -1735,7 +1737,7 @@ def conformal_diagnostics(
         gauss_residual=res.gauss_absolute,
         gauss_residual_relative=res.gauss_relative,
         frame_energy=res.frame_energy,
-        energy=param.energy,
+        energy=energy,
         image_area=image_area,
         energy_area_gap=float(gap),
         max_qc_dilatation=float(cf.qc_dilatation.max()),

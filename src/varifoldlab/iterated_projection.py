@@ -281,67 +281,42 @@ def build_separated_net(
     sample: WeightedSurfaceSample,
     delta: DeltaField,
 ) -> SeparatedNet:
-    """Pack {gauge > 0} greedily, then color at a tenth-gauge separation.
+    """Pack {gauge > 0} first come, then colour at a tenth-gauge separation.
 
-    Processing runs in decreasing gauge order with stable index tie-breaks,
-    so the result is deterministic.  Packing rejects a candidate inside the
-    packing radius of an accepted point; coverage by accepted balls at twice
-    the packing radius follows.  The group count is asserted against the
-    10^(5m+1) ceiling and the true count recorded.
+    Rows go in decreasing gauge order, ties by index.  A kept row drops the
+    later rows in the closed ball of radius NET_PACKING_MULT * gauge around
+    it (`multiscale._greedy_net`).  Members within GROUP_SEP_MULT times the
+    larger of their gauges conflict; in net order, each takes the smallest
+    group no earlier conflicting member holds.  The group count is asserted
+    against the 10^(5m+1) ceiling.
     """
-    m = sample.intrinsic_dim
     vals = np.asarray(delta.values, dtype=float)
     cand = np.flatnonzero(vals > 0.0)
     if cand.size == 0:
         raise EmptyFineSet("no points with positive gauge to pack")
     order = cand[np.lexsort((cand, -vals[cand]))]
-    pts = sample.points
+    net_rows = order[_greedy_net(sample.points[order], NET_PACKING_MULT * vals[order])]
 
-    r_pack = NET_PACKING_MULT * vals
-    tree_all = cKDTree(pts[order])
-    # only pairs closer than the largest packing radius can ever conflict
-    close = tree_all.query_pairs(float(r_pack[order].max()), output_type="ndarray")
-    conflicts: dict[int, list[int]] = {}
-    for a, b in close:  # a < b in acceptance order
-        conflicts.setdefault(int(b), []).append(int(a))
-    accepted_mask = np.zeros(order.size, dtype=bool)
-    for pos in range(order.size):
-        row = order[pos]
-        ok = True
-        for earlier in conflicts.get(pos, ()):
-            if accepted_mask[earlier] and (
-                np.linalg.norm(pts[row] - pts[order[earlier]])
-                < r_pack[order[earlier]]
-            ):
-                ok = False
-                break
-        accepted_mask[pos] = ok
-    net_rows = order[accepted_mask]
-
-    # greedy coloring with symmetric tenth-gauge separation
-    net_pts = pts[net_rows]
-    net_vals = vals[net_rows]
-    balls = cKDTree(net_pts).query_ball_point(
-        net_pts, GROUP_SEP_MULT * net_vals, return_sorted=False
-    )
-    forbidden: list[set[int]] = [set() for _ in range(net_rows.size)]
-    group_ids = np.full(net_rows.size, -1, dtype=int)
-    for pos, ball in enumerate(balls):
-        taken = set(forbidden[pos])
-        for nb in ball:
-            if nb != pos and group_ids[nb] >= 0:
-                taken.add(int(group_ids[nb]))
+    pts = sample.points[net_rows]
+    sep = GROUP_SEP_MULT * vals[net_rows]
+    pairs = cKDTree(pts).query_pairs(float(sep.max()), output_type="ndarray")
+    a, b = pairs.T  # a < b in net order
+    # squared, as the KD-tree's own ball test compares them
+    near = ((pts[a] - pts[b]) ** 2).sum(axis=1) <= np.maximum(sep[a], sep[b]) ** 2
+    earlier: list[list[int]] = [[] for _ in net_rows]
+    for i, j in pairs[near].tolist():
+        earlier[j].append(i)
+    group_ids: list[int] = []
+    for nbs in earlier:
+        taken = [group_ids[i] for i in nbs]
         g = 0
         while g in taken:
             g += 1
-        group_ids[pos] = g
-        # forward-mark later points inside this member's own separation ball
-        for nb in ball:
-            if nb > pos:
-                forbidden[nb].add(g)
-    q = int(group_ids.max()) + 1
+        group_ids.append(g)
+    q = max(group_ids) + 1
+    m = sample.intrinsic_dim
     assert q <= 10 ** (5 * m + 1), "group count exceeded the packing ceiling"
-    return SeparatedNet(net_rows, group_ids, q)
+    return SeparatedNet(net_rows, np.array(group_ids), q)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +560,8 @@ def build_sigma_delta(
         if new_pts:
             # candidates synthesized within one group can still collide with
             # each other near group boundaries; keep first come
-            stage_pts.append(_greedy_net(np.concatenate(new_pts), 0.5 * grid_step))
+            batch = np.concatenate(new_pts)
+            stage_pts.append(batch[_greedy_net(batch, 0.5 * grid_step)])
 
     points = np.concatenate(stage_pts)
     rows = np.full(len(points), -1)
@@ -839,7 +815,6 @@ class DistortionReport:
 
     f_upper: np.ndarray
     f_lower: np.ndarray
-    p: float
     lp_upper: float
     lp_lower_inverse: float
     lp_deviation: float
@@ -938,7 +913,6 @@ def distortion_report(source_points, target_points) -> DistortionReport:
     return DistortionReport(
         f_upper=f_up,
         f_lower=f_lo,
-        p=DISTORTION_P,
         lp_upper=lp_upper,
         lp_lower_inverse=lp_lower_inverse,
         lp_deviation=lp_deviation,
@@ -1018,8 +992,6 @@ class IterationResult:
     nu: float
     beta: float
     tail_bound: float
-    embed_scale: float
-    embed_center: np.ndarray
 
 
 # The stage pipeline rescales its input into a ball of this radius inside
@@ -1181,6 +1153,4 @@ def iterate_parameterization(
         nu=float(nu),
         beta=float(beta),
         tail_bound=float(tail),
-        embed_scale=scale,
-        embed_center=center,
     )

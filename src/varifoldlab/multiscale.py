@@ -612,7 +612,7 @@ def build_scale_family(
     if eligible.size == 0:
         raise BallBelowResolution("no sample point admits the largest radius")
     spacing = radii[-1] / NET_FACTOR
-    centers = _greedy_net(sample.points[eligible], spacing)
+    centers = sample.points[eligible[_greedy_net(sample.points[eligible], spacing)]]
     return ScaleFamily(
         centers=centers,
         radii=tuple(radii),
@@ -621,18 +621,23 @@ def build_scale_family(
     )
 
 
-def _greedy_net(points: np.ndarray, spacing: float) -> np.ndarray:
-    """First-come separated subset at the given spacing."""
+def _greedy_net(points: np.ndarray, radius) -> np.ndarray:
+    """Rows of a first-come packing of `points`, in row order.
+
+    `radius` is one value or one per row.  A kept row blocks every later
+    row inside the closed ball of its own radius; a blocked row blocks
+    nothing.  One ball is queried per kept row.
+    """
+    radius = np.broadcast_to(radius, len(points))
     tree = cKDTree(points)
-    taken = np.zeros(len(points), dtype=bool)
     blocked = np.zeros(len(points), dtype=bool)
+    kept = []
     for i in range(len(points)):
         if blocked[i]:
             continue
-        taken[i] = True
-        for j in tree.query_ball_point(points[i], spacing):
-            blocked[j] = True
-    return points[taken]
+        kept.append(i)
+        blocked[tree.query_ball_point(points[i], radius[i])] = True
+    return np.array(kept, dtype=int)
 
 
 @dataclass(frozen=True)

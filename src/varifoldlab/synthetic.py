@@ -11,6 +11,8 @@ sampling would allow.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,11 @@ KINDS = (
     "cylinder_band",
     "perturbed_disk",
     "punched_disk",
+)
+
+
+_FLOAT_FIELDS = (
+    "radius", "eps", "sphere_radius", "band_height", "noise", "plateau_radius", "wall_scale"
 )
 
 
@@ -54,9 +61,8 @@ class SyntheticSpec:
     noise : float
         Amplitude of uniform normal jitter (perturbed_disk, optional others).
     hole_center : tuple
-        Center of the punched hole in chart coordinates.
-    hole_diameter : float or None
-        Hole diameter; None means 5 mean spacings.
+        Center of the punched hole in chart coordinates; the hole is
+        HOLE_DIAMETER_SPACINGS mean spacings wide.
     pattern : str
         "hex" (default) or "sunflower".
     plateau_radius : float
@@ -76,7 +82,6 @@ class SyntheticSpec:
     band_height: float = 3.0
     noise: float = 0.0
     hole_center: tuple = (0.3, 0.0)
-    hole_diameter: float | None = None
     pattern: str = "hex"
     plateau_radius: float = 0.15
     wall_scale: float = 0.055
@@ -84,10 +89,18 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}; choose from {KINDS}")
-        if self.n_points < 16:
-            raise InvalidSpec("n_points too small to form a surface sample")
-        if self.radius <= 0:
-            raise InvalidSpec("radius must be positive")
+        n = self.n_points
+        if not isinstance(n, numbers.Integral) or n < 16:
+            raise InvalidSpec(f"n_points must be an integer of at least 16, got {n!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
+        for name in ("radius", "sphere_radius", "band_height"):
+            if getattr(self, name) <= 0:
+                raise InvalidSpec(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.noise < 0:
+            raise InvalidSpec(f"noise must be at least 0, got {self.noise!r}")
         if self.kind == "sphere_cap" and self.radius >= self.sphere_radius:
             raise InvalidSpec("rim radius must be below the sphere radius")
         if self.pattern not in ("hex", "sunflower"):
@@ -105,7 +118,6 @@ class GroundTruth:
 
     area: float
     mean_curvature: np.ndarray | None
-    description: str
     params: dict = field(default_factory=dict)
 
 
@@ -206,7 +218,6 @@ def _gen_flat_disk(spec: SyntheticSpec):
     truth = GroundTruth(
         area=area,
         mean_curvature=np.zeros((count, 3)),
-        description="flat unit-density disk in the z=0 plane",
         params={"radius": spec.radius},
     )
     return sample, truth
@@ -255,7 +266,6 @@ def _gen_graph(spec: SyntheticSpec):
     truth = GroundTruth(
         area=_graph_area(spec.eps, spec.radius),
         mean_curvature=graph_mean_curvature(spec.eps, xy),
-        description="saddle height graph with bounded gradient",
         params={"eps": spec.eps, "radius": spec.radius},
     )
     return sample, truth
@@ -300,7 +310,6 @@ def _gen_plateau_graph(spec: SyntheticSpec):
     truth = GroundTruth(
         area=_plateau_area(spec.eps, spec.plateau_radius, spec.wall_scale, spec.radius),
         mean_curvature=None,
-        description="flat disk with a raised shelf and exponential inner wall",
         params={
             "eps": spec.eps,
             "plateau_radius": spec.plateau_radius,
@@ -348,7 +357,6 @@ def _gen_sphere_cap(spec: SyntheticSpec):
     truth = GroundTruth(
         area=area,
         mean_curvature=H,
-        description="sphere cap sampled in the azimuthal equal-area chart",
         params={"sphere_radius": R, "rim_radius": spec.radius},
     )
     return sample, truth
@@ -371,7 +379,6 @@ def _gen_cylinder_band(spec: SyntheticSpec):
     truth = GroundTruth(
         area=area,
         mean_curvature=H,
-        description="cylinder band, axis e3",
         params={"radius": r, "band_height": spec.band_height},
     )
     return sample, truth
@@ -387,16 +394,18 @@ def _gen_perturbed_disk(spec: SyntheticSpec):
     truth = GroundTruth(
         area=np.pi * spec.radius**2,
         mean_curvature=None,
-        description="flat disk with seeded normal jitter",
         params={"noise": spec.noise, "radius": spec.radius, "seed": spec.seed},
     )
     return sample, truth
 
 
+# Diameter of the punched_disk hole, in mean spacings of the full disk.
+HOLE_DIAMETER_SPACINGS = 5.0
+
+
 def _gen_punched_disk(spec: SyntheticSpec):
     base, _ = _gen_flat_disk(spec)
-    spacing = base.mean_spacing
-    diameter = spec.hole_diameter if spec.hole_diameter else 5.0 * spacing
+    diameter = HOLE_DIAMETER_SPACINGS * base.mean_spacing
     center = np.asarray(spec.hole_center, dtype=float)
     dist = np.linalg.norm(base.points[:, :2] - center, axis=1)
     keep = dist > diameter / 2.0
@@ -408,7 +417,6 @@ def _gen_punched_disk(spec: SyntheticSpec):
     truth = GroundTruth(
         area=float(base.weights[keep].sum()),
         mean_curvature=np.zeros((int(keep.sum()), 3)),
-        description="flat disk with a punched hole",
         params={
             "hole_center": tuple(center),
             "hole_diameter": float(diameter),

@@ -27,6 +27,7 @@ from varifoldlab.errors import (
     TooFewPoints,
 )
 from varifoldlab.geometry import Ball, Plane, fit_plane_pca, grassmann_project
+from varifoldlab.iterated_projection import GROUP_SEP_MULT, NET_PACKING_MULT
 from varifoldlab.meshing import angle_defects
 
 # ---------------------------------------------------------------------------
@@ -571,6 +572,64 @@ def patch_arrays_loop(sample, fine, net, gauge):
         np.asarray(bases).reshape(-1, m, n),
         np.asarray(gauges, dtype=float),
     )
+
+
+def separated_net_loop(sample, delta):
+    """Net rows, group ids and group count by the explicit loops: packing
+    checks each row against the kept rows among its `query_pairs`
+    partners (open balls), and the colouring forward-marks each member's
+    group on the later members of its own separation ball."""
+    m = sample.intrinsic_dim
+    vals = np.asarray(delta.values, dtype=float)
+    cand = np.flatnonzero(vals > 0.0)
+    order = cand[np.lexsort((cand, -vals[cand]))]
+    pts = sample.points
+
+    r_pack = NET_PACKING_MULT * vals
+    tree_all = cKDTree(pts[order])
+    # only pairs closer than the largest packing radius can ever conflict
+    close = tree_all.query_pairs(float(r_pack[order].max()), output_type="ndarray")
+    conflicts: dict[int, list[int]] = {}
+    for a, b in close:  # a < b in acceptance order
+        conflicts.setdefault(int(b), []).append(int(a))
+    accepted_mask = np.zeros(order.size, dtype=bool)
+    for pos in range(order.size):
+        row = order[pos]
+        ok = True
+        for earlier in conflicts.get(pos, ()):
+            if accepted_mask[earlier] and (
+                np.linalg.norm(pts[row] - pts[order[earlier]])
+                < r_pack[order[earlier]]
+            ):
+                ok = False
+                break
+        accepted_mask[pos] = ok
+    net_rows = order[accepted_mask]
+
+    # greedy coloring with symmetric tenth-gauge separation
+    net_pts = pts[net_rows]
+    net_vals = vals[net_rows]
+    balls = cKDTree(net_pts).query_ball_point(
+        net_pts, GROUP_SEP_MULT * net_vals, return_sorted=False
+    )
+    forbidden: list[set[int]] = [set() for _ in range(net_rows.size)]
+    group_ids = np.full(net_rows.size, -1, dtype=int)
+    for pos, ball in enumerate(balls):
+        taken = set(forbidden[pos])
+        for nb in ball:
+            if nb != pos and group_ids[nb] >= 0:
+                taken.add(int(group_ids[nb]))
+        g = 0
+        while g in taken:
+            g += 1
+        group_ids[pos] = g
+        # forward-mark later points inside this member's own separation ball
+        for nb in ball:
+            if nb > pos:
+                forbidden[nb].add(g)
+    q = int(group_ids.max()) + 1
+    assert q <= 10 ** (5 * m + 1), "group count exceeded the packing ceiling"
+    return net_rows, group_ids, q
 
 
 def graph_lipschitz_loop(points, centers, bases, radii):

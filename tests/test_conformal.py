@@ -596,6 +596,26 @@ class TestHarmonicParam:
         assert param.energy == pytest.approx(energy, rel=1e-12)
         assert param.energy - 2.0 * area >= -1e-9
 
+    def test_rebuilt_parameterization_keeps_its_energy(self, flat_pp):
+        """A map rebuilt from a solved one's arrays reports the same energy
+        and diagnostics, bit for bit: energy derives from the map."""
+        _, param = flat_pp
+        rebuilt = conf.DiskParameterization(
+            disk_points=param.disk_points,
+            surface_points=param.surface_points,
+            triangles=param.triangles,
+            boundary=param.boundary,
+            pinned=param.pinned,
+            pin_targets=param.pin_targets,
+            pin_error=param.pin_error,
+            patch=param.patch,
+        )
+        assert rebuilt.energy == param.energy
+        got = conf.conformal_diagnostics(rebuilt)
+        want = conf.conformal_diagnostics(param)
+        assert np.isfinite(got.energy) and np.isfinite(got.energy_area_gap)
+        np.testing.assert_equal(vars(got), vars(want))
+
     def test_cap_matches_stereographic_map(self, structured_cap_pp):
         patch, param = structured_cap_pp
         assert cap_map_error(param, patch) <= 1e-6

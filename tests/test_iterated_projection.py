@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -43,6 +44,7 @@ from oracles import (
     projector_lipschitz_loop,
     reference_plane_loop,
     sampled_partner_distortion,
+    separated_net_loop,
 )
 
 # shelf-with-wall graph protocol used for the full pipeline runs
@@ -525,6 +527,31 @@ def test_net_separation_coverage_grouping():
     assert net.group_count <= 200
     assert np.array_equal(np.sort(np.unique(net.group_ids)),
                           np.arange(net.group_count))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_net_matches_packing_and_colouring_loops(seed):
+    """Random planar clouds of about unit spacing, a third of them with
+    1e-7 near-duplicates, with gauges log-uniform between 1 and 3000
+    spacings per row: the packing radius reaches past the spacing in most
+    of them, so the net thins, and the colouring meets unequal gauges."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 150))
+    side = np.sqrt(n)
+    pts = np.c_[rng.uniform(0.0, side, (n, 2)), rng.uniform(-0.05, 0.05, n)]
+    if seed % 3 == 0:
+        twins = rng.integers(0, n, int(rng.integers(1, n // 2 + 2)))
+        pts = np.concatenate([pts, pts[twins] + rng.uniform(-1e-7, 1e-7, (twins.size, 3))])
+    sample = _simple_sample(pts)
+    lo, hi = np.sort(np.exp(rng.uniform(0.0, np.log(3000.0), 2)))
+    # the net reads nothing of the gauge field but its values
+    gauge = SimpleNamespace(values=np.exp(rng.uniform(np.log(lo), np.log(hi), len(pts))))
+    net = ip.build_separated_net(sample, gauge)
+    rows, group_ids, count = separated_net_loop(sample, gauge)
+    assert np.array_equal(net.indices, rows)
+    assert np.array_equal(net.group_ids, group_ids)
+    assert net.group_count == count
 
 
 def test_net_requires_positive_gauge_somewhere():

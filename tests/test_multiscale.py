@@ -333,11 +333,17 @@ def test_scale_family_refuses_a_zero_floor(flat):
 def test_greedy_net_is_first_come_along_a_chain():
     """a < b < c with |ab| and |bc| within the spacing but |ac| not: a
     blocks b, and c, blocked only by the dropped b, is kept.  The ball is
-    closed: a point at exactly the spacing is blocked."""
+    closed: a point at exactly the spacing is blocked.  With one radius per
+    row, a kept row blocks by its own radius; the later row's radius, or a
+    blocked row's, plays no part."""
     chain = np.array([[0.0, 0.0, 0.0], [0.75, 0.0, 0.0], [1.5, 0.0, 0.0]])
-    assert np.array_equal(ms._greedy_net(chain, 1.0), chain[[0, 2]])
-    assert np.array_equal(ms._greedy_net(chain[::-1], 1.0), chain[[2, 0]])
-    assert np.array_equal(ms._greedy_net(chain[[0, 2]], 1.5), chain[[0]])
+    assert ms._greedy_net(chain, 1.0).tolist() == [0, 2]
+    assert ms._greedy_net(chain[::-1], 1.0).tolist() == [0, 2]
+    assert ms._greedy_net(chain[[0, 2]], 1.5).tolist() == [0]
+    assert ms._greedy_net(chain, [0.5, 0.75, 1.0]).tolist() == [0, 1]
+    assert ms._greedy_net(chain, [1.5, 0.1, 0.1]).tolist() == [0]
+    assert ms._greedy_net(chain, [0.5, 0.5, 2.0]).tolist() == [0, 1, 2]
+    assert ms._greedy_net(chain, [1.0, 5.0, 0.0]).tolist() == [0, 2]
 
 
 def test_maximal_tilt_refuses_a_zero_floor(flat):

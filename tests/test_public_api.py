@@ -1,8 +1,10 @@
 """Exported names: every ``__all__`` entry resolves, and ``conformal.__all__``
 lists exactly the public classes and functions the module defines.  Source
 checks: one module owns the eigenframe kernel, the mesh kernels have one
-owner each, and retired knobs stay gone; every settable keyword is listed."""
+owner each, and retired knobs stay gone; every settable keyword and every
+`SyntheticSpec` field is listed."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -13,6 +15,7 @@ import pytest
 
 import varifoldlab
 from varifoldlab import conformal
+from varifoldlab.synthetic import SyntheticSpec
 
 
 @pytest.mark.parametrize("module", [varifoldlab, conformal], ids=lambda m: m.__name__)
@@ -118,3 +121,27 @@ def test_every_keyword_default_is_listed():
                 found[f"{info.name}.{name}"] = defaults
     assert found == KEYWORD_DEFAULTS
     assert sum(len(kw) for kw in found.values()) == 32
+
+
+# Every field of `SyntheticSpec`, with its default.  A new config field fails
+# here until it is listed, as a new keyword does above.
+SYNTHETIC_SPEC_DEFAULTS = {
+    "kind": "flat_disk",
+    "n_points": 5000,
+    "seed": 0,
+    "radius": 1.0,
+    "eps": 0.05,
+    "sphere_radius": 10.0,
+    "band_height": 3.0,
+    "noise": 0.0,
+    "hole_center": (0.3, 0.0),
+    "pattern": "hex",
+    "plateau_radius": 0.15,
+    "wall_scale": 0.055,
+}
+
+
+def test_every_synthetic_spec_field_is_listed():
+    fields = {f.name: f.default for f in dataclasses.fields(SyntheticSpec)}
+    assert fields == SYNTHETIC_SPEC_DEFAULTS
+    assert len(fields) == 12

@@ -167,6 +167,29 @@ def test_invalid_specs_are_rejected():
         SyntheticSpec(pattern="poisson")
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"radius": np.nan},
+        {"radius": np.inf},
+        {"kind": "sphere_cap", "sphere_radius": np.nan},
+        {"n_points": np.nan},
+        {"n_points": 2000.5},
+        {"kind": "perturbed_disk", "noise": -1.0},
+        {"kind": "graph", "eps": np.inf},
+        {"kind": "cylinder_band", "band_height": -1.0},
+        {"kind": "plateau_graph", "wall_scale": np.nan},
+    ],
+    ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()),
+)
+def test_spec_names_the_bad_number(fields):
+    """Non-finite, negative or fractional numbers are refused by the spec,
+    naming the field (the last one given), before numpy sees them."""
+    name = list(fields)[-1]
+    with pytest.raises(InvalidSpec, match=f"^{name} must"):
+        SyntheticSpec(**fields)
+
+
 def test_icosphere_is_a_closed_manifold_on_the_sphere():
     verts, faces = icosphere(2, 10.0)
     assert np.abs(np.linalg.norm(verts, axis=1) - 10.0).max() < 1e-10
