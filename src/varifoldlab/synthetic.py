@@ -48,7 +48,7 @@ class SyntheticSpec:
     n_points : int
         Target sample size (actual count is lattice-determined, close to it).
     seed : int
-        Seed for jitter and noise; lattice placement itself is deterministic.
+        Non-negative seed for jitter and noise; lattice placement is deterministic.
     radius : float
         Disk radius, planar rim radius of the cap, or cylinder radius.
     eps : float
@@ -61,8 +61,8 @@ class SyntheticSpec:
     noise : float
         Amplitude of uniform normal jitter (perturbed_disk, optional others).
     hole_center : tuple
-        Center of the punched hole in chart coordinates; the hole is
-        HOLE_DIAMETER_SPACINGS mean spacings wide.
+        Two finite chart coordinates of the punched hole's center; the hole
+        is HOLE_DIAMETER_SPACINGS mean spacings wide.
     pattern : str
         "hex" (default) or "sunflower".
     plateau_radius : float
@@ -101,6 +101,12 @@ class SyntheticSpec:
                 raise InvalidSpec(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.noise < 0:
             raise InvalidSpec(f"noise must be at least 0, got {self.noise!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidSpec(f"seed must be a non-negative integer, got {self.seed!r}")
+        hole = self.hole_center
+        pair = isinstance(hole, (tuple, list)) and len(hole) == 2
+        if not (pair and all(isinstance(c, numbers.Real) and math.isfinite(c) for c in hole)):
+            raise InvalidSpec(f"hole_center must be two finite numbers, got {hole!r}")
         if self.kind == "sphere_cap" and self.radius >= self.sphere_radius:
             raise InvalidSpec("rim radius must be below the sphere radius")
         if self.pattern not in ("hex", "sunflower"):

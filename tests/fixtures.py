@@ -1,6 +1,8 @@
 """Test-only constructors: a structured disk mesh, the icosphere, the
-weighted sample at the vertices of a mesh, analytic curvature fields and
-the orthogonal-projector check."""
+weighted sample at the vertices of a mesh, analytic curvature fields, the
+orthogonal-projector check and the traced memory peak of a call."""
+
+import tracemalloc
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -129,3 +131,16 @@ def check_projector(p: np.ndarray, dim: int) -> bool:
         return False
     sv = np.linalg.svd(p, compute_uv=False)
     return bool(sv.max() <= 1 + _PROJECTOR_TOL)
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), bytes)``: the call's result and the peak of the memory
+    tracemalloc traces during the call, above what it traced at the start.
+    """
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -11,11 +11,12 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
 
+from varifoldlab import iterated_projection as ip
 from varifoldlab import multiscale as ms
 from varifoldlab.curvature import _PROFILE_FRACTIONS
 from varifoldlab.errors import (
@@ -728,6 +729,104 @@ def project_tau_scan(src, tgt, projectors, gauge, beta, candidates=12, slack=Non
         if best is not None:
             tang_res[i], chosen[i] = best
     return chosen, tang_res
+
+
+def pou_matrix_coo(points, centers, supports, balls) -> csr_matrix:
+    """The bump matrix built from one (rows, cols) coordinate list.
+
+    The former `iterated_projection._pou_matrix`, verbatim: int64 pair
+    indices, a COO-to-CSR sort and a normalizing `multiply`.
+    """
+    live = np.flatnonzero(supports > 0)
+    cols = np.repeat(live, [len(balls[j]) for j in live])
+    rows = np.concatenate([balls[j] for j in live] + [np.zeros(0, dtype=int)])
+    # squared distances summed coordinate by coordinate, one column at a
+    # time so no (pairs, n) temporary is formed
+    d2 = np.zeros(rows.size)
+    for axis in range(points.shape[1]):
+        d2 += np.square(points[rows, axis] - centers[cols, axis])
+    # each radius squared as a scalar (pow), not as an array square: the
+    # two differ in the last bit for about 0.1% of radii
+    d2 /= np.array([r**2 for r in supports])[cols]
+    inside = d2 < 1.0
+    mat = csr_matrix(
+        ((1.0 - d2[inside]) ** 2, (rows[inside], cols[inside])),
+        shape=(len(points), len(centers)),
+    )
+    sums = np.asarray(mat.sum(axis=1)).ravel()
+    covered = sums > 0
+    inv = np.zeros_like(sums)
+    inv[covered] = 1.0 / sums[covered]
+    return mat.multiply(inv[:, None]).tocsr()
+
+
+def distortion_report_where(source_points, target_points) -> ip.DistortionReport:
+    """`iterated_projection.distortion_report` on checked inputs, with the
+    former block loop verbatim: each block reduced through `np.where`
+    copies, its Chan merge inline.  Reads the pair blocks and constants of
+    the module at call time."""
+    src = np.atleast_2d(np.asarray(source_points, dtype=float))
+    tgt = np.atleast_2d(np.asarray(target_points, dtype=float))
+    n_pts = len(src)
+    w = np.full(n_pts, 1.0 / n_pts)
+
+    dev = tgt - src
+    if n_pts <= ip.DISTORTION_PAIRS:
+        blocks = ip._all_pair_blocks(src, tgt, dev)
+    else:
+        blocks = [ip._sampled_pair_block(src, tgt, dev, ip.DISTORTION_PAIRS, ip.DISTORTION_SEED)]
+
+    f_up = np.empty(n_pts)
+    f_lo = np.empty(n_pts)
+    dev_up = np.empty(n_pts)
+    # running count, means and centered co-moments of the log distances
+    count, mean_s, mean_t, m_ss, m_tt, m_st = 0, 0.0, 0.0, 0.0, 0.0, 0.0
+    for rows, ds, dt, dd, valid in blocks:
+        ok = valid & (ds > 1e-300)
+        has = ok.any(axis=1)
+        safe = np.where(ok, ds, 1.0)
+        ratio = dt / safe
+        f_up[rows] = np.where(
+            has, np.where(ok, ratio, -np.inf).max(axis=1), 1.0
+        )
+        f_lo[rows] = np.where(has, np.where(ok, ratio, np.inf).min(axis=1), 1.0)
+        dev_up[rows] = np.where(
+            has, np.where(ok, dd / safe, -np.inf).max(axis=1), 0.0
+        )
+        pos = ok & (dt > 1e-300)
+        if not pos.any():
+            continue
+        ls = np.log(ds[pos])
+        lt = np.log(dt[pos])
+        # merge this block's moments into the running ones (Chan et al.)
+        nb = ls.size
+        bs, bt = ls.mean(), lt.mean()
+        total = count + nb
+        step_s, step_t = bs - mean_s, bt - mean_t
+        share = count * nb / total
+        m_ss += float(((ls - bs) ** 2).sum()) + step_s * step_s * share
+        m_tt += float(((lt - bt) ** 2).sum()) + step_t * step_t * share
+        m_st += float(((ls - bs) * (lt - bt)).sum()) + step_s * step_t * share
+        mean_s += step_s * nb / total
+        mean_t += step_t * nb / total
+        count = total
+
+    exp_fwd = m_st / m_ss if m_ss > 0 else 1.0
+    exp_inv = m_st / m_tt if m_tt > 0 else 1.0
+
+    lp_upper = float((w * f_up**ip.DISTORTION_P).sum())
+    safe_lo = np.maximum(f_lo, 1e-300)
+    lp_lower_inverse = float((w * safe_lo ** (-ip.DISTORTION_P)).sum())
+    lp_deviation = float((w * dev_up**ip.DISTORTION_P).sum())
+    return ip.DistortionReport(
+        f_upper=f_up,
+        f_lower=f_lo,
+        lp_upper=lp_upper,
+        lp_lower_inverse=lp_lower_inverse,
+        lp_deviation=lp_deviation,
+        exponent_forward=exp_fwd,
+        exponent_inverse=exp_inv,
+    )
 
 
 # ---------------------------------------------------------------------------

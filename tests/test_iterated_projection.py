@@ -33,13 +33,16 @@ from varifoldlab.geometry import _QUERY_BLOCK, Ball, WeightedSurfaceSample
 from varifoldlab.multiscale import build_scale_family, local_maximal_tilt, resolution_floor
 from varifoldlab.synthetic import SyntheticSpec, generate
 
+from fixtures import traced_peak
 from oracles import (
     all_pairs_distortion,
     blended_normals_loop,
+    distortion_report_where,
     fine_membership_scan,
     graph_lipschitz_loop,
     maximal_tilt_loop,
     patch_arrays_loop,
+    pou_matrix_coo,
     project_tau_scan,
     projector_lipschitz_loop,
     reference_plane_loop,
@@ -660,6 +663,69 @@ def test_pou_single_query_matches_kd_ball_rows(seed):
         assert np.array_equal([v for _, v in weights], row.data)
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_pou_matrix_matches_coordinate_list_build(seed):
+    """Bump matrices built column by column from the balls equal the former
+    COO build bit for bit: `indptr`, `indices` and `data`.  Every example
+    holds a dead bump (support 0 or below), an empty ball and a row exactly
+    on a support sphere (d2 == 1, dropped); balls are KD-tree balls padded
+    with random rows, shuffled, of either index width."""
+    rng = np.random.default_rng(seed)
+    n, k, dim = int(rng.integers(1, 60)), int(rng.integers(3, 20)), int(rng.integers(2, 4))
+    # dyadic centres and radii keep the on-sphere distances exact
+    centers = rng.integers(-8, 9, (k, dim)) / 4.0
+    supports = np.where(
+        rng.random(k) < 0.5, rng.choice([0.25, 0.5, 1.0, 2.0], k), rng.uniform(0.1, 3.0, k)
+    )
+    supports[rng.random(k) < 0.2] = 0.0
+    supports[0] = 1.0
+    supports[1] = rng.choice([0.0, -0.5])
+    points = rng.uniform(-3.0, 3.0, (n, dim))
+    on_sphere = rng.random(n) < 0.3
+    on_sphere[0] = True
+    pick = np.where(np.arange(n) == 0, 0, rng.integers(0, k, n))
+    axis = rng.integers(0, dim, n)
+    sign = rng.choice([-1.0, 1.0], n)
+    for i in np.flatnonzero(on_sphere):
+        points[i] = centers[pick[i]]
+        points[i, axis[i]] += sign[i] * abs(supports[pick[i]])
+    tree = cKDTree(points)
+    dtype = np.int32 if seed % 2 else np.int64
+    balls = []
+    for j in range(k):
+        ball = tree.query_ball_point(centers[j], max(supports[j], 0.0), return_sorted=False)
+        extra = rng.choice(n, int(rng.integers(0, n + 1)), replace=False)
+        rows = np.union1d(np.asarray(ball, dtype=int), extra)
+        balls.append(rng.permutation(rows).astype(dtype))
+    balls[0] = np.union1d(balls[0], [0]).astype(dtype)
+    balls[2] = np.zeros(0, dtype=dtype)
+    new = ip._pou_matrix(points, centers, supports, balls)
+    old = pou_matrix_coo(points, centers, supports, balls)
+    assert new.shape == old.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_pou_matrix_transient_stays_within_three_matrices():
+    """A plateau-size input: 3500 bumps over 3500 planar points, about 190
+    rows per ball away from the rim (585k scored pairs).  Building the bump
+    matrix traces at most three times the bytes of the matrix it returns;
+    the former COO build traced about 5.7 times."""
+    rng = np.random.default_rng(3)
+    points = np.c_[rng.uniform(0.0, 1.0, (3500, 2)), np.zeros(3500)]
+    supports = np.full(len(points), np.sqrt(190.0 / (np.pi * len(points))))
+    balls = [
+        np.array(b, dtype=np.int32)
+        for b in cKDTree(points).query_ball_point(points, supports, return_sorted=False)
+    ]
+    assert sum(map(len, balls)) > 500_000
+    mat, peak = traced_peak(ip._pou_matrix, points, points, supports, balls)
+    held = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 3.0 * held, (peak, held)
+
+
 # ---------------------------------------------------------------------------
 # stage rebuilds
 
@@ -714,9 +780,10 @@ def test_stage_raises_without_anchors_near_steep_core():
         ip.build_sigma_delta(sample, fine, net, delta, nu=0.1)
 
 
-def test_stage_support_balls_come_from_one_query(monkeypatch):
+def test_stage_support_balls_come_from_one_tree(monkeypatch):
     # the graph test, the partition of unity and the normal-field quotient
-    # share one KD-tree over the stage points and one batched ball query
+    # share one KD-tree over the stage points, queried at every patch centre
+    # once, in patch order, a bounded block at a time
     base = _grid_sample(10)
     sample = _simple_sample(base.points[np.linalg.norm(base.points, axis=1) > 1.5])
     delta = _const_gauge(sample, 1030.0)
@@ -731,19 +798,22 @@ def test_stage_support_balls_come_from_one_query(monkeypatch):
             trees.append(self)
 
         def query_ball_point(self, x, r, **kwargs):
-            self.ball_queries.append(np.shape(x))
+            self.ball_queries.append(np.array(x, copy=True))
             return super().query_ball_point(x, r, **kwargs)
 
     monkeypatch.setattr(ip, "cKDTree", CountingTree)
     stage = ip.build_sigma_delta(sample, fine, net, delta, nu=0.1)
     ip.normal_field(stage, sample)
-    assert len(stage.patch_centers) > 1
+    assert len(stage.patch_centers) > ip._SUPPORT_BALL_BLOCK
     over_stage = [
         t for t in trees
         if t.data.shape == stage.points.shape and np.array_equal(t.data, stage.points)
     ]
-    queries = [shape for t in over_stage for shape in t.ball_queries]
-    assert queries == [stage.patch_centers.shape]
+    assert len(over_stage) == 1
+    blocks = over_stage[0].ball_queries
+    assert len(blocks) > 1
+    assert all(len(b) <= ip._SUPPORT_BALL_BLOCK for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), stage.patch_centers)
     # normal_field, the last reader, releases the balls
     assert stage._support_balls is None
 
@@ -1040,6 +1110,43 @@ def test_distortion_sampled_partners_on_fewer_than_nine_points(monkeypatch):
     sampled = ip.distortion_report(src, tgt)
     assert np.array_equal(sampled.f_upper, full.f_upper)
     assert np.array_equal(sampled.f_lower, full.f_lower)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_distortion_report_matches_where_loop(seed):
+    """Random maps with duplicated points, on one pair block, on row blocks
+    as small as one row and on sampled partners: every report field equals
+    the former `np.where` block loop bit for bit.  One example in five
+    collapses the target to a point, so no pair has two positive distances
+    and every block merges nothing."""
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(2, 80)), int(rng.integers(1, 4))
+    src = rng.normal(size=(n, dim))
+    lin = np.eye(dim) + 0.3 * rng.normal(size=(dim, dim))
+    tgt = src @ lin + 0.01 * rng.normal(size=(n, dim))
+    if n > 2:
+        # duplicated points, never over row 1, so rows 0 and 1 stay distinct
+        into = rng.choice(np.arange(2, n), int(rng.integers(1, n - 1)), replace=False)
+        copy = rng.integers(0, n, into.size)
+        src[into], tgt[into] = src[copy], tgt[copy]
+    collapsed = seed % 5 == 0
+    if collapsed:
+        tgt[:] = tgt[0]
+    mode = seed % 3
+    blocks = ip._all_pair_blocks
+    entries = n * int(rng.integers(1, 4)) if mode == 1 else 1 << 18
+    pairs = int(rng.integers(1, n)) if mode == 2 else ip.DISTORTION_PAIRS
+    # a collapsed pair has lower quotient 0, so lp_lower_inverse overflows
+    # to inf on both sides
+    with mock.patch.object(ip, "_all_pair_blocks", lambda *a: blocks(*a, entries=entries)), \
+            mock.patch.object(ip, "DISTORTION_PAIRS", pairs), \
+            np.errstate(over="ignore" if collapsed else "raise"):
+        new = ip.distortion_report(src, tgt)
+        old = distortion_report_where(src, tgt)
+    for f in dataclasses.fields(new):
+        a, b = getattr(new, f.name), getattr(old, f.name)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), f.name
 
 
 _FIFTY = np.random.default_rng(15).uniform(-1.0, 1.0, size=(50, 3))

@@ -179,6 +179,14 @@ def test_invalid_specs_are_rejected():
         {"kind": "graph", "eps": np.inf},
         {"kind": "cylinder_band", "band_height": -1.0},
         {"kind": "plateau_graph", "wall_scale": np.nan},
+        # these reached numpy: a broadcasting ValueError, a hole silently
+        # broadcast to (0.3, 0.3), a misleading "hole removes nearly the
+        # whole sample", and SeedSequence's ValueError and TypeError
+        {"kind": "punched_disk", "hole_center": (0.3, 0.0, 0.0)},
+        {"kind": "punched_disk", "hole_center": (0.3,)},
+        {"kind": "punched_disk", "hole_center": (np.nan, 0.0)},
+        {"kind": "perturbed_disk", "seed": -1},
+        {"kind": "perturbed_disk", "seed": 1.5},
     ],
     ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()),
 )
