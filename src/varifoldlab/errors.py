@@ -104,6 +104,11 @@ class NonContraction(ToolkitError):
     """Stage displacements stopped contracting; gauge assumptions violated."""
 
 
+class NonInjectiveMap(ToolkitError):
+    """A map sends distinct source points to one target, or so near it that
+    the inverse distortion overflows."""
+
+
 # ---------------------------------------------------------------------------
 # disk parameterization
 

@@ -412,9 +412,9 @@ def _principal_frames(matrices: np.ndarray, dim: int):
     mask of matrices whose `dim`-th eigenvalue > max(largest, 0) * 1e-12.
     """
     evals, evecs = np.linalg.eigh(matrices)
-    order = np.argsort(evals, axis=-1)[..., ::-1]
-    evals = np.take_along_axis(evals, order, axis=-1)
-    frames = np.swapaxes(np.take_along_axis(evecs, order[..., None, :], axis=-1), -1, -2)
+    # eigh sorts ascending; reversed views put the largest first
+    evals = evals[..., ::-1]
+    frames = np.swapaxes(evecs[..., ::-1], -1, -2)
     top = frames[..., :dim, :]
     top[...] = _canonical_rows(top.reshape(-1, frames.shape[-1])).reshape(top.shape)
     rank_tol = np.maximum(np.maximum(evals[..., 0], 0.0) * 1e-12, 1e-300)

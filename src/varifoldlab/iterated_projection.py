@@ -26,6 +26,7 @@ from .errors import (
     GraphTestFailure,
     NonContraction,
     NonFiniteInput,
+    NonInjectiveMap,
     NoValidPreimage,
     PointOutsideDomain,
     TooFewPoints,
@@ -868,8 +869,10 @@ def distortion_report(source_points, target_points) -> DistortionReport:
     sampled partners form one block of N * (8 + partners) pairs.
 
     Raises DimensionMismatch unless source and target are (N, n) arrays of
-    one shape, NonFiniteInput for a non-finite coordinate and TooFewPoints
-    unless the source holds two distinct points.
+    one shape, NonFiniteInput for a non-finite coordinate, TooFewPoints
+    unless the source holds two distinct points, and NonInjectiveMap when
+    a row's lower quotient is so small (0 for two distinct sources on one
+    target) that its power -DISTORTION_P overflows.
     """
     src = np.atleast_2d(np.asarray(source_points, dtype=float))
     tgt = np.atleast_2d(np.asarray(target_points, dtype=float))
@@ -927,9 +930,15 @@ def distortion_report(source_points, target_points) -> DistortionReport:
     exp_fwd = m_st / m_ss if m_ss > 0 else 1.0
     exp_inv = m_st / m_tt if m_tt > 0 else 1.0
 
+    collapsed = np.flatnonzero(f_lo < np.finfo(float).max ** (-1.0 / DISTORTION_P))
+    if collapsed.size:
+        row = collapsed[0]
+        raise NonInjectiveMap(
+            f"the map collapses source row {row}: its lower difference quotient "
+            f"{f_lo[row]:.3g} has no finite power -{DISTORTION_P:g}"
+        )
     lp_upper = float((w * f_up**DISTORTION_P).sum())
-    safe_lo = np.maximum(f_lo, 1e-300)
-    lp_lower_inverse = float((w * safe_lo ** (-DISTORTION_P)).sum())
+    lp_lower_inverse = float((w * f_lo ** (-DISTORTION_P)).sum())
     lp_deviation = float((w * dev_up**DISTORTION_P).sum())
     return DistortionReport(
         f_upper=f_up,
@@ -1122,17 +1131,8 @@ def iterate_parameterization(
         else:
             worse_streak = 0
 
-    if maps:
-        composed = compose_maps(maps)
-    else:
-        composed = CorrespondenceMap(
-            source_points=stage0.points.copy(),
-            target_points=stage0.points.copy(),
-            target_indices=np.arange(len(stage0.points)),
-            displacements=np.zeros_like(stage0.points),
-            depth=0,
-            tangential_residuals=np.zeros(len(stage0.points)),
-        )
+    # the first pass of the stage loop appends a map or raises
+    composed = compose_maps(maps)
     report = distortion_report(composed.source_points, composed.target_points)
     ratios = [
         disp_hist[i + 1] / disp_hist[i]
@@ -1140,7 +1140,7 @@ def iterate_parameterization(
         if disp_hist[i] > 0
     ]
     rho = min(max(ratios), 0.5) if ratios else 0.5
-    tail = disp_hist[-1] * rho / (1.0 - rho) if disp_hist else 0.0
+    tail = disp_hist[-1] * rho / (1.0 - rho)
 
     # map everything back to the input frame: lengths * inv, areas
     # * inv**m, and the normal-field quotient (1 / length) * scale

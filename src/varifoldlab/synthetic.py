@@ -13,23 +13,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSpec
 from .geometry import WeightedSurfaceSample, complement_frame
-
-KINDS = (
-    "flat_disk",
-    "graph",
-    "plateau_graph",
-    "sphere_cap",
-    "cylinder_band",
-    "perturbed_disk",
-    "punched_disk",
-)
-
 
 _FLOAT_FIELDS = (
     "radius", "eps", "sphere_radius", "band_height", "noise", "plateau_radius", "wall_scale"
@@ -43,8 +32,8 @@ class SyntheticSpec:
     Attributes
     ----------
     kind : str
-        One of flat_disk, graph, plateau_graph, sphere_cap, cylinder_band,
-        perturbed_disk, punched_disk.
+        A key of `_BUILDERS`: flat_disk, graph, plateau_graph, sphere_cap,
+        cylinder_band, perturbed_disk or punched_disk.
     n_points : int
         Target sample size (actual count is lattice-determined, close to it).
     seed : int
@@ -59,12 +48,10 @@ class SyntheticSpec:
     band_height : float
         Axial extent of the cylinder band.
     noise : float
-        Amplitude of uniform normal jitter (perturbed_disk, optional others).
+        Amplitude of the uniform height jitter of perturbed_disk.
     hole_center : tuple
         Two finite chart coordinates of the punched hole's center; the hole
         is HOLE_DIAMETER_SPACINGS mean spacings wide.
-    pattern : str
-        "hex" (default) or "sunflower".
     plateau_radius : float
         Radius r0 of the plateau_graph wall, inside (0, radius); outside
         it the graph is a flat shelf at height eps * wall_scale.
@@ -82,13 +69,12 @@ class SyntheticSpec:
     band_height: float = 3.0
     noise: float = 0.0
     hole_center: tuple = (0.3, 0.0)
-    pattern: str = "hex"
     plateau_radius: float = 0.15
     wall_scale: float = 0.055
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidSpec(f"unknown kind {self.kind!r}; choose from {KINDS}")
+        if self.kind not in _BUILDERS:
+            raise InvalidSpec(f"unknown kind {self.kind!r}; choose from {tuple(_BUILDERS)}")
         n = self.n_points
         if not isinstance(n, numbers.Integral) or n < 16:
             raise InvalidSpec(f"n_points must be an integer of at least 16, got {n!r}")
@@ -109,8 +95,6 @@ class SyntheticSpec:
             raise InvalidSpec(f"hole_center must be two finite numbers, got {hole!r}")
         if self.kind == "sphere_cap" and self.radius >= self.sphere_radius:
             raise InvalidSpec("rim radius must be below the sphere radius")
-        if self.pattern not in ("hex", "sunflower"):
-            raise InvalidSpec(f"unknown pattern {self.pattern!r}")
         if self.kind == "plateau_graph":
             if not 0 < self.plateau_radius < self.radius:
                 raise InvalidSpec("plateau_radius must sit inside the disk")
@@ -120,24 +104,19 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Analytic facts about a generated sample, aligned with its rows."""
+    """Analytic facts about a generated sample: its total area and, where
+    known, the mean-curvature vector field, one row per sample row."""
 
     area: float
     mean_curvature: np.ndarray | None
-    params: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
 # chart lattices
 
 
-def disk_lattice(radius: float, target_n: int, pattern: str = "hex") -> np.ndarray:
-    """Quasi-uniform points in a disk: triangular lattice or sunflower."""
-    if pattern == "sunflower":
-        i = np.arange(target_n, dtype=float) + 0.5
-        r = radius * np.sqrt(i / target_n)
-        phi = i * np.pi * (3.0 - np.sqrt(5.0))
-        return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+def disk_lattice(radius: float, target_n: int) -> np.ndarray:
+    """Quasi-uniform points in a disk: a triangular lattice."""
     area = np.pi * radius * radius
     h = np.sqrt(2.0 * area / (np.sqrt(3.0) * target_n))
     return _hex_points(h, lambda p: np.hypot(p[:, 0], p[:, 1]) <= radius, radius)
@@ -155,7 +134,7 @@ def _hex_points(h: float, keep, extent: float) -> np.ndarray:
     return pts[keep(pts)]
 
 
-def rect_lattice_periodic(width: float, height: float, target_n: int) -> np.ndarray:
+def _rect_lattice_periodic(width: float, height: float, target_n: int) -> np.ndarray:
     """Triangular lattice on a width-periodic band, exact wraparound."""
     area = width * height
     h = np.sqrt(2.0 * area / (np.sqrt(3.0) * target_n))
@@ -201,31 +180,27 @@ def generate(spec: SyntheticSpec):
     -------
     (WeightedSurfaceSample, GroundTruth)
     """
-    builder = {
-        "flat_disk": _gen_flat_disk,
-        "graph": _gen_graph,
-        "plateau_graph": _gen_plateau_graph,
-        "sphere_cap": _gen_sphere_cap,
-        "cylinder_band": _gen_cylinder_band,
-        "perturbed_disk": _gen_perturbed_disk,
-        "punched_disk": _gen_punched_disk,
-    }[spec.kind]
-    return builder(spec)
+    return _BUILDERS[spec.kind](spec)
+
+
+def _graph_sample(spec: SyntheticSpec, height, gradient) -> WeightedSurfaceSample:
+    """The graph of `height` over the disk lattice, with frames and weights
+    from its partial derivatives ``gradient(xy) = (gx, gy)``."""
+    xy = disk_lattice(spec.radius, spec.n_points)
+    gx, gy = gradient(xy)
+    # local area element times projected cell area keeps weights honest
+    cell = np.pi * spec.radius**2 / xy.shape[0]
+    w = np.sqrt(1.0 + gx * gx + gy * gy) * cell
+    return WeightedSurfaceSample(np.c_[xy, height(xy)], w, _graph_frames(gx, gy))
+
+
+def _zeros(xy: np.ndarray) -> np.ndarray:
+    return np.zeros(xy.shape[0])
 
 
 def _gen_flat_disk(spec: SyntheticSpec):
-    xy = disk_lattice(spec.radius, spec.n_points, spec.pattern)
-    count = xy.shape[0]
-    pts = np.c_[xy, np.zeros(count)]
-    area = np.pi * spec.radius**2
-    w = np.full(count, area / count)
-    bases = np.broadcast_to(np.eye(3)[:2], (count, 2, 3)).copy()
-    sample = WeightedSurfaceSample(pts, w, bases)
-    truth = GroundTruth(
-        area=area,
-        mean_curvature=np.zeros((count, 3)),
-        params={"radius": spec.radius},
-    )
+    sample = _graph_sample(spec, _zeros, lambda xy: (_zeros(xy), _zeros(xy)))
+    truth = GroundTruth(area=np.pi * spec.radius**2, mean_curvature=np.zeros((len(sample), 3)))
     return sample, truth
 
 
@@ -233,13 +208,9 @@ def graph_height(eps: float, xy: np.ndarray) -> np.ndarray:
     return 0.5 * eps * (xy[..., 0] ** 2 - xy[..., 1] ** 2)
 
 
-def graph_gradient(eps: float, xy: np.ndarray):
-    return eps * xy[..., 0], -eps * xy[..., 1]
-
-
 def graph_mean_curvature(eps: float, xy: np.ndarray) -> np.ndarray:
     """Mean curvature vector (sum of principal curvatures times unit normal)."""
-    gx, gy = graph_gradient(eps, xy)
+    gx, gy = eps * xy[..., 0], -eps * xy[..., 1]
     g2 = gx * gx + gy * gy
     scal = (((1.0 + gy * gy) * eps) + ((1.0 + gx * gx) * (-eps))) / (1.0 + g2) ** 1.5
     denom = np.sqrt(1.0 + g2)
@@ -249,98 +220,77 @@ def graph_mean_curvature(eps: float, xy: np.ndarray) -> np.ndarray:
 
 def _graph_area(eps: float, radius: float, n: int = 1200) -> float:
     r = np.linspace(0.0, radius, n)
-    integrand = np.empty_like(r)
     phi = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    for i, rr in enumerate(r):
-        gx = eps * rr * np.cos(phi)
-        gy = -eps * rr * np.sin(phi)
-        integrand[i] = rr * np.mean(np.sqrt(1.0 + gx * gx + gy * gy)) * 2.0 * np.pi
+    # sqrt(1 + gx * gx + gy * gy) squared and summed in place: two (n, 256)
+    # tables alive at once keep a graph input's set-up under the run's peak
+    gx = (eps * r)[:, None] * np.cos(phi)
+    gy = (-eps * r)[:, None] * np.sin(phi)
+    gx *= gx
+    gy *= gy
+    gx += 1.0
+    gx += gy
+    integrand = r * np.sqrt(gx, out=gx).mean(axis=1) * 2.0 * np.pi
     return float(np.trapezoid(integrand, r))
 
 
 def _gen_graph(spec: SyntheticSpec):
-    xy = disk_lattice(spec.radius, spec.n_points, spec.pattern)
-    count = xy.shape[0]
-    z = graph_height(spec.eps, xy)
-    pts = np.c_[xy, z]
-    gx, gy = graph_gradient(spec.eps, xy)
-    # local area element times projected cell area keeps weights honest
-    cell = np.pi * spec.radius**2 / count
-    w = np.sqrt(1.0 + gx * gx + gy * gy) * cell
-    bases = _graph_frames(gx, gy)
-    sample = WeightedSurfaceSample(pts, w, bases)
+    eps = spec.eps
+    sample = _graph_sample(
+        spec, lambda xy: graph_height(eps, xy), lambda xy: (eps * xy[:, 0], -eps * xy[:, 1])
+    )
     truth = GroundTruth(
-        area=_graph_area(spec.eps, spec.radius),
-        mean_curvature=graph_mean_curvature(spec.eps, xy),
-        params={"eps": spec.eps, "radius": spec.radius},
+        area=_graph_area(eps, spec.radius),
+        mean_curvature=graph_mean_curvature(eps, sample.points[:, :2]),
     )
     return sample, truth
 
 
-def plateau_height(eps: float, r0: float, lam: float, xy: np.ndarray) -> np.ndarray:
-    """Height of a raised shelf with an exponentially decaying inner wall.
-
-    Outside radius r0 the graph sits flat at eps*lam; inside, the height
-    drops like exp(-(r0-r)/lam), so the radial slope never exceeds eps and
-    shrinks by a fixed factor per wall-scale step toward the center.
-    """
-    r = np.linalg.norm(xy, axis=-1)
-    return eps * lam * np.exp(-np.maximum(r0 - r, 0.0) / lam)
-
-
-def plateau_gradient(eps: float, r0: float, lam: float, xy: np.ndarray):
-    r = np.linalg.norm(xy, axis=-1)
-    slope = np.where(r < r0, eps * np.exp(-np.maximum(r0 - r, 0.0) / lam), 0.0)
-    safe_r = np.maximum(r, 1e-300)
-    gx = slope * xy[..., 0] / safe_r
-    gy = slope * xy[..., 1] / safe_r
-    return gx, gy
+def _plateau_slope(eps: float, r0: float, lam: float, r: np.ndarray) -> np.ndarray:
+    """Radial slope of the plateau_graph height at radius r."""
+    return np.where(r < r0, eps * np.exp(-np.maximum(r0 - r, 0.0) / lam), 0.0)
 
 
 def _plateau_area(eps: float, r0: float, lam: float, radius: float) -> float:
     r = np.linspace(0.0, radius, 4000)
-    slope = np.where(r < r0, eps * np.exp(-np.maximum(r0 - r, 0.0) / lam), 0.0)
+    slope = _plateau_slope(eps, r0, lam, r)
     return float(np.trapezoid(2.0 * np.pi * r * np.sqrt(1.0 + slope**2), r))
 
 
 def _gen_plateau_graph(spec: SyntheticSpec):
-    xy = disk_lattice(spec.radius, spec.n_points, spec.pattern)
-    count = xy.shape[0]
-    z = plateau_height(spec.eps, spec.plateau_radius, spec.wall_scale, xy)
-    pts = np.c_[xy, z]
-    gx, gy = plateau_gradient(spec.eps, spec.plateau_radius, spec.wall_scale, xy)
-    cell = np.pi * spec.radius**2 / count
-    w = np.sqrt(1.0 + gx * gx + gy * gy) * cell
-    bases = _graph_frames(gx, gy)
-    sample = WeightedSurfaceSample(pts, w, bases)
-    truth = GroundTruth(
-        area=_plateau_area(spec.eps, spec.plateau_radius, spec.wall_scale, spec.radius),
-        mean_curvature=None,
-        params={
-            "eps": spec.eps,
-            "plateau_radius": spec.plateau_radius,
-            "wall_scale": spec.wall_scale,
-            "radius": spec.radius,
-        },
-    )
-    return sample, truth
+    eps, r0, lam = spec.eps, spec.plateau_radius, spec.wall_scale
+
+    def height(xy):
+        # a raised shelf at eps * lam outside r0; inside, the wall drops like
+        # exp(-(r0 - r) / lam), so the radial slope never exceeds eps
+        r = np.linalg.norm(xy, axis=-1)
+        return eps * lam * np.exp(-np.maximum(r0 - r, 0.0) / lam)
+
+    def gradient(xy):
+        r = np.linalg.norm(xy, axis=-1)
+        slope = _plateau_slope(eps, r0, lam, r)
+        safe_r = np.maximum(r, 1e-300)
+        # in this order: (slope / safe_r) * x rounds differently in the last bit
+        return slope * xy[..., 0] / safe_r, slope * xy[..., 1] / safe_r
+
+    sample = _graph_sample(spec, height, gradient)
+    return sample, GroundTruth(area=_plateau_area(eps, r0, lam, spec.radius), mean_curvature=None)
 
 
-def cap_chord_radius(R: float, rim_radius: float) -> float:
+def _cap_chord_radius(R: float, rim_radius: float) -> float:
     """Chord distance from the pole to the rim with given planar radius."""
     z = R - np.sqrt(R * R - rim_radius * rim_radius)
     return float(np.sqrt(2.0 * R * z))
 
 
-def cap_area(R: float, rim_radius: float) -> float:
+def _cap_area(R: float, rim_radius: float) -> float:
     """2 pi R (R - sqrt(R^2 - a^2)), equal to pi * chord_radius^2."""
     return float(2.0 * np.pi * R * (R - np.sqrt(R * R - rim_radius * rim_radius)))
 
 
 def _gen_sphere_cap(spec: SyntheticSpec):
     R = spec.sphere_radius
-    sigma_c = cap_chord_radius(R, spec.radius)
-    uv = disk_lattice(sigma_c, spec.n_points, spec.pattern)
+    sigma_c = _cap_chord_radius(R, spec.radius)
+    uv = disk_lattice(sigma_c, spec.n_points)
     count = uv.shape[0]
     chord = np.linalg.norm(uv, axis=1)
     phi = np.arctan2(uv[:, 1], uv[:, 0])
@@ -353,25 +303,20 @@ def _gen_sphere_cap(spec: SyntheticSpec):
         ],
         axis=1,
     )
-    area = cap_area(R, spec.radius)
+    area = _cap_area(R, spec.radius)
     w = np.full(count, area / count)
     center = np.array([0.0, 0.0, R])
     normals = (pts - center) / R
     bases = complement_frame(normals)
     H = (2.0 / R) * (center - pts) / R  # toward the sphere center
     sample = WeightedSurfaceSample(pts, w, bases)
-    truth = GroundTruth(
-        area=area,
-        mean_curvature=H,
-        params={"sphere_radius": R, "rim_radius": spec.radius},
-    )
-    return sample, truth
+    return sample, GroundTruth(area=area, mean_curvature=H)
 
 
 def _gen_cylinder_band(spec: SyntheticSpec):
     r = spec.radius
     width = 2.0 * np.pi * r
-    uv = rect_lattice_periodic(width, spec.band_height, spec.n_points)
+    uv = _rect_lattice_periodic(width, spec.band_height, spec.n_points)
     count = uv.shape[0]
     theta = uv[:, 0] / r
     pts = np.stack([r * np.cos(theta), r * np.sin(theta), uv[:, 1]], axis=1)
@@ -382,27 +327,17 @@ def _gen_cylinder_band(spec: SyntheticSpec):
     bases = np.stack([t1, np.ascontiguousarray(t2)], axis=1)
     H = -(1.0 / r) * np.stack([np.cos(theta), np.sin(theta), np.zeros(count)], axis=1)
     sample = WeightedSurfaceSample(pts, w, bases)
-    truth = GroundTruth(
-        area=area,
-        mean_curvature=H,
-        params={"radius": r, "band_height": spec.band_height},
-    )
-    return sample, truth
+    return sample, GroundTruth(area=area, mean_curvature=H)
 
 
 def _gen_perturbed_disk(spec: SyntheticSpec):
-    base, _ = _gen_flat_disk(spec)
     rng = np.random.default_rng(spec.seed)
-    jitter = rng.uniform(-spec.noise, spec.noise, size=len(base))
-    pts = base.points.copy()
-    pts[:, 2] += jitter
-    sample = WeightedSurfaceSample(pts, base.weights, base.tangent_bases)
-    truth = GroundTruth(
-        area=np.pi * spec.radius**2,
-        mean_curvature=None,
-        params={"noise": spec.noise, "radius": spec.radius, "seed": spec.seed},
+    sample = _graph_sample(
+        spec,
+        lambda xy: rng.uniform(-spec.noise, spec.noise, size=xy.shape[0]),
+        lambda xy: (_zeros(xy), _zeros(xy)),
     )
-    return sample, truth
+    return sample, GroundTruth(area=np.pi * spec.radius**2, mean_curvature=None)
 
 
 # Diameter of the punched_disk hole, in mean spacings of the full disk.
@@ -423,10 +358,18 @@ def _gen_punched_disk(spec: SyntheticSpec):
     truth = GroundTruth(
         area=float(base.weights[keep].sum()),
         mean_curvature=np.zeros((int(keep.sum()), 3)),
-        params={
-            "hole_center": tuple(center),
-            "hole_diameter": float(diameter),
-            "radius": spec.radius,
-        },
     )
     return sample, truth
+
+
+# The one table of kinds: `SyntheticSpec.kind` names a key, `generate`
+# calls its builder.
+_BUILDERS = {
+    "flat_disk": _gen_flat_disk,
+    "graph": _gen_graph,
+    "plateau_graph": _gen_plateau_graph,
+    "sphere_cap": _gen_sphere_cap,
+    "cylinder_band": _gen_cylinder_band,
+    "perturbed_disk": _gen_perturbed_disk,
+    "punched_disk": _gen_punched_disk,
+}

@@ -24,12 +24,26 @@ from varifoldlab.errors import (
     DegenerateCloud,
     DisconnectedPatch,
     IllConditioned,
+    InvalidSpec,
     NotJordan,
     TooFewPoints,
 )
-from varifoldlab.geometry import Ball, Plane, fit_plane_pca, grassmann_project
+from varifoldlab.geometry import (
+    Ball,
+    Plane,
+    WeightedSurfaceSample,
+    fit_plane_pca,
+    grassmann_project,
+)
 from varifoldlab.iterated_projection import GROUP_SEP_MULT, NET_PACKING_MULT
 from varifoldlab.meshing import angle_defects
+from varifoldlab.synthetic import (
+    HOLE_DIAMETER_SPACINGS,
+    GroundTruth,
+    _graph_frames,
+    disk_lattice,
+    graph_mean_curvature,
+)
 
 # ---------------------------------------------------------------------------
 # brute-force set and plane distances
@@ -876,6 +890,133 @@ def hex_lattice_loop(radius: float, target_n: int) -> np.ndarray:
         pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
     pts = np.concatenate(pts, axis=0)
     return pts[np.hypot(pts[:, 0], pts[:, 1]) <= radius]
+
+
+# ---------------------------------------------------------------------------
+# disk-chart generators, one builder per kind: the former `synthetic`
+# builders verbatim, without the retired `pattern` argument and
+# `GroundTruth.params`
+
+
+def _gen_flat_disk(spec):
+    xy = disk_lattice(spec.radius, spec.n_points)
+    count = xy.shape[0]
+    pts = np.c_[xy, np.zeros(count)]
+    area = np.pi * spec.radius**2
+    w = np.full(count, area / count)
+    bases = np.broadcast_to(np.eye(3)[:2], (count, 2, 3)).copy()
+    sample = WeightedSurfaceSample(pts, w, bases)
+    truth = GroundTruth(area=area, mean_curvature=np.zeros((count, 3)))
+    return sample, truth
+
+
+def graph_gradient(eps: float, xy: np.ndarray):
+    return eps * xy[..., 0], -eps * xy[..., 1]
+
+
+def graph_area_loop(eps: float, radius: float, n: int = 1200) -> float:
+    """The graph area quadrature, one radius at a time."""
+    r = np.linspace(0.0, radius, n)
+    integrand = np.empty_like(r)
+    phi = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    for i, rr in enumerate(r):
+        gx = eps * rr * np.cos(phi)
+        gy = -eps * rr * np.sin(phi)
+        integrand[i] = rr * np.mean(np.sqrt(1.0 + gx * gx + gy * gy)) * 2.0 * np.pi
+    return float(np.trapezoid(integrand, r))
+
+
+def _gen_graph(spec):
+    xy = disk_lattice(spec.radius, spec.n_points)
+    count = xy.shape[0]
+    z = graph_height(spec.eps, xy)
+    pts = np.c_[xy, z]
+    gx, gy = graph_gradient(spec.eps, xy)
+    # local area element times projected cell area keeps weights honest
+    cell = np.pi * spec.radius**2 / count
+    w = np.sqrt(1.0 + gx * gx + gy * gy) * cell
+    bases = _graph_frames(gx, gy)
+    sample = WeightedSurfaceSample(pts, w, bases)
+    truth = GroundTruth(
+        area=graph_area_loop(spec.eps, spec.radius),
+        mean_curvature=graph_mean_curvature(spec.eps, xy),
+    )
+    return sample, truth
+
+
+def plateau_height(eps: float, r0: float, lam: float, xy: np.ndarray) -> np.ndarray:
+    r = np.linalg.norm(xy, axis=-1)
+    return eps * lam * np.exp(-np.maximum(r0 - r, 0.0) / lam)
+
+
+def plateau_gradient(eps: float, r0: float, lam: float, xy: np.ndarray):
+    r = np.linalg.norm(xy, axis=-1)
+    slope = np.where(r < r0, eps * np.exp(-np.maximum(r0 - r, 0.0) / lam), 0.0)
+    safe_r = np.maximum(r, 1e-300)
+    gx = slope * xy[..., 0] / safe_r
+    gy = slope * xy[..., 1] / safe_r
+    return gx, gy
+
+
+def plateau_area(eps: float, r0: float, lam: float, radius: float) -> float:
+    r = np.linspace(0.0, radius, 4000)
+    slope = np.where(r < r0, eps * np.exp(-np.maximum(r0 - r, 0.0) / lam), 0.0)
+    return float(np.trapezoid(2.0 * np.pi * r * np.sqrt(1.0 + slope**2), r))
+
+
+def _gen_plateau_graph(spec):
+    xy = disk_lattice(spec.radius, spec.n_points)
+    count = xy.shape[0]
+    z = plateau_height(spec.eps, spec.plateau_radius, spec.wall_scale, xy)
+    pts = np.c_[xy, z]
+    gx, gy = plateau_gradient(spec.eps, spec.plateau_radius, spec.wall_scale, xy)
+    cell = np.pi * spec.radius**2 / count
+    w = np.sqrt(1.0 + gx * gx + gy * gy) * cell
+    bases = _graph_frames(gx, gy)
+    sample = WeightedSurfaceSample(pts, w, bases)
+    truth = GroundTruth(
+        area=plateau_area(spec.eps, spec.plateau_radius, spec.wall_scale, spec.radius),
+        mean_curvature=None,
+    )
+    return sample, truth
+
+
+def _gen_perturbed_disk(spec):
+    base, _ = _gen_flat_disk(spec)
+    rng = np.random.default_rng(spec.seed)
+    jitter = rng.uniform(-spec.noise, spec.noise, size=len(base))
+    pts = base.points.copy()
+    pts[:, 2] += jitter
+    sample = WeightedSurfaceSample(pts, base.weights, base.tangent_bases)
+    truth = GroundTruth(area=np.pi * spec.radius**2, mean_curvature=None)
+    return sample, truth
+
+
+def _gen_punched_disk(spec):
+    base, _ = _gen_flat_disk(spec)
+    diameter = HOLE_DIAMETER_SPACINGS * base.mean_spacing
+    center = np.asarray(spec.hole_center, dtype=float)
+    dist = np.linalg.norm(base.points[:, :2] - center, axis=1)
+    keep = dist > diameter / 2.0
+    if keep.sum() < 16:
+        raise InvalidSpec("hole removes nearly the whole sample")
+    sample = WeightedSurfaceSample(
+        base.points[keep], base.weights[keep], base.tangent_bases[keep]
+    )
+    truth = GroundTruth(
+        area=float(base.weights[keep].sum()),
+        mean_curvature=np.zeros((int(keep.sum()), 3)),
+    )
+    return sample, truth
+
+
+DISK_CHART_BUILDERS = {
+    "flat_disk": _gen_flat_disk,
+    "graph": _gen_graph,
+    "plateau_graph": _gen_plateau_graph,
+    "perturbed_disk": _gen_perturbed_disk,
+    "punched_disk": _gen_punched_disk,
+}
 
 
 def flatness_search_loop(sample, ball, refine: int = 2, covering_mult: float = 0.7):

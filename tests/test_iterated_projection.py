@@ -23,6 +23,7 @@ from varifoldlab.errors import (
     InvalidScale,
     NonContraction,
     NonFiniteInput,
+    NonInjectiveMap,
     NoValidPreimage,
     PointOutsideDomain,
     ToolkitError,
@@ -1118,8 +1119,7 @@ def test_distortion_report_matches_where_loop(seed):
     """Random maps with duplicated points, on one pair block, on row blocks
     as small as one row and on sampled partners: every report field equals
     the former `np.where` block loop bit for bit.  One example in five
-    collapses the target to a point, so no pair has two positive distances
-    and every block merges nothing."""
+    collapses the target to a point and is refused by name."""
     rng = np.random.default_rng(seed)
     n, dim = int(rng.integers(2, 80)), int(rng.integers(1, 4))
     src = rng.normal(size=(n, dim))
@@ -1137,16 +1137,27 @@ def test_distortion_report_matches_where_loop(seed):
     blocks = ip._all_pair_blocks
     entries = n * int(rng.integers(1, 4)) if mode == 1 else 1 << 18
     pairs = int(rng.integers(1, n)) if mode == 2 else ip.DISTORTION_PAIRS
-    # a collapsed pair has lower quotient 0, so lp_lower_inverse overflows
-    # to inf on both sides
     with mock.patch.object(ip, "_all_pair_blocks", lambda *a: blocks(*a, entries=entries)), \
-            mock.patch.object(ip, "DISTORTION_PAIRS", pairs), \
-            np.errstate(over="ignore" if collapsed else "raise"):
+            mock.patch.object(ip, "DISTORTION_PAIRS", pairs):
+        if collapsed:
+            with pytest.raises(NonInjectiveMap, match=r"collapses source row \d+"):
+                ip.distortion_report(src, tgt)
+            return
         new = ip.distortion_report(src, tgt)
         old = distortion_report_where(src, tgt)
     for f in dataclasses.fields(new):
         a, b = getattr(new, f.name), getattr(old, f.name)
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), f.name
+
+
+def test_distortion_report_refuses_a_map_that_collapses_two_points():
+    # used to overflow in the power -DISTORTION_P and report
+    # lp_lower_inverse = inf, so that `spread` divided by zero
+    src = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tgt = src.copy()
+    tgt[1] = tgt[0]
+    with pytest.raises(NonInjectiveMap, match="collapses source row 0"):
+        ip.distortion_report(src, tgt)
 
 
 _FIFTY = np.random.default_rng(15).uniform(-1.0, 1.0, size=(50, 3))

@@ -1,5 +1,6 @@
-"""Exported names: every ``__all__`` entry resolves, and ``conformal.__all__``
-lists exactly the public classes and functions the module defines.  Source
+"""Exported names: every ``__all__`` entry resolves, ``conformal.__all__``
+lists exactly the public classes and functions the module defines, and so
+does the pinned list of `synthetic`'s public definitions.  Source
 checks: one module owns the eigenframe kernel, the mesh kernels have one
 owner each, and retired knobs stay gone; every settable keyword and every
 `SyntheticSpec` field is listed."""
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import varifoldlab
-from varifoldlab import conformal
+from varifoldlab import conformal, synthetic
 from varifoldlab.synthetic import SyntheticSpec
 
 
@@ -24,15 +25,34 @@ def test_every_export_resolves(module):
     assert missing == []
 
 
-def test_conformal_exports_exactly_its_public_definitions():
-    public = {
+def _public_definitions(module):
+    return sorted(
         name
-        for name, obj in vars(conformal).items()
+        for name, obj in vars(module).items()
         if not name.startswith("_")
         and (inspect.isclass(obj) or inspect.isfunction(obj))
-        and obj.__module__ == conformal.__name__
-    }
-    assert sorted(conformal.__all__) == sorted(public)
+        and obj.__module__ == module.__name__
+    )
+
+
+def test_conformal_exports_exactly_its_public_definitions():
+    assert sorted(conformal.__all__) == _public_definitions(conformal)
+
+
+# The public classes and functions of `synthetic`.  A new public helper
+# fails here until it is listed; a helper only the module calls is private.
+SYNTHETIC_PUBLIC = [
+    "GroundTruth",
+    "SyntheticSpec",
+    "disk_lattice",
+    "generate",
+    "graph_height",
+    "graph_mean_curvature",
+]
+
+
+def test_synthetic_public_definitions_are_pinned():
+    assert _public_definitions(synthetic) == SYNTHETIC_PUBLIC
 
 
 def _modules_matching(pattern):
@@ -91,7 +111,6 @@ KEYWORD_DEFAULTS = {
     "multiscale.density_ratio": {"floor": None},
     "multiscale.local_maximal_tilt": {"floor": None},
     "multiscale.resolution_floor": {"mult": 8.0},
-    "synthetic.disk_lattice": {"pattern": "hex"},
 }
 
 
@@ -120,7 +139,7 @@ def test_every_keyword_default_is_listed():
             if defaults:
                 found[f"{info.name}.{name}"] = defaults
     assert found == KEYWORD_DEFAULTS
-    assert sum(len(kw) for kw in found.values()) == 32
+    assert sum(len(kw) for kw in found.values()) == 31
 
 
 # Every field of `SyntheticSpec`, with its default.  A new config field fails
@@ -135,7 +154,6 @@ SYNTHETIC_SPEC_DEFAULTS = {
     "band_height": 3.0,
     "noise": 0.0,
     "hole_center": (0.3, 0.0),
-    "pattern": "hex",
     "plateau_radius": 0.15,
     "wall_scale": 0.055,
 }
@@ -144,4 +162,4 @@ SYNTHETIC_SPEC_DEFAULTS = {
 def test_every_synthetic_spec_field_is_listed():
     fields = {f.name: f.default for f in dataclasses.fields(SyntheticSpec)}
     assert fields == SYNTHETIC_SPEC_DEFAULTS
-    assert len(fields) == 12
+    assert len(fields) == 11

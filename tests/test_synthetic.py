@@ -1,11 +1,17 @@
 """Generator correctness: areas, frames, curvature fields, determinism."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varifoldlab.errors import InvalidSpec
 from varifoldlab.synthetic import (
+    HOLE_DIAMETER_SPACINGS,
     SyntheticSpec,
+    _graph_area,
     disk_lattice,
     generate,
     graph_mean_curvature,
@@ -13,6 +19,8 @@ from varifoldlab.synthetic import (
 
 from fixtures import icosphere
 from oracles import (
+    DISK_CHART_BUILDERS,
+    graph_area_loop,
     graph_H_finite_difference,
     hex_lattice_loop,
     oracle_graph_area,
@@ -129,18 +137,11 @@ def test_perturbed_disk_is_seeded_and_bounded():
 def test_punched_disk_has_a_hole():
     spec = SyntheticSpec(kind="punched_disk", n_points=5000, hole_center=(0.3, 0.0))
     sample, truth = generate(spec)
-    d = truth.params["hole_diameter"]
+    flat, _ = generate(SyntheticSpec(kind="flat_disk", n_points=5000))
+    d = HOLE_DIAMETER_SPACINGS * flat.mean_spacing
     dist = np.linalg.norm(sample.points[:, :2] - np.array([0.3, 0.0]), axis=1)
     assert dist.min() > d / 2.0
     assert truth.area < np.pi - 0.5 * np.pi * (d / 2.0) ** 2
-
-
-def test_sunflower_pattern_also_fills_the_disk():
-    sample, _ = generate(SyntheticSpec(kind="flat_disk", n_points=2000, pattern="sunflower"))
-    assert len(sample) == 2000
-    r = np.linalg.norm(sample.points[:, :2], axis=1)
-    assert r.max() <= 1.0
-    assert sample.weights.sum() == pytest.approx(np.pi, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -154,6 +155,60 @@ def test_disk_lattice_matches_row_loop(radius, target_n):
     assert np.array_equal(np.signbit(pts), np.signbit(loop))
 
 
+@given(
+    kind=st.sampled_from(sorted(DISK_CHART_BUILDERS)),
+    n_points=st.integers(16, 3000),
+    radius=st.floats(0.05, 5.0),
+    eps=st.floats(-1.0, 1.0),
+    plateau_share=st.floats(0.01, 0.99),
+    wall_scale=st.floats(1e-3, 0.5),
+    noise=st.floats(0.0, 0.05),
+    seed=st.integers(0, 2**32 - 1),
+    hole=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_disk_chart_kinds_match_their_former_builders(
+    kind, n_points, radius, eps, plateau_share, wall_scale, noise, seed, hole
+):
+    """Every kind built on the disk lattice equals its former builder bit
+    for bit, signs of zeros included: points, weights, frames, area and
+    mean curvature, or the same refusal."""
+    spec = SyntheticSpec(
+        kind=kind, n_points=n_points, seed=seed, radius=radius, eps=eps, noise=noise,
+        hole_center=(hole[0] * radius, hole[1] * radius),
+        plateau_radius=plateau_share * radius, wall_scale=wall_scale,
+    )
+    try:
+        expected = DISK_CHART_BUILDERS[kind](spec)
+    except InvalidSpec as exc:
+        with pytest.raises(InvalidSpec, match=re.escape(str(exc))):
+            generate(spec)
+        return
+    (sample, truth), (old_sample, old_truth) = generate(spec), expected
+    pairs = [
+        (sample.points, old_sample.points),
+        (sample.weights, old_sample.weights),
+        (sample.tangent_bases, old_sample.tangent_bases),
+        (truth.area, old_truth.area),
+    ]
+    if old_truth.mean_curvature is None:
+        assert truth.mean_curvature is None
+    else:
+        pairs.append((truth.mean_curvature, old_truth.mean_curvature))
+    for new, old in pairs:
+        assert np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_graph_area_matches_radius_loop(seed):
+    """The (radius, angle) table forms the products of the one-radius-at-a-
+    time loop in the same order: the areas are equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    eps, radius = rng.uniform(-1.0, 1.0), rng.uniform(0.05, 5.0)
+    assert _graph_area(eps, radius) == graph_area_loop(eps, radius)
+
+
 def test_invalid_specs_are_rejected():
     with pytest.raises(InvalidSpec):
         SyntheticSpec(kind="torus")
@@ -163,8 +218,6 @@ def test_invalid_specs_are_rejected():
         SyntheticSpec(kind="sphere_cap", radius=11.0, sphere_radius=10.0)
     with pytest.raises(InvalidSpec):
         SyntheticSpec(radius=-1.0)
-    with pytest.raises(InvalidSpec):
-        SyntheticSpec(pattern="poisson")
 
 
 @pytest.mark.parametrize(
