@@ -543,14 +543,28 @@ def _canonical_rows(basis: np.ndarray) -> np.ndarray:
 
 
 def complement_frame(normals: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent pairs completing unit normals (N, 3) -> (N, 2, 3)."""
+    """Orthonormal tangent pairs completing unit normals (N, 3) -> (N, 2, 3).
+
+    Raises DimensionMismatch unless `normals` is an (N, 3) array,
+    NonFiniteInput naming the first row with NaN or infinity, and
+    DegenerateCloud naming the first zero normal (or one so short that its
+    tangent underflows).
+    """
+    normals = np.asarray(normals, dtype=float)
+    if normals.ndim != 2 or normals.shape[1] != 3:
+        raise DimensionMismatch(f"normals have shape {normals.shape}, need (N, 3)")
+    _require_finite_rows(normals, "normal")
     ref = np.where(
         np.abs(normals[:, [0]]) < 0.9,
         np.array([[1.0, 0.0, 0.0]]),
         np.array([[0.0, 1.0, 0.0]]),
     )
     t1 = np.cross(normals, ref)
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    length = np.linalg.norm(t1, axis=1, keepdims=True)
+    zero = np.flatnonzero(length[:, 0] == 0)
+    if zero.size:
+        raise DegenerateCloud(f"normal of row {zero[0]} is zero or too short to complete")
+    t1 /= length
     t2 = np.cross(normals, t1)
     t2 /= np.linalg.norm(t2, axis=1, keepdims=True)
     return np.stack([t1, t2], axis=1)

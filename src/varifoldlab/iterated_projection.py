@@ -507,6 +507,15 @@ def build_sigma_delta(
     (prior heights win on overlap); candidates of one group are thinned
     first come (`multiscale._greedy_net`).
 
+    A fine member keeps its sample point and is not refitted when its
+    doubled gauge is below the resolution floor, when it has fewer than
+    m + 1 fine anchors, or when its grid is one node (`_square_grid`:
+    ``PATCH_RADIUS_MULT * gauge < mean_spacing``), the node at its own
+    point.  Such a member makes no fit and never raises, even where its
+    fit would be rank deficient.  A refit landing half a step or more off
+    its point would stack a second point on its normal, a double layer
+    that the graph test refuses.
+
     The finished stage then passes the graph test of `_graph_lipschitz`:
     over each patch's support ball, the normal parts of the stage points
     must be ``GRAPH_LIP_MULT * nu``-Lipschitz in their in-plane parts.  A ball
@@ -530,6 +539,11 @@ def build_sigma_delta(
     groups = list(net.groups())
     stage_pts: list[np.ndarray] = [fine_pts]
     for members in groups:
+        # a fine member whose gauge is below sample resolution, or whose
+        # grid is the one node at its own kept point, is not refitted
+        d = vals[members]
+        kept = (2.0 * d < floor) | (PATCH_RADIUS_MULT * d < grid_step)
+        members = members[~(np.isin(members, fine.indices) & kept)]
         existing_tree = cKDTree(np.concatenate(stage_pts))
         anchors = fine_tree.query_ball_point(
             sample.points[members], POU_SUPPORT_MULT * vals[members],
@@ -542,9 +556,8 @@ def build_sigma_delta(
             support_r = POU_SUPPORT_MULT * d_u
             basis = fine.plane_bases[row]
             if row in fine:
-                if 2.0 * d_u < floor or len(local) < m + 1:
-                    # gauge below sample resolution or too few anchors to
-                    # refit: the member's kept points stand
+                if len(local) < m + 1:
+                    # too few anchors to refit: the member's kept point stands
                     continue
             elif len(local) < m + 1:
                 raise GraphTestFailure(

@@ -23,6 +23,7 @@ from varifoldlab.errors import (
     BallBelowResolution,
     DegenerateCloud,
     DisconnectedPatch,
+    GraphTestFailure,
     IllConditioned,
     InvalidSpec,
     NotJordan,
@@ -589,6 +590,89 @@ def patch_arrays_loop(sample, fine, net, gauge):
     )
 
 
+def sigma_delta_member_loop(sample, fine, net, delta):
+    """The group loop of `build_sigma_delta` as it was when every net
+    member with enough anchors was refitted, fine one-node members
+    included.
+
+    Returns ``(points, fine_self_kept)``: the stage points the loop builds
+    (kept fine points first, then each group's synthesized points) and the
+    number of fine members with a one-node grid whose single candidate, at
+    their own point plus the fitted offset, survived the half-step dedup.
+    Raises as the loop did.
+    """
+    m = sample.intrinsic_dim
+    grid_step = sample.mean_spacing
+    floor = ms.resolution_floor(sample, 4.0)
+    vals = np.asarray(delta.values, dtype=float)
+    fine_pts = sample.points[fine.indices]
+    if fine_pts.shape[0] == 0:
+        raise GraphTestFailure("no fine points to anchor any graph patch")
+    fine_tree = cKDTree(fine_pts)
+    fine_self_kept = 0
+
+    groups = list(net.groups())
+    stage_pts: list[np.ndarray] = [fine_pts]
+    for members in groups:
+        existing_tree = cKDTree(np.concatenate(stage_pts))
+        anchors = fine_tree.query_ball_point(
+            sample.points[members], ip.POU_SUPPORT_MULT * vals[members],
+            return_sorted=False,
+        )
+        new_pts: list[np.ndarray] = []
+        for row, local in zip(members, anchors):
+            u = sample.points[row]
+            d_u = vals[row]
+            support_r = ip.POU_SUPPORT_MULT * d_u
+            basis = fine.plane_bases[row]
+            if row in fine:
+                if 2.0 * d_u < floor or len(local) < m + 1:
+                    # gauge below sample resolution or too few anchors to
+                    # refit: the member's kept points stand
+                    continue
+            elif len(local) < m + 1:
+                raise GraphTestFailure(
+                    f"net point at {np.round(u, 6).tolist()} has only "
+                    f"{len(local)} fine anchors inside {support_r:.4g}"
+                )
+            elif np.isnan(basis).any():
+                raise DegenerateCloud(
+                    f"second moments of the 2-gauge ball of {np.round(u, 6).tolist()} "
+                    f"have rank below {m}"
+                )
+            local = np.asarray(local, dtype=int)
+            rel = fine_pts[local] - u
+            coords = rel @ basis.T
+            normals = rel - coords @ basis
+            grid = ip._square_grid(ip.PATCH_RADIUS_MULT * d_u, grid_step, m)
+            d2 = (
+                (coords[None, :, :] - grid[:, None, :]) ** 2
+            ).sum(axis=2) / support_r**2
+            bump_w = np.where(d2 < 1.0, (1.0 - np.minimum(d2, 1.0)) ** 2, 0.0)
+            bump_w = bump_w * sample.weights[fine.indices[local]][None, :]
+            offsets = ip._mls_normal_offset(coords, normals, bump_w, grid)
+            if offsets is None:
+                raise GraphTestFailure(
+                    f"rank-deficient graph fit at {np.round(u, 6).tolist()}"
+                )
+            candidates = u + grid @ basis + offsets
+            near_d, _ = existing_tree.query(candidates)
+            keep = near_d > 0.5 * grid_step
+            if np.any(keep):
+                new_pts.append(candidates[keep])
+                if row in fine and len(grid) == 1:
+                    fine_self_kept += 1
+        # a group's Python anchor lists take ~8 MB on the plateau; free
+        # them before the next group's query and the graph test
+        del anchors
+        if new_pts:
+            # candidates synthesized within one group can still collide with
+            # each other near group boundaries; keep first come
+            batch = np.concatenate(new_pts)
+            stage_pts.append(batch[ms._greedy_net(batch, 0.5 * grid_step)])
+    return np.concatenate(stage_pts), fine_self_kept
+
+
 def separated_net_loop(sample, delta):
     """Net rows, group ids and group count by the explicit loops: packing
     checks each row against the kept rows among its `query_pairs`
@@ -875,6 +959,21 @@ def principal_frame_direct(cov: np.ndarray, dim: int):
     basis = evecs[:, :dim].T
     basis = canonical_rows_loop(basis)
     return evals, np.concatenate([basis, evecs[:, dim:].T]), spans
+
+
+def complement_frame_cross(normals: np.ndarray) -> np.ndarray:
+    """`geometry.complement_frame` before it checked its input: two cross
+    products against a reference axis, each normalized."""
+    ref = np.where(
+        np.abs(normals[:, [0]]) < 0.9,
+        np.array([[1.0, 0.0, 0.0]]),
+        np.array([[0.0, 1.0, 0.0]]),
+    )
+    t1 = np.cross(normals, ref)
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t2 = np.cross(normals, t1)
+    t2 /= np.linalg.norm(t2, axis=1, keepdims=True)
+    return np.stack([t1, t2], axis=1)
 
 
 def hex_lattice_loop(radius: float, target_n: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from varifoldlab.geometry import (
     _canonical_rows,
     _pair_lipschitz,
     _principal_frames,
+    complement_frame,
     fit_plane_pca,
     grassmann_bases,
     grassmann_project,
@@ -37,6 +38,7 @@ from varifoldlab.synthetic import SyntheticSpec, generate
 from fixtures import analytic_field, check_projector
 from oracles import (
     canonical_rows_loop,
+    complement_frame_cross,
     fibonacci_directions,
     grid_min_projector_distance,
     principal_frame_direct,
@@ -659,3 +661,41 @@ def test_pca_rigid_motion_equivariance():
     moved = fit_plane_pca(pts @ rot.T + shift, weights=w, dim=2)
     expected = rot @ plane.projector @ rot.T
     assert np.linalg.norm(moved.projector - expected) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# complement frames
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_complement_frame_matches_cross_products(seed):
+    rng = np.random.default_rng(seed)
+    normals = rng.normal(size=(int(rng.integers(1, 40)), 3))
+    # rows near +-e1 take the second reference axis
+    normals[rng.random(len(normals)) < 0.3] = [1.0, 0.05, -0.02]
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    frames = complement_frame(normals)
+    assert np.array_equal(frames, complement_frame_cross(normals))
+    check = np.concatenate([frames, normals[:, None]], axis=1)
+    assert np.allclose(check @ check.transpose(0, 2, 1), np.eye(3), atol=1e-12)
+
+
+_UNIT_NORMALS = np.tile([[0.0, 0.0, 1.0]], (4, 1))
+
+
+@pytest.mark.parametrize(
+    "normals, error, message",
+    [
+        (np.zeros((4, 4)), DimensionMismatch, r"shape \(4, 4\), need \(N, 3\)"),
+        (np.array([0.0, 0.0, 1.0]), DimensionMismatch, r"shape \(3,\), need \(N, 3\)"),
+        (np.where(np.arange(4)[:, None] == 2, 0.0, _UNIT_NORMALS), DegenerateCloud, "row 2 is zero"),
+        (np.where(np.arange(4)[:, None] == 1, 1e-170, _UNIT_NORMALS), DegenerateCloud, "row 1 is zero"),
+        (np.where(np.arange(4)[:, None] == 3, np.nan, _UNIT_NORMALS), NonFiniteInput, "normal of row 3"),
+        (np.where(np.arange(4)[:, None] == 0, np.inf, _UNIT_NORMALS), NonFiniteInput, "normal of row 0"),
+    ],
+    ids=["four-columns", "one-dimensional", "zero", "underflow", "nan", "inf"],
+)
+def test_complement_frame_refuses_bad_normals(normals, error, message):
+    with pytest.raises(error, match=message):
+        complement_frame(normals)

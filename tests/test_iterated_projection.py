@@ -1,13 +1,16 @@
 """Stagewise smoothing pipeline: gauges, nets, graph stages, projections."""
 
 import dataclasses
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
@@ -49,6 +52,7 @@ from oracles import (
     reference_plane_loop,
     sampled_partner_distortion,
     separated_net_loop,
+    sigma_delta_member_loop,
 )
 
 # shelf-with-wall graph protocol used for the full pipeline runs
@@ -1456,6 +1460,167 @@ def test_stage_patches_match_per_member_refit_on_refilled_hole(hole_case):
 def test_stage_patches_match_per_member_refit_on_plateau(plateau_sample):
     work, _, _ = ip._embed(plateau_sample)
     assert _assert_patches_match_refit(work, ip.make_delta0(work), PLATEAU_NU) > 0
+
+
+# largest fine-set threshold drawn per sample kind: each keeps some rows
+# out of the fine set on the bump and the plateau
+_MEMBER_LOOP_NU = {"flat": 0.3, "punched": 0.3, "bump": 0.3, "plateau": 0.03}
+
+
+def _member_loop_case(kind, size, level):
+    """A flat, punched flat, bump or plateau sample with a constant gauge of
+    about `level` sample spacings."""
+    if kind == "plateau":
+        spec = SyntheticSpec(
+            kind="plateau_graph", n_points=12 * size * size, eps=0.2, **PLATEAU_KW
+        )
+        sample = ip._embed(generate(spec)[0])[0]
+    elif kind == "bump":
+        sample = _bump_sample(size, 1.0, 1.0, 2.0)
+    else:
+        sample = _grid_sample(size)
+        if kind == "punched":
+            sample = _simple_sample(
+                sample.points[np.linalg.norm(sample.points, axis=1) > 1.5]
+            )
+    return sample, _const_gauge(sample, level * sample.mean_spacing)
+
+
+@given(
+    kind=st.sampled_from(sorted(_MEMBER_LOOP_NU)),
+    size=st.integers(4, 6),
+    # below 500 spacings every grid is one node, above it 5 or 9 nodes
+    level=st.one_of(st.floats(1.0, 60.0), st.floats(500.0, 900.0)),
+    nu_frac=st.floats(0.2, 1.0),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+# no row of the bump is fine at this threshold: both raise
+@example(kind="bump", size=4, level=9.0, nu_frac=0.2)
+def test_stage_matches_member_loop_without_surviving_fine_self_candidates(
+    kind, size, level, nu_frac
+):
+    sample, delta = _member_loop_case(kind, size, level)
+    nu = nu_frac * _MEMBER_LOOP_NU[kind]
+    fine = ip.extract_fine_set(sample, delta, nu)
+    net = ip.build_separated_net(sample, delta)
+    try:
+        expected, fine_self_kept = sigma_delta_member_loop(sample, fine, net, delta)
+    except ToolkitError as exc:
+        # the loop also fits the fine one-node members, whose fit raises
+        # where it is rank deficient; the stage does not fit them
+        with mock.patch.object(ip, "GRAPH_LIP_MULT", np.inf):
+            try:
+                ip.build_sigma_delta(sample, fine, net, delta, nu)
+            except ToolkitError as now:
+                assert (type(now), str(now)) == (type(exc), str(exc))
+            else:
+                assert str(exc).startswith("rank-deficient graph fit")
+        return
+    with mock.patch.object(ip, "GRAPH_LIP_MULT", np.inf):
+        stage = ip.build_sigma_delta(sample, fine, net, delta, nu)
+    if fine_self_kept == 0:
+        assert np.array_equal(stage.points, expected)
+    # either way the kept fine points come first, verbatim
+    assert np.array_equal(stage.points[: fine.indices.size], sample.points[fine.indices])
+
+
+def test_stage_keeps_a_lifted_fine_point_without_stacking_a_second_layer():
+    # unit lattice with the point at (2, 1) lifted 0.8 spacing, gauge about
+    # 30 spacings: every grid is one node
+    z = np.zeros((21, 21))
+    z[12, 11] = 0.8
+    sample = _grid_sample(10, z=z)
+    delta = _const_gauge(sample, 30.0)
+    fine = ip.extract_fine_set(sample, delta, nu=0.1)
+    net = ip.build_separated_net(sample, delta)
+    assert fine.covers_all(len(sample))
+    stage = ip.build_sigma_delta(sample, fine, net, delta, nu=0.1)
+    assert np.array_equal(stage.points, sample.points)
+    assert stage.graph_lipschitz.max() <= ip.GRAPH_LIP_MULT * 0.1
+    # refitting every member stacked a point under the lifted one, a
+    # double layer that the graph test refused
+    stacked, fine_self_kept = sigma_delta_member_loop(sample, fine, net, delta)
+    assert fine_self_kept == 1 and len(stacked) == len(sample) + 1
+    double = dataclasses.replace(stage, points=stacked)
+    with pytest.raises(GraphTestFailure, match=r"\[-3.0, -1.0, 0.0\].*Lipschitz 23.1"):
+        ip._graph_lipschitz(double, ip.GRAPH_LIP_MULT * 0.1)
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def workload_plateau_job():
+    """The plateau job of the seed-7 `stagewise` workload."""
+    return next(j for j in _load_workloads().stagewise(7).jobs if j.name == "plateau_graph")
+
+
+@pytest.fixture(scope="module")
+def workload_plateau(workload_plateau_job):
+    """The job's input and threshold, captured where it calls the
+    pipeline: the rescaled sample, its stage-0 gauge and fine set, and the
+    threshold."""
+    seen = {}
+
+    def capture(sample, gamma_hint, nu):
+        seen.update(sample=sample, nu=nu)
+
+    with mock.patch.object(ip, "iterate_parameterization", capture):
+        workload_plateau_job.run()
+    work = ip._embed(seen["sample"])[0]
+    delta = ip.make_delta0(work)
+    return work, delta, ip.extract_fine_set(work, delta, seen["nu"]), seen["nu"]
+
+
+def _rows_beyond_a_spacing(work, delta, fine, nu):
+    """Positive-gauge rows farther than `mean_spacing` from stage 0."""
+    stage = ip.build_sigma_delta(work, fine, ip.build_separated_net(work, delta), delta, nu)
+    rows = np.flatnonzero(delta.values > 0)
+    gaps, _ = cKDTree(stage.points).query(work.points[rows])
+    return rows[gaps > work.mean_spacing]
+
+
+def test_stage0_covers_every_positive_gauge_row_of_the_workload_plateau(workload_plateau):
+    assert _rows_beyond_a_spacing(*workload_plateau).size == 0
+
+
+def test_coverage_check_fails_on_a_thinned_net(workload_plateau, monkeypatch):
+    # a net packed at a fifth of the gauge drops rows its one-node patches
+    # cannot reach
+    monkeypatch.setattr(ip, "NET_PACKING_MULT", 0.2)
+    assert _rows_beyond_a_spacing(*workload_plateau).size > 0
+
+
+def test_stage_fits_only_the_non_fine_members_of_one_node_grids(
+    workload_plateau_job, monkeypatch
+):
+    fit, build = ip._mls_normal_offset, ip.build_sigma_delta
+    fits, members, non_fine = [], [], []
+
+    def counting_fit(*args):
+        fits.append(1)
+        return fit(*args)
+
+    def counting_build(sample, fine, net, delta, nu):
+        assert (ip.PATCH_RADIUS_MULT * delta.values[net.indices] < sample.mean_spacing).all()
+        members.append(net.indices.size)
+        non_fine.append(sum(row not in fine for row in net.indices))
+        return build(sample, fine, net, delta, nu)
+
+    monkeypatch.setattr(ip, "_mls_normal_offset", counting_fit)
+    monkeypatch.setattr(ip, "build_sigma_delta", counting_build)
+    workload_plateau_job.run()
+    # two nets of 3530 members, all with one-node grids: 43 fits
+    assert members == [3493, 37]
+    assert non_fine == [37, 6]
+    assert len(fits) == sum(non_fine)
 
 
 def test_stage_refuses_a_non_fine_member_without_a_plane(hole_case):
