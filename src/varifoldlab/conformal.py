@@ -1,9 +1,9 @@
 """Topological-disk patches and the energy-minimizing disk parameterization.
 
 Pipeline: extract a triangulated disk patch from a ball of a surface sample,
-flatten it harmonically onto the unit disk with an arc-length boundary trace,
-pin three boundary points to the cube roots of unity with a disk Moebius
-map, and evaluate the conformal diagnostics: log conformal factor,
+flatten it harmonically onto the unit disk with a boundary trace that pins
+three boundary points to the cube roots of unity and runs by arc length
+between them, and evaluate the conformal diagnostics: log conformal factor,
 quasi-symmetry ratios, scaled-isometry affine fits, dyadic BMO / A2 /
 inverse-Hoelder statistics, large Lipschitz pieces, curvature-equation
 residuals, and isoperimetric ratios of Jordan cycles.
@@ -154,9 +154,9 @@ class DiskPatch:
     psi: float
     spacing: float
     sample_rows: np.ndarray
-    _skeleton: sparse.csr_matrix | None = field(default=None, repr=False)
-    _metric: sparse.csr_matrix | None = field(default=None, repr=False)
-    _chord_arc: float | None = field(default=None, repr=False)
+    _skeleton: sparse.csr_matrix | None = field(default=None, init=False, repr=False)
+    _metric: sparse.csr_matrix | None = field(default=None, init=False, repr=False)
+    _chord_arc: float | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -829,7 +829,6 @@ class DiskParameterization:
     boundary: np.ndarray | None = None
     pinned: np.ndarray | None = None
     pin_targets: np.ndarray | None = None
-    pin_error: float = float("nan")
     patch: DiskPatch | None = None
     _jacobian: tuple | None = field(default=None, init=False, repr=False)
 
@@ -933,39 +932,30 @@ def _solve_trace(lap, boundary, boundary_values, interior, n: int) -> np.ndarray
     return out
 
 
-def _mobius_through(src, dst) -> np.ndarray:
-    """2x2 complex coefficients of the Moebius map sending src[j] -> dst[j]."""
-
-    def standard(z1, z2, z3):
-        return np.array(
-            [[z2 - z3, -z1 * (z2 - z3)], [z2 - z1, -z3 * (z2 - z1)]],
-            dtype=complex,
-        )
-
-    a = standard(*src)
-    b = standard(*dst)
-    b_inv = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]], dtype=complex)
-    return b_inv @ a
-
-
-def _apply_mobius(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return (mat[0, 0] * z + mat[0, 1]) / (mat[1, 0] * z + mat[1, 1])
-
-
 def harmonic_disk_param(patch: DiskPatch) -> DiskParameterization:
     """Discrete Dirichlet-minimizing disk parameterization of a patch.
 
-    The boundary cycle maps to the unit circle by normalized arc length;
-    interior parameter positions solve the cotangent-Laplace system of the
-    patch metric per coordinate (the flattening direction), and the
-    correspondence is read inversely as a map from the disk mesh onto the
-    original patch points.  A disk Moebius map then pins the three boundary
-    vertices nearest the arc-length thirds to the cube roots of unity.
-    Energy is the per-triangle Dirichlet sum of the disk-to-patch map.
+    The boundary vertices nearest the arc-length thirds of the boundary
+    cycle are pinned to the cube roots of unity, and each of the three
+    boundary arcs between consecutive pins maps by arc length onto its
+    third of the unit circle.  Interior parameter positions are the
+    harmonic extension of that trace: they solve the cotangent-Laplace
+    system of the patch metric per coordinate (the flattening direction),
+    and the correspondence is read inversely as a map from the disk mesh
+    onto the original patch points.  Energy is the per-triangle Dirichlet
+    sum of the disk-to-patch map.
 
     Raises
     ------
-    SolverSingular, FoldedTriangles, NoBoundaryCycle
+    NoBoundaryCycle
+        Fewer than three boundary vertices, or too few to pin three
+        distinct ones.
+    DegenerateTriangle
+        A boundary cycle of zero length, or a degenerate parameter triangle.
+    SolverSingular
+        The harmonic solve fails or gives non-finite values.
+    FoldedTriangles
+        A parameter triangle is folded.
     """
     pts = patch.points
     tris = patch.triangles
@@ -975,27 +965,20 @@ def harmonic_disk_param(patch: DiskPatch) -> DiskParameterization:
     _, cum, total = _cycle_arcs(pts[bd])
     if total <= 0:
         raise DegenerateTriangle("boundary cycle has zero length")
-    theta = 2.0 * np.pi * cum / total
-    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    interior = np.setdiff1d(np.arange(len(pts)), bd)
-
-    disk = _solve_trace(cotangent_laplacian(pts, tris), bd, circle, interior, len(pts))
-
-    # pin the boundary vertices nearest the arc-length thirds
     pin_pos = [int(np.argmin(np.abs(cum - total * j / 3.0))) for j in range(3)]
     if len(set(pin_pos)) != 3:
         raise NoBoundaryCycle("boundary too short to pin three distinct points")
     pins = bd[pin_pos]
-    z = disk[:, 0] + 1j * disk[:, 1]
-    src = z[pins]
+    # each boundary arc between consecutive pins goes by arc length onto
+    # its third of the circle, so the pins land on the cube roots of unity
+    theta = np.interp(cum, np.append(cum[pin_pos], total), 2.0 * np.pi * np.arange(4) / 3.0)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    interior = np.setdiff1d(np.arange(len(pts)), bd)
+
+    disk = _solve_trace(cotangent_laplacian(pts, tris), bd, circle, interior, len(pts))
     dst = np.exp(2j * np.pi * np.arange(3) / 3.0)
-    mat = _mobius_through(src, dst)
-    z_new = _apply_mobius(mat, z)
-    if interior.size and float(np.abs(z_new[interior]).max()) >= 1.0:
-        raise SolverSingular("Moebius normalization pushed interior outside")
-    pin_error = float(np.abs(z_new[pins] - dst).max())
-    return _param_on_circle(z_new, bd, pins, dst, surface_points=pts, triangles=tris,
-                            boundary=bd, pin_error=pin_error, patch=patch)
+    return _param_on_circle(disk[:, 0] + 1j * disk[:, 1], bd, pins, dst,
+                            surface_points=pts, triangles=tris, boundary=bd, patch=patch)
 
 
 def _param_on_circle(z, bd, pins=None, targets=None, **fields) -> DiskParameterization:
@@ -1692,7 +1675,6 @@ class ConformalDiagnostics:
     energy_area_gap: float
     max_qc_dilatation: float
     interior_qc_dilatation: float
-    pin_error: float
     square_count: int
     psi: float | None
     boundary_chord_arc: float | None
@@ -1744,7 +1726,6 @@ def conformal_diagnostics(
         interior_qc_dilatation=(
             float(interior_qc.max()) if interior_qc.size else float("nan")
         ),
-        pin_error=param.pin_error,
         square_count=int(sum(level.admissible.sum() for level in levels.levels)),
         psi=param.patch.psi if param.patch is not None else None,
         boundary_chord_arc=(

@@ -6,9 +6,12 @@ Usage, from the root of a checkout:
 
 For each seed it builds the workload's batch with ``perfbench/workloads.py``
 (which it only imports), runs every job once, untimed, and prints one line
-per job: workload, seed, job position, job name and the digest of what
-``Job.run`` returned.  Two checkouts whose lines are equal produced the same
-job results bit for bit, so an equivalence claim can quote them.
+per job: workload, seed, job position, job name, the digest of what
+``Job.run`` returned, and the figures ``Job.check`` returns for it as
+``key=value`` with floats by ``repr`` ("-" for none; a failed check prints
+its message).  Two checkouts whose digests are equal produced the same job
+results bit for bit, so an equivalence claim can quote them; where the
+results differ, the figures say by how much.
 
 The digest walks the result: dataclass fields in declaration order (fields
 declared ``compare=False``, which hold caches, are skipped), arrays by
@@ -89,6 +92,16 @@ def digest(obj) -> str:
     return h.hexdigest()
 
 
+def figures(job, result) -> str:
+    """``Job.check``'s figures for `result`, as ``key=value`` in key order."""
+    try:
+        figs = job.check(result)
+    except workloads.CheckFailed as exc:
+        return f"CheckFailed: {exc}"
+    pairs = (f"{key}={float(value)!r}" for key, value in sorted(figs.items()))
+    return " ".join(pairs) or "-"
+
+
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
@@ -97,7 +110,10 @@ def main(argv=None) -> None:
     for seed in args.seeds:
         batch = workloads.WORKLOADS[args.workload](seed)
         for pos, job in enumerate(batch.jobs):
-            print(args.workload, seed, pos, job.name, digest(job.run()), flush=True)
+            result = job.run()
+            # digest first: a check may fill a result's caches
+            line = digest(result)
+            print(args.workload, seed, pos, job.name, line, figures(job, result), flush=True)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Disk-patch extraction, harmonic parameterization, and conformal diagnostics."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -168,6 +169,16 @@ def cap_extracted():
     )
     patch = conf.extract_disk_patch(sample, ORIGIN, 0.8)
     return sample, patch, conf.harmonic_disk_param(patch)
+
+
+@pytest.fixture(scope="module")
+def graph_off_centre():
+    """Saddle-graph patch around the sample point nearest (0.2, 0.1): its
+    boundary cycle has 190 vertices, not a multiple of three."""
+    sample, _ = generate(SyntheticSpec(kind="graph", n_points=20000, eps=0.3))
+    row = int(np.argmin(np.linalg.norm(sample.points[:, :2] - [0.2, 0.1], axis=1)))
+    patch = conf.extract_disk_patch(sample, sample.points[row], 0.5)
+    return patch, conf.harmonic_disk_param(patch)
 
 
 @pytest.fixture(scope="module")
@@ -357,6 +368,14 @@ class TestExtraction:
         graph = patch.metric_graph()  # tiny radius: union falls back to edges
         dist = dijkstra(graph, directed=False, indices=[0])
         assert np.isfinite(dist).all()
+
+    @pytest.mark.parametrize("cache", ["_skeleton", "_metric", "_chord_arc"])
+    def test_caches_are_not_constructor_arguments(self, cache):
+        pts2, tris = structured_disk_mesh(4)
+        patch = conf.DiskPatch.from_mesh(np.c_[pts2, np.zeros(len(pts2))], tris)
+        given = {f.name: getattr(patch, f.name) for f in dataclasses.fields(patch) if f.init}
+        with pytest.raises(TypeError, match=cache):
+            conf.DiskPatch(**given, **{cache: None})
 
 
 class TestRefinement:
@@ -580,9 +599,61 @@ class TestHarmonicParam:
     def test_three_pins_at_cube_roots_of_unity(self, flat_pp):
         _, param = flat_pp
         assert len(param.pinned) == 3
-        assert param.pin_error <= 1e-12
-        got = param.disk_points[param.pinned]
-        assert np.allclose(got, param.pin_targets, atol=1e-12)
+        assert np.array_equal(param.disk_points[param.pinned], param.pin_targets)
+        roots = 2.0 * np.pi * np.arange(3) / 3.0
+        assert np.allclose(param.pin_targets, np.c_[np.cos(roots), np.sin(roots)],
+                           rtol=0.0, atol=1e-15)
+
+    def test_map_is_the_harmonic_extension_of_its_trace(self, graph_off_centre):
+        patch, param = graph_off_centre
+        n, bd = len(param), param.boundary
+        assert len(bd) % 3 != 0
+        lap = cotangent_laplacian(patch.points, patch.triangles)
+        interior = np.setdiff1d(np.arange(n), bd)
+        again = conf._solve_trace(lap, bd, param.disk_points[bd], interior, n)
+        assert np.abs(again - param.disk_points).max() <= 1e-12
+
+    def test_trace_runs_by_arc_length_between_the_pins(self, graph_off_centre):
+        """Pin j sits exactly on its target, at angle 2 pi j / 3, the boundary
+        angle increases along the cycle, and each arc between pins is spread
+        by arc length."""
+        patch, param = graph_off_centre
+        bd = param.boundary
+        assert np.array_equal(param.disk_points[param.pinned], param.pin_targets)
+        angle = np.mod(np.arctan2(param.disk_points[bd, 1], param.disk_points[bd, 0]),
+                       2.0 * np.pi)
+        assert np.all(np.diff(angle) > 0) and angle[-1] < 2.0 * np.pi
+        pos = [int(np.flatnonzero(bd == pin)[0]) for pin in param.pinned]
+        assert pos[0] == 0
+        seg = np.linalg.norm(np.roll(patch.points[bd], -1, axis=0) - patch.points[bd], axis=1)
+        arc = np.r_[0.0, np.cumsum(seg)]
+        ends = pos + [len(bd)]
+        for j in range(3):
+            lo, hi = ends[j], ends[j + 1]
+            frac = (arc[lo:hi] - arc[lo]) / (arc[hi] - arc[lo])
+            want = 2.0 * np.pi * (j + frac) / 3.0
+            np.testing.assert_allclose(angle[lo:hi], want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("case, tol", [("cap_extracted", 3e-4), ("flat_pp", 1.4e-3)])
+    def test_centred_radius_matches_the_analytic_profile(self, request, case, tol):
+        """After the disk automorphism sending the centre vertex to 0, |z| on
+        r < 0.8 is one multiple of tan(theta / 2) on the sphere cap (theta
+        the angle at the sphere centre) and of the distance on the flat
+        disk; the tolerances are the arc-length-with-Moebius map's 2.9e-4
+        and 1.36e-3, rounded up."""
+        patch, param = request.getfixturevalue(case)[-2:]
+        c = int(np.argmin(np.linalg.norm(patch.points - patch.center, axis=1)))
+        z = param.disk_points[:, 0] + 1j * param.disk_points[:, 1]
+        r = np.abs((z - z[c]) / (1.0 - np.conj(z[c]) * z))
+        if case == "cap_extracted":
+            u = patch.points - SPHERE_CENTER
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            profile = np.tan(0.5 * np.arccos(np.clip(u @ u[c], -1.0, 1.0)))
+        else:
+            profile = np.linalg.norm(patch.points - patch.points[c], axis=1)
+        near = r < 0.8
+        scale = (r[near] @ profile[near]) / (profile[near] @ profile[near])
+        assert np.abs(r[near] - scale * profile[near]).max() <= tol
 
     def test_energy_never_exceeds_initializer(self, flat_pp, structured_flat_pp, structured_cap_pp):
         for patch, param in (flat_pp, structured_flat_pp, structured_cap_pp):
@@ -607,7 +678,6 @@ class TestHarmonicParam:
             boundary=param.boundary,
             pinned=param.pinned,
             pin_targets=param.pin_targets,
-            pin_error=param.pin_error,
             patch=param.patch,
         )
         assert rebuilt.energy == param.energy
@@ -1046,7 +1116,6 @@ class TestDiagnosticsAndExport:
         assert diag.a2 <= 1.0 + 1e-6
         assert diag.inverse_holder_max <= 1.0 + 1e-6
         assert diag.max_qc_dilatation <= 1.0 + 1e-6
-        assert diag.pin_error <= 1e-12
         assert diag.energy <= tutte_energy(patch)
 
     def test_extracted_cap_diagnostics(self, cap_extracted):
@@ -1203,7 +1272,6 @@ class TestKernelOracles:
                 "energy_area_gap": (param.energy - 2.0 * image_area) / param.energy,
                 "max_qc_dilatation": float(cf.qc_dilatation.max()),
                 "interior_qc_dilatation": max(deep_qc, default=float("nan")),
-                "pin_error": param.pin_error,
                 "square_count": len(dyadic_squares_direct(disk, tris, *box)),
                 "psi": None if patch is None else patch.psi,
                 "boundary_chord_arc": None if patch is None else patch.boundary_chord_arc,
@@ -1508,10 +1576,7 @@ def test_conformal_pipeline_commutes_with_a_lift_into_rn(name, n):
     assert np.allclose(patch.points, patch3.points @ q + t, rtol=0.0, atol=1e-14)
     for key, want in vars(diag3).items():
         got = vars(diag)[key]
-        if key == "pin_error":
-            # the rounding left by the Moebius pinning, in either space
-            assert max(got, want) <= 1e-14
-        elif want is None:
+        if want is None:
             assert got is None
         else:
             rtol = LIFT_RESIDUAL_RTOL if key in RESIDUAL_FIELDS else LIFT_RTOL
