@@ -24,7 +24,8 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -140,7 +141,9 @@ class DiskPatch:
         Source sample row per vertex, -1 for vertices created later
         (e.g. by refinement).
 
-    ``metric_radius`` and ``boundary_chord_arc`` are derived on read.
+    ``metric_radius`` is derived on read; ``boundary_chord_arc``,
+    ``skeleton_graph`` and ``metric_graph`` are cached attributes built on
+    first read.
     """
 
     points: np.ndarray
@@ -154,9 +157,6 @@ class DiskPatch:
     psi: float
     spacing: float
     sample_rows: np.ndarray
-    _skeleton: sparse.csr_matrix | None = field(default=None, init=False, repr=False)
-    _metric: sparse.csr_matrix | None = field(default=None, init=False, repr=False)
-    _chord_arc: float | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -166,13 +166,11 @@ class DiskPatch:
         """Neighborhood-graph radius for intrinsic shortest paths."""
         return METRIC_RADIUS_MULT * self.spacing
 
-    @property
+    @cached_property
     def boundary_chord_arc(self) -> float:
         """Measured constant C in  minor-arc(x, y) <= C sqrt(sigma |x - y|)
         over boundary pairs, computed on first read."""
-        if self._chord_arc is None:
-            self._chord_arc = _boundary_chord_arc(self.points, self.boundary, self.sigma)
-        return self._chord_arc
+        return _boundary_chord_arc(self.points, self.boundary, self.sigma)
 
     @property
     def n_triangles(self) -> int:
@@ -185,27 +183,26 @@ class DiskPatch:
     def surface_triangle_areas(self) -> np.ndarray:
         return triangle_areas(self.points, self.triangles)
 
+    @cached_property
     def skeleton_graph(self) -> sparse.csr_matrix:
         """Symmetric edge graph of the triangulation, weighted by length."""
-        if self._skeleton is None:
-            edges = mesh_edges(self.triangles, len(self.points))[0]
-            self._skeleton = _length_graph(self.points, edges)
-        return self._skeleton
+        edges = mesh_edges(self.triangles, len(self.points))[0]
+        return _length_graph(self.points, edges)
 
+    @cached_property
     def metric_graph(self) -> sparse.csr_matrix:
-        """Neighborhood graph (radius ``metric_radius``) plus the skeleton."""
-        if self._metric is None:
-            tree = cKDTree(self.points)
-            pairs = tree.query_pairs(self.metric_radius, output_type="ndarray")
-            # both graphs hold the same length on a shared edge, so the
-            # elementwise maximum is their union
-            graph = _length_graph(self.points, pairs.reshape(-1, 2)).maximum(
-                self.skeleton_graph()
-            )
-            if connected_components(graph, directed=False)[0] != 1:
-                raise DisconnectedPatch("patch neighborhood graph is disconnected")
-            self._metric = graph
-        return self._metric
+        """Neighborhood graph (radius ``metric_radius``) plus the skeleton.
+        Raises DisconnectedPatch when it has more than one component."""
+        tree = cKDTree(self.points)
+        pairs = tree.query_pairs(self.metric_radius, output_type="ndarray")
+        # both graphs hold the same length on a shared edge, so the
+        # elementwise maximum is their union
+        graph = _length_graph(self.points, pairs.reshape(-1, 2)).maximum(
+            self.skeleton_graph
+        )
+        if connected_components(graph, directed=False)[0] != 1:
+            raise DisconnectedPatch("patch neighborhood graph is disconnected")
+        return graph
 
     @classmethod
     def from_mesh(
@@ -631,8 +628,8 @@ def intrinsic_metric_diagnostics(patch: DiskPatch, *, seed: int = 0) -> dict:
         The patch neighborhood graph has more than one component.
     """
     k = len(patch)
-    metric = patch.metric_graph()
-    skeleton = patch.skeleton_graph()
+    metric = patch.metric_graph
+    skeleton = patch.skeleton_graph
     rng = np.random.default_rng(seed)
     src = np.sort(rng.choice(k, size=min(METRIC_SOURCES, k), replace=False))
     # both graphs are symmetric, so the directed search is the undirected
@@ -712,7 +709,7 @@ def waypoint_cycle(patch: DiskPatch, waypoints2) -> np.ndarray:
     )
     # the metric graph is symmetric, so the directed search is the
     # undirected one without a transposed copy
-    graph = patch.metric_graph()
+    graph = patch.metric_graph
     dist, pred = dijkstra(
         graph, directed=True, indices=anchors, return_predecessors=True,
         limit=reach,
@@ -819,8 +816,8 @@ class DiskParameterization:
     """Piecewise-linear map from the unit-disk mesh onto patch points.
 
     ``disk_points[i]`` is the parameter position of ``surface_points[i]``;
-    triangles are shared.  Immutable once solved (`jacobian` is cached, and
-    `energy` derives from it).
+    triangles are shared.  Immutable once solved: the `jacobian` attribute
+    is cached on first read, and `energy` derives from it.
     """
 
     disk_points: np.ndarray
@@ -830,7 +827,6 @@ class DiskParameterization:
     pinned: np.ndarray | None = None
     pin_targets: np.ndarray | None = None
     patch: DiskPatch | None = None
-    _jacobian: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.disk_points = np.asarray(self.disk_points, dtype=float)
@@ -853,23 +849,20 @@ class DiskParameterization:
         mask[self.boundary_vertices()] = False
         return mask
 
-    def jacobian(self):
+    @cached_property
+    def jacobian(self) -> tuple[np.ndarray, np.ndarray]:
         """``_affine_maps`` of the disk -> surface map, (jacobians,
-        disk_areas), built on first use and shared read-only."""
-        if self._jacobian is None:
-            jac, areas = _affine_maps(
-                self.disk_points, self.triangles, self.surface_points
-            )
-            jac.flags.writeable = False
-            areas.flags.writeable = False
-            self._jacobian = (jac, areas)
-        return self._jacobian
+        disk_areas), built on first read and shared read-only."""
+        jac, areas = _affine_maps(self.disk_points, self.triangles, self.surface_points)
+        jac.flags.writeable = False
+        areas.flags.writeable = False
+        return jac, areas
 
     @property
     def energy(self) -> float:
         """Dirichlet energy: the per-triangle sum of |grad f|^2 times the
         parameter area.  Raises DegenerateTriangle with `jacobian`."""
-        jac, areas = self.jacobian()
+        jac, areas = self.jacobian
         _, _, _, lam_hi, lam_lo = _gram_eigs(jac)
         return float(np.sum((lam_hi + lam_lo) * areas))
 
@@ -1003,7 +996,7 @@ def _param_on_circle(z, bd, pins=None, targets=None, **fields) -> DiskParameteri
         pin_targets=None if pins is None else np.stack([targets.real, targets.imag], axis=1),
         **fields,
     )
-    param.jacobian()
+    param.jacobian  # built here, so a degenerate triangle raises here
     return param
 
 
@@ -1054,7 +1047,7 @@ class ConformalFactor:
 
 
 def conformal_factor(param: DiskParameterization) -> ConformalFactor:
-    jac, areas = param.jacobian()
+    jac, areas = param.jacobian
     g11, g22, g12, lam_hi, lam_lo = _gram_eigs(jac)
     det_gram = np.maximum(g11 * g22 - g12 * g12, 0.0)
     factor = np.sqrt(det_gram)
@@ -1505,7 +1498,7 @@ def curvature_equation_residuals(
         mc_abs = float(diff.sum())
         mc_rel = float(diff.sum() / ref.sum()) if ref.sum() > 0 else float("nan")
 
-    jac, areas = param.jacobian()
+    jac, areas = param.jacobian
     f1 = jac[:, :, 0]
     f2 = jac[:, :, 1]
     n1 = np.linalg.norm(f1, axis=1, keepdims=True)
@@ -1607,7 +1600,7 @@ def large_lipschitz_pieces(
     disk = param.disk_points
     tris = param.triangles
     f = param.surface_points
-    jac, _ = param.jacobian()
+    jac, _ = param.jacobian
     _, _, _, lam_hi, lam_lo = _gram_eigs(jac)
     sig_hi = np.sqrt(lam_hi)
     inv_lo = 1.0 / np.sqrt(np.maximum(lam_lo, 1e-300))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -206,9 +207,11 @@ class WeightedSurfaceSample:
         self.points = points
         self.weights = weights
         self.tangent_bases = bases
+        # the one cache that is not a cached_property: `perfbench/tracer.py`
+        # wraps the getter of the `spatial_index` property and reads `_tree`
+        # to tell a build from a cached lookup, and tests patch
+        # `spatial_index` as a property
         self._tree: cKDTree | None = None
-        self._projectors: np.ndarray | None = None
-        self._mean_spacing: float | None = None
 
     # -- basic facts --------------------------------------------------------
 
@@ -227,25 +230,18 @@ class WeightedSurfaceSample:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    @property
+    @cached_property
     def mean_spacing(self) -> float:
         """Area-per-sample length scale, (total weight / N)^(1/m)."""
-        if self._mean_spacing is None:
-            m = self.intrinsic_dim
-            self._mean_spacing = float(
-                (self.total_weight / len(self)) ** (1.0 / m)
-            )
-        return self._mean_spacing
+        return float((self.total_weight / len(self)) ** (1.0 / self.intrinsic_dim))
 
     # -- derived views ------------------------------------------------------
 
-    @property
+    @cached_property
     def tangent_projectors(self) -> np.ndarray:
         """Stacked (N, n, n) tangent projectors, computed once."""
-        if self._projectors is None:
-            b = self.tangent_bases
-            self._projectors = np.einsum("nmi,nmj->nij", b, b)
-        return self._projectors
+        b = self.tangent_bases
+        return np.einsum("nmi,nmj->nij", b, b)
 
     @property
     def spatial_index(self) -> cKDTree:

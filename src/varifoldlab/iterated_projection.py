@@ -12,6 +12,7 @@ empirical bi-Lipschitz statistics quantify the distortion of the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
@@ -67,10 +68,13 @@ class DeltaField:
     domain: Ball
     fine_points: np.ndarray | None = None
     values: np.ndarray = field(init=False)
-    _fine_tree: cKDTree | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.values = self.evaluate(self.points)
+
+    @cached_property
+    def _fine_tree(self) -> cKDTree:
+        return cKDTree(self.fine_points)
 
     def evaluate(self, queries) -> np.ndarray:
         """Gauge at each query; PointOutsideDomain for a query outside the
@@ -82,8 +86,6 @@ class DeltaField:
         base = (self.domain.radius - rad) / GAUGE_SHRINK
         if self.fine_points is None:
             return base
-        if self._fine_tree is None:
-            self._fine_tree = cKDTree(self.fine_points)
         dist, _ = self._fine_tree.query(q)
         return np.minimum(dist, base)
 
@@ -332,10 +334,11 @@ def _pou_matrix(points, centers, supports, balls) -> csr_matrix:
     """Rows: points; columns: bump centers; entries: normalized weights.
 
     ``balls[j]`` holds distinct rows of `points` scored against bump j, any
-    superset of its support (`SmoothedSurfaceStage.support_balls` for a
-    stage); a row outside every support is all zero.  The columns are read
-    off the balls (int32 rows, one float per pair) and transposed once:
-    +19 MB traced on the `stagewise` plateau's 660k pairs, from +46 MB.
+    superset of its support (the `SmoothedSurfaceStage.support_balls`
+    attribute for a stage); a row outside every support is all zero.  The
+    columns are read off the balls (int32 rows, one float per pair) and
+    transposed once: +19 MB traced on the `stagewise` plateau's 660k pairs,
+    from +46 MB.
     """
     lens = np.array([len(b) if s > 0 else 0 for b, s in zip(balls, supports)], dtype=int)
     parts = [b[:n] for b, n in zip(balls, lens)] + [np.zeros(0, dtype=np.int32)]
@@ -410,14 +413,12 @@ class SmoothedSurfaceStage:
     synth_offset_ratio: float
     normal_projectors: np.ndarray | None = None
     normal_lipschitz: np.ndarray | None = None
-    _support_balls: list | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def fine_mask(self) -> np.ndarray:
         return self.sample_rows >= 0
 
+    @cached_property
     def support_balls(self) -> list[np.ndarray]:
         """Stage rows inside each patch's support ball, as int32 arrays in
         KD-tree traversal order (``return_sorted=False``), the order in which
@@ -425,19 +426,18 @@ class SmoothedSurfaceStage:
         One ``cKDTree(points)`` is queried _SUPPORT_BALL_BLOCK centres at a
         time, which gives the balls of one batched query with one block's
         Python lists alive: +5 MB traced on the `stagewise` plateau, from
-        +28 MB.  Kept until `normal_field`, the last reader, releases them.
+        +28 MB.  Built on first read and kept until `normal_field`, the
+        last reader, releases them (``del stage.support_balls``).
         """
-        if self._support_balls is None:
-            tree, radii = cKDTree(self.points), POU_SUPPORT_MULT * self.patch_gauge
-            cuts = range(0, len(radii), _SUPPORT_BALL_BLOCK)
-            self._support_balls = [
-                np.array(b, dtype=np.int32)
-                for c in (slice(lo, lo + _SUPPORT_BALL_BLOCK) for lo in cuts)
-                for b in tree.query_ball_point(
-                    self.patch_centers[c], radii[c], return_sorted=False
-                )
-            ]
-        return self._support_balls
+        tree, radii = cKDTree(self.points), POU_SUPPORT_MULT * self.patch_gauge
+        cuts = range(0, len(radii), _SUPPORT_BALL_BLOCK)
+        return [
+            np.array(b, dtype=np.int32)
+            for c in (slice(lo, lo + _SUPPORT_BALL_BLOCK) for lo in cuts)
+            for b in tree.query_ball_point(
+                self.patch_centers[c], radii[c], return_sorted=False
+            )
+        ]
 
 
 def _square_grid(radius: float, step: float, m: int) -> np.ndarray:
@@ -522,10 +522,10 @@ def build_sigma_delta(
     of more than 300 points is thinned to every ``len // 300 + 1``-th point
     in KD-tree traversal order, not sorted index order, so the measured
     subsample (and the recorded `graph_lipschitz`) depends on that order.
-    The balls come from `SmoothedSurfaceStage.support_balls`, which keeps
-    them for `normal_field`.  Only the refitted members query their fine
-    anchors: on the seed-7 `stagewise` plateau, 12-13 members and 2,088-2,262
-    anchor entries per group.
+    The balls come from the cached `SmoothedSurfaceStage.support_balls`
+    attribute, which keeps them for `normal_field`.  Only the refitted
+    members query their fine anchors: on the seed-7 `stagewise` plateau,
+    12-13 members and 2,088-2,262 anchor entries per group.
     """
     m = sample.intrinsic_dim
     grid_step = sample.mean_spacing
@@ -625,16 +625,16 @@ def build_sigma_delta(
 def _graph_lipschitz(stage: SmoothedSurfaceStage, lip_bound: float) -> np.ndarray:
     """Per-patch Lipschitz constant of the stage as a graph over its plane.
 
-    Patch k sees its support ball (`SmoothedSurfaceStage.support_balls`),
-    split into in-plane coordinates and normal parts of its basis; its
-    constant is the largest ratio of normal to in-plane distance over point
-    pairs with in-plane distance above 1e-12.  Balls of more than 300
-    points keep every ``len // 300 + 1``-th point in KD-tree traversal
-    order.  Raises GraphTestFailure at the first patch, in patch order,
+    Patch k sees its support ball (the `SmoothedSurfaceStage.support_balls`
+    attribute), split into in-plane coordinates and normal parts of its
+    basis; its constant is the largest ratio of normal to in-plane distance
+    over point pairs with in-plane distance above 1e-12.  Balls of more
+    than 300 points keep every ``len // 300 + 1``-th point in KD-tree
+    traversal order.  Raises GraphTestFailure at the first patch, in patch order,
     above `lip_bound`.
     """
     lips = np.zeros(len(stage.patch_centers))
-    for k, ball in enumerate(stage.support_balls()):
+    for k, ball in enumerate(stage.support_balls):
         if len(ball) > 300:
             # bound the pairwise cost on wide patches with a uniform stride
             ball = ball[:: len(ball) // 300 + 1]
@@ -683,21 +683,18 @@ def normal_field(
     """Blend patch normal projectors with the partition of unity.
 
     Kept fine points outside every bump support fall back to their own
-    sample tangent plane's normal projector (their plane is exact there);
-    a synthesized point without coverage is an error.  The per-patch
-    Lipschitz quotient of the blended field is recorded: over the first 50
-    points of each support ball (`SmoothedSurfaceStage.support_balls`, in
-    KD-tree traversal order), the largest ratio of projector (Frobenius)
+    sample tangent plane's normal projector (their plane is exact there),
+    so on a stage without patches every kept point does; a synthesized
+    point without coverage raises UncoveredQuery.  The per-patch Lipschitz
+    quotient of the blended field is recorded: over the first 50 points of
+    each support ball (the `SmoothedSurfaceStage.support_balls` attribute,
+    in KD-tree traversal order), the largest ratio of projector (Frobenius)
     distance to point distance.  This is the last reader of the support
-    balls, so it releases them.
+    balls, so it releases them with ``del stage.support_balls``.
     """
-    if len(stage.patch_centers) == 0:
-        if stage.normal_projectors is None:
-            raise UncoveredQuery("stage has no patches and no fallback planes")
-        return stage
     n = stage.points.shape[1]
     m = stage.patch_bases.shape[1]
-    balls = stage.support_balls()
+    balls = stage.support_balls
     mat = _pou_matrix(
         stage.points, stage.patch_centers, POU_SUPPORT_MULT * stage.patch_gauge, balls
     )
@@ -724,7 +721,7 @@ def normal_field(
         [_pair_lipschitz(stage.points[b[:50]], flat[b[:50]], 1e-12) for b in balls]
     )
     stage.normal_projectors = projs
-    stage._support_balls = None
+    del stage.support_balls
     return stage
 
 
@@ -1081,8 +1078,9 @@ def iterate_parameterization(
     EMBEDDING_RADIUS so the gauge stays several sample spacings wide.
     Stages stop early once the maximal step displacement falls under the
     sample spacing; two consecutive steps that fail to halve the
-    displacement abort with NonContraction.  All returned coordinates are
-    mapped back to the input frame.  A ``nu`` that is not positive and
+    displacement abort with NonContraction, whose message quotes the last
+    three step displacements in the input frame.  All returned coordinates
+    are mapped back to the input frame.  A ``nu`` that is not positive and
     finite, also one derived from a NaN or infinite ``gamma_hint``, raises
     InvalidScale.
     """
@@ -1091,6 +1089,7 @@ def iterate_parameterization(
     _require_positive(nu, "tilt threshold nu")
     beta = float(np.sqrt(nu))
     work, scale, center = _embed(sample)
+    inv = 1.0 / scale
     domain = Ball(np.zeros(sample.ambient_dim), 1.0)
     spacing = work.mean_spacing
 
@@ -1137,7 +1136,7 @@ def iterate_parameterization(
             if worse_streak >= 2:
                 raise NonContraction(
                     f"step displacement failed to halve twice in a row: "
-                    f"{disp_hist[-3:]}"
+                    f"{[d * inv for d in disp_hist[-3:]]}"
                 )
         else:
             worse_streak = 0
@@ -1155,7 +1154,6 @@ def iterate_parameterization(
 
     # map everything back to the input frame: lengths * inv, areas
     # * inv**m, and the normal-field quotient (1 / length) * scale
-    inv = 1.0 / scale
     for st in stages:
         st.points = st.points * inv + center
         st.gauge = st.gauge * inv

@@ -1747,7 +1747,7 @@ def waypoint_cycle_unbounded(patch, waypoints2) -> np.ndarray:
     if len(anchors) < 3:
         raise NotJordan("fewer than three distinct waypoint vertices")
     dist, pred = dijkstra(
-        patch.metric_graph(), directed=True, indices=anchors,
+        patch.metric_graph, directed=True, indices=anchors,
         return_predecessors=True,
     )
     cycle: list = []
@@ -1773,8 +1773,8 @@ def metric_diagnostics_loop(patch, waypoint_cycle, polygon_contains, *, sources=
     k = len(patch)
     rng = np.random.default_rng(seed)
     src = np.sort(rng.choice(k, size=min(sources, k), replace=False))
-    d_metric = dijkstra(patch.metric_graph(), directed=True, indices=src)
-    d_skel = dijkstra(patch.skeleton_graph(), directed=True, indices=src)
+    d_metric = dijkstra(patch.metric_graph, directed=True, indices=src)
+    d_skel = dijkstra(patch.skeleton_graph, directed=True, indices=src)
     chords = np.linalg.norm(
         patch.points[src][:, None, :] - patch.points[None, :, :], axis=2
     )

@@ -13,11 +13,14 @@ its message).  Two checkouts whose digests are equal produced the same job
 results bit for bit, so an equivalence claim can quote them; where the
 results differ, the figures say by how much.
 
-The digest walks the result: dataclass fields in declaration order (fields
-declared ``compare=False``, which hold caches, are skipped), arrays by
-dtype, shape and bytes (object arrays element by element), sparse matrices
-by their CSR arrays, floats by ``repr``, ints, strings, dicts in key order,
-lists and tuples, and exceptions by type and message.  Anything else raises
+The digest walks the result: dataclass fields in declaration order
+(fields declared ``compare=False`` or named with a leading ``_`` hold
+private state such as caches and are skipped, so a checkout that caches a
+view in a field digests like one that caches it in a
+``functools.cached_property``), arrays by dtype, shape and bytes (object
+arrays element by element), sparse matrices by their CSR arrays, floats by
+``repr``, ints, strings, dicts in key order, lists and tuples, and
+exceptions by type and message.  Anything else raises
 TypeError, so a result the walk cannot see is never digested as equal.
 """
 
@@ -63,7 +66,7 @@ def _feed(h, obj) -> None:
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         h.update(f"d{type(obj).__qualname__}{{".encode())
         for f in dataclasses.fields(obj):
-            if f.compare:
+            if f.compare and not f.name.startswith("_"):
                 h.update(f"{f.name}=".encode())
                 _feed(h, getattr(obj, f.name))
         h.update(b"}")

@@ -302,6 +302,25 @@ class TestExtraction:
         assert patch.boundary_chord_arc >= 1.0
         assert abs(patch.boundary_chord_arc - oracle) <= 0.1
 
+    def test_dropped_sample_point_sets_the_inclusion_margin(self):
+        # Delaunay keeps one copy of a duplicated row and drops the other, so
+        # the margin comes from the dropped copy, not from the rim
+        sample, _ = generate(SyntheticSpec(kind="flat_disk", n_points=8000, seed=0))
+        radii = np.linalg.norm(sample.points, axis=1)
+        row = int(np.argmin(np.abs(radii - 0.098)))
+        doubled = WeightedSurfaceSample(
+            np.concatenate([sample.points, sample.points[[row]]]),
+            np.append(sample.weights, sample.weights[row]),
+            np.concatenate([sample.tangent_bases, sample.tangent_bases[[row]]]),
+        )
+        sigma = 0.5
+        patch = conf.extract_disk_patch(doubled, ORIGIN, sigma)
+        assert len(patch) < len(doubled.ball_query(ORIGIN, sigma))
+        assert patch.psi == pytest.approx(1.0 - radii[row] / sigma, abs=1e-8)
+        # the promise of `DiskPatch.psi`
+        inside = doubled.ball_query(ORIGIN, (1.0 - patch.psi) * sigma)
+        assert inside.size > 0 and np.isin(inside, patch.sample_rows).all()
+
     def test_too_small_ball_raises(self, flat_pp):
         sample, _ = generate(SyntheticSpec(kind="flat_disk", n_points=200, seed=0))
         with pytest.raises(TooFewPoints):
@@ -365,11 +384,11 @@ class TestExtraction:
         patch = conf.DiskPatch.from_mesh(
             np.c_[pts2, np.zeros(len(pts2))], tris, spacing=1e-6
         )
-        graph = patch.metric_graph()  # tiny radius: union falls back to edges
+        graph = patch.metric_graph  # tiny radius: union falls back to edges
         dist = dijkstra(graph, directed=False, indices=[0])
         assert np.isfinite(dist).all()
 
-    @pytest.mark.parametrize("cache", ["_skeleton", "_metric", "_chord_arc"])
+    @pytest.mark.parametrize("cache", ["skeleton_graph", "metric_graph", "boundary_chord_arc"])
     def test_caches_are_not_constructor_arguments(self, cache):
         pts2, tris = structured_disk_mesh(4)
         patch = conf.DiskPatch.from_mesh(np.c_[pts2, np.zeros(len(pts2))], tris)
@@ -424,7 +443,7 @@ class TestIntrinsicMetric:
         sample, _ = generate(SyntheticSpec(kind="graph", n_points=20000, seed=5, eps=0.3))
         c3 = sample.points[np.argmin(np.linalg.norm(sample.points[:, :2], axis=1))]
         patch = conf.extract_disk_patch(sample, c3, 0.5)
-        graph = patch.metric_graph()
+        graph = patch.metric_graph
         uv = patch.points[:, :2]
         for kdir in range(6):
             th = np.pi * kdir / 6.0
@@ -440,7 +459,7 @@ class TestCycles:
     def test_metric_and_skeleton_graphs_are_symmetric(self, flat_pp, cap_extracted):
         # the shortest-path searches run directed=True on these graphs
         for patch in (flat_pp[0], cap_extracted[1]):
-            for graph in (patch.metric_graph(), patch.skeleton_graph()):
+            for graph in (patch.metric_graph, patch.skeleton_graph):
                 assert (graph != graph.T).nnz == 0
 
     def test_flat_circle_cycle_isoperimetric_ratio(self, flat_pp):
@@ -1154,7 +1173,7 @@ class TestDiagnosticsAndExport:
         conf.large_lipschitz_pieces(param, square, 2.0)
         # one map Jacobian, plus the frame-field gradients of the residuals
         assert built == [3, 6]
-        jac, areas = param.jacobian()
+        jac, areas = param.jacobian
         assert not jac.flags.writeable and not areas.flags.writeable
 
 

@@ -1,5 +1,6 @@
 """Stagewise smoothing pipeline: gauges, nets, graph stages, projections."""
 
+import ast
 import dataclasses
 import importlib.util
 import sys
@@ -820,7 +821,7 @@ def test_stage_support_balls_come_from_one_tree(monkeypatch):
     assert all(len(b) <= ip._SUPPORT_BALL_BLOCK for b in blocks)
     assert np.array_equal(np.concatenate(blocks), stage.patch_centers)
     # normal_field, the last reader, releases the balls
-    assert stage._support_balls is None
+    assert "support_balls" not in vars(stage)
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +891,34 @@ def test_normals_uncovered_synthesized_point_raises():
     )
     with pytest.raises(UncoveredQuery):
         ip.normal_field(stage, _simple_sample([[0, 0, 0]]))
+
+
+def _zero_patch_stage(kind):
+    """A stage of every row of a 400-point sample kept, built without
+    patches, and the same stage stripped of its normal field."""
+    sample, _ = generate(SyntheticSpec(kind=kind, n_points=400))
+    rows = np.arange(len(sample))
+    fine = ip.FineSet(indices=rows, plane_bases=sample.tangent_bases, tilts=np.zeros(rows.size))
+    stage = ip._fine_only_stage(sample, fine, ip.make_delta0(sample))
+    bare = dataclasses.replace(stage, normal_projectors=None, normal_lipschitz=None)
+    return sample, stage, bare
+
+
+@pytest.mark.parametrize("kind", ["flat_disk", "sphere_cap"])
+def test_normals_zero_patch_stage_falls_back_on_every_kept_row(kind):
+    sample, stage, bare = _zero_patch_stage(kind)
+    assert len(bare.patch_centers) == 0
+    ip.normal_field(bare, sample)
+    assert np.array_equal(bare.normal_projectors, stage.normal_projectors)
+    assert bare.normal_lipschitz.shape == (0,)
+
+
+def test_normals_zero_patch_stage_refuses_a_synthesized_row():
+    sample, _, bare = _zero_patch_stage("flat_disk")
+    bare.sample_rows = bare.sample_rows.copy()
+    bare.sample_rows[7] = -1
+    with pytest.raises(UncoveredQuery, match="1 synthesized points"):
+        ip.normal_field(bare, sample)
 
 
 def test_normals_batched_blend_warns_on_exact_tie():
@@ -1344,6 +1373,59 @@ def test_pipeline_equivariant_under_rigid_motion(plateau_sample, plateau_run):
     )
 
 
+def _run_with_added_steps(monkeypatch, added):
+    """Run the 500-point perturbed disk with `added(i)` sample spacings
+    added to every displacement of step i along the first axis.  Returns
+    the run (or its NonContraction), the embedding scale and the step
+    maxima in the embedded frame."""
+    sample, _ = generate(SyntheticSpec(kind="perturbed_disk", n_points=500))
+    embed, project_tau = ip._embed, ip.project_tau
+    frame, steps = {}, []
+
+    def recording_embed(s):
+        moved, scale, center = embed(s)
+        frame.update(scale=scale, spacing=moved.mean_spacing)
+        return moved, scale, center
+
+    def padded_tau(stage_from, stage_to, beta):
+        tau = project_tau(stage_from, stage_to, beta)
+        tau.displacements = tau.displacements + [added(len(steps)) * frame["spacing"], 0.0, 0.0]
+        steps.append(float(tau.displacement_norms.max()))
+        return tau
+
+    monkeypatch.setattr(ip, "_embed", recording_embed)
+    monkeypatch.setattr(ip, "project_tau", padded_tau)
+    try:
+        result = ip.iterate_parameterization(sample, gamma_hint=0.0, nu=0.05)
+    except NonContraction as exc:
+        result = exc
+    return result, frame["scale"], steps
+
+
+def test_pipeline_refuses_two_steps_that_fail_to_halve(monkeypatch):
+    exc, scale, steps = _run_with_added_steps(monkeypatch, lambda i: 2.0)
+    assert isinstance(exc, NonContraction)
+    # the first step, then the second of two non-halving steps raises
+    assert len(steps) == 3
+    quoted = ast.literal_eval(str(exc).split(": ", 1)[1])
+    # quoted in the input frame, as `displacement_history` is
+    assert quoted == pytest.approx([d / scale for d in steps], rel=1e-12)
+    # two sample spacings: 0.159 in the input frame, 0.0032 embedded
+    assert min(quoted) > 0.1
+
+
+def test_pipeline_halving_step_resets_the_non_contraction_streak(monkeypatch):
+    # 8 -> 8 fails to halve, 3 halves, 3 fails, 1.2 halves, 1.2 fails, and
+    # the last step moves nothing resolvable, which ends the run
+    added = [8.0, 8.0, 3.0, 3.0, 1.2, 1.2, 0.0]
+    result, scale, steps = _run_with_added_steps(monkeypatch, added.__getitem__)
+    assert isinstance(result, ip.IterationResult)
+    assert len(steps) == len(added)
+    assert result.displacement_history == pytest.approx(
+        [d / scale for d in steps], rel=1e-12
+    )
+
+
 def test_pipeline_deterministic_reruns():
     sample, _ = generate(SyntheticSpec(kind="flat_disk", n_points=1000))
     first = ip.iterate_parameterization(sample, gamma_hint=0.0, nu=0.05)
@@ -1406,7 +1488,7 @@ def _check_normals_and_projection(stage, sample, source_points, beta, candidates
     `source_points` onto `stage` against the per-point loops."""
     radii = ip.POU_SUPPORT_MULT * stage.patch_gauge
     weights = ip._pou_matrix(
-        stage.points, stage.patch_centers, radii, stage.support_balls()
+        stage.points, stage.patch_centers, radii, stage.support_balls
     ).toarray()
     uncovered_synth = (weights.sum(axis=1) <= 0) & (stage.sample_rows < 0)
     bare = dataclasses.replace(stage, normal_projectors=None, normal_lipschitz=None)

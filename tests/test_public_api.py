@@ -2,8 +2,8 @@
 lists exactly the public classes and functions the module defines, and so
 does the pinned list of `synthetic`'s public definitions.  Source
 checks: one module owns the eigenframe kernel, the mesh kernels have one
-owner each, and retired knobs stay gone; every settable keyword and every
-`SyntheticSpec` field is listed."""
+owner each, lazy views are cached properties, and retired knobs stay gone;
+every settable keyword and every `SyntheticSpec` field is listed."""
 
 import dataclasses
 import importlib
@@ -72,6 +72,15 @@ def test_mesh_kernels_have_one_owner():
     `np.cross` left builds the R^3 frames of `geometry.complement_frame`."""
     assert _modules_matching(r"np\.add\.at") == []
     assert _modules_matching(r"np\.cross") == ["geometry.py"]
+
+
+def test_cached_views_are_cached_properties():
+    """Lazy views are `functools.cached_property`, never a ``None`` cache
+    field filled on first use."""
+    assert _modules_matching(r"field\(default=None, init=False") == []
+    assert _modules_matching(r"\bcached_property\b") == [
+        "conformal.py", "geometry.py", "iterated_projection.py"
+    ]
 
 
 @pytest.mark.parametrize(
