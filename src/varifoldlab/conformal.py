@@ -25,7 +25,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -112,9 +112,9 @@ __all__ = [
 METRIC_RADIUS_MULT = 4.0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DiskPatch:
-    """Edge-connected triangulated patch with disk topology.
+    """Edge-connected triangulated patch with disk topology; frozen.
 
     Attributes
     ----------
@@ -125,9 +125,9 @@ class DiskPatch:
     boundary : ndarray
         The single boundary cycle, counterclockwise in ``plane_coords``.
     plane_coords : ndarray, shape (k, 2)
-        Reference-plane coordinates used for the triangulation.
-    plane_basis, plane_origin : ndarray
-        The reference plane behind ``plane_coords``.
+        Parameter-plane coordinates: the projection onto the PCA reference
+        plane for an extracted patch, the caller's for a wrapped mesh, and
+        edge midpoints in this plane for refined vertices.
     center : ndarray
         Ball center the patch was extracted around.
     sigma : float
@@ -150,8 +150,6 @@ class DiskPatch:
     triangles: np.ndarray
     boundary: np.ndarray
     plane_coords: np.ndarray
-    plane_basis: np.ndarray
-    plane_origin: np.ndarray
     center: np.ndarray
     sigma: float
     psi: float
@@ -253,8 +251,6 @@ class DiskPatch:
             triangles=tris,
             boundary=boundary,
             plane_coords=coords,
-            plane_basis=np.eye(2, pts.shape[1]),
-            plane_origin=np.zeros(pts.shape[1]),
             center=ctr,
             sigma=sig,
             psi=psi,
@@ -385,15 +381,18 @@ def _cycle_arcs(points: np.ndarray):
     return seg, np.concatenate([[0.0], np.cumsum(seg)[:-1]]), float(seg.sum())
 
 
-def _boundary_chord_arc(
-    points: np.ndarray, boundary: np.ndarray, sigma: float, max_samples: int = 256
-) -> float:
+# `DiskPatch.boundary_chord_arc` compares at most this many boundary
+# vertices, evenly spaced along the cycle, pairwise.
+CHORD_ARC_SAMPLES = 256
+
+
+def _boundary_chord_arc(points: np.ndarray, boundary: np.ndarray, sigma: float) -> float:
     bp = points[boundary]
     _, cum, total = _cycle_arcs(bp)
     if total <= 0 or sigma <= 0:
         return 0.0
-    if len(bp) > max_samples:
-        sel = np.linspace(0, len(bp) - 1, max_samples).astype(int)
+    if len(bp) > CHORD_ARC_SAMPLES:
+        sel = np.linspace(0, len(bp) - 1, CHORD_ARC_SAMPLES).astype(int)
         bp = bp[sel]
         cum = cum[sel]
     ds = np.abs(cum[:, None] - cum[None, :])
@@ -435,7 +434,7 @@ def extract_disk_patch(
         Ball holds fewer than six sample points.
     """
     center = np.asarray(center, dtype=float)
-    rows = np.sort(np.asarray(sample.ball_query(center, sigma), dtype=int))
+    rows = sample.ball_query(center, sigma)
     if len(rows) < 6:
         raise TooFewPoints(f"ball holds {len(rows)} points; need at least 6")
     pts = sample.points[rows]
@@ -500,8 +499,6 @@ def extract_disk_patch(
         triangles=tris,
         boundary=boundary,
         plane_coords=patch_coords,
-        plane_basis=plane.basis,
-        plane_origin=plane.basepoint,
         center=center,
         sigma=float(sigma),
         psi=psi,
@@ -541,8 +538,9 @@ def refine_disk_patch(
     underlying surface (e.g. radial projection onto a sphere);
     ``boundary_projector`` does the same for boundary-edge midpoints (e.g.
     projection onto the rim circle, keeping the boundary unragged).
-    Unprojected midpoints stay on their chords.  Plane coordinates of new
-    vertices are re-derived from the patch reference plane.
+    Unprojected midpoints stay on their chords.  A new vertex sits at the
+    midpoint of its edge in the parameter plane, so the children of a
+    counterclockwise triangle are counterclockwise.
     """
     pts = patch.points
     tris = patch.triangles
@@ -557,13 +555,8 @@ def refine_disk_patch(
         mids[on_boundary] = np.asarray(
             boundary_projector(mids[on_boundary]), dtype=float
         )
-    new_pts = np.vstack([pts, mids])
-    new_coords = np.vstack(
-        [
-            patch.plane_coords,
-            (mids - patch.plane_origin) @ patch.plane_basis.T,
-        ]
-    )
+    coords = patch.plane_coords
+    new_coords = np.vstack([coords, 0.5 * (coords[edges[:, 0]] + coords[edges[:, 1]])])
     # the midpoint of edge e is vertex len(pts) + e
     a, b, c = tris.T
     mab, mbc, mca = (len(pts) + face_edges).T
@@ -582,12 +575,10 @@ def refine_disk_patch(
     new_bd = np.stack([bd, after], axis=1).ravel()
     rows = np.concatenate([patch.sample_rows, np.full(len(mids), -1, dtype=int)])
     return DiskPatch(
-        points=new_pts,
-        triangles=orient_ccw(new_coords, new_tris),
+        points=np.vstack([pts, mids]),
+        triangles=new_tris,
         boundary=new_bd,
         plane_coords=new_coords,
-        plane_basis=patch.plane_basis,
-        plane_origin=patch.plane_origin,
         center=patch.center,
         sigma=patch.sigma,
         psi=patch.psi,
@@ -811,13 +802,15 @@ def isoperimetric_check(patch: DiskPatch, cycle) -> float:
 # harmonic disk parameterization
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DiskParameterization:
     """Piecewise-linear map from the unit-disk mesh onto patch points.
 
     ``disk_points[i]`` is the parameter position of ``surface_points[i]``;
-    triangles are shared.  Immutable once solved: the `jacobian` attribute
-    is cached on first read, and `energy` derives from it.
+    triangles are shared.  ``boundary`` is always set: the caller's cycle,
+    or else the sorted boundary vertices of the mesh.  Frozen, so the
+    `jacobian` attribute, cached on first read, and the `energy` derived
+    from it never go stale.
     """
 
     disk_points: np.ndarray
@@ -829,24 +822,22 @@ class DiskParameterization:
     patch: DiskPatch | None = None
 
     def __post_init__(self):
-        self.disk_points = np.asarray(self.disk_points, dtype=float)
-        self.surface_points = np.asarray(self.surface_points, dtype=float)
-        self.triangles = np.asarray(self.triangles, dtype=int)
-        if self.boundary is not None:
-            self.boundary = np.asarray(self.boundary, dtype=int)
+        coerce = partial(object.__setattr__, self)  # frozen: coerce in place
+        coerce("disk_points", np.asarray(self.disk_points, dtype=float))
+        coerce("surface_points", np.asarray(self.surface_points, dtype=float))
+        coerce("triangles", np.asarray(self.triangles, dtype=int))
+        if self.boundary is None:
+            edges, _, counts = mesh_edges(self.triangles, len(self.disk_points))
+            coerce("boundary", np.unique(edges[counts == 1]))
+        else:
+            coerce("boundary", np.asarray(self.boundary, dtype=int))
 
     def __len__(self) -> int:
         return len(self.disk_points)
 
-    def boundary_vertices(self) -> np.ndarray:
-        if self.boundary is not None:
-            return self.boundary
-        edges, _, counts = mesh_edges(self.triangles, len(self.disk_points))
-        return np.unique(edges[counts == 1])
-
     def interior_mask(self) -> np.ndarray:
         mask = np.ones(len(self.disk_points), dtype=bool)
-        mask[self.boundary_vertices()] = False
+        mask[self.boundary] = False
         return mask
 
     @cached_property
@@ -1021,7 +1012,7 @@ def mobius_reparameterized(
         )
     z = param.disk_points[:, 0] + 1j * param.disk_points[:, 1]
     return _param_on_circle(np.exp(1j * phase) * (z - a) / (1.0 - np.conj(a) * z),
-                            param.boundary_vertices(), surface_points=param.surface_points,
+                            param.boundary, surface_points=param.surface_points,
                             triangles=param.triangles, boundary=param.boundary,
                             patch=param.patch)
 
@@ -1467,7 +1458,6 @@ def curvature_equation_residuals(
     deep[tris[(~interior[tris]).any(axis=1)]] = False
     if deep.any():
         interior = deep
-    lap = cotangent_laplacian(disk, tris)
 
     mc_abs: float | None = None
     mc_rel: float | None = None
@@ -1491,7 +1481,7 @@ def curvature_equation_residuals(
                     f"need one vector per vertex, {f.shape}"
                 )
         cell_surface = vertex_areas(f, tris)
-        lhs = lap @ f
+        lhs = cotangent_laplacian(disk, tris) @ f
         rhs = hvec * cell_surface[:, None]
         diff = np.linalg.norm(lhs[interior] - rhs[interior], axis=1)
         ref = np.linalg.norm(rhs[interior], axis=1)

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .geometry import (
     Ball,
-    Plane,
     WeightedSurfaceSample,
     _pair_lipschitz,
     _principal_frames,
@@ -150,32 +149,6 @@ class FineSet:
         return self.indices.size == n_rows
 
 
-def reference_plane(
-    sample: WeightedSurfaceSample, x, scale: float
-) -> Plane:
-    """Weighted principal plane of the ball around x, pinned at x.
-
-    The one-row case of `_pinned_planes`; raises TooFewPoints for a ball of
-    at most m points and DegenerateCloud when its second moments about x
-    have rank below m.
-    """
-    idx = sample.ball_query(x, scale)
-    m = sample.intrinsic_dim
-    if idx.size < m + 1:
-        raise TooFewPoints(
-            f"{idx.size} points inside radius {scale:.4g}; need {m + 1}"
-        )
-    x = np.asarray(x, dtype=float)
-    inside = np.ones((1, idx.size), dtype=bool)
-    ok, bases, _ = _pinned_planes(sample, idx, x[None], inside)
-    if not ok[0]:
-        raise DegenerateCloud(
-            f"second moments of the {idx.size} points inside radius {scale:.4g} "
-            f"of {np.round(x, 6).tolist()} have rank below {m}"
-        )
-    return Plane(basis=bases[0], basepoint=x)
-
-
 def _pinned_planes(sample, cand, centers, inside):
     """Weighted principal planes of a block of balls, each pinned at its center.
 
@@ -226,7 +199,8 @@ def extract_fine_set(
     ``geometry._QUERY_BLOCK`` rows), each leaf with one sorted candidate set
     around its centroid, of radius its spread plus its largest 2-gauge;
     every row's fit ball and dyadic tilt balls are distance masks
-    ``d2 <= r * r`` of it.  The planes are those of `reference_plane`, bit
+    ``d2 <= r * r`` of it.  The planes are those of `geometry.fit_plane_pca`
+    of the 2-gauge ball pinned at the row (``center`` the row's point), bit
     for bit (`_pinned_planes`); the tilts are those of `local_maximal_tilt`
     to rtol 1e-10, since they come from normal frames and masked sums
     (`multiscale._maximal_tilts`).  A floor that is not positive and finite

@@ -225,9 +225,8 @@ def _tilted_bases(basis: np.ndarray, normals: np.ndarray, angle: float) -> np.nd
     """Neighbors of a plane, as a (k, m, n) stack of orthonormal bases:
     each basis row tilted toward each row of `normals` (`_normal_space` of
     the basis) by +-angle, in that order."""
-    m, n = basis.shape
     stack = []
-    for i in range(m):
+    for i in range(len(basis)):
         for nu in normals:
             for s in (angle, -angle):
                 rows = basis.copy()

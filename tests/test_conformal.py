@@ -396,8 +396,54 @@ class TestExtraction:
         with pytest.raises(TypeError, match=cache):
             conf.DiskPatch(**given, **{cache: None})
 
+    def test_patch_is_frozen(self):
+        """Moving the points after `metric_graph` was read would leave the
+        cached graph stale; the record refuses it."""
+        pts2, tris = structured_disk_mesh(4)
+        patch = conf.DiskPatch.from_mesh(np.c_[pts2, np.zeros(len(pts2))], tris)
+        graph = patch.metric_graph
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            patch.points = 2.0 * patch.points
+        assert patch.metric_graph is graph
+
+
+def _tilted_disk(rings, angle):
+    """The structured unit disk turned by `angle` about the x axis, and its
+    flat coordinates."""
+    uv, tris = structured_disk_mesh(rings)
+    c, s = np.cos(angle), np.sin(angle)
+    turn = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return np.c_[uv, np.zeros(len(uv))] @ turn.T, tris, uv
+
 
 class TestRefinement:
+    def test_tilted_patch_refines_as_the_flat_one(self):
+        """A wrapped mesh's parameter plane is the plane coordinates it was
+        given, whatever the ambient frame: the tilted refinement flattens
+        with the flat one's energy."""
+        energies = []
+        for angle in (0.0, 1.2):
+            pts, tris, uv = _tilted_disk(8, angle)
+            patch = conf.DiskPatch.from_mesh(pts, tris, plane_coords=uv)
+            energies.append(conf.harmonic_disk_param(conf.refine_disk_patch(patch)).energy)
+        assert energies[1] == pytest.approx(energies[0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["tilted", "projected_cap"])
+    def test_new_vertices_sit_at_parameter_plane_midpoints(self, case):
+        if case == "tilted":
+            pts, tris, uv = _tilted_disk(8, 1.2)
+            patch = conf.DiskPatch.from_mesh(pts, tris, plane_coords=uv)
+            fine = conf.refine_disk_patch(patch)
+        else:
+            pts2, tris = structured_disk_mesh(8, radius=RIM)
+            patch = conf.DiskPatch.from_mesh(cap_lift(pts2), tris)
+            fine = conf.refine_disk_patch(patch, cap_project, rim_project)
+        coords = patch.plane_coords
+        edges = mesh_edges(patch.triangles, len(patch))[0]
+        mids = 0.5 * (coords[edges[:, 0]] + coords[edges[:, 1]])
+        assert np.array_equal(fine.plane_coords, np.vstack([coords, mids]))
+        assert (orientation_dets(fine.plane_coords, fine.triangles) > 0).all()
+
     def test_midpoint_refinement_counts(self):
         pts2, tris = structured_disk_mesh(8)
         patch = conf.DiskPatch.from_mesh(np.c_[pts2, np.zeros(len(pts2))], tris)
@@ -704,6 +750,24 @@ class TestHarmonicParam:
         want = conf.conformal_diagnostics(param)
         assert np.isfinite(got.energy) and np.isfinite(got.energy_area_gap)
         np.testing.assert_equal(vars(got), vars(want))
+
+    def test_boundary_defaults_to_the_mesh_boundary(self, flat_pp):
+        _, param = flat_pp
+        bare = conf.DiskParameterization(param.disk_points, param.surface_points, param.triangles)
+        edges, _, counts = mesh_edges(param.triangles, len(param))
+        assert np.array_equal(bare.boundary, np.unique(edges[counts == 1]))
+        assert np.array_equal(bare.boundary, np.sort(param.boundary))
+
+    def test_parameterization_is_frozen(self):
+        """Scaling the surface after `energy` was read would leave the cached
+        Jacobian, and so the energy, stale; the record refuses it."""
+        pts2, tris = structured_disk_mesh(4, radius=0.5)
+        patch = conf.DiskPatch.from_mesh(np.c_[pts2, np.zeros(len(pts2))], tris)
+        param = conf.harmonic_disk_param(patch)
+        energy = param.energy
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            param.surface_points = 2.0 * param.surface_points
+        assert param.energy == energy
 
     def test_cap_matches_stereographic_map(self, structured_cap_pp):
         patch, param = structured_cap_pp
@@ -1018,6 +1082,22 @@ class TestCurvatureResiduals:
         assert res.mc_absolute is None
         assert np.isfinite(res.gauss_absolute)
 
+    def test_disk_laplacian_is_built_only_for_the_mean_curvature(
+        self, structured_cap_pp, monkeypatch
+    ):
+        _, param = structured_cap_pp
+        built = []
+
+        def counting(points, tris):
+            built.append(len(points))
+            return cotangent_laplacian(points, tris)
+
+        monkeypatch.setattr(conf, "cotangent_laplacian", counting)
+        conf.curvature_equation_residuals(param, None)
+        assert built == []
+        conf.curvature_equation_residuals(param, cap_mean_curvature)
+        assert built == [len(param)]
+
 
 # ---------------------------------------------------------------------------
 # large Lipschitz pieces
@@ -1265,7 +1345,7 @@ class TestKernelOracles:
                 inner = np.sort(rng.choice(inner, 20, replace=False))
             qs = conf.quasisymmetry_table(param, disk[inner], scales=(0.1, 0.2, 0.35))
             image_area = float((cf.area_factor * cf.disk_areas).sum())
-            rim = set(param.boundary_vertices().tolist())
+            rim = set(param.boundary.tolist())
             deep_qc = [
                 float(q)
                 for q, tri in zip(cf.qc_dilatation, tris.tolist())

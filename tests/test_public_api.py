@@ -1,6 +1,7 @@
 """Exported names: every ``__all__`` entry resolves, ``conformal.__all__``
 lists exactly the public classes and functions the module defines, and so
-does the pinned list of `synthetic`'s public definitions.  Source
+do the pinned lists of `synthetic`'s and `iterated_projection`'s public
+definitions.  Source
 checks: one module owns the eigenframe kernel, the mesh kernels have one
 owner each, lazy views are cached properties, and retired knobs stay gone;
 every settable keyword and every `SyntheticSpec` field is listed."""
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import varifoldlab
-from varifoldlab import conformal, synthetic
+from varifoldlab import conformal, iterated_projection, synthetic
 from varifoldlab.synthetic import SyntheticSpec
 
 
@@ -51,8 +52,37 @@ SYNTHETIC_PUBLIC = [
 ]
 
 
+# The public classes and functions of `iterated_projection`, pinned the
+# same way.
+ITERATED_PROJECTION_PUBLIC = [
+    "CorrespondenceMap",
+    "DeltaField",
+    "DistortionReport",
+    "FineSet",
+    "IterationResult",
+    "MissingNormalField",
+    "SeparatedNet",
+    "SmoothedSurfaceStage",
+    "build_separated_net",
+    "build_sigma_delta",
+    "compose_maps",
+    "distortion_report",
+    "extract_fine_set",
+    "iterate_parameterization",
+    "make_delta0",
+    "next_delta",
+    "normal_field",
+    "partition_of_unity",
+    "project_tau",
+]
+
+
 def test_synthetic_public_definitions_are_pinned():
     assert _public_definitions(synthetic) == SYNTHETIC_PUBLIC
+
+
+def test_iterated_projection_public_definitions_are_pinned():
+    assert _public_definitions(iterated_projection) == ITERATED_PROJECTION_PUBLIC
 
 
 def _modules_matching(pattern):
