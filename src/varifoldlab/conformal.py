@@ -33,7 +33,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, cKDTree
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist
 
 from .curvature import CurvatureField
 from .errors import (
@@ -106,6 +106,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # disk patch
 
+
+def _read_only(values, dtype=None) -> np.ndarray:
+    """A read-only view of `values` as an array of `dtype`; the caller's
+    array keeps its flags."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 # Neighborhood-graph radius for intrinsic shortest paths, in units of mean
 # sample spacing.  Four spacings keep the graph-metric stretch of straight
 # lines below one percent.
@@ -114,7 +123,8 @@ METRIC_RADIUS_MULT = 4.0
 
 @dataclass(frozen=True, eq=False)
 class DiskPatch:
-    """Edge-connected triangulated patch with disk topology; frozen.
+    """Edge-connected triangulated patch with disk topology; frozen, its
+    arrays stored as read-only views.
 
     Attributes
     ----------
@@ -155,6 +165,12 @@ class DiskPatch:
     psi: float
     spacing: float
     sample_rows: np.ndarray
+
+    def __post_init__(self):
+        # frozen down to the arrays: no in-place write moves the patch
+        # under its cached graphs or a parameterization built on it
+        for name in ("points", "triangles", "boundary", "plane_coords", "center", "sample_rows"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -646,7 +662,12 @@ def intrinsic_metric_diagnostics(patch: DiskPatch, *, seed: int = 0) -> dict:
     if len(enclosed) > 1500:
         enclosed = rng.choice(enclosed, 1500, replace=False)
     epts = patch.points[enclosed]
-    diam = float(pdist(epts).max()) if len(epts) > 1 else 0.0
+    # 128 rows against all at a time: the max of the pairwise distances
+    # without their 1.1M-entry vector
+    diam = max(
+        (float(cdist(epts[lo : lo + 128], epts).max()) for lo in range(0, len(epts), 128)),
+        default=0.0,
+    )
     length = _cycle_arcs(patch.points[cyc])[2]
     return {
         "path_over_chord_max": float(ratios.max()),
@@ -808,9 +829,9 @@ class DiskParameterization:
 
     ``disk_points[i]`` is the parameter position of ``surface_points[i]``;
     triangles are shared.  ``boundary`` is always set: the caller's cycle,
-    or else the sorted boundary vertices of the mesh.  Frozen, so the
-    `jacobian` attribute, cached on first read, and the `energy` derived
-    from it never go stale.
+    or else the sorted boundary vertices of the mesh.  Frozen, its arrays
+    stored as read-only views, so the `jacobian` attribute, cached on
+    first read, and the `energy` derived from it never go stale.
     """
 
     disk_points: np.ndarray
@@ -823,14 +844,16 @@ class DiskParameterization:
 
     def __post_init__(self):
         coerce = partial(object.__setattr__, self)  # frozen: coerce in place
-        coerce("disk_points", np.asarray(self.disk_points, dtype=float))
-        coerce("surface_points", np.asarray(self.surface_points, dtype=float))
-        coerce("triangles", np.asarray(self.triangles, dtype=int))
+        coerce("disk_points", _read_only(self.disk_points, float))
+        coerce("surface_points", _read_only(self.surface_points, float))
+        coerce("triangles", _read_only(self.triangles, int))
         if self.boundary is None:
             edges, _, counts = mesh_edges(self.triangles, len(self.disk_points))
             coerce("boundary", np.unique(edges[counts == 1]))
-        else:
-            coerce("boundary", np.asarray(self.boundary, dtype=int))
+        coerce("boundary", _read_only(self.boundary, int))
+        for name in ("pinned", "pin_targets"):
+            if getattr(self, name) is not None:
+                coerce(name, _read_only(getattr(self, name)))
 
     def __len__(self) -> int:
         return len(self.disk_points)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -302,46 +302,82 @@ def build_separated_net(
 # Bump support radius in units of the gauge (continuum 0.5); the stage
 # patches and the normal blend use the same bumps.
 POU_SUPPORT_MULT = 0.5
+# Balls per block of the support-ball query and of the bump kernel.
+_SUPPORT_BALL_BLOCK = 256
 
 
-def _pou_matrix(points, centers, supports, balls) -> csr_matrix:
-    """Rows: points; columns: bump centers; entries: normalized weights.
+def _bump_pairs(points, centers, supports, balls):
+    """The bump weights, _SUPPORT_BALL_BLOCK balls at a time.
 
     ``balls[j]`` holds distinct rows of `points` scored against bump j, any
     superset of its support (the `SmoothedSurfaceStage.support_balls`
-    attribute for a stage); a row outside every support is all zero.  The
-    columns are read off the balls (int32 rows, one float per pair) and
-    transposed once: +19 MB traced on the `stagewise` plateau's 660k pairs,
-    from +46 MB.
+    attribute for a stage); a bump of support 0 or below scores none.
+    Yields ``(rows, cols, weights)`` per block for the pairs strictly
+    inside their supports: int32 rows in ball order, int32 columns
+    ascending across blocks, and the unnormalized weights ``(1 - d2)**2``
+    of the squared distance ``d2`` over the squared support.
     """
-    lens = np.array([len(b) if s > 0 else 0 for b, s in zip(balls, supports)], dtype=int)
-    parts = [b[:n] for b, n in zip(balls, lens)] + [np.zeros(0, dtype=np.int32)]
-    rows = np.concatenate(parts, dtype=np.int32)
-    # squared distances summed coordinate by coordinate, one column at a
-    # time so no (pairs, n) temporary is formed
-    d2 = np.zeros(rows.size)
-    for axis in range(points.shape[1]):
-        d2 += np.square(points[rows, axis] - np.repeat(centers[:, axis], lens))
-    # each radius squared as a scalar (pow), not as an array square: the
-    # two differ in the last bit for about 0.1% of radii
-    d2 /= np.repeat(np.array([r**2 for r in supports]), lens)
-    # clamped at 1, the pairs outside their support weigh 0
-    np.fmin(d2, 1.0, out=d2)
-    np.square(np.subtract(1.0, d2, out=d2), out=d2)
-    indptr = np.concatenate([[0], np.cumsum(lens)])
-    mat = csc_matrix((d2, rows, indptr), shape=(len(points), len(centers)))
-    # a weight inside its support is at least 2**-106, so only the pairs
-    # outside are zero; transposing gives each row its columns ascending
-    mat.eliminate_zeros()
-    # only the CSR copy outlives the transpose
-    del d2, rows
-    mat = mat.tocsr()
-    sums = np.asarray(mat.sum(axis=1)).ravel()
+    coords = np.ascontiguousarray(np.transpose(points))
+    for lo in range(0, len(centers), _SUPPORT_BALL_BLOCK):
+        part = slice(lo, lo + _SUPPORT_BALL_BLOCK)
+        lens = [len(b) if s > 0 else 0 for b, s in zip(balls[part], supports[part])]
+        parts = [b[:n] for b, n in zip(balls[part], lens)] + [np.zeros(0, dtype=np.int32)]
+        rows = np.concatenate(parts, dtype=np.int32)
+        # squared distances summed coordinate by coordinate, one coordinate
+        # at a time so no (pairs, n) temporary is formed
+        d2 = np.zeros(rows.size)
+        diff = np.empty(rows.size)
+        for axis, coord in enumerate(coords):
+            np.take(coord, rows, out=diff)
+            diff -= np.repeat(centers[part, axis], lens)
+            d2 += np.square(diff, out=diff)
+        del diff
+        # each radius squared as a scalar (pow), not as an array square: the
+        # two differ in the last bit for about 0.1% of radii
+        d2 /= np.repeat([r**2 for r in supports[part]], lens)
+        # a weight inside its support is at least 2**-106, so exactly the
+        # pairs outside weigh 0; rebinding drops the unfiltered arrays
+        inside = d2 < 1.0
+        cols = np.repeat(np.arange(lo, lo + len(lens), dtype=np.int32), lens)
+        rows, cols, d2 = rows[inside], cols[inside], d2[inside]
+        yield rows, cols, np.square(np.subtract(1.0, d2, out=d2), out=d2)
+
+
+def _bump_row_sums(n_rows: int, pairs) -> np.ndarray:
+    """Per-row sums of the weights of `_bump_pairs` blocks, one block at a
+    time: the normalizer of the partition of unity, and 0 on a row
+    outside every support."""
+    sums = np.zeros(n_rows)
+    for rows, _, weights in pairs:
+        sums += np.bincount(rows, weights, minlength=n_rows)
+    return sums
+
+
+def _bump_blend(points, centers, supports, balls, values):
+    """Row sums of the bump weights and the normalized blend of `values`
+    (one row per bump) at each point, by two passes over `_bump_pairs`.
+
+    The first pass takes the row sums (`_bump_row_sums`).  The second
+    normalizes each block's weights and adds the block's product with the
+    values of its bumps, one column at a time (a CSC product of the
+    block's bumps), so each row adds its bumps in ascending order within a
+    block.  A row outside every support blends to 0.  Only one block of
+    pairs is alive at a time; the weight matrix and its transpose are
+    never formed.
+    """
+    sums = _bump_row_sums(len(points), _bump_pairs(points, centers, supports, balls))
     covered = sums > 0
     inv = np.zeros_like(sums)
     inv[covered] = 1.0 / sums[covered]
-    mat.data *= np.repeat(inv, np.diff(mat.indptr))
-    return mat
+    blend = np.zeros((len(points), values.shape[1]))
+    for rows, cols, weights in _bump_pairs(points, centers, supports, balls):
+        weights *= inv[rows]
+        starts = np.flatnonzero(np.diff(cols, prepend=-1))
+        block = csc_matrix(
+            (weights, rows, np.append(starts, cols.size)), shape=(len(points), starts.size)
+        )
+        blend += block @ values[cols[starts]]
+    return sums, blend
 
 
 def partition_of_unity(
@@ -349,29 +385,31 @@ def partition_of_unity(
     delta: DeltaField,
     query,
 ) -> list[tuple[int, float]]:
-    """Normalized bump weights of the net members at one query point.
+    """Normalized bump weights of the net members at one query point, as
+    ``(member position, weight)`` in member order.
 
-    Each bump is supported exactly on the ball of half the member's gauge.
-    Raises DimensionMismatch or NonFiniteInput unless `query` is one finite
-    point of the ambient dimension, and UncoveredQuery outside every bump.
+    Each bump is supported exactly on the open ball of half the member's
+    gauge, with weight ``(1 - d2)**2`` before normalization; the weights
+    and their sum are those `normal_field` blends with, read from the same
+    kernel (`_bump_pairs`, `_bump_row_sums`).  Raises DimensionMismatch or
+    NonFiniteInput unless `query` is one finite point of the ambient
+    dimension, and UncoveredQuery outside every bump.
     """
     centers = delta.points[net.indices]
     supports = POU_SUPPORT_MULT * np.asarray(delta.values)[net.indices]
     query = _require_point(query, centers.shape[1], "query")[None]
-    row = _pou_matrix(
-        query, centers, supports, np.zeros((len(centers), 1), dtype=int)
-    ).getrow(0)
-    if row.nnz == 0:
+    pairs = list(
+        _bump_pairs(query, centers, supports, np.zeros((len(centers), 1), dtype=np.int32))
+    )
+    total = _bump_row_sums(1, pairs)[0]
+    if total <= 0:
         raise UncoveredQuery("no bump support contains the query")
-    return [(int(j), float(v)) for j, v in zip(row.indices, row.data)]
+    inv = 1.0 / total
+    return [(int(j), float(w * inv)) for _, cols, ws in pairs for j, w in zip(cols, ws)]
 
 
 # ---------------------------------------------------------------------------
 # smoothed stages
-
-# Patch centres per block of the support-ball query.
-_SUPPORT_BALL_BLOCK = 256
-
 
 @dataclass
 class SmoothedSurfaceStage:
@@ -397,11 +435,15 @@ class SmoothedSurfaceStage:
         """Stage rows inside each patch's support ball, as int32 arrays in
         KD-tree traversal order (``return_sorted=False``), the order in which
         the graph test thins and the normal-field quotient truncates them.
-        One ``cKDTree(points)`` is queried _SUPPORT_BALL_BLOCK centres at a
+        Any superset of the supports would do for the bump weights, which
+        `_bump_pairs` scores against the support itself.  One
+        ``cKDTree(points)`` is queried _SUPPORT_BALL_BLOCK centres at a
         time, which gives the balls of one batched query with one block's
         Python lists alive: +5 MB traced on the `stagewise` plateau, from
-        +28 MB.  Built on first read and kept until `normal_field`, the
-        last reader, releases them (``del stage.support_balls``).
+        +28 MB.  The balls are the one stage-sized table the normal blend
+        keeps (its pairs stream a block at a time).  Built on first read
+        and kept until `normal_field`, the last reader, releases them
+        (``del stage.support_balls``).
         """
         tree, radii = cKDTree(self.points), POU_SUPPORT_MULT * self.patch_gauge
         cuts = range(0, len(radii), _SUPPORT_BALL_BLOCK)
@@ -656,32 +698,39 @@ def normal_field(
 ) -> SmoothedSurfaceStage:
     """Blend patch normal projectors with the partition of unity.
 
-    Kept fine points outside every bump support fall back to their own
-    sample tangent plane's normal projector (their plane is exact there),
-    so on a stage without patches every kept point does; a synthesized
-    point without coverage raises UncoveredQuery.  The per-patch Lipschitz
-    quotient of the blended field is recorded: over the first 50 points of
-    each support ball (the `SmoothedSurfaceStage.support_balls` attribute,
-    in KD-tree traversal order), the largest ratio of projector (Frobenius)
-    distance to point distance.  This is the last reader of the support
-    balls, so it releases them with ``del stage.support_balls``.
+    Each stage point blends the normal projectors I - B^T B of the patches
+    whose bump support holds it, with the normalized weights of
+    `partition_of_unity`, and takes the nearest rank-(n - m) projector
+    (`geometry.grassmann_bases`).  The blend streams over the bump kernel
+    (`_bump_blend`): one pass for the row sums, which give the coverage
+    test, and one for the blend, a block of _SUPPORT_BALL_BLOCK balls at a
+    time; +3.4 MB traced on the seed-7 `stagewise` plateau, from +18.1 MB
+    for the bump matrix, its transpose and their product.  Kept fine points outside every
+    bump support fall back to their own sample tangent plane's normal
+    projector (their plane is exact there), so on a stage without patches
+    every kept point does; a synthesized point without coverage raises
+    UncoveredQuery.  The per-patch Lipschitz quotient of the blended field
+    is recorded: over the first 50 points of each support ball (the
+    `SmoothedSurfaceStage.support_balls` attribute, in KD-tree traversal
+    order), the largest ratio of projector (Frobenius) distance to point
+    distance.  This is the last reader of the support balls, so it
+    releases them with ``del stage.support_balls``.
     """
     n = stage.points.shape[1]
     m = stage.patch_bases.shape[1]
     balls = stage.support_balls
-    mat = _pou_matrix(
-        stage.points, stage.patch_centers, POU_SUPPORT_MULT * stage.patch_gauge, balls
+    patch_normals = np.eye(n) - _span_projectors(stage.patch_bases)
+    sums, blended = _bump_blend(
+        stage.points, stage.patch_centers, POU_SUPPORT_MULT * stage.patch_gauge, balls,
+        patch_normals.reshape(len(patch_normals), n * n),
     )
-    uncovered = np.asarray(mat.sum(axis=1)).ravel() <= 0
+    uncovered = sums <= 0
     if np.any(uncovered & ~stage.fine_mask):
         raise UncoveredQuery(
             f"{int((uncovered & ~stage.fine_mask).sum())} synthesized points "
             "have no bump coverage"
         )
-    patch_normals = np.eye(n) - _span_projectors(stage.patch_bases)
-    blended = (mat @ patch_normals.reshape(len(patch_normals), n * n)).reshape(
-        -1, n, n
-    )
+    blended = blended.reshape(-1, n, n)
     projs = np.empty((len(stage.points), n, n))
     projs[~uncovered] = _span_projectors(
         grassmann_bases(blended[~uncovered], n - m)
@@ -726,6 +775,8 @@ class CorrespondenceMap:
 
 # Nearest target points scored per source point by `project_tau`.
 TAU_CANDIDATES = 12
+# Source rows scored per block by `project_tau`.
+_TAU_BLOCK = 512
 
 
 def project_tau(
@@ -741,7 +792,12 @@ def project_tau(
     candidate with the smallest tangential residual wins.  The normal part
     must stay within beta times the target gauge, padded by a resolution
     slack (twice the median nearest-neighbor spacing of the target) so kept
-    fine points (gauge zero) remain reachable.
+    fine points (gauge zero) remain reachable.  Sources are scored
+    _TAU_BLOCK rows at a time, each row as it would be alone, so only one
+    block's (rows, candidates, n, n) projector table is alive: +1.1 MB
+    traced on the seed-7 `stagewise` plateau, from +5.3 MB.  A source
+    without an admissible candidate raises NoValidPreimage, naming the
+    first such source.
     """
     if stage_to.normal_projectors is None:
         raise MissingNormalField()
@@ -751,24 +807,28 @@ def project_tau(
     nn, _ = tree.query(tgt, k=2)
     slack = 2.0 * float(np.median(nn[:, 1]))
     k = min(TAU_CANDIDATES, len(tgt))
-    # query(k=1) drops the candidate axis
-    idx = tree.query(src, k=k)[1].reshape(len(src), k)
-    d = src[:, None, :] - tgt[idx]
-    v_norm = np.einsum("skij,skj->ski", stage_to.normal_projectors[idx], d)
-    reachable = (
-        np.linalg.norm(v_norm, axis=2) <= beta * stage_to.gauge[idx] + slack
-    )
-    stuck = np.flatnonzero(~reachable.any(axis=1))
-    if stuck.size:
-        raise NoValidPreimage(
-            f"source point {np.round(src[stuck[0]], 6).tolist()} has no "
-            f"admissible target within normal reach"
+    chosen = np.empty(len(src), dtype=int)
+    tang_res = np.empty(len(src))
+    for lo in range(0, len(src), _TAU_BLOCK):
+        block = src[lo : lo + _TAU_BLOCK]
+        # query(k=1) drops the candidate axis
+        idx = tree.query(block, k=k)[1].reshape(len(block), k)
+        d = block[:, None, :] - tgt[idx]
+        v_norm = np.einsum("skij,skj->ski", stage_to.normal_projectors[idx], d)
+        reachable = (
+            np.linalg.norm(v_norm, axis=2) <= beta * stage_to.gauge[idx] + slack
         )
-    t_res = np.where(reachable, np.linalg.norm(d - v_norm, axis=2), np.inf)
-    # argmin keeps the nearest of tied candidates, as a strict-< scan would
-    best = np.argmin(t_res, axis=1)[:, None]
-    chosen = np.take_along_axis(idx, best, axis=1)[:, 0]
-    tang_res = np.take_along_axis(t_res, best, axis=1)[:, 0]
+        stuck = np.flatnonzero(~reachable.any(axis=1))
+        if stuck.size:
+            raise NoValidPreimage(
+                f"source point {np.round(block[stuck[0]], 6).tolist()} has no "
+                f"admissible target within normal reach"
+            )
+        t_res = np.where(reachable, np.linalg.norm(d - v_norm, axis=2), np.inf)
+        # argmin keeps the nearest of tied candidates, as a strict-< scan would
+        best = np.argmin(t_res, axis=1)[:, None]
+        chosen[lo : lo + _TAU_BLOCK] = np.take_along_axis(idx, best, axis=1)[:, 0]
+        tang_res[lo : lo + _TAU_BLOCK] = np.take_along_axis(t_res, best, axis=1)[:, 0]
     return CorrespondenceMap(
         source_points=src,
         target_points=tgt[chosen],
@@ -846,9 +906,10 @@ def distortion_report(source_points, target_points) -> DistortionReport:
     All pairs are used when the point count is at most DISTORTION_PAIRS;
     otherwise each point gets its nearest neighbors plus seeded random
     partners.  The L^p figures take exponent DISTORTION_P and uniform
-    weights.  All pairs are read a block of about 2**18 pairs at a time,
-    each block dropped before the next: +16 MB traced at 2000 points.  The
-    sampled partners form one block of N * (8 + partners) pairs.
+    weights.  All pairs are read a block of about 2**16 pairs at a time,
+    each block dropped before the next: +3.7 MB traced at 2000 points (the
+    seed-7 `stagewise` disk), from +14.8 MB at 2**18.  The sampled partners
+    form one block of N * (8 + partners) pairs.
 
     Raises DimensionMismatch unless source and target are (N, n) arrays of
     one shape, NonFiniteInput for a non-finite coordinate, TooFewPoints
@@ -933,7 +994,7 @@ def distortion_report(source_points, target_points) -> DistortionReport:
     )
 
 
-def _all_pair_blocks(src, tgt, dev, entries: int = 1 << 18):
+def _all_pair_blocks(src, tgt, dev, entries: int = 1 << 16):
     """Every (row, other row) pair, as row blocks of distance matrices.
 
     Yields ``(rows, ds, dt, dd, valid)``: source, target and deviation

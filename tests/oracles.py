@@ -27,6 +27,7 @@ from varifoldlab.errors import (
     IllConditioned,
     InvalidSpec,
     NotJordan,
+    NoValidPreimage,
     TooFewPoints,
 )
 from varifoldlab.geometry import (
@@ -829,11 +830,50 @@ def project_tau_scan(src, tgt, projectors, gauge, beta, candidates=12, slack=Non
     return chosen, tang_res
 
 
-def pou_matrix_coo(points, centers, supports, balls) -> csr_matrix:
-    """The bump matrix built from one (rows, cols) coordinate list.
+def project_tau_one_shot(stage_from, stage_to, beta: float) -> ip.CorrespondenceMap:
+    """The former `iterated_projection.project_tau`, verbatim: every source
+    row scored in one (rows, candidates, n, n) table.  Reads TAU_CANDIDATES
+    of the module at call time."""
+    if stage_to.normal_projectors is None:
+        raise ip.MissingNormalField()
+    src = stage_from.points
+    tgt = stage_to.points
+    tree = cKDTree(tgt)
+    nn, _ = tree.query(tgt, k=2)
+    slack = 2.0 * float(np.median(nn[:, 1]))
+    k = min(ip.TAU_CANDIDATES, len(tgt))
+    # query(k=1) drops the candidate axis
+    idx = tree.query(src, k=k)[1].reshape(len(src), k)
+    d = src[:, None, :] - tgt[idx]
+    v_norm = np.einsum("skij,skj->ski", stage_to.normal_projectors[idx], d)
+    reachable = (
+        np.linalg.norm(v_norm, axis=2) <= beta * stage_to.gauge[idx] + slack
+    )
+    stuck = np.flatnonzero(~reachable.any(axis=1))
+    if stuck.size:
+        raise NoValidPreimage(
+            f"source point {np.round(src[stuck[0]], 6).tolist()} has no "
+            f"admissible target within normal reach"
+        )
+    t_res = np.where(reachable, np.linalg.norm(d - v_norm, axis=2), np.inf)
+    # argmin keeps the nearest of tied candidates, as a strict-< scan would
+    best = np.argmin(t_res, axis=1)[:, None]
+    chosen = np.take_along_axis(idx, best, axis=1)[:, 0]
+    tang_res = np.take_along_axis(t_res, best, axis=1)[:, 0]
+    return ip.CorrespondenceMap(
+        source_points=src,
+        target_points=tgt[chosen],
+        target_indices=chosen,
+        displacements=src - tgt[chosen],
+        depth=1,
+        tangential_residuals=tang_res,
+    )
 
-    The former `iterated_projection._pou_matrix`, verbatim: int64 pair
-    indices, a COO-to-CSR sort and a normalizing `multiply`.
+
+def pou_matrix_coo(points, centers, supports, balls) -> csr_matrix:
+    """The normalized bump matrix built from one (rows, cols) coordinate
+    list: int64 pair indices, a COO-to-CSR sort, row sums as scipy takes
+    them from a CSR row, and a normalizing `multiply`.
     """
     live = np.flatnonzero(supports > 0)
     cols = np.repeat(live, [len(balls[j]) for j in live])

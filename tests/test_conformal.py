@@ -769,6 +769,31 @@ class TestHarmonicParam:
             param.surface_points = 2.0 * param.surface_points
         assert param.energy == energy
 
+    def test_parameterization_refuses_in_place_writes(self):
+        """Its arrays, and its patch's, are read-only views.  Scaling the
+        surface in place used to leave `energy` at 1.5529 where a fresh
+        record of the scaled arrays reads 6.2117, and moved the patch's
+        points too.  The caller's own array keeps its flags."""
+        pts2, tris = structured_disk_mesh(4, radius=0.5)
+        pts = np.c_[pts2, np.zeros(len(pts2))]
+        patch = conf.DiskPatch.from_mesh(pts, tris)
+        param = conf.harmonic_disk_param(patch)
+        energy = param.energy
+        assert energy == pytest.approx(1.5529, abs=1e-4)
+        arrays = [
+            getattr(param, f.name) for f in dataclasses.fields(param) if f.name != "patch"
+        ] + [getattr(patch, f.name) for f in dataclasses.fields(patch) if f.type == "np.ndarray"]
+        assert len(arrays) == 12
+        for array in arrays:
+            assert isinstance(array, np.ndarray) and not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            param.surface_points[:] *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            patch.points[:] = 0.0
+        assert param.energy == energy
+        assert np.array_equal(patch.points, pts)
+        assert pts.flags.writeable
+
     def test_cap_matches_stereographic_map(self, structured_cap_pp):
         patch, param = structured_cap_pp
         assert cap_map_error(param, patch) <= 1e-6

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib.util
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -48,6 +49,7 @@ from oracles import (
     maximal_tilt_loop,
     patch_arrays_loop,
     pou_matrix_coo,
+    project_tau_one_shot,
     project_tau_scan,
     projector_lipschitz_loop,
     reference_plane_loop,
@@ -633,11 +635,20 @@ def test_pou_refuses_a_query_that_is_not_one_finite_point(pou_net):
         ip.partition_of_unity(net, delta, np.array([np.nan, 0.0, 0.0]))
 
 
+def _stream_pairs(points, centers, supports, balls):
+    """The bump kernel's blocks, their row sums, and their concatenated
+    (rows, cols, weights)."""
+    blocks = list(ip._bump_pairs(points, centers, supports, balls))
+    sums = ip._bump_row_sums(len(points), blocks)
+    rows, cols, weights = (np.concatenate(part) for part in zip(*blocks))
+    return sums, rows, cols, weights
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_pou_single_query_matches_kd_ball_rows(seed):
-    # one query scored against every bump gives, bit for bit, its row of the
-    # matrix built from KD-tree balls over all the queries
+    # one query scored against every bump gives, bit for bit, the kernel's
+    # normalized weights of its row among KD-tree balls over all the queries
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-3.0, 3.0, size=(int(rng.integers(2, 40)), 3))
     pts[:, 2] *= 0.1
@@ -654,26 +665,37 @@ def test_pou_single_query_matches_kd_ball_rows(seed):
         np.asarray(b, dtype=int)
         for b in cKDTree(queries).query_ball_point(centers, supports)
     ]
-    mat = ip._pou_matrix(queries, centers, supports, balls)
-    for i, q in enumerate(queries):
-        row = mat.getrow(i)
-        if row.nnz == 0:
-            with pytest.raises(UncoveredQuery):
-                ip.partition_of_unity(net, delta, q)
-            continue
-        weights = ip.partition_of_unity(net, delta, q)
-        assert [j for j, _ in weights] == row.indices.tolist()
-        assert np.array_equal([v for _, v in weights], row.data)
+    # blocks of a few balls, so a query's weights span several blocks
+    with mock.patch.object(ip, "_SUPPORT_BALL_BLOCK", int(rng.integers(1, 5))):
+        sums, rows, cols, weights = _stream_pairs(queries, centers, supports, balls)
+        for i, q in enumerate(queries):
+            if sums[i] <= 0:
+                with pytest.raises(UncoveredQuery):
+                    ip.partition_of_unity(net, delta, q)
+                continue
+            mine = rows == i
+            got = ip.partition_of_unity(net, delta, q)
+            assert [j for j, _ in got] == cols[mine].tolist()
+            assert np.array_equal([v for _, v in got], weights[mine] * (1.0 / sums[i]))
+
+
+# The streamed normalizers sum each row per block in pair order, where scipy
+# sums a CSR row pairwise, so normalized weights and blends (entries of
+# size at most 1) move in the last bits from the coordinate-list build.
+BLEND_ATOL = 1e-14
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_pou_matrix_matches_coordinate_list_build(seed):
-    """Bump matrices built column by column from the balls equal the former
-    COO build bit for bit: `indptr`, `indices` and `data`.  Every example
-    holds a dead bump (support 0 or below), an empty ball and a row exactly
-    on a support sphere (d2 == 1, dropped); balls are KD-tree balls padded
-    with random rows, shuffled, of either index width."""
+    """The streamed bump kernel against the former COO build of the
+    normalized bump matrix: the same (row, column) pairs exactly, columns
+    ascending across blocks, and the normalized weights, their row sums and
+    the blend of random values within BLEND_ATOL.  Every example holds a
+    dead bump (support 0 or below), an empty ball and a row exactly on a
+    support sphere (d2 == 1, dropped); balls are KD-tree balls padded with
+    random rows, shuffled, of either index width, read in blocks of 1 to 7
+    balls."""
     rng = np.random.default_rng(seed)
     n, k, dim = int(rng.integers(1, 60)), int(rng.integers(3, 20)), int(rng.integers(2, 4))
     # dyadic centres and radii keep the on-sphere distances exact
@@ -703,19 +725,26 @@ def test_pou_matrix_matches_coordinate_list_build(seed):
         balls.append(rng.permutation(rows).astype(dtype))
     balls[0] = np.union1d(balls[0], [0]).astype(dtype)
     balls[2] = np.zeros(0, dtype=dtype)
-    new = ip._pou_matrix(points, centers, supports, balls)
+    values = rng.uniform(-1.0, 1.0, (k, 4))
+    with mock.patch.object(ip, "_SUPPORT_BALL_BLOCK", int(rng.integers(1, 8))):
+        sums, rows, cols, weights = _stream_pairs(points, centers, supports, balls)
+        blend_sums, blend = ip._bump_blend(points, centers, supports, balls, values)
     old = pou_matrix_coo(points, centers, supports, balls)
-    assert new.shape == old.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(new, name), getattr(old, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.all(np.diff(cols) >= 0)
+    coo = old.tocoo()
+    assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(zip(coo.row.tolist(), coo.col.tolist()))
+    assert np.array_equal(blend_sums, sums)
+    assert np.array_equal(sums > 0, np.diff(old.indptr) > 0)
+    normalized = weights * (1.0 / sums[rows])
+    old_rows = np.asarray(old.sum(axis=1)).ravel()
+    assert np.abs(np.asarray(old[rows, cols]).ravel() - normalized).max(initial=0.0) <= BLEND_ATOL
+    assert np.abs(np.bincount(rows, normalized, minlength=n) - old_rows).max() <= BLEND_ATOL
+    assert np.abs(blend - old @ values).max() <= BLEND_ATOL
 
 
-def test_pou_matrix_transient_stays_within_three_matrices():
-    """A plateau-size input: 3500 bumps over 3500 planar points, about 190
-    rows per ball away from the rim (585k scored pairs).  Building the bump
-    matrix traces at most three times the bytes of the matrix it returns;
-    the former COO build traced about 5.7 times."""
+def _plateau_size_bumps():
+    """3500 bumps over 3500 planar points, about 190 rows per ball away from
+    the rim (585k scored pairs), and a projector per bump."""
     rng = np.random.default_rng(3)
     points = np.c_[rng.uniform(0.0, 1.0, (3500, 2)), np.zeros(3500)]
     supports = np.full(len(points), np.sqrt(190.0 / (np.pi * len(points))))
@@ -724,9 +753,25 @@ def test_pou_matrix_transient_stays_within_three_matrices():
         for b in cKDTree(points).query_ball_point(points, supports, return_sorted=False)
     ]
     assert sum(map(len, balls)) > 500_000
-    mat, peak = traced_peak(ip._pou_matrix, points, points, supports, balls)
-    held = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-    assert peak <= 3.0 * held, (peak, held)
+    return points, supports, balls, np.tile(EZ_PROJECTOR.ravel(), (len(points), 1))
+
+
+# Traced bytes the blend of `_plateau_size_bumps` may take: one block of
+# pairs and a few (points, 9) tables.  The bump matrix alone is 7 MB; the
+# former build traced about 16 MB (its matrix, transpose and product).
+BLEND_BUDGET = 3 << 20
+
+
+def test_pou_blend_transient_stays_within_budget():
+    points, supports, balls, values = _plateau_size_bumps()
+    (sums, blend), peak = traced_peak(ip._bump_blend, points, points, supports, balls, values)
+    assert np.all(sums > 0) and np.allclose(blend, values, rtol=0.0, atol=1e-14)
+    assert peak <= BLEND_BUDGET, peak
+    # the coordinate-list build of the same blend does not fit
+    _, old_peak = traced_peak(
+        lambda: pou_matrix_coo(points, points, supports, balls) @ values
+    )
+    assert old_peak > 3 * BLEND_BUDGET, old_peak
 
 
 # ---------------------------------------------------------------------------
@@ -1000,6 +1045,62 @@ def test_projection_requires_normal_directions(flat_stage):
         ip.project_tau(stage, bare, beta=0.1)
 
 
+@pytest.mark.parametrize("block", [1, 97, ip._TAU_BLOCK])
+def test_projection_blocks_match_one_shot(monkeypatch, plateau_run, block):
+    """Scored a block of sources at a time, the plateau's first step equals
+    the one-shot scoring bit for bit, and a source without an admissible
+    target in a later block is named as the one-shot scoring names it."""
+    monkeypatch.setattr(ip, "_TAU_BLOCK", block)
+    src, tgt = plateau_run.stages[:2]
+    beta = plateau_run.beta
+    new = ip.project_tau(src, tgt, beta)
+    old = project_tau_one_shot(src, tgt, beta)
+    for f in dataclasses.fields(new):
+        assert np.array_equal(getattr(new, f.name), getattr(old, f.name)), f.name
+    moved = src.points.copy()
+    moved[[2000, 2500]] += 10.0
+    lost = dataclasses.replace(src, points=moved)
+    with pytest.raises(NoValidPreimage) as one_shot:
+        project_tau_one_shot(lost, tgt, beta)
+    with pytest.raises(NoValidPreimage, match=re.escape(str(one_shot.value))):
+        ip.project_tau(lost, tgt, beta)
+
+
+def _planar_stage(points) -> ip.SmoothedSurfaceStage:
+    """A stage of planar points without patches, normal field e_z."""
+    n, dim = points.shape
+    return ip.SmoothedSurfaceStage(
+        points=points,
+        gauge=np.full(n, 0.01),
+        sample_rows=np.arange(n),
+        patch_centers=np.zeros((0, dim)),
+        patch_bases=np.zeros((0, 2, dim)),
+        patch_gauge=np.zeros(0),
+        graph_lipschitz=np.zeros(0),
+        synth_offset_ratio=0.0,
+        normal_projectors=np.tile(EZ_PROJECTOR, (n, 1, 1)),
+        normal_lipschitz=np.zeros(0),
+    )
+
+
+# Traced bytes `project_tau` may take on 3500 sources: one block's
+# candidate tables and the (sources,) results; scoring every source at once
+# took about 5 MB.
+TAU_BUDGET = 3 << 19
+
+
+def test_projection_transient_stays_within_budget():
+    rng = np.random.default_rng(5)
+    points = np.c_[rng.uniform(0.0, 1.0, (3500, 2)), np.zeros(3500)]
+    target = _planar_stage(points)
+    source = _planar_stage(points + [0.0, 0.0, 1e-3])
+    tau, peak = traced_peak(ip.project_tau, source, target, 0.1)
+    assert np.array_equal(tau.target_indices, np.arange(len(points)))
+    assert peak <= TAU_BUDGET, peak
+    _, old_peak = traced_peak(project_tau_one_shot, source, target, 0.1)
+    assert old_peak > 3 * TAU_BUDGET, old_peak
+
+
 def test_projection_displacements_scale_with_front_distance(plateau_run):
     res = plateau_run
     spacing = None
@@ -1178,6 +1279,22 @@ def test_distortion_report_matches_where_loop(seed):
     for f in dataclasses.fields(new):
         a, b = getattr(new, f.name), getattr(old, f.name)
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), f.name
+
+
+# Traced bytes `distortion_report` may take on the `stagewise` sizes: the
+# largest all-pairs input (DISTORTION_PAIRS points; 2**18-pair blocks took
+# about 15 MB) and the 3500-point plateau (sampled partners).
+DISTORTION_BUDGET = 9 << 19
+
+
+@pytest.mark.parametrize("n_pts", [ip.DISTORTION_PAIRS, 3500])
+def test_distortion_report_transient_stays_within_budget(n_pts):
+    rng = np.random.default_rng(8)
+    src = np.c_[rng.uniform(0.0, 1.0, (n_pts, 2)), np.zeros(n_pts)]
+    tgt = src + 1e-3 * rng.normal(size=src.shape)
+    report, peak = traced_peak(ip.distortion_report, src, tgt)
+    assert 1.0 <= report.spread < np.inf
+    assert peak <= DISTORTION_BUDGET, peak
 
 
 def test_distortion_report_refuses_a_map_that_collapses_two_points():
@@ -1484,7 +1601,7 @@ def _check_normals_and_projection(stage, sample, source_points, beta, candidates
     """Normal blend, its Lipschitz quotients and the projection of
     `source_points` onto `stage` against the per-point loops."""
     radii = ip.POU_SUPPORT_MULT * stage.patch_gauge
-    weights = ip._pou_matrix(
+    weights = pou_matrix_coo(
         stage.points, stage.patch_centers, radii, stage.support_balls
     ).toarray()
     uncovered_synth = (weights.sum(axis=1) <= 0) & (stage.sample_rows < 0)
