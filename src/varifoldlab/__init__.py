@@ -23,7 +23,6 @@ from .geometry import (
     Plane,
     WeightedSurfaceSample,
     fit_plane_pca,
-    grassmann_project,
     projector_distance,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "Plane",
     "WeightedSurfaceSample",
     "fit_plane_pca",
-    "grassmann_project",
     "projector_distance",
     "__version__",
 ]

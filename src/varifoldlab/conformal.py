@@ -76,14 +76,11 @@ __all__ = [
     "ConformalDiagnostics",
     "ConformalFactor",
     "CurvatureResiduals",
-    "DiskMesh",
     "DiskParameterization",
     "DiskPatch",
     "DyadicSquare",
     "LipschitzPieces",
     "QuasisymmetryTable",
-    "a2_constant",
-    "bmo_norm",
     "conformal_diagnostics",
     "conformal_factor",
     "curvature_equation_residuals",
@@ -91,8 +88,6 @@ __all__ = [
     "extract_disk_patch",
     "harmonic_disk_param",
     "intrinsic_metric_diagnostics",
-    "inverse_holder_check",
-    "inverse_holder_max",
     "isoperimetric_check",
     "large_lipschitz_pieces",
     "mobius_reparameterized",
@@ -1231,14 +1226,6 @@ def semmes_affine_fit(
 
 
 @dataclass(frozen=True)
-class DiskMesh:
-    """Bare parameter-domain mesh for dyadic statistics on raw fields."""
-
-    points: np.ndarray
-    triangles: np.ndarray
-
-
-@dataclass(frozen=True)
 class DyadicSquare:
     x0: float
     y0: float
@@ -1279,7 +1266,8 @@ SQUARE_COVERAGE = 0.9
 
 
 class _DyadicLevels:
-    """Dyadic levels 0..DYADIC_DEPTH over the bounding square of a mesh.
+    """Dyadic levels 0..DYADIC_DEPTH over the bounding square of a planar
+    mesh, its (V, 2) points and (F, 3) triangles.
 
     The one owner of the square rules: a triangle belongs to the square
     holding its centroid, a square is admissible when it holds at least
@@ -1287,12 +1275,7 @@ class _DyadicLevels:
     of its area, and square means are triangle-area weighted.
     """
 
-    def __init__(self, mesh_or_param):
-        if isinstance(mesh_or_param, DiskParameterization):
-            points = mesh_or_param.disk_points
-        else:
-            points = mesh_or_param.points
-        tris = mesh_or_param.triangles
+    def __init__(self, points: np.ndarray, tris: np.ndarray):
         centroids = points[tris].mean(axis=1)
         self.areas = triangle_areas(points, tris)
         lo = points.min(axis=0)
@@ -1345,6 +1328,9 @@ class _DyadicLevels:
         return empty if best is None else best
 
     def bmo(self, values: np.ndarray) -> float:
+        """Sup over admissible squares of the mean absolute oscillation of
+        the per-triangle field ``values``; 0.0 when none is admissible."""
+
         def oscillation(level):
             dev = np.abs(values - self.mean(level, values)[level.buckets])
             return self.mean(level, dev)[level.admissible]
@@ -1352,6 +1338,8 @@ class _DyadicLevels:
         return self.sup(oscillation, 0.0)
 
     def a2(self, w: np.ndarray) -> float:
+        """Sup over admissible squares of mean(e^{2w}) * mean(e^{-2w}) of
+        the per-triangle field ``w``; 1.0 when none is admissible."""
         up = np.exp(2.0 * w)
         dn = np.exp(-2.0 * w)
 
@@ -1362,6 +1350,9 @@ class _DyadicLevels:
         return self.sup(product, 1.0)
 
     def inverse_holder(self, j: np.ndarray) -> float:
+        """Sup over admissible squares of mean(j) / mean(sqrt j)^2 (>= 1)
+        of the per-triangle Jacobian ``j = |det grad f|``; 1.0 when none
+        is admissible."""
         root = np.sqrt(j)
 
         def ratio(level):
@@ -1371,61 +1362,14 @@ class _DyadicLevels:
         return self.sup(ratio, 1.0)
 
 
-def dyadic_squares(mesh_or_param) -> list:
-    """Admissible dyadic squares over the mesh bounding square.
+def dyadic_squares(param: DiskParameterization) -> list:
+    """Admissible dyadic squares over the bounding square of the disk mesh.
 
     Admissible: at least ``MIN_SQUARE_TRIANGLES`` triangle centroids and
     triangle area at least ``SQUARE_COVERAGE`` of the square, which skips
     squares straddling the mesh boundary.
     """
-    return _DyadicLevels(mesh_or_param).squares()
-
-
-def bmo_norm(mesh_or_param, values) -> float:
-    """Sup over admissible dyadic squares of the mean absolute oscillation.
-
-    ``values`` is a per-triangle scalar field; means are triangle-area
-    weighted.  Returns 0.0 when no square is admissible.
-    """
-    vals = _per_triangle(mesh_or_param, values, "BMO field")
-    return _DyadicLevels(mesh_or_param).bmo(vals)
-
-
-def a2_constant(mesh_or_param, w_values) -> float:
-    """Sup over admissible dyadic squares of mean(e^{2w}) * mean(e^{-2w})."""
-    w = _per_triangle(mesh_or_param, w_values, "A2 weight field")
-    return _DyadicLevels(mesh_or_param).a2(w)
-
-
-def _per_triangle(mesh_or_param, values, what: str) -> np.ndarray:
-    """`values` as one float per triangle, else DimensionMismatch."""
-    vals = np.asarray(values, dtype=float)
-    need = (len(mesh_or_param.triangles),)
-    if vals.shape != need:
-        raise DimensionMismatch(
-            f"{what} has shape {vals.shape}, need one value per triangle {need}"
-        )
-    return vals
-
-
-def inverse_holder_check(param: DiskParameterization, square: DyadicSquare) -> float:
-    """mean(|det grad f|) / mean(sqrt|det grad f|)^2 over one square (>= 1)."""
-    cf = conformal_factor(param)
-    inside = square.contains(param.disk_points[param.triangles].mean(axis=1))
-    if not inside.any():
-        raise TooFewPoints("square contains no triangle centroids")
-    areas = cf.disk_areas[inside]
-    j = cf.area_factor[inside]
-    total = areas.sum()
-    mean_j = float((areas * j).sum() / total)
-    mean_root = float((areas * np.sqrt(j)).sum() / total)
-    return mean_j / (mean_root * mean_root)
-
-
-def inverse_holder_max(param: DiskParameterization) -> float:
-    """Sup of the inverse-Hoelder ratio over admissible dyadic squares."""
-    j = conformal_factor(param).area_factor
-    return _DyadicLevels(param).inverse_holder(j)
+    return _DyadicLevels(param.disk_points, param.triangles).squares()
 
 
 # ---------------------------------------------------------------------------
@@ -1661,10 +1605,13 @@ def large_lipschitz_pieces(
 class ConformalDiagnostics:
     """Headline conformal diagnostics of one parameterized patch.
 
-    ``max_qc_dilatation`` is the largest quasiconformal dilatation over all
-    triangles, ``interior_qc_dilatation`` the largest over triangles with no
-    boundary vertex (NaN when there is none), so a loss of conformality
-    inside the patch cannot hide behind the rim.
+    ``bmo`` and ``a2`` are the dyadic-square statistics of the log
+    conformal factor w, and ``inverse_holder_max`` that of the area factor
+    |det grad f| (`_DyadicLevels`).  ``max_qc_dilatation`` is the largest
+    quasiconformal dilatation over all triangles, ``interior_qc_dilatation``
+    the largest over triangles with no boundary vertex (NaN when there is
+    none), so a loss of conformality inside the patch cannot hide behind
+    the rim.
     """
 
     bmo: float
@@ -1695,7 +1642,7 @@ def conformal_diagnostics(
     nonzero, otherwise the absolute weighted-L1 value.
     """
     cf = conformal_factor(param)
-    levels = _DyadicLevels(param)
+    levels = _DyadicLevels(param.disk_points, param.triangles)
     bmo = levels.bmo(cf.w)
     a2 = levels.a2(cf.w)
     ih = levels.inverse_holder(cf.area_factor)

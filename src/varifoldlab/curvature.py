@@ -25,7 +25,6 @@ from .geometry import (
     Ball,
     WeightedSurfaceSample,
     _require_indices,
-    _require_point,
     _require_positive,
 )
 from .meshing import cotangent_laplacian, vertex_areas
@@ -138,33 +137,6 @@ def _solve_rows(counts, masses, divs):
     return H, residual
 
 
-def estimate_mean_curvature(
-    sample: WeightedSurfaceSample, x, h: float
-):
-    """Weak mean curvature near x from bump test fields of radius h.
-
-    The one-row case of `build_curvature_field`, on the ball B(x, h).
-
-    Returns
-    -------
-    (H, residual)
-        H : ndarray, the estimated vector; residual : float, relative
-        least-squares misfit of the stacked first-variation equations.
-
-    Raises DimensionMismatch or NonFiniteInput unless x is one finite
-    point, InvalidScale unless h is positive and finite, and TooFewPoints
-    or IllConditioned for a ball of fewer than 10 points or normal
-    equations worse conditioned than 1e8.
-    """
-    x = _require_point(x, sample.ambient_dim, "x")
-    _require_positive(h, "test-field radius")
-    cand = sample.ball_query(x, h)
-    d2 = np.square(sample.points[cand] - x).sum(axis=1)[None]
-    masses, divs = _profile_rows(sample, cand, x[None], d2, h)
-    H, residual = _solve_rows(np.array([cand.size]), masses, divs)
-    return H[0], float(residual[0])
-
-
 # A curvature vector is flagged orthogonal when its tangential part is at
 # most sin(ORTHO_TOL) of its length (ORTHO_TOL in radians).
 ORTHO_TOL = 0.2
@@ -175,7 +147,8 @@ def build_curvature_field(
     h: float,
     indices=None,
 ) -> CurvatureField:
-    """Estimate H at the given rows (all rows by default).
+    """Weak mean curvature H at the given rows (all rows by default), from
+    the nested bump test fields of radius h around each row.
 
     The rows are taken a KD-tree leaf at a time
     (`WeightedSurfaceSample.candidate_blocks`, leaves of at most
@@ -186,9 +159,11 @@ def build_curvature_field(
     to 1e-6 of the largest residual, since the sums run in another order.
 
     Raises DimensionMismatch or InvalidIndex unless indices is a 1-d array
-    of integer rows in [0, N), InvalidScale unless h is positive and
-    finite, and, for the first row in ascending order that cannot be
-    solved, the error `estimate_mean_curvature` raises there.
+    of integer rows in [0, N), and InvalidScale unless h is positive and
+    finite.  For the first row in ascending order that cannot be solved,
+    it raises TooFewPoints when the row's ball B(x, h) holds fewer than 10
+    points, or IllConditioned when its normal equations are worse
+    conditioned than 1e8.
     """
     _require_positive(h, "test-field radius")
     indices = _sample_rows(sample, indices)

@@ -4,8 +4,9 @@ Planes are stored as orthonormal bases together with their orthogonal
 projectors; weighted surface samples bundle points, weights, and per-point
 tangent planes with an exact spatial index.  All higher-level analysis
 modules build on the operations here: weighted PCA plane fitting,
-projector (Frobenius) distances, and nearest orthogonal projectors, all
-principal frames coming from one eigenframe kernel, `_principal_frames`.
+projector (Frobenius) distances, and nearest orthogonal projectors
+(`grassmann_bases`), all principal frames coming from one eigenframe
+kernel, `_principal_frames`.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class WeightedSurfaceSample:
     NonOrthonormalBasis
         A tangent basis has a Gram matrix off the identity by more than
         1e-8 in some entry; projector distances computed from normal
-        frames (``multiscale.local_maximal_tilt``) assume orthonormal rows.
+        frames (``multiscale._maximal_tilts``) assume orthonormal rows.
     """
 
     def __init__(self, points, weights, tangent_bases):
@@ -309,15 +310,28 @@ class WeightedSurfaceSample:
             yield pos, cand, d2
 
     def transformed(self, rotation=None, translation=None, scale=1.0):
-        """Rigidly moved / dilated copy (weights scale by scale^m)."""
+        """Rigidly moved / dilated copy (weights scale by scale^m).
+
+        Raises DimensionMismatch for a rotation that is not (n, n) or a
+        translation that is not (n,), and InvalidScale for a scale that is
+        zero or not finite.
+        """
+        n = self.ambient_dim
+        if not (np.isfinite(scale) and scale != 0):
+            raise InvalidScale(f"scale {scale} is zero or not finite")
         pts = self.points * scale
         bases = self.tangent_bases
         if rotation is not None:
             rot = np.asarray(rotation, dtype=float)
+            if rot.shape != (n, n):
+                raise DimensionMismatch(f"rotation has shape {rot.shape}, need ({n}, {n})")
             pts = pts @ rot.T
             bases = np.einsum("ij,nmj->nmi", rot, bases)
         if translation is not None:
-            pts = pts + np.asarray(translation, dtype=float)
+            shift = np.asarray(translation, dtype=float)
+            if shift.shape != (n,):
+                raise DimensionMismatch(f"translation has shape {shift.shape}, need ({n},)")
+            pts = pts + shift
         w = self.weights * scale**self.intrinsic_dim
         return WeightedSurfaceSample(pts, w, bases)
 
@@ -483,29 +497,19 @@ def projector_distance(p, q) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def grassmann_project(matrix, rank: int) -> Plane:
-    """Nearest rank-`rank` orthogonal projector to a square matrix.
-
-    Symmetrizes the input and keeps the top-`rank` eigenspace.  When the
-    eigengap at the cut is below 1e-9 an EigengapTie warning is issued and
-    the deterministic lexicographic eigenvector choice is kept.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"need a square matrix, got {m.shape}")
-    return Plane(basis=grassmann_bases(m, rank))
-
-
 def grassmann_bases(matrices, rank: int) -> np.ndarray:
-    """Top-`rank` eigenbases of a stack of square matrices, in one call.
+    """Nearest rank-`rank` orthogonal projectors to a stack of square
+    matrices, as their top-`rank` eigenbases, in one call.
 
-    The batched form of `grassmann_project`: ``matrices`` has shape
-    (..., n, n) and the result (..., rank, n) holds, per matrix, the
-    orthonormal rows spanning its nearest rank-`rank` projector, with the
-    same eigenvalue order and sign convention.  One EigengapTie warning,
-    naming the smallest gap, covers every matrix tied at the cut.  Raises
-    DimensionMismatch for matrices that are not square or a rank outside
-    [1, n], and NonFiniteInput for a matrix holding NaN or infinity.
+    ``matrices`` has shape (..., n, n); each is symmetrized, and the result
+    (..., rank, n) holds, per matrix, the orthonormal rows spanning the
+    top-`rank` eigenspace, in descending eigenvalue order with the
+    `_canonical_rows` signs.  When the eigengap at the cut is below 1e-9
+    the deterministic lexicographic eigenvector choice is kept, and one
+    EigengapTie warning, naming the smallest gap, covers every matrix tied
+    at the cut.  Raises DimensionMismatch for matrices that are not square
+    or a rank outside [1, n], and NonFiniteInput for a matrix holding NaN
+    or infinity.
     """
     m = np.asarray(matrices, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -523,7 +527,7 @@ def grassmann_bases(matrices, rank: int) -> np.ndarray:
                 f"eigengap {gap[tied].min():.3e} at the rank cut; keeping the "
                 "lexicographic eigenvector choice",
                 EigengapTie,
-                stacklevel=3,
+                stacklevel=2,
             )
     return np.ascontiguousarray(frames[..., :rank, :])
 

@@ -38,6 +38,8 @@ from .geometry import (
     WeightedSurfaceSample,
     _pair_lipschitz,
     _principal_frames,
+    _require_finite_rows,
+    _require_indices,
     _require_point,
     _require_positive,
     _second_moments,
@@ -76,9 +78,15 @@ class DeltaField:
         return cKDTree(self.fine_points)
 
     def evaluate(self, queries) -> np.ndarray:
-        """Gauge at each query; PointOutsideDomain for a query outside the
-        domain ball."""
+        """Gauge at each query; DimensionMismatch unless the queries are
+        (k, n) points in the domain's dimension n, NonFiniteInput for a
+        query holding NaN or infinity, and PointOutsideDomain for a query
+        outside the domain ball."""
         q = np.atleast_2d(np.asarray(queries, dtype=float))
+        n = len(self.domain.center)
+        if q.ndim != 2 or q.shape[1] != n:
+            raise DimensionMismatch(f"queries have shape {q.shape}, need (k, {n})")
+        _require_finite_rows(q, "query")
         rad = np.linalg.norm(q - self.domain.center, axis=1)
         if np.any(rad > self.domain.radius * (1.0 + 1e-9)):
             raise PointOutsideDomain("point outside the analysis domain ball")
@@ -201,11 +209,13 @@ def extract_fine_set(
     every row's fit ball and dyadic tilt balls are distance masks
     ``d2 <= r * r`` of it.  The planes are those of `geometry.fit_plane_pca`
     of the 2-gauge ball pinned at the row (``center`` the row's point), bit
-    for bit (`_pinned_planes`); the tilts are those of `local_maximal_tilt`
-    to rtol 1e-10, since they come from normal frames and masked sums
-    (`multiscale._maximal_tilts`).  A floor that is not positive and finite
-    raises `InvalidScale`: the dyadic scales would never reach it; so does
-    a ``nu`` that is not positive and finite.
+    for bit (`_pinned_planes`).  The tilts are the maximal tilts of the row
+    against its plane over the dyadic scales 2-gauge, gauge, ... down to
+    the floor (`multiscale._maximal_tilts`): they come from normal frames
+    and masked sums, so they match one ball query per scale and explicit
+    projector differences to rtol 1e-10.  A floor that is not positive and
+    finite raises `InvalidScale`: the dyadic scales would never reach it;
+    so does a ``nu`` that is not positive and finite.
     """
     _require_positive(nu, "tilt threshold nu")
     if floor is None:
@@ -847,10 +857,18 @@ class MissingNormalField(UncoveredQuery):
 def compose_maps(maps: list[CorrespondenceMap]) -> CorrespondenceMap:
     """Chain stage maps by index: the step-wise composition, exactly.
 
-    Raises EmptyInput for an empty list.
+    Raises EmptyInput for an empty list, and InvalidIndex naming the step
+    whose target indices fall outside the sources of the next step.
     """
     if not maps:
         raise EmptyInput("no stage maps to compose")
+    for k, (step, nxt) in enumerate(zip(maps, maps[1:])):
+        _require_indices(
+            step.target_indices,
+            len(nxt.source_points),
+            f"step {k} target index",
+            f"sources of step {k + 1}",
+        )
     chain = maps[0].target_indices.copy()
     targets = maps[0].target_points.copy()
     residuals = maps[0].tangential_residuals.copy()

@@ -3,9 +3,11 @@
 Certifies quantitative flatness of a weighted surface sample over a dyadic
 family of balls: per-ball density ratio, bilateral plane distance, tilt
 excess, and the resulting worst-case constant.  Also provides least-squares
-plane deviations (beta numbers), their scale-integrated square function,
-one-sided maximal tilt, and coverage checks of the projection to a best
-plane.
+plane deviations (beta numbers) and their scale-integrated square function,
+the maximal-tilt kernel of `iterated_projection.extract_fine_set`, and
+coverage checks of the projection to a best plane.  Each statistic has one
+public batched entry: `certify_chord_arc` for the per-ball functionals,
+`beta_report` for beta.
 
 All per-ball quantities are pure functions of (sample, ball); the report
 assembler merges them with associative max, so evaluation order never
@@ -36,16 +38,17 @@ from .geometry import (
     WeightedSurfaceSample,
     _pca_plane,
     _principal_frames,
+    _require_finite_rows,
     _require_point,
     _require_positive,
 )
 from .synthetic import disk_lattice
 
-# The plane-to-surface distance d2 of `flatness_details` is debiased by
-# this multiple of mean_spacing: nearest sample points overshoot by the
-# covering radius even on a perfectly flat sample.
+# The plane-to-surface distance d2 of the flatness search (`_flatness_of`)
+# is debiased by this multiple of mean_spacing: nearest sample points
+# overshoot by the covering radius even on a perfectly flat sample.
 COVERING_MULT = 0.7
-# Tilt passes of the `flatness_details` search after the PCA plane.
+# Tilt passes of the `_flatness_of` search after the PCA plane.
 FLATNESS_PASSES = 2
 
 
@@ -55,25 +58,7 @@ def resolution_floor(sample: WeightedSurfaceSample, mult: float = 8.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-ball functionals
-
-
-def density_ratio(
-    sample: WeightedSurfaceSample, ball: Ball, floor: float | None = None
-) -> float:
-    """Mass of the ball over the flat m-volume pi * r^m (m = 2)."""
-    _require_resolution(sample, ball, floor)
-    idx = sample.ball_query(ball.center, ball.radius)
-    return _density_of(sample, idx, ball.radius)
-
-
-def _require_resolution(sample, ball: Ball, floor: float | None) -> None:
-    if floor is None:
-        floor = resolution_floor(sample)
-    if ball.radius < floor:
-        raise BallBelowResolution(
-            f"radius {ball.radius:.4g} below resolution floor {floor:.4g}"
-        )
+# per-ball kernels: `certify_chord_arc` runs them on every ball of a family
 
 
 def _require_scales(radius: float, floor: float) -> None:
@@ -106,10 +91,19 @@ class FlatnessDetails:
     error_bar: float
 
 
-def flatness_details(sample: WeightedSurfaceSample, ball: Ball) -> FlatnessDetails:
-    """Bilateral (Reifenberg) flatness of the ball: the best normalized
-    distance to a plane through the center, with its argmin plane, its raw
-    value and its resolution error bar.
+def _disk_grid(sample, sigma: float) -> np.ndarray:
+    """Plane coordinates of the lattice that samples a sigma-disk."""
+    h = sample.mean_spacing
+    return disk_lattice(sigma, max(int(np.pi * sigma**2 / h**2), 16))
+
+
+def _flatness_of(sample, idx, ball, grid) -> FlatnessDetails:
+    """Bilateral (Reifenberg) flatness of `ball`, given its sorted sample
+    rows `idx` and the `_disk_grid` lattice of its radius: the best
+    normalized distance to a plane through the center, with its argmin
+    plane, its raw value and its resolution error bar.  A ball of at most
+    m points raises TooFewPoints, one whose points span fewer than m
+    directions DegenerateCloud.
 
     A plane through the center scores max(d1, d2) / sigma: d1 is the
     largest distance from a sample point of the ball to the sigma-disk of
@@ -141,18 +135,6 @@ def flatness_details(sample: WeightedSurfaceSample, ball: Ball) -> FlatnessDetai
     hence the result, are exactly those of scoring every candidate.  A
     sample with no normal direction (m = n) has no candidates.
     """
-    idx = sample.ball_query(ball.center, ball.radius)
-    grid = _disk_grid(sample, ball.radius)
-    return _flatness_of(sample, idx, ball, grid)
-
-
-def _disk_grid(sample, sigma: float) -> np.ndarray:
-    """Plane coordinates of the lattice that samples a sigma-disk."""
-    h = sample.mean_spacing
-    return disk_lattice(sigma, max(int(np.pi * sigma**2 / h**2), 16))
-
-
-def _flatness_of(sample, idx, ball, grid) -> FlatnessDetails:
     m = sample.intrinsic_dim
     if idx.size < m + 1:
         raise TooFewPoints(
@@ -237,7 +219,7 @@ def _tilted_bases(basis: np.ndarray, normals: np.ndarray, angle: float) -> np.nd
 
 
 def _tilt_bounds(coords: np.ndarray, normal_coords: np.ndarray, angle: float) -> np.ndarray:
-    """The d1 lower bounds of `flatness_details` for the `_tilted_bases`
+    """The d1 lower bounds of `_flatness_of` for the `_tilted_bases`
     candidates, in their order, from the coordinates (m, N) and
     normal_coords (n - m, N) of the ball's points along e_i and nu_j."""
     c = np.sin(angle) * coords[:, None, :]
@@ -256,23 +238,9 @@ def _normal_space(basis: np.ndarray) -> np.ndarray:
     return q[:, np.sort(cols)].T
 
 
-def tilt_excess(
-    sample: WeightedSurfaceSample, ball: Ball, plane: Plane
-) -> float:
-    """Scale-normalized integral of squared projector distance to the plane.
-
-    Raises DimensionMismatch for a plane in another ambient space than the
-    sample.
-    """
-    if plane.ambient_dim != sample.ambient_dim:
-        raise DimensionMismatch(
-            f"plane in R^{plane.ambient_dim}, sample in R^{sample.ambient_dim}"
-        )
-    idx = sample.ball_query(ball.center, ball.radius)
-    return _tilt_of(sample, idx, ball.radius, plane)
-
-
 def _tilt_of(sample, idx: np.ndarray, radius: float, plane: Plane) -> float:
+    """Scale-normalized integral of the squared projector distance to
+    `plane` over the sample rows `idx` of a ball of `radius`."""
     m = sample.intrinsic_dim
     if idx.size < 1:
         raise TooFewPoints("empty ball")
@@ -293,7 +261,9 @@ def caccioppoli_bound_check(
     """Tilt at scale sigma against its curvature-plus-height majorant.
 
     The bound holds for any reference plane; by default the best flatness
-    plane of the ball is used, but an explicit plane may be supplied.
+    plane of the ball is used, but an explicit plane may be supplied.  A
+    plane in another ambient space than the sample raises
+    DimensionMismatch.
 
     Returns
     -------
@@ -310,45 +280,37 @@ def caccioppoli_bound_check(
     if H_field.shape != sample.points.shape:
         raise MissingCurvature("mean-curvature field must align with sample rows")
     _require_positive(alpha, "alpha")
-    if plane is None:
-        plane = flatness_details(sample, ball).plane
-    lhs = tilt_excess(sample, ball, plane)
     sigma = ball.radius
-    center = np.asarray(ball.center, dtype=float)
-    idx = sample.ball_query(center, (1.0 + alpha) * sigma)
+    idx = sample.ball_query(ball.center, sigma)
+    if plane is None:
+        plane = _flatness_of(sample, idx, ball, _disk_grid(sample, sigma)).plane
+    elif plane.ambient_dim != sample.ambient_dim:
+        raise DimensionMismatch(
+            f"plane in R^{plane.ambient_dim}, sample in R^{sample.ambient_dim}"
+        )
+    lhs = _tilt_of(sample, idx, sigma, plane)
+    idx = sample.ball_query(ball.center, (1.0 + alpha) * sigma)
     w = sample.weights[idx]
     curv = float((w * np.einsum("ij,ij->i", H_field[idx], H_field[idx])).sum())
-    rel = sample.points[idx] - center
+    rel = sample.points[idx] - ball.center
     heights = rel - (rel @ plane.basis.T) @ plane.basis
     hgt = float((w * np.einsum("ij,ij->i", heights, heights)).sum())
     rhs = curv + (1.0 + 1.0 / alpha) ** 2 * hgt / sigma**4
     return lhs, rhs
 
 
-def jones_beta(
-    sample: WeightedSurfaceSample, center, scale: float
-) -> float:
-    """Least-squares plane deviation, scale^-(m+2) weighted square distance.
-
-    The weighted principal plane through the weighted centroid is the exact
-    minimizer of the squared-distance functional, so no search is involved.
-    A ball of at most m points, or one whose points span fewer than m
-    directions, deviates by 0.
-    """
-    center = np.asarray(center, dtype=float)
-    idx = sample.ball_query(center, scale)
-    if idx.size == 0:
-        raise TooFewPoints("empty ball")
-    return float(_beta_rows(sample, idx, np.ones((1, idx.size), dtype=bool), scale)[0])
-
-
 def _beta_rows(sample, cand, inside, scale: float) -> np.ndarray:
-    """jones_beta of a block of balls that share one candidate set.
+    """Jones beta^2 of a block of balls of radius `scale` that share one
+    candidate set: the least-squares plane deviation, scale^-(m+2) times
+    the weighted squared distance to the weighted principal plane through
+    the weighted centroid, its exact minimizer.
 
     `cand` holds sorted sample rows and `inside` (b, K) marks the rows of
     each ball.  Points outside a ball weigh zero: weighted centroids and
     covariances of the whole block, then one `geometry._principal_frames`
-    call gives the planes and the rank test of fit_plane_pca.
+    call gives the planes and the rank test of fit_plane_pca.  A ball of at
+    most m points, or one whose points span fewer than m directions,
+    deviates by 0.
     """
     m = sample.intrinsic_dim
     out = np.zeros(len(inside))
@@ -418,49 +380,10 @@ def carleson_chain_majorant(
     return 2.0 * total
 
 
-def local_maximal_tilt(
-    sample: WeightedSurfaceSample,
-    x,
-    r_max: float,
-    reference: Plane,
-    floor: float | None = None,
-) -> float:
-    """Sup over dyadic scales of the average first-power projector distance.
-
-    The scales are r_max, r_max / 2, ... down to `floor`; a scale whose
-    ball is empty is skipped.  This is the
-    one-row case of `_maximal_tilts`: one ball query at r_max, the smaller
-    balls as distance masks of it, and the normal frame of `reference` from
-    `_normal_space`.  Distances come from the normal frame, so
-    they match explicit projector differences to rtol 1e-10, not bit for
-    bit.  A non-finite r_max or a floor that is not positive and finite
-    raises `InvalidScale`; a reference plane of another dimension or
-    ambient space than the sample's tangent planes `DimensionMismatch`.
-    """
-    if reference.basis.shape != sample.tangent_bases.shape[1:]:
-        raise DimensionMismatch(
-            f"reference plane basis {reference.basis.shape}, sample tangent "
-            f"bases {sample.tangent_bases.shape[1:]}"
-        )
-    if floor is None:
-        floor = resolution_floor(sample)
-    _require_scales(r_max, floor)
-    if r_max < floor:
-        raise BallBelowResolution(
-            f"r_max {r_max:.4g} below resolution floor {floor:.4g}"
-        )
-    x = np.asarray(x, dtype=float)
-    normals = _normal_space(reference.basis)
-    cand = sample.ball_query(x, r_max)
-    d2 = np.square(sample.points[cand] - x).sum(axis=1)
-    tilts = _maximal_tilts(
-        sample, cand, d2[None], np.array([r_max]), normals[None], floor
-    )
-    return float(tilts[0])
-
-
 def _maximal_tilts(sample, cand, d2, r_max, normals, floor) -> np.ndarray:
-    """Maximal tilt of a block of rows that share one candidate set.
+    """Maximal tilt of a block of rows that share one candidate set: the
+    sup over dyadic scales of the weighted mean projector distance
+    |P - Q|_F to a reference plane Q.
 
     `cand` holds sorted sample rows, `d2` (b, K) their squared distances to
     the b centers, `r_max` (b,) the largest radius per center and `normals`
@@ -469,8 +392,9 @@ def _maximal_tilts(sample, cand, d2, r_max, normals, floor) -> np.ndarray:
     2, ... while s >= floor, each scale halved from the one before.  For
     an orthonormal tangent basis B_k, ``|P_k - Q|_F = sqrt(2) |B_k N^T|_F``,
     so every distance of the block comes from one (K m, n) @ (n, b (n - m))
-    product.  The result is the largest weighted mean distance over the
-    row's non-empty balls, and 0 when all are empty.
+    product, which matches explicit projector differences to rtol 1e-10,
+    not bit for bit.  The result is the largest weighted mean distance over
+    the row's non-empty balls, and 0 when all are empty.
     """
     scales = []
     s = np.asarray(r_max, dtype=float)
@@ -504,7 +428,7 @@ def projection_no_hole_check(
     """Coverage of the target disk by the plane projection of the sample.
 
     Projects the sample inside the vertical cylinder of radius sigma over
-    the best local plane (the `flatness_details` argmin), rasterizes the
+    the best local plane (the `_flatness_of` argmin), rasterizes the
     sigma-disk at mean-spacing resolution, and reports raster cells with no
     projected point within NO_HOLE_COVER_MULT radii of the cell spacing.
 
@@ -513,8 +437,10 @@ def projection_no_hole_check(
     (passed, gaps)
         gaps are ambient locations of uncovered cells on the plane.
     """
-    xi = np.asarray(xi, dtype=float)
-    plane = flatness_details(sample, Ball(xi, sigma)).plane
+    ball = Ball(xi, sigma)
+    xi = ball.center
+    grid = _disk_grid(sample, sigma)
+    plane = _flatness_of(sample, sample.ball_query(xi, sigma), ball, grid).plane
     rel = sample.points - xi
     coords = rel @ plane.basis.T
     heights = rel - coords @ plane.basis
@@ -523,7 +449,6 @@ def projection_no_hole_check(
     )
     proj = coords[in_cyl]
     h = sample.mean_spacing
-    grid = _disk_grid(sample, sigma)
     if proj.shape[0] == 0:
         gaps = xi + grid @ plane.basis
         return False, gaps
@@ -540,7 +465,12 @@ def projection_no_hole_check(
 
 @dataclass(frozen=True)
 class ScaleFamily:
-    """Dyadic (center, radius) family inside a declared domain ball."""
+    """Dyadic (center, radius) family inside a declared domain ball.
+
+    Raises InvalidScale unless the radii strictly decrease to at least the
+    floor, and `_require_inside` refuses centers that are not (k, n) in the
+    domain's dimension or whose balls leave the domain.
+    """
 
     centers: np.ndarray
     radii: tuple
@@ -556,20 +486,36 @@ class ScaleFamily:
                 f"smallest radius {radii[-1]:.4g} falls below the floor "
                 f"{self.min_radius_floor:.4g}"
             )
-        centers = np.asarray(self.centers, dtype=float)
-        dom_c = np.asarray(self.domain.center, dtype=float)
-        reach = np.linalg.norm(centers - dom_c, axis=1) + radii[0]
-        out = np.flatnonzero(reach > self.domain.radius + 1e-12)
-        if out.size:
-            raise PointOutsideDomain(
-                f"ball of center row {out[0]} reaches {reach[out[0]]:.4g} from "
-                f"the domain center, beyond the domain radius {self.domain.radius:.4g}"
-            )
+        centers = _require_inside(self.domain, self.centers, radii[0])
+        object.__setattr__(self, "centers", centers)
 
     def pairs(self):
         for r in self.radii:
             for c in self.centers:
                 yield c, float(r)
+
+
+def _require_inside(domain: Ball, centers, radius: float) -> np.ndarray:
+    """`centers` as finite (k, n) rows in the dimension n of `domain`, else
+    DimensionMismatch or NonFiniteInput; PointOutsideDomain names the first
+    center whose ball of `radius` reaches beyond the domain by more than
+    1e-12."""
+    centers = np.asarray(centers, dtype=float)
+    n = len(domain.center)
+    if centers.ndim != 2 or centers.shape[1] != n:
+        raise DimensionMismatch(
+            f"family centers have shape {centers.shape}, need (k, {n}) in the "
+            f"dimension of the domain"
+        )
+    _require_finite_rows(centers, "family center")
+    reach = np.linalg.norm(centers - domain.center, axis=1) + radius
+    out = np.flatnonzero(reach > domain.radius + 1e-12)
+    if out.size:
+        raise PointOutsideDomain(
+            f"ball of center row {out[0]} reaches {reach[out[0]]:.4g} from "
+            f"the domain center, beyond the domain radius {domain.radius:.4g}"
+        )
+    return centers
 
 
 # Net spacing of the scale-family centers, in units of the smallest radius.
@@ -683,12 +629,15 @@ def certify_chord_arc(
 ) -> ChordArcReport:
     """Evaluate all three per-ball functionals over the family.
 
+    Per ball: the density ratio, its mass over the flat m-volume pi r^m
+    (m = 2); the flatness of `_flatness_of`; and the tilt excess of
+    `_tilt_of` against the flatness argmin plane of the same ball.
     Per-ball failures are recorded in the report and skipped, never fatal.
-    The tilt term is measured against the flatness argmin plane of the same
-    ball.  Each ball is queried once and its rows shared by the three
-    functionals, and balls of one radius share one flatness lattice; the
-    results are what density_ratio, flatness_details and tilt_excess give
-    on that ball.
+    Each ball is queried once and its rows shared by the three
+    functionals, and balls of one radius share one flatness lattice.  A
+    family in another dimension than the sample raises DimensionMismatch,
+    and one whose balls leave `domain` PointOutsideDomain
+    (`_require_inside`).
 
     The balls are independent and spend most of their time in KD-tree
     builds and queries, which release the GIL, so they run on a thread pool
@@ -697,6 +646,11 @@ def certify_chord_arc(
     fan-out, and call no public function: a tracer that wraps those sees
     every call on the calling thread.
     """
+    if family.centers.shape[1] != sample.ambient_dim:
+        raise DimensionMismatch(
+            f"family in R^{family.centers.shape[1]}, sample in R^{sample.ambient_dim}"
+        )
+    _require_inside(domain, family.centers, family.radii[0])
     grids = {r: _disk_grid(sample, r) for r in family.radii}
     sample.spatial_index, sample.tangent_projectors  # built before the fan-out
 

@@ -20,7 +20,6 @@ from varifoldlab import iterated_projection as ip
 from varifoldlab import multiscale as ms
 from varifoldlab.curvature import _PROFILE_FRACTIONS
 from varifoldlab.errors import (
-    BallBelowResolution,
     DegenerateCloud,
     DisconnectedPatch,
     GraphTestFailure,
@@ -35,7 +34,7 @@ from varifoldlab.geometry import (
     Plane,
     WeightedSurfaceSample,
     fit_plane_pca,
-    grassmann_project,
+    grassmann_bases,
 )
 from varifoldlab.iterated_projection import GROUP_SEP_MULT, NET_PACKING_MULT
 from varifoldlab.meshing import angle_defects
@@ -536,6 +535,18 @@ def maximal_tilt_loop(sample, x, r_max, reference, floor, refine=1) -> float:
     return best
 
 
+def maximal_tilt_row(sample, x, r_max, reference, floor) -> float:
+    """Maximal tilt of one row: one ball query at r_max and the batched
+    kernel `multiscale._maximal_tilts` on it, against the normal frame of
+    `reference` (the per-row reference of the batched tilts)."""
+    x = np.asarray(x, dtype=float)
+    cand = sample.ball_query(x, r_max)
+    d2 = np.square(sample.points[cand] - x).sum(axis=1)
+    normals = ms._normal_space(reference.basis)
+    tilts = ms._maximal_tilts(sample, cand, d2[None], np.array([r_max]), normals[None], floor)
+    return float(tilts[0])
+
+
 def fine_membership_scan(sample, delta, nu, floor, tilt_fn, plane_fn):
     """Per-point membership scan: gauge below resolution, or tilt <= nu.
 
@@ -773,7 +784,7 @@ def blended_normals_loop(weights, patch_bases, fallback_bases):
             basis = fallback_bases[i]
             projs[i] = np.eye(n) - basis.T @ basis
         else:
-            projs[i] = grassmann_project(blended[i], n - m).projector
+            projs[i] = Plane(basis=grassmann_bases(blended[i], n - m)).projector
     return projs
 
 
@@ -1228,12 +1239,11 @@ def certify_loop(sample, family):
     for center, radius in family.pairs():
         ball = Ball(center, radius)
         try:
-            ms._require_resolution(sample, ball, family.min_radius_floor)
             idx = sample.ball_query(ball.center, radius)
             dens = ms._density_of(sample, idx, radius)
             det = ms._flatness_of(sample, idx, ball, grids[radius])
             tilt = ms._tilt_of(sample, idx, radius, det.plane)
-        except (BallBelowResolution, TooFewPoints, DegenerateCloud) as exc:
+        except (TooFewPoints, DegenerateCloud) as exc:
             report.errors.append(
                 f"ball({np.array2string(np.asarray(center), precision=3)}, "
                 f"{radius:.4g}): {type(exc).__name__}: {exc}"

@@ -199,8 +199,17 @@ def structured_cap_pp():
 
 @pytest.fixture(scope="module")
 def grid_mesh_32():
-    pts, tris = unit_square_grid(32)
-    return conf.DiskMesh(points=pts, triangles=tris), pts, tris
+    return unit_square_grid(32)
+
+
+def _levels(param):
+    """The dyadic levels of a parameterization's disk mesh."""
+    return conf._DyadicLevels(param.disk_points, param.triangles)
+
+
+def _inverse_holder_max(param):
+    """The inverse-Hoelder statistic that `conformal_diagnostics` reports."""
+    return _levels(param).inverse_holder(conf.conformal_factor(param).area_factor)
 
 
 # the 6-vertex real projective plane: every edge on two faces, no boundary
@@ -893,48 +902,41 @@ class TestConformalFactor:
 
 class TestDyadicStatistics:
     def test_checkerboard_exact_values(self, grid_mesh_32, monkeypatch):
-        mesh, pts, tris = grid_mesh_32
+        pts, tris = grid_mesh_32
         cent = pts[tris].mean(axis=1)
         block = (np.floor(cent[:, 0] * 4) + np.floor(cent[:, 1] * 4)).astype(int) % 2
         w = np.where(block == 1, BMO_TWO_VALUE, -BMO_TWO_VALUE)
         for depth in (0, 3):
             monkeypatch.setattr(conf, "DYADIC_DEPTH", depth)
-            assert conf.a2_constant(mesh, w) == pytest.approx(
-                A2_TWO_VALUE, abs=1e-10
-            )
-            assert conf.bmo_norm(mesh, w) == pytest.approx(
-                BMO_TWO_VALUE, abs=1e-10
-            )
+            levels = conf._DyadicLevels(pts, tris)
+            assert levels.a2(w) == pytest.approx(A2_TWO_VALUE, abs=1e-10)
+            assert levels.bmo(w) == pytest.approx(BMO_TWO_VALUE, abs=1e-10)
 
     def test_stripe_jacobians_exact_inverse_holder(self, monkeypatch):
         param = stripe_param()
         for depth in (0, 3):
             monkeypatch.setattr(conf, "DYADIC_DEPTH", depth)
-            assert conf.inverse_holder_max(param) == pytest.approx(
-                IH_TWO_VALUE, abs=1e-10
-            )
-        one = conf.inverse_holder_check(param, conf.DyadicSquare(0.0, 0.0, 1.0, 0))
-        assert one == pytest.approx(IH_TWO_VALUE, abs=1e-10)
+            assert _inverse_holder_max(param) == pytest.approx(IH_TWO_VALUE, abs=1e-10)
         w = conf.conformal_factor(param).w
         monkeypatch.setattr(conf, "DYADIC_DEPTH", 0)
-        assert conf.a2_constant(param, w) == pytest.approx(A2_TWO_VALUE, abs=1e-10)
-        assert conf.bmo_norm(param, w) == pytest.approx(BMO_TWO_VALUE, abs=1e-10)
+        assert _levels(param).a2(w) == pytest.approx(A2_TWO_VALUE, abs=1e-10)
+        assert _levels(param).bmo(w) == pytest.approx(BMO_TWO_VALUE, abs=1e-10)
 
     def test_empty_square_raises(self):
         param = stripe_param(n=8)
-        with pytest.raises(TooFewPoints):
-            conf.inverse_holder_check(param, conf.DyadicSquare(5.0, 5.0, 1.0, 0))
+        with pytest.raises(TooFewPoints, match="fewer than three vertices"):
+            conf.large_lipschitz_pieces(param, conf.DyadicSquare(5.0, 5.0, 1.0, 0), 2.0)
 
     def test_flat_lattice_weights_are_tame(self, flat_pp):
         _, param = flat_pp
-        w = conf.conformal_factor(param).w
-        assert conf.bmo_norm(param, w) <= 0.05
-        assert conf.a2_constant(param, w) <= 1.05
-        assert conf.inverse_holder_max(param) <= 1.05
+        diag = conf.conformal_diagnostics(param)
+        assert diag.bmo <= 0.05
+        assert diag.a2 <= 1.05
+        assert diag.inverse_holder_max <= 1.05
 
     def test_dyadic_squares_are_aligned_and_admissible(self, grid_mesh_32):
-        mesh, pts, tris = grid_mesh_32
-        squares = conf.dyadic_squares(mesh)
+        pts, tris = grid_mesh_32
+        squares = conf._DyadicLevels(pts, tris).squares()
         assert squares
         cent = pts[tris].mean(axis=1)
         areas = np.full(len(tris), 0.5 / 32**2)
@@ -960,18 +962,18 @@ class TestDyadicStatistics:
     )
     def test_field_statistic_invariants(self, vals, offset, scale):
         pts, tris = unit_square_grid(8)
-        mesh = conf.DiskMesh(points=pts, triangles=tris)
         col = np.repeat(np.arange(8), 16)  # triangle column index
         w = np.asarray(vals)[col]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(conf, "DYADIC_DEPTH", 1)
-            a2 = conf.a2_constant(mesh, w)
-            bmo = conf.bmo_norm(mesh, w)
+            levels = conf._DyadicLevels(pts, tris)
+            a2 = levels.a2(w)
+            bmo = levels.bmo(w)
             assert a2 >= 1.0 - 1e-12
             assert bmo >= 0.0
-            assert conf.a2_constant(mesh, w + offset) == pytest.approx(a2, rel=1e-9)
-            assert conf.bmo_norm(mesh, w + offset) == pytest.approx(bmo, abs=1e-12)
-            assert conf.bmo_norm(mesh, scale * w) == pytest.approx(
+            assert levels.a2(w + offset) == pytest.approx(a2, rel=1e-9)
+            assert levels.bmo(w + offset) == pytest.approx(bmo, abs=1e-12)
+            assert levels.bmo(scale * w) == pytest.approx(
                 scale * bmo, rel=1e-9, abs=1e-12
             )
 
@@ -981,10 +983,11 @@ class TestDyadicStatistics:
         param = stripe_param(n=8, slopes=slopes)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(conf, "DYADIC_DEPTH", 1)
-            assert conf.inverse_holder_max(param) >= 1.0 - 1e-12
+            assert _inverse_holder_max(param) >= 1.0 - 1e-12
 
     def test_bmo_ordering_matches_log_a2_ordering(self, grid_mesh_32):
-        mesh, pts, tris = grid_mesh_32
+        pts, tris = grid_mesh_32
+        levels = conf._DyadicLevels(pts, tris)
         cent = pts[tris].mean(axis=1)
         block = (np.floor(cent[:, 0] * 4) + np.floor(cent[:, 1] * 4)).astype(int) % 2
         cb = np.where(block == 1, 1.0, -1.0)
@@ -996,8 +999,8 @@ class TestDyadicStatistics:
             0.60 * (r2 - r2.mean()),
             0.18 * (cent[:, 0] - 0.5),
         ]
-        bmos = [conf.bmo_norm(mesh, w) for w in fields]
-        log_a2 = [np.log(conf.a2_constant(mesh, w)) for w in fields]
+        bmos = [levels.bmo(w) for w in fields]
+        log_a2 = [np.log(levels.a2(w)) for w in fields]
         assert list(np.argsort(bmos)) == list(np.argsort(log_a2))
 
 
@@ -1545,16 +1548,6 @@ BAD_CONFORMAL_CALLS = {
         lambda p: conf.waypoint_cycle(p.patch, [[0.2, 0.0], NAN_2D, [0.0, 0.2]]),
         NonFiniteInput,
         "waypoint of row 1",
-    ),
-    "bmo_field_one_short": (
-        lambda p: conf.bmo_norm(p, np.zeros(len(p.triangles) - 1)),
-        DimensionMismatch,
-        "BMO field",
-    ),
-    "a2_field_one_short": (
-        lambda p: conf.a2_constant(p, np.zeros(len(p.triangles) - 1)),
-        DimensionMismatch,
-        "A2 weight field",
     ),
     "isoperimetric_index_past_the_end": (
         lambda p: conf.isoperimetric_check(p.patch, [0, 1, 10**6]),

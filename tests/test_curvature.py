@@ -15,7 +15,6 @@ from varifoldlab.errors import (
     InvalidIndex,
     InvalidScale,
     MissingCurvature,
-    NonFiniteInput,
     TooFewPoints,
 )
 from varifoldlab.geometry import _QUERY_BLOCK, Ball, WeightedSurfaceSample
@@ -46,13 +45,30 @@ def flat():
     return generate(SyntheticSpec(kind="flat_disk", n_points=5000))
 
 
+def _field_near(sample, x, h):
+    """H and residual of `build_curvature_field` at the row nearest x."""
+    row = int(np.argmin(np.linalg.norm(sample.points - x, axis=1)))
+    field = cv.build_curvature_field(sample, h, indices=[row])
+    return field.vectors[0], field.residuals[0]
+
+
+def _one_row(sample, x, h):
+    """H and residual at x from one ball query and the kernels of
+    `build_curvature_field`: the per-row reference of the batched field."""
+    cand = sample.ball_query(x, h)
+    d2 = np.square(sample.points[cand] - x).sum(axis=1)[None]
+    masses, divs = cv._profile_rows(sample, cand, x[None], d2, h)
+    H, residual = cv._solve_rows(np.array([cand.size]), masses, divs)
+    return H[0], float(residual[0])
+
+
 # ---------------------------------------------------------------------------
 # pointwise estimation
 
 
 def test_flat_curvature_vanishes(flat):
     sample, _ = flat
-    H, res = cv.estimate_mean_curvature(sample, ORIGIN, 0.25)
+    H, res = _field_near(sample, ORIGIN, 0.25)
     assert np.linalg.norm(H) < 0.01
     # with no curvature signal the relative misfit is noise-on-noise;
     # only finiteness is meaningful
@@ -61,7 +77,7 @@ def test_flat_curvature_vanishes(flat):
 
 def test_sphere_curvature_magnitude_and_direction(cap):
     sample, _ = cap
-    H, _ = cv.estimate_mean_curvature(sample, ORIGIN, 0.25)
+    H, _ = _field_near(sample, ORIGIN, 0.25)
     assert np.linalg.norm(H) == pytest.approx(0.2, rel=0.05)
     # inward radial at the pole is +z
     cos = H[2] / np.linalg.norm(H)
@@ -73,7 +89,7 @@ def test_cylinder_curvature_magnitude():
         SyntheticSpec(kind="cylinder_band", n_points=6000, radius=2.0, band_height=3.0)
     )
     x = sample.points[np.argmin(np.abs(sample.points[:, 2]))]
-    H, _ = cv.estimate_mean_curvature(sample, x, 0.4)
+    H, _ = _field_near(sample, x, 0.4)
     assert np.linalg.norm(H) == pytest.approx(0.5, rel=0.05)
     inward = -np.array([x[0], x[1], 0.0])
     cos = H @ inward / (np.linalg.norm(H) * np.linalg.norm(inward))
@@ -82,19 +98,23 @@ def test_cylinder_curvature_magnitude():
 
 def test_too_few_points(flat):
     sample, _ = flat
+    # a test support below the spacing holds the row alone
     with pytest.raises(TooFewPoints):
-        cv.estimate_mean_curvature(sample, np.array([4.0, 0.0, 0.0]), 0.2)
+        _field_near(sample, ORIGIN, 0.5 * sample.mean_spacing)
 
 
 def test_ill_conditioned_cluster():
+    """A row at the origin, nearly weightless, and a cluster 0.9 h away:
+    the inner windows hold only the row, so their masses all but vanish."""
     h = 0.1
     rng = np.random.default_rng(0)
     pts = np.array([-0.9 * h, 0.0, 0.0]) + rng.normal(scale=1e-4, size=(12, 3))
-    w = np.full(12, 1e-4)
-    bases = np.broadcast_to(np.eye(3)[:2], (12, 2, 3)).copy()
+    pts = np.r_[pts, [ORIGIN]]
+    w = np.r_[np.full(12, 1e-4), 1e-12]
+    bases = np.broadcast_to(np.eye(3)[:2], (13, 2, 3)).copy()
     sample = WeightedSurfaceSample(pts, w, bases)
     with pytest.raises(IllConditioned):
-        cv.estimate_mean_curvature(sample, ORIGIN, h)
+        _field_near(sample, ORIGIN, h)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +160,11 @@ def test_field_matches_per_row_estimates(cap):
         assert idx.size > 3 * _QUERY_BLOCK  # several leaves
         field = cv.build_curvature_field(s, 0.25, indices=idx[::-1])
         _assert_matches_loop(field, s, 0.25, idx)
-        # the pointwise estimate is the one-row case of the same kernel
+        # one ball query per row through the same kernels
         _, vectors, residuals, _ = curvature_loop(s, 0.25, idx)
         h_max = np.linalg.norm(vectors, axis=1).max()
         for row in (0, idx.size // 2, idx.size - 1):
-            H, res = cv.estimate_mean_curvature(s, s.points[idx[row]], 0.25)
+            H, res = _one_row(s, s.points[idx[row]], 0.25)
             np.testing.assert_allclose(H, vectors[row], rtol=0.0, atol=1e-9 * h_max)
             assert res == pytest.approx(residuals[row], rel=0.0, abs=1e-6 * residuals.max())
 
@@ -228,17 +248,6 @@ def test_curvature_refuses_a_radius_that_is_not_positive(flat):
     for h in (-0.2, 0.0, np.inf, np.nan):
         with pytest.raises(InvalidScale, match="test-field radius"):
             cv.build_curvature_field(sample, h, indices=rows)
-        with pytest.raises(InvalidScale, match="test-field radius"):
-            cv.estimate_mean_curvature(sample, ORIGIN, h)
-
-
-def test_pointwise_curvature_refuses_a_bad_point(flat):
-    sample, _ = flat
-    with pytest.raises(NonFiniteInput, match="not finite"):
-        cv.estimate_mean_curvature(sample, np.array([np.nan, 0.0, 0.0]), 0.25)
-    for x in (np.zeros((2, 3)), np.zeros(2)):
-        with pytest.raises(DimensionMismatch, match="one point of shape"):
-            cv.estimate_mean_curvature(sample, x, 0.25)
 
 
 def test_field_refuses_a_sparse_row_like_the_pointwise_estimate():
@@ -248,7 +257,7 @@ def test_field_refuses_a_sparse_row_like_the_pointwise_estimate():
     sample = WeightedSurfaceSample(pts, np.full(13, 1e-2), bases)
     message = "need at least 10 points inside the test support"
     with pytest.raises(TooFewPoints, match=message):
-        cv.estimate_mean_curvature(sample, pts[12], h)
+        _one_row(sample, pts[12], h)
     with pytest.raises(TooFewPoints, match=message):
         cv.build_curvature_field(sample, h)
 
@@ -468,8 +477,8 @@ def test_estimation_commutes_with_rigid_motion(cap):
         q[:, 0] = -q[:, 0]
     t = np.array([0.4, -1.2, 2.0])
     moved = sample.transformed(rotation=q, translation=t)
-    H0, _ = cv.estimate_mean_curvature(sample, ORIGIN, 0.25)
-    H1, _ = cv.estimate_mean_curvature(moved, q @ ORIGIN + t, 0.25)
+    H0, _ = _field_near(sample, ORIGIN, 0.25)
+    H1, _ = _field_near(moved, q @ ORIGIN + t, 0.25)
     assert np.linalg.norm(H1 - q @ H0) < 1e-6
 
 

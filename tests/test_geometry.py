@@ -30,7 +30,6 @@ from varifoldlab.geometry import (
     complement_frame,
     fit_plane_pca,
     grassmann_bases,
-    grassmann_project,
     projector_distance,
 )
 from varifoldlab.synthetic import SyntheticSpec, generate
@@ -138,17 +137,8 @@ NAN_POINT = np.array([np.nan, 0.0, 0.0])
 # every call below used to return a wrong figure or raise a bare TypeError
 # or scipy's ValueError
 BAD_BALL_CALLS = {
-    "jones_beta_batched_center": (
-        lambda s, f: ms.jones_beta(s, np.zeros((2, 3)), 0.3), DimensionMismatch
-    ),
     "chain_majorant_negative_sigma": (
         lambda s, f: ms.carleson_chain_majorant(s, np.zeros(3), -1.0), InvalidScale
-    ),
-    "jones_beta_negative_scale": (
-        lambda s, f: ms.jones_beta(s, np.zeros(3), -1.0), InvalidScale
-    ),
-    "jones_beta_scalar_center": (
-        lambda s, f: ms.jones_beta(s, 0, -1.0), DimensionMismatch
     ),
     "chain_majorant_nan_sigma": (
         lambda s, f: ms.carleson_chain_majorant(s, np.zeros(3), np.nan), InvalidScale
@@ -331,6 +321,35 @@ def test_sample_rejects_skewed_basis():
     WeightedSurfaceSample(*arrays.values())
 
 
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        # each used to reach numpy's ValueError
+        ({"rotation": np.eye(2)}, DimensionMismatch, r"rotation has shape \(2, 2\), need \(3, 3\)"),
+        ({"rotation": np.eye(3)[:2]}, DimensionMismatch, r"rotation has shape \(2, 3\)"),
+        ({"translation": np.zeros(2)}, DimensionMismatch, r"translation has shape \(2,\), need \(3,\)"),
+        ({"translation": np.zeros((2, 3))}, DimensionMismatch, r"translation has shape \(2, 3\)"),
+        # a zero scale used to raise NonPositiveWeight "weight of row 0"
+        ({"scale": 0.0}, InvalidScale, "scale 0.0 is zero or not finite"),
+        ({"scale": np.nan}, InvalidScale, "scale nan is zero or not finite"),
+        ({"scale": np.inf}, InvalidScale, "scale inf is zero or not finite"),
+    ],
+    ids=["rotation-2x2", "rotation-2x3", "translation-r2", "translation-2d", "scale-zero", "scale-nan", "scale-inf"],
+)
+def test_transformed_refuses_bad_motions(kwargs, error, message):
+    with pytest.raises(error, match=message):
+        _flat_sample(20).transformed(**kwargs)
+
+
+def test_transformed_keeps_a_negative_scale():
+    """A negative scale is a dilation through a point reflection: the
+    weights scale by scale^m."""
+    sample = _flat_sample(20)
+    moved = sample.transformed(scale=-2.0)
+    assert np.array_equal(moved.points, -2.0 * sample.points)
+    assert np.array_equal(moved.weights, 4.0 * sample.weights)
+
+
 # ---------------------------------------------------------------------------
 # fit_plane_pca
 
@@ -400,7 +419,7 @@ BAD_RANK_CALLS = {
     "grassmann_rank_zero": (lambda: grassmann_bases(np.eye(3), 0), DimensionMismatch, "rank 0"),
     # used to raise numpy's LinAlgError ("Eigenvalues did not converge")
     "grassmann_nan_matrix": (
-        lambda: grassmann_project(np.full((3, 3), np.nan), rank=2),
+        lambda: grassmann_bases(np.full((3, 3), np.nan), rank=2),
         NonFiniteInput,
         "matrix of row 0 is not finite",
     ),
@@ -411,7 +430,7 @@ BAD_RANK_CALLS = {
         "matrix of row 1 is not finite",
     ),
     "grassmann_rank_above_size": (
-        lambda: grassmann_project(np.eye(3), rank=4), DimensionMismatch, "rank 4"
+        lambda: grassmann_bases(np.eye(3), rank=4), DimensionMismatch, "rank 4"
     ),
 }
 
@@ -506,21 +525,26 @@ def test_projector_distance_triangle_inequality(seed):
 
 
 # ---------------------------------------------------------------------------
-# grassmann_project
+# grassmann_bases
+
+
+def _nearest_plane(matrix, rank):
+    """The nearest rank-`rank` projector to one matrix, as a Plane."""
+    return Plane(basis=grassmann_bases(matrix, rank))
 
 
 def test_grassmann_identity_on_projectors():
     plane = _rotated_plane(0.3)
-    out = grassmann_project(plane.projector, rank=2)
+    out = _nearest_plane(plane.projector, rank=2)
     assert projector_distance(out, plane) < 1e-10
 
 
 def test_grassmann_symmetrizes():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(3, 3))
-    out = grassmann_project(m, rank=2)
+    out = _nearest_plane(m, rank=2)
     sym = 0.5 * (m + m.T)
-    out_sym = grassmann_project(sym, rank=2)
+    out_sym = _nearest_plane(sym, rank=2)
     assert projector_distance(out, out_sym) < 1e-12
 
 
@@ -528,7 +552,7 @@ def test_grassmann_optimal_vs_grid():
     rng = np.random.default_rng(17)
     for _ in range(5):
         m = rng.normal(size=(3, 3))
-        out = grassmann_project(m, rank=2)
+        out = _nearest_plane(m, rank=2)
         sym = 0.5 * (m + m.T)
         mine = float(np.linalg.norm(sym - out.projector))
         grid_best, _ = grid_min_projector_distance(m, count=20000)
@@ -539,14 +563,14 @@ def test_grassmann_eigengap_warning():
     # symmetric matrix with a tied spectrum at the cut
     m = np.diag([1.0, 0.5, 0.5])
     with pytest.warns(EigengapTie):
-        grassmann_project(m, rank=2)
+        grassmann_bases(m, rank=2)
 
 
 def test_grassmann_invalid_inputs():
     with pytest.raises(DimensionMismatch):
-        grassmann_project(np.zeros((2, 3)), rank=1)
+        grassmann_bases(np.zeros((2, 3)), rank=1)
     with pytest.raises(ValueError):
-        grassmann_project(np.eye(3), rank=4)
+        grassmann_bases(np.eye(3), rank=4)
 
 
 @settings(max_examples=50, deadline=None)
@@ -559,7 +583,7 @@ def test_grassmann_output_is_projector(seed, n):
 
     with _w.catch_warnings():
         _w.simplefilter("ignore", EigengapTie)
-        out = grassmann_project(m, rank=rank)
+        out = _nearest_plane(m, rank=rank)
     p = out.projector
     assert np.allclose(p @ p, p, atol=1e-10)
     assert np.allclose(p, p.T, atol=1e-10)
@@ -578,7 +602,7 @@ def test_grassmann_bases_stack_matches_single_calls():
     assert [w.category for w in caught] == [EigengapTie]
     with _w.catch_warnings():
         _w.simplefilter("ignore", EigengapTie)
-        single = np.stack([grassmann_project(m, rank=2).basis for m in stack])
+        single = np.stack([grassmann_bases(m, rank=2) for m in stack])
     assert np.array_equal(bases, single)
 
 
@@ -642,8 +666,8 @@ def test_grassmann_tie_break_deterministic():
 
     with _w.catch_warnings():
         _w.simplefilter("ignore", EigengapTie)
-        a = grassmann_project(m, rank=2)
-        b = grassmann_project(m, rank=2)
+        a = _nearest_plane(m, rank=2)
+        b = _nearest_plane(m, rank=2)
     assert np.array_equal(a.basis, b.basis)
 
 

@@ -25,6 +25,7 @@ from varifoldlab.errors import (
     EmptyFineSet,
     EmptyInput,
     GraphTestFailure,
+    InvalidIndex,
     InvalidScale,
     NonContraction,
     NonFiniteInput,
@@ -36,7 +37,7 @@ from varifoldlab.errors import (
     UncoveredQuery,
 )
 from varifoldlab.geometry import _QUERY_BLOCK, Ball, WeightedSurfaceSample
-from varifoldlab.multiscale import build_scale_family, local_maximal_tilt, resolution_floor
+from varifoldlab.multiscale import build_scale_family, resolution_floor
 from varifoldlab.synthetic import SyntheticSpec, generate
 
 from fixtures import traced_peak
@@ -47,6 +48,7 @@ from oracles import (
     fine_membership_scan,
     graph_lipschitz_loop,
     maximal_tilt_loop,
+    maximal_tilt_row,
     patch_arrays_loop,
     pou_matrix_coo,
     project_tau_one_shot,
@@ -216,6 +218,25 @@ def test_gauge_evaluate_rejects_query_outside_domain():
     delta = ip.make_delta0(sample)
     with pytest.raises(PointOutsideDomain):
         delta.evaluate([[1.2, 0, 0]])
+
+
+@pytest.mark.parametrize(
+    "queries, error, message",
+    [
+        # used to raise numpy's broadcasting ValueError
+        (np.zeros((4, 2)), DimensionMismatch, r"queries have shape \(4, 2\), need \(k, 3\)"),
+        (np.zeros((2, 2, 3)), DimensionMismatch, r"queries have shape \(2, 2, 3\)"),
+        # used to return a NaN gauge
+        ([[0.1, 0.0, 0.0], [np.nan, 0.0, 0.0]], NonFiniteInput, "query of row 1 is not finite"),
+        ([[0.1, np.inf, 0.0]], NonFiniteInput, "query of row 0 is not finite"),
+    ],
+    ids=["r2-queries", "stacked-queries", "nan", "inf"],
+)
+def test_gauge_evaluate_refuses_bad_queries(queries, error, message):
+    sample = _simple_sample([[0, 0, 0], [0.5, 0, 0]])
+    for delta in (ip.make_delta0(sample), ip.next_delta(sample, _fine_rows_only([0], sample))):
+        with pytest.raises(error, match=message):
+            delta.evaluate(queries)
 
 
 def test_gauge_bounded_by_boundary_distance():
@@ -418,13 +439,14 @@ def test_fine_rows_match_per_point_scan_property(seed, n, level, nu, floor):
     delta = _const_gauge(sample, level)
     fine = ip.extract_fine_set(sample, delta, nu, floor=floor)
     _assert_matches_scan(fine, sample, delta, nu, floor=floor)
-    # the one-row tilt agrees with the same oracle on a measured member
+    # one ball query and the same kernel agree with the same oracle on a
+    # measured member
     measured = fine.indices[2.0 * delta.values[fine.indices] >= floor]
     if measured.size:
         x, r = sample.points[measured[0]], 2.0 * delta.values[measured[0]]
         plane = reference_plane_loop(sample, x, r)
         np.testing.assert_allclose(
-            local_maximal_tilt(sample, x, r, plane, floor=floor),
+            maximal_tilt_row(sample, x, r, plane, floor),
             maximal_tilt_loop(sample, x, r, plane, floor),
             rtol=TILT_RTOL,
             atol=TILT_ATOL,
@@ -1146,6 +1168,32 @@ def test_compose_refuses_an_empty_list_as_empty_input():
     # used to raise a bare ValueError
     with pytest.raises(EmptyInput, match="no stage maps to compose"):
         ip.compose_maps([])
+
+
+def _step_map(sources, target_indices, targets):
+    """A stage map of `sources` onto the rows `target_indices` of `targets`."""
+    src = np.asarray(sources, dtype=float)
+    tgt = np.asarray(targets, dtype=float)[target_indices]
+    return ip.CorrespondenceMap(
+        source_points=src,
+        target_points=tgt,
+        target_indices=np.asarray(target_indices),
+        displacements=src - tgt,
+        depth=1,
+        tangential_residuals=np.zeros(len(src)),
+    )
+
+
+def test_compose_refuses_target_indices_past_the_next_sources():
+    """Step 1 maps onto a stage of 3 points but step 2 has only 2 sources:
+    used to raise numpy's IndexError."""
+    stage = np.eye(3)
+    first = _step_map(stage, [0, 2, 1], stage)
+    second = _step_map(stage[:2], [1, 0], stage)
+    with pytest.raises(InvalidIndex, match=r"step 0 target index 2 is outside the sources of step 1 \[0, 2\)"):
+        ip.compose_maps([first, second])
+    composed = ip.compose_maps([first, _step_map(stage, [1, 0, 0], stage)])
+    assert composed.target_indices.tolist() == [1, 0, 0]
 
 
 def test_distortion_identity_map():

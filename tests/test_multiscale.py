@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varifoldlab import iterated_projection as ip
 from varifoldlab import multiscale as ms
 from varifoldlab.curvature import build_curvature_field
 from varifoldlab.errors import (
     BallBelowResolution,
     DimensionMismatch,
     InvalidScale,
+    NonFiniteInput,
     PointOutsideDomain,
     ToolkitError,
     TooFewPoints,
@@ -32,6 +34,7 @@ from oracles import (
     flatness_search_loop,
     grid_beta_m1,
     grid_beta_m2,
+    maximal_tilt_row,
 )
 
 # frozen quadrature / closed-form values (tests/oracles.py, frozen_constants)
@@ -67,12 +70,44 @@ def _rotation(angle: float, axis: int = 1) -> np.ndarray:
     return rot
 
 
+def _certify_one(sample, ball, floor=None):
+    """The report of `certify_chord_arc` on the one-ball family of `ball`,
+    which is also its domain; the floor is the ball's radius by default."""
+    floor = ball.radius if floor is None else floor
+    family = ms.ScaleFamily(ball.center[None], (ball.radius,), floor, ball)
+    return ms.certify_chord_arc(sample, ball, family)
+
+
+def _certified(sample, ball, floor=None):
+    """The `BallStats` of one ball, through `certify_chord_arc`."""
+    report = _certify_one(sample, ball, floor)
+    assert report.errors == []
+    return report.balls[0]
+
+
+def _flatness(sample, ball):
+    """The flatness kernel of `certify_chord_arc` on one ball query."""
+    idx = sample.ball_query(ball.center, ball.radius)
+    return ms._flatness_of(sample, idx, ball, ms._disk_grid(sample, ball.radius))
+
+
+def _tilt(sample, ball, plane):
+    """The tilt-excess kernel of `certify_chord_arc` against `plane`."""
+    return ms._tilt_of(sample, sample.ball_query(ball.center, ball.radius), ball.radius, plane)
+
+
+def _beta(sample, center, scale):
+    """beta^2 of one ball through the batched kernel of `beta_report`."""
+    idx = sample.ball_query(center, scale)
+    return float(ms._beta_rows(sample, idx, np.ones((1, idx.size), dtype=bool), scale)[0])
+
+
 # ---------------------------------------------------------------------------
 # density
 
 
 def test_density_flat_center(flat):
-    assert ms.density_ratio(flat, Ball(ORIGIN, 0.3)) == pytest.approx(1.0, abs=0.02)
+    assert _certified(flat, Ball(ORIGIN, 0.3)).density_ratio == pytest.approx(1.0, abs=0.02)
 
 
 def test_density_sphere_cap_within_one_percent():
@@ -81,22 +116,29 @@ def test_density_sphere_cap_within_one_percent():
     )
     rng = np.random.default_rng(11)
     interior = np.flatnonzero(np.linalg.norm(cap20.points, axis=1) <= 0.3)
-    centers = [ORIGIN] + [cap20.points[i] for i in rng.choice(interior, 8, replace=False)]
-    for sigma in (0.4, 0.5, 0.6):
-        for c in centers:
-            ratio = ms.density_ratio(cap20, Ball(c, sigma), floor=0.1)
-            assert abs(ratio - 1.0) < 0.01
+    centers = np.r_[[ORIGIN], cap20.points[rng.choice(interior, 8, replace=False)]]
+    domain = Ball(ORIGIN, 0.9)
+    family = ms.ScaleFamily(centers, (0.6, 0.5, 0.4), 0.1, domain)
+    report = ms.certify_chord_arc(cap20, domain, family)
+    assert report.errors == [] and len(report.balls) == 27
+    for ball in report.balls:
+        assert abs(ball.density_ratio - 1.0) < 0.01
 
 
 def test_density_boundary_half(flat):
     rim = flat.points[np.argmax(np.linalg.norm(flat.points[:, :2], axis=1))]
-    ratio = ms.density_ratio(flat, Ball(rim, 0.2), floor=0.15)
+    ratio = _certified(flat, Ball(rim, 0.2), floor=0.15).density_ratio
     assert ratio == pytest.approx(0.5, abs=0.03)
 
 
 def test_density_refuses_sub_resolution_balls(flat):
-    with pytest.raises(BallBelowResolution):
-        ms.density_ratio(flat, Ball(ORIGIN, 2.0 * flat.mean_spacing))
+    domain = Ball(ORIGIN, 1.0)
+    with pytest.raises(BallBelowResolution, match="below resolution floor"):
+        ms.build_scale_family(flat, domain, sigma_max=2.0 * flat.mean_spacing)
+    with pytest.raises(InvalidScale, match="falls below the floor"):
+        ms.ScaleFamily(
+            ORIGIN[None], (2.0 * flat.mean_spacing,), ms.resolution_floor(flat), domain
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +146,13 @@ def test_density_refuses_sub_resolution_balls(flat):
 
 
 def test_flatness_planar_is_zero(flat):
-    det = ms.flatness_details(flat, Ball(ORIGIN, 0.3))
-    assert det.value <= 1e-12
-    assert abs(det.plane.projector[2, 2]) < 1e-9
+    ball = _certified(flat, Ball(ORIGIN, 0.3))
+    assert ball.flatness <= 1e-12
+    assert abs(ball.plane.projector[2, 2]) < 1e-9
 
 
 def test_flatness_cap_matches_sagitta_and_oracle(cap):
-    val = ms.flatness_details(cap, Ball(ORIGIN, 0.5)).value
+    val = _certified(cap, Ball(ORIGIN, 0.5)).flatness
     assert val == pytest.approx(0.025, abs=0.0075)
     assert val == pytest.approx(FLATNESS_CAP_R10_S05, rel=0.15)
 
@@ -120,7 +162,7 @@ def test_flatness_graph_matches_brute_force_oracle():
 
     eps, sigma = 0.1, 0.5
     sample, _ = generate(SyntheticSpec(kind="graph", n_points=5000, eps=eps))
-    val = ms.flatness_details(sample, Ball(ORIGIN, sigma)).value
+    val = _certified(sample, Ball(ORIGIN, sigma)).flatness
 
     # dense surface patch and dense plane disks (step well below the height
     # scale), exact bilateral nearest-neighbor distance, minimized over a
@@ -149,14 +191,17 @@ def test_flatness_graph_matches_brute_force_oracle():
 
 
 def test_flatness_requires_points(flat):
-    with pytest.raises(TooFewPoints):
-        ms.flatness_details(flat, Ball(np.array([5.0, 0.0, 0.0]), 0.3))
+    report = _certify_one(flat, Ball(np.array([5.0, 0.0, 0.0]), 0.3))
+    assert report.balls == []
+    assert report.errors == [
+        "ball([5. 0. 0.], 0.3): TooFewPoints: ball holds 0 points, need at least 3"
+    ]
 
 
 def test_flatness_details_error_bar(flat):
-    det = ms.flatness_details(flat, Ball(ORIGIN, 0.3))
-    assert det.raw >= det.value
-    assert det.error_bar == pytest.approx(0.7 * flat.mean_spacing / 0.3)
+    ball = _certified(flat, Ball(ORIGIN, 0.3))
+    assert ball.flatness_raw >= ball.flatness
+    assert ball.flatness_error == pytest.approx(0.7 * flat.mean_spacing / 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +210,22 @@ def test_flatness_details_error_bar(flat):
 
 def test_tilt_zero_against_own_plane(flat):
     plane = Plane(basis=np.eye(3)[:2])
-    assert ms.tilt_excess(flat, Ball(ORIGIN, 0.4), plane) == 0.0
+    assert _tilt(flat, Ball(ORIGIN, 0.4), plane) == 0.0
 
 
 def test_tilt_tilted_reference_closed_form(flat):
     c, s = np.cos(0.1), np.sin(0.1)
     ref = Plane(basis=np.array([[c, 0.0, s], [0.0, 1.0, 0.0]]))
     # a unit ball swallows the whole disk, so the mass is exactly pi
-    val = ms.tilt_excess(flat, Ball(ORIGIN, 1.0), ref)
+    val = _tilt(flat, Ball(ORIGIN, 1.0), ref)
     assert val == pytest.approx(TILT_CLOSED_FORM, abs=1e-12)
     # interior ball: mass fluctuation is the only error
-    val = ms.tilt_excess(flat, Ball(ORIGIN, 0.45), ref)
+    val = _tilt(flat, Ball(ORIGIN, 0.45), ref)
     assert val == pytest.approx(TILT_CLOSED_FORM, rel=0.03)
 
 
 def test_tilt_cap_matches_quadrature(cap):
-    plane = ms.flatness_details(cap, Ball(ORIGIN, 0.5)).plane
-    val = ms.tilt_excess(cap, Ball(ORIGIN, 0.5), plane)
+    val = _certified(cap, Ball(ORIGIN, 0.5)).tilt_excess
     assert val == pytest.approx(TILT_CAP_R10_S05, rel=0.05)
 
 
@@ -232,7 +276,7 @@ def test_caccioppoli_alpha_growth():
 
 
 def test_beta_planar_zero(flat):
-    assert ms.jones_beta(flat, ORIGIN, 0.3) == 0.0
+    assert _beta(flat, ORIGIN, 0.3) == 0.0
 
 
 def test_beta_circle_arc_matches_line_grid_oracle():
@@ -242,13 +286,13 @@ def test_beta_circle_arc_matches_line_grid_oracle():
     w = np.full(len(pts), R * (theta[-1] - theta[0]) / len(pts))
     tang = np.stack([np.cos(theta), -np.sin(theta)], axis=1)[:, None, :]
     arc = WeightedSurfaceSample(pts, w, tang)
-    val = ms.jones_beta(arc, np.zeros(2), s)
+    val = _beta(arc, np.zeros(2), s)
     oracle = grid_beta_m1(pts, w, np.zeros(2), s)
     assert val == pytest.approx(oracle, rel=1e-3)
 
 
 def test_beta_cap_matches_quadrature(cap):
-    val = ms.jones_beta(cap, ORIGIN, 0.5)
+    val = _beta(cap, ORIGIN, 0.5)
     assert val == pytest.approx(BETA2_CAP_R10_S05, rel=0.05)
 
 
@@ -262,15 +306,10 @@ def test_beta_pca_is_optimal_vs_plane_grid(seed):
     bases = np.broadcast_to(np.eye(3)[:2], (count, 2, 3)).copy()
     sample = WeightedSurfaceSample(pts, w, bases)
     s = 2.5
-    val = ms.jones_beta(sample, np.zeros(3), s)
+    val = _beta(sample, np.zeros(3), s)
     oracle = grid_beta_m2(pts, w, np.zeros(3), s)
     assert val <= oracle * (1.0 + 1e-9)
     assert oracle - val <= 1e-3 * max(oracle, 1e-12)
-
-
-def test_beta_empty_ball_raises(flat):
-    with pytest.raises(TooFewPoints):
-        ms.jones_beta(flat, np.array([9.0, 0.0, 0.0]), 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +388,9 @@ def test_greedy_net_is_first_come_along_a_chain():
 
 
 def test_maximal_tilt_refuses_a_zero_floor(flat):
-    ref = Plane(basis=np.eye(3)[:2])
+    delta = ip.make_delta0(flat)
     with pytest.raises(InvalidScale, match="resolution floor 0.0"):
-        ms.local_maximal_tilt(flat, ORIGIN, 0.45, ref, floor=0.0)
+        ip.extract_fine_set(flat, delta, 0.1, floor=0.0)
 
 
 def test_beta_report_refuses_a_nan_sigma(flat):
@@ -376,8 +415,8 @@ def test_bad_scale_arguments_raise_invalid_scale(flat, func, kwargs):
 
 def test_zero_covering_mult_scores_the_raw_distance(monkeypatch, cap):
     monkeypatch.setattr(ms, "COVERING_MULT", 0.0)
-    det = ms.flatness_details(cap, Ball(ORIGIN, 0.3))
-    assert det.value == det.raw and det.error_bar == 0.0
+    ball = _certified(cap, Ball(ORIGIN, 0.3))
+    assert ball.flatness == ball.flatness_raw and ball.flatness_error == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +425,13 @@ def test_zero_covering_mult_scores_the_raw_distance(monkeypatch, cap):
 
 def test_maximal_tilt_flat_zero(flat):
     ref = Plane(basis=np.eye(3)[:2])
-    assert ms.local_maximal_tilt(flat, ORIGIN, 0.45, ref, floor=0.15) == 0.0
+    assert maximal_tilt_row(flat, ORIGIN, 0.45, ref, 0.15) == 0.0
 
 
 def test_maximal_tilt_constant_tilt(flat):
     tilted = flat.transformed(rotation=_rotation(0.1))
     ref = Plane(basis=np.eye(3)[:2])
-    val = ms.local_maximal_tilt(tilted, ORIGIN, 0.45, ref, floor=0.15)
+    val = maximal_tilt_row(tilted, ORIGIN, 0.45, ref, 0.15)
     assert val == pytest.approx(SQRT2_SIN_01, abs=1e-12)
 
 
@@ -400,7 +439,7 @@ def test_maximal_tilt_matches_exhaustive_scan(cap):
     ref = Plane(basis=np.eye(3)[:2])
     floor, r_max = 0.15, 0.45
     x = cap.points[np.argmin(np.linalg.norm(cap.points - np.array([0.4, 0, 0]), axis=1))]
-    val = ms.local_maximal_tilt(cap, x, r_max, ref, floor=floor)
+    val = maximal_tilt_row(cap, x, r_max, ref, floor)
     # independent scan: brute mask per dyadic scale
     Q = ref.projector
     best = 0.0
@@ -413,11 +452,6 @@ def test_maximal_tilt_matches_exhaustive_scan(cap):
         best = max(best, float((w * d).sum() / w.sum()))
         s /= 2.0
     assert val == pytest.approx(best, abs=1e-12)
-
-
-def test_maximal_tilt_refuses_small_radius(flat):
-    with pytest.raises(BallBelowResolution):
-        ms.local_maximal_tilt(flat, ORIGIN, 0.05, Plane(basis=np.eye(3)[:2]))
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +530,54 @@ BAD_FAMILY_AND_PLANE_CALLS = {
         "center row 1 reaches 1.4",
     ),
     "tilt_plane_in_r4": (
-        lambda s: ms.tilt_excess(s, Ball(ORIGIN, 0.4), Plane(basis=np.eye(4)[:2])),
+        lambda s: ms.caccioppoli_bound_check(
+            s, Ball(ORIGIN, 0.4), 0.5, np.zeros((len(s), 3)), plane=Plane(basis=np.eye(4)[:2])
+        ),
         DimensionMismatch,
         r"plane in R\^4, sample in R\^3",
     ),
-    # used to raise numpy's reshape ValueError
-    "maximal_tilt_reference_in_r4": (
-        lambda s: ms.local_maximal_tilt(s, ORIGIN, 0.4, Plane(basis=np.eye(4)[:2]), floor=0.1),
+    # used to raise numpy's AxisError
+    "family_centers_one_dimensional": (
+        lambda s: ms.ScaleFamily(np.zeros(3), (0.5, 0.25), 0.1, Ball(ORIGIN, 1.0)),
         DimensionMismatch,
-        r"reference plane basis \(2, 4\), sample tangent bases \(2, 3\)",
+        r"family centers have shape \(3,\), need \(k, 3\)",
     ),
-    # used to return sqrt(2) for a line against a flat disk, whose tilt is 1
-    "maximal_tilt_reference_line": (
-        lambda s: ms.local_maximal_tilt(s, ORIGIN, 0.4, Plane(basis=np.eye(3)[:1]), floor=0.1),
+    # used to raise numpy's broadcasting ValueError
+    "family_centers_in_r2": (
+        lambda s: ms.ScaleFamily(np.zeros((1, 2)), (0.5, 0.25), 0.1, Ball(ORIGIN, 1.0)),
         DimensionMismatch,
-        r"reference plane basis \(1, 3\), sample tangent bases \(2, 3\)",
+        r"family centers have shape \(1, 2\), need \(k, 3\)",
+    ),
+    # used to pass the reach test, a NaN comparing false
+    "family_nan_center": (
+        lambda s: ms.ScaleFamily(
+            np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), (0.5,), 0.1, Ball(ORIGIN, 1.0)
+        ),
+        NonFiniteInput,
+        "family center of row 1 is not finite",
+    ),
+    # used to reach scipy's ValueError in the ball queries
+    "certify_family_in_r2": (
+        lambda s: ms.certify_chord_arc(
+            s, Ball(np.zeros(2), 1.0), ms.ScaleFamily(np.zeros((1, 2)), (0.5,), 0.1, Ball(np.zeros(2), 1.0))
+        ),
+        DimensionMismatch,
+        r"family in R\^2, sample in R\^3",
+    ),
+    # used to certify every ball of the family: the domain was never read
+    "certify_family_outside_domain": (
+        lambda s: ms.certify_chord_arc(
+            s, Ball(np.array([50.0, 0.0, 0.0]), 0.01), ms.build_scale_family(s, Ball(ORIGIN, 1.0), sigma_max=0.5)
+        ),
+        PointOutsideDomain,
+        "ball of center row 0 reaches 50.",
+    ),
+    "certify_domain_in_r2": (
+        lambda s: ms.certify_chord_arc(
+            s, Ball(np.zeros(2), 1.0), ms.build_scale_family(s, Ball(ORIGIN, 1.0), sigma_max=0.5)
+        ),
+        DimensionMismatch,
+        r"need \(k, 2\) in the dimension of the domain",
     ),
 }
 
@@ -567,10 +634,11 @@ def test_certify_balls_match_exhaustive_search(spec):
         assert (b.flatness, b.flatness_raw, b.flatness_error) == (value, raw, error_bar)
         assert np.array_equal(b.plane.basis, plane.basis)
         assert np.array_equal(b.plane.basepoint, plane.basepoint)
-        # the shared ball query gives what the public functions give
-        assert b.density_ratio == ms.density_ratio(sample, ball, floor=fam.min_radius_floor)
-        assert b.tilt_excess == ms.tilt_excess(sample, ball, b.plane)
-        _assert_same_details(ms.flatness_details(sample, ball), (value, plane, raw, error_bar))
+        # the shared ball query gives what one query per ball gives
+        idx = sample.ball_query(ball.center, ball.radius)
+        assert b.density_ratio == ms._density_of(sample, idx, ball.radius)
+        assert b.tilt_excess == ms._tilt_of(sample, idx, ball.radius, b.plane)
+        _assert_same_details(_flatness(sample, ball), (value, plane, raw, error_bar))
 
 
 def _error_family():
@@ -668,7 +736,7 @@ def test_flatness_tilt_winners_match_exhaustive_search(steep_graph):
         center = steep_graph.points[rng.integers(len(steep_graph))]
         ball = Ball(center, rng.uniform(floor, 0.5))
         oracle = flatness_search_loop(steep_graph, ball)
-        _assert_same_details(ms.flatness_details(steep_graph, ball), oracle)
+        _assert_same_details(_flatness(steep_graph, ball), oracle)
         idx = steep_graph.ball_query(center, ball.radius)
         pca = fit_plane_pca(steep_graph.points[idx], center=center)
         tilted += not np.array_equal(pca.basis, oracle[1].basis)
@@ -687,7 +755,7 @@ def test_flatness_matches_exhaustive_search_under_rigid_motion(steep_graph, seed
     rng = np.random.default_rng(seed)
     ball = Ball(moved.points[rng.integers(len(moved))], floor + frac * (0.5 - floor))
     with mock.patch.object(ms, "FLATNESS_PASSES", refine):
-        det = ms.flatness_details(moved, ball)
+        det = _flatness(moved, ball)
     _assert_same_details(det, flatness_search_loop(moved, ball, refine=refine))
 
 
@@ -745,7 +813,7 @@ def test_pass_bound_skips_the_cap_passes_and_not_the_winning_ones(monkeypatch, s
     floor = ms.resolution_floor(steep_graph)
     for _ in range(10):
         center = steep_graph.points[rng.integers(len(steep_graph))]
-        ms.flatness_details(steep_graph, Ball(center, rng.uniform(floor, 0.5)))
+        _flatness(steep_graph, Ball(center, rng.uniform(floor, 0.5)))
     assert calls
 
 
@@ -764,7 +832,7 @@ def test_flatness_in_codimension_two_matches_exhaustive_search(steep_graph):
         center = sample.points[rng.integers(len(sample))]
         ball = Ball(center, rng.uniform(floor, 0.5))
         oracle = flatness_search_loop(sample, ball)
-        _assert_same_details(ms.flatness_details(sample, ball), oracle)
+        _assert_same_details(_flatness(sample, ball), oracle)
         idx = sample.ball_query(center, ball.radius)
         pca = fit_plane_pca(sample.points[idx], center=center)
         tilted += not np.array_equal(pca.basis, oracle[1].basis)
@@ -777,7 +845,7 @@ def test_flatness_in_codimension_zero_matches_exhaustive_search():
     area = np.full(len(grid), (2.0 / 59.0) ** 2)
     sample = WeightedSurfaceSample(grid, area, np.broadcast_to(np.eye(2), (len(grid), 2, 2)))
     ball = Ball(np.zeros(2), 0.5)
-    _assert_same_details(ms.flatness_details(sample, ball), flatness_search_loop(sample, ball))
+    _assert_same_details(_flatness(sample, ball), flatness_search_loop(sample, ball))
 
 
 def _beta_sample():
@@ -808,13 +876,13 @@ def test_beta_report_matches_row_scale_loop():
     step = np.log(2.0)
     expected = float((sample.weights[rep.point_indices][:, None] * oracle).sum() * step)
     assert rep.carleson == pytest.approx(expected, rel=1e-12)
-    # jones_beta is the one-row case of the same kernel (a block weighs the
+    # one ball query per entry and the same kernel (a block weighs the
     # candidates outside each ball by zero, which may move the last bit of
     # a sum)
     for row in (0, int(np.argmax(added))):
         i = rep.point_indices[row]
         for col, s in enumerate(rep.scales):
-            one = ms.jones_beta(sample, sample.points[i], s)
+            one = _beta(sample, sample.points[i], s)
             assert one == pytest.approx(rep.beta_sq[row, col], rel=1e-12, abs=0.0)
 
 
@@ -857,17 +925,14 @@ def test_rigid_motion_invariance(seed):
     moved = sample.transformed(rotation=q, translation=t)
     ball = Ball(ORIGIN, 0.45)
     ball_m = Ball(q @ ORIGIN + t, 0.45)
-    assert ms.density_ratio(moved, ball_m, floor=0.1) == pytest.approx(
-        ms.density_ratio(sample, ball, floor=0.1), rel=1e-8
-    )
+    stats, stats_m = _certified(sample, ball, 0.1), _certified(moved, ball_m, 0.1)
+    assert stats_m.density_ratio == pytest.approx(stats.density_ratio, rel=1e-8)
     plane = Plane(basis=np.eye(3)[:2])
     plane_m = Plane(basis=np.eye(3)[:2] @ q.T)
-    assert ms.tilt_excess(moved, ball_m, plane_m) == pytest.approx(
-        ms.tilt_excess(sample, ball, plane), rel=1e-8
+    assert _tilt(moved, ball_m, plane_m) == pytest.approx(
+        _tilt(sample, ball, plane), rel=1e-8
     )
-    assert ms.jones_beta(moved, t, 0.45) == pytest.approx(
-        ms.jones_beta(sample, ORIGIN, 0.45), rel=1e-8
-    )
+    assert _beta(moved, t, 0.45) == pytest.approx(_beta(sample, ORIGIN, 0.45), rel=1e-8)
     a = ms.beta_report(sample, ORIGIN, 0.45, floor=0.1125).carleson
     b = ms.beta_report(moved, t, 0.45, floor=0.1125).carleson
     assert b == pytest.approx(a, rel=1e-8)
@@ -878,12 +943,12 @@ def test_rigid_motion_invariance(seed):
 def test_dilation_scaling_laws(lam):
     sample, _ = generate(SyntheticSpec(kind="graph", n_points=1200, eps=0.1))
     scaled = sample.transformed(scale=lam)
-    beta0 = ms.jones_beta(sample, ORIGIN, 0.45)
-    beta1 = ms.jones_beta(scaled, ORIGIN, lam * 0.45)
+    beta0 = _beta(sample, ORIGIN, 0.45)
+    beta1 = _beta(scaled, ORIGIN, lam * 0.45)
     assert beta1 == pytest.approx(beta0, rel=1e-8)
     plane = Plane(basis=np.eye(3)[:2])
-    t0 = ms.tilt_excess(sample, Ball(ORIGIN, 0.45), plane)
-    t1 = ms.tilt_excess(scaled, Ball(ORIGIN, lam * 0.45), plane)
+    t0 = _tilt(sample, Ball(ORIGIN, 0.45), plane)
+    t1 = _tilt(scaled, Ball(ORIGIN, lam * 0.45), plane)
     assert t1 == pytest.approx(t0, rel=1e-8)
 
 

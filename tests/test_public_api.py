@@ -1,7 +1,8 @@
 """Exported names: every ``__all__`` entry resolves, ``conformal.__all__``
 lists exactly the public classes and functions the module defines, and so
-do the pinned lists of `synthetic`'s and `iterated_projection`'s public
-definitions.  Source
+do the pinned lists of the public definitions of `synthetic`,
+`iterated_projection`, `multiscale`, `curvature`, `geometry` and
+`meshing`.  Source
 checks: one module owns the eigenframe kernel, the mesh kernels have one
 owner each, lazy views are cached properties, and retired knobs stay gone;
 every settable keyword and every `SyntheticSpec` field is listed."""
@@ -16,7 +17,15 @@ from pathlib import Path
 import pytest
 
 import varifoldlab
-from varifoldlab import conformal, iterated_projection, synthetic
+from varifoldlab import (
+    conformal,
+    curvature,
+    geometry,
+    iterated_projection,
+    meshing,
+    multiscale,
+    synthetic,
+)
 from varifoldlab.synthetic import SyntheticSpec
 
 
@@ -77,6 +86,61 @@ ITERATED_PROJECTION_PUBLIC = [
 ]
 
 
+# The public classes and functions of the statistics and geometry modules,
+# pinned the same way: each statistic has one public batched entry, and
+# its one-ball case is a private kernel that tests call directly.
+PINNED_PUBLIC = {
+    multiscale: [
+        "BallStats",
+        "BetaReport",
+        "ChordArcReport",
+        "FlatnessDetails",
+        "ScaleFamily",
+        "beta_report",
+        "build_scale_family",
+        "caccioppoli_bound_check",
+        "carleson_chain_majorant",
+        "carleson_scales",
+        "certify_chord_arc",
+        "projection_no_hole_check",
+        "resolution_floor",
+    ],
+    curvature: [
+        "CurvatureField",
+        "MonotonicityLedger",
+        "build_curvature_field",
+        "mesh_mean_curvature",
+        "monotonicity_identity",
+        "monotonicity_inequality",
+        "willmore_energy",
+    ],
+    geometry: [
+        "Ball",
+        "Plane",
+        "WeightedSurfaceSample",
+        "complement_frame",
+        "fit_plane_pca",
+        "grassmann_bases",
+        "projector_distance",
+    ],
+    meshing: [
+        "angle_defects",
+        "cotangent_laplacian",
+        "mesh_edges",
+        "orient_ccw",
+        "orientation_dets",
+        "triangle_areas",
+        "vertex_areas",
+        "vertex_sums",
+    ],
+}
+
+
+@pytest.mark.parametrize("module", PINNED_PUBLIC, ids=lambda m: m.__name__.split(".")[-1])
+def test_public_definitions_are_pinned(module):
+    assert _public_definitions(module) == PINNED_PUBLIC[module]
+
+
 def test_synthetic_public_definitions_are_pinned():
     assert _public_definitions(synthetic) == SYNTHETIC_PUBLIC
 
@@ -113,10 +177,7 @@ def test_cached_views_are_cached_properties():
     ]
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["dyadic_squares", "bmo_norm", "a2_constant", "inverse_holder_max", "conformal_diagnostics"],
-)
+@pytest.mark.parametrize("name", ["dyadic_squares", "conformal_diagnostics"])
 def test_dyadic_depth_is_a_module_constant(name):
     """Dyadic statistics run to `conformal.DYADIC_DEPTH`; no call sets a depth."""
     assert "depth" not in inspect.signature(getattr(conformal, name)).parameters
@@ -147,8 +208,6 @@ KEYWORD_DEFAULTS = {
     "multiscale.beta_report": {"floor": None},
     "multiscale.build_scale_family": {"floor": None, "sigma_max": None},
     "multiscale.caccioppoli_bound_check": {"plane": None},
-    "multiscale.density_ratio": {"floor": None},
-    "multiscale.local_maximal_tilt": {"floor": None},
     "multiscale.resolution_floor": {"mult": 8.0},
 }
 
@@ -178,7 +237,7 @@ def test_every_keyword_default_is_listed():
             if defaults:
                 found[f"{info.name}.{name}"] = defaults
     assert found == KEYWORD_DEFAULTS
-    assert sum(len(kw) for kw in found.values()) == 31
+    assert sum(len(kw) for kw in found.values()) == 29
 
 
 # Every field of `SyntheticSpec`, with its default.  A new config field fails
