@@ -5,8 +5,10 @@ projectors; weighted surface samples bundle points, weights, and per-point
 tangent planes with an exact spatial index.  All higher-level analysis
 modules build on the operations here: weighted PCA plane fitting,
 projector (Frobenius) distances, and nearest orthogonal projectors
-(`grassmann_bases`), all principal frames coming from one eigenframe
-kernel, `_principal_frames`.
+(`grassmann_bases`).  ``_principal_frames`` is the only owner of
+principal frames (eigenframes), and ``_span_projectors`` of the projector
+B^T B of an orthonormal row basis B: plane, tangent and normal projectors
+all read it.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class Plane:
     @property
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the direction space, basis^T basis."""
-        return self.basis.T @ self.basis
+        return _span_projectors(self.basis)
 
     def coordinates(self, points: np.ndarray) -> np.ndarray:
         """In-plane coordinates (m per point) relative to the basepoint."""
@@ -241,8 +243,7 @@ class WeightedSurfaceSample:
     @cached_property
     def tangent_projectors(self) -> np.ndarray:
         """Stacked (N, n, n) tangent projectors, computed once."""
-        b = self.tangent_bases
-        return np.einsum("nmi,nmj->nij", b, b)
+        return _span_projectors(self.tangent_bases)
 
     @property
     def spatial_index(self) -> cKDTree:
@@ -429,6 +430,12 @@ def _principal_frames(matrices: np.ndarray, dim: int):
     top[...] = _canonical_rows(top.reshape(-1, frames.shape[-1])).reshape(top.shape)
     rank_tol = np.maximum(np.maximum(evals[..., 0], 0.0) * 1e-12, 1e-300)
     return evals, frames, evals[..., dim - 1] > rank_tol
+
+
+def _span_projectors(bases: np.ndarray) -> np.ndarray:
+    """B^T B for an orthonormal row basis B or for each of a stack, by one
+    matmul (an einsum can differ from it in the last bit)."""
+    return np.matmul(np.swapaxes(bases, -1, -2), bases)
 
 
 def _require_positive(value, what: str) -> None:

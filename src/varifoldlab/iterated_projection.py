@@ -43,6 +43,7 @@ from .geometry import (
     _require_point,
     _require_positive,
     _second_moments,
+    _span_projectors,
     grassmann_bases,
 )
 from .multiscale import _greedy_net, _maximal_tilts, resolution_floor
@@ -676,28 +677,6 @@ def _graph_lipschitz(stage: SmoothedSurfaceStage, lip_bound: float) -> np.ndarra
     return lips
 
 
-def _fine_only_stage(
-    sample: WeightedSurfaceSample,
-    fine: FineSet,
-    delta: DeltaField,
-) -> SmoothedSurfaceStage:
-    """Stage for a fine set that already covers everything: no synthesis."""
-    n = sample.ambient_dim
-    m = sample.intrinsic_dim
-    return SmoothedSurfaceStage(
-        points=sample.points[fine.indices],
-        gauge=np.asarray(delta.values)[fine.indices],
-        sample_rows=fine.indices.copy(),
-        patch_centers=np.zeros((0, n)),
-        patch_bases=np.zeros((0, m, n)),
-        patch_gauge=np.zeros(0),
-        graph_lipschitz=np.zeros(0),
-        synth_offset_ratio=0.0,
-        normal_projectors=np.eye(n)[None] - sample.tangent_projectors[fine.indices],
-        normal_lipschitz=np.zeros(0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # normal bundle
 
@@ -715,11 +694,12 @@ def normal_field(
     (`_bump_blend`): one pass for the row sums, which give the coverage
     test, and one for the blend, a block of _SUPPORT_BALL_BLOCK balls at a
     time; +3.4 MB traced on the seed-7 `stagewise` plateau, from +18.1 MB
-    for the bump matrix, its transpose and their product.  Kept fine points outside every
-    bump support fall back to their own sample tangent plane's normal
+    for the bump matrix, its transpose and their product.  Kept fine points
+    outside every bump support fall back to I minus their sample tangent
     projector (their plane is exact there), so on a stage without patches
     every kept point does; a synthesized point without coverage raises
-    UncoveredQuery.  The per-patch Lipschitz quotient of the blended field
+    UncoveredQuery.  Every pipeline stage gets its normals here, patchless
+    stages included.  The per-patch Lipschitz quotient of the blended field
     is recorded: over the first 50 points of each support ball (the
     `SmoothedSurfaceStage.support_balls` attribute, in KD-tree traversal
     order), the largest ratio of projector (Frobenius) distance to point
@@ -735,19 +715,15 @@ def normal_field(
         patch_normals.reshape(len(patch_normals), n * n),
     )
     uncovered = sums <= 0
-    if np.any(uncovered & ~stage.fine_mask):
-        raise UncoveredQuery(
-            f"{int((uncovered & ~stage.fine_mask).sum())} synthesized points "
-            "have no bump coverage"
-        )
+    lost = int((uncovered & ~stage.fine_mask).sum())
+    if lost:
+        raise UncoveredQuery(f"{lost} synthesized points have no bump coverage")
     blended = blended.reshape(-1, n, n)
     projs = np.empty((len(stage.points), n, n))
     projs[~uncovered] = _span_projectors(
         grassmann_bases(blended[~uncovered], n - m)
     )
-    projs[uncovered] = np.eye(n) - _span_projectors(
-        sample.tangent_bases[stage.sample_rows[uncovered]]
-    )
+    projs[uncovered] = np.eye(n) - sample.tangent_projectors[stage.sample_rows[uncovered]]
 
     flat = projs.reshape(len(projs), -1)
     stage.normal_lipschitz = np.array(
@@ -756,11 +732,6 @@ def normal_field(
     stage.normal_projectors = projs
     del stage.support_balls
     return stage
-
-
-def _span_projectors(bases: np.ndarray) -> np.ndarray:
-    """B^T B for each orthonormal row basis B of a stack."""
-    return np.matmul(np.swapaxes(bases, -1, -2), bases)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,14 +1075,25 @@ def _embed(sample: WeightedSurfaceSample):
 
 
 def _build_stage(work, fine, delta, nu, group_counts):
-    """The stage at gauge ``delta``; appends its net's group count."""
+    """The stage at gauge ``delta`` with its normal field; appends its
+    net's group count.  A fine set that covers every row gives the
+    patchless stage: every row kept, no net and no patch."""
     if fine.covers_all(len(work)):
-        return _fine_only_stage(work, fine, delta)
-    net = build_separated_net(work, delta)
-    group_counts.append(net.group_count)
-    stage = build_sigma_delta(work, fine, net, delta, nu)
-    normal_field(stage, work)
-    return stage
+        stage = SmoothedSurfaceStage(
+            points=work.points[fine.indices],
+            gauge=np.asarray(delta.values)[fine.indices],
+            sample_rows=fine.indices.copy(),
+            patch_centers=work.points[:0],
+            patch_bases=work.tangent_bases[:0],
+            patch_gauge=np.zeros(0),
+            graph_lipschitz=np.zeros(0),
+            synth_offset_ratio=0.0,
+        )
+    else:
+        net = build_separated_net(work, delta)
+        group_counts.append(net.group_count)
+        stage = build_sigma_delta(work, fine, net, delta, nu)
+    return normal_field(stage, work)
 
 
 # Stages that `iterate_parameterization` builds at most after the first.
@@ -1211,9 +1193,8 @@ def iterate_parameterization(
         st.points = st.points * inv + center
         st.gauge = st.gauge * inv
         st.normal_lipschitz = st.normal_lipschitz * scale
-        if st.patch_centers.size:
-            st.patch_centers = st.patch_centers * inv + center
-            st.patch_gauge = st.patch_gauge * inv
+        st.patch_centers = st.patch_centers * inv + center
+        st.patch_gauge = st.patch_gauge * inv
     for mp in maps + [composed]:
         mp.source_points = mp.source_points * inv + center
         mp.target_points = mp.target_points * inv + center

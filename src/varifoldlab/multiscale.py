@@ -41,6 +41,7 @@ from .geometry import (
     _require_finite_rows,
     _require_point,
     _require_positive,
+    _span_projectors,
 )
 from .synthetic import disk_lattice
 
@@ -231,7 +232,7 @@ def _normal_space(basis: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the complement of `basis`: the QR columns
     of I - B^T B with the n - m largest |R_ii|, in column order."""
     m, n = basis.shape
-    proj = np.eye(n) - basis.T @ basis
+    proj = np.eye(n) - _span_projectors(basis)
     q, r = np.linalg.qr(proj)
     diag = np.abs(np.diag(r))
     cols = np.argsort(diag)[::-1][: n - m]
@@ -262,8 +263,8 @@ def caccioppoli_bound_check(
 
     The bound holds for any reference plane; by default the best flatness
     plane of the ball is used, but an explicit plane may be supplied.  A
-    plane in another ambient space than the sample raises
-    DimensionMismatch.
+    plane in another ambient space than the sample, or of another dimension
+    than the sample's intrinsic dimension, raises DimensionMismatch.
 
     Returns
     -------
@@ -287,6 +288,10 @@ def caccioppoli_bound_check(
     elif plane.ambient_dim != sample.ambient_dim:
         raise DimensionMismatch(
             f"plane in R^{plane.ambient_dim}, sample in R^{sample.ambient_dim}"
+        )
+    elif plane.dim != sample.intrinsic_dim:
+        raise DimensionMismatch(
+            f"{plane.dim}-plane, sample of intrinsic dimension {sample.intrinsic_dim}"
         )
     lhs = _tilt_of(sample, idx, sigma, plane)
     idx = sample.ball_query(ball.center, (1.0 + alpha) * sigma)
@@ -467,9 +472,10 @@ def projection_no_hole_check(
 class ScaleFamily:
     """Dyadic (center, radius) family inside a declared domain ball.
 
-    Raises InvalidScale unless the radii strictly decrease to at least the
-    floor, and `_require_inside` refuses centers that are not (k, n) in the
-    domain's dimension or whose balls leave the domain.
+    Raises InvalidScale unless the radii are positive and finite and
+    strictly decrease to at least a positive finite floor, and
+    `_require_inside` refuses centers that are not (k, n) in the domain's
+    dimension or whose balls leave the domain.
     """
 
     centers: np.ndarray
@@ -479,6 +485,9 @@ class ScaleFamily:
 
     def __post_init__(self):
         radii = np.asarray(self.radii, dtype=float)
+        for r in radii:
+            _require_positive(r, "family radius")
+        _require_positive(self.min_radius_floor, "resolution floor")
         if radii.size == 0 or np.any(np.diff(radii) >= 0):
             raise InvalidScale(f"radii {radii} are not strictly decreasing")
         if radii[-1] < self.min_radius_floor:

@@ -957,29 +957,40 @@ def test_normals_uncovered_synthesized_point_raises():
         ip.normal_field(stage, _simple_sample([[0, 0, 0]]))
 
 
-def _zero_patch_stage(kind):
-    """A stage of every row of a 400-point sample kept, built without
-    patches, and the same stage stripped of its normal field."""
-    sample, _ = generate(SyntheticSpec(kind=kind, n_points=400))
-    rows = np.arange(len(sample))
-    fine = ip.FineSet(indices=rows, plane_bases=sample.tangent_bases, tilts=np.zeros(rows.size))
-    stage = ip._fine_only_stage(sample, fine, ip.make_delta0(sample))
-    bare = dataclasses.replace(stage, normal_projectors=None, normal_lipschitz=None)
-    return sample, stage, bare
+def _patchless_stage(sample):
+    """The stage of every row of `sample` kept, without patches, as the
+    pipeline builds it for a fine set that covers every row (the gauge,
+    which `normal_field` does not read, is zero); it has no normal field
+    yet."""
+    n, m = sample.ambient_dim, sample.intrinsic_dim
+    return ip.SmoothedSurfaceStage(
+        points=sample.points.copy(),
+        gauge=np.zeros(len(sample)),
+        sample_rows=np.arange(len(sample)),
+        patch_centers=np.zeros((0, n)),
+        patch_bases=np.zeros((0, m, n)),
+        patch_gauge=np.zeros(0),
+        graph_lipschitz=np.zeros(0),
+        synth_offset_ratio=0.0,
+    )
 
 
 @pytest.mark.parametrize("kind", ["flat_disk", "sphere_cap"])
 def test_normals_zero_patch_stage_falls_back_on_every_kept_row(kind):
-    sample, stage, bare = _zero_patch_stage(kind)
-    assert len(bare.patch_centers) == 0
-    ip.normal_field(bare, sample)
-    assert np.array_equal(bare.normal_projectors, stage.normal_projectors)
-    assert bare.normal_lipschitz.shape == (0,)
+    # the rigidly moved copy has tangent projectors whose last bits depend
+    # on how B^T B is summed, so both sides must come from one kernel
+    sample, _ = generate(SyntheticSpec(kind=kind, n_points=400))
+    moved = sample.transformed(rotation=_rotation(5), translation=[0.3, -1.7, 2.2])
+    for s in (sample, moved):
+        stage = ip.normal_field(_patchless_stage(s), s)
+        rows = stage.sample_rows
+        assert np.array_equal(stage.normal_projectors, np.eye(3) - s.tangent_projectors[rows])
+        assert stage.normal_lipschitz.shape == (0,)
 
 
 def test_normals_zero_patch_stage_refuses_a_synthesized_row():
-    sample, _, bare = _zero_patch_stage("flat_disk")
-    bare.sample_rows = bare.sample_rows.copy()
+    sample, _ = generate(SyntheticSpec(kind="flat_disk", n_points=400))
+    bare = _patchless_stage(sample)
     bare.sample_rows[7] = -1
     with pytest.raises(UncoveredQuery, match="1 synthesized points"):
         ip.normal_field(bare, sample)

@@ -536,6 +536,33 @@ BAD_FAMILY_AND_PLANE_CALLS = {
         DimensionMismatch,
         r"plane in R\^4, sample in R\^3",
     ),
+    # the next two used to return a meaningless (lhs, rhs) pair
+    "tilt_plane_a_line": (
+        lambda s: ms.caccioppoli_bound_check(
+            s, Ball(ORIGIN, 0.3), 0.5, np.zeros((len(s), 3)), plane=Plane(basis=np.eye(3)[:1])
+        ),
+        DimensionMismatch,
+        "1-plane, sample of intrinsic dimension 2",
+    ),
+    "tilt_plane_all_of_r3": (
+        lambda s: ms.caccioppoli_bound_check(
+            s, Ball(ORIGIN, 0.3), 0.5, np.zeros((len(s), 3)), plane=Plane(basis=np.eye(3))
+        ),
+        DimensionMismatch,
+        "3-plane, sample of intrinsic dimension 2",
+    ),
+    # the next two used to be accepted: a NaN floor compares false, and the
+    # negative radius failed only in the ball loop
+    "family_nan_floor": (
+        lambda s: ms.ScaleFamily(np.zeros((1, 3)), (0.5, 0.25), np.nan, Ball(ORIGIN, 1.0)),
+        InvalidScale,
+        "resolution floor nan is not positive and finite",
+    ),
+    "family_negative_radius": (
+        lambda s: ms.ScaleFamily(np.zeros((1, 3)), (0.5, -0.25), -1.0, Ball(ORIGIN, 1.0)),
+        InvalidScale,
+        "family radius -0.25 is not positive and finite",
+    ),
     # used to raise numpy's AxisError
     "family_centers_one_dimensional": (
         lambda s: ms.ScaleFamily(np.zeros(3), (0.5, 0.25), 0.1, Ball(ORIGIN, 1.0)),

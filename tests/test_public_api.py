@@ -2,10 +2,10 @@
 lists exactly the public classes and functions the module defines, and so
 do the pinned lists of the public definitions of `synthetic`,
 `iterated_projection`, `multiscale`, `curvature`, `geometry` and
-`meshing`.  Source
-checks: one module owns the eigenframe kernel, the mesh kernels have one
-owner each, lazy views are cached properties, and retired knobs stay gone;
-every settable keyword and every `SyntheticSpec` field is listed."""
+`meshing`.  Source checks: one module owns the eigenframe and projector
+kernels, the mesh kernels have one owner each, lazy views are cached
+properties, and retired knobs stay gone; every settable keyword and every
+`SyntheticSpec` field is listed."""
 
 import dataclasses
 import importlib
@@ -158,6 +158,19 @@ def test_eigh_is_called_only_by_the_geometry_kernel():
     """Every principal frame comes from `geometry._principal_frames`; a second
     eigendecomposition elsewhere would copy its order, rank and sign rules."""
     assert _modules_matching(r"\beigh\b") == ["geometry.py"]
+
+
+def test_projectors_are_formed_only_by_the_geometry_kernel():
+    """Every orthogonal projector B^T B comes from `geometry._span_projectors`;
+    a second form of the product, such as an einsum, can differ from it in
+    the last bit on rotated bases."""
+    patterns = [
+        r"\b([\w.]+)\.T @ \1\b",
+        r'einsum\("(\w*)(\w)(\w),\1\2(\w)->\1\3\4", (\w+), \5\)',
+        r"matmul\(np\.swapaxes\((\w+), -1, -2\), \1\)",
+    ]
+    found = {name for pattern in patterns for name in _modules_matching(pattern)}
+    assert sorted(found) == ["geometry.py"]
 
 
 def test_mesh_kernels_have_one_owner():
