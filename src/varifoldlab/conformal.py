@@ -54,10 +54,10 @@ from .errors import (
 from .geometry import (
     WeightedSurfaceSample,
     _pair_lipschitz,
-    _require_finite_rows,
     _require_indices,
     _require_point,
     _require_positive,
+    _require_rows,
     fit_plane_pca,
 )
 from .meshing import (
@@ -229,21 +229,20 @@ class DiskPatch:
         ``plane_coords`` defaults to the first two ambient coordinates.
         A vertex index outside [0, len(points)), or not an integer, raises
         InvalidIndex, a non-finite point, plane coordinate or center
-        NonFiniteInput, plane coordinates not of shape (len(points), 2) or a
+        NonFiniteInput, points that are not (k, n) rows, plane coordinates
+        (given, or the default ones) not of shape (len(points), 2) or a
         center not in the points' space DimensionMismatch, and a radius or
         spacing that is not positive and finite InvalidScale.
         """
-        pts = np.asarray(points, dtype=float)
-        _require_finite_rows(pts, "patch point")
+        pts = _require_rows(points, None, "patch point")
         tris = _require_indices(triangles, len(pts), "triangle vertex", "vertices")
         if plane_coords is None:
-            coords = pts[:, :2].copy()
-        else:
-            coords = _plane_points(plane_coords, "plane coordinate")
-            if len(coords) != len(pts):
-                raise DimensionMismatch(
-                    f"{len(coords)} plane coordinates for {len(pts)} points"
-                )
+            plane_coords = pts[:, :2].copy()
+        coords = _require_rows(plane_coords, 2, "plane coordinate")
+        if len(coords) != len(pts):
+            raise DimensionMismatch(
+                f"{len(coords)} plane coordinates for {len(pts)} points"
+            )
         tris, boundary = _disk_complex(coords, tris, len(pts))
         if center is None:
             ctr = pts.mean(axis=0)
@@ -268,16 +267,6 @@ class DiskPatch:
             spacing=float(spacing),
             sample_rows=np.full(len(pts), -1, dtype=int),
         )
-
-
-def _plane_points(x, what: str) -> np.ndarray:
-    """`x` as finite (k, 2) parameter-plane points, else DimensionMismatch
-    or NonFiniteInput naming `what`."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 2:
-        raise DimensionMismatch(f"{what}s have shape {x.shape}, need (k, 2)")
-    _require_finite_rows(x, what)
-    return x
 
 
 def _length_graph(points: np.ndarray, edges: np.ndarray) -> sparse.csr_matrix:
@@ -698,7 +687,7 @@ def waypoint_cycle(patch: DiskPatch, waypoints2) -> np.ndarray:
     DimensionMismatch (waypoints not of shape (k, 2)) and NonFiniteInput
     (a waypoint holding NaN or infinity).
     """
-    waypoints2 = _plane_points(waypoints2, "waypoint")
+    waypoints2 = _require_rows(waypoints2, 2, "waypoint")
     coords = patch.plane_coords
     tree = cKDTree(coords)
     idx = tree.query(waypoints2)[1]
@@ -1101,7 +1090,7 @@ def quasisymmetry_table(
     NaN or infinity NonFiniteInput, and a scale that is not positive and
     finite InvalidScale.
     """
-    centers = _plane_points(np.atleast_2d(centers), "quasisymmetry center")
+    centers = _require_rows(np.atleast_2d(centers), 2, "quasisymmetry center")
     disk = param.disk_points
     f = param.surface_points
     tree = cKDTree(disk)

@@ -8,7 +8,9 @@ projector (Frobenius) distances, and nearest orthogonal projectors
 (`grassmann_bases`).  ``_principal_frames`` is the only owner of
 principal frames (eigenframes), and ``_span_projectors`` of the projector
 B^T B of an orthonormal row basis B: plane, tangent and normal projectors
-all read it.
+all read it.  ``_plane_split`` is the only owner of the split of points
+about a plane into in-plane coordinates and normal parts, and
+``_require_rows`` of the check that an input is finite (k, n) rows.
 """
 
 from __future__ import annotations
@@ -65,7 +67,10 @@ class Plane:
     Independent rows that are not orthonormal are replaced by the QR
     orthonormalization of their span.  Raises NonFiniteInput for a basis
     holding NaN or infinity and RankDeficient for dependent rows (an |R_ii|
-    at most 1e-12 times the largest).
+    at most 1e-12 times the largest).  `coordinates`, `heights` and `lift`
+    take one point or (k, n) points (k, m coordinates for `lift`), and
+    raise DimensionMismatch for another shape and NonFiniteInput for a row
+    holding NaN or infinity.
     """
 
     basis: np.ndarray
@@ -109,13 +114,11 @@ class Plane:
 
     def coordinates(self, points: np.ndarray) -> np.ndarray:
         """In-plane coordinates (m per point) relative to the basepoint."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        origin = self.basepoint if self.basepoint is not None else 0.0
-        return (pts - origin) @ self.basis.T
+        return self._split(points)[0]
 
     def lift(self, coords: np.ndarray, heights: np.ndarray | None = None):
         """Map in-plane coordinates (and optional normal offsets) back to R^n."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        coords = _require_rows(np.atleast_2d(coords), self.dim, "plane coordinate")
         origin = (
             self.basepoint
             if self.basepoint is not None
@@ -128,11 +131,13 @@ class Plane:
 
     def heights(self, points: np.ndarray) -> np.ndarray:
         """Unsigned normal distance of points to the affine plane."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.linalg.norm(self._split(points)[1], axis=1)
+
+    def _split(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """`_plane_split` of checked `points` relative to the basepoint."""
+        pts = _require_rows(np.atleast_2d(points), self.ambient_dim, "point")
         origin = self.basepoint if self.basepoint is not None else 0.0
-        rel = pts - origin
-        tang = (rel @ self.basis.T) @ self.basis
-        return np.linalg.norm(rel - tang, axis=1)
+        return _plane_split(pts - origin, self.basis)
 
 
 @dataclass(frozen=True)
@@ -365,20 +370,20 @@ def fit_plane_pca(points, weights=None, dim: int = 2, center=None) -> Plane:
     EmptyInput
         No points or nonpositive total weight.
     DimensionMismatch
-        `dim` outside [1, n], weights not of shape (N,), or a center that
-        is not one point in R^n.
+        Points that are neither one point nor (N, n) rows, `dim` outside
+        [1, n], weights not of shape (N,), or a center that is not one
+        point in R^n.
     NonFiniteInput
         A point, weight or the center holds NaN or infinity.
     DegenerateCloud
         Second-moment rank below `dim`.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _require_rows(np.atleast_2d(points), None, "point")
     if pts.shape[0] == 0:
         raise EmptyInput("no points to fit")
     n = pts.shape[1]
     if not 1 <= dim <= n:
         raise DimensionMismatch(f"plane dimension {dim} is outside [1, {n}]")
-    _require_finite_rows(pts, "point")
     if weights is None:
         w = np.ones(pts.shape[0])
     else:
@@ -438,6 +443,14 @@ def _span_projectors(bases: np.ndarray) -> np.ndarray:
     return np.matmul(np.swapaxes(bases, -1, -2), bases)
 
 
+def _plane_split(rel: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split `rel` about an orthonormal row basis B, or about each of a
+    stack: ``(coords, normal_parts)`` with ``coords = rel B^T`` and
+    ``normal_parts = rel - coords B``, one matmul each."""
+    coords = rel @ np.swapaxes(bases, -1, -2)
+    return coords, rel - coords @ bases
+
+
 def _require_positive(value, what: str) -> None:
     """Refuse a radius or floor that is not a positive finite number."""
     if not (np.isfinite(value) and value > 0):
@@ -450,6 +463,18 @@ def _require_finite_rows(arr: np.ndarray, what: str) -> None:
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim))))
     if bad.size:
         raise NonFiniteInput(f"{what} of row {bad[0]} is not finite")
+
+
+def _require_rows(x, dim: int | None, what: str) -> np.ndarray:
+    """`x` as float (k, dim) rows, of any width when `dim` is None, else
+    DimensionMismatch naming `what` and the shape, or NonFiniteInput
+    naming the first row that holds NaN or infinity."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or (dim is not None and x.shape[1] != dim):
+        need = "n" if dim is None else dim
+        raise DimensionMismatch(f"{what}s have shape {x.shape}, need (k, {need})")
+    _require_finite_rows(x, what)
+    return x
 
 
 def _require_indices(idx, k: int, what: str, within: str) -> np.ndarray:

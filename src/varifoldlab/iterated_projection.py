@@ -37,11 +37,12 @@ from .geometry import (
     Ball,
     WeightedSurfaceSample,
     _pair_lipschitz,
+    _plane_split,
     _principal_frames,
-    _require_finite_rows,
     _require_indices,
     _require_point,
     _require_positive,
+    _require_rows,
     _second_moments,
     _span_projectors,
     grassmann_bases,
@@ -83,11 +84,7 @@ class DeltaField:
         (k, n) points in the domain's dimension n, NonFiniteInput for a
         query holding NaN or infinity, and PointOutsideDomain for a query
         outside the domain ball."""
-        q = np.atleast_2d(np.asarray(queries, dtype=float))
-        n = len(self.domain.center)
-        if q.ndim != 2 or q.shape[1] != n:
-            raise DimensionMismatch(f"queries have shape {q.shape}, need (k, {n})")
-        _require_finite_rows(q, "query")
+        q = _require_rows(np.atleast_2d(queries), len(self.domain.center), "query point")
         rad = np.linalg.norm(q - self.domain.center, axis=1)
         if np.any(rad > self.domain.radius * (1.0 + 1e-9)):
             raise PointOutsideDomain("point outside the analysis domain ball")
@@ -571,19 +568,21 @@ def build_sigma_delta(
         # grid is the one node at its own kept point, is not refitted
         d = vals[members]
         kept = (2.0 * d < floor) | (PATCH_RADIUS_MULT * d < grid_step)
-        members = members[~(np.isin(members, fine.indices) & kept)]
+        in_fine = np.isin(members, fine.indices)
+        refit = ~(in_fine & kept)
+        members, in_fine = members[refit], in_fine[refit]
         existing_tree = cKDTree(np.concatenate(stage_pts))
         anchors = fine_tree.query_ball_point(
             sample.points[members], POU_SUPPORT_MULT * vals[members],
             return_sorted=False,
         )
         new_pts: list[np.ndarray] = []
-        for row, local in zip(members, anchors):
+        for row, is_fine, local in zip(members, in_fine, anchors):
             u = sample.points[row]
             d_u = vals[row]
             support_r = POU_SUPPORT_MULT * d_u
             basis = fine.plane_bases[row]
-            if row in fine:
+            if is_fine:
                 if len(local) < m + 1:
                     # too few anchors to refit: the member's kept point stands
                     continue
@@ -599,8 +598,7 @@ def build_sigma_delta(
                 )
             local = np.asarray(local, dtype=int)
             rel = fine_pts[local] - u
-            coords = rel @ basis.T
-            normals = rel - coords @ basis
+            coords, normals = _plane_split(rel, basis)
             grid = _square_grid(PATCH_RADIUS_MULT * d_u, grid_step, m)
             d2 = (
                 (coords[None, :, :] - grid[:, None, :]) ** 2
@@ -666,9 +664,7 @@ def _graph_lipschitz(stage: SmoothedSurfaceStage, lip_bound: float) -> np.ndarra
             # bound the pairwise cost on wide patches with a uniform stride
             ball = ball[:: len(ball) // 300 + 1]
         local = stage.points[ball] - stage.patch_centers[k]
-        basis = stage.patch_bases[k]
-        cc = local @ basis.T
-        lips[k] = _pair_lipschitz(cc, local - cc @ basis, 1e-12)
+        lips[k] = _pair_lipschitz(*_plane_split(local, stage.patch_bases[k]), 1e-12)
         if lips[k] > lip_bound:
             raise GraphTestFailure(
                 f"patch at {np.round(stage.patch_centers[k], 6).tolist()} fails the graph "

@@ -37,10 +37,11 @@ from .geometry import (
     Plane,
     WeightedSurfaceSample,
     _pca_plane,
+    _plane_split,
     _principal_frames,
-    _require_finite_rows,
     _require_point,
     _require_positive,
+    _require_rows,
     _span_projectors,
 )
 from .synthetic import disk_lattice
@@ -152,8 +153,7 @@ def _flatness_of(sample, idx, ball, grid) -> FlatnessDetails:
 
     def surface_side(bases):
         """d1 of each plane of a (k, m, n) basis stack."""
-        coords = rel @ bases.transpose(0, 2, 1)
-        heights = rel - coords @ bases
+        coords, heights = _plane_split(rel, bases)
         h2 = np.einsum("kij,kij->ki", heights, heights)
         rho = np.linalg.norm(coords, axis=2)
         overshoot = np.clip(rho - sigma, 0.0, None)
@@ -298,7 +298,7 @@ def caccioppoli_bound_check(
     w = sample.weights[idx]
     curv = float((w * np.einsum("ij,ij->i", H_field[idx], H_field[idx])).sum())
     rel = sample.points[idx] - ball.center
-    heights = rel - (rel @ plane.basis.T) @ plane.basis
+    heights = _plane_split(rel, plane.basis)[1]
     hgt = float((w * np.einsum("ij,ij->i", heights, heights)).sum())
     rhs = curv + (1.0 + 1.0 / alpha) ** 2 * hgt / sigma**4
     return lhs, rhs
@@ -332,8 +332,7 @@ def _beta_rows(sample, cand, inside, scale: float) -> np.ndarray:
     # plane rows in ascending eigenvalue order: the descending order sums
     # each projection the other way round, which moves beta by up to 1e-14
     # relative where the heights cancel
-    basis = frames[:, m - 1 :: -1].transpose(0, 2, 1)
-    heights = rel - (rel @ basis) @ basis.transpose(0, 2, 1)
+    heights = _plane_split(rel, frames[:, m - 1 :: -1])[1]
     d2 = np.einsum("bki,bki->bk", heights, heights)
     out[fit] = np.where(spans, (w * d2).sum(axis=1) / scale ** (m + 2), 0.0)
     return out
@@ -446,22 +445,18 @@ def projection_no_hole_check(
     xi = ball.center
     grid = _disk_grid(sample, sigma)
     plane = _flatness_of(sample, sample.ball_query(xi, sigma), ball, grid).plane
-    rel = sample.points - xi
-    coords = rel @ plane.basis.T
-    heights = rel - coords @ plane.basis
+    coords, heights = _plane_split(sample.points - xi, plane.basis)
     in_cyl = (np.linalg.norm(coords, axis=1) <= sigma) & (
         np.linalg.norm(heights, axis=1) <= sigma
     )
     proj = coords[in_cyl]
     h = sample.mean_spacing
     if proj.shape[0] == 0:
-        gaps = xi + grid @ plane.basis
-        return False, gaps
+        return False, plane.lift(grid)
     tree = cKDTree(proj)
     dist = tree.query(grid)[0]
     bad = dist > NO_HOLE_COVER_MULT * h
-    gaps = xi + grid[bad] @ plane.basis
-    return bool(not bad.any()), gaps
+    return bool(not bad.any()), plane.lift(grid[bad])
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +504,7 @@ def _require_inside(domain: Ball, centers, radius: float) -> np.ndarray:
     DimensionMismatch or NonFiniteInput; PointOutsideDomain names the first
     center whose ball of `radius` reaches beyond the domain by more than
     1e-12."""
-    centers = np.asarray(centers, dtype=float)
-    n = len(domain.center)
-    if centers.ndim != 2 or centers.shape[1] != n:
-        raise DimensionMismatch(
-            f"family centers have shape {centers.shape}, need (k, {n}) in the "
-            f"dimension of the domain"
-        )
-    _require_finite_rows(centers, "family center")
+    centers = _require_rows(centers, len(domain.center), "family center")
     reach = np.linalg.norm(centers - domain.center, axis=1) + radius
     out = np.flatnonzero(reach > domain.radius + 1e-12)
     if out.size:

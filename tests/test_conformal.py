@@ -1571,6 +1571,17 @@ BAD_CONFORMAL_CALLS = {
         InvalidIndex,
         "triangle vertex 474",
     ),
+    # the next two used to raise IndexError
+    "from_mesh_flat_point_array": (
+        lambda p: conf.DiskPatch.from_mesh(p.patch.points.ravel(), p.patch.triangles),
+        DimensionMismatch,
+        r"patch points have shape \(\d+,\), need \(k, n\)",
+    ),
+    "from_mesh_one_coordinate_points": (
+        lambda p: conf.DiskPatch.from_mesh(p.patch.points[:, :1], p.patch.triangles),
+        DimensionMismatch,
+        r"plane coordinates have shape \(\d+, 1\), need \(k, 2\)",
+    ),
     "from_mesh_three_plane_coordinates": (
         lambda p: _grid_mesh_with(plane_coords=np.zeros((3, 2))),
         DimensionMismatch,

@@ -73,6 +73,24 @@ def test_plane_roundtrip_coordinates():
     assert np.allclose(plane.heights(pts), 0.0, atol=1e-12)
 
 
+# the first three used to raise numpy's matmul ValueError, the last returned
+# NaN coordinates
+@pytest.mark.parametrize(
+    "method, rows, error, match",
+    [
+        ("coordinates", np.zeros((4, 2)), DimensionMismatch, r"points have shape \(4, 2\), need \(k, 3\)"),
+        ("heights", np.zeros((4, 4)), DimensionMismatch, r"points have shape \(4, 4\), need \(k, 3\)"),
+        ("lift", np.zeros((4, 3)), DimensionMismatch, r"plane coordinates have shape \(4, 3\), need \(k, 2\)"),
+        ("coordinates", np.full((2, 3), np.nan), NonFiniteInput, "point of row 0 is not finite"),
+    ],
+    ids=["coordinates-r2", "heights-r4", "lift-r3", "coordinates-nan"],
+)
+def test_plane_methods_refuse_bad_rows(method, rows, error, match):
+    plane = Plane(basis=np.eye(3)[:2])
+    with pytest.raises(error, match=match):
+        getattr(plane, method)(rows)
+
+
 def test_plane_basepoint_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Plane(basis=np.eye(3)[:2], basepoint=np.zeros(4))
@@ -415,6 +433,12 @@ BAD_RANK_CALLS = {
         lambda: fit_plane_pca(GAUSS20, weights=np.ones((20, 1))),
         DimensionMismatch,
         r"weights have shape \(20, 1\)",
+    ),
+    # used to raise numpy's broadcast ValueError
+    "pca_stacked_points": (
+        lambda: fit_plane_pca(np.zeros((2, 3, 3))),
+        DimensionMismatch,
+        r"points have shape \(2, 3, 3\), need \(k, n\)",
     ),
     "grassmann_rank_zero": (lambda: grassmann_bases(np.eye(3), 0), DimensionMismatch, "rank 0"),
     # used to raise numpy's LinAlgError ("Eigenvalues did not converge")

@@ -224,11 +224,11 @@ def test_gauge_evaluate_rejects_query_outside_domain():
     "queries, error, message",
     [
         # used to raise numpy's broadcasting ValueError
-        (np.zeros((4, 2)), DimensionMismatch, r"queries have shape \(4, 2\), need \(k, 3\)"),
-        (np.zeros((2, 2, 3)), DimensionMismatch, r"queries have shape \(2, 2, 3\)"),
+        (np.zeros((4, 2)), DimensionMismatch, r"query points have shape \(4, 2\), need \(k, 3\)"),
+        (np.zeros((2, 2, 3)), DimensionMismatch, r"query points have shape \(2, 2, 3\)"),
         # used to return a NaN gauge
-        ([[0.1, 0.0, 0.0], [np.nan, 0.0, 0.0]], NonFiniteInput, "query of row 1 is not finite"),
-        ([[0.1, np.inf, 0.0]], NonFiniteInput, "query of row 0 is not finite"),
+        ([[0.1, 0.0, 0.0], [np.nan, 0.0, 0.0]], NonFiniteInput, "query point of row 1 is not finite"),
+        ([[0.1, np.inf, 0.0]], NonFiniteInput, "query point of row 0 is not finite"),
     ],
     ids=["r2-queries", "stacked-queries", "nan", "inf"],
 )

@@ -604,7 +604,7 @@ BAD_FAMILY_AND_PLANE_CALLS = {
             s, Ball(np.zeros(2), 1.0), ms.build_scale_family(s, Ball(ORIGIN, 1.0), sigma_max=0.5)
         ),
         DimensionMismatch,
-        r"need \(k, 2\) in the dimension of the domain",
+        r"family centers have shape \(\d+, 3\), need \(k, 2\)",
     ),
 }
 

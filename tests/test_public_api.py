@@ -173,6 +173,25 @@ def test_projectors_are_formed_only_by_the_geometry_kernel():
     assert sorted(found) == ["geometry.py"]
 
 
+def test_plane_split_is_formed_only_by_the_geometry_kernel():
+    """Every split of points about a plane into in-plane coordinates and
+    normal parts, for one basis or a stack, comes from
+    `geometry._plane_split`."""
+    transposed = r"(?:\.T|\.transpose\(0, 2, 1\))"
+    patterns = [
+        rf"(\w+) = (\w+) @ ([\w.]+){transposed}\n[^\n]*\b\2 - \1 @ \3\b",
+        rf"(\w+) - \(\1 @ ([\w.]+){transposed}?\) @ \2{transposed}?",
+        r"(\w+) = (\w+) @ np\.swapaxes\((\w+), -1, -2\)\n[^\n]*\b\2 - \1 @ \3\b",
+    ]
+    found = {name for pattern in patterns for name in _modules_matching(pattern)}
+    assert sorted(found) == ["geometry.py"]
+
+
+def test_row_shape_check_has_one_owner():
+    """Every (k, n) rows check, and its message, is `geometry._require_rows`."""
+    assert _modules_matching(r"need \(k, ") == ["geometry.py"]
+
+
 def test_mesh_kernels_have_one_owner():
     """Face values reach vertices through `meshing.vertex_sums` and wedge
     norms come from `meshing._wedge_norms`, in any dimension; the one
