@@ -33,7 +33,6 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, cKDTree
-from scipy.spatial.distance import cdist
 
 from .curvature import CurvatureField
 from .errors import (
@@ -53,6 +52,7 @@ from .errors import (
 )
 from .geometry import (
     WeightedSurfaceSample,
+    _pair_blocks,
     _pair_lipschitz,
     _require_indices,
     _require_point,
@@ -395,13 +395,13 @@ def _boundary_chord_arc(points: np.ndarray, boundary: np.ndarray, sigma: float) 
         sel = np.linspace(0, len(bp) - 1, CHORD_ARC_SAMPLES).astype(int)
         bp = bp[sel]
         cum = cum[sel]
-    ds = np.abs(cum[:, None] - cum[None, :])
-    arc = np.minimum(ds, total - ds)
-    chord = np.linalg.norm(bp[:, None, :] - bp[None, :, :], axis=2)
-    mask = chord > 1e-12 * sigma
-    if not mask.any():
-        return 0.0
-    return float(np.max(arc[mask] / np.sqrt(sigma * chord[mask])))
+    worst = 0.0
+    for part, chord in _pair_blocks(np.arange(len(bp)), bp):
+        ds = np.abs(cum[part, None] - cum)
+        arc = np.minimum(ds, total - ds)
+        mask = chord > 1e-12 * sigma
+        worst = float((arc[mask] / np.sqrt(sigma * chord[mask])).max(initial=worst))
+    return worst
 
 
 # Patch triangulation keeps a triangle only when its circumradius is at most
@@ -627,9 +627,7 @@ def intrinsic_metric_diagnostics(patch: DiskPatch, *, seed: int = 0) -> dict:
     # one without scipy transposing the graph first
     d_metric = dijkstra(metric, directed=True, indices=src)
     d_skel = dijkstra(skeleton, directed=True, indices=src)
-    # one source row at a time: a (sources, k, n) difference table would be
-    # the largest transient of the diagnostics
-    chords = np.stack([np.linalg.norm(patch.points[s] - patch.points, axis=1) for s in src])
+    chords = np.concatenate([c for _, c in _pair_blocks(src, patch.points)])
     r_max = float(np.linalg.norm(patch.plane_coords, axis=1).max())
     chord_floor = max(24.0 * patch.spacing, 0.25 * r_max)
     mask = (chords >= chord_floor) & np.isfinite(d_metric)
@@ -646,11 +644,8 @@ def intrinsic_metric_diagnostics(patch: DiskPatch, *, seed: int = 0) -> dict:
     if len(enclosed) > 1500:
         enclosed = rng.choice(enclosed, 1500, replace=False)
     epts = patch.points[enclosed]
-    # 128 rows against all at a time: the max of the pairwise distances
-    # without their 1.1M-entry vector
     diam = max(
-        (float(cdist(epts[lo : lo + 128], epts).max()) for lo in range(0, len(epts), 128)),
-        default=0.0,
+        (float(d.max()) for _, d in _pair_blocks(np.arange(len(epts)), epts)), default=0.0
     )
     length = _cycle_arcs(patch.points[cyc])[2]
     return {
@@ -1101,17 +1096,15 @@ def quasisymmetry_table(
     for s in scales:
         _require_positive(s, "quasisymmetry scale")
     values = np.full((len(idx), len(scales)), np.nan)
-    for row, c in enumerate(idx):
-        d = np.linalg.norm(disk - disk[c], axis=1)
-        df = np.linalg.norm(f - f[c], axis=1)
+    for part, d, df in _pair_blocks(idx, disk, f):
         others = d > 1e-15
         for col, s in enumerate(scales):
             near = others & (d <= s)
             far = d >= s
-            if near.any() and far.any():
-                lo = float(df[far].min())
-                if lo > 0:
-                    values[row, col] = float(df[near].max()) / lo
+            big = df.max(axis=1, where=near, initial=0.0)
+            lo = df.min(axis=1, where=far, initial=np.inf)
+            ok = near.any(axis=1) & far.any(axis=1) & (lo > 0)
+            np.divide(big, lo, out=values[part, col], where=ok)
     return QuasisymmetryTable(
         center_indices=idx, scales=scales, values=values
     )

@@ -9,8 +9,10 @@ projector (Frobenius) distances, and nearest orthogonal projectors
 principal frames (eigenframes), and ``_span_projectors`` of the projector
 B^T B of an orthonormal row basis B: plane, tangent and normal projectors
 all read it.  ``_plane_split`` is the only owner of the split of points
-about a plane into in-plane coordinates and normal parts, and
-``_require_rows`` of the check that an input is finite (k, n) rows.
+about a plane into in-plane coordinates and normal parts,
+``_require_rows`` of the check that an input is finite (k, n) rows, and
+``_pair_blocks`` of every table of pairwise distances and its block
+budget ``_PAIR_BLOCK``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import (
     DegenerateCloud,
@@ -51,6 +53,12 @@ _EIGENGAP_TOL = 1e-9
 # runs 1.79 s against 1.57 s, 2-vCPU VM)
 _QUERY_BLOCK = 16
 
+# entries of one table that `_pair_blocks` yields (at least one row): the
+# all-pairs `iterated_projection.distortion_report` of 2000 points (the
+# seed-7 `stagewise` disk) traced +3.7 MB at 2**16 entries, against
+# +14.8 MB at 2**18
+_PAIR_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Plane:
@@ -68,8 +76,9 @@ class Plane:
     orthonormalization of their span.  Raises NonFiniteInput for a basis
     holding NaN or infinity and RankDeficient for dependent rows (an |R_ii|
     at most 1e-12 times the largest).  `coordinates`, `heights` and `lift`
-    take one point or (k, n) points (k, m coordinates for `lift`), and
-    raise DimensionMismatch for another shape and NonFiniteInput for a row
+    take one point or (k, n) points (k, m coordinates for `lift`, with
+    one row of n normal offsets or one per coordinate row), and raise
+    DimensionMismatch for another shape and NonFiniteInput for a row
     holding NaN or infinity.
     """
 
@@ -126,7 +135,13 @@ class Plane:
         )
         pts = origin + coords @ self.basis
         if heights is not None:
-            pts = pts + np.atleast_2d(heights)
+            heights = _require_rows(np.atleast_2d(heights), self.ambient_dim, "height")
+            if len(heights) not in (1, len(coords)):
+                raise DimensionMismatch(
+                    f"heights have {len(heights)} rows, need 1 or one per "
+                    f"coordinate row ({len(coords)})"
+                )
+            pts = pts + heights
         return pts
 
     def heights(self, points: np.ndarray) -> np.ndarray:
@@ -172,7 +187,8 @@ class WeightedSurfaceSample:
     Raises
     ------
     EmptyInput, DimensionMismatch
-        No points, or arrays of inconsistent shapes.
+        No points, points that are not (N, n) rows, or arrays of
+        inconsistent shapes.
     NonFiniteInput
         A point, weight or tangent basis holds NaN or infinity.
     NonPositiveWeight
@@ -184,20 +200,17 @@ class WeightedSurfaceSample:
     """
 
     def __init__(self, points, weights, tangent_bases):
-        points = np.ascontiguousarray(points, dtype=float)
+        points = np.ascontiguousarray(_require_rows(points, None, "point"))
         weights = np.ascontiguousarray(weights, dtype=float)
         bases = np.ascontiguousarray(tangent_bases, dtype=float)
-        if points.ndim != 2:
-            raise EmptyInput("points must be a 2-d array")
         if points.shape[0] == 0:
             raise EmptyInput("sample has no points")
         if weights.shape != (points.shape[0],):
             raise DimensionMismatch("weights shape mismatch")
         if bases.ndim != 3 or (bases.shape[0], bases.shape[2]) != points.shape:
             raise DimensionMismatch("tangent basis shape mismatch")
-        arrays = {"point": points, "weight": weights, "tangent basis": bases}
-        for name, arr in arrays.items():
-            _require_finite_rows(arr, name)
+        _require_finite_rows(weights, "weight")
+        _require_finite_rows(bases, "tangent basis")
         bad = np.flatnonzero(weights <= 0)
         if bad.size:
             raise NonPositiveWeight(
@@ -503,6 +516,21 @@ def _require_point(x, dim: int | None, what: str) -> np.ndarray:
     return x
 
 
+def _pair_blocks(rows, *points):
+    """Distances from `rows` of each array in `points` (all aligned by
+    row) to every row of that array, one block of rows at a time.
+
+    Yields ``(part, *tables)``: ``part`` the slice of positions in `rows`
+    the block covers, and per array ``p`` the euclidean ``cdist`` table of
+    ``p[rows[part]]`` against ``p``, of at most `_PAIR_BLOCK` entries (one
+    row when a row alone holds more).
+    """
+    step = max(1, _PAIR_BLOCK // max(len(points[0]), 1))
+    for lo in range(0, len(rows), step):
+        part = slice(lo, lo + step)
+        yield (part, *(cdist(p[rows[part]], p) for p in points))
+
+
 def _pair_lipschitz(x, y, floor: float) -> float:
     """Largest |y_i - y_j| / |x_i - x_j| over the pairs with |x_i - x_j| >
     floor; 0.0 when there is no such pair (or fewer than two rows)."""
@@ -582,10 +610,7 @@ def complement_frame(normals: np.ndarray) -> np.ndarray:
     DegenerateCloud naming the first zero normal (or one so short that its
     tangent underflows).
     """
-    normals = np.asarray(normals, dtype=float)
-    if normals.ndim != 2 or normals.shape[1] != 3:
-        raise DimensionMismatch(f"normals have shape {normals.shape}, need (N, 3)")
-    _require_finite_rows(normals, "normal")
+    normals = _require_rows(normals, 3, "normal")
     ref = np.where(
         np.abs(normals[:, [0]]) < 0.9,
         np.array([[1.0, 0.0, 0.0]]),

@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DegenerateCloud,
@@ -26,7 +25,6 @@ from .errors import (
     EmptyInput,
     GraphTestFailure,
     NonContraction,
-    NonFiniteInput,
     NonInjectiveMap,
     NoValidPreimage,
     PointOutsideDomain,
@@ -36,6 +34,7 @@ from .errors import (
 from .geometry import (
     Ball,
     WeightedSurfaceSample,
+    _pair_blocks,
     _pair_lipschitz,
     _plane_split,
     _principal_frames,
@@ -891,10 +890,9 @@ def distortion_report(source_points, target_points) -> DistortionReport:
     All pairs are used when the point count is at most DISTORTION_PAIRS;
     otherwise each point gets its nearest neighbors plus seeded random
     partners.  The L^p figures take exponent DISTORTION_P and uniform
-    weights.  All pairs are read a block of about 2**16 pairs at a time,
-    each block dropped before the next: +3.7 MB traced at 2000 points (the
-    seed-7 `stagewise` disk), from +14.8 MB at 2**18.  The sampled partners
-    form one block of N * (8 + partners) pairs.
+    weights.  All pairs are read in the row blocks of
+    `geometry._pair_blocks`, each block dropped before the next; the
+    sampled partners form one block of N * (8 + partners) pairs.
 
     Raises DimensionMismatch unless source and target are (N, n) arrays of
     one shape, NonFiniteInput for a non-finite coordinate, TooFewPoints
@@ -902,14 +900,12 @@ def distortion_report(source_points, target_points) -> DistortionReport:
     a row's lower quotient is so small (0 for two distinct sources on one
     target) that its power -DISTORTION_P overflows.
     """
-    src = np.atleast_2d(np.asarray(source_points, dtype=float))
-    tgt = np.atleast_2d(np.asarray(target_points, dtype=float))
-    if src.ndim != 2 or src.shape != tgt.shape:
+    src = _require_rows(np.atleast_2d(source_points), None, "source point")
+    tgt = _require_rows(np.atleast_2d(target_points), src.shape[1], "target point")
+    if len(tgt) != len(src):
         raise DimensionMismatch(
             f"source {src.shape} and target {tgt.shape} must be (N, n) of one shape"
         )
-    if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
-        raise NonFiniteInput("mapped points must be finite")
     if len(src) < 2 or (src == src[0]).all():
         raise TooFewPoints("distortion needs at least two distinct source points")
     n_pts = len(src)
@@ -917,7 +913,7 @@ def distortion_report(source_points, target_points) -> DistortionReport:
 
     dev = tgt - src
     if n_pts <= DISTORTION_PAIRS:
-        blocks = _all_pair_blocks(src, tgt, dev)
+        blocks = _pair_blocks(np.arange(n_pts), src, tgt, dev)
     else:
         blocks = [_sampled_pair_block(src, tgt, dev, DISTORTION_PAIRS, DISTORTION_SEED)]
 
@@ -926,8 +922,10 @@ def distortion_report(source_points, target_points) -> DistortionReport:
     dev_up = np.empty(n_pts)
     # running count, means and centered co-moments of the log distances
     count, mean_s, mean_t, m_ss, m_tt, m_st = 0, 0.0, 0.0, 0.0, 0.0, 0.0
-    for rows, ds, dt, dd, valid in blocks:
-        ok = valid & (ds > 1e-300)
+    for part, ds, dt, dd in blocks:
+        # a row's pairing with itself, a duplicated point and a sampled
+        # partner's padding all read a source distance of 0
+        ok = ds > 1e-300
         has = ok.any(axis=1)
         pos = ok & (dt > 1e-300)
         ls = np.log(ds[pos])
@@ -935,11 +933,11 @@ def distortion_report(source_points, target_points) -> DistortionReport:
         # quotients in place of the distances; the block is dropped before
         # `blocks` builds the next one
         ratio = np.divide(dt, ds, out=dt, where=ok)
-        f_up[rows] = np.where(has, ratio.max(axis=1, where=ok, initial=-np.inf), 1.0)
-        f_lo[rows] = np.where(has, ratio.min(axis=1, where=ok, initial=np.inf), 1.0)
+        f_up[part] = np.where(has, ratio.max(axis=1, where=ok, initial=-np.inf), 1.0)
+        f_lo[part] = np.where(has, ratio.min(axis=1, where=ok, initial=np.inf), 1.0)
         ratio = np.divide(dd, ds, out=dd, where=ok)
-        dev_up[rows] = np.where(has, ratio.max(axis=1, where=ok, initial=-np.inf), 0.0)
-        del ds, dt, dd, valid, ok, pos, ratio
+        dev_up[part] = np.where(has, ratio.max(axis=1, where=ok, initial=-np.inf), 0.0)
+        del ds, dt, dd, ok, pos, ratio
         if not ls.size:
             continue
         # merge this block's moments into the running ones (Chan et al.)
@@ -979,55 +977,35 @@ def distortion_report(source_points, target_points) -> DistortionReport:
     )
 
 
-def _all_pair_blocks(src, tgt, dev, entries: int = 1 << 16):
-    """Every (row, other row) pair, as row blocks of distance matrices.
-
-    Yields ``(rows, ds, dt, dd, valid)``: source, target and deviation
-    distances from the block's rows to all points, and a mask dropping
-    each row's pairing with itself.
-    """
-    n_pts = len(src)
-    step = max(1, entries // n_pts)
-    for lo in range(0, n_pts, step):
-        rows = np.arange(lo, min(lo + step, n_pts))
-        valid = np.ones((len(rows), n_pts), dtype=bool)
-        valid[np.arange(len(rows)), rows] = False
-        yield (
-            rows,
-            cdist(src[rows], src),
-            cdist(tgt[rows], tgt),
-            cdist(dev[rows], dev),
-            valid,
-        )
-
-
 def _sampled_pair_block(src, tgt, dev, pairs: int, seed: int):
     """Each row against its 8 nearest neighbors (all others when there
     are fewer) plus seeded random rows.
 
-    Partners are deduplicated, sorted and never the row itself; ``valid``
-    masks the padding that deduplication leaves.  Returns one block in the
-    layout of `_all_pair_blocks`.
+    Partners are deduplicated, sorted and never the row itself.  Returns
+    one block ``(part, ds, dt, dd)`` in the layout of
+    `geometry._pair_blocks`: ``part`` the slice of every row, and source,
+    target and deviation distances from each row to its partners, with
+    the source distance 0 on the padding that deduplication leaves.
     """
     n_pts = len(src)
     rng = np.random.default_rng(seed)
     k_near = min(8, n_pts - 1)
     _, near = cKDTree(src).query(src, k=k_near + 1)
     n_rand = max(4, pairs // n_pts + 1)
-    rows = np.arange(n_pts)
     cand = np.concatenate(
         [near[:, 1:], rng.integers(0, n_pts, (n_pts, n_rand))], axis=1
     )
-    cand = np.sort(np.where(cand == rows[:, None], -1, cand), axis=1)
+    cand = np.sort(np.where(cand == np.arange(n_pts)[:, None], -1, cand), axis=1)
     valid = cand >= 0
     valid[:, 1:] &= cand[:, 1:] != cand[:, :-1]
     cand = np.maximum(cand, 0)
+    ds = np.linalg.norm(src[cand] - src[:, None, :], axis=2)
+    ds[~valid] = 0.0
     return (
-        rows,
-        np.linalg.norm(src[cand] - src[:, None, :], axis=2),
+        slice(None),
+        ds,
         np.linalg.norm(tgt[cand] - tgt[:, None, :], axis=2),
         np.linalg.norm(dev[cand] - dev[:, None, :], axis=2),
-        valid,
     )
 
 

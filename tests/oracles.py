@@ -15,7 +15,9 @@ from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
+from varifoldlab import geometry
 from varifoldlab import iterated_projection as ip
 from varifoldlab import multiscale as ms
 from varifoldlab.curvature import _PROFILE_FRACTIONS
@@ -909,11 +911,35 @@ def pou_matrix_coo(points, centers, supports, balls) -> csr_matrix:
     return mat.multiply(inv[:, None]).tocsr()
 
 
+def _all_pair_blocks(src, tgt, dev, entries: int = 1 << 16):
+    """Every (row, other row) pair, as row blocks of distance matrices.
+
+    Yields ``(rows, ds, dt, dd, valid)``: source, target and deviation
+    distances from the block's rows to all points, and a mask dropping
+    each row's pairing with itself.
+    """
+    n_pts = len(src)
+    step = max(1, entries // n_pts)
+    for lo in range(0, n_pts, step):
+        rows = np.arange(lo, min(lo + step, n_pts))
+        valid = np.ones((len(rows), n_pts), dtype=bool)
+        valid[np.arange(len(rows)), rows] = False
+        yield (
+            rows,
+            cdist(src[rows], src),
+            cdist(tgt[rows], tgt),
+            cdist(dev[rows], dev),
+            valid,
+        )
+
+
 def distortion_report_where(source_points, target_points) -> ip.DistortionReport:
     """`iterated_projection.distortion_report` on checked inputs, with the
-    former block loop verbatim: each block reduced through `np.where`
-    copies, its Chan merge inline.  Reads the pair blocks and constants of
-    the module at call time."""
+    former block loop verbatim: the all-pairs blocks of `_all_pair_blocks`
+    at ``geometry._PAIR_BLOCK`` entries with their self-pair mask, each
+    block reduced through `np.where` copies, its Chan merge inline.  Reads
+    the sampled block, block size and constants of the library at call
+    time."""
     src = np.atleast_2d(np.asarray(source_points, dtype=float))
     tgt = np.atleast_2d(np.asarray(target_points, dtype=float))
     n_pts = len(src)
@@ -921,9 +947,12 @@ def distortion_report_where(source_points, target_points) -> ip.DistortionReport
 
     dev = tgt - src
     if n_pts <= ip.DISTORTION_PAIRS:
-        blocks = ip._all_pair_blocks(src, tgt, dev)
+        blocks = _all_pair_blocks(src, tgt, dev, entries=geometry._PAIR_BLOCK)
     else:
-        blocks = [ip._sampled_pair_block(src, tgt, dev, ip.DISTORTION_PAIRS, ip.DISTORTION_SEED)]
+        _, ds, dt, dd = ip._sampled_pair_block(
+            src, tgt, dev, ip.DISTORTION_PAIRS, ip.DISTORTION_SEED
+        )
+        blocks = [(np.arange(n_pts), ds, dt, dd, np.ones(ds.shape, dtype=bool))]
 
     f_up = np.empty(n_pts)
     f_lo = np.empty(n_pts)
@@ -1814,6 +1843,29 @@ def waypoint_cycle_unbounded(patch, waypoints2) -> np.ndarray:
     if len(np.unique(cyc)) != len(cyc):
         raise NotJordan("waypoint paths intersect each other")
     return cyc
+
+
+def boundary_chord_arc_broadcast(points, boundary, sigma, samples) -> float:
+    """``conformal._boundary_chord_arc`` with its former one broadcast of
+    the (samples, samples, n) chord differences and the (samples,
+    samples) arc table."""
+    bp = points[boundary]
+    seg = np.linalg.norm(np.roll(bp, -1, axis=0) - bp, axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
+    total = float(seg.sum())
+    if total <= 0 or sigma <= 0:
+        return 0.0
+    if len(bp) > samples:
+        sel = np.linspace(0, len(bp) - 1, samples).astype(int)
+        bp = bp[sel]
+        cum = cum[sel]
+    ds = np.abs(cum[:, None] - cum[None, :])
+    arc = np.minimum(ds, total - ds)
+    chord = np.linalg.norm(bp[:, None, :] - bp[None, :, :], axis=2)
+    mask = chord > 1e-12 * sigma
+    if not mask.any():
+        return 0.0
+    return float(np.max(arc[mask] / np.sqrt(sigma * chord[mask])))
 
 
 def metric_diagnostics_loop(patch, waypoint_cycle, polygon_contains, *, sources=24,

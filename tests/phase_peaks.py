@@ -64,6 +64,7 @@ PHASES = {
         "conformal.extract_disk_patch",
         "conformal.harmonic_disk_param",
         "conformal.conformal_diagnostics",
+        "conformal.quasisymmetry_table",
         "conformal.intrinsic_metric_diagnostics",
     ),
 }

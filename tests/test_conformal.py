@@ -12,7 +12,7 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, cKDTree
 
 from varifoldlab import conformal as conf
-from varifoldlab import meshing
+from varifoldlab import geometry, meshing
 from varifoldlab.curvature import CurvatureField, build_curvature_field
 from varifoldlab.errors import (
     DegenerateTriangle,
@@ -45,6 +45,7 @@ from fixtures import structured_disk_mesh
 from oracles import (
     affine_fit_direct,
     affine_maps_direct,
+    boundary_chord_arc_broadcast,
     circle_arc_chord_ratio_max,
     cotangents_cross,
     dirichlet_energy_direct,
@@ -1442,6 +1443,50 @@ class TestKernelOracles:
             assert conf.intrinsic_metric_diagnostics(patch) == metric_diagnostics_loop(
                 patch, waypoint_cycle_unbounded, conf._polygon_contains
             )
+
+
+# `geometry._PAIR_BLOCK` for a table of `n` columns: 1 forces one-row
+# blocks, and 5 rows and a half per block leave a shorter last block
+# wherever the row count is not a multiple of 5
+PAIR_BLOCKS = {"one-row": lambda n: 1, "uneven": lambda n: 5 * n + n // 2}
+
+
+@pytest.mark.parametrize("blocks", sorted(PAIR_BLOCKS))
+class TestPairTablesOnBlocks:
+    """Every pair-distance table read on row blocks of `geometry._pair_blocks`
+    gives the figures of its unblocked oracle at any block size."""
+
+    def test_quasisymmetry_matches_bruteforce(self, flat_pp, blocks, monkeypatch):
+        _, param = flat_pp
+        centers = np.linspace([-0.3, -0.2], [0.3, 0.25], 7)
+        scales = (0.15, 0.3)
+        whole = conf.quasisymmetry_table(param, centers, scales)
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", PAIR_BLOCKS[blocks](len(param.disk_points)))
+        table = conf.quasisymmetry_table(param, centers, scales)
+        assert np.array_equal(table.values, whole.values)
+        for row, ci in enumerate(table.center_indices):
+            for col, s in enumerate(scales):
+                oracle = quasisymmetry_bruteforce(param.disk_points, param.surface_points, int(ci), s)
+                assert table.values[row, col] == pytest.approx(oracle, rel=1e-12)
+
+    def test_boundary_chord_arc_matches_broadcast(self, kernel_cases, graph_off_centre, blocks,
+                                                  monkeypatch):
+        patches = [patch for patch, _, _ in kernel_cases[:2]] + [graph_off_centre[0]]
+        for patch in patches:
+            n = min(len(patch.boundary), conf.CHORD_ARC_SAMPLES)
+            monkeypatch.setattr(geometry, "_PAIR_BLOCK", PAIR_BLOCKS[blocks](n))
+            assert conf._boundary_chord_arc(
+                patch.points, patch.boundary, patch.sigma
+            ) == boundary_chord_arc_broadcast(
+                patch.points, patch.boundary, patch.sigma, conf.CHORD_ARC_SAMPLES
+            )
+
+    def test_intrinsic_metric_matches_oracle(self, kernel_cases, blocks, monkeypatch):
+        patch = kernel_cases[0][0]
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", PAIR_BLOCKS[blocks](len(patch)))
+        assert conf.intrinsic_metric_diagnostics(patch) == metric_diagnostics_loop(
+            patch, waypoint_cycle_unbounded, conf._polygon_contains
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -70,25 +70,30 @@ def test_plane_roundtrip_coordinates():
     coords = plane.coordinates(pts)
     back = plane.lift(coords)
     assert np.allclose(back, pts, atol=1e-12)
+    offsets = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]])
+    assert np.array_equal(plane.lift(coords, heights=offsets[0]), back + offsets[0])
+    assert np.array_equal(plane.lift(coords, heights=offsets), back + offsets)
     assert np.allclose(plane.heights(pts), 0.0, atol=1e-12)
 
 
-# the first three used to raise numpy's matmul ValueError, the last returned
-# NaN coordinates
+# the first three and the three-row heights used to raise numpy's matmul or
+# broadcast ValueError, the NaN coordinates and heights returned NaN points
 @pytest.mark.parametrize(
-    "method, rows, error, match",
+    "method, args, error, match",
     [
-        ("coordinates", np.zeros((4, 2)), DimensionMismatch, r"points have shape \(4, 2\), need \(k, 3\)"),
-        ("heights", np.zeros((4, 4)), DimensionMismatch, r"points have shape \(4, 4\), need \(k, 3\)"),
-        ("lift", np.zeros((4, 3)), DimensionMismatch, r"plane coordinates have shape \(4, 3\), need \(k, 2\)"),
-        ("coordinates", np.full((2, 3), np.nan), NonFiniteInput, "point of row 0 is not finite"),
+        ("coordinates", (np.zeros((4, 2)),), DimensionMismatch, r"points have shape \(4, 2\), need \(k, 3\)"),
+        ("heights", (np.zeros((4, 4)),), DimensionMismatch, r"points have shape \(4, 4\), need \(k, 3\)"),
+        ("lift", (np.zeros((4, 3)),), DimensionMismatch, r"plane coordinates have shape \(4, 3\), need \(k, 2\)"),
+        ("coordinates", (np.full((2, 3), np.nan),), NonFiniteInput, "point of row 0 is not finite"),
+        ("lift", (np.zeros((4, 2)), np.zeros((3, 3))), DimensionMismatch, r"heights have 3 rows, need 1 or one per coordinate row \(4\)"),
+        ("lift", (np.zeros((4, 2)), np.full((4, 3), np.nan)), NonFiniteInput, "height of row 0 is not finite"),
     ],
-    ids=["coordinates-r2", "heights-r4", "lift-r3", "coordinates-nan"],
+    ids=["coordinates-r2", "heights-r4", "lift-r3", "coordinates-nan", "lift-heights-r3", "lift-heights-nan"],
 )
-def test_plane_methods_refuse_bad_rows(method, rows, error, match):
+def test_plane_methods_refuse_bad_rows(method, args, error, match):
     plane = Plane(basis=np.eye(3)[:2])
     with pytest.raises(error, match=match):
-        getattr(plane, method)(rows)
+        getattr(plane, method)(*args)
 
 
 def test_plane_basepoint_dimension_mismatch():
@@ -440,6 +445,14 @@ BAD_RANK_CALLS = {
         DimensionMismatch,
         r"points have shape \(2, 3, 3\), need \(k, n\)",
     ),
+    # used to raise EmptyInput ("points must be a 2-d array")
+    "sample_stacked_points": (
+        lambda: WeightedSurfaceSample(
+            np.zeros((2, 3, 3)), np.ones(2), np.broadcast_to(np.eye(3)[:2], (2, 2, 3))
+        ),
+        DimensionMismatch,
+        r"points have shape \(2, 3, 3\), need \(k, n\)",
+    ),
     "grassmann_rank_zero": (lambda: grassmann_bases(np.eye(3), 0), DimensionMismatch, "rank 0"),
     # used to raise numpy's LinAlgError ("Eigenvalues did not converge")
     "grassmann_nan_matrix": (
@@ -735,8 +748,8 @@ _UNIT_NORMALS = np.tile([[0.0, 0.0, 1.0]], (4, 1))
 @pytest.mark.parametrize(
     "normals, error, message",
     [
-        (np.zeros((4, 4)), DimensionMismatch, r"shape \(4, 4\), need \(N, 3\)"),
-        (np.array([0.0, 0.0, 1.0]), DimensionMismatch, r"shape \(3,\), need \(N, 3\)"),
+        (np.zeros((4, 4)), DimensionMismatch, r"shape \(4, 4\), need \(k, 3\)"),
+        (np.array([0.0, 0.0, 1.0]), DimensionMismatch, r"shape \(3,\), need \(k, 3\)"),
         (np.where(np.arange(4)[:, None] == 2, 0.0, _UNIT_NORMALS), DegenerateCloud, "row 2 is zero"),
         (np.where(np.arange(4)[:, None] == 1, 1e-170, _UNIT_NORMALS), DegenerateCloud, "row 1 is zero"),
         (np.where(np.arange(4)[:, None] == 3, np.nan, _UNIT_NORMALS), NonFiniteInput, "normal of row 3"),

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
+from varifoldlab import geometry
 from varifoldlab import iterated_projection as ip
 from varifoldlab.errors import (
     DegenerateCloud,
@@ -1324,10 +1325,9 @@ def test_distortion_report_matches_where_loop(seed):
     if collapsed:
         tgt[:] = tgt[0]
     mode = seed % 3
-    blocks = ip._all_pair_blocks
     entries = n * int(rng.integers(1, 4)) if mode == 1 else 1 << 18
     pairs = int(rng.integers(1, n)) if mode == 2 else ip.DISTORTION_PAIRS
-    with mock.patch.object(ip, "_all_pair_blocks", lambda *a: blocks(*a, entries=entries)), \
+    with mock.patch.object(geometry, "_PAIR_BLOCK", entries), \
             mock.patch.object(ip, "DISTORTION_PAIRS", pairs):
         if collapsed:
             with pytest.raises(NonInjectiveMap, match=r"collapses source row \d+"):

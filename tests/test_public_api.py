@@ -3,9 +3,10 @@ lists exactly the public classes and functions the module defines, and so
 do the pinned lists of the public definitions of `synthetic`,
 `iterated_projection`, `multiscale`, `curvature`, `geometry` and
 `meshing`.  Source checks: one module owns the eigenframe and projector
-kernels, the mesh kernels have one owner each, lazy views are cached
-properties, and retired knobs stay gone; every settable keyword and every
-`SyntheticSpec` field is listed."""
+kernels, the row check and the pair-distance tables, the mesh kernels
+have one owner each, lazy views are cached properties, and retired knobs
+stay gone; every settable keyword and every `SyntheticSpec` field is
+listed."""
 
 import dataclasses
 import importlib
@@ -190,6 +191,21 @@ def test_plane_split_is_formed_only_by_the_geometry_kernel():
 def test_row_shape_check_has_one_owner():
     """Every (k, n) rows check, and its message, is `geometry._require_rows`."""
     assert _modules_matching(r"need \(k, ") == ["geometry.py"]
+    assert _modules_matching(r"\.ndim != 2") == ["geometry.py"]
+    geometry_source = Path(geometry.__file__).read_text()
+    assert geometry_source.count(".ndim != 2") == 1
+    assert ".ndim != 2" in inspect.getsource(geometry._require_rows)
+
+
+def test_pair_distance_tables_have_one_owner():
+    """Every table of pairwise distances comes from `geometry._pair_blocks`
+    (or, for the small balls of `_pair_lipschitz`, its condensed `pdist`
+    form); no module broadcasts a row set against itself."""
+    assert _modules_matching(r"\b[cp]dist\b") == ["geometry.py"]
+    geometry_source = Path(geometry.__file__).read_text()
+    assert geometry_source.count("cdist(") == 1
+    assert "cdist(" in inspect.getsource(geometry._pair_blocks)
+    assert _modules_matching(r"(\w+)\[:, None, :\] - \1\[None, :, :\]") == []
 
 
 def test_mesh_kernels_have_one_owner():
