@@ -1214,10 +1214,6 @@ class DyadicSquare:
     size: float
     depth: int
 
-    @property
-    def center(self):
-        return (self.x0 + 0.5 * self.size, self.y0 + 0.5 * self.size)
-
     def contains(self, points) -> np.ndarray:
         """Mask of the (k, 2) points in the half-open square
         [x0, x0 + size) x [y0, y0 + size)."""

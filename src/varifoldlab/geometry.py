@@ -205,10 +205,15 @@ class WeightedSurfaceSample:
         bases = np.ascontiguousarray(tangent_bases, dtype=float)
         if points.shape[0] == 0:
             raise EmptyInput("sample has no points")
-        if weights.shape != (points.shape[0],):
-            raise DimensionMismatch("weights shape mismatch")
+        n_pts, n = points.shape
+        if weights.shape != (n_pts,):
+            raise DimensionMismatch(
+                f"weights have shape {weights.shape}, need one per point ({n_pts},)"
+            )
         if bases.ndim != 3 or (bases.shape[0], bases.shape[2]) != points.shape:
-            raise DimensionMismatch("tangent basis shape mismatch")
+            raise DimensionMismatch(
+                f"tangent bases have shape {bases.shape}, need (N, m, n) = ({n_pts}, m, {n})"
+            )
         _require_finite_rows(weights, "weight")
         _require_finite_rows(bases, "tangent basis")
         bad = np.flatnonzero(weights <= 0)
@@ -428,8 +433,9 @@ def _pca_plane(rel: np.ndarray, w: np.ndarray, dim: int, origin: np.ndarray) -> 
 
 
 def _second_moments(rel: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Second moments (rel * w)^T rel / sum(w) of weighted rows about 0."""
-    return (rel * w[:, None]).T @ rel / w.sum()
+    """Second moments (rel * w)^T rel / sum(w) of weighted rows about 0,
+    for one row set (k, n) with weights (k,) or a stack (..., k, n)."""
+    return np.swapaxes(rel * w[..., None], -1, -2) @ rel / w.sum(axis=-1)[..., None, None]
 
 
 def _principal_frames(matrices: np.ndarray, dim: int):

@@ -523,12 +523,12 @@ def build_sigma_delta(
     comes from the fine set (`FineSet.plane_bases`, fine member or not), so
     `fine` must be extracted at `delta`; a non-fine member without a plane
     raises DegenerateCloud.  The patch arrays hold the members in group
-    order.  Patches are fitted by moving least squares on the fine points
-    inside half a gauge, with the same bump profile as the partition of
-    unity for weights.  Groups are processed in order and a synthesized
-    candidate defers to any existing stage point within half a grid step
-    (prior heights win on overlap); candidates of one group are thinned
-    first come (`multiscale._greedy_net`).
+    order, and so do the candidates.  Patches are fitted by moving least
+    squares on the fine points inside half a gauge, with the same bump
+    profile as the partition of unity for weights.  The stage is the fine
+    points, then the candidates kept first come: a candidate within half
+    a grid step of a fine point or of an earlier kept candidate is dropped
+    (prior heights win on overlap; one `multiscale._greedy_net` pass).
 
     A fine member keeps its sample point and is not refitted when its
     doubled gauge is below the resolution floor, when it has fewer than
@@ -547,8 +547,7 @@ def build_sigma_delta(
     subsample (and the recorded `graph_lipschitz`) depends on that order.
     The balls come from the cached `SmoothedSurfaceStage.support_balls`
     attribute, which keeps them for `normal_field`.  Only the refitted
-    members query their fine anchors: on the seed-7 `stagewise` plateau,
-    12-13 members and 2,088-2,262 anchor entries per group.
+    members query their fine anchors, one member at a time.
     """
     m = sample.intrinsic_dim
     grid_step = sample.mean_spacing
@@ -560,85 +559,69 @@ def build_sigma_delta(
         raise GraphTestFailure("no fine points to anchor any graph patch")
     fine_tree = cKDTree(fine_pts)
 
-    groups = list(net.groups())
-    stage_pts: list[np.ndarray] = [fine_pts]
-    for members in groups:
-        # a fine member whose gauge is below sample resolution, or whose
-        # grid is the one node at its own kept point, is not refitted
-        d = vals[members]
-        kept = (2.0 * d < floor) | (PATCH_RADIUS_MULT * d < grid_step)
-        in_fine = np.isin(members, fine.indices)
-        refit = ~(in_fine & kept)
-        members, in_fine = members[refit], in_fine[refit]
-        existing_tree = cKDTree(np.concatenate(stage_pts))
-        anchors = fine_tree.query_ball_point(
-            sample.points[members], POU_SUPPORT_MULT * vals[members],
-            return_sorted=False,
-        )
-        new_pts: list[np.ndarray] = []
-        for row, is_fine, local in zip(members, in_fine, anchors):
-            u = sample.points[row]
-            d_u = vals[row]
-            support_r = POU_SUPPORT_MULT * d_u
-            basis = fine.plane_bases[row]
-            if is_fine:
-                if len(local) < m + 1:
-                    # too few anchors to refit: the member's kept point stands
-                    continue
-            elif len(local) < m + 1:
-                raise GraphTestFailure(
-                    f"net point at {np.round(u, 6).tolist()} has only "
-                    f"{len(local)} fine anchors inside {support_r:.4g}"
-                )
-            elif np.isnan(basis).any():
-                raise DegenerateCloud(
-                    f"second moments of the 2-gauge ball of {np.round(u, 6).tolist()} "
-                    f"have rank below {m}"
-                )
-            local = np.asarray(local, dtype=int)
-            rel = fine_pts[local] - u
-            coords, normals = _plane_split(rel, basis)
-            grid = _square_grid(PATCH_RADIUS_MULT * d_u, grid_step, m)
-            d2 = (
-                (coords[None, :, :] - grid[:, None, :]) ** 2
-            ).sum(axis=2) / support_r**2
-            bump_w = np.where(d2 < 1.0, (1.0 - np.minimum(d2, 1.0)) ** 2, 0.0)
-            bump_w = bump_w * sample.weights[fine.indices[local]][None, :]
-            offsets = _mls_normal_offset(coords, normals, bump_w, grid)
-            if offsets is None:
-                raise GraphTestFailure(
-                    f"rank-deficient graph fit at {np.round(u, 6).tolist()}"
-                )
-            candidates = u + grid @ basis + offsets
-            near_d, _ = existing_tree.query(candidates)
-            keep = near_d > 0.5 * grid_step
-            if np.any(keep):
-                new_pts.append(candidates[keep])
-        if new_pts:
-            # candidates synthesized within one group can still collide with
-            # each other near group boundaries; keep first come
-            batch = np.concatenate(new_pts)
-            stage_pts.append(batch[_greedy_net(batch, 0.5 * grid_step)])
+    order = np.concatenate(list(net.groups()))
+    d = vals[order]
+    in_fine = np.isin(order, fine.indices)
+    # a fine member whose gauge is below sample resolution, or whose grid
+    # is the one node at its own kept point, is not refitted
+    refit = ~(in_fine & ((2.0 * d < floor) | (PATCH_RADIUS_MULT * d < grid_step)))
+    new_pts: list[np.ndarray] = []
+    for row, is_fine in zip(order[refit], in_fine[refit]):
+        u = sample.points[row]
+        support_r = POU_SUPPORT_MULT * vals[row]
+        basis = fine.plane_bases[row]
+        local = fine_tree.query_ball_point(u, support_r, return_sorted=False)
+        if is_fine:
+            if len(local) < m + 1:
+                # too few anchors to refit: the member's kept point stands
+                continue
+        elif len(local) < m + 1:
+            raise GraphTestFailure(
+                f"net point at {np.round(u, 6).tolist()} has only "
+                f"{len(local)} fine anchors inside {support_r:.4g}"
+            )
+        elif np.isnan(basis).any():
+            raise DegenerateCloud(
+                f"second moments of the 2-gauge ball of {np.round(u, 6).tolist()} "
+                f"have rank below {m}"
+            )
+        local = np.asarray(local, dtype=int)
+        coords, normals = _plane_split(fine_pts[local] - u, basis)
+        grid = _square_grid(PATCH_RADIUS_MULT * vals[row], grid_step, m)
+        d2 = (
+            (coords[None, :, :] - grid[:, None, :]) ** 2
+        ).sum(axis=2) / support_r**2
+        bump_w = np.where(d2 < 1.0, (1.0 - np.minimum(d2, 1.0)) ** 2, 0.0)
+        bump_w = bump_w * sample.weights[fine.indices[local]][None, :]
+        offsets = _mls_normal_offset(coords, normals, bump_w, grid)
+        if offsets is None:
+            raise GraphTestFailure(
+                f"rank-deficient graph fit at {np.round(u, 6).tolist()}"
+            )
+        new_pts.append(u + grid @ basis + offsets)
 
-    points = np.concatenate(stage_pts)
+    points = fine_pts
+    offset_ratio = 0.0
+    if new_pts:
+        candidates = np.concatenate(new_pts)
+        d_fine, _ = fine_tree.query(candidates)
+        off_fine = d_fine > 0.5 * grid_step
+        candidates, d_fine = candidates[off_fine], d_fine[off_fine]
+        kept = _greedy_net(candidates, 0.5 * grid_step)
+        points = np.concatenate([fine_pts, candidates[kept]])
+        d_sample, _ = sample.spatial_index.query(candidates[kept])
+        denom = nu * np.maximum(d_fine[kept], 1e-300)
+        offset_ratio = float((d_sample / denom).max(initial=0.0))
     rows = np.full(len(points), -1)
     rows[: fine.indices.size] = fine.indices
-    synth = rows < 0
-    offset_ratio = 0.0
-    if np.any(synth):
-        d_sample, _ = sample.spatial_index.query(points[synth])
-        d_fine, _ = fine_tree.query(points[synth])
-        denom = nu * np.maximum(d_fine, 1e-300)
-        offset_ratio = float((d_sample / denom).max())
 
-    order = np.concatenate(groups)
     stage = SmoothedSurfaceStage(
         points=points,
         gauge=delta.evaluate(points),
         sample_rows=rows,
         patch_centers=sample.points[order],
         patch_bases=fine.plane_bases[order],
-        patch_gauge=vals[order],
+        patch_gauge=d,
         graph_lipschitz=np.zeros(order.size),
         synth_offset_ratio=offset_ratio,
     )

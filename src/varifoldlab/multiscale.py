@@ -42,6 +42,7 @@ from .geometry import (
     _require_point,
     _require_positive,
     _require_rows,
+    _second_moments,
     _span_projectors,
 )
 from .synthetic import disk_lattice
@@ -324,11 +325,9 @@ def _beta_rows(sample, cand, inside, scale: float) -> np.ndarray:
         return out
     w = np.where(inside[fit], sample.weights[cand], 0.0)
     pts = sample.points[cand]
-    total = w.sum(axis=1)
-    centroid = (w @ pts) / total[:, None]
+    centroid = (w @ pts) / w.sum(axis=1)[:, None]
     rel = pts - centroid[:, None, :]
-    cov = (rel * w[..., None]).transpose(0, 2, 1) @ rel / total[:, None, None]
-    _, frames, spans = _principal_frames(cov, m)
+    _, frames, spans = _principal_frames(_second_moments(rel, w), m)
     # plane rows in ascending eigenvalue order: the descending order sums
     # each projection the other way round, which moves beta by up to 1e-14
     # relative where the heights cancel

@@ -31,6 +31,7 @@ from varifoldlab.errors import (
 )
 from varifoldlab.geometry import WeightedSurfaceSample
 from varifoldlab.meshing import (
+    angle_defects,
     cotangent_laplacian,
     mesh_edges,
     orient_ccw,
@@ -1656,6 +1657,16 @@ BAD_CONFORMAL_CALLS = {
         lambda p: _grid_mesh_with(spacing=np.nan),
         InvalidScale,
         "patch spacing nan",
+    ),
+    "angle_defects_zero_length_edge": (
+        lambda p: angle_defects(np.array([[0.0, 0, 0], [0, 0, 0], [1, 0, 0]]), [[0, 1, 2]]),
+        DegenerateTriangle,
+        "zero-length edge at a corner",
+    ),
+    "cotangent_laplacian_zero_area_face": (
+        lambda p: cotangent_laplacian(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]), [[0, 1, 2]]),
+        DegenerateTriangle,
+        "zero-area face in cotangent assembly",
     ),
 }
 

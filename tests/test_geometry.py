@@ -453,6 +453,22 @@ BAD_RANK_CALLS = {
         DimensionMismatch,
         r"points have shape \(2, 3, 3\), need \(k, n\)",
     ),
+    # the next two used to say only "weights shape mismatch" and "tangent
+    # basis shape mismatch"
+    "sample_weights_one_short": (
+        lambda: WeightedSurfaceSample(
+            np.zeros((2000, 3)), np.ones(1999), np.broadcast_to(np.eye(3)[:2], (2000, 2, 3))
+        ),
+        DimensionMismatch,
+        r"weights have shape \(1999,\), need one per point \(2000,\)",
+    ),
+    "sample_bases_in_r2": (
+        lambda: WeightedSurfaceSample(
+            np.zeros((4, 3)), np.ones(4), np.broadcast_to(np.eye(2), (4, 2, 2))
+        ),
+        DimensionMismatch,
+        r"tangent bases have shape \(4, 2, 2\), need \(N, m, n\) = \(4, m, 3\)",
+    ),
     "grassmann_rank_zero": (lambda: grassmann_bases(np.eye(3), 0), DimensionMismatch, "rank 0"),
     # used to raise numpy's LinAlgError ("Eigenvalues did not converge")
     "grassmann_nan_matrix": (

@@ -20,6 +20,7 @@ from varifoldlab.errors import (
     BallBelowResolution,
     DimensionMismatch,
     InvalidScale,
+    MissingCurvature,
     NonFiniteInput,
     PointOutsideDomain,
     ToolkitError,
@@ -535,6 +536,23 @@ BAD_FAMILY_AND_PLANE_CALLS = {
         ),
         DimensionMismatch,
         r"plane in R\^4, sample in R\^3",
+    ),
+    "tilt_without_curvature": (
+        lambda s: ms.caccioppoli_bound_check(s, Ball(ORIGIN, 0.4), 0.5, None),
+        MissingCurvature,
+        "mean-curvature field required",
+    ),
+    "tilt_curvature_one_row_short": (
+        lambda s: ms.caccioppoli_bound_check(s, Ball(ORIGIN, 0.4), 0.5, np.zeros((len(s) - 1, 3))),
+        MissingCurvature,
+        "mean-curvature field must align with sample rows",
+    ),
+    # the largest ball around a center off the sample reaches the domain's
+    # rim from every sample point
+    "family_largest_radius_fills_the_domain": (
+        lambda s: ms.build_scale_family(s, Ball(np.array([0.0, 0.0, 0.01]), 0.5), sigma_max=0.5),
+        BallBelowResolution,
+        "no sample point admits the largest radius",
     ),
     # the next two used to return a meaningless (lhs, rhs) pair
     "tilt_plane_a_line": (

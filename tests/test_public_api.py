@@ -2,11 +2,11 @@
 lists exactly the public classes and functions the module defines, and so
 do the pinned lists of the public definitions of `synthetic`,
 `iterated_projection`, `multiscale`, `curvature`, `geometry` and
-`meshing`.  Source checks: one module owns the eigenframe and projector
-kernels, the row check and the pair-distance tables, the mesh kernels
-have one owner each, lazy views are cached properties, and retired knobs
-stay gone; every settable keyword and every `SyntheticSpec` field is
-listed."""
+`meshing`.  Source checks: one module owns the eigenframe, projector and
+second-moment kernels, the row check and the pair-distance tables, the
+stage refill is one first-come pass, the mesh kernels have one owner
+each, lazy views are cached properties, and retired knobs stay gone;
+every settable keyword and every `SyntheticSpec` field is listed."""
 
 import dataclasses
 import importlib
@@ -206,6 +206,24 @@ def test_pair_distance_tables_have_one_owner():
     assert geometry_source.count("cdist(") == 1
     assert "cdist(" in inspect.getsource(geometry._pair_blocks)
     assert _modules_matching(r"(\w+)\[:, None, :\] - \1\[None, :, :\]") == []
+
+
+def test_weighted_second_moments_have_one_owner():
+    """Every normalized weighted second-moment matrix (rel * w)^T rel / sum(w),
+    of one row set or a stack, comes from `geometry._second_moments`."""
+    product = r"(\w+) \* \w+\[[.:, ]*None\]\)?(?:\.T|\.transpose\([^)]*\)|, -1, -2\)) @ \1 /"
+    assert _modules_matching(product) == ["geometry.py"]
+    assert re.search(product, inspect.getsource(geometry._second_moments))
+
+
+def test_stage_refill_is_one_first_come_pass():
+    """`build_sigma_delta` asks one KD-tree of the fine points for every
+    member's anchors and every candidate's fine neighbour, and thins the
+    candidates of all members in one `_greedy_net` pass: no tree and no
+    packing per net group."""
+    source = inspect.getsource(iterated_projection.build_sigma_delta)
+    assert source.count("cKDTree(") == 1
+    assert source.count("_greedy_net(") == 1
 
 
 def test_mesh_kernels_have_one_owner():

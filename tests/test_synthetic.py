@@ -232,6 +232,8 @@ def test_invalid_specs_are_rejected():
         {"kind": "graph", "eps": np.inf},
         {"kind": "cylinder_band", "band_height": -1.0},
         {"kind": "plateau_graph", "wall_scale": np.nan},
+        {"kind": "plateau_graph", "wall_scale": 0.0},
+        {"kind": "plateau_graph", "plateau_radius": 2.0},
         # these reached numpy: a broadcasting ValueError, a hole silently
         # broadcast to (0.3, 0.3), a misleading "hole removes nearly the
         # whole sample", and SeedSequence's ValueError and TypeError
