@@ -24,7 +24,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
@@ -54,6 +54,7 @@ from .geometry import (
     WeightedSurfaceSample,
     _pair_blocks,
     _pair_lipschitz,
+    _require_finite_rows,
     _require_indices,
     _require_point,
     _require_positive,
@@ -224,9 +225,11 @@ class DiskPatch:
         sigma: float | None = None,
         spacing: float | None = None,
     ) -> "DiskPatch":
-        """Wrap an explicit triangle mesh, validating disk topology.
+        """Wrap an explicit triangle mesh, validating disk topology (see
+        `_disk_complex`): the one constructor of every patch.
 
-        ``plane_coords`` defaults to the first two ambient coordinates.
+        ``plane_coords`` defaults to the first two ambient coordinates, and
+        ``psi`` is set by the boundary vertex nearest the center.
         A vertex index outside [0, len(points)), or not an integer, raises
         InvalidIndex, a non-finite point, plane coordinate or center
         NonFiniteInput, points that are not (k, n) rows, plane coordinates
@@ -297,8 +300,10 @@ def _disk_complex(coords: np.ndarray, tris: np.ndarray, n_vertices: int):
     """Validate that the triangle set is a disk; return (ccw tris, boundary).
 
     Checks: every vertex is used, edges are shared by at most two triangles,
-    every vertex link is a single fan, Euler characteristic is one, and the
-    boundary is a single cycle.
+    every vertex link is a single fan, Euler characteristic is one (else
+    NotDiskTopology), every triangle has an orientation determinant in
+    `coords` above 1e-14 of the largest (else DegenerateTriangle), and the
+    boundary is a single cycle (else NoBoundaryCycle).
     """
     if len(tris) == 0:
         raise NotDiskTopology("no triangles survive in the patch")
@@ -341,6 +346,13 @@ def _disk_complex(coords: np.ndarray, tris: np.ndarray, n_vertices: int):
     euler = n_vertices - len(edges) + len(tris)
     if euler != 1:
         raise NotDiskTopology(f"Euler characteristic {euler}, expected 1")
+
+    # a flat triangle has no winding, so it would break the boundary walk
+    dets = orientation_dets(coords, tris)
+    flat = np.flatnonzero(dets <= 1e-14 * dets.max())
+    if flat.size:
+        t = flat[0]
+        raise DegenerateTriangle(f"triangle {t} {tris[t]} has no area in the plane coordinates")
 
     # boundary half-edges tail -> head, in triangle then slot order
     on_boundary = counts[face_edges] == 1
@@ -419,15 +431,18 @@ def extract_disk_patch(
     projected points, keeps triangles whose circumradius stays below
     ``PATCH_ALPHA_MULT`` mean spacings (so holes and sliver fills are
     dropped), extracts the edge-connected component containing the vertex
-    nearest the center, and validates disk topology.  Intended for balls
-    where the multiscale flatness certificates hold; on wilder input it
-    raises rather than returning a non-disk complex.
+    nearest the center, and validates disk topology through
+    ``DiskPatch.from_mesh``; ``psi`` also stops short of the ball points
+    left out.  Intended for balls where the multiscale flatness
+    certificates hold; on wilder input it raises rather than returning a
+    non-disk complex.
 
     Raises
     ------
     NotDiskTopology
-        Non-graphical (double-covering) projection, non-manifold link,
-        or Euler characteristic different from one.
+        Non-graphical (double-covering) projection, no triangle passing
+        the circumradius filter, non-manifold link, or Euler
+        characteristic different from one.
     NoBoundaryCycle
         Boundary is empty, forked, or has several cycles.
     TooFewPoints
@@ -477,34 +492,16 @@ def extract_disk_patch(
         raise NotDiskTopology("vertex nearest the center is isolated")
     tris = tris[comp]
 
-    used = np.unique(tris)
-    remap = -np.ones(len(pts), dtype=int)
-    remap[used] = np.arange(len(used))
-    tris = remap[tris]
-    patch_pts = pts[used]
-    patch_coords = coords[used]
-    tris, boundary = _disk_complex(patch_coords, tris, len(used))
-
-    # measured inclusion margin
-    bd_r = np.linalg.norm(patch_pts[boundary] - center, axis=1)
-    r_in = float(bd_r.min())
-    dropped = np.setdiff1d(np.arange(len(pts)), used)
-    if len(dropped):
-        r_miss = float(np.linalg.norm(pts[dropped] - center, axis=1).min())
-        r_in = min(r_in, r_miss * (1.0 - 1e-9))
-    psi = float(np.clip(1.0 - r_in / sigma, 0.0, 1.0))
-
-    return DiskPatch(
-        points=patch_pts,
-        triangles=tris,
-        boundary=boundary,
-        plane_coords=patch_coords,
-        center=center,
-        sigma=float(sigma),
-        psi=psi,
-        spacing=spacing,
-        sample_rows=rows[used],
+    used, inverse = np.unique(tris, return_inverse=True)
+    patch = DiskPatch.from_mesh(
+        pts[used], inverse.reshape(tris.shape), plane_coords=coords[used],
+        center=center, sigma=sigma, spacing=spacing,
     )
+    # the measured inclusion margin also stops short of the nearest ball
+    # point the patch dropped (none: r_miss is inf and psi stays)
+    r_miss = np.linalg.norm(np.delete(pts, used, axis=0) - center, axis=1).min(initial=np.inf)
+    psi = max(patch.psi, float(np.clip(1.0 - r_miss * (1.0 - 1e-9) / sigma, 0.0, 1.0)))
+    return replace(patch, psi=psi, sample_rows=rows[used])
 
 
 def _edge_component(tris: np.ndarray, seed_vertex: int):
@@ -538,23 +535,26 @@ def refine_disk_patch(
     underlying surface (e.g. radial projection onto a sphere);
     ``boundary_projector`` does the same for boundary-edge midpoints (e.g.
     projection onto the rim circle, keeping the boundary unragged).
-    Unprojected midpoints stay on their chords.  A new vertex sits at the
-    midpoint of its edge in the parameter plane, so the children of a
-    counterclockwise triangle are counterclockwise.
+    Unprojected midpoints stay on their chords; projected ones must be one
+    finite row in R^n each (else DimensionMismatch or NonFiniteInput).  A
+    new vertex sits at the midpoint of its edge in the parameter plane, so
+    the children of a counterclockwise triangle are counterclockwise.  The
+    refined mesh passes ``DiskPatch.from_mesh`` and keeps ``psi``.
     """
     pts = patch.points
     tris = patch.triangles
     edges, face_edges, counts = mesh_edges(tris, len(pts))
     mids = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
     on_boundary = counts == 1
-    if projector is not None and (~on_boundary).any():
-        mids[~on_boundary] = np.asarray(
-            projector(mids[~on_boundary]), dtype=float
-        )
-    if boundary_projector is not None and on_boundary.any():
-        mids[on_boundary] = np.asarray(
-            boundary_projector(mids[on_boundary]), dtype=float
-        )
+    for project, chosen in ((projector, ~on_boundary), (boundary_projector, on_boundary)):
+        if project is None or not chosen.any():
+            continue
+        moved = _require_rows(project(mids[chosen]), pts.shape[1], "projected midpoint")
+        if len(moved) != chosen.sum():
+            raise DimensionMismatch(
+                f"{len(moved)} projected midpoints for {chosen.sum()} edge midpoints"
+            )
+        mids[chosen] = moved
     coords = patch.plane_coords
     new_coords = np.vstack([coords, 0.5 * (coords[edges[:, 0]] + coords[edges[:, 1]])])
     # the midpoint of edge e is vertex len(pts) + e
@@ -563,28 +563,12 @@ def refine_disk_patch(
     new_tris = np.stack(
         [a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1
     ).reshape(-1, 3)
-    # boundary edge e joins cycle positions p and p + 1; its midpoint
-    # follows position p in the refined cycle
-    bd = patch.boundary
-    pos = np.empty(len(pts), dtype=int)
-    pos[bd] = np.arange(len(bd))
-    bd_edges = np.flatnonzero(on_boundary)
-    p, q = pos[edges[bd_edges, 0]], pos[edges[bd_edges, 1]]
-    after = np.empty(len(bd), dtype=int)
-    after[np.where((p + 1) % len(bd) == q, p, q)] = len(pts) + bd_edges
-    new_bd = np.stack([bd, after], axis=1).ravel()
-    rows = np.concatenate([patch.sample_rows, np.full(len(mids), -1, dtype=int)])
-    return DiskPatch(
-        points=np.vstack([pts, mids]),
-        triangles=new_tris,
-        boundary=new_bd,
-        plane_coords=new_coords,
-        center=patch.center,
-        sigma=patch.sigma,
-        psi=patch.psi,
-        spacing=0.5 * patch.spacing,
-        sample_rows=rows,
+    fine = DiskPatch.from_mesh(
+        np.vstack([pts, mids]), new_tris, plane_coords=new_coords,
+        center=patch.center, sigma=patch.sigma, spacing=0.5 * patch.spacing,
     )
+    rows = np.concatenate([patch.sample_rows, np.full(len(mids), -1, dtype=int)])
+    return replace(fine, psi=patch.psi, sample_rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1394,6 +1378,8 @@ def curvature_equation_residuals(
     MissingCurvature
         A CurvatureField is supplied but does not cover the patch vertices,
         or a callable does not return a (k, n) array for the k vertices.
+    NonFiniteInput
+        A callable returns NaN or infinity at a vertex.
     """
     disk = param.disk_points
     tris = param.triangles
@@ -1425,6 +1411,7 @@ def curvature_equation_residuals(
                     f"curvature callable returned shape {hvec.shape}, "
                     f"need one vector per vertex, {f.shape}"
                 )
+            _require_finite_rows(hvec, "curvature vector")
         cell_surface = vertex_areas(f, tris)
         lhs = cotangent_laplacian(disk, tris) @ f
         rhs = hvec * cell_surface[:, None]

@@ -278,10 +278,12 @@ def _radial_terms(sample, x, idx, field):
 
 
 def _require_scale_pair(sample, sigma, rho, floor: float | None) -> None:
-    """InvalidScale unless 0 < sigma < rho, BallBelowResolution when sigma
-    is below `floor` (by default the resolution floor at 4 spacings)."""
+    """InvalidScale unless 0 < sigma < rho and `floor` is positive and
+    finite, BallBelowResolution when sigma is below `floor` (by default the
+    resolution floor at 4 spacings)."""
     if floor is None:
         floor = resolution_floor(sample, 4.0)
+    _require_positive(floor, "resolution floor")
     if not (0 < sigma < rho):
         raise InvalidScale(f"need 0 < sigma < rho, got sigma {sigma} and rho {rho}")
     if sigma < floor:

@@ -17,6 +17,7 @@ budget ``_PAIR_BLOCK``.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -388,9 +389,9 @@ def fit_plane_pca(points, weights=None, dim: int = 2, center=None) -> Plane:
     EmptyInput
         No points or nonpositive total weight.
     DimensionMismatch
-        Points that are neither one point nor (N, n) rows, `dim` outside
-        [1, n], weights not of shape (N,), or a center that is not one
-        point in R^n.
+        Points that are neither one point nor (N, n) rows, `dim` not an
+        integer in [1, n], weights not of shape (N,), or a center that
+        is not one point in R^n.
     NonFiniteInput
         A point, weight or the center holds NaN or infinity.
     DegenerateCloud
@@ -400,8 +401,8 @@ def fit_plane_pca(points, weights=None, dim: int = 2, center=None) -> Plane:
     if pts.shape[0] == 0:
         raise EmptyInput("no points to fit")
     n = pts.shape[1]
-    if not 1 <= dim <= n:
-        raise DimensionMismatch(f"plane dimension {dim} is outside [1, {n}]")
+    if not (isinstance(dim, numbers.Integral) and 1 <= dim <= n):
+        raise DimensionMismatch(f"plane dimension {dim} is not an integer in [1, {n}]")
     if weights is None:
         w = np.ones(pts.shape[0])
     else:
@@ -574,15 +575,15 @@ def grassmann_bases(matrices, rank: int) -> np.ndarray:
     the deterministic lexicographic eigenvector choice is kept, and one
     EigengapTie warning, naming the smallest gap, covers every matrix tied
     at the cut.  Raises DimensionMismatch for matrices that are not square
-    or a rank outside [1, n], and NonFiniteInput for a matrix holding NaN
-    or infinity.
+    or a rank that is not an integer in [1, n], and NonFiniteInput for a
+    matrix holding NaN or infinity.
     """
     m = np.asarray(matrices, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"need square matrices, got {m.shape}")
     n = m.shape[-1]
-    if not 0 < rank <= n:
-        raise DimensionMismatch(f"rank {rank} out of range for shape {m.shape}")
+    if not (isinstance(rank, numbers.Integral) and 0 < rank <= n):
+        raise DimensionMismatch(f"rank {rank} is not an integer in [1, {n}] for shape {m.shape}")
     _require_finite_rows(m.reshape(-1, n * n), "matrix")
     evals, frames, _ = _principal_frames(0.5 * (m + np.swapaxes(m, -1, -2)), rank)
     if rank < n:

@@ -56,7 +56,9 @@ FLATNESS_PASSES = 2
 
 
 def resolution_floor(sample: WeightedSurfaceSample, mult: float = 8.0) -> float:
-    """Smallest usable ball radius: below this, ball statistics are noise."""
+    """Smallest usable ball radius, `mult` mean spacings (positive and
+    finite, else InvalidScale): below this, ball statistics are noise."""
+    _require_positive(mult, "resolution floor multiple")
     return mult * sample.mean_spacing
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .geometry import WeightedSurfaceSample, complement_frame
+from .geometry import WeightedSurfaceSample, _require_positive, complement_frame
 
 _FLOAT_FIELDS = (
     "radius", "eps", "sphere_radius", "band_height", "noise", "plateau_radius", "wall_scale"
@@ -116,7 +116,11 @@ class GroundTruth:
 
 
 def disk_lattice(radius: float, target_n: int) -> np.ndarray:
-    """Quasi-uniform points in a disk: a triangular lattice."""
+    """Quasi-uniform points in a disk: a triangular lattice of about
+    `target_n` points.  Raises InvalidScale or InvalidSpec on bad input."""
+    _require_positive(radius, "lattice radius")
+    if not isinstance(target_n, numbers.Integral) or target_n < 1:
+        raise InvalidSpec(f"target_n must be a positive integer, got {target_n!r}")
     area = np.pi * radius * radius
     h = np.sqrt(2.0 * area / (np.sqrt(3.0) * target_n))
     return _hex_points(h, lambda p: np.hypot(p[:, 0], p[:, 1]) <= radius, radius)

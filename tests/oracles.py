@@ -39,7 +39,7 @@ from varifoldlab.geometry import (
     grassmann_bases,
 )
 from varifoldlab.iterated_projection import GROUP_SEP_MULT, NET_PACKING_MULT
-from varifoldlab.meshing import angle_defects
+from varifoldlab.meshing import angle_defects, mesh_edges
 from varifoldlab.synthetic import (
     HOLE_DIAMETER_SPACINGS,
     GroundTruth,
@@ -1904,4 +1904,44 @@ def metric_diagnostics_loop(patch, waypoint_cycle, polygon_contains, *, sources=
         "pairs_used": int(mask.sum()),
         "chord_floor": float(chord_floor),
         "cycles": cycle_out,
+    }
+
+
+def refine_interleave(patch, projector=None, boundary_projector=None) -> dict:
+    """The fields of ``conformal.refine_disk_patch(patch, ...)`` as it
+    built them before it went through ``DiskPatch.from_mesh``: the refined
+    boundary interleaved by hand, each boundary edge's midpoint placed
+    after the earlier of its two positions on the old cycle."""
+    pts = patch.points
+    tris = patch.triangles
+    edges, face_edges, counts = mesh_edges(tris, len(pts))
+    mids = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
+    on_boundary = counts == 1
+    if projector is not None and (~on_boundary).any():
+        mids[~on_boundary] = np.asarray(projector(mids[~on_boundary]), dtype=float)
+    if boundary_projector is not None and on_boundary.any():
+        mids[on_boundary] = np.asarray(boundary_projector(mids[on_boundary]), dtype=float)
+    coords = patch.plane_coords
+    a, b, c = tris.T
+    mab, mbc, mca = (len(pts) + face_edges).T
+    bd = patch.boundary
+    pos = np.empty(len(pts), dtype=int)
+    pos[bd] = np.arange(len(bd))
+    bd_edges = np.flatnonzero(on_boundary)
+    p, q = pos[edges[bd_edges, 0]], pos[edges[bd_edges, 1]]
+    after = np.empty(len(bd), dtype=int)
+    after[np.where((p + 1) % len(bd) == q, p, q)] = len(pts) + bd_edges
+    return {
+        "points": np.vstack([pts, mids]),
+        "triangles": np.stack(
+            [a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1
+        ).reshape(-1, 3),
+        "boundary": np.stack([bd, after], axis=1).ravel(),
+        "plane_coords": np.vstack(
+            [coords, 0.5 * (coords[edges[:, 0]] + coords[edges[:, 1]])]
+        ),
+        "psi": patch.psi,
+        "sample_rows": np.concatenate(
+            [patch.sample_rows, np.full(len(mids), -1, dtype=int)]
+        ),
     }

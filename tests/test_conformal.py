@@ -59,6 +59,7 @@ from oracles import (
     oracle_frame_energy_cap,
     pl_gradients_direct,
     quasisymmetry_bruteforce,
+    refine_interleave,
     square_mask_direct,
     square_statistic_direct,
     stereographic_radius_for_chord,
@@ -254,6 +255,22 @@ def _projective_plane():
     return np.c_[np.cos(ang), np.sin(ang), np.arange(6) % 2], RP2_FACES
 
 
+def _no_faces():
+    pts2, _ = structured_disk_mesh(2)
+    return np.c_[pts2, np.zeros(len(pts2))], np.zeros((0, 3), dtype=int)
+
+
+def _rim_sliver():
+    """structured_disk_mesh(4) with a new vertex at the midpoint of a rim
+    edge and the flat triangle it makes with that edge."""
+    pts2, tris = structured_disk_mesh(4)
+    edges, _, counts = mesh_edges(tris, len(pts2))
+    a, b = edges[np.flatnonzero(counts == 1)[0]]
+    pts2 = np.vstack([pts2, 0.5 * (pts2[a] + pts2[b])])
+    tris = np.vstack([tris, [[a, len(pts2) - 1, b]]])
+    return np.c_[pts2, np.zeros(len(pts2))], tris
+
+
 def _check_edge_table(pts, tris):
     edges, face_edges, counts = mesh_edges(tris, len(pts))
     oracle = edge_face_counter(tris)
@@ -361,6 +378,17 @@ class TestExtraction:
         with pytest.raises(NotDiskTopology):
             conf.extract_disk_patch(sample, ORIGIN, 0.6)
 
+    def test_sparse_ball_leaves_no_triangle(self):
+        """Weights of 1e-4 set the mean spacing at 0.01, so every Delaunay
+        triangle of 40 points spread over [-1, 1]^2 fails the circumradius
+        filter."""
+        rng = np.random.default_rng(0)
+        pts = np.c_[rng.uniform(-1.0, 1.0, (40, 2)), np.zeros(40)]
+        frames = np.broadcast_to(np.eye(3)[:2], (40, 2, 3))
+        sparse_cloud = WeightedSurfaceSample(pts, np.full(40, 1e-4), frames)
+        with pytest.raises(NotDiskTopology, match="no triangle passes the circumradius filter"):
+            conf.extract_disk_patch(sparse_cloud, ORIGIN, 1.5)
+
     def test_from_mesh_rejects_pinched_complex(self):
         pts = np.array(
             [[0.0, 0, 0], [1, 0, 0], [0.5, 1, 0], [-1, 0, 0], [-0.5, -1, 0]]
@@ -376,6 +404,13 @@ class TestExtraction:
             (_double_fan, NotDiskTopology, "pinched vertex 0"),
             (_annulus, NotDiskTopology, "Euler characteristic 0"),
             (_projective_plane, NoBoundaryCycle, "no boundary edges"),
+            (_no_faces, NotDiskTopology, "no triangles survive in the patch"),
+            # used to raise NoBoundaryCycle "boundary forks at vertex ..."
+            (
+                _rim_sliver,
+                DegenerateTriangle,
+                r"triangle 96 \[.*\] has no area in the plane coordinates",
+            ),
         ],
     )
     def test_from_mesh_refusals(self, mesh, error, match):
@@ -464,6 +499,28 @@ class TestRefinement:
         assert fine.euler_characteristic() == 1
         assert fine.spacing == pytest.approx(0.5 * patch.spacing)
         assert fine.metric_radius == pytest.approx(0.5 * patch.metric_radius)
+
+    @pytest.mark.parametrize("case", ["extracted", "mirrored_cap_mesh"])
+    def test_refinement_matches_hand_built_boundary(self, case):
+        """Two refinements through `DiskPatch.from_mesh` give the fields
+        the hand-built boundary interleave gave, bit for bit: the disk walk
+        starts at the smallest boundary vertex, an old one, and runs
+        counterclockwise as the old cycle did."""
+        if case == "extracted":
+            sample, _ = generate(SyntheticSpec(kind="graph", n_points=3000, eps=0.3))
+            patch = conf.extract_disk_patch(sample, ORIGIN, 0.5)
+            projectors = ()
+        else:
+            pts2, tris = structured_disk_mesh(6, radius=RIM)
+            patch = conf.DiskPatch.from_mesh(
+                cap_lift(pts2), tris, plane_coords=pts2 * [-1.0, 1.0], center=ORIGIN
+            )
+            projectors = (cap_project, rim_project)
+        for _ in range(2):
+            expected = refine_interleave(patch, *projectors)
+            patch = conf.refine_disk_patch(patch, *projectors)
+            for name, value in expected.items():
+                assert np.array_equal(getattr(patch, name), value), name
 
     def test_boundary_projector_keeps_rim_on_circle(self):
         pts2, tris = structured_disk_mesh(8, radius=RIM)
@@ -1657,6 +1714,34 @@ BAD_CONFORMAL_CALLS = {
         lambda p: _grid_mesh_with(spacing=np.nan),
         InvalidScale,
         "patch spacing nan",
+    ),
+    # the next four used to raise numpy's broadcast ValueError or return a
+    # patch with NaN points
+    "refine_projector_planar_rows": (
+        lambda p: conf.refine_disk_patch(p.patch, lambda m: m[:, :2]),
+        DimensionMismatch,
+        r"projected midpoints have shape \(\d+, 2\), need \(k, 3\)",
+    ),
+    "refine_projector_one_row_short": (
+        lambda p: conf.refine_disk_patch(p.patch, lambda m: m[:-1]),
+        DimensionMismatch,
+        r"\d+ projected midpoints for \d+ edge midpoints",
+    ),
+    "refine_boundary_projector_one_row_short": (
+        lambda p: conf.refine_disk_patch(p.patch, None, lambda m: m[1:]),
+        DimensionMismatch,
+        r"\d+ projected midpoints for \d+ edge midpoints",
+    ),
+    "refine_boundary_projector_nan": (
+        lambda p: conf.refine_disk_patch(p.patch, None, lambda m: np.full_like(m, np.nan)),
+        NonFiniteInput,
+        "projected midpoint of row 0",
+    ),
+    # used to return a NaN mean-curvature residual
+    "diagnostics_nan_curvature": (
+        lambda p: conf.conformal_diagnostics(p, lambda f: np.where(f[:, :1] > 0.2, np.nan, f)),
+        NonFiniteInput,
+        r"curvature vector of row \d+ is not finite",
     ),
     "angle_defects_zero_length_edge": (
         lambda p: angle_defects(np.array([[0.0, 0, 0], [0, 0, 0], [1, 0, 0]]), [[0, 1, 2]]),

@@ -436,7 +436,7 @@ def test_inequality_delta_edge_cases(cap):
             cv.monotonicity_inequality(sample, ORIGIN, 0.3, 0.6, bad, field)
 
 
-# each call below used to raise a bare ValueError
+# each call below used to raise a bare ValueError, unless it says otherwise
 BAD_SCALE_PAIRS = {
     "identity_sigma_above_rho": (
         lambda s, f: cv.monotonicity_identity(s, ORIGIN, 0.6, 0.3, f),
@@ -449,6 +449,15 @@ BAD_SCALE_PAIRS = {
     "inequality_sigma_above_rho": (
         lambda s, f: cv.monotonicity_inequality(s, ORIGIN, 0.6, 0.3, 0.5, f),
         "need 0 < sigma < rho",
+    ),
+    # the next two used to skip the floor test, as sigma < nan is false
+    "identity_nan_floor": (
+        lambda s, f: cv.monotonicity_identity(s, ORIGIN, 0.3, 0.6, f, floor=np.nan),
+        "resolution floor nan is not positive and finite",
+    ),
+    "inequality_nan_floor": (
+        lambda s, f: cv.monotonicity_inequality(s, ORIGIN, 0.3, 0.6, 0.5, f, floor=np.nan),
+        "resolution floor nan is not positive and finite",
     ),
     "inequality_delta_above_one": (
         lambda s, f: cv.monotonicity_inequality(s, ORIGIN, 0.3, 0.6, 1.5, f),

@@ -485,6 +485,17 @@ BAD_RANK_CALLS = {
     "grassmann_rank_above_size": (
         lambda: grassmann_bases(np.eye(3), rank=4), DimensionMismatch, "rank 4"
     ),
+    # the next two used to raise a slicing TypeError
+    "pca_fractional_dim": (
+        lambda: fit_plane_pca(GAUSS20, dim=1.5),
+        DimensionMismatch,
+        r"plane dimension 1.5 is not an integer in \[1, 3\]",
+    ),
+    "grassmann_fractional_rank": (
+        lambda: grassmann_bases(np.eye(3), 1.5),
+        DimensionMismatch,
+        r"rank 1.5 is not an integer in \[1, 3\]",
+    ),
 }
 
 

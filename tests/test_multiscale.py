@@ -20,6 +20,7 @@ from varifoldlab.errors import (
     BallBelowResolution,
     DimensionMismatch,
     InvalidScale,
+    InvalidSpec,
     MissingCurvature,
     NonFiniteInput,
     PointOutsideDomain,
@@ -27,7 +28,13 @@ from varifoldlab.errors import (
     TooFewPoints,
 )
 from varifoldlab.geometry import Ball, Plane, WeightedSurfaceSample, fit_plane_pca
-from varifoldlab.synthetic import HOLE_DIAMETER_SPACINGS, SyntheticSpec, generate, graph_height
+from varifoldlab.synthetic import (
+    HOLE_DIAMETER_SPACINGS,
+    SyntheticSpec,
+    disk_lattice,
+    generate,
+    graph_height,
+)
 
 from oracles import (
     beta_table_loop,
@@ -580,6 +587,29 @@ BAD_FAMILY_AND_PLANE_CALLS = {
         lambda s: ms.ScaleFamily(np.zeros((1, 3)), (0.5, -0.25), -1.0, Ball(ORIGIN, 1.0)),
         InvalidScale,
         "family radius -0.25 is not positive and finite",
+    ),
+    # the next two used to return a NaN and a negative floor
+    "resolution_floor_nan_multiple": (
+        lambda s: ms.resolution_floor(s, np.nan),
+        InvalidScale,
+        "resolution floor multiple nan is not positive and finite",
+    ),
+    "resolution_floor_negative_multiple": (
+        lambda s: ms.resolution_floor(s, -1.0),
+        InvalidScale,
+        "resolution floor multiple -1.0 is not positive and finite",
+    ),
+    # the lattice of the flatness disks: the next two used to raise numpy's
+    # ValueError and to warn of a division by zero
+    "disk_lattice_nan_radius": (
+        lambda s: disk_lattice(np.nan, 100),
+        InvalidScale,
+        "lattice radius nan is not positive and finite",
+    ),
+    "disk_lattice_no_points": (
+        lambda s: disk_lattice(1.0, 0),
+        InvalidSpec,
+        "target_n must be a positive integer, got 0",
     ),
     # used to raise numpy's AxisError
     "family_centers_one_dimensional": (

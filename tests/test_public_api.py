@@ -4,9 +4,10 @@ do the pinned lists of the public definitions of `synthetic`,
 `iterated_projection`, `multiscale`, `curvature`, `geometry` and
 `meshing`.  Source checks: one module owns the eigenframe, projector and
 second-moment kernels, the row check and the pair-distance tables, the
-stage refill is one first-come pass, the mesh kernels have one owner
-each, lazy views are cached properties, and retired knobs stay gone;
-every settable keyword and every `SyntheticSpec` field is listed."""
+stage refill is one first-come pass, every disk patch is built by
+`DiskPatch.from_mesh`, the mesh kernels have one owner each, lazy views
+are cached properties, and retired knobs stay gone; every settable
+keyword and every `SyntheticSpec` field is listed."""
 
 import dataclasses
 import importlib
@@ -224,6 +225,17 @@ def test_stage_refill_is_one_first_come_pass():
     source = inspect.getsource(iterated_projection.build_sigma_delta)
     assert source.count("cKDTree(") == 1
     assert source.count("_greedy_net(") == 1
+
+
+def test_disk_patches_have_one_constructor():
+    """Every `DiskPatch` is built by `DiskPatch.from_mesh`, the one caller
+    of the disk check: extracted and refined patches pass the gate a
+    wrapped mesh passes, and change only `psi` and `sample_rows` after."""
+    call = r"(?<!def )\b_disk_complex\("
+    assert _modules_matching(call) == ["conformal.py"]
+    assert len(re.findall(call, Path(conformal.__file__).read_text())) == 1
+    assert re.search(call, inspect.getsource(conformal.DiskPatch.from_mesh))
+    assert _modules_matching(r"\bDiskPatch\(") == []
 
 
 def test_mesh_kernels_have_one_owner():
