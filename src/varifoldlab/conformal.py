@@ -34,6 +34,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, cKDTree
 
+from . import geometry
 from .curvature import CurvatureField
 from .errors import (
     DegenerateTriangle,
@@ -147,9 +148,10 @@ class DiskPatch:
         Source sample row per vertex, -1 for vertices created later
         (e.g. by refinement).
 
-    ``metric_radius`` is derived on read; ``boundary_chord_arc``,
-    ``skeleton_graph`` and ``metric_graph`` are cached attributes built on
-    first read.
+    ``metric_radius`` is derived on read; ``boundary_chord_arc`` is a
+    cached attribute computed on first read.  The path graphs of
+    `intrinsic_metric_diagnostics` and `waypoint_cycle` are built per call
+    and are not kept on the patch.
     """
 
     points: np.ndarray
@@ -164,7 +166,7 @@ class DiskPatch:
 
     def __post_init__(self):
         # frozen down to the arrays: no in-place write moves the patch
-        # under its cached graphs or a parameterization built on it
+        # under its cached chord-arc constant or a parameterization built on it
         for name in ("points", "triangles", "boundary", "plane_coords", "center", "sample_rows"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
 
@@ -192,27 +194,6 @@ class DiskPatch:
 
     def surface_triangle_areas(self) -> np.ndarray:
         return triangle_areas(self.points, self.triangles)
-
-    @cached_property
-    def skeleton_graph(self) -> sparse.csr_matrix:
-        """Symmetric edge graph of the triangulation, weighted by length."""
-        edges = mesh_edges(self.triangles, len(self.points))[0]
-        return _length_graph(self.points, edges)
-
-    @cached_property
-    def metric_graph(self) -> sparse.csr_matrix:
-        """Neighborhood graph (radius ``metric_radius``) plus the skeleton.
-        Raises DisconnectedPatch when it has more than one component."""
-        tree = cKDTree(self.points)
-        pairs = tree.query_pairs(self.metric_radius, output_type="ndarray")
-        # both graphs hold the same length on a shared edge, so the
-        # elementwise maximum is their union
-        graph = _length_graph(self.points, pairs.reshape(-1, 2)).maximum(
-            self.skeleton_graph
-        )
-        if connected_components(graph, directed=False)[0] != 1:
-            raise DisconnectedPatch("patch neighborhood graph is disconnected")
-        return graph
 
     @classmethod
     def from_mesh(
@@ -272,21 +253,45 @@ class DiskPatch:
         )
 
 
-def _length_graph(points: np.ndarray, edges: np.ndarray) -> sparse.csr_matrix:
-    """Symmetric graph holding the length of edge e at both orientations."""
-    lengths = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
+def _length_graph(
+    points: np.ndarray, edges: np.ndarray, radius: float | None = None
+) -> sparse.csr_matrix:
+    """Symmetric graph holding the length of every (m, 2) edge at both
+    orientations, joined by the pairs of points within `radius` when given.
+
+    The keys ``row * n + col`` of both orientations are sorted and made
+    unique by a neighbour compare, which gives the CSR column indices and
+    row pointers directly; the pair table is dropped once keyed, and the
+    lengths are taken ``geometry._PAIR_BLOCK`` entries at a time.
+    """
     n = len(points)
-    graph = sparse.coo_matrix(
-        (
-            np.concatenate([lengths, lengths]),
-            (
-                np.concatenate([edges[:, 0], edges[:, 1]]),
-                np.concatenate([edges[:, 1], edges[:, 0]]),
-            ),
-        ),
-        shape=(n, n),
+    sources = [edges]
+    if radius is not None:
+        sources.append(cKDTree(points).query_pairs(radius, output_type="ndarray").reshape(-1, 2))
+    keys = np.concatenate(
+        [e[:, i] * np.int64(n) + e[:, 1 - i] for i in (0, 1) for e in sources]
     )
-    return graph.tocsr()
+    del sources
+    keys.sort()
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    data = np.empty(len(keys))
+    for lo in range(0, len(keys), geometry._PAIR_BLOCK):
+        part = keys[lo : lo + geometry._PAIR_BLOCK]
+        data[lo : lo + len(part)] = np.linalg.norm(points[part // n] - points[part % n], axis=1)
+    indices = np.empty(len(keys), dtype=np.int32)
+    np.remainder(keys, n, out=indices, casting="unsafe")
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _metric_graph(patch: DiskPatch, edges: np.ndarray) -> sparse.csr_matrix:
+    """Neighborhood graph of the patch (radius ``metric_radius``) joined
+    with its mesh `edges`.  Raises DisconnectedPatch when it has more than
+    one component."""
+    graph = _length_graph(patch.points, edges, patch.metric_radius)
+    if connected_components(graph, directed=False)[0] != 1:
+        raise DisconnectedPatch("patch neighborhood graph is disconnected")
+    return graph
 
 
 def _interior_slot_pairs(face_edges: np.ndarray, counts: np.ndarray):
@@ -363,14 +368,15 @@ def _disk_complex(coords: np.ndarray, tris: np.ndarray, n_vertices: int):
     fork, outgoing = np.unique(tails, return_counts=True)
     if outgoing.max() > 1:
         raise NoBoundaryCycle(f"boundary forks at vertex {fork[outgoing > 1][0]}")
+    # a boundary vertex's link is one path, whose two end edges are its
+    # boundary edges; no vertex has two outgoing, so none has two incoming
+    # and the successors permute the boundary vertices: every walk closes
     succ = np.full(n_vertices, -1)
     succ[tails] = heads
     start = int(tails.min())
     cycle = [start]
     cur = int(succ[start])
     while cur != start:
-        if cur < 0 or len(cycle) == len(tails):
-            raise NoBoundaryCycle("boundary walk does not close")
         cycle.append(cur)
         cur = int(succ[cur])
     if len(cycle) != len(tails):
@@ -592,10 +598,11 @@ def intrinsic_metric_diagnostics(patch: DiskPatch, *, seed: int = 0) -> dict:
     neighborhood metric, and diameter / length of the cycle through
     METRIC_WAYPOINTS waypoints on the plane circle of radius 0.55 r_max
     (r_max the largest plane radius of the patch), as the one entry of
-    ``cycles``.  The cycle comes from `waypoint_cycle`, whose searches stop
-    at twice the longest waypoint chord and fall back to an unbounded
-    search for an anchor whose next anchor lies beyond; the chord and
-    skeleton ratios read unbounded searches from every sampled source.
+    ``cycles``.  The cycle comes from the `waypoint_cycle` kernel, whose
+    searches stop at twice the longest waypoint chord and fall back to an
+    unbounded search for an anchor whose next anchor lies beyond; the chord
+    and skeleton ratios read unbounded searches from every sampled source.
+    Both graphs are built for the call.
 
     Raises
     ------
@@ -603,8 +610,9 @@ def intrinsic_metric_diagnostics(patch: DiskPatch, *, seed: int = 0) -> dict:
         The patch neighborhood graph has more than one component.
     """
     k = len(patch)
-    metric = patch.metric_graph
-    skeleton = patch.skeleton_graph
+    edges = mesh_edges(patch.triangles, k)[0]
+    metric = _metric_graph(patch, edges)
+    skeleton = _length_graph(patch.points, edges)
     rng = np.random.default_rng(seed)
     src = np.sort(rng.choice(k, size=min(METRIC_SOURCES, k), replace=False))
     # both graphs are symmetric, so the directed search is the undirected
@@ -622,7 +630,7 @@ def intrinsic_metric_diagnostics(patch: DiskPatch, *, seed: int = 0) -> dict:
     radius = 0.55 * r_max
     angles = 2.0 * np.pi * np.arange(METRIC_WAYPOINTS) / METRIC_WAYPOINTS
     pts2 = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    cyc = waypoint_cycle(patch, pts2)
+    cyc = _waypoint_cycle(patch, metric, pts2)
     inside = _polygon_contains(patch.plane_coords[cyc], patch.plane_coords)
     enclosed = np.where(inside)[0]
     if len(enclosed) > 1500:
@@ -654,7 +662,8 @@ def waypoint_cycle(patch: DiskPatch, waypoints2) -> np.ndarray:
     """Jordan cycle through plane-coordinate waypoints via shortest paths.
 
     Snaps each waypoint to its nearest vertex and joins consecutive
-    waypoints by neighborhood-graph shortest paths, closing the loop.
+    waypoints by shortest paths in the patch's neighborhood graph (built
+    for the call), closing the loop.
 
     The search from the anchors (distinct snapped vertices) stops at
     ``WAYPOINT_REACH_MULT`` times the longest chord between consecutive
@@ -662,14 +671,19 @@ def waypoint_cycle(patch: DiskPatch, waypoints2) -> np.ndarray:
     path's end, so a path within the reach is the unbounded search's path.
     An anchor whose next anchor lies beyond gets an unbounded search alone.
     Raises NotJordan (fewer than three anchors, or meeting paths),
-    DisconnectedPatch (no path between consecutive anchors),
+    DisconnectedPatch (a neighborhood graph of several components),
     DimensionMismatch (waypoints not of shape (k, 2)) and NonFiniteInput
     (a waypoint holding NaN or infinity).
     """
     waypoints2 = _require_rows(waypoints2, 2, "waypoint")
-    coords = patch.plane_coords
-    tree = cKDTree(coords)
-    idx = tree.query(waypoints2)[1]
+    graph = _metric_graph(patch, mesh_edges(patch.triangles, len(patch))[0])
+    return _waypoint_cycle(patch, graph, waypoints2)
+
+
+def _waypoint_cycle(patch: DiskPatch, graph: sparse.csr_matrix, waypoints2: np.ndarray):
+    """`waypoint_cycle` over the patch's metric `graph`, for checked
+    (k, 2) waypoints."""
+    idx = cKDTree(patch.plane_coords).query(waypoints2)[1]
     anchors = [int(idx[0])]
     for i in idx[1:]:
         if int(i) != anchors[-1]:
@@ -684,7 +698,6 @@ def waypoint_cycle(patch: DiskPatch, waypoints2) -> np.ndarray:
     )
     # the metric graph is symmetric, so the directed search is the
     # undirected one without a transposed copy
-    graph = patch.metric_graph
     dist, pred = dijkstra(
         graph, directed=True, indices=anchors, return_predecessors=True,
         limit=reach,
@@ -692,11 +705,11 @@ def waypoint_cycle(patch: DiskPatch, waypoints2) -> np.ndarray:
     cycle: list = []
     for a, b, d_row, p_row in zip(anchors, nxt.tolist(), dist, pred):
         if not np.isfinite(d_row[b]):
+            # beyond the reach; the graph is connected, so a full search
+            # finds the path
             d_row, p_row = dijkstra(
                 graph, directed=True, indices=a, return_predecessors=True
             )
-            if not np.isfinite(d_row[b]):
-                raise DisconnectedPatch(f"no path between waypoints {a} and {b}")
         path = [b]
         while path[-1] != a:
             path.append(int(p_row[path[-1]]))

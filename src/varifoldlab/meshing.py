@@ -12,7 +12,8 @@ determinant: winding flips, fold counts and PL Jacobians all read it.
 ``_wedge_norms`` is the only owner of |a ^ b| in any ambient dimension:
 triangle areas and cotangents read it, so every mesh kernel runs on
 surfaces in R^n.  ``vertex_sums`` is the only owner of the per-corner
-scatter of face values onto vertices.
+scatter of face values onto vertices.  The public ``(vertices, faces)``
+kernels refuse non-finite vertices and face indices outside the vertices.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DegenerateTriangle
+from .geometry import _require_indices, _require_rows
 
 
 def orientation_dets(coords: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -48,9 +50,16 @@ def _wedge_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
+def _require_mesh(vertices, faces):
+    """`vertices` as finite float (k, n) rows (else NonFiniteInput or
+    DimensionMismatch) and `faces` as integer indices in [0, k) (else
+    InvalidIndex)."""
+    v = _require_rows(vertices, None, "mesh vertex")
+    return v, _require_indices(faces, len(v), "face vertex", "vertices")
+
+
 def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    v = np.asarray(vertices, dtype=float)
-    f = np.asarray(faces, dtype=int)
+    v, f = _require_mesh(vertices, faces)
     return 0.5 * _wedge_norms(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
 
 
@@ -61,8 +70,7 @@ def angle_defects(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     surface at interior vertices; boundary vertices report the same formula
     and should be masked by the caller.
     """
-    v = np.asarray(vertices, dtype=float)
-    f = np.asarray(faces, dtype=int)
+    v, f = _require_mesh(vertices, faces)
     out = np.full(len(v), 2.0 * np.pi)
     for c in range(3):
         a = v[f[:, c]]
@@ -108,7 +116,8 @@ def vertex_sums(faces: np.ndarray, values: np.ndarray, n_vertices: int) -> np.nd
 
 def vertex_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Barycentric vertex areas: one third of each incident face."""
-    return vertex_sums(faces, triangle_areas(vertices, faces) / 3.0, len(vertices))
+    v, f = _require_mesh(vertices, faces)
+    return vertex_sums(f, triangle_areas(v, f) / 3.0, len(v))
 
 
 def _cotangents(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -134,8 +143,8 @@ def cotangent_laplacian(vertices: np.ndarray, faces: np.ndarray) -> sparse.csr_m
     the angles opposite to the edge; diagonal holds minus the row sum, so
     constants are in the kernel.
     """
-    f = np.asarray(faces, dtype=int)
-    cots = _cotangents(vertices, f)
+    v, f = _require_mesh(vertices, faces)
+    cots = _cotangents(v, f)
     rows, cols, vals = [], [], []
     for k in range(3):
         i = f[:, (k + 1) % 3]
@@ -147,7 +156,7 @@ def cotangent_laplacian(vertices: np.ndarray, faces: np.ndarray) -> sparse.csr_m
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    n = len(vertices)
+    n = len(v)
     L = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     L = L - sparse.diags(np.asarray(L.sum(axis=1)).ravel())
     return L.tocsr()

@@ -11,12 +11,13 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from varifoldlab import conformal as conf
 from varifoldlab import geometry
 from varifoldlab import iterated_projection as ip
 from varifoldlab import multiscale as ms
@@ -1813,6 +1814,32 @@ def lipschitz_blocks(du, dv) -> float:
     return lip
 
 
+def _coo_length_graph(points, edges) -> csr_matrix:
+    """Symmetric graph of the (m, 2) unique `edges` weighted by length,
+    both orientations assembled in one COO matrix."""
+    lengths = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
+    n = len(points)
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    return coo_matrix((np.concatenate([lengths, lengths]), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def metric_graph_union(patch):
+    """(metric graph, skeleton graph) of a disk patch as the patch once
+    cached them: the ball-query graph of radius ``metric_radius`` joined
+    with the mesh-edge skeleton by an elementwise maximum (a shared edge
+    holds one length in both)."""
+    skeleton = _coo_length_graph(patch.points, mesh_edges(patch.triangles, len(patch))[0])
+    pairs = cKDTree(patch.points).query_pairs(patch.metric_radius, output_type="ndarray")
+    return _coo_length_graph(patch.points, pairs.reshape(-1, 2)).maximum(skeleton), skeleton
+
+
+def _patch_graphs(patch):
+    """(metric graph, skeleton graph) from the library's builders."""
+    edges = mesh_edges(patch.triangles, len(patch))[0]
+    return conf._metric_graph(patch, edges), conf._length_graph(patch.points, edges)
+
+
 def waypoint_cycle_unbounded(patch, waypoints2) -> np.ndarray:
     """``conformal.waypoint_cycle`` with one unbounded search per anchor over
     the whole metric graph."""
@@ -1826,7 +1853,7 @@ def waypoint_cycle_unbounded(patch, waypoints2) -> np.ndarray:
     if len(anchors) < 3:
         raise NotJordan("fewer than three distinct waypoint vertices")
     dist, pred = dijkstra(
-        patch.metric_graph, directed=True, indices=anchors,
+        _patch_graphs(patch)[0], directed=True, indices=anchors,
         return_predecessors=True,
     )
     cycle: list = []
@@ -1875,8 +1902,9 @@ def metric_diagnostics_loop(patch, waypoint_cycle, polygon_contains, *, sources=
     k = len(patch)
     rng = np.random.default_rng(seed)
     src = np.sort(rng.choice(k, size=min(sources, k), replace=False))
-    d_metric = dijkstra(patch.metric_graph, directed=True, indices=src)
-    d_skel = dijkstra(patch.skeleton_graph, directed=True, indices=src)
+    metric, skeleton = _patch_graphs(patch)
+    d_metric = dijkstra(metric, directed=True, indices=src)
+    d_skel = dijkstra(skeleton, directed=True, indices=src)
     chords = np.linalg.norm(
         patch.points[src][:, None, :] - patch.points[None, :, :], axis=2
     )

@@ -1,4 +1,4 @@
-"""Memory of each public phase of the benchmark's jobs, one line per phase.
+"""Memory of each phase of the benchmark's jobs, one line per phase.
 
 Usage, from the root of a checkout:
 
@@ -42,7 +42,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
 
-# The public phases each workload's jobs run, as module.function.
+# The public phases each workload's jobs run, and the private kernels that
+# held their peaks, as module.function.
 PHASES = {
     "certify": (
         "multiscale.build_scale_family",
@@ -66,6 +67,8 @@ PHASES = {
         "conformal.conformal_diagnostics",
         "conformal.quasisymmetry_table",
         "conformal.intrinsic_metric_diagnostics",
+        "conformal._length_graph",
+        "conformal._waypoint_cycle",
     ),
 }
 

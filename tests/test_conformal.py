@@ -56,6 +56,7 @@ from oracles import (
     graph_chord_length,
     lipschitz_blocks,
     metric_diagnostics_loop,
+    metric_graph_union,
     oracle_frame_energy_cap,
     pl_gradients_direct,
     quasisymmetry_bruteforce,
@@ -271,6 +272,23 @@ def _rim_sliver():
     return np.c_[pts2, np.zeros(len(pts2))], tris
 
 
+def _folded_pair():
+    """Two counterclockwise triangles on the edge (0, 1), the second
+    folded over the first: vertex 0 has two outgoing boundary edges."""
+    pts = np.array([[0.0, 0, 0], [1, 0, 0], [0.5, -1, 0], [0.5, -0.5, 0]])
+    return pts, np.array([[0, 2, 1], [0, 3, 1]])
+
+
+def _disk_and_annulus():
+    """structured_disk_mesh(2) beside the annulus, Euler characteristic
+    1 + 0 over three boundary cycles."""
+    pts2, tris = structured_disk_mesh(2)
+    ring_pts, ring_tris = _annulus()
+    ring_pts = ring_pts + [3.0, 0.0, 0.0]
+    pts = np.vstack([np.c_[pts2, np.zeros(len(pts2))], ring_pts])
+    return pts, np.vstack([tris, ring_tris + len(pts2)])
+
+
 def _check_edge_table(pts, tris):
     edges, face_edges, counts = mesh_edges(tris, len(pts))
     oracle = edge_face_counter(tris)
@@ -405,6 +423,8 @@ class TestExtraction:
             (_annulus, NotDiskTopology, "Euler characteristic 0"),
             (_projective_plane, NoBoundaryCycle, "no boundary edges"),
             (_no_faces, NotDiskTopology, "no triangles survive in the patch"),
+            (_folded_pair, NoBoundaryCycle, "boundary forks at vertex 0"),
+            (_disk_and_annulus, NoBoundaryCycle, "more than one boundary cycle"),
             # used to raise NoBoundaryCycle "boundary forks at vertex ..."
             (
                 _rim_sliver,
@@ -430,11 +450,12 @@ class TestExtraction:
         patch = conf.DiskPatch.from_mesh(
             np.c_[pts2, np.zeros(len(pts2))], tris, spacing=1e-6
         )
-        graph = patch.metric_graph  # tiny radius: union falls back to edges
+        # tiny radius: the graph keeps the mesh edges alone
+        graph = conf._metric_graph(patch, mesh_edges(patch.triangles, len(patch))[0])
         dist = dijkstra(graph, directed=False, indices=[0])
         assert np.isfinite(dist).all()
 
-    @pytest.mark.parametrize("cache", ["skeleton_graph", "metric_graph", "boundary_chord_arc"])
+    @pytest.mark.parametrize("cache", ["boundary_chord_arc"])
     def test_caches_are_not_constructor_arguments(self, cache):
         pts2, tris = structured_disk_mesh(4)
         patch = conf.DiskPatch.from_mesh(np.c_[pts2, np.zeros(len(pts2))], tris)
@@ -443,14 +464,14 @@ class TestExtraction:
             conf.DiskPatch(**given, **{cache: None})
 
     def test_patch_is_frozen(self):
-        """Moving the points after `metric_graph` was read would leave the
-        cached graph stale; the record refuses it."""
+        """Moving the points after `boundary_chord_arc` was read would leave
+        the cached constant stale; the record refuses it."""
         pts2, tris = structured_disk_mesh(4)
         patch = conf.DiskPatch.from_mesh(np.c_[pts2, np.zeros(len(pts2))], tris)
-        graph = patch.metric_graph
+        constant = patch.boundary_chord_arc
         with pytest.raises(dataclasses.FrozenInstanceError):
             patch.points = 2.0 * patch.points
-        assert patch.metric_graph is graph
+        assert patch.boundary_chord_arc == constant
 
 
 def _tilted_disk(rings, angle):
@@ -557,7 +578,7 @@ class TestIntrinsicMetric:
         sample, _ = generate(SyntheticSpec(kind="graph", n_points=20000, seed=5, eps=0.3))
         c3 = sample.points[np.argmin(np.linalg.norm(sample.points[:, :2], axis=1))]
         patch = conf.extract_disk_patch(sample, c3, 0.5)
-        graph = patch.metric_graph
+        graph = conf._metric_graph(patch, mesh_edges(patch.triangles, len(patch))[0])
         uv = patch.points[:, :2]
         for kdir in range(6):
             th = np.pi * kdir / 6.0
@@ -568,12 +589,37 @@ class TestIntrinsicMetric:
             oracle = graph_chord_length(0.3, uv[i], uv[j])
             assert abs(d / oracle - 1.0) <= 0.01
 
+    @pytest.mark.parametrize("block", [None, 4099])
+    def test_graphs_match_union_oracle(self, cap_extracted, structured_cap_pp, block,
+                                       monkeypatch):
+        """The graphs built from the sorted keys of the ball-query pairs and
+        mesh edges are, bit for bit, the ball-query graph's elementwise
+        maximum with the skeleton (and the skeleton), at any length block:
+        on an extracted cap, a refined mesh, and a mesh whose graph radius
+        is too small for any pair, so only its edges remain."""
+        pts2, tris = structured_disk_mesh(6)
+        tiny = conf.DiskPatch.from_mesh(np.c_[pts2, np.zeros(len(pts2))], tris, spacing=1e-6)
+        patches = [cap_extracted[1], conf.refine_disk_patch(structured_cap_pp[0]), tiny]
+        if block is not None:
+            monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        for patch in patches:
+            edges = mesh_edges(patch.triangles, len(patch))[0]
+            got = (conf._metric_graph(patch, edges), conf._length_graph(patch.points, edges))
+            for new, old in zip(got, metric_graph_union(patch)):
+                for field in ("data", "indices", "indptr"):
+                    assert getattr(new, field).dtype == getattr(old, field).dtype
+                    assert np.array_equal(getattr(new, field), getattr(old, field))
+        # the tiny patch, last: no pair within the radius
+        assert got[0].nnz == got[1].nnz == 2 * len(edges)
+
 
 class TestCycles:
     def test_metric_and_skeleton_graphs_are_symmetric(self, flat_pp, cap_extracted):
         # the shortest-path searches run directed=True on these graphs
         for patch in (flat_pp[0], cap_extracted[1]):
-            for graph in (patch.metric_graph, patch.skeleton_graph):
+            edges = mesh_edges(patch.triangles, len(patch))[0]
+            metric = conf._metric_graph(patch, edges)
+            for graph in (metric, conf._length_graph(patch.points, edges)):
                 assert (graph != graph.T).nnz == 0
 
     def test_flat_circle_cycle_isoperimetric_ratio(self, flat_pp):
@@ -1752,6 +1798,33 @@ BAD_CONFORMAL_CALLS = {
         lambda p: cotangent_laplacian(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]), [[0, 1, 2]]),
         DegenerateTriangle,
         "zero-area face in cotangent assembly",
+    ),
+    # the four mesh kernels used to raise numpy's IndexError, wrap a
+    # negative index, truncate a fractional one or return NaN
+    "triangle_areas_index_past_the_end": (
+        lambda p: triangle_areas(np.eye(3), [[0, 1, 9]]),
+        InvalidIndex,
+        r"face vertex 9 is outside the vertices \[0, 3\)",
+    ),
+    "angle_defects_negative_index": (
+        lambda p: angle_defects(np.eye(3), [[-1, 1, 2]]),
+        InvalidIndex,
+        r"face vertex -1 is outside the vertices \[0, 3\)",
+    ),
+    "vertex_areas_fractional_faces": (
+        lambda p: vertex_areas(np.eye(3), [[0, 1, 2.5]]),
+        InvalidIndex,
+        "face vertex indices must be integers, got float64",
+    ),
+    "cotangent_laplacian_nan_vertices": (
+        lambda p: cotangent_laplacian(np.full((3, 3), np.nan), [[0, 1, 2]]),
+        NonFiniteInput,
+        "mesh vertex of row 0 is not finite",
+    ),
+    "vertex_areas_infinite_vertex": (
+        lambda p: vertex_areas(np.array([[0.0, 0, 0], [1, 0, 0], [0, np.inf, 0]]), [[0, 1, 2]]),
+        NonFiniteInput,
+        "mesh vertex of row 2 is not finite",
     ),
 }
 
